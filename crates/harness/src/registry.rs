@@ -1,6 +1,6 @@
 //! Factories for every algorithm in the evaluation (the analogue of the
-//! paper's Figure 4 list), so the figure drivers and the Criterion benches
-//! can instantiate structures by name.
+//! paper's Figure 4 list), so the figure drivers can instantiate structures
+//! by name.
 //!
 //! Beyond the flat list, [`try_make`] understands the **sharded
 //! composition** grammar `shardN(inner)` — e.g. `shard8(int-avl-pathcas)`

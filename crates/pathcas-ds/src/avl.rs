@@ -357,11 +357,19 @@ impl PathCasAvl {
                 let mut op = builder.start(&guard);
                 let res = self.search(&mut op, &guard, key);
                 if res.found {
-                    // §4.1: found keys need no validation.
+                    // §4.1: found keys need no validation of the path — but
+                    // a two-child `remove(key)` rewrites this node's key and
+                    // value (to its successor's) in one KCAS, so a value
+                    // read after the key may belong to the successor.  A
+                    // node's key only ever grows (successors are larger), so
+                    // seeing `key` again after the value read proves the
+                    // value was read while the node still held `key`.
                     let curr = res.curr.expect("found implies node");
-                    return Some(op.read(&curr.val));
-                }
-                if op.validate() {
+                    let val = op.read(&curr.val);
+                    if op.read(&curr.key) == key {
+                        return Some(val);
+                    }
+                } else if op.validate() {
                     return None;
                 }
                 self.note_retry();

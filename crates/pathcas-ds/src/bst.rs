@@ -320,7 +320,14 @@ impl PathCasBst {
                     // reachability implies the node is unmarked, hence the key
                     // was in the tree at some point during this operation.
                     let curr = res.curr.expect("found implies a node");
-                    return Some(Some(op.read(&curr.val)));
+                    // A two-child `remove(key)` rewrites this node's key and
+                    // value (to its successor's) in one KCAS, so a value
+                    // read after the key may belong to the successor.  A
+                    // node's key only ever grows (successors are larger), so
+                    // seeing `key` again after the value read proves the
+                    // value was read while the node still held `key`.
+                    let val = op.read(&curr.val);
+                    return (op.read(&curr.key) == key).then_some(Some(val));
                 }
                 if op.validate() {
                     return Some(None);

@@ -3,11 +3,15 @@
 //! Serves any [`mapapi::ConcurrentMap`] — in practice a registry structure
 //! or a `shard::ShardedMap` composition — over TCP with a small
 //! length-prefixed binary protocol (GET/PUT/DEL/RMW/SCAN/STATS/METRICS),
-//! using nothing beyond `std::net`.  Three pieces:
+//! using nothing beyond `std::net`.  Four pieces:
 //!
 //! * [`proto`] — frame layout, opcodes, and the encode/decode pairs (the
 //!   tables live in the module docs);
-//! * [`Server`] — threaded acceptor + one handler per connection, with
+//! * [`session`] — the sans-I/O connection core: bytes in → staged bytes
+//!   out, owning the whole wire lifecycle (decode, gates, execute, encode,
+//!   error-then-close, streaming) with no socket in sight;
+//! * [`Server`] — two thin I/O drivers around that core, a blocking
+//!   thread per connection or an epoll reactor, both with
 //!   **per-connection request pipelining and batched responses**: a burst
 //!   of N requests is answered with one batched write, so syscalls are
 //!   paid per burst;
@@ -35,6 +39,7 @@ pub mod client;
 pub mod metrics;
 pub mod proto;
 mod reactor;
+pub mod session;
 mod srv;
 
 pub use client::{Connection, ServiceMap, WireTail};

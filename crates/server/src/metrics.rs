@@ -33,26 +33,41 @@ pub const FLIGHT_CAPACITY: usize = 128;
 /// recorder's cost is one relaxed load per op.
 pub const DEFAULT_SLOW_OP_THRESHOLD_NS: u64 = 1_000_000;
 
-/// The server's global metric set.  Counters cover both backends; the
-/// `reactor_*` group only moves when the reactor backend serves.
+/// Everything this module knows about one wire verb, indexed by opcode in
+/// [`VERBS`]: its name in the slow-op dump, and the counter of executed
+/// requests with the name it is registered under (`None` for codes that are
+/// never executed as point requests).
+struct Verb {
+    name: &'static str,
+    metric: Option<&'static str>,
+    ops: Counter,
+}
+
+const fn verb(name: &'static str, metric: Option<&'static str>) -> Verb {
+    Verb { name, metric, ops: Counter::new() }
+}
+
+/// The verb table, indexed by wire opcode (`proto`'s request codes).
+/// `SCAN` counts oversized scans answered with an error too; `METRICS` and
+/// `TRACE` render their exposition *before* their own counter bump, so the
+/// first call reports 0 for itself.
+static VERBS: [Verb; 10] = [
+    verb("?", None), // 0 is the `Err` response tag; no request carries it
+    verb("GET", Some("srv_ops_get_total")),
+    verb("PUT", Some("srv_ops_put_total")),
+    verb("DEL", Some("srv_ops_del_total")),
+    verb("RMW", Some("srv_ops_rmw_total")),
+    verb("SCAN", Some("srv_ops_scan_total")),
+    verb("STATS", Some("srv_ops_stats_total")),
+    verb("SUBSCRIBE", None), // flips the session's mode; never executed
+    verb("METRICS", Some("srv_ops_metrics_total")),
+    verb("TRACE", Some("srv_ops_trace_total")),
+];
+
+/// The server's global metric set (the per-verb counters live in
+/// [`VERBS`]).  Counters cover both backends; the `reactor_*` group only
+/// moves when the reactor backend serves.
 pub(crate) struct ServerMetrics {
-    /// `GET`s executed.
-    pub ops_get: Counter,
-    /// `PUT`s executed.
-    pub ops_put: Counter,
-    /// `DEL`s executed.
-    pub ops_del: Counter,
-    /// `RMW`s executed.
-    pub ops_rmw: Counter,
-    /// `SCAN`s executed (including oversized ones answered with an error).
-    pub ops_scan: Counter,
-    /// `STATS` executed.
-    pub ops_stats: Counter,
-    /// `METRICS` executed.  The exposition a call returns is rendered
-    /// *before* its own counter bump, so the first call reports 0 here.
-    pub ops_metrics: Counter,
-    /// `TRACE` executed.  Same render-before-bump contract as `METRICS`.
-    pub ops_trace: Counter,
     /// Ops whose wall time crossed the slow-op threshold (each also lands
     /// in the flight recorder).
     pub slow_ops: Counter,
@@ -84,14 +99,6 @@ pub(crate) struct ServerMetrics {
 }
 
 static METRICS: ServerMetrics = ServerMetrics {
-    ops_get: Counter::new(),
-    ops_put: Counter::new(),
-    ops_del: Counter::new(),
-    ops_rmw: Counter::new(),
-    ops_scan: Counter::new(),
-    ops_stats: Counter::new(),
-    ops_metrics: Counter::new(),
-    ops_trace: Counter::new(),
     slow_ops: Counter::new(),
     conns_accepted: Counter::new(),
     op_ns: Histogram::new(),
@@ -118,14 +125,11 @@ static INIT: Once = Once::new();
 /// in the hot loops pay essentially nothing for registration.
 pub(crate) fn metrics() -> &'static ServerMetrics {
     INIT.call_once(|| {
-        telemetry::register("srv_ops_get_total", Handle::Counter(&METRICS.ops_get));
-        telemetry::register("srv_ops_put_total", Handle::Counter(&METRICS.ops_put));
-        telemetry::register("srv_ops_del_total", Handle::Counter(&METRICS.ops_del));
-        telemetry::register("srv_ops_rmw_total", Handle::Counter(&METRICS.ops_rmw));
-        telemetry::register("srv_ops_scan_total", Handle::Counter(&METRICS.ops_scan));
-        telemetry::register("srv_ops_stats_total", Handle::Counter(&METRICS.ops_stats));
-        telemetry::register("srv_ops_metrics_total", Handle::Counter(&METRICS.ops_metrics));
-        telemetry::register("srv_ops_trace_total", Handle::Counter(&METRICS.ops_trace));
+        for v in &VERBS {
+            if let Some(name) = v.metric {
+                telemetry::register(name, Handle::Counter(&v.ops));
+            }
+        }
         telemetry::register("srv_slow_ops_total", Handle::Counter(&METRICS.slow_ops));
         telemetry::register("srv_conns_accepted_total", Handle::Counter(&METRICS.conns_accepted));
         telemetry::register("srv_op_ns", Handle::Histogram(&METRICS.op_ns));
@@ -188,8 +192,8 @@ pub fn set_slow_op_threshold_ns(ns: u64) {
     SLOW_NS.store(ns, Ordering::Relaxed);
 }
 
-/// The wire opcode and subject key of a request — the flight recorder's
-/// `op`/`key` fields.  Keyless verbs report key 0.
+/// The wire opcode (the [`VERBS`] index) and subject key of a request — the
+/// flight recorder's `op`/`key` fields.  Keyless verbs report key 0.
 pub(crate) fn op_tag(req: &crate::proto::Request) -> (u64, u64) {
     use crate::proto::Request;
     match *req {
@@ -202,22 +206,6 @@ pub(crate) fn op_tag(req: &crate::proto::Request) -> (u64, u64) {
         Request::Subscribe(_) => (7, 0),
         Request::Metrics(_) => (8, 0),
         Request::Trace(_) => (9, 0),
-    }
-}
-
-/// Opcode → verb name, for the slow-op dump.
-fn op_name(op: u64) -> &'static str {
-    match op {
-        1 => "GET",
-        2 => "PUT",
-        3 => "DEL",
-        4 => "RMW",
-        5 => "SCAN",
-        6 => "STATS",
-        7 => "SUBSCRIBE",
-        8 => "METRICS",
-        9 => "TRACE",
-        _ => "?",
     }
 }
 
@@ -250,16 +238,8 @@ pub(crate) fn record_op(
     let m = metrics();
     let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
     m.op_ns.record(ns);
-    match op {
-        1 => m.ops_get.inc(),
-        2 => m.ops_put.inc(),
-        3 => m.ops_del.inc(),
-        4 => m.ops_rmw.inc(),
-        5 => m.ops_scan.inc(),
-        6 => m.ops_stats.inc(),
-        8 => m.ops_metrics.inc(),
-        9 => m.ops_trace.inc(),
-        _ => {}
+    if let Some(v) = VERBS.get(op as usize) {
+        v.ops.inc();
     }
     // ORDERING: Relaxed — the threshold is a tuning knob (see
     // `slow_op_threshold_ns`); a racing update may misclassify one op.
@@ -280,24 +260,23 @@ pub(crate) fn record_op(
 /// 64 ns, saturating at `0xFFFF` (≈ 4.19 ms per lane).
 const PHASE_LANE_UNIT_NS: u64 = 64;
 
-/// Pack the `ready`/`decode`/`shard`/`kcas` scratch durations into four
-/// 16-bit lanes of one `u64` (64 ns units, saturating) — the flight
-/// record's phase-breakdown field.  `resp`/`flush` are not yet known when
-/// the record is written (they happen after `record_op`), so the packed
-/// breakdown covers the server-side path up to and including the structure
-/// execution.
+/// Phases a flight record's breakdown covers: the first four of the
+/// pipeline-ordered taxonomy (`ready`, `decode`, `shard`, `kcas`).  `resp`
+/// and `flush` are not yet known when the record is written (they happen
+/// after `record_op`), so the packed breakdown covers the server-side path
+/// up to and including the structure execution.
+const PACKED_PHASES: usize = 4;
+
+/// Pack the first [`PACKED_PHASES`] scratch durations into 16-bit lanes of
+/// one `u64` (64 ns units, saturating) — the flight record's
+/// phase-breakdown field.
 pub(crate) fn pack_phases(scratch: &[u64; telemetry::trace::PHASE_COUNT]) -> u64 {
-    let lane = |phase: u64| -> u64 {
-        (scratch[phase as usize] / PHASE_LANE_UNIT_NS).min(0xFFFF)
-    };
-    lane(telemetry::trace::PHASE_READY)
-        | lane(telemetry::trace::PHASE_DECODE) << 16
-        | lane(telemetry::trace::PHASE_SHARD) << 32
-        | lane(telemetry::trace::PHASE_KCAS) << 48
+    (0..PACKED_PHASES)
+        .fold(0, |packed, p| packed | (scratch[p] / PHASE_LANE_UNIT_NS).min(0xFFFF) << (16 * p))
 }
 
 /// Unpack one lane of a packed phase field back to approximate nanoseconds.
-fn unpack_lane(phases: u64, lane: u32) -> u64 {
+fn unpack_lane(phases: u64, lane: usize) -> u64 {
     ((phases >> (16 * lane)) & 0xFFFF) * PHASE_LANE_UNIT_NS
 }
 
@@ -314,7 +293,7 @@ pub fn flight_dump() -> String {
             out,
             "# slowop ticket={} op={} key={} latency_ns={} shard={} backend={}",
             r.ticket,
-            op_name(r.op),
+            VERBS.get(r.op as usize).map_or("?", |v| v.name),
             r.key,
             r.latency_ns,
             r.shard,
@@ -323,14 +302,10 @@ pub fn flight_dump() -> String {
         // Phase breakdown (64 ns granularity), present only when the slow
         // op was also trace-sampled.
         if r.phases != 0 {
-            let _ = write!(
-                out,
-                " ready_ns={} decode_ns={} shard_ns={} kcas_ns={}",
-                unpack_lane(r.phases, 0),
-                unpack_lane(r.phases, 1),
-                unpack_lane(r.phases, 2),
-                unpack_lane(r.phases, 3),
-            );
+            for lane in 0..PACKED_PHASES {
+                let name = telemetry::trace::phase_name(lane as u64);
+                let _ = write!(out, " {name}_ns={}", unpack_lane(r.phases, lane));
+            }
         } else {
             let _ = write!(out, " phases=-");
         }

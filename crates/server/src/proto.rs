@@ -391,7 +391,9 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
     Ok(resp)
 }
 
-/// Read one frame's payload into `payload` (cleared first).  Returns
+/// Read one frame's payload into `payload` (cleared first) — the blocking
+/// client's reader, and the oracle the incremental [`FrameDecoder`] (what
+/// the server reads with) is property-tested against.  Returns
 /// `Ok(false)` on clean EOF at a frame boundary; propagates any other I/O
 /// error (including mid-frame EOF, surfaced as `UnexpectedEof`).
 pub fn read_frame<R: BufRead>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<bool> {
@@ -424,9 +426,9 @@ pub fn write_frames<W: Write>(w: &mut W, frames: &[u8]) -> io::Result<()> {
 /// small enough that a connection's retained buffer stays modest.
 pub const READ_CHUNK: usize = 64 << 10;
 
-/// An **incremental** frame decoder: the nonblocking counterpart of
-/// [`read_frame`], for readers that receive bytes in whatever pieces the
-/// network delivers (the reactor's per-connection state machine).
+/// An **incremental** frame decoder: the counterpart of [`read_frame`] for
+/// readers that receive bytes in whatever pieces the network delivers —
+/// every server connection's `Session`, on both backends.
 ///
 /// Bytes accumulate in one internal buffer ([`FrameDecoder::fill_from`]
 /// reads straight into its tail — no staging copy) and
@@ -443,13 +445,20 @@ pub const READ_CHUNK: usize = 64 << 10;
 ///   assembling (plus up to one [`READ_CHUNK`] of lookahead).
 ///
 /// Consumed bytes are compacted away lazily; capacity is retained across
-/// frames and connections (the reactor pools decoders), which is what makes
+/// frames and connections (the reactor pools sessions), which is what makes
 /// the steady-state read path allocation-free.
 #[derive(Default)]
 pub struct FrameDecoder {
+    /// Received bytes live in `buf[start..end]`.  Everything past `end` is
+    /// the read window of an earlier [`FrameDecoder::fill_from`], already
+    /// initialized, which the next fill reads into without zeroing it again
+    /// — a socket reader pays for the bytes it receives, not for
+    /// [`READ_CHUNK`] per `read`.
     buf: Vec<u8>,
     /// Start of unconsumed bytes in `buf`.
     start: usize,
+    /// End of received bytes in `buf`.
+    end: usize,
 }
 
 impl FrameDecoder {
@@ -462,7 +471,9 @@ impl FrameDecoder {
     /// [`FrameDecoder::fill_from`].
     pub fn feed(&mut self, bytes: &[u8]) {
         self.compact();
+        self.buf.truncate(self.end);
         self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
     }
 
     /// Read once from `r` into the buffer's tail, growing it by at most
@@ -470,20 +481,15 @@ impl FrameDecoder {
     /// friends propagate untouched.
     pub fn fill_from<R: io::Read>(&mut self, r: &mut R) -> io::Result<usize> {
         self.compact();
-        let old = self.buf.len();
-        // Zero-fill the read window; with retained capacity this is a
-        // memset, not an allocation.
-        self.buf.resize(old + READ_CHUNK, 0);
-        match r.read(&mut self.buf[old..]) {
-            Ok(n) => {
-                self.buf.truncate(old + n);
-                Ok(n)
-            }
-            Err(e) => {
-                self.buf.truncate(old);
-                Err(e)
-            }
+        let window = self.end + READ_CHUNK;
+        if self.buf.len() < window {
+            // Zero-fill only what no earlier fill has; with retained
+            // capacity this is a memset, not an allocation.
+            self.buf.resize(window, 0);
         }
+        let n = r.read(&mut self.buf[self.end..window])?;
+        self.end += n;
+        Ok(n)
     }
 
     /// The next complete frame payload, if the buffer holds one.
@@ -491,7 +497,7 @@ impl FrameDecoder {
     /// poisoned (hostile length prefix) and the connection must die —
     /// exactly when the [`read_frame`] oracle errors.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, String> {
-        let avail = &self.buf[self.start..];
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < 4 {
             return Ok(None);
         }
@@ -509,12 +515,12 @@ impl FrameDecoder {
     /// Whether undecoded bytes remain — i.e. the stream ended mid-frame if
     /// no more input is coming.
     pub fn has_partial(&self) -> bool {
-        self.start < self.buf.len()
+        self.start < self.end
     }
 
     /// Bytes currently buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// The buffer's capacity — what the allocation-bound property test
@@ -525,8 +531,8 @@ impl FrameDecoder {
 
     /// Forget buffered bytes but keep the allocation: the pool-return path.
     pub fn reset(&mut self) {
-        self.buf.clear();
         self.start = 0;
+        self.end = 0;
     }
 
     /// Drop the consumed prefix once it dominates the buffer, so the buffer
@@ -534,12 +540,12 @@ impl FrameDecoder {
     /// Amortized O(1) per byte: each byte is copied at most once per
     /// half-buffer of consumption.
     fn compact(&mut self) {
-        if self.start == self.buf.len() {
-            self.buf.clear();
+        if self.start == self.end {
             self.start = 0;
-        } else if self.start >= READ_CHUNK.max(self.buf.len() / 2) {
-            self.buf.copy_within(self.start.., 0);
-            self.buf.truncate(self.buf.len() - self.start);
+            self.end = 0;
+        } else if self.start >= READ_CHUNK.max(self.end / 2) {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
     }

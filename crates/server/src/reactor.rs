@@ -4,8 +4,8 @@
 //!
 //! Where the threaded backend spends an OS thread (stack, scheduler slot,
 //! context switches) per connection, the reactor spends a few hundred
-//! bytes of state machine: each connection is a nonblocking socket, an
-//! incremental [`FrameDecoder`], and a staged write queue.  N reactor
+//! bytes of state machine: each connection is a nonblocking socket and a
+//! [`Session`] (incremental decoder + staged write queue).  N reactor
 //! threads (default 2, `PATHCAS_REACTOR_THREADS`) each run their own epoll
 //! instance; the **accept fd is shared** — the nonblocking listener is
 //! registered level-triggered in every loop, and whichever thread wins the
@@ -13,24 +13,26 @@
 //! migration, so a connection's frames are processed strictly in order
 //! with no locking).
 //!
-//! The wire protocol, request execution, and error behavior are
-//! byte-identical to the threaded backend — [`crate::srv::execute`] is
-//! literally the same function — which is what lets the entire loopback /
-//! fault / replication battery run differentially against both
+//! The wire protocol, request execution, and error behavior are the
+//! threaded backend's by construction — both drive the same sans-I/O
+//! [`Session`], and this file holds only what is epoll: accept, the token
+//! map, the session pool, `WouldBlock`/`EPOLLOUT` arming and the
+//! syscall/wakeup counters.  The entire loopback / fault / replication
+//! battery still runs differentially against both
 //! (`tests/common/mod.rs::for_each_backend`).
 //!
 //! **Batching.**  A readability wakeup drains the socket until
-//! `WouldBlock`, decodes every complete frame, stages all responses into
-//! the connection's write queue, and only then writes — so a pipelined
-//! burst of D requests is answered with one `write` syscall, exactly the
-//! depth-D batching win the threaded backend gets from its
-//! flush-when-drained rule, except here it compounds across thousands of
-//! connections instead of thousands of threads.
+//! `WouldBlock`, lets the session execute every complete frame and stage
+//! all responses, and only then writes — so a pipelined burst of D requests
+//! is answered with one `write` syscall, exactly the depth-D batching win
+//! the threaded backend gets from its read-process-write loop, except here
+//! it compounds across thousands of connections instead of thousands of
+//! threads.
 //!
-//! **Pooling.**  Decoders and write queues are recycled through per-thread
-//! free lists when connections close, and both retain their capacity
-//! across frames — the steady-state read path (fill → decode → execute →
-//! encode) performs zero heap allocations, asserted by the
+//! **Pooling.**  Sessions are recycled through a per-thread free list when
+//! connections close, and their decoder and write queue retain their
+//! capacity across frames — the steady-state read path (fill → decode →
+//! execute → encode) performs zero heap allocations, asserted by the
 //! counting-allocator test in `tests/zero_alloc_wire.rs`.
 //!
 //! **Backpressure.**  A slow reader's write queue simply grows (staged
@@ -38,7 +40,7 @@
 //! permits; no connection can wedge another, asserted by
 //! `tests/reactor_faults.rs`.
 //!
-//! **Streaming.**  `SUBSCRIBE` flips a connection's mode: instead of
+//! **Streaming.**  `SUBSCRIBE` flips a session's mode: instead of
 //! decoding requests, the loop polls the change log (bounded 10 ms epoll
 //! timeout while any subscriber exists) and stages `EVENTS` frames
 //! whenever the previous batch has fully drained — the in-flight batch is
@@ -56,8 +58,9 @@ use epoll_shim::{Epoll, Events, Interest, WakeFd};
 use mapapi::ConcurrentMap;
 
 use crate::metrics::metrics;
-use crate::proto::{self, FrameDecoder, Request, Response, MAX_EVENTS_PER_FRAME};
-use crate::srv::{execute, is_write, Backend, ServerOpts, NO_LOG_MSG, READ_ONLY_MSG};
+use crate::proto::MAX_EVENTS_PER_FRAME;
+use crate::session::Session;
+use crate::srv::ServerOpts;
 
 /// Token of the shared listener in every reactor thread's epoll set.
 const TOK_LISTENER: u64 = 0;
@@ -112,8 +115,7 @@ impl ReactorServer {
                 conns: HashMap::new(),
                 next_token: TOK_CONN0,
                 streaming: 0,
-                dec_pool: Vec::new(),
-                out_pool: Vec::new(),
+                pool: Vec::new(),
                 dead: Vec::new(),
             };
             wakes.push(wake);
@@ -140,34 +142,12 @@ impl ReactorServer {
     }
 }
 
-/// What a connection is currently doing.
-enum Mode {
-    /// Decoding requests, staging responses.
-    Request,
-    /// `SUBSCRIBE`d: the loop pushes `EVENTS` frames past this seqno.
-    Streaming { after: u64 },
-}
-
 /// One connection's entire state — this is what replaces a thread.
 struct Conn {
     stream: TcpStream,
-    dec: FrameDecoder,
-    /// Staged response bytes not yet accepted by the kernel.
-    out: Vec<u8>,
-    /// Prefix of `out` already written.
-    out_pos: usize,
-    mode: Mode,
-    /// No more requests will be processed; close once `out` drains.  Set
-    /// on clean EOF and after a framing-error response is staged.
-    closing: bool,
+    session: Session,
     /// Whether `EPOLLOUT` is currently registered.
     want_write: bool,
-}
-
-impl Conn {
-    fn pending_out(&self) -> bool {
-        self.out_pos < self.out.len()
-    }
 }
 
 /// One reactor thread's state.  `run` is the event loop.
@@ -180,11 +160,10 @@ struct ReactorLoop {
     shutdown: Arc<AtomicBool>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    /// Live `Mode::Streaming` connections owned by this thread.
+    /// Live subscribed (streaming) connections owned by this thread.
     streaming: usize,
-    /// Recycled decoders / write queues from closed connections.
-    dec_pool: Vec<FrameDecoder>,
-    out_pool: Vec<Vec<u8>>,
+    /// Recycled sessions from closed connections (buffers kept warm).
+    pool: Vec<Session>,
     /// Scratch list of tokens to close after an iteration phase.
     dead: Vec<u64>,
 }
@@ -225,18 +204,16 @@ impl ReactorLoop {
                         // socket stays readable until the error/EOF has
                         // been consumed, and buffered request bytes that
                         // raced the close are still served.
-                        let was_streaming = matches!(conn.mode, Mode::Streaming { .. });
+                        let was_streaming = conn.session.streaming_after().is_some();
                         let mut dead = false;
                         if ev.readable || ev.hangup {
-                            dead = handle_readable(
-                                conn,
-                                &*self.map,
-                                &self.opts,
-                                &mut frames,
-                                &mut ready,
-                            );
+                            dead = handle_readable(conn, &*self.map, &mut frames, &mut ready);
                         }
-                        if !dead && (ev.writable || conn.pending_out() || conn.closing) {
+                        if !dead
+                            && (ev.writable
+                                || !conn.session.staged().is_empty()
+                                || conn.session.is_closing())
+                        {
                             // `flush` charges its `flush` span to the
                             // connection's last sampled frame, still in the
                             // thread's current-trace slot.
@@ -246,7 +223,7 @@ impl ReactorLoop {
                         // EPOLLOUT continuation for this connection in a
                         // later wakeup must not inherit it.
                         telemetry::trace::set_current(None);
-                        if !was_streaming && matches!(conn.mode, Mode::Streaming { .. }) {
+                        if !was_streaming && conn.session.streaming_after().is_some() {
                             self.streaming += 1;
                         }
                         if dead {
@@ -292,31 +269,20 @@ impl ReactorLoop {
                     }
                     let m = metrics();
                     m.conns_accepted.inc();
-                    // Pool hit rate: a recycled decoder arrives warm (its
+                    // Pool hit rate: a recycled session arrives warm (its
                     // buffers retain capacity), so a high hit rate is what
                     // keeps steady-state accepts allocation-light.
-                    let dec = match self.dec_pool.pop() {
-                        Some(dec) => {
+                    let session = match self.pool.pop() {
+                        Some(session) => {
                             m.reactor_pool_hits.inc();
-                            dec
+                            session
                         }
                         None => {
                             m.reactor_pool_misses.inc();
-                            FrameDecoder::default()
+                            Session::new(&self.opts)
                         }
                     };
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            dec,
-                            out: self.out_pool.pop().unwrap_or_default(),
-                            out_pos: 0,
-                            mode: Mode::Request,
-                            closing: false,
-                            want_write: false,
-                        },
-                    );
+                    self.conns.insert(token, Conn { stream, session, want_write: false });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -333,35 +299,20 @@ impl ReactorLoop {
     /// unbounded queue.
     fn pump_streams(&mut self) {
         debug_assert!(self.dead.is_empty());
+        let Some(log) = &self.opts.log else { return };
         for (&token, conn) in &mut self.conns {
-            let Mode::Streaming { after } = conn.mode else { continue };
-            if conn.pending_out() {
+            let Some(after) = conn.session.streaming_after() else { continue };
+            if !conn.session.staged().is_empty() {
                 continue;
             }
-            let Some(log) = &self.opts.log else { continue };
             let entries = log.read_from(after, MAX_EVENTS_PER_FRAME);
-            let Some(&(last, _)) = entries.last() else { continue };
-            conn.mode = Mode::Streaming { after: last };
-            // Each delivered batch is an op in the sampler's stream: a
-            // sampled batch records one `deliver` span covering encode +
-            // flush (explicit timestamps; no current trace is set here, so
-            // the inner flush records no separate `flush` span).
-            let tr = telemetry::trace::should_sample();
-            let deliver_start = telemetry::trace::now_ns();
-            conn.out.clear();
-            conn.out_pos = 0;
-            proto::encode_response(&Response::Events(entries), &mut conn.out);
-            let dead = flush(conn, &self.epoll, token);
-            if let Some(t) = tr {
-                telemetry::trace::record_span(
-                    t,
-                    telemetry::trace::PHASE_DELIVER,
-                    deliver_start,
-                    telemetry::trace::now_ns().saturating_sub(deliver_start),
-                    0,
-                );
+            if entries.is_empty() {
+                continue;
             }
-            if dead {
+            // No current trace is set here, so the flush records no `flush`
+            // span of its own: a sampled batch is one `deliver` span.
+            conn.session.stage_events(entries);
+            if flush(conn, &self.epoll, token) {
                 self.dead.push(token);
             }
         }
@@ -373,148 +324,46 @@ impl ReactorLoop {
     /// Tear a connection down and recycle its buffers.
     fn close(&mut self, token: u64) {
         let Some(mut conn) = self.conns.remove(&token) else { return };
-        if matches!(conn.mode, Mode::Streaming { .. }) {
+        if conn.session.streaming_after().is_some() {
             self.streaming -= 1;
         }
         // Closing the fd deregisters it from epoll implicitly; the explicit
         // delete keeps the set tidy if the stream clone semantics change.
         let _ = self.epoll.delete(conn.stream.as_raw_fd());
-        conn.dec.reset();
-        conn.out.clear();
-        self.dec_pool.push(conn.dec);
-        self.out_pool.push(conn.out);
+        conn.session.reset();
+        self.pool.push(conn.session);
         // `conn.stream` drops here: FIN (or RST if the peer sent bytes we
         // never read), exactly like the threaded handler's socket teardown.
     }
 }
 
-/// Drain the socket and process every complete frame, adding the number of
-/// frames executed to `frames`.  Returns whether the connection is already
-/// dead (reset, or EOF with nothing left to write).  `ready` is the
-/// wakeup's epoll-wait window, consumed by the first frame processed in
-/// this wakeup (see `process_frames`).
+/// Drain the socket, letting the session process every complete frame;
+/// adds the number of frames executed to `frames`.  Returns whether the
+/// connection is already dead (reset, or EOF with nothing left to write).
+/// `ready` is the wakeup's epoll-wait window, consumed by the first frame
+/// processed in this wakeup (see [`Session::process`]).
 fn handle_readable(
     conn: &mut Conn,
     map: &dyn ConcurrentMap,
-    opts: &ServerOpts,
     frames: &mut u64,
     ready: &mut Option<(u64, u64)>,
 ) -> bool {
-    let mut eof = false;
     loop {
         metrics().reactor_read_syscalls.inc();
-        match conn.dec.fill_from(&mut conn.stream) {
+        match conn.session.fill_from(&mut conn.stream) {
+            // EOF.  At a frame boundary: flush staged responses, then
+            // close.  Mid-frame (a torn frame): the tail is never answered.
             Ok(0) => {
-                eof = true;
-                break;
+                conn.session.close();
+                return conn.session.staged().is_empty();
             }
-            Ok(_) => {
-                if matches!(conn.mode, Mode::Streaming { .. }) {
-                    // Nothing may follow SUBSCRIBE; drop the bytes (the
-                    // threaded backend simply never reads them).
-                    conn.dec.reset();
-                } else if !conn.closing {
-                    *frames += process_frames(conn, map, opts, ready);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Ok(_) => *frames += conn.session.process(map, ready),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // Reset mid-read: the connection is gone, staged output and
-            // all — matching the threaded handler's `?` on a failed read.
+            // Reset mid-read: the connection is gone, staged output and all.
             Err(_) => return true,
         }
     }
-    if eof {
-        // Clean EOF at a frame boundary: flush staged responses, then
-        // close.  Mid-frame EOF (a torn frame) closes without a response,
-        // like the threaded path's UnexpectedEof.
-        conn.closing = true;
-        if !conn.pending_out() {
-            return true;
-        }
-    }
-    false
-}
-
-/// Decode and execute every complete frame currently buffered, staging the
-/// responses in order; returns how many frames were consumed.  Mirrors
-/// `srv::handle_conn`'s dispatch exactly.
-///
-/// Tracing: every frame consults the sampler; a sampled frame becomes the
-/// thread's current trace for the rest of its dispatch (so `execute`
-/// records its `shard`/`kcas` spans and the later `flush` its span).  The
-/// wakeup's `ready` window is consumed by the first frame of the wakeup —
-/// sampled or not — so a burst never multiply-charges one epoll wait;
-/// frames after the first record a zero-length `ready` span, keeping the
-/// per-op phase *set* identical across backends.
-fn process_frames(
-    conn: &mut Conn,
-    map: &dyn ConcurrentMap,
-    opts: &ServerOpts,
-    ready: &mut Option<(u64, u64)>,
-) -> u64 {
-    let mut frames = 0u64;
-    while !conn.closing {
-        // The decoded request is `Copy`, so the borrow on the decoder ends
-        // before the response is staged into `conn.out`.
-        let req = match conn.dec.next_frame() {
-            Ok(Some(payload)) => {
-                frames += 1;
-                let first_wait = ready.take();
-                let tr = telemetry::trace::should_sample();
-                telemetry::trace::set_current(tr);
-                if let Some(t) = tr {
-                    let (wait_start, wait_ns) =
-                        first_wait.unwrap_or((telemetry::trace::now_ns(), 0));
-                    telemetry::trace::record_span(
-                        t,
-                        telemetry::trace::PHASE_READY,
-                        wait_start,
-                        wait_ns,
-                        0,
-                    );
-                }
-                let _decode_span = telemetry::trace::begin(telemetry::trace::PHASE_DECODE);
-                proto::decode_request(payload)
-            }
-            Ok(None) => break,
-            Err(_) => {
-                // Hostile length prefix: torn connection, no response —
-                // the same observable as the threaded read_frame error.
-                conn.closing = true;
-                conn.out.clear();
-                conn.out_pos = 0;
-                break;
-            }
-        };
-        let resp = match req {
-            Ok(Request::Subscribe(after)) => match &opts.log {
-                Some(_) => {
-                    // Pipelined responses ahead of the subscription stay
-                    // staged in `out` and flush before the first EVENTS
-                    // frame — same ordering as the threaded flush-then-
-                    // stream.  Anything after SUBSCRIBE is undefined by
-                    // the protocol; drop it.
-                    conn.mode = Mode::Streaming { after };
-                    conn.dec.reset();
-                    return frames;
-                }
-                None => Response::Err(NO_LOG_MSG.into()),
-            },
-            Ok(req) if opts.read_only && is_write(&req) => Response::Err(READ_ONLY_MSG.into()),
-            Ok(req) => execute(map, req, Backend::Reactor),
-            Err(msg) => {
-                // Framing error: answer, then close once it flushes.
-                conn.closing = true;
-                Response::Err(msg)
-            }
-        };
-        {
-            let _resp_span = telemetry::trace::begin(telemetry::trace::PHASE_RESP);
-            proto::encode_response(&resp, &mut conn.out);
-        }
-    }
-    frames
 }
 
 /// Write staged bytes until drained or the kernel pushes back.  Arms and
@@ -548,16 +397,16 @@ fn flush(conn: &mut Conn, epoll: &Epoll, token: u64) -> bool {
 
 fn flush_inner(conn: &mut Conn, epoll: &Epoll, token: u64) -> bool {
     let m = metrics();
-    if conn.pending_out() {
+    if !conn.session.staged().is_empty() {
         // Queue depth at flush time — the backpressure signal: staged
         // bytes a slow peer has not yet accepted.
-        m.reactor_write_queue_bytes.record((conn.out.len() - conn.out_pos) as u64);
+        m.reactor_write_queue_bytes.record(conn.session.staged().len() as u64);
     }
-    while conn.pending_out() {
+    while !conn.session.staged().is_empty() {
         m.reactor_write_syscalls.inc();
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
+        match conn.stream.write(conn.session.staged()) {
             Ok(0) => return true,
-            Ok(n) => conn.out_pos += n,
+            Ok(n) => conn.session.wrote(n),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 if !conn.want_write {
                     // Counted once per stall (arming EPOLLOUT), not per
@@ -577,14 +426,11 @@ fn flush_inner(conn: &mut Conn, epoll: &Epoll, token: u64) -> bool {
             Err(_) => return true,
         }
     }
-    // Fully drained: recycle the staging buffer's window.
-    conn.out.clear();
-    conn.out_pos = 0;
     if conn.want_write {
         conn.want_write = false;
         if epoll.modify(conn.stream.as_raw_fd(), token, Interest::READ).is_err() {
             return true;
         }
     }
-    conn.closing
+    conn.session.is_closing()
 }

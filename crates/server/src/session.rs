@@ -1,0 +1,330 @@
+//! The sans-I/O core of a connection: bytes in → staged bytes out.
+//!
+//! A [`Session`] is one connection's entire protocol state — the
+//! incremental [`FrameDecoder`], the staged output buffer, the
+//! request/streaming/closing mode, the read-only and change-stream gates —
+//! and the **only** place the wire lifecycle lives: decode → `SUBSCRIBE`
+//! hand-off → read-only gate → `execute` → encode → error-then-close,
+//! with the per-frame `ready`/`decode`/`resp` spans and the per-batch
+//! `deliver` span woven through it.  It owns no socket, no epoll set and no
+//! thread; both serving backends are I/O drivers around the same three
+//! calls (DESIGN.md §10):
+//!
+//! 1. bytes arrive — [`Session::fill_from`] (one `read` straight into the
+//!    decoder) or [`Session::feed`] — then [`Session::process`] executes
+//!    every complete frame buffered, appending the responses to the staged
+//!    output;
+//! 2. a subscribed session is handed change-stream batches with
+//!    [`Session::stage_events`];
+//! 3. the driver writes [`Session::staged`] however its I/O model writes
+//!    and reports progress with [`Session::wrote`].
+//!
+//! Because the session never blocks and never looks at a clock other than
+//! the span timestamps, the same byte stream produces the same staged bytes
+//! whatever the chunking and whichever [`Backend`] tag it carries —
+//! `tests/session.rs` asserts exactly that, with no sockets.
+//!
+//! **Trace context.**  `process` consults the sampler once per frame and
+//! installs a sampled frame as the thread's current trace, so `execute`
+//! records its `shard`/`kcas` spans under it.  The last frame's trace is
+//! left installed on return: the driver charges the write that follows to
+//! it as the burst's `flush` span and then clears it
+//! (`telemetry::trace::set_current(None)`) before serving anything else.
+
+use std::io;
+
+use mapapi::ConcurrentMap;
+use replica::Event;
+use telemetry::trace::{
+    self, PHASE_DECODE, PHASE_DELIVER, PHASE_KCAS, PHASE_READY, PHASE_RESP, PHASE_SHARD,
+};
+
+use crate::proto::{self, FrameDecoder, Request, Response, MAX_SCAN_LEN};
+use crate::srv::{Backend, ServerOpts};
+
+/// Rejection for write verbs on a read-only server.
+pub const READ_ONLY_MSG: &str = "read-only replica: writes go to the primary";
+
+/// Rejection for `SUBSCRIBE` on a server without a change stream.
+pub const NO_LOG_MSG: &str = "no change stream: this server has no log";
+
+/// What a session is currently doing with its input.
+enum Mode {
+    /// Decoding requests, staging responses.
+    Request,
+    /// `SUBSCRIBE`d: the driver feeds it `EVENTS` batches past this seqno,
+    /// and anything the peer still sends is dropped (the protocol allows
+    /// nothing after `SUBSCRIBE`).
+    Streaming { after: u64 },
+}
+
+/// One connection's protocol state machine (module docs).
+pub struct Session {
+    dec: FrameDecoder,
+    /// Staged response bytes the driver has not yet reported written.
+    out: Vec<u8>,
+    /// Prefix of `out` already written.
+    out_pos: usize,
+    mode: Mode,
+    /// No more input will be processed; the driver closes the connection
+    /// once the staged output drains.  Set after a framing-error response
+    /// is staged, on a hostile length prefix, and by [`Session::close`].
+    closing: bool,
+    read_only: bool,
+    has_log: bool,
+    backend: Backend,
+    /// The sampled `deliver` span of the staged `EVENTS` batch, as
+    /// `(trace id, start)`; recorded when that batch has fully drained.
+    deliver: Option<(u64, u64)>,
+}
+
+impl Session {
+    /// A fresh session playing the roles `opts` names: read-only or
+    /// writable, with or without a change stream to `SUBSCRIBE` to, tagged
+    /// with the backend that drives it.  Allocates nothing until the first
+    /// bytes arrive.
+    pub fn new(opts: &ServerOpts) -> Session {
+        Session {
+            dec: FrameDecoder::new(),
+            out: Vec::new(),
+            out_pos: 0,
+            mode: Mode::Request,
+            closing: false,
+            read_only: opts.read_only,
+            has_log: opts.log.is_some(),
+            backend: opts.backend,
+            deliver: None,
+        }
+    }
+
+    /// Forget the connection but keep the buffers' allocations, so a pooled
+    /// session starts its next connection warm.
+    pub fn reset(&mut self) {
+        self.dec.reset();
+        self.out.clear();
+        self.out_pos = 0;
+        self.mode = Mode::Request;
+        self.closing = false;
+        self.deliver = None;
+    }
+
+    /// Read once from `r` straight into the decoder's buffer.  Returns the
+    /// byte count (0 = EOF); `WouldBlock` and friends propagate untouched.
+    pub fn fill_from<R: io::Read>(&mut self, r: &mut R) -> io::Result<usize> {
+        self.dec.fill_from(r)
+    }
+
+    /// Append input bytes by hand — the socket-free entry point.
+    pub fn feed(&mut self, bytes: &[u8]) {
+        self.dec.feed(bytes);
+    }
+
+    /// Decode and execute every complete frame currently buffered, staging
+    /// the responses in order; returns how many frames were consumed.
+    ///
+    /// `ready` is the caller's readiness wait — `(start, duration)` of the
+    /// blocking `read` or `epoll_wait` that produced these bytes.  The first
+    /// frame processed takes it, sampled or not, so a burst never
+    /// multiply-charges one wait; every later frame records a zero-length
+    /// `ready` span, which keeps the per-op phase *set* the same for every
+    /// frame on every backend.
+    ///
+    /// A closing session ignores its input; a streaming one drops it.
+    pub fn process(&mut self, map: &dyn ConcurrentMap, ready: &mut Option<(u64, u64)>) -> u64 {
+        if matches!(self.mode, Mode::Streaming { .. }) {
+            self.dec.reset();
+            return 0;
+        }
+        let mut frames = 0u64;
+        while !self.closing {
+            // The decoded request is `Copy`, so the borrow on the decoder
+            // ends before the response is staged into `out`.
+            let decoded = match self.dec.next_frame() {
+                Ok(Some(payload)) => {
+                    frames += 1;
+                    let first_wait = ready.take();
+                    let tr = trace::should_sample();
+                    trace::set_current(tr);
+                    if let Some(t) = tr {
+                        let (wait_start, wait_ns) = first_wait.unwrap_or((trace::now_ns(), 0));
+                        trace::record_span(t, PHASE_READY, wait_start, wait_ns, 0);
+                    }
+                    let _decode_span = trace::begin(PHASE_DECODE);
+                    proto::decode_request(payload)
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    // Hostile length prefix: the stream offset can never be
+                    // trusted again and there is no frame to answer, so the
+                    // connection closes once the responses already staged
+                    // ahead of it have drained.
+                    self.closing = true;
+                    break;
+                }
+            };
+            let resp = match decoded {
+                Ok(Request::Subscribe(after)) if self.has_log => {
+                    // Pipelined responses ahead of the subscription stay
+                    // staged and drain before the first EVENTS frame.
+                    // Anything after SUBSCRIBE is undefined by the
+                    // protocol; drop it.
+                    self.mode = Mode::Streaming { after };
+                    self.dec.reset();
+                    break;
+                }
+                Ok(Request::Subscribe(_)) => Response::Err(NO_LOG_MSG.into()),
+                // Semantic rejection, not a framing error: the connection
+                // survives, exactly like an oversized scan.
+                Ok(req) if self.read_only && is_write(&req) => Response::Err(READ_ONLY_MSG.into()),
+                Ok(req) => execute(map, req, self.backend),
+                Err(msg) => {
+                    // Framing error: answer, then close once it drains —
+                    // after a payload that does not parse, the stream offset
+                    // can no longer be trusted.
+                    self.closing = true;
+                    Response::Err(msg)
+                }
+            };
+            let _resp_span = trace::begin(PHASE_RESP);
+            proto::encode_response(&resp, &mut self.out);
+        }
+        frames
+    }
+
+    /// Stage one `EVENTS` batch on a subscribed session and move its resume
+    /// point past the batch's last entry.  Each batch is an op in the
+    /// sampler's stream: a sampled one records a single `deliver` span from
+    /// here until the driver reports the batch fully written.
+    pub fn stage_events(&mut self, entries: Vec<(u64, Event)>) {
+        let Some(&(last, _)) = entries.last() else { return };
+        self.mode = Mode::Streaming { after: last };
+        self.deliver = trace::should_sample().map(|t| (t, trace::now_ns()));
+        proto::encode_response(&Response::Events(entries), &mut self.out);
+    }
+
+    /// The staged bytes not yet written, oldest first.
+    pub fn staged(&self) -> &[u8] {
+        &self.out[self.out_pos..]
+    }
+
+    /// The driver wrote the first `n` bytes of [`Session::staged`].  Once
+    /// everything staged has drained the buffer's window is recycled (its
+    /// allocation is kept).
+    pub fn wrote(&mut self, n: usize) {
+        debug_assert!(n <= self.staged().len(), "reported more bytes than were staged");
+        self.out_pos += n;
+        if self.out_pos >= self.out.len() {
+            self.out.clear();
+            self.out_pos = 0;
+            if let Some((t, start)) = self.deliver.take() {
+                let dur = trace::now_ns().saturating_sub(start);
+                trace::record_span(t, PHASE_DELIVER, start, dur, 0);
+            }
+        }
+    }
+
+    /// Process no more input (the peer half-closed): the driver drops the
+    /// connection once the staged output drains.
+    pub fn close(&mut self) {
+        self.closing = true;
+    }
+
+    /// Whether the connection is to be closed once [`Session::staged`] is
+    /// empty.
+    pub fn is_closing(&self) -> bool {
+        self.closing
+    }
+
+    /// The seqno a subscribed session's stream resumes after; `None` while
+    /// it is still serving requests.
+    pub fn streaming_after(&self) -> Option<u64> {
+        match self.mode {
+            Mode::Request => None,
+            Mode::Streaming { after } => Some(after),
+        }
+    }
+}
+
+/// Whether a request mutates the map (the verbs a read-only server rejects).
+fn is_write(req: &Request) -> bool {
+    matches!(req, Request::Put(..) | Request::Del(..) | Request::Rmw(..))
+}
+
+/// Execute one decoded request against the map.  Every op is timed and
+/// counted (`crate::metrics`); ops past the slow threshold additionally land
+/// in the flight recorder tagged with the key's owning shard and `backend`.
+///
+/// When the calling thread carries a sampled trace (set by
+/// [`Session::process`]), the shard route and the structure execution are
+/// recorded as `shard`/`kcas` spans — the kcas span's event counts pick up
+/// the retry/help hooks `kcas::metrics` fires while `execute_inner` runs.
+/// Untraced ops pay one TLS read and skip all of it.
+fn execute(map: &dyn ConcurrentMap, req: Request, backend: Backend) -> Response {
+    let start = std::time::Instant::now();
+    let (opcode, key) = crate::metrics::op_tag(&req);
+    let resp = if trace::current().is_some() {
+        {
+            let _shard_span = trace::begin(PHASE_SHARD);
+            let _ = map.shard_of(key);
+        }
+        let kcas_span = trace::begin(PHASE_KCAS);
+        let resp = execute_inner(map, req, backend);
+        drop(kcas_span);
+        resp
+    } else {
+        execute_inner(map, req, backend)
+    };
+    crate::metrics::record_op(opcode, key, start.elapsed(), map, backend);
+    resp
+}
+
+fn execute_inner(map: &dyn ConcurrentMap, req: Request, backend: Backend) -> Response {
+    match req {
+        Request::Get(k) => Response::Get(map.get(k)),
+        Request::Put(k, v) => Response::Put(map.insert(k, v)),
+        Request::Del(k) => Response::Del(map.remove(k)),
+        // The canonical affine RMW (see the proto docs), shaped exactly
+        // like `workload::apply`'s in-process increment (`map_or(δ, (v+δ)
+        // & MAX_KEY)`); atomic on the PathCAS structures because their
+        // `rmw` override is.
+        Request::Rmw(k, delta) => Response::Rmw(
+            map.rmw(k, &mut |v| v.map_or(delta, |x| x.wrapping_add(delta) & mapapi::MAX_KEY)),
+        ),
+        // A scan longer than MAX_SCAN_LEN would encode to a response frame
+        // the protocol itself declares illegal (> MAX_FRAME), so it is
+        // refused up front: callers chunk large walks (like the quiescent
+        // audit does) instead of receiving a silently truncated window.
+        Request::Scan(_, len) if len as usize > MAX_SCAN_LEN => Response::Err(format!(
+            "scan len {len} exceeds MAX_SCAN_LEN ({MAX_SCAN_LEN}); chunk the scan"
+        )),
+        Request::Scan(start, len) => Response::Scan(map.scan(start, len as usize)),
+        Request::Stats => Response::Stats(map.stats()),
+        // The telemetry exposition: version-checked so a client built
+        // against a future layout fails loudly instead of misparsing.
+        // A read verb — followers answer it too.  The exposition is
+        // rendered *before* this request's own accounting, so the first
+        // METRICS call on a fresh server reports srv_ops_metrics_total 0.
+        Request::Metrics(v) if v == proto::METRICS_VERSION => {
+            Response::Metrics(crate::metrics::render(map, backend))
+        }
+        Request::Metrics(v) => Response::Err(format!(
+            "METRICS version {v} unsupported (server speaks {})",
+            proto::METRICS_VERSION
+        )),
+        // The span-trace exposition: same versioning contract as METRICS,
+        // same read-verb status.  Rendered *before* this request's own
+        // kcas/resp/flush spans are recorded, so the dump is a pure
+        // function of the ops that preceded it.
+        Request::Trace(v) if v == proto::TRACE_VERSION => {
+            Response::Trace(crate::metrics::render_trace(backend))
+        }
+        Request::Trace(v) => Response::Err(format!(
+            "TRACE version {v} unsupported (server speaks {})",
+            proto::TRACE_VERSION
+        )),
+        // Taken by `Session::process` before execute (it flips the session
+        // into streaming mode); reaching here means a bug in the dispatch
+        // order.
+        Request::Subscribe(_) => Response::Err("SUBSCRIBE is not a point request".into()),
+    }
+}

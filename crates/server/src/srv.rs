@@ -1,24 +1,24 @@
 //! The server front door — backend selection — plus the threaded backend:
-//! one acceptor thread, one handler thread per connection, responses
-//! batched per pipeline burst.
+//! one acceptor thread, one blocking handler thread per connection.
 //!
-//! [`Server`] itself is a thin facade over two interchangeable backends
-//! speaking the identical wire protocol (the whole test battery runs
-//! against both; see [`Backend`]):
+//! [`Server`] itself is a thin facade over two interchangeable I/O drivers
+//! around the same sans-I/O [`Session`] — so the wire protocol, request
+//! execution and error behaviour are one piece of code, not two kept alike
+//! (the whole test battery still runs against both; see [`Backend`]):
 //!
-//! * **threads** — the model documented below: simple, blocking, one OS
-//!   thread per connection;
+//! * **threads** — the driver below: simple, blocking, one OS thread per
+//!   connection;
 //! * **reactor** — the epoll-driven event loop in [`crate::reactor`]: a
 //!   fixed thread pool multiplexing every connection through readiness
 //!   notifications, which is what scales past a few hundred connections.
 //!
-//! A handler decodes and executes requests one at a time but only flushes
-//! its write buffer when the read side has drained — so a client that
-//! pipelines N requests gets its N responses written as one batch, which is
-//! where the service throughput comes from (syscalls and wakeups are paid
-//! per *burst*, not per op).  The structure itself needs no extra locking:
-//! it is a [`ConcurrentMap`], so handler threads hit it concurrently
-//! exactly like in-process worker threads do.
+//! A handler reads once, lets its session execute every frame that read
+//! completed, and writes what they staged as one batch — so a client that
+//! pipelines N requests gets its N responses in one write, which is where
+//! the service throughput comes from (syscalls and wakeups are paid per
+//! *burst*, not per op).  The structure itself needs no extra locking: it is
+//! a [`ConcurrentMap`], so handler threads hit it concurrently exactly like
+//! in-process worker threads do.
 //!
 //! Handlers block in plain reads with **no read timeout** — a frame split
 //! across TCP segments can take as long as it takes.  [`Server::shutdown`]
@@ -26,7 +26,7 @@
 //! EOF/reset, every thread exits, and `shutdown` returns only after the
 //! last join.
 
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -36,7 +36,8 @@ use std::time::Duration;
 use mapapi::ConcurrentMap;
 use replica::ChangeLog;
 
-use crate::proto::{self, Request, Response, MAX_EVENTS_PER_FRAME, MAX_SCAN_LEN};
+use crate::proto::MAX_EVENTS_PER_FRAME;
+use crate::session::Session;
 
 /// Optional server roles beyond plain KV serving.
 ///
@@ -244,7 +245,7 @@ impl ThreadedServer {
                         let sock = stream.try_clone().ok();
                         // Protocol errors and broken pipes just end this
                         // connection; they must not take the server down.
-                        let _ = handle_conn(&*map, stream, &opts, &shutdown);
+                        let _ = serve_conn(&*map, stream, &opts, &shutdown);
                         // The clone parked in `conns` keeps the fd alive
                         // after this thread drops its handles, so shut the
                         // socket down explicitly — the peer must see EOF
@@ -280,233 +281,68 @@ impl ThreadedServer {
     }
 }
 
-/// Execute one decoded request against the map.  Shared by both backends —
-/// byte-identical semantics is the point.  Every op is timed and counted
-/// (`crate::metrics`); ops past the slow threshold additionally land in
-/// the flight recorder tagged with the key's owning shard and `backend`.
-///
-/// When the calling thread carries a sampled trace (set by the backend's
-/// frame loop), the shard route and the structure execution are recorded as
-/// `shard`/`kcas` spans — the kcas span's event counts pick up the retry/
-/// help hooks `kcas::metrics` fires while `execute_inner` runs.  Untraced
-/// ops pay one TLS read and skip all of it.
-pub(crate) fn execute(map: &dyn ConcurrentMap, req: Request, backend: Backend) -> Response {
-    let start = std::time::Instant::now();
-    let (opcode, key) = crate::metrics::op_tag(&req);
-    let resp = if telemetry::trace::current().is_some() {
-        {
-            let _shard_span = telemetry::trace::begin(telemetry::trace::PHASE_SHARD);
-            let _ = map.shard_of(key);
-        }
-        let kcas_span = telemetry::trace::begin(telemetry::trace::PHASE_KCAS);
-        let resp = execute_inner(map, req, backend);
-        drop(kcas_span);
-        resp
-    } else {
-        execute_inner(map, req, backend)
-    };
-    crate::metrics::record_op(opcode, key, start.elapsed(), map, backend);
-    resp
-}
-
-fn execute_inner(map: &dyn ConcurrentMap, req: Request, backend: Backend) -> Response {
-    match req {
-        Request::Get(k) => Response::Get(map.get(k)),
-        Request::Put(k, v) => Response::Put(map.insert(k, v)),
-        Request::Del(k) => Response::Del(map.remove(k)),
-        // The canonical affine RMW (see the proto docs), shaped exactly
-        // like `workload::apply`'s in-process increment (`map_or(δ, (v+δ)
-        // & MAX_KEY)`); atomic on the PathCAS structures because their
-        // `rmw` override is.
-        Request::Rmw(k, delta) => Response::Rmw(
-            map.rmw(k, &mut |v| v.map_or(delta, |x| x.wrapping_add(delta) & mapapi::MAX_KEY)),
-        ),
-        // A scan longer than MAX_SCAN_LEN would encode to a response frame
-        // the protocol itself declares illegal (> MAX_FRAME), so it is
-        // refused up front: callers chunk large walks (like the quiescent
-        // audit does) instead of receiving a silently truncated window.
-        Request::Scan(_, len) if len as usize > MAX_SCAN_LEN => Response::Err(format!(
-            "scan len {len} exceeds MAX_SCAN_LEN ({MAX_SCAN_LEN}); chunk the scan"
-        )),
-        Request::Scan(start, len) => Response::Scan(map.scan(start, len as usize)),
-        Request::Stats => Response::Stats(map.stats()),
-        // The telemetry exposition: version-checked so a client built
-        // against a future layout fails loudly instead of misparsing.
-        // A read verb — followers answer it too.  The exposition is
-        // rendered *before* this request's own accounting, so the first
-        // METRICS call on a fresh server reports srv_ops_metrics_total 0.
-        Request::Metrics(v) if v == proto::METRICS_VERSION => {
-            Response::Metrics(crate::metrics::render(map, backend))
-        }
-        Request::Metrics(v) => Response::Err(format!(
-            "METRICS version {v} unsupported (server speaks {})",
-            proto::METRICS_VERSION
-        )),
-        // The span-trace exposition: same versioning contract as METRICS,
-        // same read-verb status, rendered from shared code so both backends
-        // answer byte-identically.  Rendered *before* this request's own
-        // kcas/resp/flush spans are recorded, so the dump is a pure
-        // function of the ops that preceded it.
-        Request::Trace(v) if v == proto::TRACE_VERSION => {
-            Response::Trace(crate::metrics::render_trace(backend))
-        }
-        Request::Trace(v) => Response::Err(format!(
-            "TRACE version {v} unsupported (server speaks {})",
-            proto::TRACE_VERSION
-        )),
-        // Handled by `handle_conn` before execute (it takes over the
-        // connection); reaching here means a bug in the dispatch order.
-        Request::Subscribe(_) => Response::Err("SUBSCRIBE is not a point request".into()),
-    }
-}
-
-/// Whether a request mutates the map (the verbs a read-only server rejects).
-pub(crate) fn is_write(req: &Request) -> bool {
-    matches!(req, Request::Put(..) | Request::Del(..) | Request::Rmw(..))
-}
-
-/// Rejection for write verbs on a read-only server — shared verbatim by
-/// both backends so the wire bytes are identical.
-pub(crate) const READ_ONLY_MSG: &str = "read-only replica: writes go to the primary";
-
-/// Rejection for `SUBSCRIBE` on a server without a change stream.
-pub(crate) const NO_LOG_MSG: &str = "no change stream: this server has no log";
-
 /// Serve one connection until EOF, shutdown (surfaced as EOF/reset on the
-/// socket), or a framing error.
-fn handle_conn(
+/// socket), or a framing error: the blocking driver around a [`Session`].
+/// One `read` into the session's decoder, process whatever frames that
+/// completed, one `write_all` of what they staged, repeat — so a pipelined
+/// burst that arrives in one read is answered with one write, and a
+/// complete frame is always answered before the next blocking read, whatever
+/// partial frame trails it.
+fn serve_conn(
     map: &dyn ConcurrentMap,
-    stream: TcpStream,
+    mut stream: TcpStream,
     opts: &ServerOpts,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut payload = Vec::new();
-    let mut out = Vec::new();
-
-    loop {
-        // The blocking frame read is this backend's readiness wait: for a
-        // pipelined burst every frame after the first returns from the
-        // BufReader near-instantly, so `ready` time naturally concentrates
-        // on the op that actually waited on the socket.
+    let mut session = Session::new(opts);
+    while !session.is_closing() && session.streaming_after().is_none() {
+        // The blocking read is this backend's readiness wait.
         let ready_start = telemetry::trace::now_ns();
-        if !proto::read_frame(&mut reader, &mut payload)? {
-            break;
-        }
-        let ready_ns = telemetry::trace::now_ns().saturating_sub(ready_start);
-        let tr = telemetry::trace::should_sample();
-        telemetry::trace::set_current(tr);
-        if let Some(t) = tr {
-            telemetry::trace::record_span(
-                t,
-                telemetry::trace::PHASE_READY,
-                ready_start,
-                ready_ns,
-                0,
-            );
-        }
-        let decoded = {
-            let _decode_span = telemetry::trace::begin(telemetry::trace::PHASE_DECODE);
-            proto::decode_request(&payload)
-        };
-        let resp = match decoded {
-            // SUBSCRIBE flips the connection into streaming mode for good;
-            // flush anything still batched first so pipelined responses
-            // ahead of the subscription are not stranded.
-            Ok(Request::Subscribe(after)) => match &opts.log {
-                Some(log) => {
-                    telemetry::trace::set_current(None);
-                    writer.flush()?;
-                    return stream_events(log, after, &mut writer, shutdown);
-                }
-                None => Response::Err(NO_LOG_MSG.into()),
-            },
-            // Semantic rejection, not a framing error: the connection
-            // survives, exactly like an oversized scan.
-            Ok(req) if opts.read_only && is_write(&req) => {
-                Response::Err(READ_ONLY_MSG.into())
-            }
-            Ok(req) => execute(map, req, Backend::Threads),
-            Err(msg) => {
-                // Respond with the error, flush, and close: after a framing
-                // error the stream offset can no longer be trusted.  (A
-                // *semantic* error like an oversized scan keeps the
-                // connection — framing stays intact.)
-                out.clear();
-                proto::encode_response(&Response::Err(msg), &mut out);
-                writer.write_all(&out)?;
-                writer.flush()?;
-                telemetry::trace::set_current(None);
-                return Ok(());
-            }
-        };
-        out.clear();
-        {
-            let _resp_span = telemetry::trace::begin(telemetry::trace::PHASE_RESP);
-            proto::encode_response(&resp, &mut out);
-        }
-        writer.write_all(&out)?;
-        // Batched responses: flush only when the pipeline has drained —
-        // while more requests sit in the read buffer, their responses
-        // accumulate and go out as one write.  The flush is a blocking
-        // syscall, so its span uses explicit timestamps, never a guard;
-        // it is charged to the burst's last sampled op, matching the
-        // reactor's charge-the-batch semantics.
-        if reader.buffer().is_empty() {
-            let flush_start = telemetry::trace::now_ns();
-            writer.flush()?;
-            if let Some(t) = telemetry::trace::current() {
-                telemetry::trace::record_span(
-                    t,
-                    telemetry::trace::PHASE_FLUSH,
-                    flush_start,
-                    telemetry::trace::now_ns().saturating_sub(flush_start),
-                    0,
-                );
-            }
-        }
-        telemetry::trace::set_current(None);
-    }
-    writer.flush()
-}
-
-/// The subscribed half of a connection: push `EVENTS` frames as the log
-/// grows, until the peer disconnects (surfaced as a write error) or the
-/// server shuts down.  The bounded wait keeps the loop responsive to
-/// shutdown without busy-spinning on an idle log.
-fn stream_events(
-    log: &ChangeLog,
-    mut after: u64,
-    writer: &mut BufWriter<TcpStream>,
-    shutdown: &AtomicBool,
-) -> io::Result<()> {
-    let mut out = Vec::new();
-    loop {
-        if shutdown.load(Ordering::Acquire) {
+        if session.fill_from(&mut stream)? == 0 {
             return Ok(());
         }
+        let mut ready =
+            Some((ready_start, telemetry::trace::now_ns().saturating_sub(ready_start)));
+        session.process(map, &mut ready);
+        write_staged(&mut session, &mut stream)?;
+    }
+    // The subscribed half of a connection: push `EVENTS` frames as the log
+    // grows, until the peer disconnects (surfaced as a write error) or the
+    // server shuts down.  The bounded wait keeps the loop responsive to
+    // shutdown without busy-spinning on an idle log.
+    let Some(log) = &opts.log else { return Ok(()) };
+    while let Some(after) = session.streaming_after() {
+        if shutdown.load(Ordering::Acquire) {
+            break;
+        }
         let entries = log.wait_from(after, MAX_EVENTS_PER_FRAME, Duration::from_millis(50));
-        let Some(&(last, _)) = entries.last() else { continue };
-        after = last;
-        // Each delivered batch is an op in the sampler's stream: a sampled
-        // batch records one `deliver` span covering encode + write + flush
-        // (explicit timestamps — this path blocks).
-        let tr = telemetry::trace::should_sample();
-        let deliver_start = telemetry::trace::now_ns();
-        out.clear();
-        proto::encode_response(&Response::Events(entries), &mut out);
-        writer.write_all(&out)?;
-        writer.flush()?;
-        if let Some(t) = tr {
+        session.stage_events(entries);
+        write_staged(&mut session, &mut stream)?;
+    }
+    Ok(())
+}
+
+/// Write everything the session has staged.  The write is a blocking
+/// syscall, so its `flush` span uses explicit timestamps, never a guard; it
+/// is charged to the trace `Session::process` left installed — the burst's
+/// last frame, if sampled — which is cleared here.
+fn write_staged(session: &mut Session, stream: &mut TcpStream) -> io::Result<()> {
+    let n = session.staged().len();
+    if n > 0 {
+        let flush_start = telemetry::trace::now_ns();
+        stream.write_all(session.staged())?;
+        session.wrote(n);
+        if let Some(t) = telemetry::trace::current() {
             telemetry::trace::record_span(
                 t,
-                telemetry::trace::PHASE_DELIVER,
-                deliver_start,
-                telemetry::trace::now_ns().saturating_sub(deliver_start),
+                telemetry::trace::PHASE_FLUSH,
+                flush_start,
+                telemetry::trace::now_ns().saturating_sub(flush_start),
                 0,
             );
         }
     }
+    telemetry::trace::set_current(None);
+    Ok(())
 }

@@ -120,6 +120,38 @@ fn a_pipelined_burst_torn_mid_stream_still_answers_in_order() {
 }
 
 #[test]
+fn full_frame_plus_half_frame_answers_the_full_frame() {
+    for_each_backend(|backend| {
+        let (srv, map) = start(backend);
+        map.insert(9, 90);
+        // One write carries a complete PUT and the first half of a GET; the
+        // client then waits.  The PUT's answer must not be held back until
+        // the torn GET completes.
+        let mut put = Vec::new();
+        server::proto::encode_request(&Request::Put(8, 80), &mut put);
+        let mut get = Vec::new();
+        server::proto::encode_request(&Request::Get(9), &mut get);
+        let half = get.len() / 2;
+        let mut raw = TcpStream::connect(srv.local_addr()).unwrap();
+        raw.set_nodelay(true).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        raw.write_all(&[&put[..], &get[..half]].concat()).unwrap();
+        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+        let mut payload = Vec::new();
+        assert!(
+            server::proto::read_frame(&mut reader, &mut payload)
+                .expect("the PUT response was stranded behind the half-received GET"),
+            "closed instead of answering the PUT"
+        );
+        assert_eq!(server::proto::decode_response(&payload).unwrap(), Response::Put(true));
+        raw.write_all(&get[half..]).unwrap();
+        assert!(server::proto::read_frame(&mut reader, &mut payload).unwrap());
+        assert_eq!(server::proto::decode_response(&payload).unwrap(), Response::Get(Some(90)));
+        srv.shutdown();
+    });
+}
+
+#[test]
 fn mid_frame_disconnect_storm_leaves_everyone_else_serving() {
     for_each_backend(|backend| {
         let (srv, _map) = start(backend);

@@ -324,6 +324,9 @@ pub enum Handle {
     Gauge(&'static Gauge),
     /// An atomic log-bucketed histogram.
     Histogram(&'static Histogram),
+    /// The running sum of a histogram's recorded values, as a scalar (the
+    /// tracer's `trace_<phase>_ns_sum` attribution primitive).
+    HistogramSum(&'static Histogram),
     /// A derived value computed at read time (e.g. follower lag =
     /// `log_seqno - applied_seqno`).
     Func(fn() -> u64),
@@ -346,6 +349,7 @@ fn scalar_of(handle: &Handle) -> u64 {
         Handle::Counter(c) => c.get(),
         Handle::Gauge(g) => g.get(),
         Handle::Histogram(h) => h.count(),
+        Handle::HistogramSum(h) => h.sum(),
         Handle::Func(f) => f(),
     }
 }
@@ -380,7 +384,7 @@ pub fn render() -> String {
     let mut lines: Vec<String> = Vec::with_capacity(entries.len());
     for (name, handle) in &entries {
         match handle {
-            Handle::Counter(_) | Handle::Gauge(_) | Handle::Func(_) => {
+            Handle::Counter(_) | Handle::Gauge(_) | Handle::HistogramSum(_) | Handle::Func(_) => {
                 lines.push(format!("{name} {}\n", scalar_of(handle)));
             }
             Handle::Histogram(h) => {
@@ -398,7 +402,7 @@ pub fn render() -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Flight recorder
+// Seqlock ring and its flight-recorder view
 // ---------------------------------------------------------------------------
 
 /// One decoded flight-recorder entry (see [`FlightRecorder`]). Field
@@ -424,24 +428,22 @@ pub struct FlightRecord {
     pub phases: u64,
 }
 
-struct FlightSlot {
+/// One slot of a [`SeqRing`]: the seqlock word plus `W` payload words.
+struct SeqSlot<const W: usize> {
     /// Seqlock word: `2*ticket + 1` while a writer owns the slot,
     /// `2*ticket + 2` once the record is complete. 0 = never written.
     seq: AtomicU64,
-    op: AtomicU64,
-    key: AtomicU64,
-    latency_ns: AtomicU64,
-    shard: AtomicU64,
-    backend: AtomicU64,
-    phases: AtomicU64,
+    words: [AtomicU64; W],
 }
 
-/// A bounded ring of the last `N` recorded events, lock- and allocation-free
-/// to write.
+/// A bounded ring of the last `N` records of `W` words each, lock- and
+/// allocation-free to write — the one seqlock ring behind both the slow-op
+/// [`FlightRecorder`] (`W = 6`) and the tracer's [`trace::SpanRing`]
+/// (`W = 5`), which add only their typed `record`/`snapshot` views.
 ///
 /// Writers claim a ticket with one `fetch_add`, then claim `slot[ticket % N]`
 /// by CAS-ing its seqlock word from the previous generation's even value to
-/// `2*ticket + 1` (odd = in progress). Readers ([`Self::snapshot`]) skip
+/// `2*ticket + 1` (odd = in progress). Readers ([`Self::entries`]) skip
 /// slots whose seqlock is odd or changed mid-read, so a snapshot only ever
 /// contains fully written records. Two writers meet at the same slot only
 /// when one laps the other by a full ring (`N` tickets) mid-write; the claim
@@ -450,58 +452,41 @@ struct FlightSlot {
 /// not a loss-free log. (An earlier revision let both writers store
 /// unconditionally; the slower writer's *even* seqlock value could then cap
 /// a mix of both writers' fields, a tear the reader cannot detect. The
-/// `flight_recorder_lap` model in `src/models.rs` proves the claim CAS
-/// closes this.)
+/// `seq_ring_lap` model in `src/models.rs` proves the claim CAS closes
+/// this.)
 ///
 /// The seqlock itself is the C11 fence-based protocol (Boehm, "Can seqlocks
 /// get along with programming language memory models?", MSPC '12): the
 /// writer publishes fields between a release *fence* after the odd store and
 /// a release store of the even value; the reader re-reads the seqlock word
-/// after an acquire fence. The `flight_recorder_seqlock` model checks the
-/// protocol and its mutation witness shows the previous revision (release
-/// odd store, no fences, acquire re-read) admits a torn snapshot.
-pub struct FlightRecorder<const N: usize> {
+/// after an acquire fence. The `seq_ring_seqlock` model checks the protocol
+/// and its mutation witness shows the previous revision (release odd store,
+/// no fences, acquire re-read) admits a torn snapshot.
+pub struct SeqRing<const W: usize, const N: usize> {
     next: AtomicU64,
     dropped: AtomicU64,
-    slots: [FlightSlot; N],
+    slots: [SeqSlot<W>; N],
 }
 
-impl<const N: usize> FlightRecorder<N> {
-    /// An empty recorder. `N` must be a power of two (compile-time checked).
-    pub const fn new() -> FlightRecorder<N> {
-        assert!(N.is_power_of_two(), "FlightRecorder capacity must be a power of two");
-        FlightRecorder {
+impl<const W: usize, const N: usize> SeqRing<W, N> {
+    /// An empty ring. `N` must be a power of two (compile-time checked).
+    pub const fn new() -> SeqRing<W, N> {
+        assert!(N.is_power_of_two(), "SeqRing capacity must be a power of two");
+        SeqRing {
             next: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             slots: [const {
-                FlightSlot {
-                    seq: AtomicU64::new(0),
-                    op: AtomicU64::new(0),
-                    key: AtomicU64::new(0),
-                    latency_ns: AtomicU64::new(0),
-                    shard: AtomicU64::new(0),
-                    backend: AtomicU64::new(0),
-                    phases: AtomicU64::new(0),
-                }
+                SeqSlot { seq: AtomicU64::new(0), words: [const { AtomicU64::new(0) }; W] }
             }; N],
         }
     }
 
-    /// Record one event (wait-free, allocation-free). Returns the ticket the
-    /// event was admitted under, or `None` if the slot had to be dropped
+    /// Publish one record (wait-free, allocation-free). Returns the ticket
+    /// it was admitted under, or `None` if the slot had to be dropped
     /// because a writer lapped us mid-write (see the struct docs; counted in
     /// [`Self::dropped`]).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &self,
-        op: u64,
-        key: u64,
-        latency_ns: u64,
-        shard: u64,
-        backend: u64,
-        phases: u64,
-    ) -> Option<u64> {
+    pub fn push(&self, words: [u64; W]) -> Option<u64> {
         // ORDERING: Relaxed — the ticket dispenser only needs the RMW's
         // atomicity for uniqueness; the slot's seqlock carries all
         // publication ordering.
@@ -534,35 +519,33 @@ impl<const N: usize> FlightRecorder<N> {
         // seqlock protocol. A release ordering on the odd store alone (the
         // previous revision) orders nothing that comes after it.
         sync::fence(Ordering::Release);
-        // ORDERING: Relaxed field stores — ordered by the fence above and
-        // the release even-store below.
-        slot.op.store(op, Ordering::Relaxed);
-        slot.key.store(key, Ordering::Relaxed);
-        slot.latency_ns.store(latency_ns, Ordering::Relaxed);
-        slot.shard.store(shard, Ordering::Relaxed);
-        slot.backend.store(backend, Ordering::Relaxed);
-        slot.phases.store(phases, Ordering::Relaxed);
+        for (cell, word) in slot.words.iter().zip(words) {
+            // ORDERING: Relaxed field stores — ordered by the fence above
+            // and the release even-store below.
+            cell.store(word, Ordering::Relaxed);
+        }
         slot.seq.store(ticket.wrapping_mul(2).wrapping_add(2), Ordering::Release);
         Some(ticket)
     }
 
-    /// Total events ever admitted (may exceed `N`; the ring keeps the last
+    /// Total records ever admitted (may exceed `N`; the ring keeps the last
     /// `N`, and up to [`Self::dropped`] of them were abandoned mid-lap).
     pub fn recorded(&self) -> u64 {
         // ORDERING: Relaxed — monotone diagnostic read.
         self.next.load(Ordering::Relaxed)
     }
 
-    /// Events dropped because a writer found its slot owned by another
+    /// Records dropped because a writer found its slot owned by another
     /// in-flight writer (ring lapped mid-write).
     pub fn dropped(&self) -> u64 {
         // ORDERING: Relaxed — monotone diagnostic read.
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// The consistent records currently in the ring, oldest first.
-    /// Allocates (it returns a `Vec`) — dump-time only, never on a hot path.
-    pub fn snapshot(&self) -> Vec<FlightRecord> {
+    /// The consistent `(ticket, words)` records currently in the ring,
+    /// oldest first. Allocates (it returns a `Vec`) — dump-time only, never
+    /// on a hot path.
+    pub fn entries(&self) -> Vec<(u64, [u64; W])> {
         let mut out = Vec::with_capacity(N);
         for slot in &self.slots {
             let s1 = slot.seq.load(Ordering::Acquire);
@@ -573,15 +556,7 @@ impl<const N: usize> FlightRecorder<N> {
             // seqlock protocol: `s1`'s acquire load orders them after the
             // writer's closing release store, and the acquire fence below
             // orders them before the re-read of the seqlock word.
-            let rec = FlightRecord {
-                ticket: (s1 - 2) / 2,
-                op: slot.op.load(Ordering::Relaxed),
-                key: slot.key.load(Ordering::Relaxed),
-                latency_ns: slot.latency_ns.load(Ordering::Relaxed),
-                shard: slot.shard.load(Ordering::Relaxed),
-                backend: slot.backend.load(Ordering::Relaxed),
-                phases: slot.phases.load(Ordering::Relaxed),
-            };
+            let words = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
             // If any field load above observed a later writer's store, this
             // fence (pairing with that writer's release fence) forces the
             // re-read below to observe its odd claim — so the slot is
@@ -591,17 +566,71 @@ impl<const N: usize> FlightRecorder<N> {
             // ORDERING: Relaxed — ordered by the fence above.
             let s2 = slot.seq.load(Ordering::Relaxed);
             if s1 == s2 {
-                out.push(rec);
+                out.push(((s1 - 2) / 2, words));
             }
         }
-        out.sort_unstable_by_key(|r| r.ticket);
+        out.sort_unstable_by_key(|&(ticket, _)| ticket);
         out
+    }
+
+    /// Reset the ring to empty. **Quiescent-only** (no concurrent writers):
+    /// a maintenance operation for tests and the TRACE differential
+    /// battery, not part of the checked protocol.
+    pub fn clear(&self) {
+        for slot in &self.slots {
+            // ORDERING: Relaxed — quiescent maintenance; no publication.
+            slot.seq.store(0, Ordering::Relaxed);
+            for cell in &slot.words {
+                // ORDERING: Relaxed — quiescent maintenance.
+                cell.store(0, Ordering::Relaxed);
+            }
+        }
+        // ORDERING: Relaxed — quiescent maintenance.
+        self.next.store(0, Ordering::Relaxed);
+        self.dropped.store(0, Ordering::Relaxed);
     }
 }
 
-impl<const N: usize> Default for FlightRecorder<N> {
+impl<const W: usize, const N: usize> Default for SeqRing<W, N> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The slow-op flight recorder: a [`SeqRing`] of the last `N`
+/// [`FlightRecord`]s.
+pub type FlightRecorder<const N: usize> = SeqRing<6, N>;
+
+impl<const N: usize> SeqRing<6, N> {
+    /// Record one event (see [`SeqRing::push`] for the ticket/drop contract).
+    #[inline]
+    pub fn record(
+        &self,
+        op: u64,
+        key: u64,
+        latency_ns: u64,
+        shard: u64,
+        backend: u64,
+        phases: u64,
+    ) -> Option<u64> {
+        self.push([op, key, latency_ns, shard, backend, phases])
+    }
+
+    /// The consistent records currently in the ring, oldest first
+    /// (allocates — dump-time only).
+    pub fn snapshot(&self) -> Vec<FlightRecord> {
+        self.entries()
+            .into_iter()
+            .map(|(ticket, [op, key, latency_ns, shard, backend, phases])| FlightRecord {
+                ticket,
+                op,
+                key,
+                latency_ns,
+                shard,
+                backend,
+                phases,
+            })
+            .collect()
     }
 }
 

@@ -3,64 +3,56 @@
 //!
 //! Compiled only under `--cfg pathcas_loom`, where [`crate::sync`] resolves
 //! the crate's atomics to `loom-shim`'s mocks, so these models drive the
-//! *production* [`FlightRecorder`] and [`Counter`] code through every
+//! *production* [`SeqRing`] (the one seqlock ring behind the flight recorder
+//! and the tracer's span rings) and [`Counter`] code through every
 //! interleaving and weak-memory read choice within the checker's bounds.
 //!
-//! Models assert the shipped code's invariants (no torn flight-recorder
-//! snapshot, exactly one lap winner, striped sums monotone and exact at
-//! quiescence); mutation witnesses run weakened miniatures — the
-//! pre-revision seqlock without the Boehm fences and claim CAS, a
-//! load-then-store counter increment — and assert the checker refutes them.
+//! Models assert the shipped code's invariants (no torn ring snapshot,
+//! exactly one lap winner, striped sums monotone and exact at quiescence);
+//! mutation witnesses run weakened miniatures — the pre-revision seqlock
+//! without the Boehm fences and claim CAS, a load-then-store counter
+//! increment — and assert the checker refutes them.
 //!
 //! Run with: `RUSTFLAGS='--cfg pathcas_loom' cargo test -p telemetry --release`.
 
 use std::sync::Arc;
 
-use crate::trace::{SpanRecord, SpanRing};
-use crate::{Counter, FlightRecord, FlightRecorder};
+use crate::{Counter, SeqRing};
 
-/// The two records every recorder model writes. Fields are correlated
-/// (`latency_ns == 10 * key`, `shard == key`, …) so any cross-record mix in
-/// a snapshot is directly observable.
-const REC_A: FlightRecord =
-    FlightRecord { ticket: 0, op: 1, key: 7, latency_ns: 70, shard: 7, backend: 1, phases: 700 };
-const REC_B: FlightRecord =
-    FlightRecord { ticket: 1, op: 2, key: 9, latency_ns: 90, shard: 9, backend: 2, phases: 900 };
+/// The ring every model drives: one slot, so every second write laps, and
+/// three payload words — enough that a cross-record mix has somewhere to
+/// show. [`crate::FlightRecorder`] and [`crate::trace::SpanRing`] are this
+/// same code at widths 6 and 5.
+type Ring = SeqRing<3, 1>;
 
-fn write(fr: &FlightRecorder<1>, r: &FlightRecord) -> Option<u64> {
-    fr.record(r.op, r.key, r.latency_ns, r.shard, r.backend, r.phases)
-}
+/// The two records every ring model writes. Words are correlated
+/// (`words[1] == 10 * words[0]`, `words[2] == 100 * words[0]`) so any
+/// cross-record mix in a snapshot is directly observable.
+const REC_A: [u64; 3] = [7, 70, 700];
+const REC_B: [u64; 3] = [9, 90, 900];
 
-/// `r` matches one of the model's two writes, ticket included (a snapshot
-/// sets the ticket from the seqlock word, so a stale seqlock capping mixed
-/// fields shows up here too).
-fn is_intact(r: &FlightRecord) -> bool {
-    let payload_of =
-        |t: &FlightRecord| (t.op, t.key, t.latency_ns, t.shard, t.backend, t.phases);
-    (r.ticket == REC_A.ticket && payload_of(r) == payload_of(&REC_A))
-        || (r.ticket == REC_B.ticket && payload_of(r) == payload_of(&REC_B))
-}
-
-/// Model (c), seqlock flight recorder: one writer overwrites the single
-/// ring slot twice while the main thread snapshots concurrently. In every
-/// interleaving a snapshot contains only fully written records — never a
-/// mix of the two writes — and quiescent state is exactly the last record.
+/// Model (c), seqlock ring: one writer overwrites the single ring slot
+/// twice while the main thread snapshots concurrently. In every
+/// interleaving a snapshot contains only fully written records under the
+/// ticket they were written with — never a mix of the two writes, never a
+/// stale seqlock word capping newer fields — and quiescent state is exactly
+/// the last record.
 #[test]
-fn flight_recorder_seqlock() {
+fn seq_ring_seqlock() {
     loom_shim::model(|| {
-        let fr = Arc::new(FlightRecorder::<1>::new());
-        let fr2 = Arc::clone(&fr);
+        let ring = Arc::new(Ring::new());
+        let ring2 = Arc::clone(&ring);
         let writer = loom_shim::thread::spawn(move || {
-            assert_eq!(write(&fr2, &REC_A), Some(0));
-            assert_eq!(write(&fr2, &REC_B), Some(1));
+            assert_eq!(ring2.push(REC_A), Some(0));
+            assert_eq!(ring2.push(REC_B), Some(1));
         });
-        for rec in fr.snapshot() {
-            assert!(is_intact(&rec), "torn snapshot: {rec:?}");
+        for rec in ring.entries() {
+            assert!(rec == (0, REC_A) || rec == (1, REC_B), "torn snapshot: {rec:?}");
         }
         writer.join();
-        assert_eq!(fr.recorded(), 2);
-        assert_eq!(fr.dropped(), 0, "a single writer never laps itself");
-        assert_eq!(fr.snapshot(), vec![REC_B]);
+        assert_eq!(ring.recorded(), 2);
+        assert_eq!(ring.dropped(), 0, "a single writer never laps itself");
+        assert_eq!(ring.entries(), vec![(1, REC_B)]);
     });
 }
 
@@ -70,110 +62,25 @@ fn flight_recorder_seqlock() {
 /// rather than capping a mixed field set with its own stale even seqlock
 /// value — the tear the pre-claim-CAS revision admitted.
 #[test]
-fn flight_recorder_lap() {
+fn seq_ring_lap() {
     loom_shim::model(|| {
-        let fr = Arc::new(FlightRecorder::<1>::new());
-        let fr2 = Arc::clone(&fr);
-        let writer = loom_shim::thread::spawn(move || write(&fr2, &REC_B));
-        let mine = write(&fr, &REC_A);
-        let theirs = writer.join();
-        assert_eq!(fr.recorded(), 2);
-        let succeeded = mine.iter().len() as u64 + theirs.iter().len() as u64;
-        assert_eq!(succeeded + fr.dropped(), 2, "every admission succeeds or is counted dropped");
-        assert!(succeeded >= 1, "the claim CAS always elects at least one owner");
-        let last = fr.snapshot();
-        assert_eq!(last.len(), 1, "the winning record is snapshot-visible");
-        assert!(
-            // Lap order decides which payload got which ticket, so compare
-            // payloads only: whatever survived must be one writer's record
-            // in full, never a mix.
-            [REC_A, REC_B].iter().any(|r| {
-                (
-                    last[0].op,
-                    last[0].key,
-                    last[0].latency_ns,
-                    last[0].shard,
-                    last[0].backend,
-                    last[0].phases,
-                ) == (r.op, r.key, r.latency_ns, r.shard, r.backend, r.phases)
-            }),
-            "lapped slot holds a mixed record: {:?}",
-            last[0]
-        );
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Span-ring models (ISSUE 10): the tracer's seqlock ring is a distinct type
-// with the same protocol, so it gets its own writer/reader tear-freedom
-// models and its own weakened-ordering witness below.
-// ---------------------------------------------------------------------------
-
-/// The two spans every span-ring model writes. Fields are correlated
-/// (`dur_ns == 10 * start_ns`, `events == start_ns`, …) so a cross-span mix
-/// in a snapshot is directly observable.
-const SPAN_A: SpanRecord =
-    SpanRecord { ticket: 0, trace_id: 3, phase: 1, start_ns: 7, dur_ns: 70, events: 7 };
-const SPAN_B: SpanRecord =
-    SpanRecord { ticket: 1, trace_id: 4, phase: 2, start_ns: 9, dur_ns: 90, events: 9 };
-
-fn write_span(ring: &SpanRing<1>, s: &SpanRecord) -> Option<u64> {
-    ring.record(s.trace_id, s.phase, s.start_ns, s.dur_ns, s.events)
-}
-
-fn span_is_intact(s: &SpanRecord) -> bool {
-    let payload_of = |t: &SpanRecord| (t.trace_id, t.phase, t.start_ns, t.dur_ns, t.events);
-    (s.ticket == SPAN_A.ticket && payload_of(s) == payload_of(&SPAN_A))
-        || (s.ticket == SPAN_B.ticket && payload_of(s) == payload_of(&SPAN_B))
-}
-
-/// Model (e), span-ring seqlock: one writer overwrites the single slot
-/// twice while the main thread snapshots concurrently. Every snapshot holds
-/// only fully written spans, and the quiescent ring is exactly the last
-/// span — the tracer's counterpart of `flight_recorder_seqlock`.
-#[test]
-fn span_ring_seqlock() {
-    loom_shim::model(|| {
-        let ring = Arc::new(SpanRing::<1>::new());
+        let ring = Arc::new(Ring::new());
         let ring2 = Arc::clone(&ring);
-        let writer = loom_shim::thread::spawn(move || {
-            assert_eq!(write_span(&ring2, &SPAN_A), Some(0));
-            assert_eq!(write_span(&ring2, &SPAN_B), Some(1));
-        });
-        for span in ring.snapshot() {
-            assert!(span_is_intact(&span), "torn span snapshot: {span:?}");
-        }
-        writer.join();
-        assert_eq!(ring.recorded(), 2);
-        assert_eq!(ring.dropped(), 0, "a single writer never laps itself");
-        assert_eq!(ring.snapshot(), vec![SPAN_B]);
-    });
-}
-
-/// Model (e'), span-ring writer lap: two writers race for the single slot.
-/// The claim CAS elects exactly one owner per generation; the loser's span
-/// is dropped and counted, and the surviving slot is one writer's span in
-/// full — never a mix.
-#[test]
-fn span_ring_lap() {
-    loom_shim::model(|| {
-        let ring = Arc::new(SpanRing::<1>::new());
-        let ring2 = Arc::clone(&ring);
-        let writer = loom_shim::thread::spawn(move || write_span(&ring2, &SPAN_B));
-        let mine = write_span(&ring, &SPAN_A);
+        let writer = loom_shim::thread::spawn(move || ring2.push(REC_B));
+        let mine = ring.push(REC_A);
         let theirs = writer.join();
         assert_eq!(ring.recorded(), 2);
         let succeeded = mine.iter().len() as u64 + theirs.iter().len() as u64;
         assert_eq!(succeeded + ring.dropped(), 2, "every admission succeeds or is counted dropped");
         assert!(succeeded >= 1, "the claim CAS always elects at least one owner");
-        let last = ring.snapshot();
-        assert_eq!(last.len(), 1, "the winning span is snapshot-visible");
+        let last = ring.entries();
+        assert_eq!(last.len(), 1, "the winning record is snapshot-visible");
+        // Lap order decides which payload got which ticket, so compare
+        // payloads only: whatever survived must be one writer's record in
+        // full, never a mix.
         assert!(
-            [SPAN_A, SPAN_B].iter().any(|s| {
-                (last[0].trace_id, last[0].phase, last[0].start_ns, last[0].dur_ns, last[0].events)
-                    == (s.trace_id, s.phase, s.start_ns, s.dur_ns, s.events)
-            }),
-            "lapped slot holds a mixed span: {:?}",
+            last[0].1 == REC_A || last[0].1 == REC_B,
+            "lapped slot holds a mixed record: {:?}",
             last[0]
         );
     });
@@ -210,12 +117,12 @@ fn striped_counter_sum() {
 // ---------------------------------------------------------------------------
 
 mod weak {
-    //! The flight-recorder seqlock as it was *before* this revision: the
+    //! The ring's seqlock as it was *before* the fence revision: the
     //! writer opens with a release store of the odd value (no claim CAS, no
     //! release fence) and the reader re-reads with an acquire load (no
     //! acquire fence). Kept as a mutation witness: `loom_shim::model_fails`
     //! proves the checker finds the torn snapshot this admits, i.e. the
-    //! fences and claim CAS in [`crate::FlightRecorder`] are load-bearing.
+    //! fences and claim CAS in [`crate::SeqRing`] are load-bearing.
 
     use loom_shim::sync::atomic::{AtomicU64, Ordering};
 
@@ -258,7 +165,7 @@ mod weak {
 /// pairs one record's key with the other's latency under an unchanged
 /// seqlock word — the checker must find it.
 #[test]
-fn flight_recorder_seqlock_witness() {
+fn seq_ring_seqlock_witness() {
     assert!(
         loom_shim::model_fails(|| {
             let r = Arc::new(weak::WeakRecorder::new());
@@ -273,74 +180,6 @@ fn flight_recorder_seqlock_witness() {
             writer.join();
         }),
         "checker failed to refute the fence-free seqlock"
-    );
-}
-
-mod weak_span {
-    //! A deliberately weakened [`crate::trace::SpanRing`] miniature: the
-    //! writer opens with a release store of the odd seqlock value (no claim
-    //! CAS, no release fence) and the reader re-reads with an acquire load
-    //! (no acquire fence) — the same mutation the flight recorder's witness
-    //! runs, applied to the span ring's field set. `model_fails` must find
-    //! the torn span this admits, proving the production ring's fences are
-    //! load-bearing and not inherited coincidence.
-
-    use loom_shim::sync::atomic::{AtomicU64, Ordering};
-
-    pub struct WeakSpanRing {
-        seq: AtomicU64,
-        start_ns: AtomicU64,
-        dur_ns: AtomicU64,
-    }
-
-    impl WeakSpanRing {
-        pub fn new() -> WeakSpanRing {
-            WeakSpanRing {
-                seq: AtomicU64::new(0),
-                start_ns: AtomicU64::new(0),
-                dur_ns: AtomicU64::new(0),
-            }
-        }
-
-        pub fn record(&self, ticket: u64, start_ns: u64, dur_ns: u64) {
-            self.seq.store(2 * ticket + 1, Ordering::Release); // no claim CAS, no fence
-            self.start_ns.store(start_ns, Ordering::Relaxed);
-            self.dur_ns.store(dur_ns, Ordering::Relaxed);
-            self.seq.store(2 * ticket + 2, Ordering::Release);
-        }
-
-        pub fn snapshot(&self) -> Option<(u64, u64)> {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 & 1 == 1 {
-                return None;
-            }
-            let start_ns = self.start_ns.load(Ordering::Relaxed);
-            let dur_ns = self.dur_ns.load(Ordering::Relaxed);
-            let s2 = self.seq.load(Ordering::Acquire); // no acquire fence
-            (s1 == s2).then_some((start_ns, dur_ns))
-        }
-    }
-}
-
-/// Witness for model (e): the fence-free span ring admits a snapshot that
-/// pairs one span's start with the other's duration under an unchanged
-/// seqlock word — the checker must find it.
-#[test]
-fn span_ring_seqlock_witness() {
-    assert!(
-        loom_shim::model_fails(|| {
-            let r = Arc::new(weak_span::WeakSpanRing::new());
-            let r2 = Arc::clone(&r);
-            let writer = loom_shim::thread::spawn(move || {
-                r2.record(0, 1, 10);
-                r2.record(1, 2, 20);
-            });
-            if let Some((start_ns, dur_ns)) = r.snapshot() {
-                assert_eq!(dur_ns, 10 * start_ns, "torn span: start={start_ns} dur={dur_ns}");
-            }
-            writer.join();
-        }),
-        "checker failed to refute the fence-free span ring"
     );
 }
 

@@ -7,12 +7,12 @@
 //! compact [`SpanRecord`] — phase id, start/duration nanoseconds, and the
 //! KCAS retry/help events that occurred inside the phase.
 //!
-//! Publication uses the same Boehm fence-based seqlock as the flight
-//! recorder ([`crate::FlightRecorder`]): spans land in striped fixed-size
-//! [`SpanRing`]s whose atomics route through the crate's `sync` facade, so under
-//! `--cfg pathcas_loom` the model checker explores the *production* ring
-//! code (`src/models.rs` has the span-ring models and their mutation
-//! witness).
+//! Publication uses the same Boehm fence-based seqlock ring as the flight
+//! recorder — both are views of one [`SeqRing`]: spans land in striped
+//! fixed-size [`SpanRing`]s whose atomics route through the crate's `sync`
+//! facade, so under `--cfg pathcas_loom` the model checker explores the
+//! *production* ring code (`src/models.rs` has the ring models and their
+//! mutation witness).
 //!
 //! Overhead discipline (the zero-alloc suites assert this end to end):
 //!
@@ -28,8 +28,8 @@ use std::cell::Cell;
 use std::sync::{Once, OnceLock};
 use std::time::Instant;
 
-use crate::sync::{fence, AtomicU64, Ordering};
-use crate::{Handle, Histogram, STRIPES};
+use crate::sync::{AtomicU64, Ordering};
+use crate::{Handle, Histogram, SeqRing, STRIPES};
 
 /// Phase: time blocked waiting for request bytes (the reactor's
 /// `epoll_wait`, the threaded backend's blocking frame read).
@@ -225,52 +225,13 @@ pub struct SpanRecord {
     pub events: u64,
 }
 
-struct SpanSlot {
-    /// Seqlock word: `2*ticket + 1` while a writer owns the slot,
-    /// `2*ticket + 2` once complete. 0 = never written.
-    seq: AtomicU64,
-    trace_id: AtomicU64,
-    phase: AtomicU64,
-    start_ns: AtomicU64,
-    dur_ns: AtomicU64,
-    events: AtomicU64,
-}
+/// A bounded ring of the last `N` spans: the shared [`SeqRing`] (see its
+/// docs for the claim-CAS + Boehm-fence protocol and `src/models.rs` for
+/// the models) behind a typed [`SpanRecord`] view.
+pub type SpanRing<const N: usize> = SeqRing<5, N>;
 
-/// A bounded ring of the last `N` spans, lock- and allocation-free to
-/// write — the span counterpart of [`crate::FlightRecorder`], using the
-/// identical claim-CAS + Boehm-fence seqlock protocol (see that type's
-/// docs for the protocol argument; `src/models.rs` has the span-ring
-/// models `span_ring_seqlock` / `span_ring_lap` and the weakened-ordering
-/// mutation witness).
-pub struct SpanRing<const N: usize> {
-    next: AtomicU64,
-    dropped: AtomicU64,
-    slots: [SpanSlot; N],
-}
-
-impl<const N: usize> SpanRing<N> {
-    /// An empty ring. `N` must be a power of two (compile-time checked).
-    pub const fn new() -> SpanRing<N> {
-        assert!(N.is_power_of_two(), "SpanRing capacity must be a power of two");
-        SpanRing {
-            next: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            slots: [const {
-                SpanSlot {
-                    seq: AtomicU64::new(0),
-                    trace_id: AtomicU64::new(0),
-                    phase: AtomicU64::new(0),
-                    start_ns: AtomicU64::new(0),
-                    dur_ns: AtomicU64::new(0),
-                    events: AtomicU64::new(0),
-                }
-            }; N],
-        }
-    }
-
-    /// Record one span (wait-free, allocation-free). Returns the admission
-    /// ticket, or `None` if another writer lapped this one mid-write and
-    /// the record was dropped (counted in [`Self::dropped`]).
+impl<const N: usize> SeqRing<5, N> {
+    /// Record one span (see [`SeqRing::push`] for the ticket/drop contract).
     #[inline]
     pub fn record(
         &self,
@@ -280,111 +241,23 @@ impl<const N: usize> SpanRing<N> {
         dur_ns: u64,
         events: u64,
     ) -> Option<u64> {
-        // ORDERING: Relaxed — the ticket dispenser needs only the RMW's
-        // atomicity; the slot's seqlock carries all publication ordering.
-        let ticket = self.next.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket as usize) & (N - 1)];
-        let odd = ticket.wrapping_mul(2).wrapping_add(1);
-        // ORDERING: Relaxed — pre-claim peek; the CAS below revalidates it.
-        let cur = slot.seq.load(Ordering::Relaxed);
-        // ORDERING: Relaxed claim CAS — elects a unique slot owner via the
-        // RMW's atomicity alone; field publication is ordered by the
-        // release fence below, and a reader that observes any of our field
-        // stores is forced through the fence pair to observe a seqlock
-        // value >= `odd` on its re-read and discard the slot.
-        if cur >= odd
-            || cur & 1 == 1
-            || slot
-                .seq
-                .compare_exchange(cur, odd, Ordering::Relaxed, Ordering::Relaxed)
-                .is_err()
-        {
-            // ORDERING: Relaxed — diagnostic counter.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        // Writer half of the Boehm seqlock: the release fence orders the
-        // claim and every field store below before the closing even store.
-        fence(Ordering::Release);
-        // ORDERING: Relaxed field stores — ordered by the fence above and
-        // the release even-store below.
-        slot.trace_id.store(trace_id, Ordering::Relaxed);
-        slot.phase.store(phase, Ordering::Relaxed);
-        slot.start_ns.store(start_ns, Ordering::Relaxed);
-        slot.dur_ns.store(dur_ns, Ordering::Relaxed);
-        slot.events.store(events, Ordering::Relaxed);
-        slot.seq.store(ticket.wrapping_mul(2).wrapping_add(2), Ordering::Release);
-        Some(ticket)
+        self.push([trace_id, phase, start_ns, dur_ns, events])
     }
 
-    /// Total spans ever admitted (the ring keeps the last `N`).
-    pub fn recorded(&self) -> u64 {
-        // ORDERING: Relaxed — monotone diagnostic read.
-        self.next.load(Ordering::Relaxed)
-    }
-
-    /// Spans dropped because a writer found its slot owned by another
-    /// in-flight writer (ring lapped mid-write).
-    pub fn dropped(&self) -> u64 {
-        // ORDERING: Relaxed — monotone diagnostic read.
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// The consistent spans currently in the ring, oldest first.
-    /// Allocates — dump-time only.
+    /// The consistent spans currently in the ring, oldest first
+    /// (allocates — dump-time only).
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::with_capacity(N);
-        for slot in &self.slots {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 & 1 == 1 {
-                continue; // never written, or a writer is mid-flight
-            }
-            // ORDERING: Relaxed field loads — the reader half of the Boehm
-            // seqlock: ordered after the writer's closing release store by
-            // `s1`'s acquire load, and before the re-read by the fence.
-            let rec = SpanRecord {
-                ticket: (s1 - 2) / 2,
-                trace_id: slot.trace_id.load(Ordering::Relaxed),
-                phase: slot.phase.load(Ordering::Relaxed),
-                start_ns: slot.start_ns.load(Ordering::Relaxed),
-                dur_ns: slot.dur_ns.load(Ordering::Relaxed),
-                events: slot.events.load(Ordering::Relaxed),
-            };
-            // Reader half of the fence pair: any field load that observed a
-            // later writer forces the re-read below to see its odd claim.
-            fence(Ordering::Acquire);
-            // ORDERING: Relaxed — ordered by the fence above.
-            let s2 = slot.seq.load(Ordering::Relaxed);
-            if s1 == s2 {
-                out.push(rec);
-            }
-        }
-        out.sort_unstable_by_key(|r| r.ticket);
-        out
-    }
-
-    /// Reset the ring to empty. **Quiescent-only** (no concurrent writers):
-    /// a maintenance operation for tests and the TRACE differential
-    /// battery, not part of the checked protocol.
-    pub fn clear(&self) {
-        for slot in &self.slots {
-            // ORDERING: Relaxed — quiescent maintenance; no publication.
-            slot.seq.store(0, Ordering::Relaxed);
-            slot.trace_id.store(0, Ordering::Relaxed);
-            slot.phase.store(0, Ordering::Relaxed);
-            slot.start_ns.store(0, Ordering::Relaxed);
-            slot.dur_ns.store(0, Ordering::Relaxed);
-            slot.events.store(0, Ordering::Relaxed);
-        }
-        // ORDERING: Relaxed — quiescent maintenance.
-        self.next.store(0, Ordering::Relaxed);
-        self.dropped.store(0, Ordering::Relaxed);
-    }
-}
-
-impl<const N: usize> Default for SpanRing<N> {
-    fn default() -> Self {
-        Self::new()
+        self.entries()
+            .into_iter()
+            .map(|(ticket, [trace_id, phase, start_ns, dur_ns, events])| SpanRecord {
+                ticket,
+                trace_id,
+                phase,
+                start_ns,
+                dur_ns,
+                events,
+            })
+            .collect()
     }
 }
 
@@ -489,39 +362,19 @@ pub fn clear() {
     SAMPLED_OPS.store(0, Ordering::Relaxed);
 }
 
-/// Sum of the phase's duration histogram in nanoseconds (0 for an
-/// out-of-range id) — with the histogram's count, the delta primitive
-/// behind `bench_service`'s `attr_*_ns` columns.
-pub fn phase_sum_ns(phase: u64) -> u64 {
-    PHASE_HIST.get(phase as usize).map(Histogram::sum).unwrap_or(0)
-}
-
 static REGISTER: Once = Once::new();
 
-fn sum_ready() -> u64 {
-    PHASE_HIST[PHASE_READY as usize].sum()
-}
-fn sum_decode() -> u64 {
-    PHASE_HIST[PHASE_DECODE as usize].sum()
-}
-fn sum_shard() -> u64 {
-    PHASE_HIST[PHASE_SHARD as usize].sum()
-}
-fn sum_kcas() -> u64 {
-    PHASE_HIST[PHASE_KCAS as usize].sum()
-}
-fn sum_commit() -> u64 {
-    PHASE_HIST[PHASE_COMMIT as usize].sum()
-}
-fn sum_resp() -> u64 {
-    PHASE_HIST[PHASE_RESP as usize].sum()
-}
-fn sum_flush() -> u64 {
-    PHASE_HIST[PHASE_FLUSH as usize].sum()
-}
-fn sum_deliver() -> u64 {
-    PHASE_HIST[PHASE_DELIVER as usize].sum()
-}
+/// Registry names per phase: the duration histogram and its running sum.
+const PHASE_METRICS: [(&str, &str); PHASE_COUNT] = [
+    ("trace_ready_ns", "trace_ready_ns_sum"),
+    ("trace_decode_ns", "trace_decode_ns_sum"),
+    ("trace_shard_ns", "trace_shard_ns_sum"),
+    ("trace_kcas_ns", "trace_kcas_ns_sum"),
+    ("trace_commit_ns", "trace_commit_ns_sum"),
+    ("trace_resp_ns", "trace_resp_ns_sum"),
+    ("trace_flush_ns", "trace_flush_ns_sum"),
+    ("trace_deliver_ns", "trace_deliver_ns_sum"),
+];
 
 /// Register the tracer's instruments with the global registry (idempotent):
 /// per-phase duration histograms `trace_<phase>_ns`, their running sums
@@ -533,22 +386,10 @@ pub fn register_metrics() {
         crate::register("trace_sampled_total", Handle::Func(sampled_total));
         crate::register("trace_spans_recorded_total", Handle::Func(recorded_total));
         crate::register("trace_spans_dropped_total", Handle::Func(dropped_total));
-        crate::register("trace_ready_ns", Handle::Histogram(&PHASE_HIST[PHASE_READY as usize]));
-        crate::register("trace_ready_ns_sum", Handle::Func(sum_ready));
-        crate::register("trace_decode_ns", Handle::Histogram(&PHASE_HIST[PHASE_DECODE as usize]));
-        crate::register("trace_decode_ns_sum", Handle::Func(sum_decode));
-        crate::register("trace_shard_ns", Handle::Histogram(&PHASE_HIST[PHASE_SHARD as usize]));
-        crate::register("trace_shard_ns_sum", Handle::Func(sum_shard));
-        crate::register("trace_kcas_ns", Handle::Histogram(&PHASE_HIST[PHASE_KCAS as usize]));
-        crate::register("trace_kcas_ns_sum", Handle::Func(sum_kcas));
-        crate::register("trace_commit_ns", Handle::Histogram(&PHASE_HIST[PHASE_COMMIT as usize]));
-        crate::register("trace_commit_ns_sum", Handle::Func(sum_commit));
-        crate::register("trace_resp_ns", Handle::Histogram(&PHASE_HIST[PHASE_RESP as usize]));
-        crate::register("trace_resp_ns_sum", Handle::Func(sum_resp));
-        crate::register("trace_flush_ns", Handle::Histogram(&PHASE_HIST[PHASE_FLUSH as usize]));
-        crate::register("trace_flush_ns_sum", Handle::Func(sum_flush));
-        crate::register("trace_deliver_ns", Handle::Histogram(&PHASE_HIST[PHASE_DELIVER as usize]));
-        crate::register("trace_deliver_ns_sum", Handle::Func(sum_deliver));
+        for (hist, (name, sum_name)) in PHASE_HIST.iter().zip(PHASE_METRICS) {
+            crate::register(name, Handle::Histogram(hist));
+            crate::register(sum_name, Handle::HistogramSum(hist));
+        }
     });
 }
 

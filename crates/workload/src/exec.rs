@@ -516,8 +516,8 @@ where
 }
 
 /// Apply `ops` operations of `sc` to `map` single-threadedly (no timing, no
-/// phases) and return the number of successful operations.  This is the
-/// Criterion-friendly entry point: fixed work instead of fixed duration.
+/// phases) and return the number of successful operations: fixed work
+/// instead of fixed duration.
 /// Loading the map is the caller's responsibility (bank scenarios excepted:
 /// the account metadata is inserted here because the bank is created here).
 pub fn run_ops<M: ConcurrentMap + ?Sized>(
@@ -581,8 +581,7 @@ mod tests {
     fn every_scenario_runs_on_the_oracle() {
         for sc in all_scenarios() {
             let map = LockedBTreeMap::new();
-            // run_ops leaves loading to the caller (Criterion setup does the
-            // same through `bench::prefilled`).
+            // run_ops leaves loading to the caller.
             mapapi::stress::prefill(&map, 512, 256, 7);
             let ok = run_ops(&map, &sc, 512, 2_000, 7);
             assert!(ok > 0, "{}: no operation succeeded", sc.name);

@@ -33,9 +33,8 @@
 //!   per-scenario scan-latency percentiles.
 //!
 //! The harness binary `bench_workloads` wires this crate to the algorithm
-//! registry so every registered structure runs every scenario; the
-//! `workloads` Criterion target measures single-threaded per-op cost of the
-//! same scenarios.  Everything is reproducible from the `PATHCAS_SEED` knob.
+//! registry so every registered structure runs every scenario.  Everything
+//! is reproducible from the `PATHCAS_SEED` knob.
 
 #![warn(missing_docs)]
 
