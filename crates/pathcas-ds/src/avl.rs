@@ -1,63 +1,75 @@
-//! The relaxed internal AVL tree of §4.2 / Appendix D (`int-avl-pathcas`).
+//! What §4.2 / Appendix D add to the internal tree of [`crate::tree`] to
+//! make it the relaxed AVL tree (`int-avl-pathcas`): the [`Avl`] balance
+//! policy.
 //!
-//! The tree is the internal BST of [`crate::bst`] augmented with `parent`
-//! pointers and *logical* `height` fields.  After every successful insert or
-//! delete, the thread that (may have) created a balance violation walks
-//! towards the root along parent pointers, applying Bougé-style local
-//! rebalancing steps — `rotateRight`, `rotateLeft`, `rotateLeftRight`,
-//! `rotateRightLeft` and `fixHeight` — each of which is a single `vexec` that
-//! visits every node it reads, adds every field it changes, and bumps the
-//! version of every node it modifies (Algorithms 8–11).
-
-// `drop(op)` below releases the op's borrow of the shared builder so the
-// rebalancing walk can start a new op; the drop is about lifetimes, which is
-// exactly what this lint flags as suspicious.
-#![allow(clippy::drop_non_drop)]
+//! Nodes gain a `parent` pointer and a *logical* `height` (Figure 8).  After
+//! every successful insert or delete, the thread that (may have) created a
+//! balance violation walks towards the root along parent pointers, applying
+//! Bougé-style local rebalancing steps — `rotateRight`, `rotateLeft`,
+//! `rotateLeftRight`, `rotateRightLeft` and `fixHeight` — each of which is a
+//! single `vexec` that visits every node it reads, adds every field it
+//! changes, and bumps the version of every node it modifies (Algorithms
+//! 8–11).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_epoch::Guard;
 use kcas::CasWord;
-use mapapi::{ConcurrentMap, Key, MapStats, Value};
 use pathcas::{OpBuilder, PathCasOp};
 
-use crate::node::{ptr_to_word, retire, with_builder, word_to_ref, NIL};
+use crate::node::{ptr_to_word, word_to_ref, NIL};
+use crate::tree::{sealed::Policy, PathCasTree};
 
-const KEY_MIN_SENTINEL: u64 = 0;
-const KEY_MAX_SENTINEL: u64 = kcas::MAX_VALUE;
+/// The balance policy of the relaxed AVL tree; the value itself is the
+/// tree's rotation counter.
+#[derive(Default)]
+pub struct Avl {
+    rotations: AtomicU64,
+}
 
-/// An AVL node (Figure 8 of the paper): the BST fields plus a parent pointer
-/// and a logical height.
-pub(crate) struct Node {
-    key: CasWord,
-    val: CasWord,
-    left: CasWord,
-    right: CasWord,
+/// The two words an AVL node carries on top of the search-tree fields
+/// (opaque; `pub` only because the sealed policy names it).
+#[repr(C)]
+pub struct AvlWords {
     parent: CasWord,
     height: CasWord,
-    ver: CasWord,
 }
 
-impl Node {
-    fn new(key: u64, val: u64, parent: u64, height: u64) -> *mut Node {
-        Box::into_raw(Box::new(Node {
-            key: CasWord::new(key),
-            val: CasWord::new(val),
-            left: CasWord::new(NIL),
-            right: CasWord::new(NIL),
-            parent: CasWord::new(parent),
-            height: CasWord::new(height),
-            ver: CasWord::new(0),
-        }))
+type Node = crate::tree::Node<Avl>;
+
+/// The PathCAS relaxed AVL tree (`int-avl-pathcas`).
+pub type PathCasAvl = PathCasTree<Avl>;
+
+// `pathcas-ds.bytes_per_key` is a benchmark metric and the word order decides
+// which fields share a cache line: neither may move silently.
+const _: () = {
+    assert!(std::mem::size_of::<Node>() == 7 * 8);
+    assert!(std::mem::offset_of!(Node, bal) == 4 * 8 && std::mem::offset_of!(Node, ver) == 6 * 8);
+};
+
+impl Policy for Avl {
+    type Words = AvlWords;
+    const NAME: &'static str = "int-avl-pathcas";
+    const PARENT_POINTERS: bool = true;
+
+    fn words(parent: u64, height: u64) -> AvlWords {
+        AvlWords { parent: CasWord::new(parent), height: CasWord::new(height) }
     }
-}
 
-struct SearchResult<'g> {
-    found: bool,
-    curr: Option<&'g Node>,
-    curr_ver: u64,
-    parent: &'g Node,
-    parent_ver: u64,
+    #[inline]
+    fn repoint_parent<'g>(op: &mut PathCasOp<'g>, child: &'g Node, child_ver: u64, from: u64, to: u64) {
+        op.add(&child.bal.parent, from, to);
+        op.add(&child.ver, child_ver, child_ver + 2);
+    }
+
+    #[inline]
+    fn rebalance(tree: &PathCasAvl, start: u64, builder: &mut OpBuilder, guard: &Guard) {
+        tree.rebalance(start, builder, guard);
+    }
+
+    fn check_words(node: &Node, key: u64, parent: u64) {
+        assert_eq!(node.bal.parent.load_quiescent(), parent, "parent pointer of {key} is stale");
+    }
 }
 
 /// Outcome of one rebalancing attempt at a node.
@@ -73,424 +85,19 @@ enum Step {
     Rotated { next: u64, recheck: Vec<u64> },
 }
 
-/// The PathCAS relaxed AVL tree (`int-avl-pathcas`).
-pub struct PathCasAvl {
-    max_root: *mut Node,
-    min_root: *mut Node,
-    retries: AtomicU64,
-    rotations: AtomicU64,
-}
-
-// SAFETY: all shared mutation goes through PathCAS; raw pointers are only
-// dereferenced under epoch guards.
-unsafe impl Send for PathCasAvl {}
-// SAFETY: see `Send` above.
-unsafe impl Sync for PathCasAvl {}
-
-impl Default for PathCasAvl {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PathCasAvl {
-    /// Create an empty tree containing only the two sentinel nodes.
-    pub fn new() -> Self {
-        let max_root = Node::new(KEY_MAX_SENTINEL, 0, NIL, 0);
-        let min_root = Node::new(KEY_MIN_SENTINEL, 0, ptr_to_word(max_root), 0);
-        // SAFETY: `max_root` is a freshly boxed node not yet shared with any
-        // other thread, so the raw store cannot race.
-        unsafe { (*max_root).left.store(ptr_to_word(min_root)) };
-        PathCasAvl {
-            max_root,
-            min_root,
-            retries: AtomicU64::new(0),
-            rotations: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of operation restarts (software contention proxy for Figure 5).
-    pub fn retry_count(&self) -> u64 {
-        // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.retries.load(Ordering::Relaxed)
-    }
-
     /// Number of successful rotations performed (single + double).
     pub fn rotation_count(&self) -> u64 {
         // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.rotations.load(Ordering::Relaxed)
+        self.balance.rotations.load(Ordering::Relaxed)
     }
 
-    #[inline]
-    fn note_retry(&self) {
-        // ORDERING: Relaxed — diagnostic counter only; tree correctness is
-        // carried by the validated KCAS operations, not by this statistic.
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn min_word(&self) -> u64 {
-        ptr_to_word(self.min_root)
-    }
-
-    #[inline]
-    fn max_word(&self) -> u64 {
-        ptr_to_word(self.max_root)
-    }
-
-    fn search<'g>(&self, op: &mut PathCasOp<'g>, guard: &'g Guard, key: u64) -> SearchResult<'g> {
-        // SAFETY: the sentinel roots are allocated in `new` and freed only in
-        // Drop, so they outlive every guard borrowed from `&self`.
-        let mut parent: &Node = unsafe { &*self.max_root };
-        let mut parent_ver = op.visit(&parent.ver);
-        // SAFETY: as above — the min sentinel lives until Drop.
-        let mut curr: &Node = unsafe { &*self.min_root };
-        let mut curr_ver = op.visit(&curr.ver);
-        loop {
-            let curr_key = op.read(&curr.key);
-            if key == curr_key {
-                return SearchResult { found: true, curr: Some(curr), curr_ver, parent, parent_ver };
-            }
-            let next = if key > curr_key { op.read(&curr.right) } else { op.read(&curr.left) };
-            if next == NIL {
-                return SearchResult { found: false, curr: None, curr_ver, parent: curr, parent_ver: curr_ver };
-            }
-            parent = curr;
-            parent_ver = curr_ver;
-            // SAFETY: `next` was read via KCAS under `guard`; epoch pinning
-            // keeps the pointed-to node alive until the guard drops.
-            curr = unsafe { word_to_ref(next, guard) };
-            curr_ver = op.visit(&curr.ver);
-        }
-    }
-
-    fn get_successor<'g>(
-        &self,
-        op: &mut PathCasOp<'g>,
-        guard: &'g Guard,
-        start: &'g Node,
-        start_ver: u64,
-    ) -> Option<(&'g Node, u64, &'g Node, u64)> {
-        let mut succ_p = start;
-        let mut succ_p_ver = start_ver;
-        let right = op.read(&start.right);
-        if right == NIL {
-            return None;
-        }
-        // SAFETY: `right` is a non-NIL word read via KCAS under `guard`.
-        let mut succ: &Node = unsafe { word_to_ref(right, guard) };
-        let mut succ_ver = op.visit(&succ.ver);
-        loop {
-            let next = op.read(&succ.left);
-            if next == NIL {
-                return Some((succ, succ_ver, succ_p, succ_p_ver));
-            }
-            succ_p = succ;
-            succ_p_ver = succ_ver;
-            // SAFETY: as above — KCAS read under the same epoch pin.
-            succ = unsafe { word_to_ref(next, guard) };
-            succ_ver = op.visit(&succ.ver);
-        }
-    }
-
-    fn insert_impl(&self, key: u64, val: u64) -> bool {
-        debug_assert!(key > KEY_MIN_SENTINEL && key < KEY_MAX_SENTINEL);
-        with_builder(|builder| {
-            let guard = crossbeam_epoch::pin();
-            loop {
-                let mut op = builder.start(&guard);
-                let res = self.search(&mut op, &guard, key);
-                if res.found {
-                    if op.validate() {
-                        return false;
-                    }
-                    self.note_retry();
-                    continue;
-                }
-                let parent = res.parent;
-                let parent_ver = res.parent_ver;
-                if parent_ver & 1 == 1 {
-                    self.note_retry();
-                    continue;
-                }
-                let parent_word = ptr_to_word(parent as *const Node);
-                let new_node = Node::new(key, val, parent_word, 1);
-                let parent_key = op.read(&parent.key);
-                let ptr_to_change = if key < parent_key { &parent.left } else { &parent.right };
-                op.add(ptr_to_change, NIL, ptr_to_word(new_node));
-                op.add(&parent.ver, parent_ver, parent_ver + 2);
-                if op.vexec() {
-                    drop(op);
-                    self.rebalance(parent_word, builder, &guard);
-                    return true;
-                }
-                // Never published; reclaim directly.
-                // SAFETY: the vexec failed, so no other thread ever saw
-                // `new_node`; this thread still solely owns the fresh Box.
-                unsafe { drop(Box::from_raw(new_node)) };
-                self.note_retry();
-            }
-        })
-    }
-
-    fn remove_impl(&self, key: u64) -> bool {
-        debug_assert!(key > KEY_MIN_SENTINEL && key < KEY_MAX_SENTINEL);
-        with_builder(|builder| {
-            let guard = crossbeam_epoch::pin();
-            loop {
-                let mut op = builder.start(&guard);
-                let res = self.search(&mut op, &guard, key);
-                if !res.found {
-                    if op.validate() {
-                        return false;
-                    }
-                    self.note_retry();
-                    continue;
-                }
-                let curr = res.curr.expect("found implies node");
-                let curr_ver = res.curr_ver;
-                let parent = res.parent;
-                let parent_ver = res.parent_ver;
-                if curr_ver & 1 == 1 || parent_ver & 1 == 1 {
-                    self.note_retry();
-                    continue;
-                }
-                let curr_word = ptr_to_word(curr as *const Node);
-                let parent_word = ptr_to_word(parent as *const Node);
-                let curr_left = op.read(&curr.left);
-                let curr_right = op.read(&curr.right);
-
-                if curr_left == NIL || curr_right == NIL {
-                    // Leaf / one-child deletion: splice the remaining child
-                    // (or NIL) into the parent and repoint its parent pointer.
-                    let child_to_keep = if curr_left == NIL { curr_right } else { curr_left };
-                    let parent_left = op.read(&parent.left);
-                    let ptr_to_change =
-                        if parent_left == curr_word { &parent.left } else { &parent.right };
-                    op.add(ptr_to_change, curr_word, child_to_keep);
-                    op.add(&parent.ver, parent_ver, parent_ver + 2);
-                    op.add(&curr.ver, curr_ver, curr_ver + 1); // mark curr
-                    if child_to_keep != NIL {
-                        // SAFETY: non-NIL word read via KCAS under the pin.
-                        let child: &Node = unsafe { word_to_ref(child_to_keep, &guard) };
-                        let child_ver = op.visit(&child.ver);
-                        if child_ver & 1 == 1 {
-                            self.note_retry();
-                            continue;
-                        }
-                        op.add(&child.parent, curr_word, parent_word);
-                        op.add(&child.ver, child_ver, child_ver + 2);
-                    }
-                    if op.vexec() {
-                        drop(op);
-                        // SAFETY: the successful vexec unlinked and marked
-                        // `curr`, so this thread alone retires it; pinned
-                        // readers keep it alive until their epochs expire.
-                        unsafe { retire(curr as *const Node, &guard) };
-                        self.rebalance(parent_word, builder, &guard);
-                        return true;
-                    }
-                    self.note_retry();
-                    continue;
-                }
-
-                // Two-child deletion: promote the successor's key/value into
-                // `curr`, then unlink the successor node.
-                let (succ, succ_ver, succ_p, succ_p_ver) =
-                    match self.get_successor(&mut op, &guard, curr, curr_ver) {
-                        Some(t) => t,
-                        None => {
-                            self.note_retry();
-                            continue;
-                        }
-                    };
-                if succ_ver & 1 == 1 || succ_p_ver & 1 == 1 {
-                    self.note_retry();
-                    continue;
-                }
-                let succ_word = ptr_to_word(succ as *const Node);
-                let succ_p_word = ptr_to_word(succ_p as *const Node);
-                let succ_r = op.read(&succ.right);
-                if succ_r != NIL {
-                    // SAFETY: non-NIL word read via KCAS under the same pin.
-                    let succ_r_node: &Node = unsafe { word_to_ref(succ_r, &guard) };
-                    let succ_r_ver = op.visit(&succ_r_node.ver);
-                    if succ_r_ver & 1 == 1 {
-                        self.note_retry();
-                        continue;
-                    }
-                    op.add(&succ_r_node.parent, succ_word, succ_p_word);
-                    op.add(&succ_r_node.ver, succ_r_ver, succ_r_ver + 2);
-                }
-                let succ_p_right = op.read(&succ_p.right);
-                let ptr_to_change =
-                    if succ_p_right == succ_word { &succ_p.right } else { &succ_p.left };
-                op.add(ptr_to_change, succ_word, succ_r);
-                let curr_val = op.read(&curr.val);
-                let succ_val = op.read(&succ.val);
-                let succ_key = op.read(&succ.key);
-                op.add(&curr.val, curr_val, succ_val);
-                op.add(&curr.key, key, succ_key);
-                op.add(&succ.ver, succ_ver, succ_ver + 1); // mark succ
-                op.add(&succ_p.ver, succ_p_ver, succ_p_ver + 2);
-                if !std::ptr::eq(succ_p, curr) {
-                    op.add(&curr.ver, curr_ver, curr_ver + 2);
-                }
-                if op.vexec() {
-                    drop(op);
-                    // SAFETY: the vexec unlinked and marked `succ`; only this
-                    // thread retires it, and pinned readers stay protected.
-                    unsafe { retire(succ as *const Node, &guard) };
-                    self.rebalance(succ_p_word, builder, &guard);
-                    return true;
-                }
-                self.note_retry();
-            }
-        })
-    }
-
-    fn get_impl(&self, key: u64) -> Option<u64> {
-        debug_assert!(key > KEY_MIN_SENTINEL && key < KEY_MAX_SENTINEL);
-        with_builder(|builder| {
-            let guard = crossbeam_epoch::pin();
-            loop {
-                let mut op = builder.start(&guard);
-                let res = self.search(&mut op, &guard, key);
-                if res.found {
-                    // §4.1: found keys need no validation of the path — but
-                    // a two-child `remove(key)` rewrites this node's key and
-                    // value (to its successor's) in one KCAS, so a value
-                    // read after the key may belong to the successor.  A
-                    // node's key only ever grows (successors are larger), so
-                    // seeing `key` again after the value read proves the
-                    // value was read while the node still held `key`.
-                    let curr = res.curr.expect("found implies node");
-                    let val = op.read(&curr.val);
-                    if op.read(&curr.key) == key {
-                        return Some(val);
-                    }
-                } else if op.validate() {
-                    return None;
-                }
-                self.note_retry();
-            }
-        })
-    }
-
-    /// Atomic single-key read-modify-write (see [`crate::bst`]): the value
-    /// change and the version bump commit in one path-validated `vexec`, so
-    /// the key is never observably absent mid-RMW and racing updates are
-    /// never clobbered.  `update` may run again on retry, so it must be pure.
-    fn rmw_impl(&self, key: u64, update: &mut dyn FnMut(Option<u64>) -> u64) -> bool {
-        debug_assert!(key > KEY_MIN_SENTINEL && key < KEY_MAX_SENTINEL);
-        with_builder(|builder| {
-            let guard = crossbeam_epoch::pin();
-            loop {
-                let mut op = builder.start(&guard);
-                let res = self.search(&mut op, &guard, key);
-                if res.found {
-                    let curr = res.curr.expect("found implies node");
-                    let curr_ver = res.curr_ver;
-                    if curr_ver & 1 == 1 {
-                        self.note_retry();
-                        continue;
-                    }
-                    let old_val = op.read(&curr.val);
-                    let new_val = update(Some(old_val));
-                    op.add(&curr.val, old_val, new_val);
-                    op.add(&curr.ver, curr_ver, curr_ver + 2);
-                    if op.vexec() {
-                        return true;
-                    }
-                    self.note_retry();
-                    continue;
-                }
-                // Absent: insert `update(None)` atomically, then rebalance.
-                let parent = res.parent;
-                let parent_ver = res.parent_ver;
-                if parent_ver & 1 == 1 {
-                    self.note_retry();
-                    continue;
-                }
-                let parent_word = ptr_to_word(parent as *const Node);
-                let new_node = Node::new(key, update(None), parent_word, 1);
-                let parent_key = op.read(&parent.key);
-                let ptr_to_change = if key < parent_key { &parent.left } else { &parent.right };
-                op.add(ptr_to_change, NIL, ptr_to_word(new_node));
-                op.add(&parent.ver, parent_ver, parent_ver + 2);
-                if op.vexec() {
-                    drop(op);
-                    self.rebalance(parent_word, builder, &guard);
-                    return false;
-                }
-                // SAFETY: failed vexec — `new_node` was never published, so
-                // the fresh Box is still exclusively owned here.
-                unsafe { drop(Box::from_raw(new_node)) };
-                self.note_retry();
-            }
-        })
-    }
-
-    /// Validated in-order range scan, identical in structure to the BST's
-    /// (see [`crate::bst`]): prune subtrees below `start`, visit every
-    /// traversed node, collect up to `len` pairs, then `validate` the whole
-    /// path — success makes the result an atomic snapshot.  Concurrent
-    /// rotations bump every version they touch, so a scan overlapping a
-    /// rebalance simply retries.
-    fn scan_impl(&self, start: u64, len: usize) -> Vec<(u64, u64)> {
-        if len == 0 {
-            return Vec::new();
-        }
-        let start = start.max(KEY_MIN_SENTINEL + 1);
-        with_builder(|builder| {
-            let guard = crossbeam_epoch::pin();
-            'retry: loop {
-                let mut op = builder.start(&guard);
-                // SAFETY: the min sentinel lives until Drop (see `search`).
-                let min_root: &Node = unsafe { &*self.min_root };
-                let min_ver = op.visit(&min_root.ver);
-                if min_ver & 1 == 1 {
-                    self.note_retry();
-                    continue 'retry;
-                }
-                let mut out: Vec<(u64, u64)> = Vec::with_capacity(len.min(1024));
-                let mut stack: Vec<(&Node, u64)> = Vec::new();
-                let mut curr = op.read(&min_root.right);
-                'walk: loop {
-                    while curr != NIL {
-                        // SAFETY: `curr` was read via KCAS under `guard`, so
-                        // the node is protected from reclamation.
-                        let node: &Node = unsafe { word_to_ref(curr, &guard) };
-                        let ver = op.visit(&node.ver);
-                        if ver & 1 == 1 {
-                            self.note_retry();
-                            continue 'retry;
-                        }
-                        let key = op.read(&node.key);
-                        if key >= start {
-                            stack.push((node, key));
-                            curr = op.read(&node.left);
-                        } else {
-                            curr = op.read(&node.right);
-                        }
-                    }
-                    match stack.pop() {
-                        None => break 'walk,
-                        Some((node, key)) => {
-                            out.push((key, op.read(&node.val)));
-                            if out.len() == len {
-                                break 'walk;
-                            }
-                            curr = op.read(&node.right);
-                        }
-                    }
-                }
-                if op.validate() {
-                    return out;
-                }
-                self.note_retry();
-            }
-        })
+    /// Actual (not logical) height of the tree rooted under `minRoot.right`
+    /// (quiescent).
+    pub fn actual_height(&self) -> u64 {
+        let mut height = 0;
+        self.for_each_node(|_, _, at| height = height.max(at.depth + 1));
+        height
     }
 
     // ------------------------------------------------------------------
@@ -511,7 +118,7 @@ impl PathCasAvl {
                     return;
                 }
                 budget -= 1;
-                if n_word == NIL || n_word == self.min_word() || n_word == self.max_word() {
+                if n_word == NIL || self.is_sentinel(n_word) {
                     break;
                 }
                 match self.rebalance_step(n_word, builder, guard) {
@@ -522,7 +129,7 @@ impl PathCasAvl {
                     }
                     Step::Rotated { next, recheck } => {
                         // ORDERING: Relaxed — diagnostic counter only.
-                        self.rotations.fetch_add(1, Ordering::Relaxed);
+                        self.balance.rotations.fetch_add(1, Ordering::Relaxed);
                         work.extend(recheck);
                         n_word = next;
                     }
@@ -543,7 +150,7 @@ impl PathCasAvl {
             // The node was deleted; whoever deleted it owns further violations.
             return Step::Done;
         }
-        let p_word = op.read(&n.parent);
+        let p_word = op.read(&n.bal.parent);
         if p_word == NIL {
             return Step::Done;
         }
@@ -625,7 +232,7 @@ impl PathCasAvl {
             }
         } else {
             // Balanced: make sure the logical height is accurate (Algorithm 8).
-            let old_height = op.read(&n.height);
+            let old_height = op.read(&n.bal.height);
             let new_height = 1 + lh.max(rh);
             if old_height == new_height {
                 if op.validate() {
@@ -633,7 +240,7 @@ impl PathCasAvl {
                 }
                 return Step::Retry;
             }
-            op.add(&n.height, old_height, new_height);
+            op.add(&n.bal.height, old_height, new_height);
             op.add(&n.ver, n_ver, n_ver + 2);
             if op.vexec() {
                 Step::MoveUp(p_word)
@@ -658,7 +265,7 @@ impl PathCasAvl {
             // caller holds, so the node cannot be reclaimed.
             let node: &Node = unsafe { word_to_ref(word, guard) };
             let ver = op.visit(&node.ver);
-            let h = op.read(&node.height);
+            let h = op.read(&node.bal.height);
             (Some(node), ver, h)
         }
     }
@@ -713,20 +320,20 @@ impl PathCasAvl {
             if lr_ver & 1 == 1 {
                 return None;
             }
-            lrh = op.read(&lr.height);
-            op.add(&lr.parent, l_word, n_word);
+            lrh = op.read(&lr.bal.height);
+            op.add(&lr.bal.parent, l_word, n_word);
             op.add(&lr.ver, lr_ver, lr_ver + 2);
         }
-        let old_nh = op.read(&n.height);
-        let old_lh = op.read(&l.height);
+        let old_nh = op.read(&n.bal.height);
+        let old_lh = op.read(&l.bal.height);
         let new_nh = 1 + lrh.max(rh);
         let new_lh = 1 + llh.max(new_nh);
-        op.add(&l.parent, n_word, p_word);
+        op.add(&l.bal.parent, n_word, p_word);
         op.add(&n.left, l_word, lr_word);
         op.add(&l.right, lr_word, n_word);
-        op.add(&n.parent, p_word, l_word);
-        op.add(&n.height, old_nh, new_nh);
-        op.add(&l.height, old_lh, new_lh);
+        op.add(&n.bal.parent, p_word, l_word);
+        op.add(&n.bal.height, old_nh, new_nh);
+        op.add(&l.bal.height, old_lh, new_lh);
         op.add(&p.ver, p_ver, p_ver + 2);
         op.add(&n.ver, n_ver, n_ver + 2);
         op.add(&l.ver, l_ver, l_ver + 2);
@@ -765,20 +372,20 @@ impl PathCasAvl {
             if rl_ver & 1 == 1 {
                 return None;
             }
-            rlh = op.read(&rl.height);
-            op.add(&rl.parent, r_word, n_word);
+            rlh = op.read(&rl.bal.height);
+            op.add(&rl.bal.parent, r_word, n_word);
             op.add(&rl.ver, rl_ver, rl_ver + 2);
         }
-        let old_nh = op.read(&n.height);
-        let old_rh = op.read(&r.height);
+        let old_nh = op.read(&n.bal.height);
+        let old_rh = op.read(&r.bal.height);
         let new_nh = 1 + rlh.max(lh);
         let new_rh = 1 + rrh.max(new_nh);
-        op.add(&r.parent, n_word, p_word);
+        op.add(&r.bal.parent, n_word, p_word);
         op.add(&n.right, r_word, rl_word);
         op.add(&r.left, rl_word, n_word);
-        op.add(&n.parent, p_word, r_word);
-        op.add(&n.height, old_nh, new_nh);
-        op.add(&r.height, old_rh, new_rh);
+        op.add(&n.bal.parent, p_word, r_word);
+        op.add(&n.bal.height, old_nh, new_nh);
+        op.add(&r.bal.height, old_rh, new_rh);
         op.add(&p.ver, p_ver, p_ver + 2);
         op.add(&n.ver, n_ver, n_ver + 2);
         op.add(&r.ver, r_ver, r_ver + 2);
@@ -822,8 +429,8 @@ impl PathCasAvl {
             if lrl_ver & 1 == 1 {
                 return None;
             }
-            lrlh = op.read(&lrl.height);
-            op.add(&lrl.parent, lr_word, l_word);
+            lrlh = op.read(&lrl.bal.height);
+            op.add(&lrl.bal.parent, lr_word, l_word);
             op.add(&lrl.ver, lrl_ver, lrl_ver + 2);
         }
         let lrr_word = op.read(&lr.right);
@@ -835,28 +442,28 @@ impl PathCasAvl {
             if lrr_ver & 1 == 1 {
                 return None;
             }
-            lrrh = op.read(&lrr.height);
-            op.add(&lrr.parent, lr_word, n_word);
+            lrrh = op.read(&lrr.bal.height);
+            op.add(&lrr.bal.parent, lr_word, n_word);
             op.add(&lrr.ver, lrr_ver, lrr_ver + 2);
         }
 
-        let old_nh = op.read(&n.height);
-        let old_lh = op.read(&l.height);
-        let old_lrh = op.read(&lr.height);
+        let old_nh = op.read(&n.bal.height);
+        let old_lh = op.read(&l.bal.height);
+        let old_lrh = op.read(&lr.bal.height);
         let new_nh = 1 + lrrh.max(rh);
         let new_lh = 1 + llh.max(lrlh);
         let new_lrh = 1 + new_nh.max(new_lh);
 
-        op.add(&lr.parent, l_word, p_word);
+        op.add(&lr.bal.parent, l_word, p_word);
         op.add(&lr.left, lrl_word, l_word);
-        op.add(&l.parent, n_word, lr_word);
+        op.add(&l.bal.parent, n_word, lr_word);
         op.add(&lr.right, lrr_word, n_word);
-        op.add(&n.parent, p_word, lr_word);
+        op.add(&n.bal.parent, p_word, lr_word);
         op.add(&l.right, lr_word, lrl_word);
         op.add(&n.left, l_word, lrr_word);
-        op.add(&n.height, old_nh, new_nh);
-        op.add(&l.height, old_lh, new_lh);
-        op.add(&lr.height, old_lrh, new_lrh);
+        op.add(&n.bal.height, old_nh, new_nh);
+        op.add(&l.bal.height, old_lh, new_lh);
+        op.add(&lr.bal.height, old_lrh, new_lrh);
         op.add(&lr.ver, lr_ver, lr_ver + 2);
         op.add(&p.ver, p_ver, p_ver + 2);
         op.add(&n.ver, n_ver, n_ver + 2);
@@ -900,8 +507,8 @@ impl PathCasAvl {
             if rlr_ver & 1 == 1 {
                 return None;
             }
-            rlrh = op.read(&rlr.height);
-            op.add(&rlr.parent, rl_word, r_word);
+            rlrh = op.read(&rlr.bal.height);
+            op.add(&rlr.bal.parent, rl_word, r_word);
             op.add(&rlr.ver, rlr_ver, rlr_ver + 2);
         }
         let rll_word = op.read(&rl.left);
@@ -913,28 +520,28 @@ impl PathCasAvl {
             if rll_ver & 1 == 1 {
                 return None;
             }
-            rllh = op.read(&rll.height);
-            op.add(&rll.parent, rl_word, n_word);
+            rllh = op.read(&rll.bal.height);
+            op.add(&rll.bal.parent, rl_word, n_word);
             op.add(&rll.ver, rll_ver, rll_ver + 2);
         }
 
-        let old_nh = op.read(&n.height);
-        let old_rh = op.read(&r.height);
-        let old_rlh = op.read(&rl.height);
+        let old_nh = op.read(&n.bal.height);
+        let old_rh = op.read(&r.bal.height);
+        let old_rlh = op.read(&rl.bal.height);
         let new_nh = 1 + rllh.max(lh);
         let new_rh = 1 + rrh.max(rlrh);
         let new_rlh = 1 + new_nh.max(new_rh);
 
-        op.add(&rl.parent, r_word, p_word);
+        op.add(&rl.bal.parent, r_word, p_word);
         op.add(&rl.right, rlr_word, r_word);
-        op.add(&r.parent, n_word, rl_word);
+        op.add(&r.bal.parent, n_word, rl_word);
         op.add(&rl.left, rll_word, n_word);
-        op.add(&n.parent, p_word, rl_word);
+        op.add(&n.bal.parent, p_word, rl_word);
         op.add(&r.left, rl_word, rlr_word);
         op.add(&n.right, r_word, rll_word);
-        op.add(&n.height, old_nh, new_nh);
-        op.add(&r.height, old_rh, new_rh);
-        op.add(&rl.height, old_rlh, new_rlh);
+        op.add(&n.bal.height, old_nh, new_nh);
+        op.add(&r.bal.height, old_rh, new_rh);
+        op.add(&rl.bal.height, old_rlh, new_rlh);
         op.add(&rl.ver, rl_ver, rl_ver + 2);
         op.add(&p.ver, p_ver, p_ver + 2);
         op.add(&n.ver, n_ver, n_ver + 2);
@@ -944,182 +551,14 @@ impl PathCasAvl {
         } else {
             None
         }
-    }
+    }}
 
-    // ------------------------------------------------------------------
-    // Quiescent inspection
-    // ------------------------------------------------------------------
-
-    fn stats_impl(&self) -> MapStats {
-        let mut stats = MapStats {
-            node_count: 2,
-            approx_bytes: 2 * std::mem::size_of::<Node>() as u64,
-            ..Default::default()
-        };
-        // SAFETY: stats run quiescently (per the `load_quiescent` contract);
-        // the sentinel is live and no writer can race this read.
-        let root = unsafe { (*self.min_root).right.load_quiescent() };
-        let mut stack: Vec<(u64, u64)> = Vec::new();
-        if root != NIL {
-            stack.push((root, 0));
-        }
-        while let Some((word, depth)) = stack.pop() {
-            // SAFETY: quiescent traversal — every reachable word is a valid
-            // node pointer owned by the tree.
-            let node = unsafe { &*(word as usize as *const Node) };
-            stats.node_count += 1;
-            stats.approx_bytes += std::mem::size_of::<Node>() as u64;
-            stats.key_count += 1;
-            stats.key_sum += node.key.load_quiescent() as u128;
-            stats.key_depth_sum += depth;
-            let l = node.left.load_quiescent();
-            let r = node.right.load_quiescent();
-            if l != NIL {
-                stack.push((l, depth + 1));
-            }
-            if r != NIL {
-                stack.push((r, depth + 1));
-            }
-        }
-        stats
-    }
-
-    /// Actual (not logical) height of the tree rooted under `minRoot.right`.
-    pub fn actual_height(&self) -> u64 {
-        let mut max_depth = 0u64;
-        // SAFETY: quiescent read of the live sentinel (see `stats_impl`).
-        let root = unsafe { (*self.min_root).right.load_quiescent() };
-        let mut stack: Vec<(u64, u64)> = Vec::new();
-        if root != NIL {
-            stack.push((root, 1));
-        }
-        while let Some((word, depth)) = stack.pop() {
-            max_depth = max_depth.max(depth);
-            // SAFETY: quiescent traversal of live owned nodes (see above).
-            let node = unsafe { &*(word as usize as *const Node) };
-            let l = node.left.load_quiescent();
-            let r = node.right.load_quiescent();
-            if l != NIL {
-                stack.push((l, depth + 1));
-            }
-            if r != NIL {
-                stack.push((r, depth + 1));
-            }
-        }
-        max_depth
-    }
-
-    /// Quiescent structural invariants: BST order, parent pointers, no
-    /// reachable marked nodes.  Panics on violation.
-    pub fn check_invariants(&self) {
-        // SAFETY: invariant checks run quiescently; the sentinel is live and
-        // no writer can race this read.
-        let root = unsafe { (*self.min_root).right.load_quiescent() };
-        // (word, low, high, expected_parent)
-        let mut stack: Vec<(u64, u64, u64, u64)> = Vec::new();
-        if root != NIL {
-            stack.push((root, KEY_MIN_SENTINEL, KEY_MAX_SENTINEL, ptr_to_word(self.min_root)));
-        }
-        while let Some((word, low, high, expected_parent)) = stack.pop() {
-            // SAFETY: quiescent traversal — every reachable word is a valid
-            // node pointer owned by the tree.
-            let node = unsafe { &*(word as usize as *const Node) };
-            let key = node.key.load_quiescent();
-            assert!(key > low && key < high, "AVL order violated: {key} not in ({low},{high})");
-            assert_eq!(node.ver.load_quiescent() & 1, 0, "reachable AVL node is marked");
-            assert_eq!(
-                node.parent.load_quiescent(),
-                expected_parent,
-                "parent pointer of {key} is stale"
-            );
-            let l = node.left.load_quiescent();
-            let r = node.right.load_quiescent();
-            if l != NIL {
-                stack.push((l, low, key, word));
-            }
-            if r != NIL {
-                stack.push((r, key, high, word));
-            }
-        }
-    }
-}
-
-impl ConcurrentMap for PathCasAvl {
-    fn name(&self) -> &'static str {
-        "int-avl-pathcas"
-    }
-    fn insert(&self, key: Key, value: Value) -> bool {
-        self.insert_impl(key, value)
-    }
-    fn remove(&self, key: Key) -> bool {
-        self.remove_impl(key)
-    }
-    fn contains(&self, key: Key) -> bool {
-        self.get_impl(key).is_some()
-    }
-    fn get(&self, key: Key) -> Option<Value> {
-        self.get_impl(key)
-    }
-    fn rmw(&self, key: Key, update: &mut dyn FnMut(Option<Value>) -> Value) -> bool {
-        self.rmw_impl(key, update)
-    }
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-        self.scan_impl(start, len)
-    }
-    fn stats(&self) -> MapStats {
-        self.stats_impl()
-    }
-}
-
-impl Drop for PathCasAvl {
-    fn drop(&mut self) {
-        let mut to_free: Vec<*mut Node> = Vec::new();
-        let mut work = vec![ptr_to_word(self.max_root)];
-        while let Some(word) = work.pop() {
-            if word == NIL {
-                continue;
-            }
-            let ptr = word as usize as *mut Node;
-            // SAFETY: `&mut self` proves exclusive access; every word in the
-            // tree is a live `Box::into_raw` pointer owned by it.
-            let node = unsafe { &*ptr };
-            work.push(node.left.load_quiescent());
-            work.push(node.right.load_quiescent());
-            to_free.push(ptr);
-        }
-        for ptr in to_free {
-            // SAFETY: see above — each node collected once, freed once.
-            unsafe { drop(Box::from_raw(ptr)) };
-        }
-    }
-}
-
+/// The assertions that only hold for a balanced tree; everything the two
+/// policies share is checked on both by the battery in `crate::tree`.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapapi::stress::{prefill, stress_disjoint_stripes, stress_keysum};
-    use mapapi::suites::*;
-    use std::time::Duration;
-
-    #[test]
-    fn basic_semantics() {
-        check_basic_semantics(&PathCasAvl::new());
-    }
-
-    #[test]
-    fn ordered_patterns() {
-        let t = PathCasAvl::new();
-        check_ordered_patterns(&t);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn random_vs_oracle() {
-        let t = PathCasAvl::new();
-        check_random_against_oracle(&t, 6000, 128, 0xA11E);
-        check_stats_consistency(&t, 128);
-        t.check_invariants();
-    }
+    use mapapi::ConcurrentMap;
 
     #[test]
     fn sequential_inserts_are_rebalanced() {
@@ -1152,104 +591,22 @@ mod tests {
     }
 
     #[test]
-    fn deletions_keep_tree_consistent() {
-        let t = PathCasAvl::new();
-        let n: u64 = 512;
-        for k in 1..=n {
-            t.insert(k, k);
-        }
-        for k in (1..=n).step_by(3) {
-            assert!(t.remove(k));
-        }
-        t.check_invariants();
-        for k in 1..=n {
-            assert_eq!(t.contains(k), (k - 1) % 3 != 0);
-        }
-    }
-
-    #[test]
-    fn two_child_deletion_with_rebalance() {
-        let t = PathCasAvl::new();
-        for k in [50u64, 25, 75, 12, 37, 62, 87, 31, 43] {
-            t.insert(k, k);
-        }
-        assert!(t.remove(50));
-        assert!(t.remove(25));
-        assert!(t.remove(75));
-        t.check_invariants();
-        let s = t.stats();
-        assert_eq!(s.key_count, 6);
-    }
-
-    #[test]
-    fn stripes_stress() {
-        let t = PathCasAvl::new();
-        stress_disjoint_stripes(&t, 4, 250);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn keysum_stress_mixed() {
-        let t = PathCasAvl::new();
-        prefill(&t, 512, 256, 21);
-        stress_keysum(&t, 4, 512, 40, Duration::from_millis(300), 77);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn keysum_stress_update_heavy() {
-        let t = PathCasAvl::new();
-        prefill(&t, 64, 32, 13);
-        stress_keysum(&t, 4, 64, 100, Duration::from_millis(300), 31);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn scan_semantics() {
-        check_scan_semantics(&PathCasAvl::new());
-    }
-
-    #[test]
-    fn scan_vs_oracle() {
-        let t = PathCasAvl::new();
-        check_scan_against_oracle(&t, 256, 0xAB1E);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn chunked_audit_covers_trees_larger_than_one_chunk() {
-        // The scan audit walks in SCAN_AUDIT_CHUNK-sized validated scans, so
-        // a tree bigger than one chunk exercises the resume logic on a real
-        // validated structure.
-        let t = PathCasAvl::new();
-        for k in 1..=(2 * SCAN_AUDIT_CHUNK as u64 + 77) {
-            t.insert(k, k);
-        }
-        check_scan_matches_stats(&t, &t.stats());
-    }
-
-    #[test]
     fn scan_survives_concurrent_rebalancing() {
         // Ascending inserts trigger constant rotations through the scanned
         // range; every scan must still be a consistent prefix of the keys
         // inserted so far (values equal keys, strictly ascending).
-        let t = std::sync::Arc::new(PathCasAvl::new());
+        let t = PathCasAvl::new();
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
-            {
-                let t = std::sync::Arc::clone(&t);
-                let stop = &stop;
-                s.spawn(move || {
-                    let mut k = 1u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        t.insert(k, k);
-                        k += 1;
-                    }
-                });
-            }
-            let t2 = std::sync::Arc::clone(&t);
+            s.spawn(|| {
+                let mut k = 1u64;
+                while !stop.load(Ordering::Relaxed) {
+                    t.insert(k, k);
+                    k += 1;
+                }
+            });
             for _ in 0..200 {
-                let got = t2.scan(1, 32);
+                let got = t.scan(1, 32);
                 for (i, &(k, v)) in got.iter().enumerate() {
                     assert_eq!(k, 1 + i as u64, "scan not a dense ascending prefix: {got:?}");
                     assert_eq!(v, k);
@@ -1274,43 +631,22 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_rmw_increments_are_not_lost() {
-        let t = std::sync::Arc::new(PathCasAvl::new());
-        t.insert(42, 0);
-        let threads = 4u64;
-        let per = 2_000u64;
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let t = std::sync::Arc::clone(&t);
-                s.spawn(move || {
-                    for _ in 0..per {
-                        t.rmw(42, &mut |v| v.unwrap() + 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(t.get(42), Some(threads * per));
-        t.check_invariants();
-    }
-
-    #[test]
     fn concurrent_ascending_inserts_stay_balanced() {
-        let t = std::sync::Arc::new(PathCasAvl::new());
-        let threads = 4usize;
+        let t = PathCasAvl::new();
+        let threads = 4u64;
         let per = 500u64;
         std::thread::scope(|s| {
             for id in 0..threads {
-                let t = std::sync::Arc::clone(&t);
+                let t = &t;
                 s.spawn(move || {
                     for i in 0..per {
-                        t.insert(1 + i * threads as u64 + id as u64, i);
+                        t.insert(1 + i * threads + id, i);
                     }
                 });
             }
         });
         t.check_invariants();
-        let s = t.stats();
-        assert_eq!(s.key_count, per * threads as u64);
+        assert_eq!(t.stats().key_count, per * threads);
         assert!(t.actual_height() <= 60, "height {} after concurrent inserts", t.actual_height());
     }
 }

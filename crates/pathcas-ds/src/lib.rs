@@ -2,10 +2,15 @@
 //!
 //! This crate contains the data structures described in the paper:
 //!
-//! * [`bst::PathCasBst`] — the lock-free *internal* unbalanced binary search
-//!   tree of §4 (`int-bst-pathcas`),
-//! * [`avl::PathCasAvl`] — the relaxed internal AVL tree of §4.2 / Appendix D
-//!   (`int-avl-pathcas`), using Bougé-style local rebalancing steps,
+//! * [`PathCasTree`] — the lock-free *internal* binary search tree of §4,
+//!   one implementation under two balance policies, as the paper builds its
+//!   AVL tree by extending its BST:
+//!   [`PathCasBst`] (`int-bst-pathcas`, policy [`tree::Unbalanced`]) is the
+//!   unbalanced tree of Algorithms 3–6, and [`PathCasAvl`]
+//!   (`int-avl-pathcas`, policy [`avl::Avl`]) the relaxed AVL tree of §4.2 /
+//!   Appendix D, which adds parent pointers, logical heights and Bougé-style
+//!   local rebalancing steps (Algorithms 8–11) — [`avl`] holds exactly that
+//!   addition;
 //! * the additional structures listed in the conclusion (§6) as
 //!   straightforward applications of the same recipe: a sorted
 //!   [`list::PathCasList`], a [`stack::PathCasStack`], a
@@ -19,22 +24,16 @@
 #![warn(missing_docs)]
 
 pub mod avl;
-pub mod bst;
 pub mod hashmap;
 pub mod list;
 pub mod node;
 pub mod queue;
 pub mod stack;
-
+pub mod tree;
 
 pub use avl::PathCasAvl;
-pub use bst::PathCasBst;
 pub use hashmap::PathCasHashMap;
 pub use list::PathCasList;
 pub use queue::PathCasQueue;
 pub use stack::PathCasStack;
-
-
-
-
-
+pub use tree::{PathCasBst, PathCasTree};

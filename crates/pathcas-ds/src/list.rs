@@ -83,9 +83,13 @@ impl PathCasList {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Traverse, visiting the predecessor/current window; earlier nodes are
-    /// not visited (their validation is unnecessary: correctness only depends
-    /// on the window being unchanged and unmarked, as in the lazy list).
+    /// Traverse to the predecessor/current window around `key`, visiting
+    /// *every* node on the way, like the tree search of Algorithm 3.  A lazy
+    /// list would validate the window only; validating the whole prefix is
+    /// what lets an absent-key answer and a scan rest on one `validate`.  The
+    /// price is a visited path as long as the prefix: past
+    /// `kcas::pool::SLOT_PATH_CAP` nodes an update no longer fits a pooled
+    /// descriptor slot and commits through the boxed-descriptor fallback.
     fn window<'g>(&self, op: &mut PathCasOp<'g>, guard: &'g Guard, key: u64) -> Window<'g> {
         // SAFETY: `head` is a sentinel allocated in `new` and never freed
         // before Drop, so it is valid for the whole lifetime of `&self`.
@@ -205,7 +209,7 @@ impl PathCasList {
     }
 
     /// Atomic single-key read-modify-write over the window (see
-    /// [`crate::bst`] for the semantics): value + version bump commit in one
+    /// [`crate::tree`] for the semantics): value + version bump commit in one
     /// `vexec`, or the missing node is inserted with `update(None)`.
     fn rmw_impl(&self, key: u64, update: &mut dyn FnMut(Option<u64>) -> u64) -> bool {
         debug_assert!(key > KEY_HEAD && key < KEY_TAIL);

@@ -41,20 +41,19 @@
 #![warn(missing_docs)]
 
 mod op;
-pub mod stats;
 
 pub use kcas::mark;
 pub use kcas::{read, CasWord};
 pub use op::{OpBuilder, PathCasOp};
 
-/// Default bound on the number of visited nodes (the paper's bounded
-/// read-set, §1 footnote 1).  Exceeding it panics, mirroring the assertion in
-/// the authors' implementation.  The default is generous so that even
+/// Bound on the number of visited nodes (the paper's bounded read-set, §1
+/// footnote 1).  Exceeding it panics, mirroring the assertion in the
+/// authors' implementation.  The bound is generous so that even
 /// degenerate unbalanced-tree shapes (e.g. fully sorted insertion) stay below
 /// it; balanced structures use a few dozen entries at most.
 pub const DEFAULT_MAX_PATH: usize = 1 << 20;
 
-/// Default bound on the number of added addresses.  The largest operation in
+/// Bound on the number of added addresses.  The largest operation in
 /// the paper (an AVL double rotation, Algorithm 9) adds fewer than 20.
 pub const DEFAULT_MAX_ENTRIES: usize = 64;
 

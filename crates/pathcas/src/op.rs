@@ -4,7 +4,6 @@
 use crossbeam_epoch::Guard;
 use kcas::{CasWord, RawEntry, RawVisit};
 
-use crate::stats::OpStats;
 use crate::{DEFAULT_MAX_ENTRIES, DEFAULT_MAX_PATH, DEFAULT_STRONG_RETRIES};
 
 /// Per-thread, reusable argument accumulation buffers for PathCAS operations.
@@ -27,10 +26,7 @@ pub struct OpBuilder {
     /// proof that the caller observed inconsistent (concurrently modified)
     /// state, so the operation is doomed and must fail; see [`PathCasOp::add`].
     poisoned: bool,
-    max_entries: usize,
-    max_path: usize,
     strong_retries: usize,
-    stats: OpStats,
 }
 
 impl Default for OpBuilder {
@@ -40,31 +36,25 @@ impl Default for OpBuilder {
 }
 
 impl OpBuilder {
-    /// Create a builder with the default capacity bounds.
+    /// Create a builder.  An operation may add up to
+    /// [`DEFAULT_MAX_ENTRIES`] addresses and visit up to
+    /// [`DEFAULT_MAX_PATH`] nodes; exceeding either bound panics, mirroring
+    /// the assertion in the paper's implementation.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_MAX_ENTRIES, DEFAULT_MAX_PATH)
-    }
-
-    /// Create a builder with explicit bounds on the add-set and the read-set
-    /// (the visited path).  Exceeding either bound panics, mirroring the
-    /// assertion in the paper's implementation.
-    pub fn with_capacity(max_entries: usize, max_path: usize) -> Self {
         OpBuilder {
-            entries: Vec::with_capacity(max_entries.min(256)),
-            path: Vec::with_capacity(max_path.min(1024)),
-            path_scratch: Vec::with_capacity(max_path.min(1024)),
-            slow_scratch: Vec::with_capacity(max_entries.min(256)),
+            entries: Vec::with_capacity(DEFAULT_MAX_ENTRIES),
+            path: Vec::with_capacity(1024),
+            path_scratch: Vec::with_capacity(1024),
+            slow_scratch: Vec::with_capacity(DEFAULT_MAX_ENTRIES),
             poisoned: false,
-            max_entries,
-            max_path,
             strong_retries: DEFAULT_STRONG_RETRIES,
-            stats: OpStats::default(),
         }
     }
 
     /// Configure how many optimistic retries `vexec_strong` performs before
     /// switching to the slow path.
-    pub fn set_strong_retries(&mut self, retries: usize) {
+    #[cfg(test)]
+    fn set_strong_retries(&mut self, retries: usize) {
         self.strong_retries = retries;
     }
 
@@ -80,16 +70,6 @@ impl OpBuilder {
         self.path.clear();
         self.poisoned = false;
         PathCasOp { builder: self, guard }
-    }
-
-    /// Statistics accumulated by operations issued through this builder.
-    pub fn stats(&self) -> &OpStats {
-        &self.stats
-    }
-
-    /// Reset accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = OpStats::default();
     }
 }
 
@@ -137,9 +117,8 @@ impl<'g> PathCasOp<'g> {
             return;
         }
         assert!(
-            self.builder.entries.len() < self.builder.max_entries,
-            "PathCAS add-set bound ({}) exceeded",
-            self.builder.max_entries
+            self.builder.entries.len() < DEFAULT_MAX_ENTRIES,
+            "PathCAS add-set bound ({DEFAULT_MAX_ENTRIES}) exceeded"
         );
         self.builder.entries.push(RawEntry { addr, old, new });
     }
@@ -154,9 +133,8 @@ impl<'g> PathCasOp<'g> {
     pub fn visit(&mut self, version_word: &'g CasWord) -> u64 {
         let seen = kcas::read(version_word, self.guard);
         assert!(
-            self.builder.path.len() < self.builder.max_path,
-            "PathCAS read-set bound ({}) exceeded",
-            self.builder.max_path
+            self.builder.path.len() < DEFAULT_MAX_PATH,
+            "PathCAS read-set bound ({DEFAULT_MAX_PATH}) exceeded"
         );
         self.builder.path.push(RawVisit { ver_addr: version_word as *const CasWord, seen });
         seen
@@ -180,25 +158,18 @@ impl<'g> PathCasOp<'g> {
         // SAFETY: every address in `path` was registered through a
         // `&'g CasWord` in `visit`, so it is valid for 'g (covering this
         // call, which runs under the same epoch guard).
-        let ok = unsafe { kcas::validate_path_raw(&self.builder.path, self.guard) };
-        if !ok {
-            self.builder.stats.note_validate_failure();
-        }
-        ok
+        unsafe { kcas::validate_path_raw(&self.builder.path, self.guard) }
     }
 
     /// Perform the accumulated changes as a plain KCAS, ignoring the visited
     /// path (the paper's `exec`).
     pub fn exec(&mut self) -> bool {
         if self.builder.poisoned {
-            self.builder.stats.note_exec(false);
             return false;
         }
         // SAFETY: every address in `entries` was registered through a
         // `&'g CasWord` in `add` (see `validate`).
-        let ok = unsafe { kcas::execute_raw(&self.builder.entries, &[], self.guard) };
-        self.builder.stats.note_exec(ok);
-        ok
+        unsafe { kcas::execute_raw(&self.builder.entries, &[], self.guard) }
     }
 
     /// Perform the accumulated changes only if no visited node has changed
@@ -206,16 +177,11 @@ impl<'g> PathCasOp<'g> {
     /// visited node is "locked" by another in-flight operation.
     pub fn vexec(&mut self) -> bool {
         if self.builder.poisoned {
-            self.builder.stats.note_vexec(false);
             return false;
         }
         self.builder.refill_path_scratch();
         // SAFETY: all addresses were registered through `&'g CasWord`s.
-        let ok = unsafe {
-            kcas::execute_raw(&self.builder.entries, &self.builder.path_scratch, self.guard)
-        };
-        self.builder.stats.note_vexec(ok);
-        ok
+        unsafe { kcas::execute_raw(&self.builder.entries, &self.builder.path_scratch, self.guard) }
     }
 
     /// The strong `vexec` of §3.5: retry the optimistic `vexec` a bounded
@@ -228,7 +194,6 @@ impl<'g> PathCasOp<'g> {
     /// it are lock-free.
     pub fn vexec_strong(&mut self) -> bool {
         if self.builder.poisoned {
-            self.builder.stats.note_vexec(false);
             return false;
         }
         for _ in 0..self.builder.strong_retries {
@@ -238,10 +203,8 @@ impl<'g> PathCasOp<'g> {
                 kcas::execute_raw(&self.builder.entries, &self.builder.path_scratch, self.guard)
             };
             if ok {
-                self.builder.stats.note_vexec(true);
                 return true;
             }
-            self.builder.stats.note_vexec(false);
             // Re-check quickly whether the failure is definitely genuine: if
             // some added address no longer holds its old value, retrying (or
             // taking the slow path) cannot help.
@@ -251,12 +214,9 @@ impl<'g> PathCasOp<'g> {
         }
         // Slow path: lock the version words of visited nodes instead of
         // validating them.
-        self.builder.stats.note_slow_path();
         self.builder.refill_slow_scratch();
         // SAFETY: all addresses were registered through `&'g CasWord`s.
-        let ok = unsafe { kcas::execute_raw(&self.builder.slow_scratch, &[], self.guard) };
-        self.builder.stats.note_exec(ok);
-        ok
+        unsafe { kcas::execute_raw(&self.builder.slow_scratch, &[], self.guard) }
     }
 
     fn some_added_address_changed(&self) -> bool {
@@ -444,28 +404,25 @@ mod tests {
         assert_eq!(va, 0);
         assert!(op.vexec_strong());
         assert_eq!(kcas::read(&n.data_b, &guard), 201);
-        assert!(b.stats().slow_path_execs() >= 1);
+        assert_eq!(kcas::read(&n.ver_b, &guard), 2);
+        // The visited node was locked with a compare-only entry: unchanged.
+        assert_eq!(kcas::read(&n.ver_a, &guard), 0);
     }
 
     #[test]
-    fn stats_accumulate() {
+    fn strong_vexec_slow_path_fails_if_visited_node_changed() {
+        // With zero optimistic retries only the slow path's compare-only
+        // entry stands between a stale visit and a commit.
         let n = nodes();
         let mut b = OpBuilder::new();
+        b.set_strong_retries(0);
         let guard = crossbeam_epoch::pin();
-        {
-            let mut op = b.start(&guard);
-            op.add(&n.data_a, 100, 101);
-            assert!(op.vexec());
-        }
-        {
-            let mut op = b.start(&guard);
-            op.add(&n.data_a, 100, 101); // stale old value
-            assert!(!op.vexec());
-        }
-        assert_eq!(b.stats().vexec_attempts(), 2);
-        assert_eq!(b.stats().vexec_failures(), 1);
-        b.reset_stats();
-        assert_eq!(b.stats().vexec_attempts(), 0);
+        let mut op = b.start(&guard);
+        let _ = op.visit(&n.ver_a);
+        op.add(&n.data_b, 200, 201);
+        n.ver_a.store(2);
+        assert!(!op.vexec_strong());
+        assert_eq!(kcas::read(&n.data_b, &guard), 200);
     }
 
     #[test]
