@@ -85,8 +85,9 @@ impl MapStats {
 pub struct ShardLoad {
     /// Point operations (insert/remove/contains/get/rmw) routed to the shard.
     pub point_ops: u64,
-    /// Scan visits: ordered scans that touched the shard (a cross-shard
-    /// k-way merge counts once per shard it reads).
+    /// Inner `scan` calls made on the shard: a cross-shard merged scan
+    /// counts one per chunk it pulls — at least one on every shard, and one
+    /// more each time it drains a shard's chunk and asks it again.
     pub scan_ops: u64,
 }
 

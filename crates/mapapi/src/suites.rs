@@ -140,7 +140,9 @@ pub fn check_scan_semantics<M: ConcurrentMap>(map: &M) {
 
 /// Differential scan test against the oracle: after a random build, every
 /// `(start, len)` probe must return exactly what the atomic
-/// [`LockedBTreeMap`] returns.
+/// [`LockedBTreeMap`] returns.  Probe lengths go up to 32 pairs, or an eighth
+/// of `key_range` where that is more — long enough, on a large range, to
+/// drain the bounded chunks a partitioned scan pulls from its parts.
 pub fn check_scan_against_oracle<M: ConcurrentMap>(map: &M, key_range: Key, seed: u64) {
     let oracle = LockedBTreeMap::new();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -153,9 +155,10 @@ pub fn check_scan_against_oracle<M: ConcurrentMap>(map: &M, key_range: Key, seed
             assert_eq!(map.remove(key), oracle.remove(key), "{}: remove({key})", map.name());
         }
     }
+    let max_len = (key_range as usize / 8).max(32);
     for _ in 0..64 {
         let start = rng.gen_range(1..=key_range);
-        let len = rng.gen_range(0..=32usize);
+        let len = rng.gen_range(0..=max_len);
         assert_eq!(
             map.scan(start, len),
             oracle.scan(start, len),

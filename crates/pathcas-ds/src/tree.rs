@@ -23,6 +23,7 @@
 // which is exactly what this lint flags as suspicious.
 #![allow(clippy::drop_non_drop)]
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_epoch::Guard;
@@ -131,6 +132,15 @@ pub type PathCasBst = PathCasTree<Unbalanced>;
 // `pathcas-ds.bytes_per_key` is a benchmark metric: the layout must not move
 // silently.
 const _: () = assert!(std::mem::size_of::<Node<Unbalanced>>() == 5 * 8);
+
+thread_local! {
+    /// The in-order stack of [`PathCasTree::scan_impl`], kept per thread like
+    /// the `OpBuilder` so that a scan allocates only its output.  Entries are
+    /// `(node word, key)`: raw words, because the stack outlives every guard
+    /// (and is shared by both balance policies); an attempt only ever turns
+    /// back into references the words it pushed itself.
+    static SCAN_STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Result of the shared search routine (Algorithm 3): the node holding the
 /// key if there is one, else the node the key would hang under.
@@ -494,48 +504,54 @@ impl<B: Balance> PathCasTree<B> {
             return Vec::new();
         }
         let start = start.max(KEY_MIN_SENTINEL + 1);
-        self.run(|builder, guard| {
-            let mut op = builder.start(guard);
-            // SAFETY: the min sentinel lives until Drop (see `search`).
-            let min_root: &Node<B> = unsafe { &*self.min_root };
-            if op.visit(&min_root.ver) & 1 == 1 {
-                return None;
-            }
-            let mut out: Vec<(u64, u64)> = Vec::with_capacity(len.min(1024));
-            // Explicit in-order stack with subtree pruning: a node whose key
-            // is below `start` has no relevant left subtree.
-            let mut stack: Vec<(&Node<B>, u64)> = Vec::new();
-            let mut curr = op.read(&min_root.right);
-            'walk: loop {
-                while curr != NIL {
-                    // SAFETY: `curr` was read via KCAS under `guard`, so the
-                    // node is protected from reclamation.
-                    let node: &Node<B> = unsafe { word_to_ref(curr, guard) };
-                    if op.visit(&node.ver) & 1 == 1 {
-                        // Reached an already-marked node: the path we
-                        // followed is stale; restart.
-                        return None;
-                    }
-                    let key = op.read(&node.key);
-                    if key >= start {
-                        stack.push((node, key));
-                        curr = op.read(&node.left);
-                    } else {
-                        curr = op.read(&node.right);
-                    }
+        SCAN_STACK.with_borrow_mut(|stack| {
+            self.run(|builder, guard| {
+                let mut op = builder.start(guard);
+                // SAFETY: the min sentinel lives until Drop (see `search`).
+                let min_root: &Node<B> = unsafe { &*self.min_root };
+                if op.visit(&min_root.ver) & 1 == 1 {
+                    return None;
                 }
-                match stack.pop() {
-                    None => break 'walk,
-                    Some((node, key)) => {
-                        out.push((key, op.read(&node.val)));
-                        if out.len() == len {
-                            break 'walk;
+                let mut out: Vec<(u64, u64)> = Vec::with_capacity(len.min(1024));
+                // Explicit in-order stack with subtree pruning: a node whose
+                // key is below `start` has no relevant left subtree.
+                stack.clear();
+                let mut curr = op.read(&min_root.right);
+                'walk: loop {
+                    while curr != NIL {
+                        // SAFETY: `curr` was read via KCAS under `guard`, so
+                        // the node is protected from reclamation.
+                        let node: &Node<B> = unsafe { word_to_ref(curr, guard) };
+                        if op.visit(&node.ver) & 1 == 1 {
+                            // Reached an already-marked node: the path we
+                            // followed is stale; restart.
+                            return None;
                         }
-                        curr = op.read(&node.right);
+                        let key = op.read(&node.key);
+                        if key >= start {
+                            stack.push((curr, key));
+                            curr = op.read(&node.left);
+                        } else {
+                            curr = op.read(&node.right);
+                        }
+                    }
+                    match stack.pop() {
+                        None => break 'walk,
+                        Some((word, key)) => {
+                            // SAFETY: `word` was pushed above in this attempt
+                            // (the stack is cleared at its start), so it was
+                            // read via KCAS under `guard`.
+                            let node: &Node<B> = unsafe { word_to_ref(word, guard) };
+                            out.push((key, op.read(&node.val)));
+                            if out.len() == len {
+                                break 'walk;
+                            }
+                            curr = op.read(&node.right);
+                        }
                     }
                 }
-            }
-            op.validate().then_some(out)
+                op.validate().then_some(out)
+            })
         })
     }
 

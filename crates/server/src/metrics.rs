@@ -330,7 +330,9 @@ pub fn flight_dump() -> String {
 ///
 /// The registry section is global; the `srv_shard_*` section reads the
 /// *served map's* per-shard load counters (absent entirely when the map
-/// doesn't track them).  Both backends produce this through the same code
+/// doesn't track them): point ops routed to the shard, and inner `scan`
+/// calls made on it — one per chunk a merged scan pulled, so at least one
+/// per shard per scan.  Both backends produce this through the same code
 /// path, so the byte layout is identical — only the values differ.
 pub(crate) fn render(map: &dyn ConcurrentMap, backend: Backend) -> String {
     use std::fmt::Write;

@@ -112,7 +112,10 @@ fn metrics_reconcile_on_both_backends() {
         );
 
         // Per-shard loads (fresh map, so absolute values) sum to the map-
-        // level totals: 950 point ops, and each scan sweeps every shard.
+        // level totals: 950 point ops, and one inner scan call per shard per
+        // scan — the map holds keys 1..=250 by then, so SCAN(0, 1000) finds
+        // every shard short of its chunk and SCAN(0, 10) takes 2 or 3 pairs
+        // of each shard's chunk of 5: neither refills.
         assert_eq!(shard_sum(&after, "srv_shard_point_ops"), 950);
         assert_eq!(shard_sum(&after, "srv_shard_scan_ops"), 2 * SHARDS as u64);
 

@@ -11,16 +11,36 @@
 //! trees) N shallower trees.
 //!
 //! Ordered semantics survive partitioning through the scan path:
-//! [`ShardedMap::scan`] asks every shard for its first `len` keys ≥ `start`
-//! (each a validated per-shard snapshot on the PathCAS structures) and
-//! k-way-merges the sorted runs, keeping the globally smallest `len` keys.
-//! Because every key is owned by exactly one shard the merge can never
-//! produce duplicates, and because each per-shard run is itself sorted and
-//! complete-for-that-shard, the merged prefix is exactly the global answer
-//! at quiescence.  Under concurrency the result is a *composition of
-//! per-shard atomic snapshots* taken at slightly different times — the same
-//! relaxation the `hashmap-pathcas` per-bucket merge documents — rather
-//! than one global snapshot.  DESIGN.md §8 spells out the argument.
+//! [`ShardedMap::scan`] is a **lazy k-way merge over per-shard cursors**.
+//! Every shard is first asked for a bounded chunk of its keys ≥ `start` —
+//! its mean share `⌈len/N⌉` of the answer plus one standard deviation of a
+//! hash partition's binomial scatter, never more than `len`, so one shard is
+//! a straight pass-through — and the merge emits the smallest buffered head.
+//! Only when a shard's buffered run is used up *and that run came back full*
+//! is that one shard asked again, from its last key + 1, for a chunk sized
+//! from the pairs still needed; a run that comes back short proves the shard
+//! holds nothing further.  A scan of `len` pairs therefore reads about
+//! `len + √(len·N)` pairs in little more than N inner calls, where asking
+//! every shard for `len` read `N·len`.
+//!
+//! Every key is owned by exactly one shard, so the merge cannot produce
+//! duplicates; a refill starts above the key just emitted, so the output
+//! stays sorted; and no key is emitted while a shard that may hold further
+//! keys has an empty buffer, so the smallest head is the globally smallest
+//! key not yet returned.  What a caller may rely on:
+//!
+//! * **at quiescence** the answer is exactly the first `len` pairs ≥ `start`
+//!   of the whole map;
+//! * **under concurrency** it is sorted and duplicate-free, every pair was
+//!   present at some instant of the call, and any key ≥ `start` that was
+//!   present throughout the call and is not beyond the last returned key is
+//!   returned.
+//!
+//! Each *chunk* is one validated snapshot of its shard on the PathCAS
+//! structures (taken at slightly different times, and a shard that refills
+//! contributes more than one) — not one global snapshot, the same relaxation
+//! the `hashmap-pathcas` per-bucket merge documents.  DESIGN.md §8 spells out
+//! the argument.
 //!
 //! Shards may be different algorithms (`stats` aggregation and the scan
 //! merge only rely on the trait), which the mixed-shard tests exercise; the
@@ -47,6 +67,31 @@ pub fn fnv1a(key: u64) -> u64 {
     h
 }
 
+/// How many pairs to ask one shard for when `need` more pairs are wanted and
+/// `shards` shards may still hold keys: the mean share `⌈need/shards⌉` plus
+/// one standard deviation of the binomial scatter a hash partition gives that
+/// share (`σ ≤ √mean`), capped at `need` — a single shard is asked for
+/// exactly `need`.  One deviation leaves about one shard in six to refill,
+/// which is where a pair more per chunk (one more visited and validated node,
+/// on every shard) starts to cost what the refills it saves (a whole inner
+/// descent each) would.
+fn chunk_len(need: usize, shards: usize) -> usize {
+    let mean = need.div_ceil(shards);
+    let floor = mean.isqrt();
+    let spread = floor + usize::from(floor * floor < mean);
+    mean.saturating_add(spread).min(need)
+}
+
+/// One shard's position in a merged scan: the unread rest of the last run
+/// pulled from it, and whether that run came back full (a short run proves
+/// the shard holds nothing further).
+#[derive(Default)]
+struct Cursor {
+    run: Vec<(Key, Value)>,
+    pos: usize,
+    more: bool,
+}
+
 /// A [`ConcurrentMap`] hash-partitioned over N inner maps.
 ///
 /// See the crate docs for the partitioning and scan-merge semantics.
@@ -57,8 +102,8 @@ pub struct ShardedMap {
     /// routed to the shard). Striped wait-free counters: routing stays on
     /// the zero-allocation warm path and scales with writer threads.
     point_ops: Vec<Counter>,
-    /// Per-shard scan-visit counts (each k-way-merged scan touches every
-    /// shard once).
+    /// Per-shard counts of inner `scan` calls: one per chunk a merged scan
+    /// pulled from the shard (at least one per scan, more when it refilled).
     scan_ops: Vec<Counter>,
 }
 
@@ -102,6 +147,15 @@ impl ShardedMap {
         (fnv1a(key) % self.shards.len() as u64) as usize
     }
 
+    /// Ask shard `i` for its first `chunk` pairs with key ≥ `from`, counting
+    /// the inner call.
+    fn pull(&self, i: usize, from: Key, chunk: usize) -> Cursor {
+        self.scan_ops[i].inc();
+        let run = self.shards[i].scan(from, chunk);
+        let more = run.len() >= chunk;
+        Cursor { run, pos: 0, more }
+    }
+
     /// The shard owning `key`, counting the routed point op.
     #[inline]
     fn owner(&self, key: Key) -> &dyn ConcurrentMap {
@@ -142,37 +196,39 @@ impl ConcurrentMap for ShardedMap {
         if len == 0 {
             return Vec::new();
         }
-        // Per-shard validated snapshots: each run is sorted and holds that
-        // shard's first `len` keys >= start, so the global first `len` keys
-        // are contained in the union of the runs.
-        let runs: Vec<Vec<(Key, Value)>> = self
-            .shards
+        let n = self.shards.len();
+        let mut cursors: Vec<Cursor> =
+            (0..n).map(|i| self.pull(i, start, chunk_len(len, n))).collect();
+        // Shards whose last run came back full: the ones that may hold more.
+        let mut live = cursors.iter().filter(|c| c.more).count();
+        let mut out = Vec::with_capacity(len.min(1024));
+        // Every shard that may hold further keys has a buffered head here and
+        // after every refill below, so the smallest head is the globally
+        // smallest key not yet emitted; keys are disjoint across shards, so
+        // ties cannot occur and the output is duplicate-free.
+        while let Some((i, &pair)) = cursors
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                self.scan_ops[i].inc();
-                s.scan(start, len)
-            })
-            .collect();
-        // k-way merge of the sorted runs; keys are disjoint across shards,
-        // so ties cannot occur and the output is duplicate-free.
-        let mut heads = vec![0usize; runs.len()];
-        let mut out = Vec::with_capacity(len);
-        while out.len() < len {
-            let mut best: Option<usize> = None;
-            for (i, run) in runs.iter().enumerate() {
-                if heads[i] < run.len()
-                    && best.is_none_or(|b| run[heads[i]].0 < runs[b][heads[b]].0)
-                {
-                    best = Some(i);
-                }
+            .filter_map(|(i, c)| c.run.get(c.pos).map(|p| (i, p)))
+            .min_by_key(|&(_, p)| p.0)
+        {
+            out.push(pair);
+            if out.len() == len {
+                break;
             }
-            match best {
-                Some(i) => {
-                    out.push(runs[i][heads[i]]);
-                    heads[i] += 1;
+            let cursor = &mut cursors[i];
+            cursor.pos += 1;
+            if cursor.pos == cursor.run.len() && cursor.more {
+                // The shard's buffer is used up and its run came back full:
+                // ask it again, above the key just emitted, for its share
+                // (among the live shards) of what is still needed.
+                *cursor = match pair.0.checked_add(1) {
+                    Some(next) => self.pull(i, next, chunk_len(len - out.len(), live)),
+                    None => Cursor::default(),
+                };
+                if !cursor.more {
+                    live -= 1;
                 }
-                None => break, // every run exhausted
             }
         }
         out
@@ -288,7 +344,10 @@ mod tests {
         for k in 1..=256u64 {
             assert_eq!(m.get(k), Some(k)); // 256 more
         }
-        let _ = m.scan(1, 16); // one scan visit per shard
+        // Dense keys: every shard owns 4 of the first 16, fewer than the
+        // chunk of 6 it is asked for, so nobody refills — one inner call per
+        // shard.
+        let _ = m.scan(1, 16);
 
         // shard_stats: the per-shard breakdown sums exactly to stats().
         let per = m.shard_stats();
@@ -299,7 +358,7 @@ mod tests {
         assert!(per.iter().all(|s| s.key_count > 0), "FNV-1a must spread 256 keys: {per:?}");
 
         // shard_loads: per-shard point ops sum to the total routed, and the
-        // scan visited every shard exactly once.
+        // scan made exactly one inner call on every shard.
         let loads = ConcurrentMap::shard_loads(&m);
         assert_eq!(loads.len(), 4);
         assert_eq!(loads.iter().map(|l| l.point_ops).sum::<u64>(), 512);
@@ -322,6 +381,73 @@ mod tests {
         assert_eq!(ConcurrentMap::shard_of(&plain, 99), 0);
         assert_eq!(plain.shard_stats().len(), 1);
         assert!(plain.shard_loads().is_empty());
+    }
+
+    #[test]
+    fn chunk_len_is_the_mean_share_plus_one_deviation_capped_at_the_need() {
+        // One shard: a straight pass-through, whatever the length.
+        for need in [1, 2, 7, 64, 4096, usize::MAX] {
+            assert_eq!(chunk_len(need, 1), need);
+        }
+        assert_eq!(chunk_len(1, 8), 1);
+        assert_eq!(chunk_len(8, 8), 1 + 1);
+        assert_eq!(chunk_len(16, 8), 2 + 2);
+        assert_eq!(chunk_len(36, 8), 5 + 3);
+        assert_eq!(chunk_len(64, 8), 8 + 3);
+        assert_eq!(chunk_len(4096, 8), 512 + 23);
+        // Saturating at the top: no overflow, never more than the need.
+        assert!((usize::MAX / 2..usize::MAX).contains(&chunk_len(usize::MAX, 2)));
+        assert!((usize::MAX / 8..usize::MAX / 4).contains(&chunk_len(usize::MAX, 8)));
+    }
+
+    /// `len` is the caller's to choose (the wire takes any 62-bit length):
+    /// the reservation is capped and the chunk arithmetic saturates, so a
+    /// scan "of everything" is answered, not a `capacity overflow` panic.
+    #[test]
+    fn scan_of_usize_max_returns_the_full_contents() {
+        let m = oracle_shards(8);
+        for k in 1..=3000u64 {
+            m.insert(k * 7, k);
+        }
+        let expected: Vec<(u64, u64)> = (1..=3000u64).map(|k| (k * 7, k)).collect();
+        assert_eq!(m.scan(1, usize::MAX), expected);
+    }
+
+    /// A full run may end at the largest key, which has no successor to
+    /// refill from: the shard is then exhausted, not asked again from a
+    /// wrapped-around 0.
+    #[test]
+    fn a_full_run_ending_at_the_largest_key_is_not_refilled() {
+        let m = oracle_shards(8);
+        // Four keys at the very top on one shard: exactly the chunk a scan of
+        // 16 asks each of 8 shards for.
+        let home = m.owner_idx(u64::MAX);
+        let top: Vec<u64> =
+            (0..).map(|d| u64::MAX - d).filter(|&k| m.owner_idx(k) == home).take(4).collect();
+        for &k in &top {
+            m.insert(k, k);
+        }
+        m.insert(5, 5);
+        let expected: Vec<(u64, u64)> = top.iter().rev().map(|&k| (k, k)).collect();
+        assert_eq!(m.scan(top[3], 16), expected);
+        assert_eq!(m.shard_loads()[home].scan_ops, 1);
+    }
+
+    /// A hash partition can be skewed (here: every key on one shard).  The
+    /// refill is sized for the shards still holding keys, so once the others
+    /// came back short the hot shard is asked for everything still needed:
+    /// one extra inner call, not one per `need/N` pairs.
+    #[test]
+    fn a_skewed_partition_refills_the_hot_shard_once() {
+        let m = oracle_shards(8);
+        let hot: Vec<u64> = (1..).filter(|&k| m.owner_idx(k) == 3).take(6000).collect();
+        for &k in &hot {
+            m.insert(k, k);
+        }
+        let got = m.scan(1, 4096);
+        assert_eq!(got.iter().map(|p| p.0).collect::<Vec<_>>(), hot[..4096]);
+        let calls: Vec<u64> = m.shard_loads().iter().map(|l| l.scan_ops).collect();
+        assert_eq!(calls, [1, 1, 1, 2, 1, 1, 1, 1]);
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! The full `mapapi` suite battery over sharded compositions — homogeneous
 //! PathCAS shards, oracle shards, and a deliberately mixed set — plus the
-//! dedicated cross-shard-boundary scan tests: the k-way merge must return
-//! globally sorted, duplicate-free results no matter how the keys scatter
-//! over the shards.
+//! dedicated cross-shard-boundary scan tests: the lazy k-way merge must
+//! return globally sorted, duplicate-free results no matter how the keys
+//! scatter over the shards, and must read little more than it returns.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use mapapi::reference::LockedBTreeMap;
 use mapapi::suites::*;
-use mapapi::ConcurrentMap;
+use mapapi::{ConcurrentMap, Key, MapStats, Value};
 use shard::ShardedMap;
 
 fn sharded_avl(n: usize) -> ShardedMap {
@@ -60,6 +63,98 @@ fn sharded_maps_pass_scan_semantics() {
 fn sharded_scans_match_the_oracle() {
     check_scan_against_oracle(&sharded_avl(8), 128, 0xD1FF);
     check_scan_against_oracle(&sharded_mixed(), 128, 0xD200);
+}
+
+/// The differential on a range large enough, with probes long enough (up to
+/// 512 pairs over 4096 keys), that shards drain their first chunk and are
+/// asked again: the refill path, not just the first round, must agree with
+/// the oracle.  A scan calls every shard once before it refills any, so
+/// unequal per-shard counts prove that some probe refilled (the seeds are
+/// ones where one does: on a dense range FNV-1a modulo a power of two deals
+/// keys out almost evenly, and two shards seldom drain).
+#[test]
+fn sharded_scans_that_refill_match_the_oracle() {
+    for (n, seed) in [(2usize, 0xD205u64), (8, 0xD202)] {
+        let m = sharded_avl(n);
+        check_scan_against_oracle(&m, 4096, seed);
+        let calls: Vec<u64> = m.shard_loads().iter().map(|l| l.scan_ops).collect();
+        assert!(calls.iter().any(|&c| c != calls[0]), "shard{n}: no probe refilled: {calls:?}");
+    }
+}
+
+/// A shard that counts what its scans were asked for and what they returned.
+struct CountingShard {
+    inner: pathcas_ds::PathCasAvl,
+    tally: Arc<ScanTally>,
+}
+
+#[derive(Default)]
+struct ScanTally {
+    calls: AtomicU64,
+    asked: AtomicU64,
+    returned: AtomicU64,
+}
+
+impl ConcurrentMap for CountingShard {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn insert(&self, key: Key, value: Value) -> bool {
+        self.inner.insert(key, value)
+    }
+    fn remove(&self, key: Key) -> bool {
+        self.inner.remove(key)
+    }
+    fn contains(&self, key: Key) -> bool {
+        self.inner.contains(key)
+    }
+    fn get(&self, key: Key) -> Option<Value> {
+        self.inner.get(key)
+    }
+    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
+        let got = self.inner.scan(start, len);
+        self.tally.calls.fetch_add(1, Ordering::Relaxed);
+        self.tally.asked.fetch_add(len as u64, Ordering::Relaxed);
+        self.tally.returned.fetch_add(got.len() as u64, Ordering::Relaxed);
+        got
+    }
+    fn stats(&self) -> MapStats {
+        self.inner.stats()
+    }
+}
+
+/// The over-read itself: a merged scan of `len` pairs over N shards may read
+/// at most `2·len + 2·N` pairs in at most `2·N` inner calls, whatever `len`
+/// is — asking every shard for `len` reads `N·len`.  Keys are drawn at
+/// random from a sparse range so that the hash partition scatters them.
+#[test]
+fn merged_scans_read_little_more_than_they_return() {
+    const N: usize = 8;
+    let tally = Arc::new(ScanTally::default());
+    let m = ShardedMap::from_fn(N, |_| {
+        Box::new(CountingShard { inner: pathcas_ds::PathCasAvl::new(), tally: Arc::clone(&tally) })
+    });
+    let oracle = LockedBTreeMap::new();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..80_000 {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let k = 1 + (x >> 24) % (1 << 32);
+        assert_eq!(m.insert(k, k), oracle.insert(k, k));
+    }
+    for len in [8usize, 36, 64, 4096] {
+        for i in 0..24u64 {
+            let start = 1 + i * (1 << 27) + i;
+            let got = m.scan(start, len);
+            let [calls, asked, returned] = [&tally.calls, &tally.asked, &tally.returned]
+                .map(|c| c.swap(0, Ordering::Relaxed) as usize);
+            assert_eq!(got, oracle.scan(start, len), "scan({start}, {len})");
+            assert_eq!(got.len(), len, "the range holds more than {len} keys past {start}");
+            assert!(
+                calls <= 2 * N && asked <= 2 * len + 2 * N && returned <= asked,
+                "scan({start}, {len}): {calls} inner calls asked for {asked} pairs, got {returned}"
+            );
+        }
+    }
 }
 
 /// The dedicated cross-shard case: dense and sparse key sets whose scans

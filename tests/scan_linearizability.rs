@@ -161,15 +161,36 @@ fn oracle_scans_never_observe_partial_state() {
 
 #[test]
 fn sharded_avl_scans_never_observe_partial_state() {
-    // The k-way merge composes per-shard atomic snapshots.  Region keys
-    // never move between shards (ownership is a pure hash of the key), and
-    // each is always present in its owner, so every merged scan must still
-    // observe the full conserved region — even with RMW writers hammering
-    // the region through the per-shard atomic rmw.
+    // The k-way merge composes atomic snapshots of per-shard chunks.  Region
+    // keys never move between shards (ownership is a pure hash of the key),
+    // and each is always present in its owner, so every merged scan must
+    // still observe the full conserved region — even with RMW writers
+    // hammering the region through the per-shard atomic rmw.
     run_suite(
         &shard::ShardedMap::from_fn(8, |_| Box::new(pathcas_ds::PathCasAvl::new())),
         true,
         400,
+    );
+}
+
+#[test]
+fn sharded_avl_scans_that_refill_never_observe_partial_state() {
+    // Eleven shards: each is first asked for 9 pairs, and FNV-1a puts 10 of
+    // the region's first 63 keys on one shard, so every scan of the region
+    // drains that shard's first run and refills it — the shard contributes
+    // two validated chunks taken at different times, with churn and RMW
+    // commits in between.  The refilled chunk starts above the last key
+    // emitted and every region key is present throughout, so the region must
+    // still be observed whole.
+    const SHARDS: u64 = 11;
+    const SCANS: usize = 400;
+    let map =
+        shard::ShardedMap::from_fn(SHARDS as usize, |_| Box::new(pathcas_ds::PathCasAvl::new()));
+    run_suite(&map, true, SCANS);
+    let inner_calls: u64 = map.shard_loads().iter().map(|l| l.scan_ops).sum();
+    assert!(
+        inner_calls >= (SHARDS + 1) * SCANS as u64,
+        "{inner_calls} inner scan calls over {SCANS} scans: not every scan of the region refilled"
     );
 }
 
