@@ -2,18 +2,23 @@
 //! descriptor-reuse speedup").
 //!
 //! Measures the same workload — each thread performs random 4-word KCAS
-//! increments over a shared array — through both publication paths:
+//! increments over a shared array — through both descriptor schemes, and
+//! through the transactional fast path in front of them:
 //!
-//! * **reuse**: the pooled fast path (`kcas::execute`), which recycles
-//!   per-thread descriptor slots and performs zero per-operation heap
-//!   allocations;
+//! * **reuse**: the pooled path (`kcas::execute` with the worker pinned to
+//!   the software path, so that this arm measures descriptors where the CPU
+//!   has RTM too), which recycles per-thread descriptor slots and performs
+//!   zero per-operation heap allocations;
 //! * **alloc**: the legacy baseline (`kcas::execute_alloc`), which
 //!   heap-allocates a descriptor per operation and retires it through the
-//!   epoch collector.
+//!   epoch collector;
+//! * **htm**: `kcas::execute` as shipped — one hardware transaction per
+//!   operation, the reuse path behind it.  Skipped with a note where the CPU
+//!   does not enumerate RTM.
 //!
 //! The binary runs under a counting global allocator and *asserts* that the
-//! reuse arm allocates nothing inside the timed region, then writes the
-//! alloc-vs-reuse throughput comparison to `BENCH_descriptor_reuse.json`
+//! reuse and htm arms allocate nothing inside the timed region, then writes
+//! the alloc-vs-reuse throughput comparison to `BENCH_descriptor_reuse.json`
 //! (override the path with `PATHCAS_BENCH_JSON`).  Thread counts, trial
 //! duration and trial count follow the usual `PATHCAS_*` knobs.
 
@@ -39,6 +44,7 @@ const K: usize = 4;
 enum Arm {
     Reuse,
     Alloc,
+    Htm,
 }
 
 impl Arm {
@@ -46,6 +52,7 @@ impl Arm {
         match self {
             Arm::Reuse => "reuse",
             Arm::Alloc => "alloc",
+            Arm::Htm => "htm",
         }
     }
 }
@@ -76,6 +83,7 @@ fn run_trial(arm: Arm, threads: usize, cfg: &Config) -> TrialOutcome {
             let end_barrier = &end_barrier;
             let exit_barrier = &exit_barrier;
             handles.push(s.spawn(move || {
+                kcas::software_path_only(matches!(arm, Arm::Reuse));
                 let mut rng = StdRng::seed_from_u64(base_seed ^ 0xDE5C ^ ((t as u64) << 20));
                 // Warm up this thread's descriptor pool, epoch participant
                 // record and rng before the measured region.
@@ -145,7 +153,7 @@ fn one_op(arm: Arm, words: &[CasWord], rng: &mut StdRng) -> bool {
         *arg = KcasArg { addr: &words[i], old, new: old + 1 };
     }
     match arm {
-        Arm::Reuse => kcas::execute(&args, &[], &guard),
+        Arm::Reuse | Arm::Htm => kcas::execute(&args, &[], &guard),
         Arm::Alloc => kcas::execute_alloc(&args, &[], &guard),
     }
 }
@@ -157,6 +165,8 @@ struct Row {
     reuse_allocs_per_op: f64,
     alloc_allocs_per_op: f64,
     reuse_success_rate: f64,
+    /// `None` where the CPU has no RTM.
+    htm_mops: Option<f64>,
 }
 
 fn main() {
@@ -167,10 +177,16 @@ fn main() {
          {} trial(s) x {:?} per configuration\n",
         cfg.trials, cfg.duration
     );
+    let arms: &[Arm] = if kcas::htm_available() {
+        &[Arm::Reuse, Arm::Alloc, Arm::Htm]
+    } else {
+        println!("note: this CPU does not enumerate RTM — htm arm skipped\n");
+        &[Arm::Reuse, Arm::Alloc]
+    };
     let mut rows = Vec::new();
     for &threads in &cfg.threads {
         let mut per_arm = Vec::new();
-        for arm in [Arm::Reuse, Arm::Alloc] {
+        for &arm in arms {
             let mut total_ops = 0u64;
             let mut total_successes = 0u64;
             let mut total_allocs = 0u64;
@@ -184,12 +200,14 @@ fn main() {
             }
             let avg_mops = mops.iter().sum::<f64>() / mops.len() as f64;
             let allocs_per_op = total_allocs as f64 / total_ops.max(1) as f64;
-            if matches!(arm, Arm::Reuse) {
+            if !matches!(arm, Arm::Alloc) {
                 assert_eq!(
-                    total_allocs, 0,
-                    "the pooled KCAS path must perform zero heap allocations \
+                    total_allocs,
+                    0,
+                    "the {} KCAS path must perform zero heap allocations \
                      inside the timed region (saw {total_allocs} over {total_ops} ops \
-                     at {threads} threads)"
+                     at {threads} threads)",
+                    arm.name()
                 );
             }
             println!(
@@ -209,20 +227,25 @@ fn main() {
             reuse_allocs_per_op: per_arm[0].1,
             alloc_allocs_per_op: per_arm[1].1,
             reuse_success_rate: per_arm[0].2,
+            htm_mops: per_arm.get(2).map(|htm| htm.0),
         });
     }
 
-    println!("\n## speedup (reuse vs alloc)");
-    println!("| threads | reuse Mops/s | alloc Mops/s | speedup | alloc allocs/op |");
-    println!("|---|---|---|---|---|");
+    println!("\n## speedup (reuse vs alloc; htm vs reuse)");
+    println!("| threads | reuse Mops/s | alloc Mops/s | speedup | alloc allocs/op | htm Mops/s | htm/reuse |");
+    println!("|---|---|---|---|---|---|---|");
     for r in &rows {
+        let htm = r.htm_mops.map_or("- | -".to_string(), |htm| {
+            format!("{:.3} | {:.2}x", htm, htm / r.reuse_mops)
+        });
         println!(
-            "| {} | {:.3} | {:.3} | {:.2}x | {:.2} |",
+            "| {} | {:.3} | {:.3} | {:.2}x | {:.2} | {} |",
             r.threads,
             r.reuse_mops,
             r.alloc_mops,
             r.reuse_mops / r.alloc_mops,
-            r.alloc_allocs_per_op
+            r.alloc_allocs_per_op,
+            htm
         );
     }
 
@@ -240,7 +263,8 @@ fn main() {
         json.push_str(&format!(
             "    {{\"threads\": {}, \"reuse_mops\": {:.4}, \"alloc_mops\": {:.4}, \
              \"speedup\": {:.4}, \"reuse_allocs_per_op\": {:.4}, \
-             \"alloc_allocs_per_op\": {:.4}, \"reuse_success_rate\": {:.4}}}{}\n",
+             \"alloc_allocs_per_op\": {:.4}, \"reuse_success_rate\": {:.4}, \
+             \"htm_mops\": {}}}{}\n",
             r.threads,
             r.reuse_mops,
             r.alloc_mops,
@@ -248,6 +272,7 @@ fn main() {
             r.reuse_allocs_per_op,
             r.alloc_allocs_per_op,
             r.reuse_success_rate,
+            r.htm_mops.map_or("null".to_string(), |htm| format!("{htm:.4}")),
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }

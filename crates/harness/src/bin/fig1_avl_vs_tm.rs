@@ -2,9 +2,11 @@
 //! memory. 10% updates, 1M-key trees (scaled by PATHCAS_KEYRANGE_SCALE),
 //! thread sweep; values are millions of operations per second.
 //!
-//! The paper's Intel HTM-assisted variants (int-avl-pathcas+, hynorec,
-//! rhnorec) are not reproducible without HTM; the software algorithms carry
-//! the comparison (see DESIGN.md §4).
+//! Where the CPU enumerates `rtm`, the `int-avl-pathcas` row is the paper's
+//! int-avl-pathcas+ (the KCAS engine commits in one hardware transaction,
+//! DESIGN.md §3); elsewhere it is the software algorithm.  The HTM-assisted
+//! TMs (hynorec, rhnorec) are not reproduced; the software TMs carry the
+//! comparison (see DESIGN.md §4).
 
 use harness::{print_throughput_table, run_trials, Config, Workload};
 

@@ -7,6 +7,10 @@
 //! is decided.  A descriptor with an empty path behaves exactly like the
 //! original HFP KCAS.
 //!
+//! Where the CPU has RTM, [`execute`] and [`execute_raw`] first try to do
+//! all of that inside one hardware transaction ([`crate::htm`]) and reach
+//! the descriptor protocol below only when it cannot commit.
+//!
 //! Operations publish through reusable per-thread descriptor slots
 //! ([`crate::pool`]) — the Arbel-Raviv & Brown reuse transformation the
 //! paper applies — so the success path performs **zero heap allocations**.
@@ -416,6 +420,20 @@ pub struct RawVisit {
     pub seen: u64,
 }
 
+impl From<KcasArg<'_>> for RawEntry {
+    #[inline]
+    fn from(a: KcasArg<'_>) -> Self {
+        RawEntry { addr: a.addr, old: a.old, new: a.new }
+    }
+}
+
+impl From<VisitArg<'_>> for RawVisit {
+    #[inline]
+    fn from(v: VisitArg<'_>) -> Self {
+        RawVisit { ver_addr: v.ver_addr, seen: v.seen }
+    }
+}
+
 /// Sort `entries` by address and drop duplicate addresses in place,
 /// returning the deduplicated length.  Sorting is required for the
 /// lock-freedom argument of Appendix C; adding the same address twice with
@@ -462,7 +480,13 @@ fn with_stack_entries<R>(
 /// Entries are sorted by address (required for the lock-freedom argument of
 /// Appendix C) and exact duplicates are removed.  Returns `true` on success.
 ///
-/// Operations that fit a pooled slot ([`SLOT_ENTRY_CAP`] entries,
+/// Where the CPU has RTM the operation is first attempted as one hardware
+/// transaction (the private `htm` module), which publishes nothing at all;
+/// a `false` from that attempt is a genuine failure (some word held another
+/// *value*).
+///
+/// Otherwise — no RTM, a descriptor in the way, a transaction that cannot
+/// commit — operations that fit a pooled slot ([`SLOT_ENTRY_CAP`] entries,
 /// [`SLOT_PATH_CAP`] path pairs — every operation the paper's structures
 /// issue does) are published through the calling thread's reusable
 /// descriptor pool and perform **no heap allocation**; larger operations
@@ -474,15 +498,19 @@ fn with_stack_entries<R>(
 /// where operations run under a DEBRA guard.
 pub fn execute(entries: &[KcasArg<'_>], path: &[VisitArg<'_>], guard: &Guard) -> bool {
     crate::metrics::metrics().ops.inc();
+    // SAFETY: every address is a reference that outlives the call.
+    if let Some(decided) = unsafe { crate::htm::attempt(entries, path) } {
+        return decided;
+    }
     if entries.len() <= SLOT_ENTRY_CAP && path.len() <= SLOT_PATH_CAP {
         with_stack_entries(
             entries.len(),
-            |i| RawEntry { addr: entries[i].addr, old: entries[i].old, new: entries[i].new },
+            |i| entries[i].into(),
             |buf| {
                 let n = sort_dedup(buf);
                 let mut path_buf = [const { MaybeUninit::<RawVisit>::uninit() }; SLOT_PATH_CAP];
-                for (i, v) in path.iter().enumerate() {
-                    path_buf[i].write(RawVisit { ver_addr: v.ver_addr, seen: v.seen });
+                for (i, &v) in path.iter().enumerate() {
+                    path_buf[i].write(v.into());
                 }
                 // SAFETY: the first `path.len()` elements were just initialized.
                 let path_init = unsafe {
@@ -493,13 +521,9 @@ pub fn execute(entries: &[KcasArg<'_>], path: &[VisitArg<'_>], guard: &Guard) ->
         )
     } else {
         crate::metrics::metrics().boxed_fallbacks.inc();
-        let mut raw: Vec<RawEntry> = entries
-            .iter()
-            .map(|a| RawEntry { addr: a.addr, old: a.old, new: a.new })
-            .collect();
+        let mut raw: Vec<RawEntry> = entries.iter().map(|&a| a.into()).collect();
         let n = sort_dedup(&mut raw);
-        let raw_path: Vec<RawVisit> =
-            path.iter().map(|v| RawVisit { ver_addr: v.ver_addr, seen: v.seen }).collect();
+        let raw_path: Vec<RawVisit> = path.iter().map(|&v| v.into()).collect();
         publish_boxed(&raw[..n], &raw_path, guard)
     }
 }
@@ -507,8 +531,8 @@ pub fn execute(entries: &[KcasArg<'_>], path: &[VisitArg<'_>], guard: &Guard) ->
 /// [`execute`] over pre-accumulated raw argument buffers — the zero-copy
 /// entry point used by `pathcas`'s reusable per-thread builder.
 ///
-/// Semantics are identical to [`execute`] (sorting, deduplication, pooled
-/// fast path with boxed fallback).
+/// Semantics are identical to [`execute`] (transactional attempt, then
+/// sorting, deduplication, pooled path with boxed fallback).
 ///
 /// # Safety
 /// Every `addr` in `entries` and every `ver_addr` in `path` must point to a
@@ -518,6 +542,10 @@ pub fn execute(entries: &[KcasArg<'_>], path: &[VisitArg<'_>], guard: &Guard) ->
 /// through [`KcasArg`] / [`VisitArg`].
 pub unsafe fn execute_raw(entries: &[RawEntry], path: &[RawVisit], guard: &Guard) -> bool {
     crate::metrics::metrics().ops.inc();
+    // SAFETY: the addresses are live per the function contract.
+    if let Some(decided) = unsafe { crate::htm::attempt(entries, path) } {
+        return decided;
+    }
     if entries.len() <= SLOT_ENTRY_CAP && path.len() <= SLOT_PATH_CAP {
         with_stack_entries(
             entries.len(),
@@ -546,11 +574,9 @@ pub unsafe fn execute_raw(entries: &[RawEntry], path: &[RawVisit], guard: &Guard
 /// same words.
 pub fn execute_alloc(entries: &[KcasArg<'_>], path: &[VisitArg<'_>], guard: &Guard) -> bool {
     crate::metrics::metrics().ops.inc();
-    let mut raw: Vec<RawEntry> =
-        entries.iter().map(|a| RawEntry { addr: a.addr, old: a.old, new: a.new }).collect();
+    let mut raw: Vec<RawEntry> = entries.iter().map(|&a| a.into()).collect();
     let n = sort_dedup(&mut raw);
-    let raw_path: Vec<RawVisit> =
-        path.iter().map(|v| RawVisit { ver_addr: v.ver_addr, seen: v.seen }).collect();
+    let raw_path: Vec<RawVisit> = path.iter().map(|&v| v.into()).collect();
     publish_boxed(&raw[..n], &raw_path, guard)
 }
 
@@ -598,6 +624,19 @@ mod tests {
         vals.iter().map(|&v| CasWord::new(v)).collect()
     }
 
+    /// Run `case` with the calling thread pinned to the software path and,
+    /// where the CPU has RTM, again on the transactional path.
+    fn on_both_paths(case: impl Fn(&str)) {
+        crate::software_path_only(true);
+        case("software path");
+        crate::software_path_only(false);
+        if crate::htm_available() {
+            case("transactional path");
+        } else {
+            eprintln!("note: no RTM on this CPU — transactional half skipped");
+        }
+    }
+
     #[test]
     fn kcas_succeeds_on_matching_olds() {
         let ws = words(&[1, 2, 3]);
@@ -636,6 +675,8 @@ mod tests {
 
     #[test]
     fn successive_operations_recycle_the_same_slots() {
+        // A transactional commit publishes nothing, so it bumps no seqno.
+        crate::software_path_only(true);
         let ws = words(&[0, 0]);
         let before = crate::pool::local_pool_stats();
         let ops = 60u64;
@@ -672,52 +713,45 @@ mod tests {
     }
 
     #[test]
-    fn oversized_operations_fall_back_to_boxed() {
-        // More path entries than a pooled slot can hold: must still execute
-        // correctly (through the heap-allocated fallback).
-        let vers: Vec<CasWord> = (0..SLOT_PATH_CAP + 8).map(|_| CasWord::new(2)).collect();
-        let target = CasWord::new(0);
-        let guard = crossbeam_epoch::pin();
-        let path: Vec<VisitArg> = vers.iter().map(|v| VisitArg { ver_addr: v, seen: 2 }).collect();
-        let args = [KcasArg { addr: &target, old: 0, new: 1 }];
-        assert!(execute(&args, &path, &guard));
-        assert_eq!(read(&target, &guard), 1);
-        vers[0].store(4);
-        assert!(!execute(&[KcasArg { addr: &target, old: 1, new: 2 }], &path, &guard));
+    fn oversized_operations_execute_on_both_paths() {
+        // More path entries than a pooled slot can hold: the software path
+        // must take the heap-allocated fallback, the transactional path
+        // needs no descriptor at all.
+        on_both_paths(|which| {
+            let vers: Vec<CasWord> = (0..SLOT_PATH_CAP + 8).map(|_| CasWord::new(2)).collect();
+            let target = CasWord::new(0);
+            let guard = crossbeam_epoch::pin();
+            let path: Vec<VisitArg> =
+                vers.iter().map(|v| VisitArg { ver_addr: v, seen: 2 }).collect();
+            let args = [KcasArg { addr: &target, old: 0, new: 1 }];
+            assert!(execute(&args, &path, &guard), "{which}");
+            assert_eq!(read(&target, &guard), 1, "{which}");
+            vers[0].store(4);
+            assert!(!execute(&[KcasArg { addr: &target, old: 1, new: 2 }], &path, &guard), "{which}");
+            assert_eq!(read(&target, &guard), 1, "{which}");
+        });
     }
 
     #[test]
-    fn path_validation_rejects_changed_version() {
-        let ver = CasWord::new(4);
-        let target = CasWord::new(0);
-        let guard = crossbeam_epoch::pin();
-        // Change the version after it was "visited".
-        let visited = VisitArg { ver_addr: &ver, seen: 4 };
-        ver.store(6);
-        let args = [KcasArg { addr: &target, old: 0, new: 1 }];
-        assert!(!execute(&args, &[visited], &guard));
-        assert_eq!(read(&target, &guard), 0);
-    }
-
-    #[test]
-    fn path_validation_rejects_marked_version() {
-        let ver = CasWord::new(5); // odd = marked
-        let target = CasWord::new(0);
-        let guard = crossbeam_epoch::pin();
-        let visited = VisitArg { ver_addr: &ver, seen: 5 };
-        let args = [KcasArg { addr: &target, old: 0, new: 1 }];
-        assert!(!execute(&args, &[visited], &guard));
-    }
-
-    #[test]
-    fn path_validation_accepts_unchanged_version() {
-        let ver = CasWord::new(4);
-        let target = CasWord::new(0);
-        let guard = crossbeam_epoch::pin();
-        let visited = VisitArg { ver_addr: &ver, seen: 4 };
-        let args = [KcasArg { addr: &target, old: 0, new: 1 }];
-        assert!(execute(&args, &[visited], &guard));
-        assert_eq!(read(&target, &guard), 1);
+    fn path_validation_on_both_paths() {
+        // (version stored, version seen, expected outcome)
+        let cases = [
+            ("changed version", 6, 4, false),
+            ("marked version", 5, 5, false), // odd = marked
+            ("unchanged version", 4, 4, true),
+        ];
+        on_both_paths(|which| {
+            for (name, stored, seen, expected) in cases {
+                let ver = CasWord::new(stored);
+                let target = CasWord::new(0);
+                let guard = crossbeam_epoch::pin();
+                let visited = VisitArg { ver_addr: &ver, seen };
+                let args = [KcasArg { addr: &target, old: 0, new: 1 }];
+                assert_eq!(execute(&args, &[visited], &guard), expected, "{name}, {which}");
+                assert_eq!(read(&target, &guard), expected as u64, "{name}, {which}");
+                assert_eq!(read(&ver, &guard), stored, "{name}, {which}: a visited word was written");
+            }
+        });
     }
 
     #[test]
@@ -733,11 +767,110 @@ mod tests {
 
     #[test]
     fn duplicate_identical_entries_are_deduped() {
-        let w = CasWord::new(5);
+        on_both_paths(|which| {
+            let w = CasWord::new(5);
+            let guard = crossbeam_epoch::pin();
+            let args =
+                [KcasArg { addr: &w, old: 5, new: 6 }, KcasArg { addr: &w, old: 5, new: 6 }];
+            assert!(kcas(&args, &guard), "{which}");
+            assert_eq!(read(&w, &guard), 6, "{which}");
+        });
+    }
+
+    /// An undecided 1-word operation of "some other thread", stalled after
+    /// phase 1: its descriptor word sits in `w`, which must hold `old`.
+    #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]
+    fn stall_foreign_kcas(w: &CasWord, old: u64, new: u64) -> Box<Descriptor> {
+        assert_eq!(w.load_quiescent(), old);
+        let foreign = Box::new(Descriptor::new(
+            vec![Entry { addr: w, old_raw: encode(old), new_raw: encode(new) }].into_boxed_slice(),
+            Vec::new().into_boxed_slice(),
+        ));
+        w.0.store(tag_boxed_kcas_ptr(&*foreign as *const Descriptor as usize), Ordering::SeqCst);
+        foreign
+    }
+
+    /// Sum of the calling thread's KCAS slot seqnos: one bump per operation
+    /// that reached the software path.
+    #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]
+    fn published() -> u64 {
+        crate::pool::local_pool_stats().kcas_seqs.iter().sum()
+    }
+
+    #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]
+    #[test]
+    fn streak_gate_closes_after_consecutive_fallbacks_and_reopens() {
+        use crate::htm::{GATE_SKIP_OPS, STREAK_LIMIT};
+        if !crate::htm_available() {
+            eprintln!("note: no RTM on this CPU — skipped");
+            return;
+        }
         let guard = crossbeam_epoch::pin();
-        let args = [KcasArg { addr: &w, old: 5, new: 6 }, KcasArg { addr: &w, old: 5, new: 6 }];
-        assert!(kcas(&args, &guard));
-        assert_eq!(read(&w, &guard), 6);
+        let w = CasWord::new(0);
+        // `ops` increments of `w`; returns how many of them published.
+        let bump = |ops: u32| {
+            let before = published();
+            for _ in 0..ops {
+                let value = w.load_quiescent();
+                assert!(kcas(&[KcasArg { addr: &w, old: value, new: value + 1 }], &guard));
+            }
+            published() - before
+        };
+        assert!(bump(100) < 10, "the gate of a fresh thread is not open");
+        // STREAK_LIMIT operations in a row that each meet a descriptor...
+        for _ in 0..STREAK_LIMIT {
+            let current = w.load_quiescent();
+            let _foreign = stall_foreign_kcas(&w, current, current + 1);
+            assert!(kcas(&[KcasArg { addr: &w, old: current + 1, new: current + 2 }], &guard));
+        }
+        // ...close the gate: the next GATE_SKIP_OPS operations publish a
+        // descriptor although nothing is in their way (a few less if an
+        // interrupt had started the streak early),
+        assert!(bump(GATE_SKIP_OPS) >= u64::from(GATE_SKIP_OPS - STREAK_LIMIT));
+        // and the first attempt after them commits and reopens it.
+        assert!(bump(100) < 10, "the gate did not reopen");
+    }
+
+    #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]
+    #[test]
+    fn transactional_attempt_helps_a_foreign_descriptor_and_fails_without_publishing() {
+        if !crate::htm_available() {
+            eprintln!("note: no RTM on this CPU — skipped");
+            return;
+        }
+        let guard = crossbeam_epoch::pin();
+
+        // `w` logically still holds 5.
+        let w = CasWord::new(5);
+        let foreign = stall_foreign_kcas(&w, 5, 6);
+        let before = published();
+        let fallbacks = crate::metrics::metrics().htm_fallbacks.get();
+        // Reading a descriptor as a value mismatch would return `false` here;
+        // the attempt must fall back, help 5 -> 6, and then apply 6 -> 7.
+        assert!(kcas(&[KcasArg { addr: &w, old: 6, new: 7 }], &guard));
+        assert_eq!(w.load_quiescent(), 7);
+        assert_eq!(foreign.status(), SUCCEEDED, "the foreign operation was not helped");
+        assert_eq!(published() - before, 1, "the operation did not take the software path");
+        assert!(crate::metrics::metrics().htm_fallbacks.get() > fallbacks);
+
+        // A value mismatch is decided inside the transaction: `false`, every
+        // word untouched, nothing published.  (An interrupt can abort a
+        // transaction and send that one operation to the software path, so
+        // "nothing" is "next to nothing" over many operations.)
+        let ws = words(&[1, 2, 3]);
+        let before = published();
+        let ops = 200;
+        for _ in 0..ops {
+            let args = [
+                KcasArg { addr: &ws[0], old: 1, new: 10 },
+                KcasArg { addr: &ws[1], old: 2, new: 20 },
+                KcasArg { addr: &ws[2], old: 99, new: 30 }, // wrong old
+            ];
+            assert!(!kcas(&args, &guard));
+        }
+        assert_eq!([1, 2, 3], [&ws[0], &ws[1], &ws[2]].map(CasWord::load_quiescent));
+        let bumps = published() - before;
+        assert!(bumps * 10 < ops, "{bumps} of {ops} mismatching operations published a descriptor");
     }
 
     #[test]
@@ -786,6 +919,11 @@ mod tests {
     fn concurrent_kcas_transfer_preserves_sum() {
         // Bank-transfer style test: threads move amounts between random pairs
         // of accounts with 2-word KCAS; the total must be preserved.
+        //
+        // All three commit paths share the 8 words: odd threads are pinned to
+        // the software path, even threads commit transactionally where the
+        // CPU can (every thread is a software thread where it cannot), and
+        // every fourth transfer of any thread goes through `execute_alloc`.
         const ACCOUNTS: usize = 8;
         const THREADS: usize = 4;
         const OPS: usize = 2000;
@@ -795,6 +933,7 @@ mod tests {
             .map(|t| {
                 let accounts = Arc::clone(&accounts);
                 std::thread::spawn(move || {
+                    crate::software_path_only(t % 2 == 1);
                     let mut state = (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
                     let mut next = || {
                         state ^= state << 13;
@@ -802,7 +941,7 @@ mod tests {
                         state ^= state << 17;
                         state
                     };
-                    for _ in 0..OPS {
+                    for op in 0..OPS {
                         let a = (next() % ACCOUNTS as u64) as usize;
                         let mut b = (next() % ACCOUNTS as u64) as usize;
                         if a == b {
@@ -819,7 +958,12 @@ mod tests {
                                 KcasArg { addr: &accounts[a], old: va, new: va - 1 },
                                 KcasArg { addr: &accounts[b], old: vb, new: vb + 1 },
                             ];
-                            if kcas(&args, &guard) {
+                            let done = if op % 4 == 3 {
+                                execute_alloc(&args, &[], &guard)
+                            } else {
+                                kcas(&args, &guard)
+                            };
+                            if done {
                                 break;
                             }
                         }

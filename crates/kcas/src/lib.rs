@@ -17,6 +17,16 @@
 //! * [`execute_alloc`] — the legacy allocating path, kept as the benchmark
 //!   baseline for the descriptor-reuse speedup.
 //!
+//! ## Transactional fast path (`pathcas+`)
+//!
+//! Where the CPU enumerates Intel RTM, [`execute`] and [`execute_raw`] first
+//! try to check and write every word inside one hardware transaction
+//! (the private `htm` module) and publish a descriptor only when that
+//! cannot commit.  Nothing selects it: the platform decides, and the
+//! descriptor protocol below is the only path on every other CPU, under the
+//! loom models, and whenever a transaction meets a descriptor or keeps
+//! aborting.  See DESIGN.md §3 "Transactional fast path".
+//!
 //! ## Descriptor reuse (zero allocation on the hot path)
 //!
 //! Following the paper, this crate applies the Arbel-Raviv & Brown
@@ -52,6 +62,25 @@
 mod dcss;
 mod descriptor;
 mod engine;
+#[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]
+mod htm;
+/// The `false` stub of `htm.rs`: no RTM on this target (or under the model
+/// checker), so every operation takes the software path.
+#[cfg(not(all(target_arch = "x86_64", not(pathcas_loom))))]
+mod htm {
+    pub(crate) fn available() -> bool {
+        false
+    }
+
+    pub(crate) fn software_path_only(_pinned: bool) {}
+
+    /// # Safety
+    /// None here; `unsafe` only to match the signature of `htm.rs`.
+    #[inline]
+    pub(crate) unsafe fn attempt<E, V>(_entries: &[E], _path: &[V]) -> Option<bool> {
+        None
+    }
+}
 pub mod metrics;
 #[cfg(all(test, pathcas_loom))]
 mod models;
@@ -65,6 +94,24 @@ pub use engine::{
 };
 pub use pool::{local_pool_stats, PoolStats};
 pub use word::{CasWord, MAX_VALUE};
+
+/// Test support: whether [`execute`] / [`execute_raw`] have a transactional
+/// fast path on this machine (the CPU enumerates RTM).  Tests of that path
+/// print a skip note and pass when this is `false`.
+#[doc(hidden)]
+pub fn htm_available() -> bool {
+    htm::available()
+}
+
+/// Test support: pin (`true`) or unpin the **calling thread** to the
+/// software (descriptor) path, so its side effects — slot seqno bumps,
+/// helping, boxed fallbacks — stay testable on machines where nearly every
+/// operation commits in hardware.  Affects no other thread; a no-op where
+/// there is no fast path.
+#[doc(hidden)]
+pub fn software_path_only(pinned: bool) {
+    htm::software_path_only(pinned);
+}
 
 /// Mark bit helpers: the least-significant bit of a node's *logical* version
 /// number indicates that the node has been deleted (§3.3).

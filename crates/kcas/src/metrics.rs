@@ -1,7 +1,9 @@
 //! KCAS telemetry: striped wait-free counters for the contention events the
-//! substrate's performance story turns on — helping, phase-1 retries, and
-//! descriptor-pool overflow — exposed through the global `telemetry`
-//! registry (and from there over the server's `METRICS` verb).
+//! substrate's performance story turns on — helping, phase-1 retries,
+//! descriptor-pool overflow and fall-backs from the transactional fast path
+//! (plus a `kcas_htm_available` 0/1 level saying whether there is one) —
+//! exposed through the global `telemetry` registry (and from there over the
+//! server's `METRICS` verb).
 //!
 //! Everything here is allocation-free on the increment path: the counters
 //! are `static`s and [`metrics`]'s `Once` fast path is a single atomic load,
@@ -55,6 +57,14 @@ pub struct KcasMetrics {
     /// [`crate::execute_raw`] overflow only; the explicit
     /// [`crate::execute_alloc`] baseline is not an overflow).
     pub boxed_fallbacks: Counter,
+    /// Operations that ended on the software path although the CPU has RTM
+    /// (a descriptor was met, the hardware kept aborting, or the thread's
+    /// streak gate was closed) — the rare event, so the hardware share of
+    /// `ops` is `1 − htm_fallbacks / ops`.  Deliberately no per-commit
+    /// counter: a `lock xadd` is a quarter of a committed operation.  Never
+    /// moves without RTM or on a thread pinned by
+    /// [`crate::software_path_only`].
+    pub htm_fallbacks: Counter,
 }
 
 #[cfg(not(pathcas_loom))]
@@ -63,6 +73,7 @@ static METRICS: KcasMetrics = KcasMetrics {
     retries: Counter::new(),
     help_events: Counter::new(),
     boxed_fallbacks: Counter::new(),
+    htm_fallbacks: Counter::new(),
 };
 
 #[cfg(pathcas_loom)]
@@ -71,6 +82,7 @@ static METRICS: KcasMetrics = KcasMetrics {
     retries: Counter,
     help_events: Counter,
     boxed_fallbacks: Counter,
+    htm_fallbacks: Counter,
 };
 
 #[cfg(not(pathcas_loom))]
@@ -89,6 +101,8 @@ pub fn metrics() -> &'static KcasMetrics {
             "kcas_boxed_fallbacks_total",
             Handle::Counter(&METRICS.boxed_fallbacks),
         );
+        telemetry::register("kcas_htm_fallbacks_total", Handle::Counter(&METRICS.htm_fallbacks));
+        telemetry::register("kcas_htm_available", Handle::Func(|| u64::from(crate::htm_available())));
     });
     &METRICS
 }

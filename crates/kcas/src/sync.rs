@@ -11,7 +11,9 @@
 //! runs once per thread lifetime, is not part of the checked protocols, and
 //! must stay invisible to the model scheduler (a mock operation inside that
 //! path would both blow up the schedule space and deadlock the cooperative
-//! scheduler if it ever ran under a lock).
+//! scheduler if it ever ran under a lock).  The cached RTM-detection byte of
+//! `htm.rs` lives there too: that module is compiled out under the model
+//! checker altogether.
 
 #[cfg(not(pathcas_loom))]
 pub(crate) use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -21,5 +23,7 @@ pub(crate) use loom_shim::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Deliberately non-facaded atomics for slot registration (see module docs).
 pub(crate) mod registration {
+    #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]
+    pub(crate) use std::sync::atomic::AtomicU8;
     pub(crate) use std::sync::atomic::{AtomicPtr, AtomicUsize};
 }

@@ -7,6 +7,12 @@
 //! protocol must survive.  The assertions are effect-based: no KCAS effect
 //! may be lost (a success whose writes vanished) or duplicated (a helper
 //! re-applying a completed operation after its descriptor was recycled).
+//!
+//! Every worker pins itself to the software path
+//! (`kcas::software_path_only`): where the CPU has RTM nearly every KCAS
+//! would otherwise commit in one hardware transaction and recycle nothing.
+//! The mixed case — transactional, pooled and boxed operations on the same
+//! words — is `engine::tests::concurrent_kcas_transfer_preserves_sum`.
 
 use std::sync::Arc;
 
@@ -22,6 +28,7 @@ fn hammer_shared_group(threads: usize, ops_per_thread: usize, k: usize) {
         .map(|_| {
             let words = Arc::clone(&words);
             std::thread::spawn(move || {
+                kcas::software_path_only(true);
                 let mut successes = 0u64;
                 for _ in 0..ops_per_thread {
                     let guard = crossbeam_epoch::pin();
@@ -68,6 +75,7 @@ fn recycling_advances_seqnos_not_slots() {
     // Direct evidence of reuse: a burst of operations advances the calling
     // thread's slot seqnos by exactly the operation count, and registers no
     // new slots.
+    kcas::software_path_only(true);
     let w = CasWord::new(0);
     let guard = crossbeam_epoch::pin();
     let _ = kcas::kcas(&[KcasArg { addr: &w, old: 0, new: 1 }], &guard); // warm up
@@ -103,6 +111,7 @@ fn pooled_and_alloc_descriptors_interoperate_under_contention() {
         .map(|t| {
             let accounts = Arc::clone(&accounts);
             std::thread::spawn(move || {
+                kcas::software_path_only(true);
                 for _ in 0..OPS {
                     loop {
                         let guard = crossbeam_epoch::pin();
@@ -147,6 +156,7 @@ fn slots_survive_thread_turnover() {
             .map(|_| {
                 let words = Arc::clone(&words);
                 std::thread::spawn(move || {
+                    kcas::software_path_only(true);
                     let mut successes = 0u64;
                     for _ in 0..300 {
                         let guard = crossbeam_epoch::pin();
@@ -198,6 +208,7 @@ proptest! {
                 let accounts = Arc::clone(&accounts);
                 let mut state = seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 std::thread::spawn(move || {
+                    kcas::software_path_only(true);
                     let mut next = move || {
                         state ^= state << 13;
                         state ^= state >> 7;

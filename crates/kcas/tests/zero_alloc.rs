@@ -4,6 +4,9 @@
 //! allocations — and the legacy baseline (`execute_alloc`) does not, which
 //! keeps this test honest about what it is measuring.
 //!
+//! Every pooled case runs twice: pinned to the descriptor path, and — where
+//! the CPU has RTM — on the transactional fast path in front of it.
+//!
 //! Since PR 8 the success window also proves the telemetry layer rides
 //! along for free: the striped `kcas_ops_total` counter (always on) must
 //! advance by exactly the measured op count while the allocation delta
@@ -61,9 +64,19 @@ fn descriptor_reuse_allocation_contract() {
     // park context (observed as a sporadic 2-allocation blip), and the
     // measured windows below must only ever see *this* thread's work.
     std::thread::sleep(std::time::Duration::from_millis(100));
-    success_path_kcas_performs_zero_heap_allocations();
-    traced_success_path_is_also_allocation_free();
-    failure_path_is_also_allocation_free();
+    // The descriptor path first (pinned, so that it is what runs where the
+    // CPU has RTM), then the transactional path, which publishes nothing and
+    // must allocate nothing either.
+    for software in [true, false] {
+        if !software && !kcas::htm_available() {
+            eprintln!("note: no RTM on this CPU — transactional half skipped");
+            break;
+        }
+        kcas::software_path_only(software);
+        success_path_kcas_performs_zero_heap_allocations();
+        traced_success_path_is_also_allocation_free();
+        failure_path_is_also_allocation_free();
+    }
     alloc_baseline_does_allocate();
 }
 

@@ -42,6 +42,21 @@ pub fn stress_keysum<M: ConcurrentMap + ?Sized>(
     duration: Duration,
     seed: u64,
 ) -> StressOutcome {
+    stress_keysum_with(map, threads, key_range, update_percent, duration, seed, &|_| {})
+}
+
+/// [`stress_keysum`] with a hook: worker `t` calls `on_worker_start(t)` on
+/// its own thread before its first operation (e.g. to put half the workers
+/// on a different commit path of the structure under test).
+pub fn stress_keysum_with<M: ConcurrentMap + ?Sized>(
+    map: &M,
+    threads: usize,
+    key_range: Key,
+    update_percent: u32,
+    duration: Duration,
+    seed: u64,
+    on_worker_start: &(dyn Fn(usize) + Sync),
+) -> StressOutcome {
     let stop = AtomicBool::new(false);
     let barrier = Barrier::new(threads + 1);
 
@@ -64,6 +79,7 @@ pub fn stress_keysum<M: ConcurrentMap + ?Sized>(
             handles.push(s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 * 0x9E37));
                 let mut rec = ThreadRecord::default();
+                on_worker_start(t);
                 barrier.wait();
                 // ORDERING: Relaxed — stop flag polled in a loop; the join
                 // below is the real synchronization point.

@@ -18,7 +18,7 @@ use kcas::CasWord;
 use pathcas::{OpBuilder, PathCasOp};
 
 use crate::node::{ptr_to_word, word_to_ref, NIL};
-use crate::tree::{sealed::Policy, PathCasTree};
+use crate::tree::{sealed::Policy, PathCasTree, REBALANCE_WORK};
 
 /// The balance policy of the relaxed AVL tree; the value itself is the
 /// tree's rotation counter.
@@ -80,9 +80,9 @@ enum Step {
     Done,
     /// Height fixed (or already correct); move to the parent.
     MoveUp(u64),
-    /// A rotation succeeded; re-examine these nodes, then continue at the
-    /// parent.
-    Rotated { next: u64, recheck: Vec<u64> },
+    /// A rotation succeeded; re-examine these nodes (`NIL`-padded), then
+    /// continue at the parent.
+    Rotated { next: u64, recheck: [u64; 3] },
 }
 
 impl PathCasAvl {
@@ -106,36 +106,41 @@ impl PathCasAvl {
 
     /// Walk towards the root from `start`, repairing violations this thread
     /// may have created.  Uses an explicit work list instead of recursion so
-    /// that degenerate shapes cannot overflow the stack.
+    /// that degenerate shapes cannot overflow the stack; the list is the
+    /// thread's [`REBALANCE_WORK`], so every successful update runs this
+    /// without allocating.
     fn rebalance(&self, start: u64, builder: &mut OpBuilder, guard: &Guard) {
-        let mut work: Vec<u64> = vec![start];
-        // Defensive bound: Bougé's rebalancing terminates, but a bound keeps
-        // a bug from turning into an unbounded loop.
-        let mut budget: u64 = 1_000_000;
-        while let Some(mut n_word) = work.pop() {
-            loop {
-                if budget == 0 {
-                    return;
-                }
-                budget -= 1;
-                if n_word == NIL || self.is_sentinel(n_word) {
-                    break;
-                }
-                match self.rebalance_step(n_word, builder, guard) {
-                    Step::Retry => continue,
-                    Step::Done => break,
-                    Step::MoveUp(next) => {
-                        n_word = next;
+        REBALANCE_WORK.with_borrow_mut(|work| {
+            work.clear();
+            work.push(start);
+            // Defensive bound: Bougé's rebalancing terminates, but a bound
+            // keeps a bug from turning into an unbounded loop.
+            let mut budget: u64 = 1_000_000;
+            while let Some(mut n_word) = work.pop() {
+                loop {
+                    if budget == 0 {
+                        return;
                     }
-                    Step::Rotated { next, recheck } => {
-                        // ORDERING: Relaxed — diagnostic counter only.
-                        self.balance.rotations.fetch_add(1, Ordering::Relaxed);
-                        work.extend(recheck);
-                        n_word = next;
+                    budget -= 1;
+                    if n_word == NIL || self.is_sentinel(n_word) {
+                        break;
+                    }
+                    match self.rebalance_step(n_word, builder, guard) {
+                        Step::Retry => continue,
+                        Step::Done => break,
+                        Step::MoveUp(next) => {
+                            n_word = next;
+                        }
+                        Step::Rotated { next, recheck } => {
+                            // ORDERING: Relaxed — diagnostic counter only.
+                            self.balance.rotations.fetch_add(1, Ordering::Relaxed);
+                            work.extend(recheck);
+                            n_word = next;
+                        }
                     }
                 }
             }
-        }
+        })
     }
 
     /// One attempt to repair the balance at `n_word` (one iteration of the
@@ -191,13 +196,13 @@ impl PathCasAvl {
                     .rotate_left_right(&mut op, guard, p, p_ver, n, n_ver, l, l_ver, lr, lr_ver, rh, llh)
                 {
                     Some(()) => {
-                        Step::Rotated { next: p_word, recheck: vec![n_word, l_word, lr_word] }
+                        Step::Rotated { next: p_word, recheck: [n_word, l_word, lr_word] }
                     }
                     None => Step::Retry,
                 }
             } else {
                 match self.rotate_right(&mut op, guard, p, p_ver, n, n_ver, l, l_ver, rh, llh) {
-                    Some(()) => Step::Rotated { next: p_word, recheck: vec![n_word, l_word] },
+                    Some(()) => Step::Rotated { next: p_word, recheck: [n_word, l_word, NIL] },
                     None => Step::Retry,
                 }
             }
@@ -220,13 +225,13 @@ impl PathCasAvl {
                     .rotate_right_left(&mut op, guard, p, p_ver, n, n_ver, r, r_ver, rl, rl_ver, lh, rrh)
                 {
                     Some(()) => {
-                        Step::Rotated { next: p_word, recheck: vec![n_word, r_word, rl_word] }
+                        Step::Rotated { next: p_word, recheck: [n_word, r_word, rl_word] }
                     }
                     None => Step::Retry,
                 }
             } else {
                 match self.rotate_left(&mut op, guard, p, p_ver, n, n_ver, r, r_ver, lh, rrh) {
-                    Some(()) => Step::Rotated { next: p_word, recheck: vec![n_word, r_word] },
+                    Some(()) => Step::Rotated { next: p_word, recheck: [n_word, r_word, NIL] },
                     None => Step::Retry,
                 }
             }

@@ -140,6 +140,11 @@ thread_local! {
     /// (and is shared by both balance policies); an attempt only ever turns
     /// back into references the words it pushed itself.
     static SCAN_STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
+
+    /// The work list of the AVL policy's rebalancing walk (node words still
+    /// to re-examine), per thread for the same reason: it runs after every
+    /// successful insert and remove.
+    pub(crate) static REBALANCE_WORK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Result of the shared search routine (Algorithm 3): the node holding the
@@ -663,7 +668,9 @@ mod tests {
         ($policy:ident, $Tree:ty) => {
             mod $policy {
                 use crate::*;
-                use mapapi::stress::{prefill, stress_disjoint_stripes, stress_keysum};
+                use mapapi::stress::{
+                    prefill, stress_disjoint_stripes, stress_keysum, stress_keysum_with,
+                };
                 use mapapi::suites::*;
                 use mapapi::ConcurrentMap;
                 use std::sync::atomic::{AtomicBool, Ordering};
@@ -795,6 +802,19 @@ mod tests {
                 }
 
                 #[test]
+                fn keysum_stress_update_heavy_on_mixed_commit_paths() {
+                    // Odd workers publish descriptors, even workers commit in
+                    // hardware transactions (where the CPU has RTM; elsewhere
+                    // this is the test above again), on the same 64 keys.
+                    let t = Tree::new();
+                    prefill(&t, 64, 32, 5);
+                    stress_keysum_with(&t, 4, 64, 100, Duration::from_millis(300), 11, &|worker| {
+                        kcas::software_path_only(worker % 2 == 1)
+                    });
+                    t.check_invariants();
+                }
+
+                #[test]
                 fn retries_counter_is_observable() {
                     let t = Tree::new();
                     t.insert(1, 1);
@@ -851,6 +871,31 @@ mod tests {
                     std::thread::scope(|s| {
                         for _ in 0..threads {
                             s.spawn(|| {
+                                for _ in 0..per {
+                                    t.rmw(42, &mut |v| v.unwrap() + 1);
+                                }
+                            });
+                        }
+                    });
+                    assert_eq!(t.get(42), Some(threads * per));
+                    t.check_invariants();
+                }
+
+                #[test]
+                fn concurrent_rmw_increments_are_not_lost_on_mixed_commit_paths() {
+                    // The same litmus with odd threads pinned to the software
+                    // path: a transactional commit that overwrote a
+                    // descriptor, or a helper that re-applied one over a
+                    // transactional commit, would lose or double an increment.
+                    let t = Tree::new();
+                    t.insert(42, 0);
+                    let threads = 4u64;
+                    let per = 2_000u64;
+                    std::thread::scope(|s| {
+                        for i in 0..threads {
+                            let t = &t;
+                            s.spawn(move || {
+                                kcas::software_path_only(i % 2 == 1);
                                 for _ in 0..per {
                                     t.rmw(42, &mut |v| v.unwrap() + 1);
                                 }

@@ -8,6 +8,10 @@
 //! *balanced* shapes: the ordered-pattern suite's 200 ascending keys give
 //! the unbalanced tree a 201-node search path.
 //!
+//! The test pins itself to the software path: where the CPU has RTM a
+//! 201-node path commits in one hardware transaction, publishes no
+//! descriptor and never reaches `boxed_fallbacks`.
+//!
 //! The counter is process-global, so this file holds one `#[test]` and runs
 //! its two halves back to back.
 
@@ -18,6 +22,7 @@ use pathcas_ds::{PathCasAvl, PathCasBst};
 #[test]
 fn only_the_unbalanced_tree_overflows_a_pooled_slot() {
     const { assert!(200 > kcas::pool::SLOT_PATH_CAP) };
+    kcas::software_path_only(true);
 
     let before = metrics().boxed_fallbacks.get();
     check_ordered_patterns(&PathCasAvl::new());

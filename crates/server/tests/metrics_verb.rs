@@ -141,7 +141,13 @@ fn metrics_reconcile_on_both_backends() {
         // Eager registration: subsystem names are present even though this
         // map is no KCAS structure and nothing replicated.
         let set = names(&after);
-        for expected in ["kcas_ops_total", "kcas_retries_total", "replica_log_seqno"] {
+        for expected in [
+            "kcas_ops_total",
+            "kcas_retries_total",
+            "kcas_htm_fallbacks_total",
+            "kcas_htm_available",
+            "replica_log_seqno",
+        ] {
             assert!(set.contains(expected), "{expected} not registered");
         }
         per_backend_names.lock().unwrap().push(set);

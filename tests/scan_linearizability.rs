@@ -31,7 +31,15 @@ fn region_keysum() -> u128 {
 /// Run churn + (optionally) region RMW writers while the main thread scans
 /// the region and asserts the conserved count/sum on every observation.
 fn run_suite<M: ConcurrentMap + ?Sized>(map: &M, with_rmw: bool, scans: usize) {
-    run_suite_on(map, map, true, with_rmw, scans);
+    run_suite_on(map, map, true, with_rmw, scans, false);
+}
+
+/// [`run_suite`] (with RMW writers) on mixed commit paths: one churn writer
+/// and one RMW writer are pinned to the KCAS software path, while the other
+/// writer of each pair — where the CPU has RTM — commits in hardware
+/// transactions.  Every scan validates against both kinds of commit.
+fn run_suite_on_mixed_commit_paths<M: ConcurrentMap + ?Sized>(map: &M, scans: usize) {
+    run_suite_on(map, map, true, true, scans, true);
 }
 
 /// The generalized suite: all writes (prefill, churn, RMW) go to
@@ -43,12 +51,15 @@ fn run_suite<M: ConcurrentMap + ?Sized>(map: &M, with_rmw: bool, scans: usize) {
 /// primary's history.  `prefill_region` is false when the caller already
 /// installed the region (e.g. before cutting the checkpoint a follower
 /// bootstraps from, so the region is never mid-replay during a scan).
+/// `pin_second_writers` pins the second churn writer and the second RMW
+/// writer to the KCAS software path (see `run_suite_on_mixed_commit_paths`).
 fn run_suite_on<W: ConcurrentMap + ?Sized, S: ConcurrentMap + ?Sized>(
     write_map: &W,
     scan_map: &S,
     prefill_region: bool,
     with_rmw: bool,
     scans: usize,
+    pin_second_writers: bool,
 ) {
     if prefill_region {
         for k in REGION_START..REGION_END {
@@ -60,10 +71,13 @@ fn run_suite_on<W: ConcurrentMap + ?Sized, S: ConcurrentMap + ?Sized>(
         // Churn writers: insert/remove keys strictly outside the scanned
         // range, on both sides, so tree restructuring runs through the
         // region's ancestors without ever changing the region itself.
-        for (lo, hi, seed) in [(1u64, REGION_START - 1, 0x1111u64), (REGION_END, 3000, 0x2222)] {
+        for (i, (lo, hi, seed)) in
+            [(1u64, REGION_START - 1, 0x1111u64), (REGION_END, 3000, 0x2222)].into_iter().enumerate()
+        {
             let stop = &stop;
             let map = &*write_map;
             s.spawn(move || {
+                kcas::software_path_only(pin_second_writers && i == 1);
                 let mut x = seed;
                 while !stop.load(Ordering::Relaxed) {
                     x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -79,10 +93,11 @@ fn run_suite_on<W: ConcurrentMap + ?Sized, S: ConcurrentMap + ?Sized>(
         if with_rmw {
             // RMW writers on the region itself: always-present keys whose
             // values stay multiples of their key only if the RMW is atomic.
-            for seed in [0x3333u64, 0x4444] {
+            for (i, seed) in [0x3333u64, 0x4444].into_iter().enumerate() {
                 let stop = &stop;
                 let map = &*write_map;
                 s.spawn(move || {
+                    kcas::software_path_only(pin_second_writers && i == 1);
                     let mut x = seed;
                     while !stop.load(Ordering::Relaxed) {
                         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -137,6 +152,14 @@ fn pathcas_bst_scans_never_observe_partial_state() {
 fn pathcas_avl_scans_never_observe_partial_state() {
     let t = pathcas_ds::PathCasAvl::new();
     run_suite(&t, true, 400);
+    t.check_invariants();
+}
+
+#[test]
+fn pathcas_trees_scans_never_observe_partial_state_on_mixed_commit_paths() {
+    run_suite_on_mixed_commit_paths(&pathcas_ds::PathCasBst::new(), 4000);
+    let t = pathcas_ds::PathCasAvl::new();
+    run_suite_on_mixed_commit_paths(&t, 4000);
     t.check_invariants();
 }
 
@@ -238,7 +261,7 @@ fn follower_scans_never_observe_partial_state() {
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         s.spawn(|| replica::tail_log(&log, &follower, &stop));
-        run_suite_on(&primary, &follower, false, true, 400);
+        run_suite_on(&primary, &follower, false, true, 400, false);
         stop.store(true, Ordering::Release);
     });
     // `tail_log` drains before exiting: the follower is now *exactly* the
