@@ -34,10 +34,10 @@ pub const DEFAULT_SEED: u64 = 0xC0FFEE;
 /// * `PATHCAS_TRIALS` — trials per configuration (default 2)
 /// * `PATHCAS_KEYRANGE_SCALE` — divide the paper's key ranges by this factor
 ///   (default 100, i.e. "10M keys" experiments run with 100k keys)
-/// * `PATHCAS_SEED` — base seed for every trial RNG (default `0xC0FFEE`).
-///   Prefill contents, per-thread operation streams and the workload
-///   engine's samplers all derive from it, so two runs with the same seed
-///   (and thread/duration settings) draw identical key sequences.
+/// * `PATHCAS_SEED` — base seed for every trial RNG, decimal or `0x` hex
+///   (default `0xC0FFEE`).  Prefill contents and per-thread operation
+///   streams derive from it, so two runs with the same seed (and
+///   thread/duration settings) draw identical key sequences.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Thread counts to sweep.
@@ -54,27 +54,19 @@ pub struct Config {
 
 impl Config {
     /// Read the configuration from the environment (see the struct docs).
+    ///
+    /// # Panics
+    /// Panics, naming the variable and its value, if a knob is set to
+    /// something unparsable: a typoed knob must not silently run the
+    /// defaults.
     pub fn from_env() -> Self {
-        let threads = std::env::var("PATHCAS_THREADS")
-            .ok()
-            .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect::<Vec<_>>())
-            .filter(|v: &Vec<usize>| !v.is_empty())
-            .unwrap_or_else(|| vec![1, 2, 4, 8]);
-        let duration = Duration::from_millis(
-            std::env::var("PATHCAS_DURATION_MS").ok().and_then(|s| s.parse().ok()).unwrap_or(500),
-        );
-        let trials =
-            std::env::var("PATHCAS_TRIALS").ok().and_then(|s| s.parse().ok()).unwrap_or(2);
-        let keyrange_scale = std::env::var("PATHCAS_KEYRANGE_SCALE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(100)
-            .max(1);
-        let seed = std::env::var("PATHCAS_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(DEFAULT_SEED);
-        Config { threads, duration, trials, keyrange_scale, seed }
+        Config {
+            threads: knob("PATHCAS_THREADS", parse_threads).unwrap_or_else(|| vec![1, 2, 4, 8]),
+            duration: Duration::from_millis(knob("PATHCAS_DURATION_MS", parse_number).unwrap_or(500)),
+            trials: knob("PATHCAS_TRIALS", parse_number).unwrap_or(2),
+            keyrange_scale: knob("PATHCAS_KEYRANGE_SCALE", parse_number).unwrap_or(100).max(1),
+            seed: knob("PATHCAS_SEED", parse_seed).unwrap_or(DEFAULT_SEED),
+        }
     }
 
     /// Scale one of the paper's key ranges (e.g. 2×10⁷) by the configured
@@ -84,50 +76,35 @@ impl Config {
     }
 }
 
-/// Read a comma-separated name filter from environment variable `var`:
-/// `None` means "keep everything", otherwise keep items whose name
-/// *contains* any of the listed substrings.  A token prefixed with `=`
-/// demands an **exact** match instead — needed because registered names
-/// nest (`int-avl-pathcas` is a substring of `shard8(int-avl-pathcas)`,
-/// so only `=int-avl-pathcas` selects the unsharded tree alone).  Shared
-/// by `bench_workloads` and `bench_service` for the `PATHCAS_SCENARIOS` /
-/// `PATHCAS_ALGOS` knobs.
-pub fn env_name_filter(var: &str) -> Option<Vec<String>> {
-    std::env::var(var)
-        .ok()
-        .map(|s| s.split(',').map(|t| t.trim().to_string()).filter(|t| !t.is_empty()).collect())
-        .filter(|v: &Vec<String>| !v.is_empty())
+/// Environment variable `var` run through `parse`, `None` when unset.
+fn knob<T>(var: &str, parse: fn(&str) -> Result<T, String>) -> Option<T> {
+    let value = std::env::var(var).ok()?;
+    Some(parse(&value).unwrap_or_else(|e| panic!("{var}={value:?}: {e}")))
 }
 
-/// Apply an [`env_name_filter`] result to a name (see its docs for the
-/// substring / `=`-exact token grammar).
-pub fn name_passes(filter: &Option<Vec<String>>, name: &str) -> bool {
-    filter.as_ref().is_none_or(|f| {
-        f.iter().any(|t| match t.strip_prefix('=') {
-            Some(exact) => name == exact,
-            None => name.contains(t.as_str()),
+fn parse_number<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+    s.trim().parse().map_err(|_| "expected a non-negative integer".to_string())
+}
+
+/// Comma-separated thread counts, each at least 1.
+fn parse_threads(s: &str) -> Result<Vec<usize>, String> {
+    s.split(',')
+        .map(|t| match parse_number(t) {
+            Ok(0) | Err(_) => Err(format!("'{}' is not a thread count >= 1", t.trim())),
+            Ok(n) => Ok(n),
         })
-    })
+        .collect()
 }
 
-/// A registered telemetry counter's current value, 0 when the subsystem
-/// that registers it has not run yet — the form the bench binaries want
-/// for before/after deltas around a trial loop.
-pub fn counter(name: &str) -> u64 {
-    telemetry::value(name).unwrap_or(0)
-}
-
-/// Shard load imbalance from a map's per-shard point-op counters: max over
-/// shards divided by the mean.  1.0 is perfectly even, higher is skewed;
-/// 0.0 means the structure doesn't track per-shard loads (unsharded) or
-/// saw no point ops at all.  Fills the `shard_imbalance` bench column.
-pub fn shard_imbalance(loads: &[mapapi::ShardLoad]) -> f64 {
-    let total: u64 = loads.iter().map(|l| l.point_ops).sum();
-    if total == 0 {
-        return 0.0;
+/// A seed in decimal or `0x` hex — the `{:#x}` spelling seeds are printed
+/// in, and the one `benchmark -- --seed` accepts.
+fn parse_seed(s: &str) -> Result<u64, String> {
+    let s = s.trim();
+    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
     }
-    let max = loads.iter().map(|l| l.point_ops).max().unwrap_or(0);
-    max as f64 * loads.len() as f64 / total as f64
+    .ok_or_else(|| "expected a decimal or 0x-prefixed hex u64".to_string())
 }
 
 /// Print a Markdown-style table: one row per algorithm, one column per thread
@@ -170,17 +147,24 @@ mod tests {
     }
 
     #[test]
-    fn name_filters_support_substrings_and_exact_anchors() {
-        assert!(name_passes(&None, "anything"));
-        let f = Some(vec!["ycsb".to_string(), "=int-avl-pathcas".to_string()]);
-        assert!(name_passes(&f, "ycsb-a"));
-        assert!(name_passes(&f, "int-avl-pathcas"));
-        // The exact anchor must NOT leak into sharded names...
-        assert!(!name_passes(&f, "shard8(int-avl-pathcas)"));
-        // ...while a plain substring token does match them.
-        let sub = Some(vec!["int-avl-pathcas".to_string()]);
-        assert!(name_passes(&sub, "shard8(int-avl-pathcas)"));
-        assert!(!name_passes(&f, "scan-heavy"));
+    fn seeds_parse_in_decimal_and_hex() {
+        assert_eq!(parse_seed("12648430"), Ok(0xC0FFEE));
+        assert_eq!(parse_seed("0x7ab5"), Ok(0x7ab5));
+        assert_eq!(parse_seed(" 0X7AB5 "), Ok(0x7ab5));
+        for bad in ["", "0x", "7ab5", "-1", "0x10000000000000000"] {
+            assert!(parse_seed(bad).is_err(), "{bad:?} parsed");
+        }
+    }
+
+    #[test]
+    fn thread_lists_reject_any_bad_entry() {
+        assert_eq!(parse_threads("1, 2,8"), Ok(vec![1, 2, 8]));
+        for bad in ["1,two", "", "1,,2", "0", "2,-1"] {
+            assert!(parse_threads(bad).is_err(), "{bad:?} parsed");
+        }
+        assert!(parse_threads("1,two").unwrap_err().contains("'two'"));
+        assert_eq!(parse_number::<u64>(" 100 "), Ok(100));
+        assert!(parse_number::<u64>("100ms").is_err());
     }
 
     #[test]

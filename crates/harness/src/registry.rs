@@ -6,8 +6,8 @@
 //! composition** grammar `shardN(inner)` — e.g. `shard8(int-avl-pathcas)`
 //! — building a [`shard::ShardedMap`] over `N` fresh instances of any
 //! resolvable inner name (recursively, so `shard2(shard4(x))` works too).
-//! Two canonical sharded variants are registered by name so the workload
-//! sweeps and the registry-driven stress/differential suites cover the
+//! Two canonical sharded variants are registered by name so the
+//! registry-driven scenario, stress and differential suites cover the
 //! composition layer with zero extra glue.
 
 use mapapi::ConcurrentMap;
@@ -44,9 +44,9 @@ pub fn registry() -> Vec<AlgoFactory> {
         AlgoFactory { name: "locked-btreemap", build: || b(mapapi::reference::LockedBTreeMap::new()) },
         // Sharded compositions (crates/shard): hash-partitioned over N
         // inner instances, scans k-way merged.  Registered here so the
-        // whole registry-driven battery — bench_workloads, cross-structure
-        // suites, keysum stress, registry smoke — exercises the
-        // composition layer for free.
+        // whole registry-driven battery — cross-structure suites, keysum
+        // stress, registry smoke — exercises the composition layer for
+        // free.
         AlgoFactory {
             name: "shard8(int-avl-pathcas)",
             build: || sharded(8, || b(pathcas_ds::PathCasAvl::new())),
@@ -77,8 +77,7 @@ fn parse_shard_name(name: &str) -> Option<(usize, &str)> {
 /// Instantiate one algorithm by name: either a registered name, or the
 /// sharded-composition grammar `shardN(inner)` for any resolvable `inner`
 /// (applied recursively).  On failure the error lists every valid registry
-/// name — this is what server startup and the benchmark binaries print
-/// instead of panicking.
+/// name, for a caller to print instead of panicking.
 pub fn try_make(name: &str) -> Result<Box<dyn ConcurrentMap>, String> {
     let reg = registry();
     if let Some(factory) = reg.iter().find(|f| f.name == name) {

@@ -114,7 +114,7 @@ pub fn run_trial<M: ConcurrentMap + ?Sized>(map: &M, workload: &Workload) -> Tri
     );
     let stop = AtomicBool::new(false);
     let barrier = Barrier::new(workload.threads + 1);
-    let ops: Vec<u64> = std::thread::scope(|s| {
+    let (ops, elapsed): (Vec<u64>, Duration) = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(workload.threads);
         for t in 0..workload.threads {
             let stop = &stop;
@@ -151,12 +151,10 @@ pub fn run_trial<M: ConcurrentMap + ?Sized>(map: &M, workload: &Workload) -> Tri
         // synchronizes the per-thread op counts.
         stop.store(true, Ordering::Relaxed);
         let ops = handles.into_iter().map(|h| h.join().expect("worker panicked")).collect();
-        let elapsed = start.elapsed();
-        // Return elapsed through a side channel by re-measuring below.
-        let _ = elapsed;
-        ops
+        // Read after the join, so every counted op completed inside it.
+        (ops, start.elapsed())
     });
-    TrialResult { total_ops: ops.iter().sum(), elapsed: workload.duration }
+    TrialResult { total_ops: ops.iter().sum(), elapsed }
 }
 
 /// Run `trials` trials on freshly created maps and summarize.
@@ -195,6 +193,43 @@ mod tests {
         assert!(r.mops() > 0.0);
         // Prefill happened.
         assert!(map.stats().key_count > 0);
+    }
+
+    /// A map whose lookups overrun any short trial.
+    struct SlowReads(LockedBTreeMap);
+
+    impl ConcurrentMap for SlowReads {
+        fn insert(&self, key: Key, value: mapapi::Value) -> bool {
+            self.0.insert(key, value)
+        }
+        fn remove(&self, key: Key) -> bool {
+            self.0.remove(key)
+        }
+        fn contains(&self, key: Key) -> bool {
+            std::thread::sleep(Duration::from_millis(40));
+            self.0.contains(key)
+        }
+        fn get(&self, key: Key) -> Option<mapapi::Value> {
+            self.0.get(key)
+        }
+        fn name(&self) -> &'static str {
+            "slow-reads"
+        }
+        fn scan(&self, start: Key, len: usize) -> Vec<(Key, mapapi::Value)> {
+            self.0.scan(start, len)
+        }
+        fn stats(&self) -> mapapi::MapStats {
+            self.0.stats()
+        }
+    }
+
+    #[test]
+    fn elapsed_covers_ops_that_overrun_the_stop_flag() {
+        let w = Workload::paper(64, 0, 1, Duration::from_millis(5));
+        let r = run_trial(&SlowReads(LockedBTreeMap::new()), &w);
+        assert!(r.total_ops >= 1);
+        assert!(r.elapsed >= Duration::from_millis(40), "elapsed {:?} is the nominal 5 ms", r.elapsed);
+        assert_eq!(r.mops(), r.total_ops as f64 / r.elapsed.as_secs_f64() / 1e6);
     }
 
     #[test]

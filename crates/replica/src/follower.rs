@@ -17,8 +17,7 @@ use crate::log::ChangeLog;
 /// after applying event `s` is exactly the primary's per-key history up to
 /// `s` — so an atomic scan of the follower observes a consistent prefix of
 /// the primary's history, just a (boundedly) stale one.  The staleness at
-/// any instant is `primary.seqno() − follower.applied_seqno()`, which
-/// `bench_service` samples into a percentile column.
+/// any instant is `primary.seqno() − follower.applied_seqno()`.
 ///
 /// `apply` must be driven by **one** thread (the in-process [`tail_log`]
 /// helper or the wire tail in the `server` crate); the dense-seqno assert
@@ -162,9 +161,10 @@ pub fn tail_log(log: &ChangeLog, follower: &Follower, stop: &AtomicBool) {
 
 /// Primary + followers behind one [`ConcurrentMap`]: writes (and `stats`)
 /// go to the primary, reads and scans fan out round-robin across the
-/// followers.  This is the topology the `read-replica` scenario drives —
-/// the read side scales with follower count while the write side stays a
-/// single primary.
+/// followers.  This is the topology the `read-replica` scenario drives
+/// (over real sockets in `server/tests/replication_wire.rs`) — the read
+/// side scales with follower count while the write side stays a single
+/// primary.
 pub struct ReplicaSet {
     name: &'static str,
     primary: Box<dyn ConcurrentMap>,

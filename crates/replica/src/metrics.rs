@@ -2,12 +2,13 @@
 //! derived lag metric, registered with the global `telemetry` registry.
 //!
 //! The gauges are process-global and last-writer-wins: with one live
-//! replicated topology (how the server and benches deploy replication) they
-//! read as *the* log's seqno and *the* most recent follower apply; with
-//! several followers the applied gauge tracks whichever applied last, so
-//! the derived `replica_follower_lag` is a lower bound on the laggiest
-//! follower's staleness. Exact per-follower staleness percentiles stay in
-//! `bench_service`'s sampling columns — the gauge is the cheap live signal.
+//! replicated topology (how the server deploys replication) they read as
+//! *the* log's seqno and *the* most recent follower apply; with several
+//! followers the applied gauge tracks whichever applied last, so the
+//! derived `replica_follower_lag` is a lower bound on the laggiest
+//! follower's staleness. Exact per-follower staleness is
+//! `log.seqno() − follower.applied_seqno()`, which needs both handles — the
+//! gauge is the cheap live signal.
 
 use std::sync::Once;
 

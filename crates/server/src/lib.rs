@@ -23,10 +23,9 @@
 //!   socket path with the same latency histograms, and
 //!   `workload::run_scenario_batched` sweeps pipelining depth.
 //!
-//! The harness binary `bench_service` wires this to the registry
-//! (`harness::try_make`, including `shardN(inner)` names) and emits the
-//! same `BENCH_*.json`/CSV percentile schema as `bench_workloads`.  See
-//! DESIGN.md §8 for the framing and batching rationale.
+//! `tests/loopback.rs` runs scenarios and depth-16 batches through the pool
+//! on both backends; the repo benchmark (`benchmark/`) is what measures the
+//! served path.  See DESIGN.md §8 for the framing and batching rationale.
 //!
 //! **Replication** (PR 6): a server started with [`ServerOpts`] can publish
 //! a [`replica::ChangeLog`] to `SUBSCRIBE`rs and/or run read-only as a

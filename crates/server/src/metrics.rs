@@ -281,9 +281,7 @@ fn unpack_lane(phases: u64, lane: usize) -> u64 {
 }
 
 /// The slow-op flight recorder's current contents as `# slowop ...` lines,
-/// oldest first.  Also dumped by `bench_service` when a quiescent audit
-/// fails — the last slow ops before the inconsistency are exactly what you
-/// want in the postmortem.
+/// oldest first.
 pub fn flight_dump() -> String {
     use std::fmt::Write;
     let mut out = String::new();

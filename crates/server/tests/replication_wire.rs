@@ -4,15 +4,18 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::for_each_backend;
 use mapapi::ConcurrentMap;
-use replica::{Checkpoint, Event, Follower, ReplicatedMap};
+use replica::{Checkpoint, Event, Follower, ReplicaSet, ReplicatedMap};
 use server::{
     Backend, Connection, Request, Response, Server, ServerOpts, ServiceMap, WireTail,
 };
+use shard::ShardedMap;
+use workload::{run_scenario, scenario, RunParams};
 
 fn primary() -> Arc<ReplicatedMap> {
     Arc::new(ReplicatedMap::new(Box::new(pathcas_ds::PathCasAvl::new())))
@@ -23,8 +26,13 @@ fn start_primary(map: &Arc<ReplicatedMap>, backend: Backend) -> Server {
     Server::start_with(Arc::clone(map) as Arc<dyn ConcurrentMap>, opts, "127.0.0.1:0").unwrap()
 }
 
+fn start_read_only(f: &Arc<Follower>, backend: Backend) -> Server {
+    let opts = ServerOpts { log: None, read_only: true, backend, ..ServerOpts::default() };
+    Server::start_with(Arc::clone(f) as Arc<dyn ConcurrentMap>, opts, "127.0.0.1:0").unwrap()
+}
+
 fn await_seqno(f: &Follower, want: u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = Instant::now() + Duration::from_secs(30);
     while f.applied_seqno() < want {
         assert!(Instant::now() < deadline, "follower stuck at {} < {want}", f.applied_seqno());
         std::thread::sleep(Duration::from_millis(1));
@@ -130,12 +138,7 @@ fn wire_tail_follower_tracks_the_primary_and_serves_reads() {
 
         // Serve the follower read-only over its own socket, on the same
         // backend under test.
-        let fsrv = Server::start_with(
-            Arc::clone(&follower) as Arc<dyn ConcurrentMap>,
-            ServerOpts { log: None, read_only: true, backend, ..ServerOpts::default() },
-            "127.0.0.1:0",
-        )
-        .unwrap();
+        let fsrv = start_read_only(&follower, backend);
         let mut conn = Connection::connect(fsrv.local_addr()).unwrap();
         assert_eq!(conn.request(&Request::Get(200)).unwrap(), Response::Get(Some(200)));
         // Writes are rejected with a semantic error and the connection survives.
@@ -177,5 +180,99 @@ fn wire_tail_survives_primary_shutdown() {
         srv.shutdown();
         tail.stop();
         assert_eq!(follower.get(1), Some(1));
+    });
+}
+
+/// The whole read-replica topology under load: a sharded replicated primary
+/// behind its own server, two checkpoint-bootstrapped followers tailing it
+/// over the wire and served read-only, and the `read-replica` scenario
+/// driven through a `ReplicaSet` of socket pools — reads fan out across the
+/// follower sockets, writes go to the primary socket.
+#[test]
+fn read_replica_topology_serves_a_scenario_and_followers_converge() {
+    fn avl4() -> ShardedMap {
+        ShardedMap::from_fn(4, |_| Box::new(pathcas_ds::PathCasAvl::new()))
+    }
+    for_each_backend(|backend| {
+        let params = RunParams::standard(2, 512, Duration::from_millis(60), 0x5E7);
+        // Prefilled in-process so the checkpoint already carries the working
+        // set (the scenario's own load phase then finds its target met).
+        let rep = Arc::new(ReplicatedMap::from_sharded(avl4()));
+        mapapi::stress::prefill(
+            &*rep,
+            params.key_range,
+            params.prefill,
+            mapapi::stress::prefill_seed(params.seed),
+        );
+        let ckpt = rep.checkpoint();
+        let log = rep.log();
+        let srv = start_primary(&rep, backend);
+        let primary_svc = ServiceMap::connect(srv.local_addr(), params.threads, "primary").unwrap();
+
+        let followers: Vec<Arc<Follower>> =
+            (0..2).map(|_| Arc::new(Follower::bootstrap(Box::new(avl4()), &ckpt))).collect();
+        let tails: Vec<WireTail> = followers
+            .iter()
+            .map(|f| WireTail::start(srv.local_addr(), Arc::clone(f)).unwrap())
+            .collect();
+        let fsrvs: Vec<Server> = followers.iter().map(|f| start_read_only(f, backend)).collect();
+        let fsvcs = fsrvs
+            .iter()
+            .map(|fsrv| {
+                let svc = ServiceMap::connect(fsrv.local_addr(), params.threads, "follower");
+                Box::new(svc.unwrap()) as Box<dyn ConcurrentMap>
+            })
+            .collect();
+        let set = ReplicaSet::new(Box::new(primary_svc), fsvcs);
+
+        // Staleness sampler: a follower's staleness is `log head − applied`.
+        // A follower can only apply what was logged, so with `applied` read
+        // first the difference must never be negative.
+        let stop = AtomicBool::new(false);
+        let (out, samples) = std::thread::scope(|s| {
+            let sampler = s.spawn(|| {
+                let mut samples = 0u64;
+                while !stop.load(Ordering::Acquire) {
+                    for f in &followers {
+                        let applied = f.applied_seqno();
+                        let head = log.seqno();
+                        assert!(applied <= head, "follower applied {applied} > log head {head}");
+                        samples += 1;
+                    }
+                    std::thread::sleep(Duration::from_micros(250));
+                }
+                samples
+            });
+            let out = run_scenario(&set, &scenario("read-replica"), &params);
+            stop.store(true, Ordering::Release);
+            (out, sampler.join().expect("staleness sampler panicked"))
+        });
+        assert!(out.total_ops > 0, "no ops through the replica set");
+        assert!(samples > 0, "no staleness samples");
+
+        // The workers are quiescent, so the log head is final: every
+        // follower must drain to it and then agree with the primary exactly.
+        let head = log.seqno();
+        assert!(head > params.prefill, "the scenario committed no writes");
+        let ps = rep.stats();
+        for f in &followers {
+            await_seqno(f, head);
+            let fs = f.stats();
+            assert_eq!(
+                (ps.key_count, ps.key_sum),
+                (fs.key_count, fs.key_sum),
+                "drained follower diverged from the primary"
+            );
+            mapapi::suites::check_scan_matches_stats(&**f, &fs);
+        }
+
+        drop(set);
+        for t in tails {
+            t.stop();
+        }
+        for s in fsrvs {
+            s.shutdown();
+        }
+        srv.shutdown();
     });
 }

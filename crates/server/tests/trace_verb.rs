@@ -4,8 +4,9 @@
 //! timing-valued fields (`start_ns`, `dur_ns`, the backend label) are
 //! masked — same trace ids, same phase sets, same event counts, same
 //! header counters.  Then a replicated SUBSCRIBE topology must surface
-//! `commit` and `deliver` spans, and a stale TRACE version must fail
-//! semantically without killing the connection.
+//! `commit` and `deliver` spans, a stale TRACE version must fail
+//! semantically without killing the connection, and on a depth-1 closed
+//! loop the per-op phase sums must tile the client-observed round trip.
 //!
 //! One `#[test]` on purpose: the span tracer is process-global (sampler
 //! counter, rings), so nothing else in this binary may run concurrently.
@@ -13,11 +14,12 @@
 mod common;
 
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use common::{for_each_backend, start_on};
 use mapapi::reference::LockedBTreeMap;
 use mapapi::ConcurrentMap;
-use server::{Connection, Request, Response, Server, ServerOpts};
+use server::{Backend, Connection, Request, Response, Server, ServerOpts};
 use shard::ShardedMap;
 
 const SHARDS: usize = 4;
@@ -58,6 +60,23 @@ fn canon(text: &str) -> String {
         })
         .collect::<Vec<_>>()
         .join("\n")
+}
+
+/// Registry names of the phase time sums a client request accrues, in
+/// pipeline order (`deliver` belongs to SUBSCRIBE batches, which are
+/// sampler ops of their own).
+const PHASE_SUMS: [&str; 7] = [
+    "trace_ready_ns_sum",
+    "trace_decode_ns_sum",
+    "trace_shard_ns_sum",
+    "trace_kcas_ns_sum",
+    "trace_commit_ns_sum",
+    "trace_resp_ns_sum",
+    "trace_flush_ns_sum",
+];
+
+fn phase_sums() -> [u64; 7] {
+    PHASE_SUMS.map(|name| telemetry::value(name).expect("tracer registered"))
 }
 
 #[test]
@@ -144,6 +163,54 @@ fn trace_expositions_are_differential_across_backends() {
 
         assert!(text.contains("phase=commit"), "no commit span recorded:\n{text}");
         assert!(text.contains("phase=deliver"), "no deliver span recorded:\n{text}");
+
+        server.shutdown();
+    });
+
+    // Phases tile the round trip: with one request in flight on one
+    // connection, every nanosecond of an op sits in exactly one phase, so
+    // the per-op phase sum reconstructs what the client observed.  The
+    // threads backend owns its connection's whole wait; a reactor's
+    // `epoll_wait` is shared, so it attributes a fraction by design.
+    for_each_backend(|backend| {
+        const OPS: u64 = 2000;
+        let server = start_on(sharded(), backend);
+        let mut conn = Connection::connect(server.local_addr()).expect("connect");
+        telemetry::trace::clear();
+        telemetry::trace::set_sample_every(1);
+        let before = phase_sums();
+
+        let mut client_ns = 0u64;
+        for i in 0..OPS {
+            let req = if i % 2 == 0 { Request::Put(i + 1, i) } else { Request::Get(i) };
+            let sent = Instant::now();
+            conn.request(&req).expect("closed-loop op");
+            client_ns += sent.elapsed().as_nanos() as u64;
+        }
+        let sampled = telemetry::value("trace_sampled_total").expect("tracer registered");
+        let after = phase_sums();
+        telemetry::trace::set_sample_every(telemetry::trace::DEFAULT_SAMPLE_EVERY);
+
+        assert_eq!(sampled, OPS, "every op of the loop is sampled at 1-in-1");
+        let mut phase_ns = 0u64;
+        for ((name, a), b) in PHASE_SUMS.iter().zip(after).zip(before) {
+            if *name == "trace_commit_ns_sum" {
+                assert_eq!(a, b, "commit time without a change log");
+            } else {
+                assert!(a > b, "{name} did not move over {OPS} sampled ops");
+            }
+            phase_ns += a - b;
+        }
+        let ratio = phase_ns as f64 / client_ns as f64;
+        let bounds = match backend {
+            Backend::Threads => 0.6..1.4,
+            Backend::Reactor => 0.1..1.5,
+        };
+        assert!(
+            bounds.contains(&ratio),
+            "phase sums are {ratio:.3} of the client-observed time \
+             ({phase_ns} ns of {client_ns} ns over {OPS} ops), expected {bounds:?}"
+        );
 
         server.shutdown();
     });

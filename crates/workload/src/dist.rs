@@ -2,8 +2,8 @@
 //!
 //! Every sampler is deterministic from the `StdRng` it is given: the same
 //! seed produces the same key sequence, which is what makes workload runs
-//! reproducible under the `PATHCAS_SEED` knob (and what the determinism
-//! proptests assert).  All samplers emit keys in `1..=key_range` except
+//! reproducible from `RunParams::seed` (and what the determinism proptests
+//! assert).  All samplers emit keys in `1..=key_range` except
 //! [`Sampler::Latest`], which follows a monotonically growing insertion
 //! frontier exactly like YCSB's `latest` distribution.
 //!

@@ -194,7 +194,7 @@ pub struct RunParams {
     /// Timed, recorded window.
     pub duration: Duration,
     /// Base seed; per-thread RNGs derive from it, so the whole run is
-    /// reproducible (the `PATHCAS_SEED` knob).
+    /// reproducible.
     pub seed: u64,
 }
 
@@ -436,9 +436,9 @@ impl<M: ConcurrentMap + ?Sized> BatchApply for LoopBatch<'_, M> {
 /// Latency accounting follows the client's view of a pipelined request:
 /// every operation in a batch is charged the **whole batch round-trip**
 /// (an op's latency includes the time its batch spent queued and in
-/// flight), so deeper pipelines trade per-op latency for throughput — the
-/// exact curve `bench_service` sweeps.  Scan ops are additionally recorded
-/// into the scan histogram, as in the point-op executor.
+/// flight), so deeper pipelines trade per-op latency for throughput.  Scan
+/// ops are additionally recorded into the scan histogram, as in the
+/// point-op executor.
 ///
 /// # Panics
 /// Panics if `sc` uses the KCAS account bank (transfers are in-process by

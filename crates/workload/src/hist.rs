@@ -70,8 +70,8 @@ impl LatencyHistogram {
     }
 
     /// Number of recorded values that exceeded [`TRACKABLE_MAX`] and were
-    /// clamped.  Surfaced per row in `BENCH_workloads.json` so a non-zero
-    /// count flags that the reported tail is a floor, not an exact value.
+    /// clamped.  A non-zero count flags that the reported tail is a floor,
+    /// not an exact value.
     pub fn saturated_count(&self) -> u64 {
         self.saturated
     }
@@ -148,6 +148,19 @@ pub struct Percentiles {
     pub p99: u64,
     /// 99.9th percentile, nanoseconds.
     pub p999: u64,
+}
+
+/// Format nanoseconds for human-readable tables (`1.23µs`, `456ns`, …).
+pub fn fmt_ns(ns: u64) -> String {
+    if ns >= 1_000_000_000 {
+        format!("{:.2}s", ns as f64 / 1e9)
+    } else if ns >= 1_000_000 {
+        format!("{:.2}ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.2}µs", ns as f64 / 1e3)
+    } else {
+        format!("{ns}ns")
+    }
 }
 
 #[cfg(test)]
@@ -264,5 +277,13 @@ mod tests {
         }
         assert_eq!(h.value_at_quantile(0.0), 0);
         assert_eq!(h.value_at_quantile(1.0), SUBBUCKETS - 1);
+    }
+
+    #[test]
+    fn fmt_ns_picks_sane_units() {
+        assert_eq!(fmt_ns(750), "750ns");
+        assert_eq!(fmt_ns(1_500), "1.50µs");
+        assert_eq!(fmt_ns(2_500_000), "2.50ms");
+        assert_eq!(fmt_ns(3_000_000_000), "3.00s");
     }
 }

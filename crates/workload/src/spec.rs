@@ -20,9 +20,9 @@
 //!   shared account bank, with a conserved-sum linearizability check;
 //! * `contended-hot-set` — 99% of operations on 64 keys, the hot-key regime
 //!   where descriptor reuse and path validation are stress-tested;
-//! * `scan-heavy` — 80% validated range scans with a tunable length
-//!   distribution, the composite-read regime where scans must repeatedly
-//!   re-validate against concurrent updates;
+//! * `scan-heavy` — 80% validated range scans of 8–64 keys, the
+//!   composite-read regime where scans must repeatedly re-validate against
+//!   concurrent updates;
 //! * `service-mixed` — every operation kind at once (reads, both update
 //!   flavours, RMW, and short scans), sized for the **service mode**: over
 //!   the wire, mixing fixed-size point responses with variable-size scan
@@ -80,16 +80,6 @@ impl ScanLen {
             ScanLen::Uniform { min, max } => min >= 1 && max >= min,
         }
     }
-
-    /// Parse `"16"` as a fixed length or `"8:64"` as a uniform range — the
-    /// format of the `PATHCAS_SCAN_LEN` knob.
-    pub fn parse(s: &str) -> Option<ScanLen> {
-        let sl = match s.split_once(':') {
-            Some((lo, hi)) => ScanLen::Uniform { min: lo.trim().parse().ok()?, max: hi.trim().parse().ok()? },
-            None => ScanLen::Fixed(s.trim().parse().ok()?),
-        };
-        sl.is_valid().then_some(sl)
-    }
 }
 
 /// How inserts pick their keys.
@@ -106,7 +96,7 @@ pub enum InsertKind {
 /// One benchmark scenario: a name, a distribution, and an operation mix.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Stable identifier used in tables and `BENCH_workloads.json`.
+    /// Stable identifier ([`scenario`] looks scenarios up by it).
     pub name: &'static str,
     /// One-line description for docs and `--list` style output.
     pub summary: &'static str,
@@ -127,14 +117,6 @@ impl Scenario {
     /// True if any operation of this scenario uses the KCAS account bank.
     pub fn uses_bank(&self) -> bool {
         self.mix.transfer > 0
-    }
-
-    /// Replace the scan-length distribution (builder style) — the
-    /// `PATHCAS_SCAN_LEN` knob rewrites `scan-heavy` through this.
-    pub fn with_scan_len(mut self, scan_len: ScanLen) -> Self {
-        assert!(scan_len.is_valid(), "{}: invalid scan length", self.name);
-        self.scan_len = Some(scan_len);
-        self
     }
 }
 
@@ -299,17 +281,6 @@ mod tests {
     #[test]
     fn lookup_by_name() {
         assert_eq!(scenario("ycsb-f").mix.rmw, 500);
-    }
-
-    #[test]
-    fn scan_len_parses_and_validates() {
-        assert_eq!(ScanLen::parse("16"), Some(ScanLen::Fixed(16)));
-        assert_eq!(ScanLen::parse("8:64"), Some(ScanLen::Uniform { min: 8, max: 64 }));
-        assert_eq!(ScanLen::parse("0"), None);
-        assert_eq!(ScanLen::parse("9:4"), None);
-        assert_eq!(ScanLen::parse("abc"), None);
-        let sc = scenario("scan-heavy").with_scan_len(ScanLen::Fixed(100));
-        assert_eq!(sc.scan_len, Some(ScanLen::Fixed(100)));
     }
 
     #[test]

@@ -5,19 +5,19 @@
 //! numbers an online service actually provisions against.
 //!
 //! Run with `cargo run --release --example kv_store`.  Reproducible: set
-//! `PATHCAS_SEED` to vary (or pin) the key streams.
+//! `PATHCAS_SEED` (decimal or `0x` hex) to vary (or pin) the key streams.
 
 use std::time::Duration;
 
 use mapapi::ConcurrentMap;
 use pathcas_ds::PathCasAvl;
-use workload::{report::fmt_ns, run_scenario, scenario, RunParams};
+use workload::{fmt_ns, run_scenario, scenario, RunParams};
 
 fn main() {
     let store = PathCasAvl::new();
     let sc = scenario("ycsb-b");
     let key_range = 100_000u64;
-    let seed = std::env::var("PATHCAS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let seed = harness::Config::from_env().seed;
 
     println!("kv_store: {} ({}) on {}", sc.name, sc.summary, store.name());
     println!("| threads | Mops/s | p50 | p90 | p99 | p99.9 | max |");

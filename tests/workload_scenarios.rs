@@ -8,9 +8,17 @@ use std::time::Duration;
 use mapapi::ConcurrentMap;
 use workload::{all_scenarios, run_scenario, scenario, RunParams};
 
-/// The acceptance set: PathCAS AVL, BST, hashmap, and one STM baseline.
-const STRUCTURES: [&str; 4] =
-    ["int-avl-pathcas", "int-bst-pathcas", "hashmap-pathcas", "int-avl-norec"];
+/// The acceptance set: PathCAS AVL, BST, hashmap, one STM baseline, and
+/// the two registered sharded compositions (bank conservation and the
+/// post-scenario scan audit must hold through the composition layer too).
+const STRUCTURES: [&str; 6] = [
+    "int-avl-pathcas",
+    "int-bst-pathcas",
+    "hashmap-pathcas",
+    "int-avl-norec",
+    "shard8(int-avl-pathcas)",
+    "shard4(int-bst-pathcas)",
+];
 
 #[test]
 fn every_scenario_runs_against_every_acceptance_structure() {
@@ -94,7 +102,7 @@ fn point_scenarios_have_empty_scan_histograms() {
 }
 
 /// Same seed, same single-threaded scenario ⇒ identical op counts and
-/// contents — the end-to-end reproducibility `PATHCAS_SEED` promises (the
+/// contents — the end-to-end reproducibility a fixed seed promises (the
 /// op *count* varies with timing, so compare the deterministic pieces:
 /// final structure contents after a fixed op count).
 #[test]
