@@ -1,6 +1,6 @@
-//! A heap-allocation-counting global allocator for the allocation-sensitive
-//! benchmarks (the descriptor-reuse microbenchmark asserts that the pooled
-//! KCAS hot path performs zero per-operation allocations).
+//! A heap-allocation-counting global allocator for allocation-sensitive
+//! tests (`tests/avl_insert_allocations.rs` asserts that a successful AVL
+//! insert allocates only its node).
 //!
 //! A binary opts in with:
 //!

@@ -10,8 +10,8 @@
 //! descriptor-reuse transformation — see [`crate::pool`]).
 //!
 //! The implementation is the standard lock-free one, with descriptor reuse:
-//! the calling thread recycles a [`DcssSlot`](crate::pool) from its fixed
-//! pool instead of heap-allocating, publishes it by CAS-ing the slot's
+//! the calling thread recycles its [`DcssSlot`](crate::pool) instead of
+//! heap-allocating, publishes it by CAS-ing the slot's
 //! `(slot, seqno)` word into `addr2`, and *completes* it by reading `addr1`
 //! and either committing `new2` or rolling back to `old2`.  Any thread that
 //! encounters an installed DCSS descriptor word helps complete it, after
@@ -21,7 +21,7 @@ use crate::sync::{AtomicU64, Ordering};
 
 use crossbeam_epoch::Guard;
 
-use crate::pool::{self, DcssSlot};
+use crate::pool::{self, DcssSlot, DCSS_SLOTS};
 use crate::word::{is_dcss_desc, pack_pooled, pooled_seq, pooled_slot, CasWord, MAX_SEQ, TAG_DCSS};
 
 /// Commit or roll back an installed DCSS: write `new2` into `target` if the
@@ -31,10 +31,9 @@ use crate::word::{is_dcss_desc, pack_pooled, pooled_seq, pooled_slot, CasWord, M
 /// descriptor was recycled) can never succeed.
 ///
 /// # Safety
-/// `addr1` must point at a live control word (a pooled KCAS slot's `seqstat`
-/// — static memory — or a boxed descriptor's status word protected by the
-/// caller's epoch guard) and `target` at a live `CasWord`.  Callers obtain
-/// both either from their own arguments (the installing thread) or from slot
+/// `addr1` must point at a live control word (a KCAS slot's `seqstat` —
+/// static memory) and `target` at a live `CasWord`.  Callers obtain both
+/// either from their own arguments (the installing thread) or from slot
 /// fields validated against `desc_word`'s seqno after reading.
 unsafe fn complete(addr1: *const AtomicU64, exp1: u64, target: *const CasWord, old2: u64, new2: u64, desc_word: u64) {
     // SAFETY: per the function contract.
@@ -55,7 +54,7 @@ unsafe fn complete(addr1: *const AtomicU64, exp1: u64, target: *const CasWord, o
 /// are helped to completion and the installation is retried.
 ///
 /// The operation publishes no allocation: it recycles the calling thread's
-/// next [`DcssSlot`] following the seqno protocol of [`crate::pool`] —
+/// [`DcssSlot`] following the seqno protocol of [`crate::pool`] —
 /// bump the seqno (invalidating stalled helpers of the slot's previous
 /// operation), write the five fields, then install the `(slot, seqno)` word.
 ///
@@ -63,7 +62,7 @@ unsafe fn complete(addr1: *const AtomicU64, exp1: u64, target: *const CasWord, o
 /// The caller must hold `guard` (pinned before any of the involved shared
 /// words were read) for the duration of the call, and `addr1`/`addr2` must
 /// point to live shared memory (epoch-protected, or static in the case of a
-/// pooled slot's status word).
+/// KCAS slot's `seqstat`).
 pub(crate) unsafe fn dcss(
     addr1: *const AtomicU64,
     exp1: u64,
@@ -118,7 +117,7 @@ pub(crate) unsafe fn dcss(
 pub(crate) fn help_dcss(raw: u64, _guard: &Guard) {
     debug_assert!(is_dcss_desc(raw));
     let seq = pooled_seq(raw);
-    let slot: &'static DcssSlot = pool::dcss_slot(pooled_slot(raw));
+    let slot: &'static DcssSlot = DCSS_SLOTS.get(pooled_slot(raw));
     if slot.seq.load(Ordering::SeqCst) != seq {
         return;
     }
@@ -135,9 +134,8 @@ pub(crate) fn help_dcss(raw: u64, _guard: &Guard) {
     }
     // SAFETY: the seqno was re-validated after the field reads, so the five
     // values form the consistent field set of the operation `raw` was
-    // published for.  `addr1` is either a pooled slot's seqstat (static) or
-    // a boxed descriptor's status kept alive by our epoch guard (pinned
-    // before `raw` was loaded); `addr2` is an epoch-protected CasWord.
+    // published for.  `addr1` is a KCAS slot's seqstat (static); `addr2` is
+    // an epoch-protected CasWord.
     unsafe { complete(addr1, exp1, addr2, old2, new2, raw) };
 }
 

@@ -11,27 +11,24 @@
 //! all of that inside one hardware transaction ([`crate::htm`]) and reach
 //! the descriptor protocol below only when it cannot commit.
 //!
-//! Operations publish through reusable per-thread descriptor slots
-//! ([`crate::pool`]) — the Arbel-Raviv & Brown reuse transformation the
-//! paper applies — so the success path performs **zero heap allocations**.
-//! Two situations use the legacy heap-allocated descriptor instead: an
-//! operation too large for a slot (capacity [`SLOT_ENTRY_CAP`] /
-//! [`SLOT_PATH_CAP`]), and explicit calls to [`execute_alloc`], the
-//! benchmark baseline.
+//! Every operation that reaches the protocol publishes through the calling
+//! thread's reusable descriptor slot ([`crate::pool`]) — the Arbel-Raviv &
+//! Brown reuse transformation the paper applies.  A slot grows to fit the
+//! largest operation it has carried and keeps that room, so a warm thread
+//! performs **zero heap allocations** whatever the operation's size.
 
-use std::mem::MaybeUninit;
 use crate::sync::Ordering;
 
 use crossbeam_epoch::Guard;
 
-use crate::descriptor::{Descriptor, Entry, PathEntry, FAILED, SUCCEEDED, UNDECIDED};
 use crate::dcss::{dcss, help_dcss};
 use crate::pool::{
-    self, pack_seqstat, seqstat_seq, seqstat_status, KcasSlot, SLOT_ENTRY_CAP, SLOT_PATH_CAP,
+    self, pack_seqstat, seqstat_seq, seqstat_status, KcasSlot, VisitCell, FAILED, KCAS_SLOTS,
+    SUCCEEDED, UNDECIDED,
 };
 use crate::word::{
-    decode, encode, is_any_kcas_desc, is_dcss_desc, is_kcas_boxed, is_value, pack_pooled,
-    pooled_seq, pooled_slot, tag_boxed_kcas_ptr, untag_ptr, CasWord, MAX_SEQ, TAG_KCAS,
+    decode, encode, is_dcss_desc, is_kcas_desc, is_value, pack_pooled, pooled_seq, pooled_slot,
+    CasWord, TAG_KCAS,
 };
 
 /// Read the application value of a word that may be modified by KCAS /
@@ -51,7 +48,6 @@ pub fn read(word: &CasWord, guard: &Guard) -> u64 {
             help_dcss(raw, guard);
             continue;
         }
-        debug_assert!(is_any_kcas_desc(raw));
         help_by_word(raw, guard);
     }
 }
@@ -65,31 +61,18 @@ pub(crate) fn read_raw(word: &CasWord) -> u64 {
 }
 
 /// Help the KCAS / PathCAS operation whose descriptor word was observed in a
-/// shared word — pooled or boxed, according to the tag.
+/// shared word.
 pub(crate) fn help_by_word(raw: u64, guard: &Guard) {
-    debug_assert!(is_any_kcas_desc(raw));
+    debug_assert!(is_kcas_desc(raw));
     crate::metrics::help();
-    if is_kcas_boxed(raw) {
-        // SAFETY: the boxed descriptor was observed in a shared word while
-        // `guard` was pinned, so it is protected from reclamation until we
-        // unpin.
-        let desc = unsafe { &*(untag_ptr(raw) as *const Descriptor) };
-        help_boxed(desc, raw, guard);
-    } else {
-        let slot = pool::kcas_slot(pooled_slot(raw));
-        // A `None` return means the slot was recycled: the operation `raw`
-        // named is complete and uninstalled, so the caller's re-read will
-        // observe a different value.
-        let _ = help_pooled(slot, pooled_seq(raw), raw, guard);
-    }
+    // A `None` return means the slot was recycled: the operation `raw`
+    // named is complete and uninstalled, so the caller's re-read will
+    // observe a different value.
+    let _ = help(KCAS_SLOTS.get(pooled_slot(raw)), pooled_seq(raw), raw, guard);
 }
 
-// ---------------------------------------------------------------------------
-// Pooled (descriptor-reuse) path
-// ---------------------------------------------------------------------------
-
-/// Help the pooled operation published as `self_word` (= `(slot, seq)`).
-/// Called by the owner and by any helper that encounters the word.
+/// Help the operation published as `self_word` (= `(slot, seq)`).  Called by
+/// the owner and by any helper that encounters the word.
 ///
 /// Returns `None` if the slot's seqno no longer matches `seq` — the
 /// operation is already decided, fully uninstalled, and its slot recycled —
@@ -100,30 +83,17 @@ pub(crate) fn help_by_word(raw: u64, guard: &Guard) {
 /// *before the value is acted upon* (dereferenced or handed to a CAS); see
 /// the protocol in [`crate::pool`].  All CASes carry `self_word`, whose
 /// embedded seqno guarantees stale attempts can never succeed.
-pub(crate) fn help_pooled(
-    slot: &'static KcasSlot,
-    seq: u64,
-    self_word: u64,
-    guard: &Guard,
-) -> Option<bool> {
+fn help(slot: &'static KcasSlot, seq: u64, self_word: u64, guard: &Guard) -> Option<bool> {
     let undecided = pack_seqstat(seq, UNDECIDED);
-    let ss = slot.seqstat.load(Ordering::SeqCst);
-    if seqstat_seq(ss) != seq {
-        return None;
-    }
-    if seqstat_status(ss) == UNDECIDED {
+    let (entries, path) = slot.fields(seq)?;
+    if seqstat_status(slot.seqstat.load(Ordering::SeqCst)) == UNDECIDED {
         // Phase 1: "lock" every address for this operation.
-        let n = slot.len.load(Ordering::Acquire);
-        let path_len = slot.path_len.load(Ordering::Acquire);
-        if seqstat_seq(slot.seqstat.load(Ordering::SeqCst)) != seq {
-            return None;
-        }
         let mut new_status = SUCCEEDED;
-        'entries: for i in 0..n {
+        'entries: for e in entries {
             loop {
-                let addr = slot.addrs[i].load(Ordering::Acquire) as *const CasWord;
-                let old_raw = slot.olds[i].load(Ordering::Acquire);
-                if seqstat_seq(slot.seqstat.load(Ordering::SeqCst)) != seq {
+                let addr = e.addr.load(Ordering::Acquire) as *const CasWord;
+                let old_raw = e.old.load(Ordering::Acquire);
+                if !slot.holds(seq) {
                     return None;
                 }
                 // SAFETY: the seqno re-check above proves `addr`/`old_raw`
@@ -133,7 +103,7 @@ pub(crate) fn help_pooled(
                 let seen = unsafe {
                     dcss(&slot.seqstat as *const _, undecided, addr, old_raw, self_word, guard)
                 };
-                if is_any_kcas_desc(seen) {
+                if is_kcas_desc(seen) {
                     if seen == self_word {
                         // Another helper already locked this address for us.
                         break;
@@ -152,15 +122,8 @@ pub(crate) fn help_pooled(
             }
         }
         // The two "red lines": validate the visited path before deciding.
-        if new_status == SUCCEEDED {
-            match validate_pooled(slot, seq, path_len, self_word) {
-                None => return None,
-                Some(ok) => {
-                    if !ok {
-                        new_status = FAILED;
-                    }
-                }
-            }
+        if new_status == SUCCEEDED && !validate(slot, seq, path, self_word)? {
+            new_status = FAILED;
         }
         // The expected value embeds the seqno, so this can never decide a
         // recycled descriptor's newer operation.
@@ -178,18 +141,10 @@ pub(crate) fn help_pooled(
         return None;
     }
     let success = seqstat_status(ss) == SUCCEEDED;
-    let n = slot.len.load(Ordering::Acquire);
-    if seqstat_seq(slot.seqstat.load(Ordering::SeqCst)) != seq {
-        return None;
-    }
-    for i in 0..n {
-        let addr = slot.addrs[i].load(Ordering::Acquire) as *const CasWord;
-        let final_raw = if success {
-            slot.news[i].load(Ordering::Acquire)
-        } else {
-            slot.olds[i].load(Ordering::Acquire)
-        };
-        if seqstat_seq(slot.seqstat.load(Ordering::SeqCst)) != seq {
+    for e in entries {
+        let addr = e.addr.load(Ordering::Acquire) as *const CasWord;
+        let final_raw = if success { &e.new } else { &e.old }.load(Ordering::Acquire);
+        if !slot.holds(seq) {
             // Recycled mid-loop: the owner finished phase 2 before reusing
             // the slot, so every remaining unlock already happened.
             return None;
@@ -202,17 +157,17 @@ pub(crate) fn help_pooled(
     Some(success)
 }
 
-/// Validate the visited path of a pooled descriptor (Algorithm 2).
+/// Validate the visited path of operation `seq` (Algorithm 2).
 ///
 /// Returns `Some(true)` only if every visited node still carries the version
 /// observed by `visit`, is not marked, and is not "locked" by a *different*
 /// operation; `Some(false)` on a validation failure; `None` if the slot was
 /// recycled (the operation is already decided).
-fn validate_pooled(slot: &'static KcasSlot, seq: u64, path_len: usize, self_word: u64) -> Option<bool> {
-    for i in 0..path_len {
-        let ver_addr = slot.ver_addrs[i].load(Ordering::Acquire) as *const CasWord;
-        let seen_raw = slot.seens[i].load(Ordering::Acquire);
-        if seqstat_seq(slot.seqstat.load(Ordering::SeqCst)) != seq {
+fn validate(slot: &KcasSlot, seq: u64, path: &[VisitCell], self_word: u64) -> Option<bool> {
+    for v in path {
+        let ver_addr = v.ver_addr.load(Ordering::Acquire) as *const CasWord;
+        let seen_raw = v.seen.load(Ordering::Acquire);
+        if !slot.holds(seq) {
             return None;
         }
         // SAFETY: seqno re-validated after the field reads; version words
@@ -237,138 +192,6 @@ fn validate_pooled(slot: &'static KcasSlot, seq: u64, path_len: usize, self_word
         }
     }
     Some(true)
-}
-
-/// Publish `entries`/`path` through the calling thread's next pooled slot
-/// and run the operation to completion.  `entries` must already be sorted by
-/// address and deduplicated.
-fn publish_pooled(entries: &[RawEntry], path: &[RawVisit], guard: &Guard) -> bool {
-    debug_assert!(entries.len() <= SLOT_ENTRY_CAP && path.len() <= SLOT_PATH_CAP);
-    pool::with_kcas_slot(|idx, slot| {
-        let seq = seqstat_seq(slot.seqstat.load(Ordering::SeqCst)) + 1;
-        debug_assert!(seq <= MAX_SEQ, "KCAS slot seqno overflow");
-        // Invalidate stalled helpers of the slot's previous operation
-        // *before* overwriting its fields (pool module docs, step 1).
-        slot.seqstat.store(pack_seqstat(seq, UNDECIDED), Ordering::SeqCst);
-        slot.len.store(entries.len(), Ordering::Release);
-        for (i, e) in entries.iter().enumerate() {
-            slot.addrs[i].store(e.addr as usize, Ordering::Release);
-            slot.olds[i].store(encode(e.old), Ordering::Release);
-            slot.news[i].store(encode(e.new), Ordering::Release);
-        }
-        slot.path_len.store(path.len(), Ordering::Release);
-        for (i, v) in path.iter().enumerate() {
-            slot.ver_addrs[i].store(v.ver_addr as usize, Ordering::Release);
-            slot.seens[i].store(encode(v.seen), Ordering::Release);
-        }
-        let self_word = pack_pooled(TAG_KCAS, idx, seq);
-        help_pooled(slot, seq, self_word, guard)
-            .expect("only the owning thread recycles a slot, and it is running this operation")
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Boxed (legacy / fallback) path
-// ---------------------------------------------------------------------------
-
-/// Validate the visited path of a boxed descriptor (Algorithm 2).
-fn validate_boxed(desc: &Descriptor, self_word: u64) -> bool {
-    for p in desc.path.iter() {
-        // SAFETY: version words live inside epoch-protected nodes and every
-        // participant holds a guard.
-        let current = read_raw(unsafe { &*p.ver_addr });
-        if current == self_word {
-            continue;
-        }
-        if !is_value(current) {
-            return false;
-        }
-        if current != p.seen_raw {
-            return false;
-        }
-        if decode(p.seen_raw) & 1 == 1 {
-            return false;
-        }
-    }
-    true
-}
-
-/// The help routine for boxed descriptors (Algorithm 1, original form: the
-/// descriptor's slices are immutable after publication, so no seqno
-/// validation is needed — only epoch protection).
-pub(crate) fn help_boxed(desc: &Descriptor, self_word: u64, guard: &Guard) -> bool {
-    if desc.status() == UNDECIDED {
-        let mut new_status = SUCCEEDED;
-        'entries: for e in desc.entries.iter() {
-            loop {
-                // SAFETY: entry addresses point at epoch-protected CasWords;
-                // the control word is the descriptor's own status field.
-                let seen = unsafe {
-                    dcss(&desc.status as *const _, UNDECIDED, e.addr, e.old_raw, self_word, guard)
-                };
-                if is_any_kcas_desc(seen) {
-                    if seen == self_word {
-                        break;
-                    }
-                    crate::metrics::retry();
-                    help_by_word(seen, guard);
-                    continue;
-                }
-                if seen != e.old_raw {
-                    new_status = FAILED;
-                    break 'entries;
-                }
-                break;
-            }
-        }
-        if new_status == SUCCEEDED && !validate_boxed(desc, self_word) {
-            new_status = FAILED;
-        }
-        let _ = desc.status.compare_exchange(
-            UNDECIDED,
-            new_status,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-    }
-
-    let success = desc.status() == SUCCEEDED;
-    for e in desc.entries.iter() {
-        let final_raw = if success { e.new_raw } else { e.old_raw };
-        // SAFETY: as above.
-        let word = unsafe { &*e.addr };
-        let _ = word.cas_raw(self_word, final_raw);
-    }
-    success
-}
-
-/// Publish `entries`/`path` through a fresh heap-allocated descriptor,
-/// retired through the epoch collector after the owner's help returns.
-/// `entries` must already be sorted by address and deduplicated.
-fn publish_boxed(entries: &[RawEntry], path: &[RawVisit], guard: &Guard) -> bool {
-    let raw_entries: Vec<Entry> = entries
-        .iter()
-        .map(|e| Entry { addr: e.addr, old_raw: encode(e.old), new_raw: encode(e.new) })
-        .collect();
-    let raw_path: Vec<PathEntry> = path
-        .iter()
-        .map(|v| PathEntry { ver_addr: v.ver_addr, seen_raw: encode(v.seen) })
-        .collect();
-    let desc = crossbeam_epoch::Owned::new(Descriptor::new(
-        raw_entries.into_boxed_slice(),
-        raw_path.into_boxed_slice(),
-    ))
-    .into_shared(guard);
-    let self_word = tag_boxed_kcas_ptr(desc.as_raw() as usize);
-    // SAFETY: we just created the descriptor; it is valid.
-    let result = help_boxed(unsafe { desc.deref() }, self_word, guard);
-    // SAFETY: after our own `help_boxed` returns, phase 2 has removed
-    // `self_word` from every entry address and the decided status prevents
-    // reinstallation, so no *new* reference to the descriptor can be
-    // created. Helpers that already hold it are pinned. Deferred destruction
-    // is therefore safe.
-    unsafe { guard.defer_destroy(desc) };
-    result
 }
 
 // ---------------------------------------------------------------------------
@@ -434,45 +257,58 @@ impl From<VisitArg<'_>> for RawVisit {
     }
 }
 
-/// Sort `entries` by address and drop duplicate addresses in place,
-/// returning the deduplicated length.  Sorting is required for the
-/// lock-freedom argument of Appendix C; adding the same address twice with
-/// conflicting values is undefined behaviour per §3.2 (asserted in debug
-/// builds, first entry wins in release builds).
-fn sort_dedup(entries: &mut [RawEntry]) -> usize {
+/// Sort `entries` by address and drop duplicate addresses.  Sorting is
+/// required for the lock-freedom argument of Appendix C; adding the same
+/// address twice with conflicting values is undefined behaviour per §3.2
+/// (asserted in debug builds, first entry wins in release builds).
+fn sort_dedup(entries: &mut Vec<RawEntry>) {
     entries.sort_unstable_by_key(|e| e.addr as usize);
-    let mut kept = 0;
-    for i in 0..entries.len() {
-        if kept > 0 && entries[i].addr == entries[kept - 1].addr {
-            debug_assert!(
-                entries[i].old == entries[kept - 1].old
-                    && entries[i].new == entries[kept - 1].new,
-                "the same address was added twice with conflicting values"
-            );
-            continue;
-        }
-        entries[kept] = entries[i];
-        kept += 1;
-    }
-    kept
+    entries.dedup_by(|later, first| {
+        let same = later.addr == first.addr;
+        debug_assert!(
+            !same || (later.old == first.old && later.new == first.new),
+            "the same address was added twice with conflicting values"
+        );
+        same
+    });
 }
 
-/// Copy up to `CAP` items produced by `fill` into an uninitialized stack
-/// buffer and hand the initialized prefix to `then`.
+/// The one body of [`execute`] and [`execute_raw`]: a transactional attempt,
+/// then — no RTM, a descriptor in the way, a transaction that cannot commit
+/// — the descriptor protocol through the calling thread's slot.
+///
+/// # Safety
+/// Every `addr` in `entries` and every `ver_addr` in `path` must point to a
+/// live [`CasWord`] for the duration of the call.
 #[inline]
-fn with_stack_entries<R>(
-    count: usize,
-    fill: impl Fn(usize) -> RawEntry,
-    then: impl FnOnce(&mut [RawEntry]) -> R,
-) -> R {
-    debug_assert!(count <= SLOT_ENTRY_CAP);
-    let mut buf = [const { MaybeUninit::<RawEntry>::uninit() }; SLOT_ENTRY_CAP];
-    for (i, item) in buf.iter_mut().enumerate().take(count) {
-        item.write(fill(i));
+unsafe fn run<E, V>(entries: &[E], path: &[V], guard: &Guard) -> bool
+where
+    E: Copy + Into<RawEntry>,
+    V: Copy + Into<RawVisit>,
+{
+    crate::metrics::metrics().ops.inc();
+    // SAFETY: the addresses are live per the function contract.
+    if let Some(decided) = unsafe { crate::htm::attempt(entries, path) } {
+        return decided;
     }
-    // SAFETY: the first `count` elements were just initialized.
-    let init = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<RawEntry>(), count) };
-    then(init)
+    pool::with_kcas_slot(|idx, slot, sorted| {
+        sorted.extend(entries.iter().map(|&e| e.into()));
+        sort_dedup(sorted);
+        // Invalidate, write, publish (pool module docs).
+        let (seq, entry_cells, path_cells) = slot.recycle(sorted.len(), path.len());
+        for (cell, e) in entry_cells.iter().zip(sorted.iter()) {
+            cell.addr.store(e.addr as usize, Ordering::Release);
+            cell.old.store(encode(e.old), Ordering::Release);
+            cell.new.store(encode(e.new), Ordering::Release);
+        }
+        for (cell, &v) in path_cells.iter().zip(path) {
+            let v: RawVisit = v.into();
+            cell.ver_addr.store(v.ver_addr as usize, Ordering::Release);
+            cell.seen.store(encode(v.seen), Ordering::Release);
+        }
+        help(slot, seq, pack_pooled(TAG_KCAS, idx, seq), guard)
+            .expect("only the owning thread recycles a slot, and it is running this operation")
+    })
 }
 
 /// Build, publish and execute an operation from the given entries and path.
@@ -486,53 +322,21 @@ fn with_stack_entries<R>(
 /// *value*).
 ///
 /// Otherwise — no RTM, a descriptor in the way, a transaction that cannot
-/// commit — operations that fit a pooled slot ([`SLOT_ENTRY_CAP`] entries,
-/// [`SLOT_PATH_CAP`] path pairs — every operation the paper's structures
-/// issue does) are published through the calling thread's reusable
-/// descriptor pool and perform **no heap allocation**; larger operations
-/// fall back to a heap-allocated descriptor.
+/// commit — the operation is published through the calling thread's
+/// reusable descriptor slot, which grows once to fit an operation larger
+/// than any it has carried and performs **no heap allocation** after that.
 ///
 /// The caller must hold `guard` for the whole duration of the enclosing data
 /// structure operation (so that every address passed in refers to live
 /// memory) — this is the same contract as the paper's C++ implementation,
 /// where operations run under a DEBRA guard.
 pub fn execute(entries: &[KcasArg<'_>], path: &[VisitArg<'_>], guard: &Guard) -> bool {
-    crate::metrics::metrics().ops.inc();
     // SAFETY: every address is a reference that outlives the call.
-    if let Some(decided) = unsafe { crate::htm::attempt(entries, path) } {
-        return decided;
-    }
-    if entries.len() <= SLOT_ENTRY_CAP && path.len() <= SLOT_PATH_CAP {
-        with_stack_entries(
-            entries.len(),
-            |i| entries[i].into(),
-            |buf| {
-                let n = sort_dedup(buf);
-                let mut path_buf = [const { MaybeUninit::<RawVisit>::uninit() }; SLOT_PATH_CAP];
-                for (i, &v) in path.iter().enumerate() {
-                    path_buf[i].write(v.into());
-                }
-                // SAFETY: the first `path.len()` elements were just initialized.
-                let path_init = unsafe {
-                    std::slice::from_raw_parts(path_buf.as_ptr().cast::<RawVisit>(), path.len())
-                };
-                publish_pooled(&buf[..n], path_init, guard)
-            },
-        )
-    } else {
-        crate::metrics::metrics().boxed_fallbacks.inc();
-        let mut raw: Vec<RawEntry> = entries.iter().map(|&a| a.into()).collect();
-        let n = sort_dedup(&mut raw);
-        let raw_path: Vec<RawVisit> = path.iter().map(|&v| v.into()).collect();
-        publish_boxed(&raw[..n], &raw_path, guard)
-    }
+    unsafe { run(entries, path, guard) }
 }
 
 /// [`execute`] over pre-accumulated raw argument buffers — the zero-copy
 /// entry point used by `pathcas`'s reusable per-thread builder.
-///
-/// Semantics are identical to [`execute`] (transactional attempt, then
-/// sorting, deduplication, pooled path with boxed fallback).
 ///
 /// # Safety
 /// Every `addr` in `entries` and every `ver_addr` in `path` must point to a
@@ -541,43 +345,8 @@ pub fn execute(entries: &[KcasArg<'_>], path: &[VisitArg<'_>], guard: &Guard) ->
 /// owned by the caller), exactly as if they had been passed by reference
 /// through [`KcasArg`] / [`VisitArg`].
 pub unsafe fn execute_raw(entries: &[RawEntry], path: &[RawVisit], guard: &Guard) -> bool {
-    crate::metrics::metrics().ops.inc();
-    // SAFETY: the addresses are live per the function contract.
-    if let Some(decided) = unsafe { crate::htm::attempt(entries, path) } {
-        return decided;
-    }
-    if entries.len() <= SLOT_ENTRY_CAP && path.len() <= SLOT_PATH_CAP {
-        with_stack_entries(
-            entries.len(),
-            |i| entries[i],
-            |buf| {
-                let n = sort_dedup(buf);
-                publish_pooled(&buf[..n], path, guard)
-            },
-        )
-    } else {
-        crate::metrics::metrics().boxed_fallbacks.inc();
-        let mut raw = entries.to_vec();
-        let n = sort_dedup(&mut raw);
-        publish_boxed(&raw[..n], path, guard)
-    }
-}
-
-/// [`execute`] through the legacy allocate-and-epoch-retire descriptor path,
-/// regardless of operation size.
-///
-/// This is **not** the hot path: it exists so the descriptor-reuse speedup
-/// can be measured against the old scheme on identical workloads (the
-/// `bench_descriptor_reuse` harness binary and DESIGN.md §3), and as the
-/// code path oversized operations fall back to.  Correctness is identical
-/// to [`execute`], and both kinds of operation interoperate freely on the
-/// same words.
-pub fn execute_alloc(entries: &[KcasArg<'_>], path: &[VisitArg<'_>], guard: &Guard) -> bool {
-    crate::metrics::metrics().ops.inc();
-    let mut raw: Vec<RawEntry> = entries.iter().map(|&a| a.into()).collect();
-    let n = sort_dedup(&mut raw);
-    let raw_path: Vec<RawVisit> = path.iter().map(|&v| v.into()).collect();
-    publish_boxed(&raw[..n], &raw_path, guard)
+    // SAFETY: forwarded contract.
+    unsafe { run(entries, path, guard) }
 }
 
 /// A plain multi-word compare-and-swap (no path validation), i.e. the HFP
@@ -592,17 +361,11 @@ pub fn kcas(entries: &[KcasArg<'_>], guard: &Guard) -> bool {
 /// (helping any in-flight operation it encounters) and check it still equals
 /// the observed version and is unmarked.
 ///
-/// Unlike the internal descriptor validation this never fails spuriously: encountering a
-/// descriptor helps it and then compares the resolved value.  It is the
-/// building block of validated read-only operations (e.g. `contains`).
-pub fn validate_path(path: &[VisitArg<'_>], guard: &Guard) -> bool {
-    path.iter().all(|v| {
-        let current = read(v.ver_addr, guard);
-        current == v.seen && v.seen & 1 == 0
-    })
-}
-
-/// [`validate_path`] over a pre-accumulated raw buffer; see [`execute_raw`].
+/// Unlike the validation inside a published operation this never fails
+/// spuriously: encountering a descriptor helps it and then compares the
+/// resolved value.  It is the building block of validated read-only
+/// operations (e.g. `contains`), over a pre-accumulated raw buffer like
+/// [`execute_raw`].
 ///
 /// # Safety
 /// Every `ver_addr` in `path` must point to a live [`CasWord`] protected by
@@ -695,30 +458,12 @@ mod tests {
     }
 
     #[test]
-    fn alloc_baseline_matches_pooled_semantics() {
-        let ws = words(&[1, 2]);
-        let guard = crossbeam_epoch::pin();
-        let ok = [KcasArg { addr: &ws[0], old: 1, new: 5 }, KcasArg { addr: &ws[1], old: 2, new: 6 }];
-        assert!(execute_alloc(&ok, &[], &guard));
-        assert_eq!(read(&ws[0], &guard), 5);
-        let bad = [KcasArg { addr: &ws[0], old: 99, new: 7 }];
-        assert!(!execute_alloc(&bad, &[], &guard));
-        assert_eq!(read(&ws[0], &guard), 5);
-        // Path validation works identically through the boxed path.
-        let ver = CasWord::new(4);
-        let visited = VisitArg { ver_addr: &ver, seen: 4 };
-        assert!(execute_alloc(&[KcasArg { addr: &ws[1], old: 6, new: 8 }], &[visited], &guard));
-        ver.store(6);
-        assert!(!execute_alloc(&[KcasArg { addr: &ws[1], old: 8, new: 9 }], &[visited], &guard));
-    }
-
-    #[test]
     fn oversized_operations_execute_on_both_paths() {
-        // More path entries than a pooled slot can hold: the software path
-        // must take the heap-allocated fallback, the transactional path
-        // needs no descriptor at all.
+        // More path entries than a fresh slot has room for: the software
+        // path grows the slot (unless an earlier test on this thread already
+        // did), the transactional path needs no descriptor at all.
         on_both_paths(|which| {
-            let vers: Vec<CasWord> = (0..SLOT_PATH_CAP + 8).map(|_| CasWord::new(2)).collect();
+            let vers: Vec<CasWord> = (0..300).map(|_| CasWord::new(2)).collect();
             let target = CasWord::new(0);
             let guard = crossbeam_epoch::pin();
             let path: Vec<VisitArg> =
@@ -755,17 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_path_standalone() {
-        let v1 = CasWord::new(2);
-        let v2 = CasWord::new(8);
-        let guard = crossbeam_epoch::pin();
-        let path = [VisitArg { ver_addr: &v1, seen: 2 }, VisitArg { ver_addr: &v2, seen: 8 }];
-        assert!(validate_path(&path, &guard));
-        v2.store(10);
-        assert!(!validate_path(&path, &guard));
-    }
-
-    #[test]
     fn duplicate_identical_entries_are_deduped() {
         on_both_paths(|which| {
             let w = CasWord::new(5);
@@ -777,17 +511,56 @@ mod tests {
         });
     }
 
-    /// An undecided 1-word operation of "some other thread", stalled after
-    /// phase 1: its descriptor word sits in `w`, which must hold `old`.
+    /// An undecided 1-word operation of another thread, stalled after phase
+    /// 1: published through that thread's slot, its descriptor word sitting
+    /// in the target.  The owning thread stays parked until this is dropped,
+    /// so nobody adopts and recycles the slot under the test.
     #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]
-    fn stall_foreign_kcas(w: &CasWord, old: u64, new: u64) -> Box<Descriptor> {
+    struct StalledKcas {
+        slot: &'static KcasSlot,
+        seq: u64,
+        owner: Option<(std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>)>,
+    }
+
+    #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]
+    impl StalledKcas {
+        fn status(&self) -> u64 {
+            assert!(self.slot.holds(self.seq));
+            seqstat_status(self.slot.seqstat.load(Ordering::SeqCst))
+        }
+    }
+
+    #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]
+    impl Drop for StalledKcas {
+        fn drop(&mut self) {
+            let (release, owner) = self.owner.take().expect("dropped once");
+            drop(release);
+            owner.join().unwrap();
+        }
+    }
+
+    /// Stall an operation `old -> new` of another thread on `w`, which must
+    /// hold `old`.
+    #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]
+    fn stall_foreign_kcas(w: &CasWord, old: u64, new: u64) -> StalledKcas {
         assert_eq!(w.load_quiescent(), old);
-        let foreign = Box::new(Descriptor::new(
-            vec![Entry { addr: w, old_raw: encode(old), new_raw: encode(new) }].into_boxed_slice(),
-            Vec::new().into_boxed_slice(),
-        ));
-        w.0.store(tag_boxed_kcas_ptr(&*foreign as *const Descriptor as usize), Ordering::SeqCst);
-        foreign
+        let addr = w as *const CasWord as usize;
+        let (published, on_published) = std::sync::mpsc::channel();
+        let (release, on_release) = std::sync::mpsc::channel::<()>();
+        let owner = std::thread::spawn(move || {
+            pool::with_kcas_slot(|idx, slot, _| {
+                let (seq, entries, _) = slot.recycle(1, 0);
+                entries[0].addr.store(addr, Ordering::Release);
+                entries[0].old.store(encode(old), Ordering::Release);
+                entries[0].new.store(encode(new), Ordering::Release);
+                published.send((slot, seq, pack_pooled(TAG_KCAS, idx, seq))).unwrap();
+            });
+            let _ = on_release.recv();
+        });
+        let (slot, seq, self_word) = on_published.recv().unwrap();
+        // Phase 1 by hand; the status stays UNDECIDED.
+        w.0.store(self_word, Ordering::SeqCst);
+        StalledKcas { slot, seq, owner: Some((release, owner)) }
     }
 
     /// Sum of the calling thread's KCAS slot seqnos: one bump per operation
@@ -920,10 +693,11 @@ mod tests {
         // Bank-transfer style test: threads move amounts between random pairs
         // of accounts with 2-word KCAS; the total must be preserved.
         //
-        // All three commit paths share the 8 words: odd threads are pinned to
-        // the software path, even threads commit transactionally where the
-        // CPU can (every thread is a software thread where it cannot), and
-        // every fourth transfer of any thread goes through `execute_alloc`.
+        // Both commit paths share the 8 words: odd threads are pinned to the
+        // software path, even threads commit transactionally where the CPU
+        // can (every thread is a software thread where it cannot), and every
+        // fourth transfer of any thread also validates a 300-node path of
+        // private version words — more than a fresh slot has room for.
         const ACCOUNTS: usize = 8;
         const THREADS: usize = 4;
         const OPS: usize = 2000;
@@ -934,6 +708,9 @@ mod tests {
                 let accounts = Arc::clone(&accounts);
                 std::thread::spawn(move || {
                     crate::software_path_only(t % 2 == 1);
+                    let versions = words(&[2; 300]);
+                    let long_path: Vec<VisitArg> =
+                        versions.iter().map(|v| VisitArg { ver_addr: v, seen: 2 }).collect();
                     let mut state = (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
                     let mut next = || {
                         state ^= state << 13;
@@ -958,12 +735,8 @@ mod tests {
                                 KcasArg { addr: &accounts[a], old: va, new: va - 1 },
                                 KcasArg { addr: &accounts[b], old: vb, new: vb + 1 },
                             ];
-                            let done = if op % 4 == 3 {
-                                execute_alloc(&args, &[], &guard)
-                            } else {
-                                kcas(&args, &guard)
-                            };
-                            if done {
+                            let path: &[VisitArg] = if op % 4 == 3 { &long_path } else { &[] };
+                            if execute(&args, path, &guard) {
                                 break;
                             }
                         }

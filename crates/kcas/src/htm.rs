@@ -23,11 +23,11 @@
 //! A transaction never stores a descriptor word and never overwrites one
 //! (it stores only after *every* word was seen value-tagged), and the
 //! hardware aborts it if any word it read or wrote is touched before the
-//! commit.  To every software-path participant — DCSS installs, `help_pooled`
-//! / `help_boxed`, path validation, `read` — a committed transaction is
-//! therefore indistinguishable from a KCAS that installed, decided and
-//! uninstalled in one instant; DESIGN.md §3 "Transactional fast path" has
-//! the full argument.
+//! commit.  To every software-path participant — DCSS installs, `help`, path
+//! validation, `read` — a committed transaction is therefore
+//! indistinguishable from a KCAS that installed, decided and uninstalled in
+//! one instant; DESIGN.md §3 "Transactional fast path" has the full
+//! argument.
 //!
 //! This module only exists for `cfg(all(target_arch = "x86_64",
 //! not(pathcas_loom)))`; elsewhere `lib.rs` substitutes a stub whose

@@ -9,13 +9,11 @@
 //! * [`kcas`] / [`execute`] — the Harris–Fraser–Pratt multi-word CAS,
 //!   optionally extended with a visited-node *path* that is validated before
 //!   the operation is decided (the two "red lines" of Algorithm 1),
-//! * [`validate_path`] — non-publishing validation used by read-only
-//!   operations,
-//! * [`execute_raw`] / [`validate_path_raw`] — the same operations over
-//!   pre-accumulated raw argument buffers (used by `pathcas`'s reusable
-//!   per-thread builder so the hot path copies nothing),
-//! * [`execute_alloc`] — the legacy allocating path, kept as the benchmark
-//!   baseline for the descriptor-reuse speedup.
+//! * [`execute_raw`] — [`execute`] over pre-accumulated raw argument buffers
+//!   (used by `pathcas`'s reusable per-thread builder so the hot path copies
+//!   nothing),
+//! * [`validate_path_raw`] — non-publishing validation used by read-only
+//!   operations.
 //!
 //! ## Transactional fast path (`pathcas+`)
 //!
@@ -30,37 +28,30 @@
 //! ## Descriptor reuse (zero allocation on the hot path)
 //!
 //! Following the paper, this crate applies the Arbel-Raviv & Brown
-//! descriptor-reuse transformation (DISC '17): every thread owns a small
-//! fixed pool of KCAS and DCSS descriptor slots ([`pool`]) that it recycles
+//! descriptor-reuse transformation (DISC '17): every thread owns one KCAS
+//! and one DCSS descriptor slot (the private `pool` module) that it recycles
 //! across operations.  Published descriptor words encode `(slot index,
 //! sequence number)` instead of a pointer, and helpers validate the seqno
 //! before and after every field read, so a recycled descriptor is detected
-//! instead of mis-helped.  The success path of a KCAS therefore performs
-//! **zero heap allocations** — the property the `bench_descriptor_reuse`
-//! harness binary measures and the crate's `zero_alloc` integration test
-//! asserts.  See DESIGN.md §3 for the full protocol and its invariants.
-//!
-//! Operations whose add-set or visited path exceeds a pooled slot's fixed
-//! capacity ([`pool::SLOT_ENTRY_CAP`] / [`pool::SLOT_PATH_CAP`]) fall back
-//! transparently to a heap-allocated descriptor retired through
-//! [`crossbeam_epoch`]; both kinds interoperate freely on the same words.
+//! instead of mis-helped.  A slot's field storage grows to fit the largest
+//! operation published through it and is never freed, so a warm thread's
+//! KCAS performs **zero heap allocations** whatever its size — the property
+//! the crate's `zero_alloc` integration test asserts.  See DESIGN.md §3 for
+//! the full protocol and its invariants.
 //!
 //! ## Memory reclamation contract
 //!
-//! Pooled descriptor slots live forever (allocated once per thread lifetime,
+//! Descriptor slots live forever (allocated once per thread lifetime,
 //! recycled via seqnos, adopted by later threads on thread exit), so they
-//! need no reclamation.  Heap-allocated fallback descriptors are retired
-//! through [`crossbeam_epoch`] after the owner's help routine returns, as
-//! before.  Data-structure code built on this crate must hold an epoch
-//! [`Guard`](crossbeam_epoch::Guard) across each entire operation — the
-//! addresses inside a published operation must stay dereferenceable for
+//! need no reclamation.  Data-structure code built on this crate must hold
+//! an epoch [`Guard`](crossbeam_epoch::Guard) across each entire operation —
+//! the addresses inside a published operation must stay dereferenceable for
 //! every potential helper, exactly the discipline the paper uses with DEBRA
 //! guards (§4.3).
 
 #![warn(missing_docs)]
 
 mod dcss;
-mod descriptor;
 mod engine;
 #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]
 mod htm;
@@ -84,13 +75,12 @@ mod htm {
 pub mod metrics;
 #[cfg(all(test, pathcas_loom))]
 mod models;
-pub mod pool;
+mod pool;
 pub(crate) mod sync;
-pub mod word;
+mod word;
 
 pub use engine::{
-    execute, execute_alloc, execute_raw, kcas, read, validate_path, validate_path_raw, KcasArg,
-    RawEntry, RawVisit, VisitArg,
+    execute, execute_raw, kcas, read, validate_path_raw, KcasArg, RawEntry, RawVisit, VisitArg,
 };
 pub use pool::{local_pool_stats, PoolStats};
 pub use word::{CasWord, MAX_VALUE};
@@ -105,7 +95,7 @@ pub fn htm_available() -> bool {
 
 /// Test support: pin (`true`) or unpin the **calling thread** to the
 /// software (descriptor) path, so its side effects — slot seqno bumps,
-/// helping, boxed fallbacks — stay testable on machines where nearly every
+/// helping, slot growth — stay testable on machines where nearly every
 /// operation commits in hardware.  Affects no other thread; a no-op where
 /// there is no fast path.
 #[doc(hidden)]

@@ -1,7 +1,7 @@
 //! KCAS telemetry: striped wait-free counters for the contention events the
-//! substrate's performance story turns on — helping, phase-1 retries,
-//! descriptor-pool overflow and fall-backs from the transactional fast path
-//! (plus a `kcas_htm_available` 0/1 level saying whether there is one) —
+//! substrate's performance story turns on — helping, phase-1 retries and
+//! fall-backs from the transactional fast path (plus a `kcas_htm_available`
+//! 0/1 level saying whether there is one) —
 //! exposed through the global `telemetry` registry (and from there over the
 //! server's `METRICS` verb).
 //!
@@ -41,8 +41,8 @@ impl Counter {
 /// The substrate-level event counters (see module docs).
 pub struct KcasMetrics {
     /// KCAS/PathCAS operations started ([`crate::execute`],
-    /// [`crate::execute_raw`], [`crate::execute_alloc`] — and therefore
-    /// [`crate::kcas`], which goes through `execute`).
+    /// [`crate::execute_raw`] — and therefore [`crate::kcas`], which goes
+    /// through `execute`).
     pub ops: Counter,
     /// Phase-1 lock-acquisition retries: an address was found "locked" by a
     /// *different* operation's descriptor, which was helped before the
@@ -52,11 +52,6 @@ pub struct KcasMetrics {
     /// own because it encountered that operation's descriptor in a word
     /// (from `read` or from a phase-1 conflict).
     pub help_events: Counter,
-    /// Operations too large for a pooled descriptor slot that fell back to
-    /// the legacy heap-allocated descriptor ([`crate::execute`] /
-    /// [`crate::execute_raw`] overflow only; the explicit
-    /// [`crate::execute_alloc`] baseline is not an overflow).
-    pub boxed_fallbacks: Counter,
     /// Operations that ended on the software path although the CPU has RTM
     /// (a descriptor was met, the hardware kept aborting, or the thread's
     /// streak gate was closed) — the rare event, so the hardware share of
@@ -72,7 +67,6 @@ static METRICS: KcasMetrics = KcasMetrics {
     ops: Counter::new(),
     retries: Counter::new(),
     help_events: Counter::new(),
-    boxed_fallbacks: Counter::new(),
     htm_fallbacks: Counter::new(),
 };
 
@@ -81,7 +75,6 @@ static METRICS: KcasMetrics = KcasMetrics {
     ops: Counter,
     retries: Counter,
     help_events: Counter,
-    boxed_fallbacks: Counter,
     htm_fallbacks: Counter,
 };
 
@@ -97,10 +90,6 @@ pub fn metrics() -> &'static KcasMetrics {
         telemetry::register("kcas_ops_total", Handle::Counter(&METRICS.ops));
         telemetry::register("kcas_retries_total", Handle::Counter(&METRICS.retries));
         telemetry::register("kcas_help_events_total", Handle::Counter(&METRICS.help_events));
-        telemetry::register(
-            "kcas_boxed_fallbacks_total",
-            Handle::Counter(&METRICS.boxed_fallbacks),
-        );
         telemetry::register("kcas_htm_fallbacks_total", Handle::Counter(&METRICS.htm_fallbacks));
         telemetry::register("kcas_htm_available", Handle::Func(|| u64::from(crate::htm_available())));
     });

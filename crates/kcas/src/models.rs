@@ -75,8 +75,8 @@ fn dcss_help_completion() {
 }
 
 /// Model (b), descriptor-slot reuse: the main thread runs three sequential
-/// DCSS operations, recycling its two pooled slots round-robin, while a
-/// helper captures one raw load of the target and — if it caught an
+/// DCSS operations, recycling its one slot each time, while a helper
+/// captures one raw load of the target and — if it caught an
 /// installed descriptor word — calls the production [`help_dcss`] on it at
 /// an arbitrary later point. The seqno validate / read / re-validate
 /// protocol must make the stale help either complete the right operation or

@@ -16,10 +16,10 @@
 //! checker altogether.
 
 #[cfg(not(pathcas_loom))]
-pub(crate) use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+pub(crate) use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(pathcas_loom)]
-pub(crate) use loom_shim::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+pub(crate) use loom_shim::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 /// Deliberately non-facaded atomics for slot registration (see module docs).
 pub(crate) mod registration {

@@ -7,11 +7,11 @@
 //! | tag (bits 1..0) | meaning                                  |
 //! |-----------------|------------------------------------------|
 //! | `00`            | an application value, stored shifted left by two (62-bit payload) |
-//! | `01`            | a *pooled* KCAS / PathCAS descriptor reference (slot + seqno) |
-//! | `10`            | a *pooled* DCSS descriptor reference (slot + seqno) |
-//! | `11`            | a pointer to a heap-allocated (legacy) KCAS descriptor |
+//! | `01`            | a KCAS / PathCAS descriptor reference (slot + seqno) |
+//! | `10`            | a DCSS descriptor reference (slot + seqno) |
+//! | `11`            | unused                                   |
 //!
-//! Pooled descriptor words do not carry a pointer at all.  They encode the
+//! Descriptor words do not carry a pointer at all.  They encode the
 //! index of a reusable per-thread descriptor *slot* (see [`crate::pool`])
 //! together with the sequence number the slot had when the operation was
 //! published:
@@ -41,16 +41,10 @@ pub const TAG_BITS: u32 = 2;
 pub const TAG_MASK: u64 = 0b11;
 /// Tag value for a plain application value.
 pub const TAG_VALUE: u64 = 0b00;
-/// Tag value for a pooled KCAS / PathCAS descriptor reference.
+/// Tag value for a KCAS / PathCAS descriptor reference.
 pub const TAG_KCAS: u64 = 0b01;
-/// Tag value for a pooled DCSS descriptor reference.
+/// Tag value for a DCSS descriptor reference.
 pub const TAG_DCSS: u64 = 0b10;
-/// Tag value for a heap-allocated (legacy) KCAS descriptor pointer.
-///
-/// This path is kept as the benchmark baseline for the descriptor-reuse
-/// speedup ([`crate::execute_alloc`]) and as the overflow fallback for
-/// operations larger than a pooled slot's capacity.
-pub const TAG_KCAS_BOXED: u64 = 0b11;
 
 /// Number of bits encoding the slot index of a pooled descriptor word.
 pub const SLOT_INDEX_BITS: u32 = 12;
@@ -94,37 +88,16 @@ pub fn is_value(raw: u64) -> bool {
     raw & TAG_MASK == TAG_VALUE
 }
 
-/// Returns `true` if the raw word is a pooled KCAS / PathCAS descriptor
-/// reference.
+/// Returns `true` if the raw word is a KCAS / PathCAS descriptor reference.
 #[inline]
 pub fn is_kcas_desc(raw: u64) -> bool {
     raw & TAG_MASK == TAG_KCAS
 }
 
-/// Returns `true` if the raw word is a heap-allocated (legacy) KCAS
-/// descriptor pointer.
-#[inline]
-pub fn is_kcas_boxed(raw: u64) -> bool {
-    raw & TAG_MASK == TAG_KCAS_BOXED
-}
-
-/// Returns `true` if the raw word refers to a KCAS / PathCAS descriptor of
-/// either kind (pooled or heap-allocated).
-#[inline]
-pub fn is_any_kcas_desc(raw: u64) -> bool {
-    is_kcas_desc(raw) || is_kcas_boxed(raw)
-}
-
-/// Returns `true` if the raw word is a pooled DCSS descriptor reference.
+/// Returns `true` if the raw word is a DCSS descriptor reference.
 #[inline]
 pub fn is_dcss_desc(raw: u64) -> bool {
     raw & TAG_MASK == TAG_DCSS
-}
-
-/// Returns `true` if the raw word is any kind of descriptor reference.
-#[inline]
-pub fn is_descriptor(raw: u64) -> bool {
-    raw & TAG_MASK != TAG_VALUE
 }
 
 /// Pack a pooled descriptor reference from a tag, slot index and seqno.
@@ -146,19 +119,6 @@ pub(crate) fn pooled_slot(raw: u64) -> usize {
 #[inline]
 pub(crate) fn pooled_seq(raw: u64) -> u64 {
     raw >> SEQ_SHIFT
-}
-
-/// Tag a raw pointer as a heap-allocated (legacy) KCAS descriptor word.
-#[inline]
-pub(crate) fn tag_boxed_kcas_ptr(ptr: usize) -> u64 {
-    debug_assert_eq!(ptr as u64 & TAG_MASK, 0, "descriptor pointers must be 4-byte aligned");
-    ptr as u64 | TAG_KCAS_BOXED
-}
-
-/// Strip the tag from a boxed descriptor word, recovering the raw pointer.
-#[inline]
-pub(crate) fn untag_ptr(raw: u64) -> usize {
-    (raw & !TAG_MASK) as usize
 }
 
 /// A 64-bit shared memory word that can be read and modified by DCSS, KCAS
@@ -218,15 +178,6 @@ impl CasWord {
         self.0
             .compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst)
     }
-
-    /// Compare-and-swap between two application values.  Exposed for
-    /// single-word fast paths in data structures built on this crate.
-    #[inline]
-    pub fn cas_value(&self, expected: u64, new: u64) -> Result<u64, u64> {
-        self.cas_raw(encode(expected), encode(new))
-            .map(decode)
-            .map_err(|raw| if is_value(raw) { decode(raw) } else { raw })
-    }
 }
 
 impl Default for CasWord {
@@ -244,21 +195,15 @@ mod tests {
         for v in [0u64, 1, 2, 1 << 20, MAX_VALUE] {
             assert_eq!(decode(encode(v)), v);
             assert!(is_value(encode(v)));
-            assert!(!is_descriptor(encode(v)));
         }
     }
 
     #[test]
     fn tags_are_disjoint() {
-        let ptr = 0x0007_f00d_eadb_eef0_usize & !0b11;
         let k = pack_pooled(TAG_KCAS, 17, 99);
         let d = pack_pooled(TAG_DCSS, 17, 99);
-        let b = tag_boxed_kcas_ptr(ptr);
-        assert!(is_kcas_desc(k) && !is_dcss_desc(k) && !is_value(k) && !is_kcas_boxed(k));
-        assert!(is_dcss_desc(d) && !is_kcas_desc(d) && !is_value(d) && !is_kcas_boxed(d));
-        assert!(is_kcas_boxed(b) && !is_kcas_desc(b) && !is_dcss_desc(b) && !is_value(b));
-        assert!(is_any_kcas_desc(k) && is_any_kcas_desc(b) && !is_any_kcas_desc(d));
-        assert_eq!(untag_ptr(b), ptr);
+        assert!(is_kcas_desc(k) && !is_dcss_desc(k) && !is_value(k));
+        assert!(is_dcss_desc(d) && !is_kcas_desc(d) && !is_value(d));
     }
 
     #[test]
@@ -269,7 +214,7 @@ mod tests {
                 assert_eq!(pooled_slot(raw), slot);
                 assert_eq!(pooled_seq(raw), seq);
                 assert_eq!(raw & TAG_MASK, tag);
-                assert!(is_descriptor(raw));
+                assert!(!is_value(raw));
             }
         }
     }
@@ -280,9 +225,6 @@ mod tests {
         assert_eq!(w.load_quiescent(), 42);
         w.store(7);
         assert_eq!(w.load_quiescent(), 7);
-        assert!(w.cas_value(7, 9).is_ok());
-        assert_eq!(w.load_quiescent(), 9);
-        assert_eq!(w.cas_value(7, 11), Err(decode(encode(9))));
     }
 
     #[test]

@@ -1,22 +1,23 @@
 //! Stress tests for descriptor recycling under contention (DESIGN.md §3).
 //!
-//! Each thread owns only [`kcas::pool::KCAS_SLOTS_PER_THREAD`] descriptor
-//! slots, so under a contended workload every slot is recycled thousands of
-//! times per second while other threads are actively helping operations
-//! published through it — exactly the scenario the seqno validation
-//! protocol must survive.  The assertions are effect-based: no KCAS effect
-//! may be lost (a success whose writes vanished) or duplicated (a helper
-//! re-applying a completed operation after its descriptor was recycled).
+//! Each thread owns a single KCAS descriptor slot, so under a contended
+//! workload every slot is recycled thousands of times per second while other
+//! threads are actively helping operations published through it — exactly
+//! the scenario the seqno validation protocol must survive, and, when an
+//! operation outgrows the slot, the scenario its grow-only storage must
+//! survive too.  The assertions are effect-based: no KCAS effect may be lost
+//! (a success whose writes vanished) or duplicated (a helper re-applying a
+//! completed operation after its descriptor was recycled).
 //!
 //! Every worker pins itself to the software path
 //! (`kcas::software_path_only`): where the CPU has RTM nearly every KCAS
 //! would otherwise commit in one hardware transaction and recycle nothing.
-//! The mixed case — transactional, pooled and boxed operations on the same
+//! The mixed case — transactional and descriptor operations on the same
 //! words — is `engine::tests::concurrent_kcas_transfer_preserves_sum`.
 
 use std::sync::Arc;
 
-use kcas::{CasWord, KcasArg};
+use kcas::{CasWord, KcasArg, VisitArg};
 use proptest::prelude::*;
 
 /// Every success increments all `k` words of a single shared group, so the
@@ -98,51 +99,67 @@ fn recycling_advances_seqnos_not_slots() {
     );
 }
 
-#[test]
-fn pooled_and_alloc_descriptors_interoperate_under_contention() {
-    // Half the threads publish through the pooled fast path, half through
-    // the legacy boxed path, all against the same two accounts.  Helpers of
-    // either kind must correctly complete operations of the other kind
-    // (the tag distinguishes them in every shared word).
-    const THREADS: usize = 8;
-    const OPS: usize = 2500;
-    let accounts: Arc<Vec<CasWord>> = Arc::new(vec![CasWord::new(10_000), CasWord::new(10_000)]);
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let accounts = Arc::clone(&accounts);
-            std::thread::spawn(move || {
+/// `threads` workers each move `ops` units between random pairs of
+/// `accounts_n` accounts with a 2-word KCAS that also validates a path of
+/// private, never-changing version words — `path_cycle[i % len]` of them on
+/// a worker's `i`-th transfer.  The total must be conserved.
+fn transfer_with_paths(threads: usize, accounts_n: usize, ops: usize, seed: u64, path_cycle: &[usize]) {
+    let accounts: Vec<CasWord> = (0..accounts_n).map(|_| CasWord::new(1000)).collect();
+    let longest = path_cycle.iter().copied().max().unwrap_or(0);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let accounts = &accounts;
+            scope.spawn(move || {
                 kcas::software_path_only(true);
-                for _ in 0..OPS {
+                let versions: Vec<CasWord> = (0..longest).map(|_| CasWord::new(2)).collect();
+                let path: Vec<VisitArg> =
+                    versions.iter().map(|v| VisitArg { ver_addr: v, seen: 2 }).collect();
+                let mut state = seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut next = move || {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                };
+                for op in 0..ops {
+                    let a = (next() % accounts_n as u64) as usize;
+                    let mut b = (next() % accounts_n as u64) as usize;
+                    if a == b {
+                        b = (b + 1) % accounts_n;
+                    }
+                    let path = &path[..path_cycle[op % path_cycle.len()]];
                     loop {
                         let guard = crossbeam_epoch::pin();
-                        let a = kcas::read(&accounts[0], &guard);
-                        let b = kcas::read(&accounts[1], &guard);
-                        if a == 0 {
+                        let va = kcas::read(&accounts[a], &guard);
+                        let vb = kcas::read(&accounts[b], &guard);
+                        if va == 0 {
                             break;
                         }
                         let args = [
-                            KcasArg { addr: &accounts[0], old: a, new: a - 1 },
-                            KcasArg { addr: &accounts[1], old: b, new: b + 1 },
+                            KcasArg { addr: &accounts[a], old: va, new: va - 1 },
+                            KcasArg { addr: &accounts[b], old: vb, new: vb + 1 },
                         ];
-                        let ok = if t % 2 == 0 {
-                            kcas::kcas(&args, &guard)
-                        } else {
-                            kcas::execute_alloc(&args, &[], &guard)
-                        };
-                        if ok {
+                        if kcas::execute(&args, path, &guard) {
                             break;
                         }
                     }
                 }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+            });
+        }
+    });
     let guard = crossbeam_epoch::pin();
-    let total = kcas::read(&accounts[0], &guard) + kcas::read(&accounts[1], &guard);
-    assert_eq!(total, 20_000, "transfers must conserve the total");
+    let total: u64 = accounts.iter().map(|w| kcas::read(w, &guard)).sum();
+    assert_eq!(total, accounts_n as u64 * 1000, "transfers must conserve the total");
+}
+
+#[test]
+fn slots_grow_and_are_reused_under_contention() {
+    // Eight threads on the same two accounts, each cycling its validated
+    // path through 0 -> 300 -> 1200 nodes: a thread's slot outgrows its
+    // buffers twice while other threads are mid-help on the operation it
+    // published just before, and its short operations recycle the grown
+    // slot while helpers of the long ones are still reading it.
+    transfer_with_paths(8, 2, 2400, 1, &[0, 300, 1200]);
 }
 
 #[test]
@@ -195,56 +212,13 @@ proptest! {
         hammer_shared_group(threads, ops, k);
     }
 
-    /// Randomized transfers between a small account set (pooled path only;
-    /// the interop test above covers the mixed case) conserve the total.
+    /// Randomized transfers between a small account set, every other one
+    /// validating a path of random length, conserve the total.
     #[test]
     fn prop_transfers_conserve_total(
-        (threads, accounts_n, ops, seed) in (2usize..5, 2usize..6, 100usize..600, any::<u64>())
+        (threads, accounts_n, ops, (path_len, seed)) in
+            (2usize..5, 2usize..6, 100usize..600, (0usize..400, any::<u64>()))
     ) {
-        let accounts: Arc<Vec<CasWord>> =
-            Arc::new((0..accounts_n).map(|_| CasWord::new(1000)).collect());
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let accounts = Arc::clone(&accounts);
-                let mut state = seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                std::thread::spawn(move || {
-                    kcas::software_path_only(true);
-                    let mut next = move || {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        state
-                    };
-                    for _ in 0..ops {
-                        let a = (next() % accounts.len() as u64) as usize;
-                        let mut b = (next() % accounts.len() as u64) as usize;
-                        if a == b {
-                            b = (b + 1) % accounts.len();
-                        }
-                        loop {
-                            let guard = crossbeam_epoch::pin();
-                            let va = kcas::read(&accounts[a], &guard);
-                            let vb = kcas::read(&accounts[b], &guard);
-                            if va == 0 {
-                                break;
-                            }
-                            let args = [
-                                KcasArg { addr: &accounts[a], old: va, new: va - 1 },
-                                KcasArg { addr: &accounts[b], old: vb, new: vb + 1 },
-                            ];
-                            if kcas::kcas(&args, &guard) {
-                                break;
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let guard = crossbeam_epoch::pin();
-        let total: u64 = accounts.iter().map(|w| kcas::read(w, &guard)).sum();
-        assert_eq!(total, accounts_n as u64 * 1000);
+        transfer_with_paths(threads, accounts_n, ops, seed, &[0, path_len]);
     }
 }

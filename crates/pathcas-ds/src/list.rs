@@ -87,9 +87,9 @@ impl PathCasList {
     /// *every* node on the way, like the tree search of Algorithm 3.  A lazy
     /// list would validate the window only; validating the whole prefix is
     /// what lets an absent-key answer and a scan rest on one `validate`.  The
-    /// price is a visited path as long as the prefix: past
-    /// `kcas::pool::SLOT_PATH_CAP` nodes an update no longer fits a pooled
-    /// descriptor slot and commits through the boxed-descriptor fallback.
+    /// price is a visited path as long as the prefix, which every update
+    /// then publishes and validates; a thread's descriptor slot grows, once,
+    /// to hold the longest it has committed (`tests/long_paths.rs`).
     fn window<'g>(&self, op: &mut PathCasOp<'g>, guard: &'g Guard, key: u64) -> Window<'g> {
         // SAFETY: `head` is a sentinel allocated in `new` and never freed
         // before Drop, so it is valid for the whole lifetime of `&self`.

@@ -426,6 +426,41 @@ mod tests {
     }
 
     #[test]
+    fn strong_vexec_slow_path_carries_a_long_path() {
+        // 300 visited nodes become a 300-entry compare-only KCAS — several
+        // times what a fresh descriptor slot has room for.  Pinned to the
+        // descriptor path first, then wherever the platform commits.
+        for software in [true, false] {
+            kcas::software_path_only(software);
+            let versions: Vec<CasWord> = (0..300).map(|_| CasWord::new(2)).collect();
+            let data = CasWord::new(7);
+            let mut b = OpBuilder::new();
+            b.set_strong_retries(0);
+            let guard = crossbeam_epoch::pin();
+
+            let mut op = b.start(&guard);
+            for v in &versions {
+                assert_eq!(op.visit(v), 2);
+            }
+            op.add(&data, 7, 8);
+            assert!(op.vexec_strong(), "software = {software}");
+            assert_eq!(kcas::read(&data, &guard), 8);
+            assert!(versions.iter().all(|v| kcas::read(v, &guard) == 2));
+
+            let mut op = b.start(&guard);
+            for v in &versions {
+                op.visit(v);
+            }
+            op.add(&data, 8, 9);
+            versions[299].store(4);
+            assert!(!op.vexec_strong(), "software = {software}");
+            assert_eq!(kcas::read(&data, &guard), 8);
+            assert!(versions[..299].iter().all(|v| kcas::read(v, &guard) == 2));
+            assert_eq!(kcas::read(&versions[299], &guard), 4);
+        }
+    }
+
+    #[test]
     fn concurrent_visit_add_cross_pattern() {
         // The §3.4 scenario: t1 visits A and adds B, t2 visits B and adds A.
         // With vexec_strong both threads must make progress overall (the data

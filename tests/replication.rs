@@ -41,68 +41,75 @@ fn follower_full_scans_are_consistent_prefixes_under_churn() {
         &primary.checkpoint(),
     );
     let log = primary.log();
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        s.spawn(|| replica::tail_log(&log, &follower, &stop));
-        for seed in [0x1111u64, 0x2222, 0x3333] {
-            let primary = &primary;
-            let stop = &stop;
-            s.spawn(move || {
-                let mut x = seed;
-                while !stop.load(Ordering::Relaxed) {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    match x % 4 {
-                        // Region RMW: values stay positive multiples of the
-                        // key.  The closure tolerates a speculative `None`
-                        // invocation (PathCAS may call it on a stale
-                        // not-found traversal it then fails to validate).
-                        3 => {
-                            let k = REGION_START + x % REGION_LEN as u64;
-                            assert!(
-                                primary.rmw(k, &mut |v| v.map_or(0, |v| v + k)),
-                                "rmw found region key {k} absent"
-                            );
-                        }
-                        // Insert/remove churn strictly outside the region.
-                        _ => {
-                            let k = 1 + x % 3000;
-                            let k = if (REGION_START..REGION_END).contains(&k) { k + 2000 } else { k };
-                            if x & 1 == 0 {
-                                let _ = primary.insert(k, k);
-                            } else {
-                                let _ = primary.remove(k);
+    let (stop, stop_tail) = (AtomicBool::new(false), AtomicBool::new(false));
+    std::thread::scope(|tail| {
+        tail.spawn(|| replica::tail_log(&log, &follower, &stop_tail));
+        // The writers get a scope of their own: the tail may be told to stop
+        // only after they are joined.  Told together with them, it can find
+        // the log drained and exit while a descheduled writer is still inside
+        // its last operation.
+        std::thread::scope(|s| {
+            for seed in [0x1111u64, 0x2222, 0x3333] {
+                let primary = &primary;
+                let stop = &stop;
+                s.spawn(move || {
+                    let mut x = seed;
+                    while !stop.load(Ordering::Relaxed) {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        match x % 4 {
+                            // Region RMW: values stay positive multiples of the
+                            // key.  The closure tolerates a speculative `None`
+                            // invocation (PathCAS may call it on a stale
+                            // not-found traversal it then fails to validate).
+                            3 => {
+                                let k = REGION_START + x % REGION_LEN as u64;
+                                assert!(
+                                    primary.rmw(k, &mut |v| v.map_or(0, |v| v + k)),
+                                    "rmw found region key {k} absent"
+                                );
+                            }
+                            // Insert/remove churn strictly outside the region.
+                            _ => {
+                                let k = 1 + x % 3000;
+                                let k = if (REGION_START..REGION_END).contains(&k) { k + 2000 } else { k };
+                                if x & 1 == 0 {
+                                    let _ = primary.insert(k, k);
+                                } else {
+                                    let _ = primary.remove(k);
+                                }
                             }
                         }
                     }
-                }
-            });
-        }
-
-        for i in 0..300 {
-            let snap = follower.scan(1, 100_000);
-            let seq = follower.applied_seqno();
-            let mut count = 0usize;
-            let mut sum = 0u128;
-            for &(k, v) in &snap {
-                if (REGION_START..REGION_END).contains(&k) {
-                    count += 1;
-                    sum += k as u128;
-                    assert!(
-                        v >= k && v % k == 0,
-                        "scan #{i} @ seqno {seq}: torn region value {v} at {k}"
-                    );
-                } else {
-                    assert_eq!(v, k, "scan #{i} @ seqno {seq}: churn key {k} carries {v}");
-                }
+                });
             }
-            assert_eq!(count, REGION_LEN, "scan #{i} @ seqno {seq}: region keys lost");
-            assert_eq!(sum, region_keysum(), "scan #{i} @ seqno {seq}: region keysum drifted");
-            assert!(
-                snap.windows(2).all(|w| w[0].0 < w[1].0),
-                "scan #{i} @ seqno {seq}: unsorted or duplicated keys"
-            );
-        }
-        stop.store(true, Ordering::Release);
+
+            for i in 0..300 {
+                let snap = follower.scan(1, 100_000);
+                let seq = follower.applied_seqno();
+                let mut count = 0usize;
+                let mut sum = 0u128;
+                for &(k, v) in &snap {
+                    if (REGION_START..REGION_END).contains(&k) {
+                        count += 1;
+                        sum += k as u128;
+                        assert!(
+                            v >= k && v % k == 0,
+                            "scan #{i} @ seqno {seq}: torn region value {v} at {k}"
+                        );
+                    } else {
+                        assert_eq!(v, k, "scan #{i} @ seqno {seq}: churn key {k} carries {v}");
+                    }
+                }
+                assert_eq!(count, REGION_LEN, "scan #{i} @ seqno {seq}: region keys lost");
+                assert_eq!(sum, region_keysum(), "scan #{i} @ seqno {seq}: region keysum drifted");
+                assert!(
+                    snap.windows(2).all(|w| w[0].0 < w[1].0),
+                    "scan #{i} @ seqno {seq}: unsorted or duplicated keys"
+                );
+            }
+            stop.store(true, Ordering::Release);
+        });
+        stop_tail.store(true, Ordering::Release);
     });
     // `tail_log` drains before exiting: equality must now be exact.
     assert_eq!(follower.applied_seqno(), primary.log().seqno());
