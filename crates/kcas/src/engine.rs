@@ -600,8 +600,18 @@ mod tests {
         // descriptor although nothing is in their way (a few less if an
         // interrupt had started the streak early),
         assert!(bump(GATE_SKIP_OPS) >= u64::from(GATE_SKIP_OPS - STREAK_LIMIT));
-        // and the first attempt after them commits and reopens it.
-        assert!(bump(100) < 10, "the gate did not reopen");
+        // and the first attempt after them commits and reopens it — unless an
+        // interrupt aborts that one transaction, which by design re-closes
+        // the gate for another GATE_SKIP_OPS: allow a few such stretches.
+        let mut reopened = bump(100) < 10;
+        for _ in 0..4 {
+            if reopened {
+                break;
+            }
+            bump(GATE_SKIP_OPS);
+            reopened = bump(100) < 10;
+        }
+        assert!(reopened, "the gate did not reopen");
     }
 
     #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]

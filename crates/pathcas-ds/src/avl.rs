@@ -43,7 +43,7 @@ pub type PathCasAvl = PathCasTree<Avl>;
 // `pathcas-ds.bytes_per_key` is a benchmark metric and the word order decides
 // which fields share a cache line: neither may move silently.
 const _: () = {
-    assert!(std::mem::size_of::<Node>() == 7 * 8);
+    assert!(std::mem::size_of::<Node>() == 64);
     assert!(std::mem::offset_of!(Node, bal) == 4 * 8 && std::mem::offset_of!(Node, ver) == 6 * 8);
 };
 

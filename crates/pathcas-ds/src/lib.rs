@@ -28,6 +28,7 @@ pub mod hashmap;
 pub mod list;
 pub mod node;
 pub mod queue;
+mod slab;
 pub mod stack;
 pub mod tree;
 
@@ -35,5 +36,6 @@ pub use avl::PathCasAvl;
 pub use hashmap::PathCasHashMap;
 pub use list::PathCasList;
 pub use queue::PathCasQueue;
+pub use slab::slab_stats;
 pub use stack::PathCasStack;
 pub use tree::{PathCasBst, PathCasTree};

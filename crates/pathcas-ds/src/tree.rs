@@ -24,6 +24,7 @@
 #![allow(clippy::drop_non_drop)]
 
 use std::cell::RefCell;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_epoch::Guard;
@@ -31,7 +32,8 @@ use kcas::CasWord;
 use mapapi::{ConcurrentMap, Key, MapStats, Value};
 use pathcas::{OpBuilder, PathCasOp};
 
-use crate::node::{ptr_to_word, retire, with_builder, word_to_ref, NIL};
+use crate::node::{ptr_to_word, with_builder, word_to_ref, NIL};
+use crate::slab;
 
 /// Sentinel key of `minRoot` (conceptually -infinity).
 const KEY_MIN_SENTINEL: u64 = 0;
@@ -88,8 +90,9 @@ impl<P: sealed::Policy> Balance for P {}
 ///
 /// `repr(C)` keeps the words in declaration order — key, value, children,
 /// the policy's words, version: left to itself the compiler moves a
-/// two-word `bal` to the front.
-#[repr(C)]
+/// two-word `bal` to the front.  `align(64)` makes a node one `slab` slot
+/// under either policy: the words a descent reads share one cache line.
+#[repr(C, align(64))]
 pub struct Node<B: Balance> {
     pub(crate) key: CasWord,
     pub(crate) val: CasWord,
@@ -101,14 +104,31 @@ pub struct Node<B: Balance> {
 
 impl<B: Balance> Node<B> {
     fn alloc(key: u64, val: u64, bal: B::Words) -> *mut Self {
-        Box::into_raw(Box::new(Node {
-            key: CasWord::new(key),
-            val: CasWord::new(val),
-            left: CasWord::new(NIL),
-            right: CasWord::new(NIL),
-            bal,
-            ver: CasWord::new(0),
-        }))
+        // A slot is freed, not dropped, and holds exactly one node.
+        const {
+            assert!(std::mem::size_of::<Self>() == slab::SLOT_BYTES);
+            assert!(std::mem::align_of::<Self>() == slab::SLOT_BYTES);
+            assert!(!std::mem::needs_drop::<Self>());
+        }
+        let node = slab::alloc().cast::<Self>().as_ptr();
+        // SAFETY: the slot has a node's size and alignment (asserted above)
+        // and is this thread's alone until the node is published.
+        unsafe {
+            node.write(Node {
+                key: CasWord::new(key),
+                val: CasWord::new(val),
+                left: CasWord::new(NIL),
+                right: CasWord::new(NIL),
+                bal,
+                ver: CasWord::new(0),
+            });
+        }
+        node
+    }
+
+    /// The slot `node` lives in.
+    fn slot(node: *const Self) -> NonNull<slab::Slot> {
+        NonNull::new(node as *mut slab::Slot).expect("a node address")
     }
 }
 
@@ -131,7 +151,7 @@ pub type PathCasBst = PathCasTree<Unbalanced>;
 
 // `pathcas-ds.bytes_per_key` is a benchmark metric: the layout must not move
 // silently.
-const _: () = assert!(std::mem::size_of::<Node<Unbalanced>>() == 5 * 8);
+const _: () = assert!(std::mem::size_of::<Node<Unbalanced>>() == 64);
 
 thread_local! {
     /// The in-order stack of [`PathCasTree::scan_impl`], kept per thread like
@@ -195,8 +215,8 @@ impl<B: Balance> PathCasTree<B> {
         let max_root = Node::alloc(KEY_MAX_SENTINEL, 0, B::words(NIL, 0));
         let min_root = Node::alloc(KEY_MIN_SENTINEL, 0, B::words(ptr_to_word(max_root), 0));
         // maxRoot.left = minRoot; all real keys live under minRoot.right.
-        // SAFETY: `max_root` is a freshly boxed node not yet shared with any
-        // other thread, so the raw store cannot race.
+        // SAFETY: `max_root` is a fresh node not yet shared with any other
+        // thread, so the raw store cannot race.
         unsafe { (*max_root).left.store(ptr_to_word(min_root)) };
         PathCasTree { max_root, min_root, retries: AtomicU64::new(0), balance: B::default() }
     }
@@ -311,8 +331,8 @@ impl<B: Balance> PathCasTree<B> {
         let committed = op.vexec();
         if !committed {
             // SAFETY: the vexec failed, so no other thread ever saw
-            // `new_node`; this thread still solely owns the fresh Box.
-            unsafe { drop(Box::from_raw(new_node)) };
+            // `new_node`; this thread still solely owns its slot.
+            unsafe { slab::free(Node::slot(new_node)) };
         }
         committed
     }
@@ -430,7 +450,7 @@ impl<B: Balance> PathCasTree<B> {
             // SAFETY: the successful vexec unlinked and marked `unlinked`, so
             // this thread alone retires it; pinned readers keep it alive
             // until their epochs expire.
-            unsafe { retire(unlinked as *const Node<B>, guard) };
+            unsafe { slab::retire(Node::slot(unlinked), guard) };
             B::rebalance(self, rebalance_from, builder, guard);
             Some(true)
         })
@@ -650,12 +670,10 @@ impl<B: Balance> Drop for PathCasTree<B> {
     fn drop(&mut self) {
         let mut words = vec![ptr_to_word(self.max_root), ptr_to_word(self.min_root)];
         self.for_each_node(|_, _, at| words.push(at.word));
-        for word in words {
-            // SAFETY: `&mut self` proves exclusive access; every word
-            // collected is a live `Box::into_raw` pointer owned by the tree,
-            // collected once and freed once.
-            unsafe { drop(Box::from_raw(word as usize as *mut Node<B>)) };
-        }
+        // SAFETY: `&mut self` proves exclusive access; every word collected
+        // is a live node in a slab slot owned by the tree, collected once
+        // and freed once.
+        unsafe { slab::free_all(&mut words) };
     }
 }
 
