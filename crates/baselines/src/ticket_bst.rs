@@ -276,12 +276,12 @@ impl TicketBst {
     /// different times.  Concurrent single-key updates are still observed
     /// entirely or not at all (insert publishes one child pointer; delete
     /// marks before unlinking, and marked leaves are skipped).
-    fn scan_impl(&self, start: u64, len: usize) -> Vec<(u64, u64)> {
+    fn scan_impl(&self, start: u64, len: usize, out: &mut Vec<(u64, u64)>) {
         if len == 0 {
-            return Vec::new();
+            return;
         }
         let guard = crossbeam_epoch::pin();
-        let mut out: Vec<(u64, u64)> = Vec::with_capacity(len.min(1024));
+        let base = out.len();
         // Push right before left so leaves pop in ascending key order.
         // SAFETY: the root sentinel lives until Drop (see `search`).
         let root: &Node = unsafe { &*self.root };
@@ -290,7 +290,7 @@ impl TicketBst {
             if n.is_leaf() {
                 if n.key >= start && n.key < KEY_INF1 && !n.marked.load(Ordering::Acquire) {
                     out.push((n.key, n.val));
-                    if out.len() == len {
+                    if out.len() - base == len {
                         break;
                     }
                 }
@@ -308,7 +308,6 @@ impl TicketBst {
                 stack.push(unsafe { word_to_ref(left, &guard) });
             }
         }
-        out
     }
 
     fn stats_impl(&self) -> MapStats {
@@ -375,8 +374,8 @@ impl ConcurrentMap for TicketBst {
     fn get(&self, key: Key) -> Option<Value> {
         self.get_impl(key)
     }
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-        self.scan_impl(start, len)
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+        self.scan_impl(start, len, out)
     }
     fn stats(&self) -> MapStats {
         self.stats_impl()

@@ -215,8 +215,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "slow-reads"
         }
-        fn scan(&self, start: Key, len: usize) -> Vec<(Key, mapapi::Value)> {
-            self.0.scan(start, len)
+        fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, mapapi::Value)>) {
+            self.0.scan_into(start, len, out)
         }
         fn stats(&self) -> mapapi::MapStats {
             self.0.stats()

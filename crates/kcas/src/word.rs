@@ -150,6 +150,17 @@ impl CasWord {
         self.0.load(order)
     }
 
+    /// The application value the word held at one relaxed load, or `None`
+    /// while it holds a descriptor.  A *hint* for prefetching: it helps no
+    /// operation, synchronizes with nothing and may be stale at once —
+    /// [`crate::read`] is the read.
+    #[inline]
+    pub fn peek(&self) -> Option<u64> {
+        // ORDERING: Relaxed — nothing is read through the result.
+        let raw = self.0.load(Ordering::Relaxed);
+        is_value(raw).then(|| decode(raw))
+    }
+
     /// Load the word assuming it currently holds an application value.
     ///
     /// This is a convenience for quiescent (single-threaded) inspection, e.g.

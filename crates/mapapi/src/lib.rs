@@ -27,6 +27,24 @@ pub type Value = u64;
 /// sentinel nodes).
 pub const MAX_KEY: Key = (1 << 62) - 2;
 
+/// Most pairs a *reused* scan buffer may keep allocated between scans (64 KiB):
+/// the chunk the quiescent audits scan by, so a chunked walk never loses its
+/// warm buffer.  The layers that scan into per-thread or per-connection
+/// scratch (`shard`'s merge runs, `server`'s session buffer) pass every such
+/// buffer through [`release_oversized`] after use, so that one whole-map
+/// scan — the wire accepts about 2^20 pairs, 16 MiB — does not stay pinned
+/// per thread and per connection for the life of the process.
+pub const SCAN_RETAIN_PAIRS: usize = suites::SCAN_AUDIT_CHUNK;
+
+/// Give back the allocation of a reused scan buffer that grew past
+/// [`SCAN_RETAIN_PAIRS`]; a smaller one is left alone (contents included).
+#[inline]
+pub fn release_oversized(buf: &mut Vec<(Key, Value)>) {
+    if buf.capacity() > SCAN_RETAIN_PAIRS {
+        *buf = Vec::new();
+    }
+}
+
 /// Intern a dynamically built structure name into a `&'static str`.
 ///
 /// [`ConcurrentMap::name`] returns `&'static str` so benchmark rows can be
@@ -146,18 +164,42 @@ pub trait ConcurrentMap: Send + Sync {
         prev.is_some()
     }
 
-    /// Ordered range scan: the first `len` key/value pairs with key ≥
-    /// `start`, in ascending key order (YCSB-E's short range scan).
+    /// Ordered range scan: **append** to `out` the first `len` key/value
+    /// pairs with key ≥ `start`, in ascending key order (YCSB-E's short range
+    /// scan).  The one scan every structure implements; [`Self::scan`] wraps
+    /// it.
+    ///
+    /// The contract on `out`, which callers reuse across scans so that a
+    /// warm scan allocates nothing:
+    ///
+    /// * **append only** — whatever `out` holds on entry is still there, byte
+    ///   for byte, on return, and the answer is `out[base..]` where `base` is
+    ///   `out.len()` on entry; two calls into one `out` concatenate, and
+    ///   `len == 0` appends nothing;
+    /// * **restart rule** — an implementation that restarts (a validated scan
+    ///   whose validation failed) discards what the failed attempt appended
+    ///   with `out.truncate(base)` and nothing else: it never clears `out`,
+    ///   never shrinks it below `base`, and leaves no pair of a failed
+    ///   attempt behind.
     ///
     /// Every structure implements this natively — there is deliberately no
     /// composed point-lookup default, because a loop of `get`s is not a range
     /// query (it cannot see keys it did not guess) and is not atomic.
     /// Implementations based on path validation (the PathCAS trees and list)
-    /// return an **atomic snapshot**: all returned pairs were simultaneously
+    /// append an **atomic snapshot**: all appended pairs were simultaneously
     /// present at the operation's linearization point.  Hash-partitioned and
     /// optimistic baselines document their weaker per-partition / best-effort
     /// guarantees on the implementation.
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)>;
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>);
+
+    /// [`Self::scan_into`] into a fresh vector: the first `len` pairs with
+    /// key ≥ `start`, ascending.  The reservation is capped, so `len` may be
+    /// anything up to `usize::MAX` ("everything from `start`").
+    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
+        let mut out = Vec::with_capacity(len.min(1024));
+        self.scan_into(start, len, &mut out);
+        out
+    }
 
     /// Quiescent structural statistics (not linearizable; call only while no
     /// other thread is operating on the map).
@@ -211,8 +253,8 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for Box<M> {
     fn rmw(&self, key: Key, update: &mut dyn FnMut(Option<Value>) -> Value) -> bool {
         (**self).rmw(key, update)
     }
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-        (**self).scan(start, len)
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+        (**self).scan_into(start, len, out)
     }
     fn stats(&self) -> MapStats {
         (**self).stats()
@@ -251,8 +293,8 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for std::sync::Arc<M> {
     fn rmw(&self, key: Key, update: &mut dyn FnMut(Option<Value>) -> Value) -> bool {
         (**self).rmw(key, update)
     }
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-        (**self).scan(start, len)
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+        (**self).scan_into(start, len, out)
     }
     fn stats(&self) -> MapStats {
         (**self).stats()
@@ -322,12 +364,12 @@ pub mod reference {
             m.insert(key, update(prev));
             prev.is_some()
         }
-        fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
+        fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
             // The whole range is read under one lock acquisition, so the
             // result is a genuinely atomic snapshot — the oracle the stress
             // suites cross-check every other structure's scan against.
             let m = self.inner.lock().unwrap();
-            m.range(start..).take(len).map(|(&k, &v)| (k, v)).collect()
+            out.extend(m.range(start..).take(len).map(|(&k, &v)| (k, v)));
         }
         fn stats(&self) -> MapStats {
             let m = self.inner.lock().unwrap();

@@ -15,7 +15,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{ConcurrentMap, Key};
+use crate::{ConcurrentMap, Key, Value};
 
 /// Outcome of a stress run, for additional assertions by callers.
 #[derive(Debug, Clone, Copy)]
@@ -136,6 +136,82 @@ pub fn stress_keysum_with<M: ConcurrentMap + ?Sized>(
     StressOutcome { total_ops, expected_count, expected_sum }
 }
 
+/// [`ConcurrentMap::scan_into`] under churn: `writers` threads insert and
+/// remove random keys of `1..=key_range` while `scanners` threads scan random
+/// windows — up to half the range long, so that validated scans do restart —
+/// into a vector that already holds a prefix.  After every call the prefix
+/// must be intact and the appended tail strictly ascending from `start`, at
+/// most `len` pairs, each with the value the writers store: a restart that
+/// left a failed attempt's pairs behind, or cut into the prefix, fails one
+/// of these.  `map` starts empty (every other key is inserted first); returns
+/// the number of scans made.
+pub fn stress_scan_into<M: ConcurrentMap + ?Sized>(
+    map: &M,
+    writers: usize,
+    scanners: usize,
+    key_range: Key,
+    duration: Duration,
+    seed: u64,
+) -> u64 {
+    const PREFIX: [(Key, Value); 2] = [(u64::MAX, 1), (0, 2)];
+    let stop = AtomicBool::new(false);
+    let barrier = Barrier::new(writers + scanners + 1);
+    for key in (1..=key_range).step_by(2) {
+        assert!(map.insert(key, key.wrapping_mul(31)), "{}: the map must start empty", map.name());
+    }
+    std::thread::scope(|s| {
+        let (stop, barrier, map) = (&stop, &barrier, &*map);
+        for t in 0..writers {
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 * 0x9E37));
+                barrier.wait();
+                // ORDERING: Relaxed — stop flag polled in a loop; the scope's
+                // join is the synchronization point.
+                while !stop.load(Ordering::Relaxed) {
+                    let key = rng.gen_range(1..=key_range);
+                    if rng.gen_bool(0.5) {
+                        map.insert(key, key.wrapping_mul(31));
+                    } else {
+                        map.remove(key);
+                    }
+                }
+            });
+        }
+        let scanners: Vec<_> = (0..scanners)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed ^ (0x5CA0 + t as u64));
+                    let mut out = Vec::new();
+                    let mut scans = 0u64;
+                    barrier.wait();
+                    // ORDERING: Relaxed — as in the writers.
+                    while !stop.load(Ordering::Relaxed) {
+                        let start = rng.gen_range(1..=key_range);
+                        let len = rng.gen_range(1..=(key_range as usize / 2).max(1));
+                        out.clear();
+                        out.extend_from_slice(&PREFIX);
+                        map.scan_into(start, len, &mut out);
+                        let name = map.name();
+                        assert_eq!(out[..PREFIX.len()], PREFIX, "{name}: scan_into cut into the prefix");
+                        let tail = &out[PREFIX.len()..];
+                        assert!(tail.len() <= len, "{name}: {} pairs for len {len}", tail.len());
+                        assert!(tail.first().is_none_or(|p| p.0 >= start), "{name}: tail starts below {start}");
+                        assert!(tail.windows(2).all(|w| w[0].0 < w[1].0), "{name}: tail not ascending");
+                        assert!(tail.iter().all(|&(k, v)| v == k.wrapping_mul(31)), "{name}: torn pair");
+                        scans += 1;
+                    }
+                    scans
+                })
+            })
+            .collect();
+        barrier.wait();
+        std::thread::sleep(duration);
+        // ORDERING: Relaxed — pairs with the Relaxed polls above.
+        stop.store(true, Ordering::Relaxed);
+        scanners.into_iter().map(|h| h.join().expect("scanner panicked")).sum()
+    })
+}
+
 /// Derive the prefill RNG seed from a trial's base seed (`PATHCAS_SEED`).
 /// Every prefill site uses this one derivation, so "same base seed ⇒ same
 /// prefilled contents" holds across the harness, the workload engine, and
@@ -199,6 +275,12 @@ mod tests {
         prefill(&m, 128, 64, 7);
         let out = stress_keysum(&m, 3, 128, 50, Duration::from_millis(100), 1);
         assert!(out.total_ops > 0);
+    }
+
+    #[test]
+    fn oracle_scans_into_a_prefix_under_churn() {
+        let m = LockedBTreeMap::new();
+        assert!(stress_scan_into(&m, 2, 1, 256, Duration::from_millis(60), 3) > 0);
     }
 
     #[test]

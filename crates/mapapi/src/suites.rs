@@ -138,6 +138,37 @@ pub fn check_scan_semantics<M: ConcurrentMap>(map: &M) {
     assert!(map.scan(1, 16).is_empty(), "{}: scan after emptying", map.name());
 }
 
+/// The [`ConcurrentMap::scan_into`] contract on an empty `map`: whatever
+/// `out` holds on entry survives byte for byte, the appended tail is exactly
+/// `scan(start, len)`, a second call into the same `out` concatenates, and
+/// `len == 0` appends nothing.
+pub fn check_scan_into_appends<M: ConcurrentMap + ?Sized>(map: &M) {
+    let name = map.name();
+    for k in 1..=200u64 {
+        assert!(map.insert(k * 3, k), "{name}: insert({})", k * 3);
+    }
+    // Not sorted, not keys the map could hold: a scan that sorted, cleared
+    // or deduplicated "its" vector would show.
+    let prefix = [(u64::MAX, 7), (0, u64::MAX), (5, 5)];
+    let probes =
+        [(1u64, 1usize), (1, 16), (100, 64), (300, 500), (598, 8), (600, 8), (601, 8), (1, usize::MAX)];
+    for (start, len) in probes {
+        let expected = map.scan(start, len);
+        assert_eq!(expected.len(), len.min((start..=600).filter(|k| k % 3 == 0).count()), "{name}");
+        let mut out = prefix.to_vec();
+        map.scan_into(start, len, &mut out);
+        // A second scan into the same vector lands after the first.
+        let first_end = out.len();
+        map.scan_into(2, 5, &mut out);
+        assert_eq!(out[..prefix.len()], prefix, "{name}: scan_into({start}, {len}) touched the prefix");
+        assert_eq!(out[prefix.len()..first_end], expected[..], "{name}: scan_into({start}, {len}) tail");
+        assert_eq!(out[first_end..], map.scan(2, 5)[..], "{name}: second scan_into tail");
+    }
+    let mut out = prefix.to_vec();
+    map.scan_into(1, 0, &mut out);
+    assert_eq!(out, prefix, "{name}: a zero-length scan_into appended");
+}
+
 /// Differential scan test against the oracle: after a random build, every
 /// `(start, len)` probe must return exactly what the atomic
 /// [`LockedBTreeMap`] returns.  Probe lengths go up to 32 pairs, or an eighth
@@ -249,6 +280,8 @@ mod tests {
         check_scan_semantics(&m);
         let m = LockedBTreeMap::new();
         check_scan_against_oracle(&m, 64, 42);
+        let m = LockedBTreeMap::new();
+        check_scan_into_appends(&m);
     }
 
     #[test]

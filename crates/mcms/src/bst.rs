@@ -330,14 +330,15 @@ impl McmsBst {
     /// descriptor-locked, which is exactly the whole-path write traffic the
     /// paper's Figure 6 identifies as the MCMS bottleneck (a scan makes it
     /// proportional to the *range*, not just the path).
-    fn scan_impl(&self, start: u64, len: usize) -> Vec<(u64, u64)> {
+    fn scan_impl(&self, start: u64, len: usize, out: &mut Vec<(u64, u64)>) {
         if len == 0 {
-            return Vec::new();
+            return;
         }
         let start = start.max(KEY_MIN_SENTINEL + 1);
+        let base = out.len();
         loop {
             let guard = crossbeam_epoch::pin();
-            let mut out: Vec<(u64, u64)> = Vec::with_capacity(len.min(1024));
+            out.truncate(base);
             let mut args: Vec<McmsArg<'_>> = Vec::new();
             // SAFETY: the min sentinel lives until Drop (see `search`).
             let min_root: &Node = unsafe { &*self.min_root };
@@ -368,7 +369,7 @@ impl McmsBst {
                         let val = mcms_read(&node.val, &guard);
                         args.push(McmsArg::Compare { addr: &node.val, expected: val });
                         out.push((key, val));
-                        if out.len() == len {
+                        if out.len() - base == len {
                             break 'walk;
                         }
                         curr = mcms_read(&node.right, &guard);
@@ -377,7 +378,7 @@ impl McmsBst {
                 }
             }
             if mcms(&args, &guard) {
-                return out;
+                return;
             }
             self.note_retry();
         }
@@ -434,8 +435,8 @@ impl ConcurrentMap for McmsBst {
     fn get(&self, key: Key) -> Option<Value> {
         self.get_impl(key)
     }
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-        self.scan_impl(start, len)
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+        self.scan_impl(start, len, out)
     }
     fn stats(&self) -> MapStats {
         self.stats_impl()

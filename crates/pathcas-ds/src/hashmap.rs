@@ -71,26 +71,22 @@ impl ConcurrentMap for PathCasHashMap {
         // bucket, so the hash map inherits the single-key atomicity.
         self.bucket(key).rmw(key, update)
     }
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
         // Sorted-snapshot fallback: the map is hash-partitioned, so an
         // ordered range is scattered across buckets.  Each bucket list is
         // scanned with full path validation — and since each bucket is
         // sorted, its first `len` matches are a superset of its contribution
-        // to the global first `len` — then the per-bucket results are merged
-        // and truncated.  Each bucket's slice is an atomic snapshot; the
-        // *union* is not atomic across buckets (keys in different buckets
-        // may be observed at different times), which is the documented price
-        // of scanning a hash-partitioned structure.
-        if len == 0 {
-            return Vec::new();
-        }
-        let mut all: Vec<(Key, Value)> = Vec::new();
+        // to the global first `len` — straight into `out`; then the appended
+        // tail is sorted and cut to `len`.  Each bucket's slice is an atomic
+        // snapshot; the *union* is not atomic across buckets (keys in
+        // different buckets may be observed at different times), which is
+        // the documented price of scanning a hash-partitioned structure.
+        let base = out.len();
         for b in self.buckets.iter() {
-            all.extend(b.scan(start, len));
+            b.scan_into(start, len, out);
         }
-        all.sort_unstable_by_key(|&(k, _)| k);
-        all.truncate(len);
-        all
+        out[base..].sort_unstable_by_key(|&(k, _)| k);
+        out.truncate(base.saturating_add(len));
     }
     fn stats(&self) -> MapStats {
         let mut total = MapStats::default();

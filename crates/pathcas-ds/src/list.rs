@@ -255,19 +255,21 @@ impl PathCasList {
     }
 
     /// Validated linear range scan: walk the list visiting every traversed
-    /// node, retrying immediately on any marked (mid-removal) node, collect
-    /// up to `len` pairs with key ≥ `start`, and `validate` the whole
-    /// visited path at the end — success means every collected pair was
-    /// simultaneously present (an atomic snapshot).
-    fn scan_impl(&self, start: u64, len: usize) -> Vec<(u64, u64)> {
+    /// node, retrying immediately on any marked (mid-removal) node, append
+    /// to `out` up to `len` pairs with key ≥ `start`, and `validate` the
+    /// whole visited path at the end — success means every collected pair
+    /// was simultaneously present (an atomic snapshot).  A retry cuts `out`
+    /// back to the length it came in with.
+    fn scan_impl(&self, start: u64, len: usize, out: &mut Vec<(u64, u64)>) {
         if len == 0 {
-            return Vec::new();
+            return;
         }
+        let base = out.len();
         loop {
             let done = with_builder(|builder| {
                 let guard = crossbeam_epoch::pin();
                 let mut op = builder.start(&guard);
-                let mut out: Vec<(u64, u64)> = Vec::with_capacity(len.min(1024));
+                out.truncate(base);
                 // SAFETY: the head sentinel lives until Drop (see `window`).
                 let head: &Node = unsafe { &*self.head };
                 let head_ver = op.visit(&head.ver);
@@ -288,21 +290,17 @@ impl PathCasList {
                     }
                     if key >= start {
                         out.push((key, op.read(&curr.val)));
-                        if out.len() == len {
+                        if out.len() - base == len {
                             break;
                         }
                     }
                     // SAFETY: as above — KCAS read under the same pin.
                     curr = unsafe { word_to_ref(op.read(&curr.next), &guard) };
                 }
-                if op.validate() {
-                    Some(out)
-                } else {
-                    None
-                }
+                op.validate().then_some(())
             });
             match done {
-                Some(r) => return r,
+                Some(()) => return,
                 None => self.note_retry(),
             }
         }
@@ -376,8 +374,8 @@ impl ConcurrentMap for PathCasList {
     fn rmw(&self, key: Key, update: &mut dyn FnMut(Option<Value>) -> Value) -> bool {
         self.rmw_impl(key, update)
     }
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-        self.scan_impl(start, len)
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+        self.scan_impl(start, len, out)
     }
     fn stats(&self) -> MapStats {
         self.stats_impl()

@@ -100,7 +100,7 @@ impl Chain {
 
 /// Hint that the line at `slot` will be read soon.
 #[inline]
-fn prefetch(slot: *const Slot) {
+pub(crate) fn prefetch(slot: *const Slot) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: a prefetch is a hint without architectural effect; it cannot
     // fault, whatever the address (null included).

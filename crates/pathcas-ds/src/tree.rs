@@ -155,7 +155,7 @@ const _: () = assert!(std::mem::size_of::<Node<Unbalanced>>() == 64);
 
 thread_local! {
     /// The in-order stack of [`PathCasTree::scan_impl`], kept per thread like
-    /// the `OpBuilder` so that a scan allocates only its output.  Entries are
+    /// the `OpBuilder` so that a scan allocates nothing of its own.  Entries are
     /// `(node word, key)`: raw words, because the stack outlives every guard
     /// (and is shared by both balance policies); an attempt only ever turns
     /// back into references the words it pushed itself.
@@ -516,28 +516,33 @@ impl<B: Balance> PathCasTree<B> {
         })
     }
 
-    /// Validated in-order range scan: collect the first `len` pairs with key
-    /// ≥ `start`, visiting every traversed node, then `validate` the whole
-    /// visited path.  A successful validation proves no visited node changed
-    /// or was marked between its visit and the validation point, so every
-    /// collected pair was simultaneously present — the scan is an atomic
-    /// snapshot (the paper's composite read built from path validation).
-    /// On validation failure the scan restarts from scratch; rotations bump
-    /// every version they touch, so a scan overlapping a rebalance does too.
-    fn scan_impl(&self, start: u64, len: usize) -> Vec<(u64, u64)> {
+    /// Validated in-order range scan: append to `out` the first `len` pairs
+    /// with key ≥ `start`, visiting every traversed node, then `validate` the
+    /// whole visited path.  A successful validation proves no visited node
+    /// changed or was marked between its visit and the validation point, so
+    /// every collected pair was simultaneously present — the scan is an
+    /// atomic snapshot (the paper's composite read built from path
+    /// validation).  On validation failure the scan restarts from scratch —
+    /// `out` is cut back to the length it came in with, never reallocated;
+    /// rotations bump every version they touch, so a scan overlapping a
+    /// rebalance restarts too.
+    fn scan_impl(&self, start: u64, len: usize, out: &mut Vec<(u64, u64)>) {
         if len == 0 {
-            return Vec::new();
+            return;
         }
         let start = start.max(KEY_MIN_SENTINEL + 1);
+        let base = out.len();
         SCAN_STACK.with_borrow_mut(|stack| {
             self.run(|builder, guard| {
                 let mut op = builder.start(guard);
                 // SAFETY: the min sentinel lives until Drop (see `search`).
                 let min_root: &Node<B> = unsafe { &*self.min_root };
+                // Whatever a failed attempt appended goes; the caller's
+                // prefix stays.
+                out.truncate(base);
                 if op.visit(&min_root.ver) & 1 == 1 {
                     return None;
                 }
-                let mut out: Vec<(u64, u64)> = Vec::with_capacity(len.min(1024));
                 // Explicit in-order stack with subtree pruning: a node whose
                 // key is below `start` has no relevant left subtree.
                 stack.clear();
@@ -555,6 +560,13 @@ impl<B: Balance> PathCasTree<B> {
                         let key = op.read(&node.key);
                         if key >= start {
                             stack.push((curr, key));
+                            // The walk comes back for this node's right
+                            // subtree once it is done with the left one: ask
+                            // for that line now.  A hint only — the word is
+                            // read again, through the op, when it is followed.
+                            if let Some(right) = node.right.peek().filter(|&w| w != NIL) {
+                                slab::prefetch(right as usize as *const slab::Slot);
+                            }
                             curr = op.read(&node.left);
                         } else {
                             curr = op.read(&node.right);
@@ -568,14 +580,14 @@ impl<B: Balance> PathCasTree<B> {
                             // read via KCAS under `guard`.
                             let node: &Node<B> = unsafe { word_to_ref(word, guard) };
                             out.push((key, op.read(&node.val)));
-                            if out.len() == len {
+                            if out.len() - base == len {
                                 break 'walk;
                             }
                             curr = op.read(&node.right);
                         }
                     }
                 }
-                op.validate().then_some(out)
+                op.validate().then_some(())
             })
         })
     }
@@ -658,8 +670,8 @@ impl<B: Balance> ConcurrentMap for PathCasTree<B> {
     fn rmw(&self, key: Key, update: &mut dyn FnMut(Option<Value>) -> Value) -> bool {
         self.rmw_impl(key, update)
     }
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-        self.scan_impl(start, len)
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+        self.scan_impl(start, len, out)
     }
     fn stats(&self) -> MapStats {
         self.stats_impl()

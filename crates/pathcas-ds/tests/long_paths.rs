@@ -50,9 +50,12 @@ impl<M: ConcurrentMap> ConcurrentMap for FarEnd<M> {
     fn get(&self, key: Key) -> Option<Value> {
         self.0.get(SPINE + key)
     }
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-        let pairs = self.0.scan(SPINE + start, len);
-        pairs.into_iter().map(|(k, v)| (k - SPINE, v)).collect()
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+        let base = out.len();
+        self.0.scan_into(SPINE + start, len, out);
+        for pair in &mut out[base..] {
+            pair.0 -= SPINE;
+        }
     }
     fn stats(&self) -> MapStats {
         let mut stats = self.0.stats();

@@ -118,8 +118,8 @@ impl ConcurrentMap for Follower {
         panic!("{}: followers are read-only", self.name)
     }
 
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-        self.inner.scan(start, len)
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+        self.inner.scan_into(start, len, out)
     }
 
     fn stats(&self) -> MapStats {
@@ -215,8 +215,8 @@ impl ConcurrentMap for ReplicaSet {
         self.primary.rmw(key, update)
     }
 
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-        self.reader().scan(start, len)
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+        self.reader().scan_into(start, len, out)
     }
 
     fn stats(&self) -> MapStats {

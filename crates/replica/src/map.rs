@@ -194,8 +194,8 @@ impl ConcurrentMap for ReplicatedMap {
         was_present
     }
 
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-        self.backing.map().scan(start, len)
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+        self.backing.map().scan_into(start, len, out)
     }
 
     fn stats(&self) -> MapStats {

@@ -307,9 +307,9 @@ impl ConcurrentMap for ServiceMap {
         matches!(self.roundtrip(Request::Rmw(key, delta)), Response::Rmw(true))
     }
 
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
         match self.roundtrip(Request::Scan(start, len.min(u32::MAX as usize) as u32)) {
-            Response::Scan(pairs) => pairs,
+            Response::Scan(pairs) => out.extend_from_slice(&pairs),
             other => panic!("SCAN answered with {other:?}"),
         }
     }

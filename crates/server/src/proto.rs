@@ -293,14 +293,7 @@ pub fn encode_response(resp: &Response, buf: &mut Vec<u8>) {
             buf.push(4);
             buf.push(*present as u8);
         }
-        Response::Scan(pairs) => {
-            buf.push(5);
-            put_u32(buf, pairs.len() as u32);
-            for &(k, v) in pairs {
-                put_u64(buf, k);
-                put_u64(buf, v);
-            }
-        }
+        Response::Scan(pairs) => put_scan(buf, pairs),
         Response::Stats(s) => {
             buf.push(6);
             put_u64(buf, s.key_count);
@@ -328,6 +321,25 @@ pub fn encode_response(resp: &Response, buf: &mut Vec<u8>) {
     }
     let len = (buf.len() - at - 4) as u32;
     buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// The payload of a `Scan` response: tag, count, the pairs.
+fn put_scan(buf: &mut Vec<u8>, pairs: &[(Key, Value)]) {
+    buf.push(5);
+    put_u32(buf, pairs.len() as u32);
+    for &(k, v) in pairs {
+        put_u64(buf, k);
+        put_u64(buf, v);
+    }
+}
+
+/// Append the `Scan` response holding `pairs` to `buf` as one complete
+/// frame — byte for byte what [`encode_response`] appends for
+/// `Response::Scan(pairs.to_vec())`, without the vector: the server answers
+/// a `SCAN` from the buffer its session scanned into.
+pub fn encode_scan(pairs: &[(Key, Value)], buf: &mut Vec<u8>) {
+    put_u32(buf, (1 + 4 + 16 * pairs.len()) as u32);
+    put_scan(buf, pairs);
 }
 
 /// Decode one response payload (the frame body, length prefix stripped).
@@ -568,6 +580,13 @@ mod tests {
         encode_response(&resp, &mut buf);
         let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
         assert_eq!(len, buf.len() - 4);
+        if let Response::Scan(pairs) = &resp {
+            // The slice encoder appends the same frame, after whatever the
+            // buffer already holds.
+            let mut again = vec![0xEE];
+            encode_scan(pairs, &mut again);
+            assert_eq!(again[1..], buf[..]);
+        }
         assert_eq!(decode_response(&buf[4..]), Ok(resp));
     }
 

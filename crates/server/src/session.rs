@@ -33,7 +33,7 @@
 
 use std::io;
 
-use mapapi::ConcurrentMap;
+use mapapi::{ConcurrentMap, Key, Value};
 use replica::Event;
 use telemetry::trace::{
     self, PHASE_DECODE, PHASE_DELIVER, PHASE_KCAS, PHASE_READY, PHASE_RESP, PHASE_SHARD,
@@ -76,6 +76,18 @@ pub struct Session {
     /// The sampled `deliver` span of the staged `EVENTS` batch, as
     /// `(trace id, start)`; recorded when that batch has fully drained.
     deliver: Option<(u64, u64)>,
+    /// Where `SCAN`s scan into and are encoded from: empty between frames,
+    /// its allocation kept (up to [`mapapi::SCAN_RETAIN_PAIRS`]) so that a
+    /// warm `SCAN` allocates nothing.
+    scan: Vec<(Key, Value)>,
+}
+
+/// What [`execute`] hands the `resp` phase to encode.
+enum Reply {
+    /// The pairs it appended to the session's scan buffer.
+    Scan,
+    /// Any other response, by value.
+    Value(Response),
 }
 
 impl Session {
@@ -94,6 +106,7 @@ impl Session {
             has_log: opts.log.is_some(),
             backend: opts.backend,
             deliver: None,
+            scan: Vec::new(),
         }
     }
 
@@ -162,7 +175,7 @@ impl Session {
                     break;
                 }
             };
-            let resp = match decoded {
+            let reply = match decoded {
                 Ok(Request::Subscribe(after)) if self.has_log => {
                     // Pipelined responses ahead of the subscription stay
                     // staged and drain before the first EVENTS frame.
@@ -172,21 +185,30 @@ impl Session {
                     self.dec.reset();
                     break;
                 }
-                Ok(Request::Subscribe(_)) => Response::Err(NO_LOG_MSG.into()),
+                Ok(Request::Subscribe(_)) => Reply::Value(Response::Err(NO_LOG_MSG.into())),
                 // Semantic rejection, not a framing error: the connection
                 // survives, exactly like an oversized scan.
-                Ok(req) if self.read_only && is_write(&req) => Response::Err(READ_ONLY_MSG.into()),
-                Ok(req) => execute(map, req, self.backend),
+                Ok(req) if self.read_only && is_write(&req) => {
+                    Reply::Value(Response::Err(READ_ONLY_MSG.into()))
+                }
+                Ok(req) => execute(map, req, self.backend, &mut self.scan),
                 Err(msg) => {
                     // Framing error: answer, then close once it drains —
                     // after a payload that does not parse, the stream offset
                     // can no longer be trusted.
                     self.closing = true;
-                    Response::Err(msg)
+                    Reply::Value(Response::Err(msg))
                 }
             };
             let _resp_span = trace::begin(PHASE_RESP);
-            proto::encode_response(&resp, &mut self.out);
+            match reply {
+                Reply::Scan => {
+                    proto::encode_scan(&self.scan, &mut self.out);
+                    self.scan.clear();
+                    mapapi::release_oversized(&mut self.scan);
+                }
+                Reply::Value(resp) => proto::encode_response(&resp, &mut self.out),
+            }
         }
         frames
     }
@@ -259,7 +281,15 @@ fn is_write(req: &Request) -> bool {
 /// recorded as `shard`/`kcas` spans — the kcas span's event counts pick up
 /// the retry/help hooks `kcas::metrics` fires while `execute_inner` runs.
 /// Untraced ops pay one TLS read and skip all of it.
-fn execute(map: &dyn ConcurrentMap, req: Request, backend: Backend) -> Response {
+///
+/// A `SCAN` appends its pairs to `scan` (empty on entry) and answers
+/// [`Reply::Scan`]; every other verb leaves `scan` alone.
+fn execute(
+    map: &dyn ConcurrentMap,
+    req: Request,
+    backend: Backend,
+    scan: &mut Vec<(Key, Value)>,
+) -> Reply {
     let start = std::time::Instant::now();
     let (opcode, key) = crate::metrics::op_tag(&req);
     let resp = if trace::current().is_some() {
@@ -268,18 +298,23 @@ fn execute(map: &dyn ConcurrentMap, req: Request, backend: Backend) -> Response 
             let _ = map.shard_of(key);
         }
         let kcas_span = trace::begin(PHASE_KCAS);
-        let resp = execute_inner(map, req, backend);
+        let resp = execute_inner(map, req, backend, scan);
         drop(kcas_span);
         resp
     } else {
-        execute_inner(map, req, backend)
+        execute_inner(map, req, backend, scan)
     };
     crate::metrics::record_op(opcode, key, start.elapsed(), map, backend);
     resp
 }
 
-fn execute_inner(map: &dyn ConcurrentMap, req: Request, backend: Backend) -> Response {
-    match req {
+fn execute_inner(
+    map: &dyn ConcurrentMap,
+    req: Request,
+    backend: Backend,
+    scan: &mut Vec<(Key, Value)>,
+) -> Reply {
+    Reply::Value(match req {
         Request::Get(k) => Response::Get(map.get(k)),
         Request::Put(k, v) => Response::Put(map.insert(k, v)),
         Request::Del(k) => Response::Del(map.remove(k)),
@@ -297,7 +332,10 @@ fn execute_inner(map: &dyn ConcurrentMap, req: Request, backend: Backend) -> Res
         Request::Scan(_, len) if len as usize > MAX_SCAN_LEN => Response::Err(format!(
             "scan len {len} exceeds MAX_SCAN_LEN ({MAX_SCAN_LEN}); chunk the scan"
         )),
-        Request::Scan(start, len) => Response::Scan(map.scan(start, len as usize)),
+        Request::Scan(start, len) => {
+            map.scan_into(start, len as usize, scan);
+            return Reply::Scan;
+        }
         Request::Stats => Response::Stats(map.stats()),
         // The telemetry exposition: version-checked so a client built
         // against a future layout fails loudly instead of misparsing.
@@ -326,5 +364,37 @@ fn execute_inner(map: &dyn ConcurrentMap, req: Request, backend: Backend) -> Res
         // into streaming mode); reaching here means a bug in the dispatch
         // order.
         Request::Subscribe(_) => Response::Err("SUBSCRIBE is not a point request".into()),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mapapi::reference::LockedBTreeMap;
+
+    /// One maximal `SCAN` must not pin its pairs on the connection for good:
+    /// the scan buffer stays warm across ordinary scans and is given back
+    /// once it has outgrown `mapapi::SCAN_RETAIN_PAIRS`.
+    #[test]
+    fn an_oversized_scan_buffer_is_not_retained() {
+        let map = LockedBTreeMap::new();
+        for k in 1..=10_000u64 {
+            map.insert(k, k);
+        }
+        let mut session = Session::new(&ServerOpts::default());
+        let scan = |session: &mut Session, len: u32| {
+            let mut req = Vec::new();
+            proto::encode_request(&Request::Scan(1, len), &mut req);
+            session.feed(&req);
+            assert_eq!(session.process(&map, &mut None), 1);
+            assert_eq!(session.staged().len(), 4 + 1 + 4 + 16 * len as usize);
+            session.wrote(session.staged().len());
+            assert!(session.scan.is_empty(), "the buffer is empty between frames");
+            session.scan.capacity()
+        };
+        let warm = scan(&mut session, 16);
+        assert!((16..=mapapi::SCAN_RETAIN_PAIRS).contains(&warm), "{warm}");
+        assert_eq!(scan(&mut session, 16), warm, "a warm buffer is reused as it is");
+        assert_eq!(scan(&mut session, 10_000), 0, "an outgrown buffer is given back");
     }
 }

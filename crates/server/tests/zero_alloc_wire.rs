@@ -1,13 +1,15 @@
-//! Asserts the reactor's steady-state allocation contract (DESIGN.md §10):
-//! once a connection's pooled decoder and write queue are warm, a GET
-//! round-trip through the epoll reactor — fill → incremental decode →
-//! execute → encode → flush — performs **zero** heap allocations, counted
-//! process-wide by a counting global allocator.  The client side of the
-//! measured window is raw pre-encoded frames into fixed buffers, so the
+//! Asserts the steady-state allocation contract of both backends
+//! (DESIGN.md §10): once a connection's pooled decoder and write queue are
+//! warm, a GET round-trip — fill → incremental decode → execute → encode →
+//! flush — performs **zero** heap allocations, counted process-wide by a
+//! counting global allocator, and so does a SCAN: the served
+//! `shard8(int-avl-pathcas)` merges out of its thread's scratch into the
+//! session's scan buffer, which is encoded as a slice.  The client side of
+//! the measured window is raw pre-encoded frames into fixed buffers, so the
 //! whole process is allocation-silent while frames flow.
 //!
-//! A scan phase then shows the counter is live (Response::Scan carries a
-//! Vec, which must allocate) — keeping the zero honest.
+//! A STATS phase then shows the counter is live (the sharded `stats()`
+//! gathers a `Vec` per call, which must allocate) — keeping the zeros honest.
 //!
 //! Since PR 8 the measured window also runs with the telemetry layer
 //! fully enabled — per-verb counters, the op latency histogram, reactor
@@ -22,7 +24,6 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mapapi::reference::LockedBTreeMap;
 use mapapi::ConcurrentMap;
 use server::{proto, Backend, Request, Server, ServerOpts};
 
@@ -61,6 +62,53 @@ fn allocations() -> u64 {
 const GET_FRAME: usize = 13;
 /// GET response frame: `[len=10][tag=1][found u8][value u64]`.
 const GET_RESP: usize = 14;
+/// SCAN(1, 16) response frame: `[len][tag=5][count=16][16 × (key, value)]`.
+const SCAN_RESP: usize = 4 + 1 + 4 + 16 * 16;
+/// STATS response frame: `[len][tag=6][u64][u128][u64][u64][u64]`.
+const STATS_RESP: usize = 4 + 1 + 8 + 16 + 8 + 8 + 8;
+
+/// `n` round trips of one pre-encoded request; returns the allocations the
+/// whole process made meanwhile.
+fn round_trips(sock: &mut TcpStream, req: &[u8], resp: &mut [u8], n: usize) -> u64 {
+    let before = allocations();
+    for _ in 0..n {
+        sock.write_all(req).unwrap();
+        sock.read_exact(resp).unwrap();
+    }
+    allocations() - before
+}
+
+/// The SCAN half of the contract on an open connection: warm, `SCAN(1, 16)`
+/// allocates nothing; `STATS`, on the same connection, shows the counter
+/// would have seen it.
+fn scan_path_is_allocation_free(sock: &mut TcpStream, backend: &str) {
+    let mut scan = Vec::new();
+    proto::encode_request(&Request::Scan(1, 16), &mut scan);
+    let mut scan_resp = [0u8; SCAN_RESP];
+    // Warm-up: the serving thread's cursor table, runs, in-order stack and
+    // builder, the session's scan buffer, and a write queue of this size.
+    round_trips(sock, &scan, &mut scan_resp, 256);
+    let scans_before = telemetry::value("srv_ops_scan_total").expect("metric registered");
+    let delta = round_trips(sock, &scan, &mut scan_resp, 1000);
+    // [len][tag=SCAN][count=16][(1, 10), (2, 2), …]
+    assert_eq!(scan_resp[4..9], [5, 16, 0, 0, 0]);
+    assert_eq!(u64::from_le_bytes(scan_resp[9..17].try_into().unwrap()), 1);
+    assert_eq!(u64::from_le_bytes(scan_resp[17..25].try_into().unwrap()), 10);
+    assert_eq!(u64::from_le_bytes(scan_resp[SCAN_RESP - 16..SCAN_RESP - 8].try_into().unwrap()), 16);
+    assert_eq!(delta, 0, "{backend}: the warm SCAN path must not allocate ({delta} over 1000 round-trips)");
+    assert_eq!(telemetry::value("srv_ops_scan_total").unwrap() - scans_before, 1000);
+
+    let mut stats = Vec::new();
+    proto::encode_request(&Request::Stats, &mut stats);
+    let mut stats_resp = [0u8; STATS_RESP];
+    let delta = round_trips(sock, &stats, &mut stats_resp, 100);
+    assert_eq!(stats_resp[4], 6);
+    assert!(
+        delta >= 100,
+        "{backend}: the sharded stats() gathers a Vec every call (got {delta} allocations over \
+         100 ops) — if this fires, the zeros above are not trustworthy"
+    );
+}
 
 /// One #[test] so no sibling test's bookkeeping can allocate concurrently
 /// with the measured window — the counter is process-global.
@@ -70,9 +118,11 @@ fn reactor_steady_state_get_path_is_allocation_free() {
     // `recv`: that first blocking receive lazily allocates the thread's
     // park context, which must not land inside a measured window.
     std::thread::sleep(std::time::Duration::from_millis(100));
-    // The served map must not allocate on reads either: a locked BTree's
-    // get is lock + lookup, nothing else.
-    let map: Arc<dyn ConcurrentMap> = Arc::new(LockedBTreeMap::new());
+    // The served map must not allocate on reads either: the trees' gets and
+    // scans run out of per-thread scratch, and so does the shard merge.
+    let map: Arc<dyn ConcurrentMap> = Arc::new(shard::ShardedMap::from_fn(8, |_| {
+        Box::new(pathcas_ds::PathCasAvl::new())
+    }));
     map.insert(1, 10);
     for k in 2..=64 {
         map.insert(k, k);
@@ -148,23 +198,7 @@ fn reactor_steady_state_get_path_is_allocation_free() {
         "sampled ops recorded too few spans"
     );
 
-    // Counter sanity: a SCAN response carries a Vec server-side, so the
-    // same connection, same window, must show allocations.
-    let mut scan = Vec::new();
-    proto::encode_request(&Request::Scan(1, 16), &mut scan);
-    // [len][tag=SCAN][count=16][16 × (key,value)]
-    let mut scan_resp = [0u8; 4 + 1 + 4 + 16 * 16];
-    let before = allocations();
-    for _ in 0..100 {
-        sock.write_all(&scan).unwrap();
-        sock.read_exact(&mut scan_resp).unwrap();
-    }
-    let delta = allocations() - before;
-    assert!(
-        delta >= 100,
-        "the scan path should allocate its result Vec every op (got {delta} over 100 ops) — \
-         if this fires, the zero above is not trustworthy"
-    );
+    scan_path_is_allocation_free(&mut sock, "reactor");
     drop(sock);
     srv.shutdown();
 
@@ -203,6 +237,7 @@ fn reactor_steady_state_get_path_is_allocation_free() {
             >= 2000 / telemetry::trace::DEFAULT_SAMPLE_EVERY,
         "sampler stalled on the threaded backend"
     );
+    scan_path_is_allocation_free(&mut sock, "threads");
     drop(sock);
     srv.shutdown();
 }

@@ -11,7 +11,8 @@
 //! trees) N shallower trees.
 //!
 //! Ordered semantics survive partitioning through the scan path:
-//! [`ShardedMap::scan`] is a **lazy k-way merge over per-shard cursors**.
+//! `ShardedMap`'s [`ConcurrentMap::scan_into`] (and so `scan`, its wrapper)
+//! is a **lazy k-way merge over per-shard cursors**.
 //! Every shard is first asked for a bounded chunk of its keys ≥ `start` —
 //! its mean share `⌈len/N⌉` of the answer plus one standard deviation of a
 //! hash partition's binomial scatter, never more than `len`, so one shard is
@@ -42,11 +43,23 @@
 //! the `hashmap-pathcas` per-bucket merge documents.  DESIGN.md §8 spells out
 //! the argument.
 //!
+//! The cursors — one run buffer per shard — are **per-thread scratch**: a
+//! scan takes its thread's cursor table, refills the runs in place through
+//! the shards' `scan_into`, pushes the merged pairs into the caller's vector
+//! and puts the table back, so a warm merged scan allocates nothing.  The
+//! table is taken *out* of its thread-local for the duration (a shard may
+//! itself be a `ShardedMap`, whose merge then takes the next table), and a
+//! run that has outgrown [`mapapi::SCAN_RETAIN_PAIRS`] is dropped at the end
+//! of the scan rather than kept, so one whole-map scan does not pin its
+//! buffers on the thread.
+//!
 //! Shards may be different algorithms (`stats` aggregation and the scan
 //! merge only rely on the trait), which the mixed-shard tests exercise; the
 //! harness registry's `shardN(inner)` names build homogeneous instances.
 
 #![warn(missing_docs)]
+
+use std::cell::RefCell;
 
 use mapapi::{ConcurrentMap, Key, MapStats, ShardLoad, Value};
 use telemetry::Counter;
@@ -90,6 +103,17 @@ struct Cursor {
     run: Vec<(Key, Value)>,
     pos: usize,
     more: bool,
+}
+
+thread_local! {
+    /// This thread's idle cursor tables (the `OpBuilder` idiom: a merged scan
+    /// allocates nothing once its thread is warm).  A scan *takes* a table
+    /// out and puts it back when done — it never holds the `RefCell` across
+    /// an inner `scan_into`, so a shard that is itself a `ShardedMap` takes
+    /// the next table (or starts one) instead of finding the cell borrowed.
+    /// One table per nesting level is all this ever holds, and
+    /// [`mapapi::release_oversized`] bounds every run in them.
+    static SCRATCH: RefCell<Vec<Vec<Cursor>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A [`ConcurrentMap`] hash-partitioned over N inner maps.
@@ -148,12 +172,13 @@ impl ShardedMap {
     }
 
     /// Ask shard `i` for its first `chunk` pairs with key ≥ `from`, counting
-    /// the inner call.
-    fn pull(&self, i: usize, from: Key, chunk: usize) -> Cursor {
+    /// the inner call: `cursor`'s run is cleared and refilled in place.
+    fn pull(&self, i: usize, from: Key, chunk: usize, cursor: &mut Cursor) {
         self.scan_ops[i].inc();
-        let run = self.shards[i].scan(from, chunk);
-        let more = run.len() >= chunk;
-        Cursor { run, pos: 0, more }
+        cursor.run.clear();
+        self.shards[i].scan_into(from, chunk, &mut cursor.run);
+        cursor.pos = 0;
+        cursor.more = cursor.run.len() >= chunk;
     }
 
     /// The shard owning `key`, counting the routed point op.
@@ -192,16 +217,22 @@ impl ConcurrentMap for ShardedMap {
         self.owner(key).rmw(key, update)
     }
 
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
         if len == 0 {
-            return Vec::new();
+            return;
         }
         let n = self.shards.len();
-        let mut cursors: Vec<Cursor> =
-            (0..n).map(|i| self.pull(i, start, chunk_len(len, n))).collect();
+        let base = out.len();
+        let mut table = SCRATCH.with_borrow_mut(Vec::pop).unwrap_or_default();
+        if table.len() < n {
+            table.resize_with(n, Cursor::default);
+        }
+        let cursors = &mut table[..n];
+        for (i, cursor) in cursors.iter_mut().enumerate() {
+            self.pull(i, start, chunk_len(len, n), cursor);
+        }
         // Shards whose last run came back full: the ones that may hold more.
         let mut live = cursors.iter().filter(|c| c.more).count();
-        let mut out = Vec::with_capacity(len.min(1024));
         // Every shard that may hold further keys has a buffered head here and
         // after every refill below, so the smallest head is the globally
         // smallest key not yet emitted; keys are disjoint across shards, so
@@ -213,7 +244,8 @@ impl ConcurrentMap for ShardedMap {
             .min_by_key(|&(_, p)| p.0)
         {
             out.push(pair);
-            if out.len() == len {
+            let need = len - (out.len() - base);
+            if need == 0 {
                 break;
             }
             let cursor = &mut cursors[i];
@@ -222,16 +254,20 @@ impl ConcurrentMap for ShardedMap {
                 // The shard's buffer is used up and its run came back full:
                 // ask it again, above the key just emitted, for its share
                 // (among the live shards) of what is still needed.
-                *cursor = match pair.0.checked_add(1) {
-                    Some(next) => self.pull(i, next, chunk_len(len - out.len(), live)),
-                    None => Cursor::default(),
-                };
+                match pair.0.checked_add(1) {
+                    Some(next) => self.pull(i, next, chunk_len(need, live), cursor),
+                    None => cursor.more = false,
+                }
                 if !cursor.more {
                     live -= 1;
                 }
             }
         }
-        out
+        // One whole-map scan must not pin its runs on this thread for good.
+        for cursor in cursors {
+            mapapi::release_oversized(&mut cursor.run);
+        }
+        SCRATCH.with_borrow_mut(|idle| idle.push(table));
     }
 
     fn stats(&self) -> MapStats {
@@ -278,6 +314,15 @@ mod tests {
 
     fn oracle_shards(n: usize) -> ShardedMap {
         ShardedMap::from_fn(n, |_| Box::new(LockedBTreeMap::new()))
+    }
+
+    /// `(idle tables, largest run capacity in them)` of the calling thread's
+    /// merge scratch.
+    fn scratch() -> (usize, usize) {
+        SCRATCH.with_borrow(|idle| {
+            let runs = idle.iter().flatten().map(|c| c.run.capacity());
+            (idle.len(), runs.max().unwrap_or(0))
+        })
     }
 
     #[test]
@@ -411,6 +456,50 @@ mod tests {
         }
         let expected: Vec<(u64, u64)> = (1..=3000u64).map(|k| (k * 7, k)).collect();
         assert_eq!(m.scan(1, usize::MAX), expected);
+    }
+
+    /// One whole-map scan must not pin its runs on the thread: a run that
+    /// grew past the retention bound is dropped when the scan ends, a run
+    /// that fits is kept warm.
+    #[test]
+    fn oversized_runs_are_not_retained() {
+        let m = oracle_shards(2);
+        for k in 1..=20_000u64 {
+            m.insert(k, k);
+        }
+        assert_eq!(m.scan(1, 64).len(), 64);
+        let (tables, warm) = scratch();
+        assert_eq!(tables, 1);
+        assert!((32..=mapapi::SCAN_RETAIN_PAIRS).contains(&warm), "a short scan's runs stay: {warm}");
+        // ~10 000 pairs per shard, in one run each.
+        assert_eq!(m.scan(1, usize::MAX).len(), 20_000);
+        assert_eq!(m.shard_loads().iter().map(|l| l.scan_ops).collect::<Vec<_>>(), [2, 2]);
+        assert_eq!(scratch(), (1, 0), "both runs outgrew the bound and were given back");
+        // A chunk of exactly the bound is the largest that stays.
+        assert_eq!(m.scan(1, mapapi::SCAN_RETAIN_PAIRS).len(), mapapi::SCAN_RETAIN_PAIRS);
+        let (_, kept) = scratch();
+        assert!((1..=mapapi::SCAN_RETAIN_PAIRS).contains(&kept), "{kept}");
+    }
+
+    /// `shard2(shard2(..))` is a registry name: the inner merges run while
+    /// the outer scan is using its cursor table, so each nesting level takes
+    /// a table of its own — and finds it again on the next scan.
+    #[test]
+    fn nested_sharded_maps_scan_out_of_one_table_per_level() {
+        let m = ShardedMap::from_fn(2, |_| Box::new(oracle_shards(2)));
+        assert_eq!(m.name(), "shard2(shard2(locked-btreemap))");
+        for k in 1..=500u64 {
+            m.insert(k, k * 2);
+        }
+        let expected: Vec<(u64, u64)> = (100..164u64).map(|k| (k, k * 2)).collect();
+        for _ in 0..3 {
+            assert_eq!(m.scan(100, 64), expected);
+            assert_eq!(scratch().0, 2, "one idle table per nesting level, however many scans");
+        }
+        let mut out = vec![(7, 7)];
+        m.scan_into(100, 64, &mut out);
+        assert_eq!(out[0], (7, 7));
+        assert_eq!(out[1..], expected[..]);
     }
 
     /// A full run may end at the largest key, which has no successor to

@@ -111,12 +111,12 @@ impl ConcurrentMap for CountingShard {
     fn get(&self, key: Key) -> Option<Value> {
         self.inner.get(key)
     }
-    fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-        let got = self.inner.scan(start, len);
+    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+        let base = out.len();
+        self.inner.scan_into(start, len, out);
         self.tally.calls.fetch_add(1, Ordering::Relaxed);
         self.tally.asked.fetch_add(len as u64, Ordering::Relaxed);
-        self.tally.returned.fetch_add(got.len() as u64, Ordering::Relaxed);
-        got
+        self.tally.returned.fetch_add((out.len() - base) as u64, Ordering::Relaxed);
     }
     fn stats(&self) -> MapStats {
         self.inner.stats()

@@ -239,13 +239,15 @@ impl<S: Stm> TxTree<S> {
     /// every returned pair was simultaneously present.  The read set grows
     /// with the traversed subrange, which is exactly the unbounded-read-set
     /// cost of TM that PathCAS's bounded path validation avoids (§3.8).
-    fn scan(&self, start: u64, len: usize) -> Vec<(u64, u64)> {
+    fn scan_into(&self, start: u64, len: usize, out: &mut Vec<(u64, u64)>) {
         if len == 0 {
-            return Vec::new();
+            return;
         }
         let _guard = crossbeam_epoch::pin();
+        let base = out.len();
         self.stm.atomically(&mut |tx| {
-            let mut out: Vec<(u64, u64)> = Vec::with_capacity(len.min(1024));
+            // An aborted attempt's pairs go; the caller's prefix stays.
+            out.truncate(base);
             // In-order traversal with subtree pruning below `start`.
             let mut stack: Vec<(u64, u64)> = Vec::new(); // (node word, key)
             let mut curr = tx.read(&self.root)?;
@@ -265,14 +267,14 @@ impl<S: Stm> TxTree<S> {
                     Some((word, k)) => {
                         let n = node(word);
                         out.push((k, tx.read(&n.val)?));
-                        if out.len() == len {
+                        if out.len() - base == len {
                             break;
                         }
                         curr = tx.read(&n.right)?;
                     }
                 }
             }
-            Ok(out)
+            Ok(())
         })
     }
 
@@ -486,8 +488,8 @@ macro_rules! impl_map {
             fn get(&self, key: Key) -> Option<Value> {
                 self.0.get(key)
             }
-            fn scan(&self, start: Key, len: usize) -> Vec<(Key, Value)> {
-                self.0.scan(start, len)
+            fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+                self.0.scan_into(start, len, out)
             }
             fn stats(&self) -> MapStats {
                 self.0.stats()

@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use harness::registry;
-use mapapi::stress::{prefill, stress_disjoint_stripes, stress_keysum};
+use mapapi::stress::{prefill, stress_disjoint_stripes, stress_keysum, stress_scan_into};
 use mapapi::suites::*;
 
 #[test]
@@ -32,6 +32,35 @@ fn every_algorithm_passes_ordered_patterns() {
         let map = (factory.build)();
         check_ordered_patterns(&map);
     }
+}
+
+/// The `scan_into` append contract, on every registered name and on a
+/// sharded map whose shards are sharded maps (the inner merges run while the
+/// outer one holds its cursor table).
+#[test]
+fn every_algorithm_scans_into_a_prefilled_buffer() {
+    let names = registry().into_iter().map(|f| f.name).chain(["shard2(shard2(int-bst-pathcas))"]);
+    for name in names {
+        check_scan_into_appends(&harness::make(name));
+    }
+}
+
+/// The restart rule: scans that fail validation and start over keep the
+/// caller's prefix and leave nothing of the failed attempt in the tail.
+/// One writer never restarts by itself (nothing else writes), so a restart
+/// counted by the tree or the list is a scan's.
+#[test]
+fn scan_into_restarts_keep_the_prefix_and_leave_no_stale_tail() {
+    let round = Duration::from_millis(100);
+    let avl = pathcas_ds::PathCasAvl::new();
+    assert!(stress_scan_into(&avl, 1, 2, 512, round, 0xA71) > 0);
+    assert!(avl.retry_count() > 0, "int-avl-pathcas: no scan restarted in {round:?}");
+    avl.check_invariants();
+    let list = pathcas_ds::PathCasList::new();
+    assert!(stress_scan_into(&list, 1, 2, 128, round, 0xA72) > 0);
+    assert!(list.retry_count() > 0, "list-pathcas: no scan restarted in {round:?}");
+    list.check_invariants();
+    assert!(stress_scan_into(&harness::make("shard8(int-avl-pathcas)"), 2, 2, 2048, round, 0xA73) > 0);
 }
 
 #[test]
