@@ -5,11 +5,14 @@
 //! Nodes gain a `parent` pointer and a *logical* `height` (Figure 8).  After
 //! every successful insert or delete, the thread that (may have) created a
 //! balance violation walks towards the root along parent pointers, applying
-//! Bougé-style local rebalancing steps — `rotateRight`, `rotateLeft`,
-//! `rotateLeftRight`, `rotateRightLeft` and `fixHeight` — each of which is a
-//! single `vexec` that visits every node it reads, adds every field it
-//! changes, and bumps the version of every node it modifies (Algorithms
-//! 8–11).
+//! Bougé-style local rebalancing steps — `fixHeight`, a single rotation and
+//! a double rotation — each of which is a single `vexec` that visits every
+//! node it reads, adds every field it changes, and bumps the version of
+//! every node it modifies (Algorithms 8–11).
+//!
+//! The paper spells each rotation out twice (`rotateRight` / `rotateLeft`,
+//! `rotateLeftRight` / `rotateRightLeft`); here each is written once, for
+//! "the heavy side" and "the other side" (`Side`), and compiled for both.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,6 +75,38 @@ impl Policy for Avl {
     }
 }
 
+/// A side of a node, as a type: a rotation with heavy side `H` names the
+/// child words it touches `H::child` and `H::Other::child` and is compiled
+/// once per side.  A run-time side read 0.9 % lower on the update-heavy
+/// benchmark row in six of six pairs (DESIGN.md §1), and every committed
+/// update pays for it.
+trait Side {
+    /// The opposite side.
+    type Other: Side<Other = Self>;
+
+    /// `node`'s child word on this side.
+    fn child(node: &Node) -> &CasWord;
+}
+
+struct Left;
+struct Right;
+
+impl Side for Left {
+    type Other = Right;
+    #[inline(always)]
+    fn child(node: &Node) -> &CasWord {
+        &node.left
+    }
+}
+
+impl Side for Right {
+    type Other = Left;
+    #[inline(always)]
+    fn child(node: &Node) -> &CasWord {
+        &node.right
+    }
+}
+
 /// Outcome of one rebalancing attempt at a node.
 enum Step {
     /// Transient conflict; retry at the same node.
@@ -83,6 +118,26 @@ enum Step {
     /// A rotation succeeded; re-examine these nodes (`NIL`-padded), then
     /// continue at the parent.
     Rotated { next: u64, recheck: [u64; 3] },
+}
+
+/// A child slot as one rebalancing step saw it: the unmarked node in it (if
+/// any), the version it was visited at and its logical height (an empty
+/// slot counts as height 0).
+struct Child<'g> {
+    node: Option<&'g Node>,
+    ver: u64,
+    height: u64,
+}
+
+/// What every rotation at `n` involves: `n`, its parent `p` and the child
+/// `c` on its heavy side, each unmarked at the version it was visited at.
+struct Spine<'g> {
+    p: &'g Node,
+    p_ver: u64,
+    n: &'g Node,
+    n_ver: u64,
+    c: &'g Node,
+    c_ver: u64,
 }
 
 impl PathCasAvl {
@@ -125,7 +180,7 @@ impl PathCasAvl {
                     if n_word == NIL || self.is_sentinel(n_word) {
                         break;
                     }
-                    match self.rebalance_step(n_word, builder, guard) {
+                    match Self::rebalance_step(n_word, builder, guard) {
                         Step::Retry => continue,
                         Step::Done => break,
                         Step::MoveUp(next) => {
@@ -145,7 +200,7 @@ impl PathCasAvl {
 
     /// One attempt to repair the balance at `n_word` (one iteration of the
     /// loop in Algorithm 10).
-    fn rebalance_step(&self, n_word: u64, builder: &mut OpBuilder, guard: &Guard) -> Step {
+    fn rebalance_step<'g>(n_word: u64, builder: &'g mut OpBuilder, guard: &'g Guard) -> Step {
         // SAFETY: `n_word` was obtained from a KCAS read (or a just-executed
         // op) under a guard the caller still holds, so the node is protected.
         let n: &Node = unsafe { word_to_ref(n_word, guard) };
@@ -167,78 +222,25 @@ impl PathCasAvl {
         }
         let l_word = op.read(&n.left);
         let r_word = op.read(&n.right);
-        let (l, l_ver, lh) = self.read_child(&mut op, guard, l_word);
-        if l_ver & 1 == 1 {
-            return Step::Retry;
-        }
-        let (r, r_ver, rh) = self.read_child(&mut op, guard, r_word);
-        if r_ver & 1 == 1 {
-            return Step::Retry;
-        }
-        let balance = lh as i64 - rh as i64;
+        let Some(l) = Self::read_child(&mut op, guard, l_word) else { return Step::Retry };
+        let Some(r) = Self::read_child(&mut op, guard, r_word) else { return Step::Retry };
+        let spine = |heavy: Child<'g>| Spine {
+            p,
+            p_ver,
+            n,
+            n_ver,
+            c: heavy.node.expect("a subtree two levels taller than its sibling is not empty"),
+            c_ver: heavy.ver,
+        };
 
-        if balance >= 2 {
-            // Left-heavy: inspect the left child's children.
-            let l = l.expect("balance >= 2 implies a left child");
-            let ll_word = op.read(&l.left);
-            let lr_word = op.read(&l.right);
-            let (_ll, ll_ver, llh) = self.read_child(&mut op, guard, ll_word);
-            if ll_ver & 1 == 1 {
-                return Step::Retry;
-            }
-            let (lr, lr_ver, lrh) = self.read_child(&mut op, guard, lr_word);
-            if lr_ver & 1 == 1 {
-                return Step::Retry;
-            }
-            if (llh as i64 - lrh as i64) < 0 {
-                let lr = lr.expect("negative child balance implies a right grandchild");
-                match self
-                    .rotate_left_right(&mut op, guard, p, p_ver, n, n_ver, l, l_ver, lr, lr_ver, rh, llh)
-                {
-                    Some(()) => {
-                        Step::Rotated { next: p_word, recheck: [n_word, l_word, lr_word] }
-                    }
-                    None => Step::Retry,
-                }
-            } else {
-                match self.rotate_right(&mut op, guard, p, p_ver, n, n_ver, l, l_ver, rh, llh) {
-                    Some(()) => Step::Rotated { next: p_word, recheck: [n_word, l_word, NIL] },
-                    None => Step::Retry,
-                }
-            }
-        } else if balance <= -2 {
-            // Right-heavy: the mirror image.
-            let r = r.expect("balance <= -2 implies a right child");
-            let rr_word = op.read(&r.right);
-            let rl_word = op.read(&r.left);
-            let (_rr, rr_ver, rrh) = self.read_child(&mut op, guard, rr_word);
-            if rr_ver & 1 == 1 {
-                return Step::Retry;
-            }
-            let (rl, rl_ver, rlh) = self.read_child(&mut op, guard, rl_word);
-            if rl_ver & 1 == 1 {
-                return Step::Retry;
-            }
-            if (rrh as i64 - rlh as i64) < 0 {
-                let rl = rl.expect("negative child balance implies a left grandchild");
-                match self
-                    .rotate_right_left(&mut op, guard, p, p_ver, n, n_ver, r, r_ver, rl, rl_ver, lh, rrh)
-                {
-                    Some(()) => {
-                        Step::Rotated { next: p_word, recheck: [n_word, r_word, rl_word] }
-                    }
-                    None => Step::Retry,
-                }
-            } else {
-                match self.rotate_left(&mut op, guard, p, p_ver, n, n_ver, r, r_ver, lh, rrh) {
-                    Some(()) => Step::Rotated { next: p_word, recheck: [n_word, r_word, NIL] },
-                    None => Step::Retry,
-                }
-            }
+        if l.height >= r.height + 2 {
+            Self::repair_heavy::<Left>(&mut op, guard, &spine(l), r.height)
+        } else if r.height >= l.height + 2 {
+            Self::repair_heavy::<Right>(&mut op, guard, &spine(r), l.height)
         } else {
             // Balanced: make sure the logical height is accurate (Algorithm 8).
             let old_height = op.read(&n.bal.height);
-            let new_height = 1 + lh.max(rh);
+            let new_height = 1 + l.height.max(r.height);
             if old_height == new_height {
                 if op.validate() {
                     return Step::Done;
@@ -255,35 +257,72 @@ impl PathCasAvl {
         }
     }
 
-    /// Visit a child (if present) and read its logical height; absent
-    /// children count as height 0.
-    fn read_child<'g>(
-        &self,
+    /// The violation at `s.n` is on side `H`: its child `s.c` there is two
+    /// or more levels taller than the subtree of height `light_h` on the
+    /// other side.  Look at `s.c`'s children — the *outer* one on side `H`,
+    /// the *inner* one facing `s.n`'s light side — and rotate: twice if the
+    /// inner one is the taller, else once.
+    fn repair_heavy<'g, H: Side>(
+        op: &mut PathCasOp<'g>,
+        guard: &'g Guard,
+        s: &Spine<'g>,
+        light_h: u64,
+    ) -> Step {
+        let outer_word = op.read(H::child(s.c));
+        let inner_word = op.read(H::Other::child(s.c));
+        let Some(outer) = Self::read_child(op, guard, outer_word) else { return Step::Retry };
+        let Some(inner) = Self::read_child(op, guard, inner_word) else { return Step::Retry };
+        let (rotated, third) = if outer.height < inner.height {
+            let g = inner.node.expect("the taller subtree is not empty");
+            (Self::rotate_double::<H>(op, guard, s, g, inner.ver, light_h, outer.height), inner_word)
+        } else {
+            (Self::rotate::<H>(op, guard, s, light_h, outer.height), NIL)
+        };
+        if rotated {
+            let recheck = [ptr_to_word(s.n as *const Node), ptr_to_word(s.c as *const Node), third];
+            Step::Rotated { next: ptr_to_word(s.p as *const Node), recheck }
+        } else {
+            Step::Retry
+        }
+    }
+
+    /// Visit the node in a child slot (if any) and read its logical height;
+    /// `None` if that node is marked.
+    fn read_child<'g>(op: &mut PathCasOp<'g>, guard: &'g Guard, word: u64) -> Option<Child<'g>> {
+        if word == NIL {
+            return Some(Child { node: None, ver: 0, height: 0 });
+        }
+        // SAFETY: non-NIL child word read via KCAS under the guard the
+        // caller holds, so the node cannot be reclaimed.
+        let node: &Node = unsafe { word_to_ref(word, guard) };
+        let ver = op.visit(&node.ver);
+        if ver & 1 == 1 {
+            return None;
+        }
+        Some(Child { node: Some(node), ver, height: op.read(&node.bal.height) })
+    }
+
+    /// A rotation moves the subtree at `word` (possibly empty) from under
+    /// `from` to under `to`: visit its root, repoint that node's parent and
+    /// bump its version.  Returns the subtree's logical height, or `None` if
+    /// its root is marked (the rotation must be retried).
+    fn move_subtree<'g>(
         op: &mut PathCasOp<'g>,
         guard: &'g Guard,
         word: u64,
-    ) -> (Option<&'g Node>, u64, u64) {
-        if word == NIL {
-            (None, 0, 0)
-        } else {
-            // SAFETY: non-NIL child word read via KCAS under the guard the
-            // caller holds, so the node cannot be reclaimed.
-            let node: &Node = unsafe { word_to_ref(word, guard) };
-            let ver = op.visit(&node.ver);
-            let h = op.read(&node.bal.height);
-            (Some(node), ver, h)
+        from: u64,
+        to: u64,
+    ) -> Option<u64> {
+        let root = Self::read_child(op, guard, word)?;
+        if let Some(node) = root.node {
+            Avl::repoint_parent(op, node, root.ver, from, to);
         }
+        Some(root.height)
     }
 
     /// Replace `p`'s child pointer `from` with `to`; returns `None` if `from`
     /// is not currently a child of `p` (the rotation must be retried).
-    fn add_child_swap<'g>(
-        &self,
-        op: &mut PathCasOp<'g>,
-        p: &'g Node,
-        from: u64,
-        to: u64,
-    ) -> Option<()> {
+    fn add_child_swap<'g>(op: &mut PathCasOp<'g>, p: &'g Node, from: u64, to: u64) -> Option<()> {
         let p_left = op.read(&p.left);
         let p_right = op.read(&p.right);
         if p_right == from {
@@ -297,266 +336,95 @@ impl PathCasAvl {
         }
     }
 
-    /// Algorithm 11: single right rotation at `n` (left child `l` moves up).
-    #[allow(clippy::too_many_arguments)]
-    fn rotate_right<'g>(
-        &self,
+    /// Algorithm 11 (`H` = left: `rotateRight`) and its mirror: single
+    /// rotation at `s.n`, whose `H`-side child `s.c` moves up and hands its
+    /// inner subtree to `s.n`.  `false` means retry.
+    fn rotate<'g, H: Side>(
         op: &mut PathCasOp<'g>,
         guard: &'g Guard,
-        p: &'g Node,
-        p_ver: u64,
-        n: &'g Node,
-        n_ver: u64,
-        l: &'g Node,
-        l_ver: u64,
-        rh: u64,
-        llh: u64,
-    ) -> Option<()> {
+        s: &Spine<'g>,
+        light_h: u64,
+        outer_h: u64,
+    ) -> bool {
+        let &Spine { p, p_ver, n, n_ver, c, c_ver } = s;
         let n_word = ptr_to_word(n as *const Node);
         let p_word = ptr_to_word(p as *const Node);
-        let l_word = ptr_to_word(l as *const Node);
-        self.add_child_swap(op, p, n_word, l_word)?;
-        let lr_word = op.read(&l.right);
-        let mut lrh = 0;
-        if lr_word != NIL {
-            // SAFETY: non-NIL word read via KCAS under the caller's guard.
-            let lr: &Node = unsafe { word_to_ref(lr_word, guard) };
-            let lr_ver = op.visit(&lr.ver);
-            if lr_ver & 1 == 1 {
-                return None;
-            }
-            lrh = op.read(&lr.bal.height);
-            op.add(&lr.bal.parent, l_word, n_word);
-            op.add(&lr.ver, lr_ver, lr_ver + 2);
+        let c_word = ptr_to_word(c as *const Node);
+        if Self::add_child_swap(op, p, n_word, c_word).is_none() {
+            return false;
         }
+        let inner_word = op.read(H::Other::child(c));
+        let Some(inner_h) = Self::move_subtree(op, guard, inner_word, c_word, n_word) else {
+            return false;
+        };
         let old_nh = op.read(&n.bal.height);
-        let old_lh = op.read(&l.bal.height);
-        let new_nh = 1 + lrh.max(rh);
-        let new_lh = 1 + llh.max(new_nh);
-        op.add(&l.bal.parent, n_word, p_word);
-        op.add(&n.left, l_word, lr_word);
-        op.add(&l.right, lr_word, n_word);
-        op.add(&n.bal.parent, p_word, l_word);
+        let old_ch = op.read(&c.bal.height);
+        let new_nh = 1 + inner_h.max(light_h);
+        let new_ch = 1 + outer_h.max(new_nh);
+        op.add(&c.bal.parent, n_word, p_word);
+        op.add(H::child(n), c_word, inner_word);
+        op.add(H::Other::child(c), inner_word, n_word);
+        op.add(&n.bal.parent, p_word, c_word);
         op.add(&n.bal.height, old_nh, new_nh);
-        op.add(&l.bal.height, old_lh, new_lh);
+        op.add(&c.bal.height, old_ch, new_ch);
         op.add(&p.ver, p_ver, p_ver + 2);
         op.add(&n.ver, n_ver, n_ver + 2);
-        op.add(&l.ver, l_ver, l_ver + 2);
-        if op.vexec() {
-            Some(())
-        } else {
-            None
-        }
+        op.add(&c.ver, c_ver, c_ver + 2);
+        op.vexec()
     }
 
-    /// Mirror of [`Self::rotate_right`]: single left rotation at `n`.
-    #[allow(clippy::too_many_arguments)]
-    fn rotate_left<'g>(
-        &self,
+    /// Algorithm 9 (`H` = left: `rotateLeftRight`) and its mirror: double
+    /// rotation — `s.c` leans towards `s.n`'s light side, so its inner child
+    /// `g` becomes the root of the subtree, handing its `H`-side subtree to
+    /// `s.c` and its other one to `s.n`.  `false` means retry.
+    fn rotate_double<'g, H: Side>(
         op: &mut PathCasOp<'g>,
         guard: &'g Guard,
-        p: &'g Node,
-        p_ver: u64,
-        n: &'g Node,
-        n_ver: u64,
-        r: &'g Node,
-        r_ver: u64,
-        lh: u64,
-        rrh: u64,
-    ) -> Option<()> {
+        s: &Spine<'g>,
+        g: &'g Node,
+        g_ver: u64,
+        light_h: u64,
+        outer_h: u64,
+    ) -> bool {
+        let &Spine { p, p_ver, n, n_ver, c, c_ver } = s;
         let n_word = ptr_to_word(n as *const Node);
         let p_word = ptr_to_word(p as *const Node);
-        let r_word = ptr_to_word(r as *const Node);
-        self.add_child_swap(op, p, n_word, r_word)?;
-        let rl_word = op.read(&r.left);
-        let mut rlh = 0;
-        if rl_word != NIL {
-            // SAFETY: non-NIL word read via KCAS under the caller's guard.
-            let rl: &Node = unsafe { word_to_ref(rl_word, guard) };
-            let rl_ver = op.visit(&rl.ver);
-            if rl_ver & 1 == 1 {
-                return None;
-            }
-            rlh = op.read(&rl.bal.height);
-            op.add(&rl.bal.parent, r_word, n_word);
-            op.add(&rl.ver, rl_ver, rl_ver + 2);
+        let c_word = ptr_to_word(c as *const Node);
+        let g_word = ptr_to_word(g as *const Node);
+        if Self::add_child_swap(op, p, n_word, g_word).is_none() {
+            return false;
         }
+        let to_c_word = op.read(H::child(g));
+        let Some(to_c_h) = Self::move_subtree(op, guard, to_c_word, g_word, c_word) else {
+            return false;
+        };
+        let to_n_word = op.read(H::Other::child(g));
+        let Some(to_n_h) = Self::move_subtree(op, guard, to_n_word, g_word, n_word) else {
+            return false;
+        };
         let old_nh = op.read(&n.bal.height);
-        let old_rh = op.read(&r.bal.height);
-        let new_nh = 1 + rlh.max(lh);
-        let new_rh = 1 + rrh.max(new_nh);
-        op.add(&r.bal.parent, n_word, p_word);
-        op.add(&n.right, r_word, rl_word);
-        op.add(&r.left, rl_word, n_word);
-        op.add(&n.bal.parent, p_word, r_word);
+        let old_ch = op.read(&c.bal.height);
+        let old_gh = op.read(&g.bal.height);
+        let new_nh = 1 + to_n_h.max(light_h);
+        let new_ch = 1 + outer_h.max(to_c_h);
+        let new_gh = 1 + new_nh.max(new_ch);
+        op.add(&g.bal.parent, c_word, p_word);
+        op.add(H::child(g), to_c_word, c_word);
+        op.add(&c.bal.parent, n_word, g_word);
+        op.add(H::Other::child(g), to_n_word, n_word);
+        op.add(&n.bal.parent, p_word, g_word);
+        op.add(H::Other::child(c), g_word, to_c_word);
+        op.add(H::child(n), c_word, to_n_word);
         op.add(&n.bal.height, old_nh, new_nh);
-        op.add(&r.bal.height, old_rh, new_rh);
+        op.add(&c.bal.height, old_ch, new_ch);
+        op.add(&g.bal.height, old_gh, new_gh);
+        op.add(&g.ver, g_ver, g_ver + 2);
         op.add(&p.ver, p_ver, p_ver + 2);
         op.add(&n.ver, n_ver, n_ver + 2);
-        op.add(&r.ver, r_ver, r_ver + 2);
-        if op.vexec() {
-            Some(())
-        } else {
-            None
-        }
+        op.add(&c.ver, c_ver, c_ver + 2);
+        op.vexec()
     }
-
-    /// Algorithm 9: double rotation — the left child `l` is right-heavy, so
-    /// `l.right` (`lr`) becomes the new root of the subtree.
-    #[allow(clippy::too_many_arguments)]
-    fn rotate_left_right<'g>(
-        &self,
-        op: &mut PathCasOp<'g>,
-        guard: &'g Guard,
-        p: &'g Node,
-        p_ver: u64,
-        n: &'g Node,
-        n_ver: u64,
-        l: &'g Node,
-        l_ver: u64,
-        lr: &'g Node,
-        lr_ver: u64,
-        rh: u64,
-        llh: u64,
-    ) -> Option<()> {
-        let n_word = ptr_to_word(n as *const Node);
-        let p_word = ptr_to_word(p as *const Node);
-        let l_word = ptr_to_word(l as *const Node);
-        let lr_word = ptr_to_word(lr as *const Node);
-        self.add_child_swap(op, p, n_word, lr_word)?;
-
-        let lrl_word = op.read(&lr.left);
-        let mut lrlh = 0;
-        if lrl_word != NIL {
-            // SAFETY: non-NIL word read via KCAS under the caller's guard.
-            let lrl: &Node = unsafe { word_to_ref(lrl_word, guard) };
-            let lrl_ver = op.visit(&lrl.ver);
-            if lrl_ver & 1 == 1 {
-                return None;
-            }
-            lrlh = op.read(&lrl.bal.height);
-            op.add(&lrl.bal.parent, lr_word, l_word);
-            op.add(&lrl.ver, lrl_ver, lrl_ver + 2);
-        }
-        let lrr_word = op.read(&lr.right);
-        let mut lrrh = 0;
-        if lrr_word != NIL {
-            // SAFETY: non-NIL word read via KCAS under the caller's guard.
-            let lrr: &Node = unsafe { word_to_ref(lrr_word, guard) };
-            let lrr_ver = op.visit(&lrr.ver);
-            if lrr_ver & 1 == 1 {
-                return None;
-            }
-            lrrh = op.read(&lrr.bal.height);
-            op.add(&lrr.bal.parent, lr_word, n_word);
-            op.add(&lrr.ver, lrr_ver, lrr_ver + 2);
-        }
-
-        let old_nh = op.read(&n.bal.height);
-        let old_lh = op.read(&l.bal.height);
-        let old_lrh = op.read(&lr.bal.height);
-        let new_nh = 1 + lrrh.max(rh);
-        let new_lh = 1 + llh.max(lrlh);
-        let new_lrh = 1 + new_nh.max(new_lh);
-
-        op.add(&lr.bal.parent, l_word, p_word);
-        op.add(&lr.left, lrl_word, l_word);
-        op.add(&l.bal.parent, n_word, lr_word);
-        op.add(&lr.right, lrr_word, n_word);
-        op.add(&n.bal.parent, p_word, lr_word);
-        op.add(&l.right, lr_word, lrl_word);
-        op.add(&n.left, l_word, lrr_word);
-        op.add(&n.bal.height, old_nh, new_nh);
-        op.add(&l.bal.height, old_lh, new_lh);
-        op.add(&lr.bal.height, old_lrh, new_lrh);
-        op.add(&lr.ver, lr_ver, lr_ver + 2);
-        op.add(&p.ver, p_ver, p_ver + 2);
-        op.add(&n.ver, n_ver, n_ver + 2);
-        op.add(&l.ver, l_ver, l_ver + 2);
-        if op.vexec() {
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    /// Mirror of [`Self::rotate_left_right`].
-    #[allow(clippy::too_many_arguments)]
-    fn rotate_right_left<'g>(
-        &self,
-        op: &mut PathCasOp<'g>,
-        guard: &'g Guard,
-        p: &'g Node,
-        p_ver: u64,
-        n: &'g Node,
-        n_ver: u64,
-        r: &'g Node,
-        r_ver: u64,
-        rl: &'g Node,
-        rl_ver: u64,
-        lh: u64,
-        rrh: u64,
-    ) -> Option<()> {
-        let n_word = ptr_to_word(n as *const Node);
-        let p_word = ptr_to_word(p as *const Node);
-        let r_word = ptr_to_word(r as *const Node);
-        let rl_word = ptr_to_word(rl as *const Node);
-        self.add_child_swap(op, p, n_word, rl_word)?;
-
-        let rlr_word = op.read(&rl.right);
-        let mut rlrh = 0;
-        if rlr_word != NIL {
-            // SAFETY: non-NIL word read via KCAS under the caller's guard.
-            let rlr: &Node = unsafe { word_to_ref(rlr_word, guard) };
-            let rlr_ver = op.visit(&rlr.ver);
-            if rlr_ver & 1 == 1 {
-                return None;
-            }
-            rlrh = op.read(&rlr.bal.height);
-            op.add(&rlr.bal.parent, rl_word, r_word);
-            op.add(&rlr.ver, rlr_ver, rlr_ver + 2);
-        }
-        let rll_word = op.read(&rl.left);
-        let mut rllh = 0;
-        if rll_word != NIL {
-            // SAFETY: non-NIL word read via KCAS under the caller's guard.
-            let rll: &Node = unsafe { word_to_ref(rll_word, guard) };
-            let rll_ver = op.visit(&rll.ver);
-            if rll_ver & 1 == 1 {
-                return None;
-            }
-            rllh = op.read(&rll.bal.height);
-            op.add(&rll.bal.parent, rl_word, n_word);
-            op.add(&rll.ver, rll_ver, rll_ver + 2);
-        }
-
-        let old_nh = op.read(&n.bal.height);
-        let old_rh = op.read(&r.bal.height);
-        let old_rlh = op.read(&rl.bal.height);
-        let new_nh = 1 + rllh.max(lh);
-        let new_rh = 1 + rrh.max(rlrh);
-        let new_rlh = 1 + new_nh.max(new_rh);
-
-        op.add(&rl.bal.parent, r_word, p_word);
-        op.add(&rl.right, rlr_word, r_word);
-        op.add(&r.bal.parent, n_word, rl_word);
-        op.add(&rl.left, rll_word, n_word);
-        op.add(&n.bal.parent, p_word, rl_word);
-        op.add(&r.left, rl_word, rlr_word);
-        op.add(&n.right, r_word, rll_word);
-        op.add(&n.bal.height, old_nh, new_nh);
-        op.add(&r.bal.height, old_rh, new_rh);
-        op.add(&rl.bal.height, old_rlh, new_rlh);
-        op.add(&rl.ver, rl_ver, rl_ver + 2);
-        op.add(&p.ver, p_ver, p_ver + 2);
-        op.add(&n.ver, n_ver, n_ver + 2);
-        op.add(&r.ver, r_ver, r_ver + 2);
-        if op.vexec() {
-            Some(())
-        } else {
-            None
-        }
-    }}
+}
 
 /// The assertions that only hold for a balanced tree; everything the two
 /// policies share is checked on both by the battery in `crate::tree`.
@@ -564,6 +432,7 @@ impl PathCasAvl {
 mod tests {
     use super::*;
     use mapapi::ConcurrentMap;
+    use std::collections::{BTreeMap, HashMap, VecDeque};
 
     #[test]
     fn sequential_inserts_are_rebalanced() {
@@ -653,5 +522,215 @@ mod tests {
         t.check_invariants();
         assert_eq!(t.stats().key_count, per * threads);
         assert!(t.actual_height() <= 60, "height {} after concurrent inserts", t.actual_height());
+    }
+
+    /// Quiescent shape of a tree: key → (logical height, left child's key,
+    /// right child's key), 0 standing for "no child" (0 is never a key).
+    type Shape = BTreeMap<u64, (u64, u64, u64)>;
+
+    fn shape(t: &PathCasAvl) -> Shape {
+        let mut key_of = HashMap::from([(NIL, 0)]);
+        t.for_each_node(|_, key, at| {
+            key_of.insert(at.word, key);
+        });
+        let mut shape = BTreeMap::new();
+        t.for_each_node(|node, key, _| {
+            let height = node.bal.height.load_quiescent();
+            let (left, right) = (node.left.load_quiescent(), node.right.load_quiescent());
+            shape.insert(key, (height, key_of[&left], key_of[&right]));
+        });
+        shape
+    }
+
+    /// With one thread every rebalancing walk runs to completion, so between
+    /// operations the relaxed tree is a strict AVL tree: every logical height
+    /// is exact and every balance factor is in -1..=1.
+    fn assert_strictly_balanced(t: &PathCasAvl) {
+        t.check_invariants();
+        let shape = shape(t);
+        let height_of = |key: u64| if key == 0 { 0 } else { shape[&key].0 };
+        for (&key, &(height, left, right)) in &shape {
+            let (lh, rh) = (height_of(left), height_of(right));
+            assert_eq!(height, 1 + lh.max(rh), "logical height of {key} over heights {lh} and {rh}");
+            assert!(lh.abs_diff(rh) <= 1, "{key} is unbalanced: child heights {lh} and {rh}");
+        }
+    }
+
+    /// `shape` seen in a mirror: key `k` becomes `n + 1 - k` and every
+    /// node's children change sides.
+    fn mirrored(shape: &Shape, n: u64) -> Shape {
+        let flip = |key: u64| if key == 0 { 0 } else { n + 1 - key };
+        shape.iter().map(|(&key, &(height, left, right))| (flip(key), (height, flip(right), flip(left)))).collect()
+    }
+
+    fn lcg(x: &mut u64) -> u64 {
+        *x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *x >> 33
+    }
+
+    /// When to check the whole tree: after each of the first operations,
+    /// while it is small, then now and then.  A rotation that names a wrong
+    /// word can never commit; its walk burns its step budget and leaves the
+    /// violation behind, which the early checks turn into a failure within
+    /// seconds rather than after a few hundred such walks.
+    fn check_due(i: u64) -> bool {
+        i <= 256 || i.is_multiple_of(256)
+    }
+
+    #[test]
+    fn single_threaded_churn_keeps_every_height_exact_and_every_node_balanced() {
+        let t = PathCasAvl::new();
+        let mut x = 0x5EED;
+        for i in 1..=20_000u64 {
+            let key = 1 + lcg(&mut x) % 2_000;
+            if lcg(&mut x).is_multiple_of(2) {
+                t.insert(key, key);
+            } else {
+                t.remove(key);
+            }
+            if check_due(i) {
+                assert_strictly_balanced(&t);
+            }
+        }
+        assert_strictly_balanced(&t);
+        assert!(t.rotation_count() > 1_000, "only {} rotations", t.rotation_count());
+    }
+
+    #[test]
+    fn mirrored_insert_sequences_build_mirror_image_trees() {
+        // Insert-only on purpose: a two-child removal promotes the successor,
+        // never the predecessor, so removals are not symmetric.
+        const N: u64 = 2_000;
+        let (t, mirror) = (PathCasAvl::new(), PathCasAvl::new());
+        let (mut x, mut present, mut i) = (0xA71, 0, 0);
+        while present < N {
+            let key = 1 + lcg(&mut x) % N;
+            let fresh = t.insert(key, key);
+            assert_eq!(mirror.insert(N + 1 - key, key), fresh);
+            present += u64::from(fresh);
+            i += 1;
+            if check_due(i) || present == N {
+                assert_strictly_balanced(&t);
+                assert_strictly_balanced(&mirror);
+            }
+        }
+        let mirror = shape(&mirror);
+        for (key, node) in mirrored(&shape(&t), N) {
+            assert_eq!(mirror[&key], node, "node {key} of the mirror against node {} of the tree", N + 1 - key);
+        }
+    }
+
+    /// A tree holding the keys of `want`, rewired by hand into that shape
+    /// with `root` on top; returns it and `root`'s word.  Logical heights are
+    /// stored as given — a leaf may claim any height — which is how a single
+    /// rebalancing step can be shown subtrees of every height without
+    /// building them.
+    fn hand_built(root: u64, want: &Shape) -> (PathCasAvl, u64) {
+        let t = PathCasAvl::new();
+        // Insert in level order of the balanced tree over these keys: no
+        // prefix of it needs a rotation, so building runs none of the code
+        // under test.
+        let keys: Vec<u64> = want.keys().copied().collect();
+        let mut ranges = VecDeque::from([(0, keys.len())]);
+        while let Some((lo, hi)) = ranges.pop_front() {
+            if lo < hi {
+                let mid = (lo + hi) / 2;
+                t.insert(keys[mid], keys[mid]);
+                ranges.extend([(lo, mid), (mid + 1, hi)]);
+            }
+        }
+        assert_eq!(t.rotation_count(), 0);
+        let (mut word_of, mut sentinel) = (HashMap::from([(0, NIL)]), NIL);
+        t.for_each_node(|node, key, at| {
+            word_of.insert(key, at.word);
+            if at.depth == 0 {
+                sentinel = node.bal.parent.load_quiescent();
+            }
+        });
+        // SAFETY: the tree is quiescent and every word is one of its nodes.
+        let node = |word: u64| unsafe { &*(word as usize as *const Node) };
+        for (&key, &(height, left, right)) in want {
+            let n = node(word_of[&key]);
+            n.left.store(word_of[&left]);
+            n.right.store(word_of[&right]);
+            n.bal.height.store(height);
+            for child in [left, right].into_iter().filter(|&child| child != 0) {
+                node(word_of[&child]).bal.parent.store(word_of[&key]);
+            }
+        }
+        node(word_of[&root]).bal.parent.store(sentinel);
+        node(sentinel).right.store(word_of[&root]);
+        (t, word_of[&root])
+    }
+
+    /// One step at the root `n` of the hand-built `before` must be a rotation
+    /// that leaves exactly `after` — the heights it wrote included, before
+    /// any re-examination could repair them — and likewise in the mirror.
+    fn assert_one_step_rotates(n: u64, before: &Shape, after: &Shape) {
+        const K: u64 = 7;
+        for (n, before, after) in
+            [(n, before.clone(), after.clone()), (K + 1 - n, mirrored(before, K), mirrored(after, K))]
+        {
+            let (t, n_word) = hand_built(n, &before);
+            let guard = crossbeam_epoch::pin();
+            let step = crate::node::with_builder(|b| PathCasAvl::rebalance_step(n_word, b, &guard));
+            assert!(matches!(step, Step::Rotated { .. }), "no rotation at {n} in {before:?}");
+            t.check_invariants();
+            assert_eq!(shape(&t), after, "after one step at {n} in {before:?}");
+        }
+    }
+
+    #[test]
+    fn one_step_rotates_a_hand_built_violation_into_the_exact_shape_and_heights() {
+        // A subtree that is a single node claiming `height`, or nothing.
+        fn subtree(leaves: &mut Shape, key: u64, height: u64) -> u64 {
+            if height == 0 {
+                return 0;
+            }
+            leaves.insert(key, (height, 0, 0));
+            key
+        }
+        let with = |leaves: &Shape, spine: &[(u64, (u64, u64, u64))]| -> Shape {
+            leaves.iter().map(|(&key, &node)| (key, node)).chain(spine.iter().copied()).collect()
+        };
+        let (mut singles, mut doubles) = (0, 0);
+        // Every combination of four subtree heights 0..=3 around the spine.
+        for code in 0..256u64 {
+            let [a, b, d, e] = [code & 3, code >> 2 & 3, code >> 4 & 3, code >> 6];
+
+            // outer 1 (a) < c 2 < inner 3 (b) < n 4 < light 5 (e): `c` does
+            // not lean inwards, so `n` rotates once and `c` comes up.
+            let c_h = 1 + a.max(b);
+            if a >= b && c_h >= e + 2 {
+                let mut leaves = Shape::new();
+                let outer = subtree(&mut leaves, 1, a);
+                let inner = subtree(&mut leaves, 3, b);
+                let light = subtree(&mut leaves, 5, e);
+                let n_h = 1 + b.max(e);
+                let before = with(&leaves, &[(2, (c_h, outer, inner)), (4, (1 + c_h, 2, light))]);
+                let after = with(&leaves, &[(2, (1 + a.max(n_h), outer, 4)), (4, (n_h, inner, light))]);
+                assert_one_step_rotates(4, &before, &after);
+                singles += 1;
+            }
+
+            // outer 1 (a) < c 2 < to_c 3 (b) < g 4 < to_n 5 (d) < n 6 <
+            // light 7 (e): `c` leans inwards, so `g` comes up between them.
+            let g_h = 1 + b.max(d);
+            if g_h > a && 1 + g_h >= e + 2 {
+                let mut leaves = Shape::new();
+                let outer = subtree(&mut leaves, 1, a);
+                let to_c = subtree(&mut leaves, 3, b);
+                let to_n = subtree(&mut leaves, 5, d);
+                let light = subtree(&mut leaves, 7, e);
+                let (c_h, n_h) = (1 + a.max(b), 1 + d.max(e));
+                let before =
+                    with(&leaves, &[(2, (1 + g_h, outer, 4)), (4, (g_h, to_c, to_n)), (6, (2 + g_h, 2, light))]);
+                let after =
+                    with(&leaves, &[(2, (c_h, outer, to_c)), (4, (1 + c_h.max(n_h), 2, 6)), (6, (n_h, to_n, light))]);
+                assert_one_step_rotates(6, &before, &after);
+                doubles += 1;
+            }
+        }
+        assert!(singles >= 30 && doubles >= 100, "{singles} single and {doubles} double rotations tried");
     }
 }

@@ -11,10 +11,9 @@
 //!   Appendix D, which adds parent pointers, logical heights and Bougé-style
 //!   local rebalancing steps (Algorithms 8–11) — [`avl`] holds exactly that
 //!   addition;
-//! * the additional structures listed in the conclusion (§6) as
+//! * two of the additional structures the conclusion (§6) lists as
 //!   straightforward applications of the same recipe: a sorted
-//!   [`list::PathCasList`], a [`stack::PathCasStack`], a
-//!   [`queue::PathCasQueue`] and a fixed-bucket [`hashmap::PathCasHashMap`],
+//!   [`list::PathCasList`] and a fixed-bucket [`hashmap::PathCasHashMap`].
 //!
 //! All of them follow the same construction: *visit* every node read during
 //! the traversal, *add* the words to be modified (always including a version
@@ -27,15 +26,11 @@ pub mod avl;
 pub mod hashmap;
 pub mod list;
 pub mod node;
-pub mod queue;
 mod slab;
-pub mod stack;
 pub mod tree;
 
 pub use avl::PathCasAvl;
 pub use hashmap::PathCasHashMap;
 pub use list::PathCasList;
-pub use queue::PathCasQueue;
 pub use slab::slab_stats;
-pub use stack::PathCasStack;
 pub use tree::{PathCasBst, PathCasTree};

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crossbeam_epoch::Guard;
 use kcas::CasWord;
 use mapapi::{ConcurrentMap, Key, MapStats, Value};
-use pathcas::PathCasOp;
+use pathcas::{OpBuilder, PathCasOp};
 
 use crate::node::{ptr_to_word, retire, with_builder, word_to_ref, NIL};
 
@@ -36,7 +36,6 @@ impl Node {
 /// A concurrent sorted linked list (`list-pathcas`).
 pub struct PathCasList {
     head: *mut Node,
-    tail: *mut Node,
     retries: AtomicU64,
 }
 
@@ -68,7 +67,7 @@ impl PathCasList {
     pub fn new() -> Self {
         let tail = Node::new(KEY_TAIL, 0, NIL);
         let head = Node::new(KEY_HEAD, 0, ptr_to_word(tail));
-        PathCasList { head, tail, retries: AtomicU64::new(0) }
+        PathCasList { head, retries: AtomicU64::new(0) }
     }
 
     /// Number of operation restarts.
@@ -77,10 +76,23 @@ impl PathCasList {
         self.retries.load(Ordering::Relaxed)
     }
 
-    fn note_retry(&self) {
-        // ORDERING: Relaxed — diagnostic counter only; list correctness is
-        // carried by the validated KCAS operations, not by this statistic.
-        self.retries.fetch_add(1, Ordering::Relaxed);
+    /// Run one operation: pin once, then repeat `attempt` (each attempt
+    /// starts a fresh op on the thread's builder) until it yields a result,
+    /// counting every restart.
+    #[inline]
+    fn run<R>(&self, mut attempt: impl FnMut(&mut OpBuilder, &Guard) -> Option<R>) -> R {
+        with_builder(|builder| {
+            let guard = crossbeam_epoch::pin();
+            loop {
+                if let Some(result) = attempt(builder, &guard) {
+                    return result;
+                }
+                // ORDERING: Relaxed — diagnostic counter only; list
+                // correctness is carried by the validated KCAS operations,
+                // not by this statistic.
+                self.retries.fetch_add(1, Ordering::Relaxed);
+            }
+        })
     }
 
     /// Traverse to the predecessor/current window around `key`, visiting
@@ -112,100 +124,75 @@ impl PathCasList {
         }
     }
 
+    /// Link a fresh node for the absent `key` between `w.pred` and `w.curr`.
+    /// `false` means one of the two is marked or the `vexec` failed, and the
+    /// operation restarts.
+    fn link<'g>(op: &mut PathCasOp<'g>, w: &Window<'g>, key: u64, val: u64) -> bool {
+        if w.pred_ver & 1 == 1 || w.curr_ver & 1 == 1 {
+            return false;
+        }
+        let curr_word = ptr_to_word(w.curr as *const Node);
+        let new_node = Node::new(key, val, curr_word);
+        op.add(&w.pred.next, curr_word, ptr_to_word(new_node));
+        op.add(&w.pred.ver, w.pred_ver, w.pred_ver + 2);
+        let committed = op.vexec();
+        if !committed {
+            // SAFETY: the vexec failed, so `new_node` was never published;
+            // this thread still solely owns the fresh Box.
+            unsafe { drop(Box::from_raw(new_node)) };
+        }
+        committed
+    }
+
     fn insert_impl(&self, key: u64, val: u64) -> bool {
         debug_assert!(key > KEY_HEAD && key < KEY_TAIL);
-        loop {
-            let done = with_builder(|builder| {
-                let guard = crossbeam_epoch::pin();
-                let mut op = builder.start(&guard);
-                let w = self.window(&mut op, &guard, key);
-                if op.read(&w.curr.key) == key {
-                    if op.validate() {
-                        return Some(false);
-                    }
-                    return None;
-                }
-                if w.pred_ver & 1 == 1 || w.curr_ver & 1 == 1 {
-                    return None;
-                }
-                let curr_word = ptr_to_word(w.curr as *const Node);
-                let new_node = Node::new(key, val, curr_word);
-                op.add(&w.pred.next, curr_word, ptr_to_word(new_node));
-                op.add(&w.pred.ver, w.pred_ver, w.pred_ver + 2);
-                if op.vexec() {
-                    Some(true)
-                } else {
-                    // SAFETY: the vexec failed, so `new_node` was never
-                    // published; this thread still solely owns the fresh Box.
-                    unsafe { drop(Box::from_raw(new_node)) };
-                    None
-                }
-            });
-            match done {
-                Some(r) => return r,
-                None => self.note_retry(),
+        self.run(|builder, guard| {
+            let mut op = builder.start(guard);
+            let w = self.window(&mut op, guard, key);
+            if op.read(&w.curr.key) == key {
+                return op.validate().then_some(false);
             }
-        }
+            Self::link(&mut op, &w, key, val).then_some(true)
+        })
     }
 
     fn remove_impl(&self, key: u64) -> bool {
         debug_assert!(key > KEY_HEAD && key < KEY_TAIL);
-        loop {
-            let done = with_builder(|builder| {
-                let guard = crossbeam_epoch::pin();
-                let mut op = builder.start(&guard);
-                let w = self.window(&mut op, &guard, key);
-                if op.read(&w.curr.key) != key {
-                    if op.validate() {
-                        return Some(false);
-                    }
-                    return None;
-                }
-                if w.pred_ver & 1 == 1 || w.curr_ver & 1 == 1 {
-                    return None;
-                }
-                let curr_word = ptr_to_word(w.curr as *const Node);
-                let next = op.read(&w.curr.next);
-                op.add(&w.pred.next, curr_word, next);
-                op.add(&w.pred.ver, w.pred_ver, w.pred_ver + 2);
-                op.add(&w.curr.ver, w.curr_ver, w.curr_ver + 1); // mark
-                if op.vexec() {
-                    // SAFETY: the successful vexec unlinked and marked
-                    // `curr`, so this thread alone retires it; pinned readers
-                    // keep the memory alive until their epochs expire.
-                    unsafe { retire(w.curr as *const Node, &guard) };
-                    Some(true)
-                } else {
-                    None
-                }
-            });
-            match done {
-                Some(r) => return r,
-                None => self.note_retry(),
+        self.run(|builder, guard| {
+            let mut op = builder.start(guard);
+            let w = self.window(&mut op, guard, key);
+            if op.read(&w.curr.key) != key {
+                return op.validate().then_some(false);
             }
-        }
+            if w.pred_ver & 1 == 1 || w.curr_ver & 1 == 1 {
+                return None;
+            }
+            let curr_word = ptr_to_word(w.curr as *const Node);
+            let next = op.read(&w.curr.next);
+            op.add(&w.pred.next, curr_word, next);
+            op.add(&w.pred.ver, w.pred_ver, w.pred_ver + 2);
+            op.add(&w.curr.ver, w.curr_ver, w.curr_ver + 1); // mark
+            if !op.vexec() {
+                return None;
+            }
+            // SAFETY: the successful vexec unlinked and marked `curr`, so
+            // this thread alone retires it; pinned readers keep the memory
+            // alive until their epochs expire.
+            unsafe { retire(w.curr as *const Node, guard) };
+            Some(true)
+        })
     }
 
     fn get_impl(&self, key: u64) -> Option<u64> {
         debug_assert!(key > KEY_HEAD && key < KEY_TAIL);
-        loop {
-            let done = with_builder(|builder| {
-                let guard = crossbeam_epoch::pin();
-                let mut op = builder.start(&guard);
-                let w = self.window(&mut op, &guard, key);
-                if op.read(&w.curr.key) == key {
-                    return Some(Some(op.read(&w.curr.val)));
-                }
-                if op.validate() {
-                    return Some(None);
-                }
-                None
-            });
-            match done {
-                Some(r) => return r,
-                None => self.note_retry(),
+        self.run(|builder, guard| {
+            let mut op = builder.start(guard);
+            let w = self.window(&mut op, guard, key);
+            if op.read(&w.curr.key) == key {
+                return Some(Some(op.read(&w.curr.val)));
             }
-        }
+            op.validate().then_some(None)
+        })
     }
 
     /// Atomic single-key read-modify-write over the window (see
@@ -213,45 +200,21 @@ impl PathCasList {
     /// `vexec`, or the missing node is inserted with `update(None)`.
     fn rmw_impl(&self, key: u64, update: &mut dyn FnMut(Option<u64>) -> u64) -> bool {
         debug_assert!(key > KEY_HEAD && key < KEY_TAIL);
-        loop {
-            let done = with_builder(|builder| {
-                let guard = crossbeam_epoch::pin();
-                let mut op = builder.start(&guard);
-                let w = self.window(&mut op, &guard, key);
-                if op.read(&w.curr.key) == key {
-                    if w.curr_ver & 1 == 1 {
-                        return None;
-                    }
-                    let old_val = op.read(&w.curr.val);
-                    let new_val = update(Some(old_val));
-                    op.add(&w.curr.val, old_val, new_val);
-                    op.add(&w.curr.ver, w.curr_ver, w.curr_ver + 2);
-                    if op.vexec() {
-                        return Some(true);
-                    }
-                    return None;
-                }
-                if w.pred_ver & 1 == 1 || w.curr_ver & 1 == 1 {
-                    return None;
-                }
-                let curr_word = ptr_to_word(w.curr as *const Node);
-                let new_node = Node::new(key, update(None), curr_word);
-                op.add(&w.pred.next, curr_word, ptr_to_word(new_node));
-                op.add(&w.pred.ver, w.pred_ver, w.pred_ver + 2);
-                if op.vexec() {
-                    Some(false)
-                } else {
-                    // SAFETY: failed vexec — `new_node` was never published,
-                    // so the fresh Box is still exclusively owned here.
-                    unsafe { drop(Box::from_raw(new_node)) };
-                    None
-                }
-            });
-            match done {
-                Some(r) => return r,
-                None => self.note_retry(),
+        self.run(|builder, guard| {
+            let mut op = builder.start(guard);
+            let w = self.window(&mut op, guard, key);
+            if op.read(&w.curr.key) != key {
+                return Self::link(&mut op, &w, key, update(None)).then_some(false);
             }
-        }
+            if w.curr_ver & 1 == 1 {
+                return None;
+            }
+            let old_val = op.read(&w.curr.val);
+            let new_val = update(Some(old_val));
+            op.add(&w.curr.val, old_val, new_val);
+            op.add(&w.curr.ver, w.curr_ver, w.curr_ver + 2);
+            op.vexec().then_some(true)
+        })
     }
 
     /// Validated linear range scan: walk the list visiting every traversed
@@ -265,73 +228,69 @@ impl PathCasList {
             return;
         }
         let base = out.len();
-        loop {
-            let done = with_builder(|builder| {
-                let guard = crossbeam_epoch::pin();
-                let mut op = builder.start(&guard);
-                out.truncate(base);
-                // SAFETY: the head sentinel lives until Drop (see `window`).
-                let head: &Node = unsafe { &*self.head };
-                let head_ver = op.visit(&head.ver);
-                if head_ver & 1 == 1 {
-                    return None;
+        self.run(|builder, guard| {
+            let mut op = builder.start(guard);
+            out.truncate(base);
+            // SAFETY: the head sentinel lives until Drop (see `window`).
+            let head: &Node = unsafe { &*self.head };
+            let head_ver = op.visit(&head.ver);
+            if head_ver & 1 == 1 {
+                return None;
+            }
+            // SAFETY: word read via KCAS under `guard`; the node cannot be
+            // reclaimed while this pin is held.
+            let mut curr: &Node = unsafe { word_to_ref(op.read(&head.next), guard) };
+            loop {
+                let curr_ver = op.visit(&curr.ver);
+                if curr_ver & 1 == 1 {
+                    return None; // mark-check: node is being removed
                 }
-                // SAFETY: word read via KCAS under `guard`; the node cannot
-                // be reclaimed while this pin is held.
-                let mut curr: &Node = unsafe { word_to_ref(op.read(&head.next), &guard) };
-                loop {
-                    let curr_ver = op.visit(&curr.ver);
-                    if curr_ver & 1 == 1 {
-                        return None; // mark-check: node is being removed
-                    }
-                    let key = op.read(&curr.key);
-                    if key == KEY_TAIL {
+                let key = op.read(&curr.key);
+                if key == KEY_TAIL {
+                    break;
+                }
+                if key >= start {
+                    out.push((key, op.read(&curr.val)));
+                    if out.len() - base == len {
                         break;
                     }
-                    if key >= start {
-                        out.push((key, op.read(&curr.val)));
-                        if out.len() - base == len {
-                            break;
-                        }
-                    }
-                    // SAFETY: as above — KCAS read under the same pin.
-                    curr = unsafe { word_to_ref(op.read(&curr.next), &guard) };
                 }
-                op.validate().then_some(())
-            });
-            match done {
-                Some(()) => return,
-                None => self.note_retry(),
+                // SAFETY: as above — KCAS read under the same pin.
+                curr = unsafe { word_to_ref(op.read(&curr.next), guard) };
             }
+            op.validate().then_some(())
+        })
+    }
+
+    /// Quiescent walk over every node after the head sentinel, the tail
+    /// sentinel included (no concurrent updates may be running).
+    fn for_each_node(&self, mut f: impl FnMut(&Node, u64)) {
+        // SAFETY: by the quiescence contract no writer races these reads;
+        // head is live until Drop and every reachable word is a valid node
+        // pointer owned by the list.
+        let mut curr = unsafe { (*self.head).next.load_quiescent() };
+        while curr != NIL {
+            // SAFETY: see above — quiescent traversal of live owned nodes.
+            let node = unsafe { &*(curr as usize as *const Node) };
+            f(node, node.key.load_quiescent());
+            curr = node.next.load_quiescent();
         }
     }
 
     fn stats_impl(&self) -> MapStats {
-        let mut stats = MapStats {
-            node_count: 2,
-            approx_bytes: 2 * std::mem::size_of::<Node>() as u64,
-            ..Default::default()
-        };
-        // SAFETY: stats run quiescently (no concurrent writers, per the
-        // `load_quiescent` contract); head is live and every reachable word
-        // is a valid node pointer owned by the list.
-        let mut curr = unsafe { (*self.head).next.load_quiescent() };
-        let mut depth = 0u64;
-        while curr != NIL {
-            // SAFETY: see above — quiescent traversal of live owned nodes.
-            let node = unsafe { &*(curr as usize as *const Node) };
-            let key = node.key.load_quiescent();
-            if key == KEY_TAIL {
-                break;
+        let node_bytes = std::mem::size_of::<Node>() as u64;
+        let mut stats =
+            MapStats { node_count: 2, approx_bytes: 2 * node_bytes, ..Default::default() };
+        self.for_each_node(|_, key| {
+            if key != KEY_TAIL {
+                // A key's depth is the number of keys before it.
+                stats.key_depth_sum += stats.key_count;
+                stats.node_count += 1;
+                stats.approx_bytes += node_bytes;
+                stats.key_count += 1;
+                stats.key_sum += key as u128;
             }
-            stats.node_count += 1;
-            stats.approx_bytes += std::mem::size_of::<Node>() as u64;
-            stats.key_count += 1;
-            stats.key_sum += key as u128;
-            stats.key_depth_sum += depth;
-            depth += 1;
-            curr = node.next.load_quiescent();
-        }
+        });
         stats
     }
 
@@ -339,18 +298,11 @@ impl PathCasList {
     /// marked node.
     pub fn check_invariants(&self) {
         let mut prev_key = KEY_HEAD;
-        // SAFETY: invariant checks run quiescently; head is live and each
-        // reachable word is a valid node pointer owned by the list.
-        let mut curr = unsafe { (*self.head).next.load_quiescent() };
-        while curr != NIL {
-            // SAFETY: see above — quiescent traversal of live owned nodes.
-            let node = unsafe { &*(curr as usize as *const Node) };
-            let key = node.key.load_quiescent();
+        self.for_each_node(|node, key| {
             assert!(key > prev_key, "list order violated: {key} after {prev_key}");
             assert_eq!(node.ver.load_quiescent() & 1, 0, "reachable list node is marked");
             prev_key = key;
-            curr = node.next.load_quiescent();
-        }
+        });
         assert_eq!(prev_key, KEY_TAIL, "list does not end at the tail sentinel");
     }
 }
@@ -393,7 +345,6 @@ impl Drop for PathCasList {
             unsafe { drop(Box::from_raw(curr)) };
             curr = next as usize as *mut Node;
         }
-        let _ = self.tail;
     }
 }
 

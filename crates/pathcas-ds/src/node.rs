@@ -44,8 +44,8 @@ pub fn with_builder<R>(f: impl FnOnce(&mut OpBuilder) -> R) -> R {
 }
 
 /// Retire a node allocated with `Box::into_raw`, freeing it once no epoch
-/// guard pinned at retire time remains active.  (The list, hash map, queue and
-/// stack; a tree node is a slab slot and returns to its slab instead.)
+/// guard pinned at retire time remains active.  (The list, and through it the
+/// hash map; a tree node is a slab slot and returns to its slab instead.)
 ///
 /// # Safety
 /// `ptr` must have been produced by `Box::into_raw`, must have been unlinked

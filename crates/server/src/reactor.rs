@@ -6,7 +6,7 @@
 //! context switches) per connection, the reactor spends a few hundred
 //! bytes of state machine: each connection is a nonblocking socket and a
 //! [`Session`] (incremental decoder + staged write queue).  N reactor
-//! threads (default 2, `PATHCAS_REACTOR_THREADS`) each run their own epoll
+//! threads (`ServerOpts::reactor_threads`, default 2) each run their own epoll
 //! instance; the **accept fd is shared** — the nonblocking listener is
 //! registered level-triggered in every loop, and whichever thread wins the
 //! `accept` race owns that connection for its whole life (no cross-thread

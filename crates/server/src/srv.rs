@@ -64,33 +64,19 @@ pub struct ServerOpts {
 }
 
 impl Default for ServerOpts {
-    /// No log, writable, backend from `PATHCAS_BACKEND` (threads if
-    /// unset), reactor threads from `PATHCAS_REACTOR_THREADS` (default 2).
+    /// No log, writable, the threads backend, and two reactor threads —
+    /// enough that reactor-vs-threads differences in the battery are about
+    /// the model, not parallelism.
     fn default() -> ServerOpts {
-        ServerOpts {
-            log: None,
-            read_only: false,
-            backend: Backend::from_env().unwrap_or(Backend::Threads),
-            reactor_threads: default_reactor_threads(),
-        }
+        ServerOpts { log: None, read_only: false, backend: Backend::Threads, reactor_threads: 2 }
     }
-}
-
-/// `PATHCAS_REACTOR_THREADS`, defaulting to 2 — enough that reactor-vs-
-/// threads differences in the battery are about the model, not parallelism.
-fn default_reactor_threads() -> usize {
-    std::env::var("PATHCAS_REACTOR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(2)
 }
 
 /// The two serving backends.  Both speak the byte-identical wire protocol
 /// against the same [`ServiceMap`](crate::ServiceMap)/
-/// [`Connection`](crate::Connection) clients; the `PATHCAS_BACKEND`
-/// environment knob selects one for code that uses [`ServerOpts::default`]
-/// (tests pass a `Backend` explicitly via `for_each_backend`).
+/// [`Connection`](crate::Connection) clients; a caller names the one it
+/// wants in [`ServerOpts::backend`] (the batteries run every case on both
+/// via `for_each_backend`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Backend {
     /// One blocking handler thread per connection (the PR 5 model).
@@ -103,26 +89,11 @@ impl Backend {
     /// Both backends — what the differential batteries iterate over.
     pub const ALL: [Backend; 2] = [Backend::Threads, Backend::Reactor];
 
-    /// The knob spelling: `threads` / `reactor`.
+    /// The backend's name in reports and test output: `threads` / `reactor`.
     pub fn label(self) -> &'static str {
         match self {
             Backend::Threads => "threads",
             Backend::Reactor => "reactor",
-        }
-    }
-
-    /// Parse `PATHCAS_BACKEND`.  Unset or `both` means "no preference"
-    /// (`None`); anything else unrecognized panics loudly — a typoed CI
-    /// knob must not silently fall back to the default backend.
-    pub fn from_env() -> Option<Backend> {
-        match std::env::var("PATHCAS_BACKEND") {
-            Err(_) => None,
-            Ok(v) => match v.trim() {
-                "" | "both" => None,
-                "threads" => Some(Backend::Threads),
-                "reactor" => Some(Backend::Reactor),
-                other => panic!("PATHCAS_BACKEND={other:?}: expected threads|reactor|both"),
-            },
         }
     }
 }

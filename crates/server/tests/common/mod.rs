@@ -29,8 +29,7 @@ pub fn for_each_backend(body: impl Fn(Backend)) {
     }
 }
 
-/// Default [`ServerOpts`] pinned to `backend` (ignoring `PATHCAS_BACKEND`,
-/// so the battery always covers both).
+/// Default [`ServerOpts`] on `backend`.
 pub fn opts(backend: Backend) -> ServerOpts {
     ServerOpts { backend, ..ServerOpts::default() }
 }

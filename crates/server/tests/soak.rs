@@ -10,9 +10,7 @@
 //! cargo test --release -q -p server --test soak -- --ignored
 //! ```
 //!
-//! `PATHCAS_BACKEND` selects the backend (default: reactor);
-//! `PATHCAS_SOAK_CONNS` scales the herd (default 2048, the acceptance
-//! floor is 2000).
+//! It runs on the reactor, with `CONNS` connections.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -22,6 +20,9 @@ use mapapi::ConcurrentMap;
 use server::{proto, Backend, Request, Response, Server, ServerOpts, ServiceMap};
 use shard::ShardedMap;
 
+/// The herd: above the 2 000-connection acceptance floor.
+const CONNS: usize = 2048;
+
 /// Pipelined writes per connection; keys are unique per (connection, op),
 /// so the response order proves per-connection FIFO end to end.
 const OPS: usize = 32;
@@ -29,25 +30,18 @@ const OPS: usize = 32;
 #[test]
 #[ignore = "soak: thousands of live connections; run explicitly (CI release job)"]
 fn many_connections_pipelined_soak() {
-    let conns: usize = std::env::var("PATHCAS_SOAK_CONNS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(2048);
-    assert!(conns >= 2000, "the soak's acceptance floor is 2000 connections (got {conns})");
-    let backend = Backend::from_env().unwrap_or(Backend::Reactor);
-
     // Server + client live in this one process: two fds per connection,
     // plus slack for the suite itself.
-    let want_fds = (conns as u64) * 2 + 512;
+    let want_fds = (CONNS as u64) * 2 + 512;
     let got = epoll_shim::raise_nofile_limit(want_fds)
         .expect("raising RLIMIT_NOFILE for the soak");
-    assert!(got >= want_fds, "fd limit {got} too low for {conns} connections");
+    assert!(got >= want_fds, "fd limit {got} too low for {CONNS} connections");
 
     let map = ShardedMap::from_fn(8, |_| Box::new(pathcas_ds::PathCasAvl::new()));
     let map: Arc<dyn ConcurrentMap> = Arc::new(map);
     let srv = Server::start_with(
         Arc::clone(&map),
-        ServerOpts { backend, ..ServerOpts::default() },
+        ServerOpts { backend: Backend::Reactor, ..ServerOpts::default() },
         "127.0.0.1:0",
     )
     .expect("binding the soak server");
@@ -55,7 +49,7 @@ fn many_connections_pipelined_soak() {
 
     // A modest pool of driver threads multiplexes the herd client-side; the
     // point of the soak is the *server-side* concurrency, which is exactly
-    // `conns` — every socket is open, written, and unread-by-us while its
+    // `CONNS` — every socket is open, written, and unread-by-us while its
     // siblings are in flight.
     let drivers = 16usize;
     let barrier = Arc::new(Barrier::new(drivers));
@@ -64,8 +58,8 @@ fn many_connections_pipelined_soak() {
             let barrier = Arc::clone(&barrier);
             s.spawn(move || {
                 // Phase 1: open this driver's slice of the herd.
-                let lo = conns * d / drivers;
-                let hi = conns * (d + 1) / drivers;
+                let lo = CONNS * d / drivers;
+                let hi = CONNS * (d + 1) / drivers;
                 let mut socks: Vec<TcpStream> = (lo..hi)
                     .map(|c| {
                         TcpStream::connect(addr)
@@ -73,7 +67,7 @@ fn many_connections_pipelined_soak() {
                     })
                     .collect();
                 // Every connection in the process exists before any op
-                // flows: the server genuinely holds `conns` live sockets.
+                // flows: the server genuinely holds `CONNS` live sockets.
                 barrier.wait();
 
                 // Phase 2: every connection pipelines its burst of PUTs
@@ -139,7 +133,7 @@ fn many_connections_pipelined_soak() {
     // must agree with STATS exactly — count and keysum — after the storm.
     let svc = ServiceMap::connect(addr, 2, "soak-audit").expect("audit pool");
     let stats = svc.stats();
-    let n = (conns * OPS) as u64;
+    let n = (CONNS * OPS) as u64;
     assert_eq!(stats.key_count, n, "every put landed exactly once");
     assert_eq!(stats.key_sum, u128::from(n) * u128::from(n + 1) / 2, "keysum of 1..=n");
     mapapi::suites::check_scan_matches_stats(&svc, &stats);

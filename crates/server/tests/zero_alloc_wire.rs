@@ -129,8 +129,7 @@ fn reactor_steady_state_get_path_is_allocation_free() {
     }
     let srv = Server::start_with(
         Arc::clone(&map),
-        // Pinned to the reactor regardless of PATHCAS_BACKEND: this test IS
-        // the reactor's allocation contract.
+        // This test IS the reactor's allocation contract.
         ServerOpts { backend: Backend::Reactor, ..ServerOpts::default() },
         "127.0.0.1:0",
     )

@@ -1,10 +1,13 @@
-//! Transactional lock elision (`tle`).  On the paper's Intel machine this is
-//! an HTM fast path with a global-lock fallback; this environment has no HTM,
-//! so the runtime *is* its fallback: a single global lock (see DESIGN.md §4).
-//! It still provides a meaningful baseline — it is exactly the coarse-grained
-//! locking performance floor the paper's Figure 1 discussion refers to when
-//! it notes that TLE's "global locking fallback code path degrades
-//! performance dramatically in workloads with more updates".
+//! `tle`: what is left of transactional lock elision when no elision is
+//! attempted — a single global lock, every transaction run in place under
+//! it.  On the paper's Intel machine TLE is an HTM fast path with this lock
+//! as its fallback.  This machine has RTM too, and `kcas::htm` commits KCAS
+//! operations in hardware transactions since PR 15, but `stm` does not use
+//! it: `Tle` never calls `xbegin` (real elision is ROADMAP direction 2(b);
+//! DESIGN.md §4).  What it measures is therefore exactly the coarse-grained
+//! locking floor the paper's Figure 1 discussion refers to when it notes
+//! that TLE's "global locking fallback code path degrades performance
+//! dramatically in workloads with more updates".
 
 use std::sync::atomic::Ordering;
 
