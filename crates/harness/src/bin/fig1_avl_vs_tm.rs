@@ -8,22 +8,13 @@
 //! TMs (hynorec, rhnorec) are not reproduced; the software TMs carry the
 //! comparison (see DESIGN.md §4).
 
-use harness::{print_throughput_table, run_trials, Config, Workload};
+use harness::{print_throughput_table, sweep, Config};
 
 fn main() {
     let cfg = Config::from_env();
     let key_range = cfg.scaled_keyrange(2_000_000);
     let algos = ["int-avl-pathcas", "int-avl-norec", "int-avl-tl2", "int-avl-tle"];
-    let mut rows = Vec::new();
-    for name in algos {
-        let mut summaries = Vec::new();
-        for &threads in &cfg.threads {
-            let w = Workload::paper(key_range, 10, threads, cfg.duration).with_seed(cfg.seed);
-            let s = run_trials(|| harness::make(name), &w, cfg.trials);
-            summaries.push(s);
-        }
-        rows.push((name.to_string(), summaries));
-    }
+    let rows: Vec<_> = algos.iter().map(|name| sweep(&cfg, name, 10, key_range)).collect();
     print_throughput_table(
         &format!("Figure 1 — AVL on PathCAS vs TM (10% updates, {key_range} keys)"),
         &cfg.threads,

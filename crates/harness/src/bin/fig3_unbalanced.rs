@@ -5,22 +5,14 @@
 //! ASCY-style ext-bst-locks tree is reproduced; the Ellen et al. and
 //! Natarajan-Mittal lock-free external BSTs are not (DESIGN.md §4).
 
-use harness::{print_throughput_table, run_trials, Config, Workload};
+use harness::{print_throughput_table, sweep, Config};
 
 fn main() {
     let cfg = Config::from_env();
     let key_range = cfg.scaled_keyrange(20_000_000);
     let algos = ["int-bst-pathcas", "ext-bst-locks", "int-bst-norec"];
     for update_percent in [1u32, 10, 100] {
-        let mut rows = Vec::new();
-        for name in algos {
-            let mut summaries = Vec::new();
-            for &threads in &cfg.threads {
-                let w = Workload::paper(key_range, update_percent, threads, cfg.duration).with_seed(cfg.seed);
-                summaries.push(run_trials(|| harness::make(name), &w, cfg.trials));
-            }
-            rows.push((name.to_string(), summaries));
-        }
+        let rows: Vec<_> = algos.iter().map(|name| sweep(&cfg, name, update_percent, key_range)).collect();
         print_throughput_table(
             &format!("Figure 3 (top) — unbalanced BSTs, {update_percent}% updates, {key_range} keys"),
             &cfg.threads,

@@ -5,7 +5,8 @@
 //! approximate resident memory, which are the quantities the paper uses the
 //! counters to explain.
 
-use harness::{run_trial, Config, Workload};
+use harness::Config;
+use workload::{paper_mix, run_scenario, RunParams};
 
 fn main() {
     let cfg = Config::from_env();
@@ -23,13 +24,12 @@ fn main() {
     println!("| algorithm | Mops/s | avg key depth | keys | nodes | approx MiB |");
     println!("|---|---|---|---|---|---|");
     for name in algos {
-        let map = harness::make(name);
-        let w = Workload::paper(key_range, 100, threads, cfg.duration).with_seed(cfg.seed);
-        let r = run_trial(&map, &w);
-        let s = map.stats();
+        let params = RunParams::standard(threads, key_range, cfg.duration, cfg.seed);
+        let out = run_scenario(&harness::make(name), &paper_mix(100), &params);
+        let s = out.final_stats;
         println!(
             "| {name} | {:.3} | {:.2} | {} | {} | {:.2} |",
-            r.mops(),
+            out.mops(),
             s.avg_key_depth(),
             s.key_count,
             s.node_count,

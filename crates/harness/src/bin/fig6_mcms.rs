@@ -4,22 +4,14 @@
 //! reproducible without HTM; MCMS- (the software path) is the comparison
 //! that exists on the paper's AMD machine as well.
 
-use harness::{print_throughput_table, run_trials, Config, Workload};
+use harness::{print_throughput_table, sweep, Config};
 
 fn main() {
     let cfg = Config::from_env();
     let key_range = cfg.scaled_keyrange(100_000).max(10_000);
     let algos = ["int-bst-pathcas", "int-bst-mcms"];
     for (label, update_percent) in [("100% update", 100u32), ("100% search", 0u32)] {
-        let mut rows = Vec::new();
-        for name in algos {
-            let mut summaries = Vec::new();
-            for &threads in &cfg.threads {
-                let w = Workload::paper(key_range, update_percent, threads, cfg.duration).with_seed(cfg.seed);
-                summaries.push(run_trials(|| harness::make(name), &w, cfg.trials));
-            }
-            rows.push((name.to_string(), summaries));
-        }
+        let rows: Vec<_> = algos.iter().map(|name| sweep(&cfg, name, update_percent, key_range)).collect();
         print_throughput_table(
             &format!("Figure 6 — PathCAS vs MCMS, {label}, {key_range} keys"),
             &cfg.threads,

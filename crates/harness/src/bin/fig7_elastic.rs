@@ -5,21 +5,13 @@
 //! transactional BST, compared against the handcrafted external BST and the
 //! PathCAS BST (DESIGN.md §4).
 
-use harness::{print_throughput_table, run_trials, Config, Workload};
+use harness::{print_throughput_table, sweep, Config};
 
 fn main() {
     let cfg = Config::from_env();
     let key_range = cfg.scaled_keyrange(20_000_000);
     let algos = ["ext-bst-locks", "int-bst-pathcas", "int-bst-norec"];
-    let mut rows = Vec::new();
-    for name in algos {
-        let mut summaries = Vec::new();
-        for &threads in &cfg.threads {
-            let w = Workload::paper(key_range, 1, threads, cfg.duration).with_seed(cfg.seed);
-            summaries.push(run_trials(|| harness::make(name), &w, cfg.trials));
-        }
-        rows.push((name.to_string(), summaries));
-    }
+    let rows: Vec<_> = algos.iter().map(|name| sweep(&cfg, name, 1, key_range)).collect();
     print_throughput_table(
         &format!("Figure 7 — transaction-structured tree vs handcrafted trees (1% updates, {key_range} keys)"),
         &cfg.threads,

@@ -7,18 +7,18 @@
 //! min/max recorded.
 //!
 //! The per-figure experiment drivers live in `src/bin/` (one binary per
-//! table/figure, see DESIGN.md §2); they share the [`Workload`] /
-//! [`run_trials`] machinery and the [`registry`](mod@registry) of algorithm
-//! factories.
+//! table/figure, see DESIGN.md §2).  A trial is one
+//! [`workload::run_scenario`] of [`workload::paper_mix`]; what this crate
+//! adds is the [`registry`](mod@registry) of algorithm factories, the
+//! `PATHCAS_*` knobs ([`Config`]) and the [`sweep`] / [`Summary`] /
+//! [`print_throughput_table`] trio the tables are built from.
 
 #![warn(missing_docs)]
 
 pub mod alloc_count;
 pub mod registry;
-pub mod runner;
 
 pub use registry::{make, registry, try_make, try_make_replicated, AlgoFactory, MAX_SHARDS};
-pub use runner::{run_trial, run_trials, Summary, TrialResult, Workload};
 
 use std::time::Duration;
 
@@ -107,6 +107,36 @@ fn parse_seed(s: &str) -> Result<u64, String> {
     .ok_or_else(|| "expected a decimal or 0x-prefixed hex u64".to_string())
 }
 
+/// Throughput over the trials of one configuration (Mops/s).
+#[derive(Debug, Clone, Copy)]
+pub struct Summary {
+    /// Mean over the trials.
+    pub avg_mops: f64,
+    /// Slowest trial.
+    pub min_mops: f64,
+    /// Fastest trial.
+    pub max_mops: f64,
+}
+
+/// One table row: `cfg.trials` timed trials of the paper's mix with
+/// `update_percent`% updates over `key_range` keys, each on a fresh `name`
+/// map, at every thread count in `cfg.threads`.
+pub fn sweep(cfg: &Config, name: &str, update_percent: u32, key_range: u64) -> (String, Vec<Summary>) {
+    let sc = workload::paper_mix(update_percent);
+    let summaries = cfg.threads.iter().map(|&threads| {
+        let params = workload::RunParams::standard(threads, key_range, cfg.duration, cfg.seed);
+        let mops: Vec<f64> = (0..cfg.trials.max(1))
+            .map(|_| workload::run_scenario(&make(name), &sc, &params).mops())
+            .collect();
+        Summary {
+            avg_mops: mops.iter().sum::<f64>() / mops.len() as f64,
+            min_mops: mops.iter().copied().fold(f64::INFINITY, f64::min),
+            max_mops: mops.iter().copied().fold(0.0, f64::max),
+        }
+    });
+    (name.to_string(), summaries.collect())
+}
+
 /// Print a Markdown-style table: one row per algorithm, one column per thread
 /// count, entries in millions of operations per second.
 pub fn print_throughput_table(
@@ -171,5 +201,16 @@ mod tests {
     fn scaled_keyrange_has_floor() {
         let c = Config { threads: vec![1], duration: Duration::from_millis(1), trials: 1, keyrange_scale: 1_000_000_000, seed: DEFAULT_SEED };
         assert_eq!(c.scaled_keyrange(20_000_000), 1024);
+    }
+
+    #[test]
+    fn summary_aggregates_trials() {
+        let c = Config { threads: vec![1, 2], duration: Duration::from_millis(30), trials: 2, keyrange_scale: 1, seed: DEFAULT_SEED };
+        let (name, row) = sweep(&c, "locked-btreemap", 50, 128);
+        assert_eq!(name, "locked-btreemap");
+        assert_eq!(row.len(), 2, "one summary per thread count");
+        for s in row {
+            assert!(0.0 < s.min_mops && s.min_mops <= s.avg_mops && s.avg_mops <= s.max_mops, "{s:?}");
+        }
     }
 }

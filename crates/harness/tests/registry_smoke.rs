@@ -1,13 +1,15 @@
 //! Smoke coverage for everything the figure binaries depend on: every
 //! algorithm in [`harness::registry`] must round-trip a small deterministic
 //! insert/get/remove sequence, agree with a `BTreeMap` model, and survive a
-//! short multi-threaded [`harness::run_trial`]. This keeps the harness
-//! binaries covered by `cargo test`, not only by manual runs.
+//! short multi-threaded trial of the paper's mix
+//! ([`workload::run_scenario`]). This keeps the harness binaries covered by
+//! `cargo test`, not only by manual runs.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use harness::{registry, run_trial, Workload};
+use harness::registry;
+use workload::{paper_mix, run_scenario, RunParams};
 
 /// A deterministic mixed sequence over a small key universe: inserts,
 /// re-inserts (must fail), point lookups, removes and double-removes.
@@ -71,16 +73,12 @@ fn every_registered_structure_round_trips() {
 fn every_registered_structure_survives_a_short_trial() {
     // The same code path the fig* binaries take: build by name, prefill,
     // hammer from several threads, then check the structure is still sane.
-    let workload = Workload::paper(512, 40, 3, Duration::from_millis(40));
+    let params = RunParams::standard(3, 512, Duration::from_millis(40), harness::DEFAULT_SEED);
     for factory in registry() {
         let map = (factory.build)();
-        let result = run_trial(&*map, &workload);
-        assert!(
-            result.total_ops > 0,
-            "{}: trial completed no operations",
-            factory.name
-        );
-        let stats = map.stats();
+        let out = run_scenario(&*map, &paper_mix(40), &params);
+        assert!(out.total_ops > 0, "{}: trial completed no operations", factory.name);
+        let stats = out.final_stats;
         // Prefill plus a churn of inserts/removes: the structure must stay
         // within the key universe and keep count/sum consistent.
         assert!(stats.key_count <= 512, "{}: more keys than the universe", factory.name);

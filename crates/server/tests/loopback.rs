@@ -177,9 +177,7 @@ fn scenarios_run_in_service_mode_with_latency_histograms() {
         let params = RunParams::standard(2, 512, Duration::from_millis(40), 0x5EC5);
         let out = run_scenario(&svc, &scenario("ycsb-b"), &params);
         assert!(out.total_ops > 0, "no ops over the socket path");
-        assert_eq!(out.hist.count(), out.total_ops);
-        let p = out.hist.percentiles();
-        assert!(p.p50 <= p.p99);
+        assert!(0 < out.ok_ops && out.ok_ops < out.total_ops, "ycsb-b reads both hit and miss");
         // The quiescent audit works over the wire too: STATS + chunked SCANs.
         mapapi::suites::check_scan_matches_stats(&svc, &out.final_stats);
         drop(svc);
@@ -196,8 +194,7 @@ fn batched_service_mode_stresses_pipelining() {
         let out = run_scenario_batched(&svc, &svc, &scenario("service-mixed"), &params, 16);
         assert!(out.total_ops > 0);
         assert_eq!(out.total_ops % 16, 0, "whole batches only");
-        assert_eq!(out.hist.count(), out.total_ops);
-        assert!(out.scan_hist.count() > 0, "service-mixed must ship scans in its pipelines");
+        assert!(out.scans > 0, "service-mixed must ship scans in its pipelines");
         drop(svc);
         server.shutdown();
     });

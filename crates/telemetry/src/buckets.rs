@@ -1,13 +1,9 @@
-//! The HDR-style log-bucket layout shared by [`crate::Histogram`] and
-//! `workload::hist::LatencyHistogram`.
+//! The HDR-style log-bucket layout of [`crate::Histogram`].
 //!
 //! Values below [`SUBBUCKETS`] are recorded exactly; above that, each
 //! power-of-two octave is split into [`SUBBUCKETS`] linear sub-buckets, so
 //! the relative quantization error is bounded by `1 / SUBBUCKETS` (≈ 3.1%)
 //! at every magnitude — the same trade Gil Tene's HdrHistogram makes.
-//! Keeping the bucket math in one place guarantees the wire-exposed
-//! telemetry histograms and the bench-report histograms quantize
-//! identically, so their percentiles are directly comparable.
 
 /// Linear sub-buckets per octave (power of two; 32 ⇒ ≤3.1% relative error).
 pub const SUBBUCKETS: u64 = 32;

@@ -187,8 +187,7 @@ impl Default for Gauge {
 }
 
 /// A fixed-size atomic histogram over the HDR-style log-bucket layout in
-/// [`buckets`] (the same layout `workload`'s per-thread histograms use, so
-/// the two report identical quantization).
+/// [`buckets`].
 ///
 /// `record` is wait-free: four `Relaxed` RMWs (bucket, count, sum, max), no
 /// allocation, no locks. Reads are sums over the buckets — exact once
@@ -214,8 +213,8 @@ impl Histogram {
     }
 
     /// Record one value. Values above [`TRACKABLE_MAX`] are clamped into the
-    /// top bucket and counted in [`Histogram::saturated_count`], mirroring
-    /// `workload::hist::LatencyHistogram::record`.
+    /// top bucket and counted in [`Histogram::saturated_count`], so one
+    /// absurd sample cannot drag the tail percentiles to the ceiling.
     #[inline]
     pub fn record(&self, v: u64) {
         let v = if v > TRACKABLE_MAX {

@@ -1,14 +1,14 @@
-//! # workload — YCSB-style scenario engine
+//! # workload — the traffic engine
 //!
-//! A traffic generator: where the `fig*` harness binaries sweep uniformly
-//! random single-key mixes (the paper's §5 methodology), this crate runs
-//! **declarative scenarios** — the YCSB core workloads A–F (Cooper et al.,
-//! SoCC '10) plus the PathCAS- and service-specific ones — against any
-//! [`mapapi::ConcurrentMap`], recording per-op latency histograms along the
-//! way.  The test batteries and `examples/kv_store.rs` drive structures,
-//! the sharded composition, the wire service and the replica topology with
-//! it; it commits no numbers (those come from `benchmark/`).  See
-//! DESIGN.md §6 for the math and the design rationale.
+//! One phased executor runs **declarative scenarios** against any
+//! [`mapapi::ConcurrentMap`]: the paper's §5 uniform mix ([`paper_mix`],
+//! what the `fig*` harness binaries sweep), the YCSB core workloads A–F
+//! (Cooper et al., SoCC '10) and the PathCAS- and service-specific ones.
+//! The figure drivers, the test batteries and `examples/kv_store.rs` drive
+//! structures, the sharded composition, the wire service and the replica
+//! topology with it; it counts operations and commits no numbers (those
+//! come from `benchmark/`).  See DESIGN.md §6 for the math and the design
+//! rationale.
 //!
 //! The pieces, each in its own module:
 //!
@@ -21,16 +21,13 @@
 //!   read-modify-write: `mapapi::get` + two-word [`kcas::execute`],
 //!   conserved-sum checked), `contended-hot-set` (99% of ops on 64 keys),
 //!   and `scan-heavy` (80% scans of [`ScanLen`]-distributed lengths);
-//! * [`exec`] — the phased executor (**load → warmup → timed run**) with
-//!   per-thread op generation, latency recording (scans also into their own
-//!   histogram), and quiescent stats collected only after every worker has
-//!   joined; [`run_scenario_batched`] is the **service mode** variant that
-//!   hands whole op batches to a [`BatchApply`] backend (the KV service's
-//!   pipelined client pool, or the in-process [`LoopBatch`] reference) and
-//!   charges every op its batch's round-trip;
-//! * [`hist`] — log-bucketed (HDR-style) latency histograms with ≤3.1%
-//!   relative quantization error, O(1) recording, and saturation counting
-//!   above [`TRACKABLE_MAX`].
+//! * [`exec`] — the executor (**load → warmup → timed run**) with per-thread
+//!   op generation and quiescent stats collected only after every worker
+//!   has joined.  Its one worker loop hands ops to a [`BatchApply`]
+//!   backend: [`run_scenario`] at depth 1 over the in-process
+//!   [`LoopBatch`], [`run_scenario_batched`] (**service mode**) `depth` ops
+//!   at a time over any backend, such as the KV service's pipelined client
+//!   pool.
 //!
 //! Everything is reproducible from [`RunParams::seed`].
 
@@ -38,7 +35,6 @@
 
 pub mod dist;
 pub mod exec;
-pub mod hist;
 pub mod spec;
 
 pub use dist::{DistKind, Sampler, SharedState, Zipfian, ZIPFIAN_THETA};
@@ -46,5 +42,6 @@ pub use exec::{
     apply, run_ops, run_scenario, run_scenario_batched, BankCheck, BatchApply, LoopBatch, Op,
     OpGen, Outcome, RunParams,
 };
-pub use hist::{fmt_ns, LatencyHistogram, Percentiles, TRACKABLE_MAX};
-pub use spec::{all_scenarios, scenario, InsertKind, Mix, ScanLen, Scenario, INITIAL_BALANCE};
+pub use spec::{
+    all_scenarios, paper_mix, scenario, InsertKind, Mix, ScanLen, Scenario, INITIAL_BALANCE,
+};

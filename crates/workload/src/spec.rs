@@ -253,6 +253,27 @@ pub fn scenario(name: &str) -> Scenario {
         .unwrap_or_else(|| panic!("unknown scenario '{name}'"))
 }
 
+/// The paper's §5 mix (Setbench), the one every `fig*` driver runs:
+/// `update_percent`% updates, half inserts and half removes, the rest reads,
+/// keys uniform.  A family over the update share, so it is not in
+/// [`all_scenarios`].
+///
+/// # Panics
+/// Panics if `update_percent > 100`.
+pub fn paper_mix(update_percent: u32) -> Scenario {
+    assert!(update_percent <= 100, "{update_percent}% updates");
+    let half = update_percent * 5; // per-mille
+    Scenario {
+        name: "paper",
+        summary: "the paper's mix: u% update (half insert, half remove) / rest read, uniform",
+        dist: DistKind::Uniform,
+        mix: Mix { read: 1000 - 2 * half, insert: half, remove: half, rmw: 0, scan: 0, transfer: 0 },
+        insert_kind: InsertKind::Sampled,
+        scan_len: None,
+        accounts: 0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

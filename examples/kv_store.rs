@@ -1,8 +1,7 @@
 //! A concurrent key-value store serving a realistic, skewed workload: the
 //! YCSB-B scenario (95% reads / 5% updates, Zipfian-distributed keys) from
 //! the `workload` engine, run against the PathCAS AVL map, reporting
-//! throughput *and* the per-operation latency percentile table — the
-//! numbers an online service actually provisions against.
+//! throughput per thread count and the tree's shape afterwards.
 //!
 //! Run with `cargo run --release --example kv_store`.  Reproducible: set
 //! `PATHCAS_SEED` (decimal or `0x` hex) to vary (or pin) the key streams.
@@ -11,7 +10,7 @@ use std::time::Duration;
 
 use mapapi::ConcurrentMap;
 use pathcas_ds::PathCasAvl;
-use workload::{fmt_ns, run_scenario, scenario, RunParams};
+use workload::{run_scenario, scenario, RunParams};
 
 fn main() {
     let store = PathCasAvl::new();
@@ -20,22 +19,12 @@ fn main() {
     let seed = harness::Config::from_env().seed;
 
     println!("kv_store: {} ({}) on {}", sc.name, sc.summary, store.name());
-    println!("| threads | Mops/s | p50 | p90 | p99 | p99.9 | max |");
-    println!("|---|---|---|---|---|---|---|");
+    println!("| threads | Mops/s |");
+    println!("|---|---|");
     for threads in [1, 2, 4] {
         let params = RunParams::standard(threads, key_range, Duration::from_millis(400), seed);
         let out = run_scenario(&store, &sc, &params);
-        let p = out.hist.percentiles();
-        println!(
-            "| {} | {:.3} | {} | {} | {} | {} | {} |",
-            threads,
-            out.mops(),
-            fmt_ns(p.p50),
-            fmt_ns(p.p90),
-            fmt_ns(p.p99),
-            fmt_ns(p.p999),
-            fmt_ns(out.hist.max()),
-        );
+        println!("| {threads} | {:.3} |", out.mops());
     }
 
     let stats = store.stats();

@@ -82,10 +82,10 @@ fn every_algorithm_passes_keysum_validation_under_contention() {
 
 #[test]
 fn harness_trials_run_on_every_algorithm() {
-    let w = harness::Workload::paper(512, 20, 2, Duration::from_millis(40));
+    let params = workload::RunParams::standard(2, 512, Duration::from_millis(40), harness::DEFAULT_SEED);
     for factory in registry() {
         let map = (factory.build)();
-        let r = harness::run_trial(&map, &w);
-        assert!(r.total_ops > 0, "{} performed no operations", factory.name);
+        let out = workload::run_scenario(&map, &workload::paper_mix(20), &params);
+        assert!(out.total_ops > 0, "{} performed no operations", factory.name);
     }
 }

@@ -28,14 +28,7 @@ fn every_scenario_runs_against_every_acceptance_structure() {
             let params = RunParams::standard(2, 512, Duration::from_millis(30), 0xBEEF);
             let out = run_scenario(&map, &sc, &params);
             assert!(out.total_ops > 0, "{}/{}: no ops completed", sc.name, name);
-            assert_eq!(out.hist.count(), out.total_ops, "{}/{}: histogram mismatch", sc.name, name);
-            let p = out.hist.percentiles();
-            assert!(
-                p.p50 <= p.p90 && p.p90 <= p.p99 && p.p99 <= p.p999,
-                "{}/{}: percentiles not monotone",
-                sc.name,
-                name
-            );
+            assert!(out.ok_ops <= out.total_ops, "{}/{}: more successes than ops", sc.name, name);
         }
     }
 }
@@ -67,8 +60,8 @@ fn txn_transfer_conserves_balance_under_contention() {
 }
 
 /// The scan scenarios must drive the native `scan` on real structures:
-/// scan latencies land in their own histogram, and after the (joined)
-/// run a quiescent full-range scan agrees exactly with `stats()`.
+/// scans are counted, and after the (joined) run a quiescent full-range
+/// scan agrees exactly with `stats()`.
 #[test]
 fn scan_scenarios_exercise_native_scans() {
     for sc_name in ["ycsb-e", "scan-heavy"] {
@@ -77,13 +70,8 @@ fn scan_scenarios_exercise_native_scans() {
             let map = harness::make(name);
             let params = RunParams::standard(2, 512, Duration::from_millis(40), 0x5CA2);
             let out = run_scenario(&map, &sc, &params);
-            assert!(out.scan_hist.count() > 0, "{sc_name}/{name}: no scan latencies recorded");
-            assert!(
-                out.scan_hist.count() <= out.total_ops,
-                "{sc_name}/{name}: more scans than ops"
-            );
-            let p = out.scan_hist.percentiles();
-            assert!(p.p50 <= p.p99, "{sc_name}/{name}: scan percentiles not monotone");
+            assert!(out.scans > 0, "{sc_name}/{name}: no scans counted");
+            assert!(out.scans <= out.total_ops, "{sc_name}/{name}: more scans than ops");
             // Post-join audit: the executor collected final_stats after all
             // workers exited; a full scan must see exactly those contents.
             mapapi::suites::check_scan_matches_stats(&map, &out.final_stats);
@@ -91,14 +79,15 @@ fn scan_scenarios_exercise_native_scans() {
     }
 }
 
-/// Non-scan scenarios must not record scan latencies.
+/// Non-scan scenarios must not issue scans.
 #[test]
-fn point_scenarios_have_empty_scan_histograms() {
+fn point_scenarios_issue_no_scans() {
     let sc = scenario("ycsb-a");
     let map = harness::make("int-bst-pathcas");
     let params = RunParams::standard(2, 256, Duration::from_millis(25), 0xF00);
     let out = run_scenario(&map, &sc, &params);
-    assert_eq!(out.scan_hist.count(), 0);
+    assert!(out.total_ops > 0);
+    assert_eq!(out.scans, 0);
 }
 
 /// Same seed, same single-threaded scenario ⇒ identical op counts and
