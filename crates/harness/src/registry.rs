@@ -42,7 +42,7 @@ pub fn registry() -> Vec<AlgoFactory> {
         AlgoFactory { name: "int-avl-tle", build: || b(stm::TxAvl::new(stm::Tle::new())) },
         AlgoFactory { name: "int-bst-mcms", build: || b(mcms::McmsBst::new()) },
         AlgoFactory { name: "locked-btreemap", build: || b(mapapi::reference::LockedBTreeMap::new()) },
-        // Sharded compositions (crates/shard): hash-partitioned over N
+        // Sharded compositions (crates/shard): key blocks hashed over N
         // inner instances, scans k-way merged.  Registered here so the
         // whole registry-driven battery — cross-structure suites, keysum
         // stress, registry smoke — exercises the composition layer for

@@ -711,14 +711,21 @@ mod tests {
         const ACCOUNTS: usize = 8;
         const THREADS: usize = 4;
         const OPS: usize = 2000;
-        let accounts: Arc<Vec<CasWord>> =
-            Arc::new((0..ACCOUNTS).map(|_| CasWord::new(1000)).collect());
+        //
+        // A thread's path words live in the shared `Arc`, not in the thread:
+        // a helper on another thread may still `validate` them after their
+        // owner has finished and exited.  (In the trees, the version words
+        // are in epoch-protected nodes, which is what keeps them alive.)
+        let shared: Arc<(Vec<CasWord>, Vec<Vec<CasWord>>)> = Arc::new((
+            (0..ACCOUNTS).map(|_| CasWord::new(1000)).collect(),
+            (0..THREADS).map(|_| words(&[2; 300])).collect(),
+        ));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let accounts = Arc::clone(&accounts);
+                let shared = Arc::clone(&shared);
                 std::thread::spawn(move || {
                     crate::software_path_only(t % 2 == 1);
-                    let versions = words(&[2; 300]);
+                    let (accounts, versions) = (&shared.0, &shared.1[t]);
                     let long_path: Vec<VisitArg> =
                         versions.iter().map(|v| VisitArg { ver_addr: v, seen: 2 }).collect();
                     let mut state = (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
@@ -758,7 +765,7 @@ mod tests {
             h.join().unwrap();
         }
         let guard = crossbeam_epoch::pin();
-        let total: u64 = accounts.iter().map(|a| read(a, &guard)).sum();
+        let total: u64 = shared.0.iter().map(|a| read(a, &guard)).sum();
         assert_eq!(total, (ACCOUNTS as u64) * 1000);
     }
 }

@@ -106,12 +106,17 @@ fn recycling_advances_seqnos_not_slots() {
 fn transfer_with_paths(threads: usize, accounts_n: usize, ops: usize, seed: u64, path_cycle: &[usize]) {
     let accounts: Vec<CasWord> = (0..accounts_n).map(|_| CasWord::new(1000)).collect();
     let longest = path_cycle.iter().copied().max().unwrap_or(0);
+    // Each worker's path words are made here, outside the scope, not in the
+    // worker: a helper on another thread may still `validate` them after
+    // their owner has finished and exited.  (In the trees, the version words
+    // are in epoch-protected nodes, which is what keeps them alive.)
+    let versions: Vec<Vec<CasWord>> =
+        (0..threads).map(|_| (0..longest).map(|_| CasWord::new(2)).collect()).collect();
     std::thread::scope(|scope| {
-        for t in 0..threads {
+        for (t, versions) in versions.iter().enumerate() {
             let accounts = &accounts;
             scope.spawn(move || {
                 kcas::software_path_only(true);
-                let versions: Vec<CasWord> = (0..longest).map(|_| CasWord::new(2)).collect();
                 let path: Vec<VisitArg> =
                     versions.iter().map(|v| VisitArg { ver_addr: v, seen: 2 }).collect();
                 let mut state = seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -104,8 +104,9 @@ pub struct ShardLoad {
     /// Point operations (insert/remove/contains/get/rmw) routed to the shard.
     pub point_ops: u64,
     /// Inner `scan` calls made on the shard: a cross-shard merged scan
-    /// counts one per chunk it pulls — at least one on every shard, and one
-    /// more each time it drains a shard's chunk and asks it again.
+    /// counts one per chunk it pulls — none on a shard whose keys lie beyond
+    /// the scan's range, and one more each time it drains a shard's chunk and
+    /// asks it again.
     pub scan_ops: u64,
 }
 

@@ -144,7 +144,7 @@ impl PathCasAvl {
     /// Number of successful rotations performed (single + double).
     pub fn rotation_count(&self) -> u64 {
         // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.balance.rotations.load(Ordering::Relaxed)
+        self.counters.balance.rotations.load(Ordering::Relaxed)
     }
 
     /// Actual (not logical) height of the tree rooted under `minRoot.right`
@@ -188,7 +188,7 @@ impl PathCasAvl {
                         }
                         Step::Rotated { next, recheck } => {
                             // ORDERING: Relaxed — diagnostic counter only.
-                            self.balance.rotations.fetch_add(1, Ordering::Relaxed);
+                            self.counters.balance.rotations.fetch_add(1, Ordering::Relaxed);
                             work.extend(recheck);
                             n_word = next;
                         }

@@ -192,6 +192,17 @@ pub(crate) struct Place {
 pub struct PathCasTree<B: Balance> {
     max_root: *mut Node<B>,
     min_root: *mut Node<B>,
+    pub(crate) counters: Counters<B>,
+}
+
+/// The tree's written-to statistics: the restart count and the policy value
+/// (the AVL's rotation count).  Every operation and every rebalancing step
+/// reads the two roots, restarts and rotations write these; the 128-byte
+/// alignment (two lines on common x86 prefetch pairings, like telemetry's
+/// counter stripes) keeps those writes off the roots' line.
+#[repr(align(128))]
+#[derive(Default)]
+pub(crate) struct Counters<B> {
     retries: AtomicU64,
     pub(crate) balance: B,
 }
@@ -218,14 +229,14 @@ impl<B: Balance> PathCasTree<B> {
         // SAFETY: `max_root` is a fresh node not yet shared with any other
         // thread, so the raw store cannot race.
         unsafe { (*max_root).left.store(ptr_to_word(min_root)) };
-        PathCasTree { max_root, min_root, retries: AtomicU64::new(0), balance: B::default() }
+        PathCasTree { max_root, min_root, counters: Counters::default() }
     }
 
     /// Number of times operations had to restart from scratch (a software
     /// proxy for the contention/abort columns of the paper's Figure 5).
     pub fn retry_count(&self) -> u64 {
         // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.retries.load(Ordering::Relaxed)
+        self.counters.retries.load(Ordering::Relaxed)
     }
 
     /// Whether `word` is one of the two sentinel nodes.
@@ -248,7 +259,7 @@ impl<B: Balance> PathCasTree<B> {
                 // ORDERING: Relaxed — diagnostic counter only; tree
                 // correctness is carried by the validated KCAS operations,
                 // not by this statistic.
-                self.retries.fetch_add(1, Ordering::Relaxed);
+                self.counters.retries.fetch_add(1, Ordering::Relaxed);
             }
         })
     }

@@ -258,7 +258,9 @@ mod tests {
         let m = ReplicatedMap::from_sharded(ShardedMap::from_fn(4, |_| {
             Box::new(LockedBTreeMap::new()) as Box<dyn ConcurrentMap>
         }));
-        for k in 1..=100u64 {
+        // Spread over many blocks: the shards own keys by block, not by key.
+        let keys = (1..=100u64).map(|k| k * 100);
+        for k in keys.clone() {
             assert!(m.insert(k, k * 2));
         }
         let ckpt = m.checkpoint();
@@ -267,7 +269,7 @@ mod tests {
         assert_eq!(ckpt.key_count(), 100);
         let mut all: Vec<(Key, Value)> = ckpt.sections.concat();
         all.sort_unstable();
-        assert_eq!(all, (1..=100u64).map(|k| (k, k * 2)).collect::<Vec<_>>());
+        assert_eq!(all, keys.map(|k| (k, k * 2)).collect::<Vec<_>>());
         // Sections really are per shard: each sorted, none holding all keys.
         for s in &ckpt.sections {
             assert!(s.windows(2).all(|w| w[0].0 < w[1].0));

@@ -5,7 +5,7 @@
 //! scatter over the shards, and must read little more than it returns.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use mapapi::reference::LockedBTreeMap;
 use mapapi::suites::*;
@@ -66,25 +66,36 @@ fn sharded_scans_match_the_oracle() {
 }
 
 /// The differential on a range large enough, with probes long enough (up to
-/// 512 pairs over 4096 keys), that shards drain their first chunk and are
-/// asked again: the refill path, not just the first round, must agree with
-/// the oracle.  A scan calls every shard once before it refills any, so
-/// unequal per-shard counts prove that some probe refilled (the seeds are
-/// ones where one does: on a dense range FNV-1a modulo a power of two deals
-/// keys out almost evenly, and two shards seldom drain).
+/// 512 pairs over 4096 keys), that shards drain a chunk and are asked again:
+/// the refill path, not just the first pull of each shard, must agree with
+/// the oracle.  A refill is an inner call that starts right above the last
+/// key of the same shard's previous run, which came back full; a probe
+/// refills a shard that owns two blocks of its range, since a chunk is sized
+/// for the rest of one block.
 #[test]
 fn sharded_scans_that_refill_match_the_oracle() {
     for (n, seed) in [(2usize, 0xD205u64), (8, 0xD202)] {
-        let m = sharded_avl(n);
+        let tally = Arc::new(ScanTally::default());
+        let m = counting_avl(n, &tally);
         check_scan_against_oracle(&m, 4096, seed);
-        let calls: Vec<u64> = m.shard_loads().iter().map(|l| l.scan_ops).collect();
-        assert!(calls.iter().any(|&c| c != calls[0]), "shard{n}: no probe refilled: {calls:?}");
+        let log = tally.log.lock().unwrap();
+        let refills = log
+            .iter()
+            .enumerate()
+            .filter(|&(j, call)| {
+                let previous = log[..j].iter().rev().find(|p| p.shard == call.shard);
+                previous.and_then(|p| p.full_last).and_then(|k| k.checked_add(1)) == Some(call.from)
+            })
+            .count();
+        assert!(refills > 0, "shard{n}: no probe refilled in {} inner calls", log.len());
     }
 }
 
-/// A shard that counts what its scans were asked for and what they returned.
+/// A shard that counts what its scans were asked for and what they returned,
+/// and logs every call.
 struct CountingShard {
     inner: pathcas_ds::PathCasAvl,
+    id: usize,
     tally: Arc<ScanTally>,
 }
 
@@ -93,6 +104,22 @@ struct ScanTally {
     calls: AtomicU64,
     asked: AtomicU64,
     returned: AtomicU64,
+    log: Mutex<Vec<Call>>,
+}
+
+/// One inner scan call: the shard, the key it started from, and the last
+/// key of the run if it came back full.
+struct Call {
+    shard: usize,
+    from: Key,
+    full_last: Option<Key>,
+}
+
+fn counting_avl(n: usize, tally: &Arc<ScanTally>) -> ShardedMap {
+    ShardedMap::from_fn(n, |id| {
+        let inner = pathcas_ds::PathCasAvl::new();
+        Box::new(CountingShard { inner, id, tally: Arc::clone(tally) })
+    })
 }
 
 impl ConcurrentMap for CountingShard {
@@ -114,9 +141,12 @@ impl ConcurrentMap for CountingShard {
     fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
         let base = out.len();
         self.inner.scan_into(start, len, out);
+        let returned = out.len() - base;
         self.tally.calls.fetch_add(1, Ordering::Relaxed);
         self.tally.asked.fetch_add(len as u64, Ordering::Relaxed);
-        self.tally.returned.fetch_add((out.len() - base) as u64, Ordering::Relaxed);
+        self.tally.returned.fetch_add(returned as u64, Ordering::Relaxed);
+        let full_last = out.last().filter(|_| returned == len && len > 0).map(|p| p.0);
+        self.tally.log.lock().unwrap().push(Call { shard: self.id, from: start, full_last });
     }
     fn stats(&self) -> MapStats {
         self.inner.stats()
@@ -126,14 +156,14 @@ impl ConcurrentMap for CountingShard {
 /// The over-read itself: a merged scan of `len` pairs over N shards may read
 /// at most `2·len + 2·N` pairs in at most `2·N` inner calls, whatever `len`
 /// is — asking every shard for `len` reads `N·len`.  Keys are drawn at
-/// random from a sparse range so that the hash partition scatters them.
+/// random from a sparse range (about one per 420 blocks), so every shard's
+/// bound sits near `start` and the merge asks all of them, as a hash
+/// partition of single keys would.
 #[test]
 fn merged_scans_read_little_more_than_they_return() {
     const N: usize = 8;
     let tally = Arc::new(ScanTally::default());
-    let m = ShardedMap::from_fn(N, |_| {
-        Box::new(CountingShard { inner: pathcas_ds::PathCasAvl::new(), tally: Arc::clone(&tally) })
-    });
+    let m = counting_avl(N, &tally);
     let oracle = LockedBTreeMap::new();
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for _ in 0..80_000 {
@@ -157,11 +187,47 @@ fn merged_scans_read_little_more_than_they_return() {
     }
 }
 
+/// The other side of the block partition: on 50 %-dense keys a scan of
+/// `len ≤ 64` pairs covers about `2·len` keys, so it reaches one or two
+/// blocks and asks at most `⌈len/32⌉ + 2` chunks — what blocks as small as
+/// 64 keys would allow, one chunk per block reached plus one refill — where
+/// a hash partition of single keys asks every shard.  Every length, from 128
+/// consecutive starts (every offset in a block), on a cold thread and then a
+/// warm one.
+#[test]
+fn short_scans_over_dense_keys_ask_only_the_shards_of_their_blocks() {
+    let tally = Arc::new(ScanTally::default());
+    let m = counting_avl(8, &tally);
+    for k in (2..=20_000u64).step_by(2) {
+        m.insert(k, k);
+    }
+    let mut worst = 0;
+    for round in ["cold", "warm"] {
+        for len in 1..=64usize {
+            for start in 1000..1000 + 128 {
+                let got = m.scan(start, len);
+                let calls = tally.calls.swap(0, Ordering::Relaxed) as usize;
+                let first = start.next_multiple_of(2);
+                let expected: Vec<(u64, u64)> =
+                    (0..len as u64).map(|i| (first + 2 * i, first + 2 * i)).collect();
+                assert_eq!(got, expected);
+                assert!(
+                    calls <= len.div_ceil(32) + 2,
+                    "{round}: scan({start}, {len}) made {calls} inner calls"
+                );
+                worst = worst.max(calls);
+            }
+        }
+    }
+    assert!(worst >= 2, "some scan crossed a block boundary");
+}
+
 /// The dedicated cross-shard case: dense and sparse key sets whose scans
-/// must cross shard boundaries constantly — with 8 shards and FNV routing,
-/// consecutive keys land on different shards, so every merged window is
-/// assembled from several runs.  Asserts global sortedness, duplicate
-/// freedom, and exact agreement with the expected window.
+/// must cross shard boundaries constantly — with 8 shards, consecutive
+/// 128-key blocks land on different shards, so every merged window that
+/// crosses a block boundary is assembled from several runs.  Asserts global
+/// sortedness, duplicate freedom, and exact agreement with the expected
+/// window.
 #[test]
 fn cross_shard_scans_are_sorted_and_duplicate_free() {
     let m = sharded_avl(8);

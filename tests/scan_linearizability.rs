@@ -15,7 +15,7 @@
 //! old composed `remove`+`insert` RMW this suite fails immediately — the key
 //! is observably absent mid-RMW and the scan's region count drops.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use mapapi::ConcurrentMap;
 
@@ -198,23 +198,77 @@ fn sharded_avl_scans_never_observe_partial_state() {
 
 #[test]
 fn sharded_avl_scans_that_refill_never_observe_partial_state() {
-    // Eleven shards: each is first asked for 9 pairs, and FNV-1a puts 10 of
-    // the region's first 63 keys on one shard, so every scan of the region
-    // drains that shard's first run and refills it — the shard contributes
-    // two validated chunks taken at different times, with churn and RMW
-    // commits in between.  The refilled chunk starts above the last key
-    // emitted and every region key is present throughout, so the region must
-    // still be observed whole.
-    const SHARDS: u64 = 11;
+    // The region straddles the block boundary at 1024 (blocks are 128
+    // keys), so a scan of it asks two of the eleven shards.  A merge sizes its chunks
+    // from the key density it measures, starting from what the thread's
+    // last merge measured; `AfterSparseScan` scans a sparse map before every
+    // region scan, so each region scan starts from an estimate near zero.
+    // Its first chunk is then the owner's share of the scan, 9 of block
+    // 1000..1024's 24 region keys, and that shard is asked again — it
+    // contributes at least two validated chunks taken at different times,
+    // with churn and RMW commits in between.  A refilled chunk starts above
+    // the last key emitted and every region key is present throughout, so
+    // the region must still be observed whole.
+    const SHARDS: usize = 11;
     const SCANS: usize = 400;
-    let map =
-        shard::ShardedMap::from_fn(SHARDS as usize, |_| Box::new(pathcas_ds::PathCasAvl::new()));
-    run_suite(&map, true, SCANS);
-    let inner_calls: u64 = map.shard_loads().iter().map(|l| l.scan_ops).sum();
-    assert!(
-        inner_calls >= (SHARDS + 1) * SCANS as u64,
-        "{inner_calls} inner scan calls over {SCANS} scans: not every scan of the region refilled"
+    let map = shard::ShardedMap::from_fn(SHARDS, |_| Box::new(pathcas_ds::PathCasAvl::new()));
+    let sparse =
+        shard::ShardedMap::from_fn(SHARDS, |_| Box::new(mapapi::reference::LockedBTreeMap::new()));
+    for k in 1..=64u64 {
+        sparse.insert(k << 16, k);
+    }
+    let scans = AfterSparseScan { map: &map, sparse, refilled: AtomicUsize::new(0) };
+    run_suite_on(&map, &scans, true, true, SCANS, false);
+    assert_eq!(
+        scans.refilled.load(Ordering::Relaxed),
+        SCANS,
+        "not every scan of the region refilled a shard"
     );
+}
+
+/// Scans `map` right after a scan of `sparse` on the same thread, and counts
+/// the scans of `map` that refilled a shard: only the owners of the region's
+/// two blocks own keys up to the region's end, so an inner call beyond two
+/// asked one of them again.
+struct AfterSparseScan<'a> {
+    map: &'a shard::ShardedMap,
+    sparse: shard::ShardedMap,
+    refilled: AtomicUsize,
+}
+
+impl AfterSparseScan<'_> {
+    fn inner_calls(&self) -> u64 {
+        self.map.shard_loads().iter().map(|l| l.scan_ops).sum()
+    }
+}
+
+impl ConcurrentMap for AfterSparseScan<'_> {
+    fn name(&self) -> &'static str {
+        self.map.name()
+    }
+    fn insert(&self, key: u64, value: u64) -> bool {
+        self.map.insert(key, value)
+    }
+    fn remove(&self, key: u64) -> bool {
+        self.map.remove(key)
+    }
+    fn contains(&self, key: u64) -> bool {
+        self.map.contains(key)
+    }
+    fn get(&self, key: u64) -> Option<u64> {
+        self.map.get(key)
+    }
+    fn scan_into(&self, start: u64, len: usize, out: &mut Vec<(u64, u64)>) {
+        assert_eq!(self.sparse.scan(1, 8).len(), 8);
+        let before = self.inner_calls();
+        self.map.scan_into(start, len, out);
+        if self.inner_calls() - before > 2 {
+            self.refilled.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    fn stats(&self) -> mapapi::MapStats {
+        self.map.stats()
+    }
 }
 
 // ---- baselines without an atomic rmw: churn-only (their composed rmw
