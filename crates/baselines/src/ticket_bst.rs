@@ -12,12 +12,13 @@
 //!   parent out (replacing it with the leaf's sibling) and marks the removed
 //!   nodes.  Locks are always taken ancestor-first, so there is no deadlock.
 //!
-//! Removed nodes are reclaimed through epoch-based reclamation, since
-//! searches may still be traversing them.
+//! Removed nodes are retired through epoch-based reclamation, since searches
+//! may still be traversing them.
 
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crossbeam_epoch::Guard;
+use crossbeam_epoch::{slab, Guard};
 use mapapi::{ConcurrentMap, Key, MapStats, Value};
 use parking_lot::Mutex;
 
@@ -38,26 +39,17 @@ struct Node {
 }
 
 impl Node {
-    fn leaf(key: u64, val: u64) -> *mut Node {
-        Box::into_raw(Box::new(Node {
+    /// A fresh node, as a word: a leaf when both children are [`NIL`].
+    fn alloc(key: u64, val: u64, left: u64, right: u64) -> u64 {
+        let node = slab::alloc(Node {
             key,
             val,
-            left: AtomicU64::new(NIL),
-            right: AtomicU64::new(NIL),
-            lock: Mutex::new(()),
-            marked: AtomicBool::new(false),
-        }))
-    }
-
-    fn internal(key: u64, left: u64, right: u64) -> *mut Node {
-        Box::into_raw(Box::new(Node {
-            key,
-            val: 0,
             left: AtomicU64::new(left),
             right: AtomicU64::new(right),
             lock: Mutex::new(()),
             marked: AtomicBool::new(false),
-        }))
+        });
+        ptr_to_word(node.as_ptr())
     }
 
     #[inline]
@@ -81,24 +73,13 @@ unsafe fn word_to_ref(word: u64, _guard: &Guard) -> &Node {
     unsafe { &*(word as usize as *const Node) }
 }
 
-/// Retire a node through the epoch collector.
-///
-/// # Safety
-/// `word` must be a `Box::into_raw` node pointer that the caller just
-/// unlinked; it must be retired at most once.
-unsafe fn retire(word: u64, guard: &Guard) {
-    // SAFETY: per the contract above, the node is unlinked and retired only
-    // once; the deferred drop runs after all pinned epochs have expired.
-    unsafe { guard.defer_unchecked(move || drop(Box::from_raw(word as usize as *mut Node))) };
-}
-
 /// The external BST with per-node locks (`ext-bst-locks`).
 pub struct TicketBst {
     root: *mut Node,
     retries: AtomicU64,
 }
 
-// SAFETY: nodes are heap-allocated; shared mutation happens only under
+// SAFETY: nodes are slab slots; shared mutation happens only under
 // per-node locks (updates) or through atomic child pointers (searches), and
 // reclamation is epoch-deferred, so the tree may move between threads.
 unsafe impl Send for TicketBst {}
@@ -120,9 +101,9 @@ struct SearchResult<'g> {
 impl TicketBst {
     /// Create an empty tree (three sentinel nodes).
     pub fn new() -> Self {
-        let leaf_inf1 = Node::leaf(KEY_INF1, 0);
-        let leaf_inf2 = Node::leaf(KEY_INF2, 0);
-        let root = Node::internal(KEY_INF2, ptr_to_word(leaf_inf1), ptr_to_word(leaf_inf2));
+        let leaf_inf1 = Node::alloc(KEY_INF1, 0, NIL, NIL);
+        let leaf_inf2 = Node::alloc(KEY_INF2, 0, NIL, NIL);
+        let root = Node::alloc(KEY_INF2, 0, leaf_inf1, leaf_inf2) as usize as *mut Node;
         TicketBst { root, retries: AtomicU64::new(0) }
     }
 
@@ -199,14 +180,13 @@ impl TicketBst {
             };
             // Replace the leaf with an internal routing node whose children
             // are the old leaf and the new leaf, ordered by key.
-            let new_leaf = Node::leaf(key, val);
+            let new_leaf = Node::alloc(key, val, NIL, NIL);
             let (router_key, left, right) = if key < res.leaf.key {
-                (res.leaf.key, ptr_to_word(new_leaf), leaf_word)
+                (res.leaf.key, new_leaf, leaf_word)
             } else {
-                (key, leaf_word, ptr_to_word(new_leaf))
+                (key, leaf_word, new_leaf)
             };
-            let new_internal = Node::internal(router_key, left, right);
-            slot.store(ptr_to_word(new_internal), Ordering::Release);
+            slot.store(Node::alloc(router_key, 0, left, right), Ordering::Release);
             return true;
         }
     }
@@ -221,8 +201,8 @@ impl TicketBst {
             }
             let gparent = res.gparent;
             let parent = res.parent;
-            let leaf_word = ptr_to_word(res.leaf as *const Node);
-            let parent_word = ptr_to_word(parent as *const Node);
+            let leaf_word = ptr_to_word(res.leaf);
+            let parent_word = ptr_to_word(parent);
             // Ancestor-first locking: grandparent, then parent.
             let _glock = gparent.lock.lock();
             let _plock = parent.lock.lock();
@@ -251,8 +231,8 @@ impl TicketBst {
             // SAFETY: both nodes were just marked and unlinked under the
             // ancestor locks, so this thread alone retires each exactly once.
             unsafe {
-                retire(parent_word, &guard);
-                retire(leaf_word, &guard);
+                slab::retire(NonNull::from(parent), &guard);
+                slab::retire(NonNull::from(res.leaf), &guard);
             }
             return true;
         }
@@ -320,7 +300,7 @@ impl TicketBst {
             // node pointer owned by the tree.
             let node = unsafe { &*(word as usize as *const Node) };
             stats.node_count += 1;
-            stats.approx_bytes += std::mem::size_of::<Node>() as u64;
+            stats.approx_bytes += slab::SLOT_BYTES as u64;
             if node.is_leaf() {
                 if node.key < KEY_INF1 {
                     stats.key_count += 1;
@@ -384,20 +364,21 @@ impl ConcurrentMap for TicketBst {
 
 impl Drop for TicketBst {
     fn drop(&mut self) {
+        let mut words = Vec::new();
         let mut work = vec![ptr_to_word(self.root)];
         while let Some(word) = work.pop() {
             if word == NIL {
                 continue;
             }
-            let ptr = word as usize as *mut Node;
             // SAFETY: `&mut self` proves exclusive access; every word in the
-            // tree is a live `Box::into_raw` pointer owned by it.
-            let node = unsafe { &*ptr };
+            // tree is a live node it allocated from the slab.
+            let node = unsafe { &*(word as usize as *const Node) };
             work.push(node.left.load(Ordering::Acquire));
             work.push(node.right.load(Ordering::Acquire));
-            // SAFETY: see above — each node is reclaimed exactly once.
-            unsafe { drop(Box::from_raw(ptr)) };
+            words.push(word);
         }
+        // SAFETY: as above; each node is reached, and so freed, once.
+        unsafe { slab::free_all(&mut words) };
     }
 }
 

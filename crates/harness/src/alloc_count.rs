@@ -1,6 +1,6 @@
 //! A heap-allocation-counting global allocator for allocation-sensitive
-//! tests (`tests/avl_insert_allocations.rs` asserts that warm AVL inserts
-//! and removes allocate a small constant, not once per operation).
+//! tests (`tests/warm_update_allocations.rs` asserts that warm inserts and
+//! removes allocate a small constant, not once per operation).
 //!
 //! A binary opts in with:
 //!

@@ -8,9 +8,10 @@
 //! descriptor-locked, which is precisely the behaviour the paper identifies
 //! as the reason MCMS trees collapse under concurrency.
 
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossbeam_epoch::Guard;
+use crossbeam_epoch::{slab, Guard};
 use kcas::CasWord;
 use mapapi::{ConcurrentMap, Key, MapStats, Value};
 
@@ -28,13 +29,13 @@ struct Node {
 }
 
 impl Node {
-    fn new(key: u64, val: u64) -> *mut Node {
-        Box::into_raw(Box::new(Node {
+    fn new(key: u64, val: u64) -> NonNull<Node> {
+        slab::alloc(Node {
             key: CasWord::new(key),
             val: CasWord::new(val),
             left: CasWord::new(NIL),
             right: CasWord::new(NIL),
-        }))
+        })
     }
 }
 
@@ -76,7 +77,7 @@ pub struct McmsBst {
     retries: AtomicU64,
 }
 
-// SAFETY: nodes are heap-allocated and only reachable via CasWords; all
+// SAFETY: nodes are slab slots only reachable via CasWords; all
 // shared access goes through MCMS reads/ops under an epoch guard, so the
 // tree may move between and be shared across threads.
 unsafe impl Send for McmsBst {}
@@ -93,10 +94,10 @@ impl Default for McmsBst {
 impl McmsBst {
     /// Create an empty tree.
     pub fn new() -> Self {
-        let min_root = Node::new(KEY_MIN_SENTINEL, 0);
-        let max_root = Node::new(KEY_MAX_SENTINEL, 0);
-        // SAFETY: `max_root` is a freshly boxed node not yet shared with any
-        // other thread, so the raw store cannot race.
+        let min_root = Node::new(KEY_MIN_SENTINEL, 0).as_ptr();
+        let max_root = Node::new(KEY_MAX_SENTINEL, 0).as_ptr();
+        // SAFETY: `max_root` is a fresh node not yet shared with any other
+        // thread, so the raw store cannot race.
         unsafe { (*max_root).left.store(ptr_to_word(min_root)) };
         McmsBst { max_root, min_root, retries: AtomicU64::new(0) }
     }
@@ -182,13 +183,13 @@ impl McmsBst {
                 McmsArg::Compare { addr, .. } => !std::ptr::eq(*addr, ptr_to_change as *const CasWord),
                 _ => true,
             });
-            args.push(McmsArg::Swap { addr: ptr_to_change, old: NIL, new: ptr_to_word(new_node) });
+            args.push(McmsArg::Swap { addr: ptr_to_change, old: NIL, new: ptr_to_word(new_node.as_ptr()) });
             if mcms(&args, &guard) {
                 return true;
             }
             // SAFETY: the MCMS failed, so `new_node` was never published;
-            // this thread still solely owns the fresh Box.
-            unsafe { drop(Box::from_raw(new_node)) };
+            // this thread still solely owns its slot.
+            unsafe { slab::free(new_node) };
             self.note_retry();
         }
     }
@@ -228,11 +229,9 @@ impl McmsBst {
                 args.push(McmsArg::Swap { addr: ptr_to_change, old: curr_word, new: child_to_keep });
                 if mcms(&args, &guard) {
                     // SAFETY: the successful MCMS unlinked `curr`, so only
-                    // this thread defers its reclamation; the deferred drop
-                    // runs after every pinned reader's epoch has expired.
-                    unsafe {
-                        guard.defer_unchecked(move || drop(Box::from_raw(curr_word as usize as *mut Node)))
-                    };
+                    // this thread retires it; the slot is freed after every
+                    // pinned reader's epoch has expired.
+                    unsafe { slab::retire(NonNull::from(curr), &guard) };
                     return true;
                 }
                 self.note_retry();
@@ -293,11 +292,9 @@ impl McmsBst {
             args.push(McmsArg::Compare { addr: &succ.left, expected: NIL });
             if mcms(&args, &guard) {
                 // SAFETY: the MCMS spliced `succ` out of the tree; only this
-                // thread defers its reclamation, and the deferred drop runs
-                // after all pinned epochs have expired.
-                unsafe {
-                    guard.defer_unchecked(move || drop(Box::from_raw(succ_word as usize as *mut Node)))
-                };
+                // thread retires it, and the slot is freed after all pinned
+                // epochs have expired.
+                unsafe { slab::retire(NonNull::from(succ), &guard) };
                 return true;
             }
             self.note_retry();
@@ -385,11 +382,8 @@ impl McmsBst {
     }
 
     fn stats_impl(&self) -> MapStats {
-        let mut stats = MapStats {
-            node_count: 2,
-            approx_bytes: 2 * std::mem::size_of::<Node>() as u64,
-            ..Default::default()
-        };
+        let mut stats =
+            MapStats { node_count: 2, approx_bytes: 2 * slab::SLOT_BYTES as u64, ..Default::default() };
         // SAFETY: stats run quiescently (per the `load_quiescent` contract);
         // the sentinel is live and no writer can race this read.
         let root = unsafe { (*self.min_root).right.load_quiescent() };
@@ -402,7 +396,7 @@ impl McmsBst {
             // node pointer owned by the tree.
             let node = unsafe { &*(word as usize as *const Node) };
             stats.node_count += 1;
-            stats.approx_bytes += std::mem::size_of::<Node>() as u64;
+            stats.approx_bytes += slab::SLOT_BYTES as u64;
             stats.key_count += 1;
             stats.key_sum += node.key.load_quiescent() as u128;
             stats.key_depth_sum += depth;
@@ -445,20 +439,21 @@ impl ConcurrentMap for McmsBst {
 
 impl Drop for McmsBst {
     fn drop(&mut self) {
+        let mut words = Vec::new();
         let mut work = vec![ptr_to_word(self.max_root)];
         while let Some(word) = work.pop() {
             if word == NIL {
                 continue;
             }
-            let ptr = word as usize as *mut Node;
             // SAFETY: `&mut self` proves exclusive access; every word in the
-            // tree is a live `Box::into_raw` pointer owned by it.
-            let node = unsafe { &*ptr };
+            // tree is a live node it allocated from the slab.
+            let node = unsafe { &*(word as usize as *const Node) };
             work.push(node.left.load_quiescent());
             work.push(node.right.load_quiescent());
-            // SAFETY: see above — each node is reclaimed exactly once.
-            unsafe { drop(Box::from_raw(ptr)) };
+            words.push(word);
         }
+        // SAFETY: as above; each node is reached, and so freed, once.
+        unsafe { slab::free_all(&mut words) };
     }
 }
 

@@ -18,7 +18,9 @@
 //! All of them follow the same construction: *visit* every node read during
 //! the traversal, *add* the words to be modified (always including a version
 //! bump of every modified node, with the mark bit set for removed nodes), and
-//! commit with `vexec`.
+//! commit with `vexec`.  Their nodes are slots of
+//! [`crossbeam_epoch::slab`], allocated with `alloc` and retired through the
+//! epoch collector they are read under.
 
 #![warn(missing_docs)]
 
@@ -26,11 +28,9 @@ pub mod avl;
 pub mod hashmap;
 pub mod list;
 pub mod node;
-mod slab;
 pub mod tree;
 
 pub use avl::PathCasAvl;
 pub use hashmap::PathCasHashMap;
 pub use list::PathCasList;
-pub use slab::slab_stats;
 pub use tree::{PathCasBst, PathCasTree};

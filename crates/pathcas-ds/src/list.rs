@@ -3,14 +3,15 @@
 //! write phase" that the paper's conclusion (§6) describes: visit each node
 //! traversed, then `add` and `vexec` the modifications.
 
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossbeam_epoch::Guard;
+use crossbeam_epoch::{slab, Guard};
 use kcas::CasWord;
 use mapapi::{ConcurrentMap, Key, MapStats, Value};
 use pathcas::{OpBuilder, PathCasOp};
 
-use crate::node::{ptr_to_word, retire, with_builder, word_to_ref, NIL};
+use crate::node::{ptr_to_word, with_builder, word_to_ref, NIL};
 
 const KEY_HEAD: u64 = 0;
 const KEY_TAIL: u64 = kcas::MAX_VALUE;
@@ -23,13 +24,13 @@ struct Node {
 }
 
 impl Node {
-    fn new(key: u64, val: u64, next: u64) -> *mut Node {
-        Box::into_raw(Box::new(Node {
+    fn new(key: u64, val: u64, next: u64) -> NonNull<Node> {
+        slab::alloc(Node {
             key: CasWord::new(key),
             val: CasWord::new(val),
             next: CasWord::new(next),
             ver: CasWord::new(0),
-        }))
+        })
     }
 }
 
@@ -39,7 +40,7 @@ pub struct PathCasList {
     retries: AtomicU64,
 }
 
-// SAFETY: nodes are heap-allocated and reachable only via CasWords; all
+// SAFETY: nodes are slab slots reachable only via CasWords; all
 // shared access is mediated by PathCAS reads/validated execs under an epoch
 // guard, so moving the list between threads is sound.
 unsafe impl Send for PathCasList {}
@@ -66,7 +67,7 @@ impl PathCasList {
     /// Create an empty list (two sentinel nodes).
     pub fn new() -> Self {
         let tail = Node::new(KEY_TAIL, 0, NIL);
-        let head = Node::new(KEY_HEAD, 0, ptr_to_word(tail));
+        let head = Node::new(KEY_HEAD, 0, ptr_to_word(tail.as_ptr())).as_ptr();
         PathCasList { head, retries: AtomicU64::new(0) }
     }
 
@@ -133,13 +134,13 @@ impl PathCasList {
         }
         let curr_word = ptr_to_word(w.curr as *const Node);
         let new_node = Node::new(key, val, curr_word);
-        op.add(&w.pred.next, curr_word, ptr_to_word(new_node));
+        op.add(&w.pred.next, curr_word, ptr_to_word(new_node.as_ptr()));
         op.add(&w.pred.ver, w.pred_ver, w.pred_ver + 2);
         let committed = op.vexec();
         if !committed {
             // SAFETY: the vexec failed, so `new_node` was never published;
-            // this thread still solely owns the fresh Box.
-            unsafe { drop(Box::from_raw(new_node)) };
+            // this thread still solely owns its slot.
+            unsafe { slab::free(new_node) };
         }
         committed
     }
@@ -178,7 +179,7 @@ impl PathCasList {
             // SAFETY: the successful vexec unlinked and marked `curr`, so
             // this thread alone retires it; pinned readers keep the memory
             // alive until their epochs expire.
-            unsafe { retire(w.curr as *const Node, guard) };
+            unsafe { slab::retire(NonNull::from(w.curr), guard) };
             Some(true)
         })
     }
@@ -278,7 +279,7 @@ impl PathCasList {
     }
 
     fn stats_impl(&self) -> MapStats {
-        let node_bytes = std::mem::size_of::<Node>() as u64;
+        let node_bytes = slab::SLOT_BYTES as u64;
         let mut stats =
             MapStats { node_count: 2, approx_bytes: 2 * node_bytes, ..Default::default() };
         self.for_each_node(|_, key| {
@@ -336,15 +337,12 @@ impl ConcurrentMap for PathCasList {
 
 impl Drop for PathCasList {
     fn drop(&mut self) {
-        let mut curr = self.head;
-        while !curr.is_null() {
-            // SAFETY: `&mut self` proves exclusive access; every node in the
-            // chain is a live `Box::into_raw` pointer owned by the list.
-            let next = unsafe { (*curr).next.load_quiescent() };
-            // SAFETY: see above — each node is reclaimed exactly once.
-            unsafe { drop(Box::from_raw(curr)) };
-            curr = next as usize as *mut Node;
-        }
+        let mut words = vec![ptr_to_word(self.head)];
+        self.for_each_node(|node, _| words.push(ptr_to_word(node)));
+        // SAFETY: `&mut self` proves exclusive access; every word collected
+        // is a live node the list allocated from the slab, collected once
+        // and freed once.
+        unsafe { slab::free_all(&mut words) };
     }
 }
 

@@ -43,39 +43,18 @@ pub fn with_builder<R>(f: impl FnOnce(&mut OpBuilder) -> R) -> R {
     BUILDER.with(|b| f(&mut b.borrow_mut()))
 }
 
-/// Retire a node allocated with `Box::into_raw`, freeing it once no epoch
-/// guard pinned at retire time remains active.  (The list, and through it the
-/// hash map; a tree node is a slab slot and returns to its slab instead.)
-///
-/// # Safety
-/// `ptr` must have been produced by `Box::into_raw`, must have been unlinked
-/// from the data structure (unreachable for new operations), and must not be
-/// retired twice.
-pub unsafe fn retire<T>(ptr: *const T, guard: &Guard) {
-    // SAFETY: per the function contract, `ptr` is an unlinked Box pointer
-    // retired at most once; the deferred drop runs only after every epoch
-    // pinned at retire time has expired.
-    unsafe {
-        guard.defer_unchecked(move || {
-            drop(Box::from_raw(ptr as *mut T));
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn pointer_roundtrip() {
-        let x = Box::into_raw(Box::new(42u64));
-        let w = ptr_to_word(x);
+        let x = 42u64;
+        let w = ptr_to_word(&x);
         let guard = crossbeam_epoch::pin();
-        // SAFETY: `w` encodes the live Box allocated above.
+        // SAFETY: `w` encodes `x`, which outlives the reference.
         let r: &u64 = unsafe { word_to_ref(w, &guard) };
         assert_eq!(*r, 42);
-        // SAFETY: `x` came from Box::into_raw and is freed exactly once.
-        unsafe { drop(Box::from_raw(x)) };
     }
 
     #[test]

@@ -27,13 +27,12 @@ use std::cell::RefCell;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossbeam_epoch::Guard;
+use crossbeam_epoch::{slab, Guard};
 use kcas::CasWord;
 use mapapi::{ConcurrentMap, Key, MapStats, Value};
 use pathcas::{OpBuilder, PathCasOp};
 
 use crate::node::{ptr_to_word, with_builder, word_to_ref, NIL};
-use crate::slab;
 
 /// Sentinel key of `minRoot` (conceptually -infinity).
 const KEY_MIN_SENTINEL: u64 = 0;
@@ -90,8 +89,8 @@ impl<P: sealed::Policy> Balance for P {}
 ///
 /// `repr(C)` keeps the words in declaration order — key, value, children,
 /// the policy's words, version: left to itself the compiler moves a
-/// two-word `bal` to the front.  `align(64)` makes a node one `slab` slot
-/// under either policy: the words a descent reads share one cache line.
+/// two-word `bal` to the front.  `align(64)` makes a node exactly one slab
+/// slot under either policy: the words a descent reads share one cache line.
 #[repr(C, align(64))]
 pub struct Node<B: Balance> {
     pub(crate) key: CasWord,
@@ -103,32 +102,15 @@ pub struct Node<B: Balance> {
 }
 
 impl<B: Balance> Node<B> {
-    fn alloc(key: u64, val: u64, bal: B::Words) -> *mut Self {
-        // A slot is freed, not dropped, and holds exactly one node.
-        const {
-            assert!(std::mem::size_of::<Self>() == slab::SLOT_BYTES);
-            assert!(std::mem::align_of::<Self>() == slab::SLOT_BYTES);
-            assert!(!std::mem::needs_drop::<Self>());
-        }
-        let node = slab::alloc().cast::<Self>().as_ptr();
-        // SAFETY: the slot has a node's size and alignment (asserted above)
-        // and is this thread's alone until the node is published.
-        unsafe {
-            node.write(Node {
-                key: CasWord::new(key),
-                val: CasWord::new(val),
-                left: CasWord::new(NIL),
-                right: CasWord::new(NIL),
-                bal,
-                ver: CasWord::new(0),
-            });
-        }
-        node
-    }
-
-    /// The slot `node` lives in.
-    fn slot(node: *const Self) -> NonNull<slab::Slot> {
-        NonNull::new(node as *mut slab::Slot).expect("a node address")
+    fn alloc(key: u64, val: u64, bal: B::Words) -> NonNull<Self> {
+        slab::alloc(Node {
+            key: CasWord::new(key),
+            val: CasWord::new(val),
+            left: CasWord::new(NIL),
+            right: CasWord::new(NIL),
+            bal,
+            ver: CasWord::new(0),
+        })
     }
 }
 
@@ -223,8 +205,8 @@ impl<B: Balance> Default for PathCasTree<B> {
 impl<B: Balance> PathCasTree<B> {
     /// Create an empty tree containing only the two sentinel nodes.
     pub fn new() -> Self {
-        let max_root = Node::alloc(KEY_MAX_SENTINEL, 0, B::words(NIL, 0));
-        let min_root = Node::alloc(KEY_MIN_SENTINEL, 0, B::words(ptr_to_word(max_root), 0));
+        let max_root = Node::alloc(KEY_MAX_SENTINEL, 0, B::words(NIL, 0)).as_ptr();
+        let min_root = Node::alloc(KEY_MIN_SENTINEL, 0, B::words(ptr_to_word(max_root), 0)).as_ptr();
         // maxRoot.left = minRoot; all real keys live under minRoot.right.
         // SAFETY: `max_root` is a fresh node not yet shared with any other
         // thread, so the raw store cannot race.
@@ -333,17 +315,16 @@ impl<B: Balance> PathCasTree<B> {
         key: u64,
         val: u64,
     ) -> bool {
-        let new_node: *mut Node<B> =
-            Node::alloc(key, val, B::words(ptr_to_word(parent as *const Node<B>), 1));
+        let new_node = Node::<B>::alloc(key, val, B::words(ptr_to_word(parent as *const Node<B>), 1));
         let parent_key = op.read(&parent.key);
         let ptr_to_change = if key < parent_key { &parent.left } else { &parent.right };
-        op.add(ptr_to_change, NIL, ptr_to_word(new_node));
+        op.add(ptr_to_change, NIL, ptr_to_word(new_node.as_ptr()));
         op.add(&parent.ver, parent_ver, parent_ver + 2);
         let committed = op.vexec();
         if !committed {
             // SAFETY: the vexec failed, so no other thread ever saw
             // `new_node`; this thread still solely owns its slot.
-            unsafe { slab::free(Node::slot(new_node)) };
+            unsafe { slab::free(new_node) };
         }
         committed
     }
@@ -461,7 +442,7 @@ impl<B: Balance> PathCasTree<B> {
             // SAFETY: the successful vexec unlinked and marked `unlinked`, so
             // this thread alone retires it; pinned readers keep it alive
             // until their epochs expire.
-            unsafe { slab::retire(Node::slot(unlinked), guard) };
+            unsafe { slab::retire(NonNull::from(unlinked), guard) };
             B::rebalance(self, rebalance_from, builder, guard);
             Some(true)
         })
@@ -576,7 +557,7 @@ impl<B: Balance> PathCasTree<B> {
                             // for that line now.  A hint only — the word is
                             // read again, through the op, when it is followed.
                             if let Some(right) = node.right.peek().filter(|&w| w != NIL) {
-                                slab::prefetch(right as usize as *const slab::Slot);
+                                slab::prefetch(right as usize as *const Node<B>);
                             }
                             curr = op.read(&node.left);
                         } else {
@@ -635,7 +616,7 @@ impl<B: Balance> PathCasTree<B> {
     }
 
     fn stats_impl(&self) -> MapStats {
-        let node_bytes = std::mem::size_of::<Node<B>>() as u64;
+        let node_bytes = slab::SLOT_BYTES as u64;
         let mut stats =
             MapStats { node_count: 2, approx_bytes: 2 * node_bytes, ..Default::default() };
         self.for_each_node(|_, key, at| {
@@ -694,7 +675,7 @@ impl<B: Balance> Drop for PathCasTree<B> {
         let mut words = vec![ptr_to_word(self.max_root), ptr_to_word(self.min_root)];
         self.for_each_node(|_, _, at| words.push(at.word));
         // SAFETY: `&mut self` proves exclusive access; every word collected
-        // is a live node in a slab slot owned by the tree, collected once
+        // is a live node the tree allocated from the slab, collected once
         // and freed once.
         unsafe { slab::free_all(&mut words) };
     }
@@ -992,4 +973,102 @@ mod tests {
 
     battery!(unbalanced, PathCasBst);
     battery!(avl, PathCasAvl);
+}
+
+/// What the tree asks of its record manager: `Drop` returns slots in address
+/// order, and `remove` retires, not frees.
+#[cfg(test)]
+mod slab_tests {
+    use super::*;
+    use crate::avl::Avl;
+    use crate::PathCasAvl;
+
+    /// Address of the node holding `key` (quiescent).
+    fn word_of(tree: &PathCasAvl, key: u64) -> u64 {
+        let mut word = None;
+        tree.for_each_node(|_, k, at| {
+            if k == key {
+                word = Some(at.word);
+            }
+        });
+        word.expect("the key is present")
+    }
+
+    #[test]
+    fn a_rebuilt_tree_gets_ascending_addresses() {
+        // The thread is new and keeps everything the dropped tree returns:
+        // it held less than a batch (1 024 slots) when the tree was dropped,
+        // and two batches fit before anything goes to the pool other tests
+        // share.
+        const KEYS: u64 = 1_000;
+        std::thread::spawn(|| {
+            let build = || {
+                let tree = PathCasAvl::new();
+                for key in 1..=KEYS {
+                    assert!(tree.insert(key, key));
+                }
+                tree
+            };
+            // Pinned throughout, the thread never collects, so no slot that a
+            // sibling test's exited thread retired lands on its free list
+            // between the drop and the rebuild.
+            let pinned = crossbeam_epoch::pin();
+            drop(build());
+            let tree = build();
+            drop(pinned);
+            let words: Vec<u64> = (1..=KEYS).map(|key| word_of(&tree, key)).collect();
+            assert!(words.windows(2).all(|w| w[0] < w[1]), "insertion order is not address order");
+        })
+        .join()
+        .expect("the rebuilding thread panicked");
+    }
+
+    #[test]
+    fn a_retired_slot_is_not_handed_out_while_a_guard_from_before_is_pinned() {
+        let tree = PathCasAvl::new();
+        for key in 1..=64u64 {
+            assert!(tree.insert(key, key));
+        }
+        // A leaf: removing it unlinks and retires its own node.
+        let (mut leaf_key, mut leaf_word) = (0, 0);
+        tree.for_each_node(|node, key, at| {
+            if node.left.load_quiescent() == NIL && node.right.load_quiescent() == NIL {
+                (leaf_key, leaf_word) = (key, at.word);
+            }
+        });
+        let guard = crossbeam_epoch::pin();
+        assert!(tree.remove(leaf_key));
+        // Churn that would reuse the slot at once if it were already free.
+        for key in 1_000..1_500u64 {
+            assert!(tree.insert(key, key));
+            assert_ne!(word_of(&tree, key), leaf_word, "a retired slot was reused under a guard");
+            if key % 2 == 0 {
+                assert!(tree.remove(key));
+            }
+            guard.flush();
+        }
+        // SAFETY: `guard` was pinned before the node was retired, which is
+        // what keeps the slot a node.
+        let node = unsafe { &*(leaf_word as usize as *const Node<Avl>) };
+        assert_eq!(node.ver.load_quiescent() & 1, 1, "the removed node is not marked");
+        assert_eq!(node.key.load_quiescent(), leaf_key);
+        drop(guard);
+
+        // Unpinned, the epoch moves on and the slot comes back.  By the
+        // clock: sibling tests' threads get descheduled while pinned.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        // The inserts stay, so that the free list drains down to the slot
+        // (it was collected first and lies deepest).
+        let mut key = 2_000u64;
+        loop {
+            crossbeam_epoch::pin().flush();
+            assert!(tree.insert(key, key));
+            if word_of(&tree, key) == leaf_word {
+                break;
+            }
+            key += 1;
+            assert!(std::time::Instant::now() < deadline, "the retired slot never came back");
+        }
+        tree.check_invariants();
+    }
 }

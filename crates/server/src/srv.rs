@@ -178,10 +178,9 @@ struct ThreadedServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
-    // Grows by one entry per accepted connection until shutdown joins and
-    // drains it — fine for the bench/test servers this crate targets
-    // (bounded connection counts, explicit shutdown); a long-lived deploy
-    // would reap finished handlers here.
+    /// The live connections.  Each accept first reaps the handlers that have
+    /// finished, so a closed connection's thread and socket clone (an fd) do
+    /// not outlive it by more than one accept.
     conns: Arc<Mutex<Vec<ConnHandle>>>,
 }
 
@@ -226,7 +225,11 @@ impl ThreadedServer {
                             let _ = sock.shutdown(Shutdown::Both);
                         }
                     });
-                    conns.lock().unwrap_or_else(|e| e.into_inner()).push((handle, peer));
+                    let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
+                    for (finished, _peer) in conns.extract_if(.., |(h, _)| h.is_finished()) {
+                        let _ = finished.join();
+                    }
+                    conns.push((handle, peer));
                 }
             })
         };

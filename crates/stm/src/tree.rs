@@ -3,8 +3,10 @@
 //! [`crate::Norec`], [`crate::Tl2`] or [`crate::Tle`] these are the paper's
 //! `int-bst-norec`, `int-avl-norec`, `int-avl-tl2` and `tle` baselines.
 
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crossbeam_epoch::slab;
 use mapapi::{ConcurrentMap, Key, MapStats, Value};
 
 use crate::{Abort, Stm, Transaction, TxWord};
@@ -20,14 +22,14 @@ struct Node {
 }
 
 impl Node {
-    fn alloc(key: u64, val: u64) -> u64 {
-        Box::into_raw(Box::new(Node {
+    fn alloc(key: u64, val: u64) -> NonNull<Node> {
+        slab::alloc(Node {
             key: TxWord::new(key),
             val: TxWord::new(val),
             left: TxWord::new(NIL),
             right: TxWord::new(NIL),
             height: TxWord::new(1),
-        })) as usize as u64
+        })
     }
 }
 
@@ -48,7 +50,7 @@ pub struct TxTree<S: Stm> {
     retired: AtomicU64,
 }
 
-// SAFETY: nodes are heap-allocated and reachable only via TxWords; all
+// SAFETY: nodes are slab slots reachable only via TxWords; all
 // shared access runs inside STM transactions under an epoch guard, so the
 // tree may move between threads.
 unsafe impl<S: Stm> Send for TxTree<S> {}
@@ -89,7 +91,8 @@ impl<S: Stm> TxAvl<S> {
 
 impl<S: Stm> TxTree<S> {
     fn insert(&self, key: u64, val: u64) -> bool {
-        let new_word = Node::alloc(key, val);
+        let new_node = Node::alloc(key, val);
+        let new_word = new_node.as_ptr() as usize as u64;
         let guard = crossbeam_epoch::pin();
         let inserted = self.stm.atomically(&mut |tx| {
             let mut path: Vec<u64> = Vec::new();
@@ -122,8 +125,8 @@ impl<S: Stm> TxTree<S> {
         if !inserted {
             // Never published by a committed transaction.
             // SAFETY: no transaction committed a pointer to `new_word`, so
-            // this thread still solely owns the fresh Box.
-            unsafe { drop(Box::from_raw(new_word as usize as *mut Node)) };
+            // this thread still solely owns its slot.
+            unsafe { slab::free(new_node) };
         }
         drop(guard);
         inserted
@@ -207,11 +210,9 @@ impl<S: Stm> TxTree<S> {
                 // ORDERING: Relaxed — diagnostic retirement counter only.
                 self.retired.fetch_add(1, Ordering::Relaxed);
                 // SAFETY: the committed transaction unlinked `word`, so only
-                // this thread defers its reclamation; the drop runs after
-                // every pinned reader's epoch has expired.
-                unsafe {
-                    guard.defer_unchecked(move || drop(Box::from_raw(word as usize as *mut Node)))
-                };
+                // this thread retires it; the slot is freed after every
+                // pinned reader's epoch has expired.
+                unsafe { slab::retire(NonNull::from(node(word)), &guard) };
                 true
             }
             None => false,
@@ -408,7 +409,7 @@ impl<S: Stm> TxTree<S> {
             stats.key_count += 1;
             stats.key_sum += n.key.load_quiescent() as u128;
             stats.key_depth_sum += depth;
-            stats.approx_bytes += std::mem::size_of::<Node>() as u64;
+            stats.approx_bytes += slab::SLOT_BYTES as u64;
             let l = n.left.load_quiescent();
             let r = n.right.load_quiescent();
             if l != NIL {
@@ -446,6 +447,7 @@ impl<S: Stm> TxTree<S> {
 
 impl<S: Stm> Drop for TxTree<S> {
     fn drop(&mut self) {
+        let mut words = Vec::new();
         let mut work = vec![self.root.load_quiescent()];
         while let Some(word) = work.pop() {
             if word == NIL {
@@ -454,10 +456,11 @@ impl<S: Stm> Drop for TxTree<S> {
             let n = node(word);
             work.push(n.left.load_quiescent());
             work.push(n.right.load_quiescent());
-            // SAFETY: `&mut self` (Drop) proves exclusive access; every word
-            // is a live `Box::into_raw` pointer freed exactly once.
-            unsafe { drop(Box::from_raw(word as usize as *mut Node)) };
+            words.push(word);
         }
+        // SAFETY: `&mut self` (Drop) proves exclusive access; every word is
+        // a live node the tree allocated from the slab, reached once.
+        unsafe { slab::free_all(&mut words) };
     }
 }
 

@@ -1,8 +1,8 @@
 //! The `cargo xtask analyze` concurrency lint pass (DESIGN.md §12).
 //!
 //! Four repo-specific rules that `rustc`/`clippy` cannot express, enforced
-//! over every workspace crate's `src/` tree (`crates/*/src/**/*.rs` —
-//! vendored third-party code under `vendor/` is out of scope):
+//! over every workspace crate's `src/` tree (`crates/*/src/**/*.rs`, plus
+//! [`VENDORED_SOURCES`] — the rest of `vendor/` is out of scope):
 //!
 //! 1. **`unsafe` needs `// SAFETY:`** — every `unsafe` block, fn, or impl
 //!    must carry a `SAFETY` justification (a `// SAFETY:` comment or a
@@ -43,6 +43,10 @@ use std::path::{Path, PathBuf};
 /// How far above a flagged line a justification comment may sit (in
 /// addition to the contiguous comment/attribute block directly above).
 pub const CONTEXT_LINES: usize = 12;
+
+/// Vendored source trees that hold the workspace's own `unsafe` code: the
+/// epoch shim carries the record manager every structure allocates from.
+pub const VENDORED_SOURCES: &[&str] = &["vendor/crossbeam-epoch/src"];
 
 /// Crates whose atomics must go through their `sync.rs` facade so the
 /// `pathcas_loom` build model-checks the production source.
@@ -113,17 +117,17 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Analyze every `crates/*/src` tree under `root` (the workspace root).
-/// Returns all findings, stable-ordered by path then line.
+/// Analyze every `crates/*/src` tree and every [`VENDORED_SOURCES`] tree
+/// under `root` (the workspace root).  Returns all findings, stable-ordered
+/// by path then line.
 pub fn analyze(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    for entry in fs::read_dir(&crates_dir)? {
-        let krate = entry?.path();
-        let src = krate.join("src");
-        if src.is_dir() {
-            collect_rs_files(&src, &mut files)?;
-        }
+    let mut sources: Vec<PathBuf> = VENDORED_SOURCES.iter().map(|dir| root.join(dir)).collect();
+    for entry in fs::read_dir(root.join("crates"))? {
+        sources.push(entry?.path().join("src"));
+    }
+    for src in sources.iter().filter(|src| src.is_dir()) {
+        collect_rs_files(src, &mut files)?;
     }
     files.sort();
     let mut out = Vec::new();
@@ -147,8 +151,10 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// The directory name under `crates/` or `vendor/`: `kcas`, `crossbeam-epoch`.
 fn crate_of(root: &Path, file: &Path) -> String {
     file.strip_prefix(root.join("crates"))
+        .or_else(|_| file.strip_prefix(root.join("vendor")))
         .ok()
         .and_then(|rel| rel.components().next())
         .map(|c| c.as_os_str().to_string_lossy().into_owned())

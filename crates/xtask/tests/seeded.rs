@@ -107,6 +107,22 @@ fn clean_seeded_tree_reports_nothing() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// The epoch shim holds the record manager's `unsafe`, so its source is
+/// analyzed like a workspace crate's; the other vendored shims are not.
+#[test]
+fn the_epoch_shim_is_analyzed_and_other_shims_are_not() {
+    let root = scratch("vendor");
+    let bad = "fn f() {\n    unsafe { g() }\n    a.load(Ordering::Relaxed);\n}\n";
+    write(&root, "crates/kcas/src/lib.rs", "fn f() {}\n");
+    write(&root, "vendor/crossbeam-epoch/src/slab.rs", bad);
+    write(&root, "vendor/rand/src/lib.rs", bad);
+
+    let vs = analyze(&root).unwrap();
+    assert_eq!(vs.len(), 2, "all findings: {vs:#?}");
+    assert!(vs.iter().all(|v| v.file.ends_with("vendor/crossbeam-epoch/src/slab.rs")), "{vs:#?}");
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// The shipped tree itself is clean — the same check CI runs via
 /// `cargo xtask analyze`, kept here so plain `cargo test` covers it too.
 #[test]
