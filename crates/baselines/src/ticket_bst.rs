@@ -348,9 +348,6 @@ impl ConcurrentMap for TicketBst {
     fn remove(&self, key: Key) -> bool {
         self.remove_impl(key)
     }
-    fn contains(&self, key: Key) -> bool {
-        self.get_impl(key).is_some()
-    }
     fn get(&self, key: Key) -> Option<Value> {
         self.get_impl(key)
     }

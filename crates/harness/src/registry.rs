@@ -135,9 +135,9 @@ mod tests {
             let m = (f.build)();
             assert_eq!(m.name(), f.name, "factory name mismatch");
             assert!(m.insert(10, 1));
-            assert!(m.contains(10));
+            assert_eq!(m.get(10), Some(1));
             assert!(m.remove(10));
-            assert!(!m.contains(10));
+            assert_eq!(m.get(10), None);
         }
     }
 
@@ -183,7 +183,7 @@ mod tests {
         let m = try_make("shard2(shard2(int-bst-pathcas))").unwrap();
         assert_eq!(m.name(), "shard2(shard2(int-bst-pathcas))");
         assert!(m.insert(1, 2));
-        assert!(m.contains(1));
+        assert_eq!(m.get(1), Some(2));
     }
 
     #[test]

@@ -364,7 +364,7 @@ pub fn kcas(entries: &[KcasArg<'_>], guard: &Guard) -> bool {
 /// Unlike the validation inside a published operation this never fails
 /// spuriously: encountering a descriptor helps it and then compares the
 /// resolved value.  It is the building block of validated read-only
-/// operations (e.g. `contains`), over a pre-accumulated raw buffer like
+/// operations (e.g. a `get` that misses), over a pre-accumulated raw buffer like
 /// [`execute_raw`].
 ///
 /// # Safety

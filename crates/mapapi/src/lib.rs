@@ -95,13 +95,11 @@ impl MapStats {
 }
 
 /// Cumulative per-shard operation counts reported by sharded structures (see
-/// [`ConcurrentMap::shard_loads`]). Together with the per-shard
-/// [`MapStats::key_count`] from [`ConcurrentMap::shard_stats`], this is the
-/// load evidence the ROADMAP's elastic-sharding arc needs: which shard the
-/// traffic actually hits, not just where the keys sit.
+/// [`ConcurrentMap::shard_loads`]): which shard the traffic actually hits,
+/// not just where the keys sit.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLoad {
-    /// Point operations (insert/remove/contains/get/rmw) routed to the shard.
+    /// Point operations (insert/remove/get/rmw) routed to the shard.
     pub point_ops: u64,
     /// Inner `scan` calls made on the shard: a cross-shard merged scan
     /// counts one per chunk it pulls — none on a shard whose keys lie beyond
@@ -126,9 +124,6 @@ pub trait ConcurrentMap: Send + Sync {
 
     /// Remove `key`. Returns `true` if the key was present and removed.
     fn remove(&self, key: Key) -> bool;
-
-    /// Returns `true` if `key` is present.
-    fn contains(&self, key: Key) -> bool;
 
     /// Returns the value associated with `key`, if present.
     fn get(&self, key: Key) -> Option<Value>;
@@ -206,23 +201,10 @@ pub trait ConcurrentMap: Send + Sync {
     /// other thread is operating on the map).
     fn stats(&self) -> MapStats;
 
-    /// Number of shards this structure partitions keys across. Unsharded
-    /// structures are a single shard.
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    /// The shard index (`< shard_count()`) that owns `key`. The default
-    /// single-shard structure owns every key in shard 0.
+    /// The index of the shard that owns `key`.  An unsharded structure is
+    /// one shard, so the default owns every key in shard 0.
     fn shard_of(&self, _key: Key) -> usize {
         0
-    }
-
-    /// Quiescent per-shard structural statistics, indexed by shard. The
-    /// aggregate [`Self::stats`] is always the element-wise sum of this
-    /// breakdown; the default single-shard structure reports one entry.
-    fn shard_stats(&self) -> Vec<MapStats> {
-        vec![self.stats()]
     }
 
     /// Cumulative per-shard operation counts, indexed by shard. Structures
@@ -245,9 +227,6 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for Box<M> {
     fn remove(&self, key: Key) -> bool {
         (**self).remove(key)
     }
-    fn contains(&self, key: Key) -> bool {
-        (**self).contains(key)
-    }
     fn get(&self, key: Key) -> Option<Value> {
         (**self).get(key)
     }
@@ -260,14 +239,8 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for Box<M> {
     fn stats(&self) -> MapStats {
         (**self).stats()
     }
-    fn shard_count(&self) -> usize {
-        (**self).shard_count()
-    }
     fn shard_of(&self, key: Key) -> usize {
         (**self).shard_of(key)
-    }
-    fn shard_stats(&self) -> Vec<MapStats> {
-        (**self).shard_stats()
     }
     fn shard_loads(&self) -> Vec<ShardLoad> {
         (**self).shard_loads()
@@ -285,9 +258,6 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for std::sync::Arc<M> {
     fn remove(&self, key: Key) -> bool {
         (**self).remove(key)
     }
-    fn contains(&self, key: Key) -> bool {
-        (**self).contains(key)
-    }
     fn get(&self, key: Key) -> Option<Value> {
         (**self).get(key)
     }
@@ -300,14 +270,8 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for std::sync::Arc<M> {
     fn stats(&self) -> MapStats {
         (**self).stats()
     }
-    fn shard_count(&self) -> usize {
-        (**self).shard_count()
-    }
     fn shard_of(&self, key: Key) -> usize {
         (**self).shard_of(key)
-    }
-    fn shard_stats(&self) -> Vec<MapStats> {
-        (**self).shard_stats()
     }
     fn shard_loads(&self) -> Vec<ShardLoad> {
         (**self).shard_loads()
@@ -351,9 +315,6 @@ pub mod reference {
         fn remove(&self, key: Key) -> bool {
             self.inner.lock().unwrap().remove(&key).is_some()
         }
-        fn contains(&self, key: Key) -> bool {
-            self.inner.lock().unwrap().contains_key(&key)
-        }
         fn get(&self, key: Key) -> Option<Value> {
             self.inner.lock().unwrap().get(&key).copied()
         }
@@ -395,11 +356,10 @@ mod tests {
         let m = LockedBTreeMap::new();
         assert!(m.insert(5, 50));
         assert!(!m.insert(5, 51));
-        assert!(m.contains(5));
         assert_eq!(m.get(5), Some(50));
         assert!(m.remove(5));
         assert!(!m.remove(5));
-        assert!(!m.contains(5));
+        assert_eq!(m.get(5), None);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct StressOutcome {
 /// Run `threads` worker threads performing a random mix of operations for
 /// `duration`, then validate the final contents against the per-thread
 /// success records.  `update_percent` is split evenly between inserts and
-/// deletes; the rest are `contains`.
+/// deletes; the rest are `get`s.
 ///
 /// Panics (with the map's name) on any inconsistency.
 pub fn stress_keysum<M: ConcurrentMap + ?Sized>(
@@ -97,7 +97,7 @@ pub fn stress_keysum_with<M: ConcurrentMap + ?Sized>(
                             rec.count -= 1;
                         }
                     } else {
-                        let _ = map.contains(key);
+                        let _ = map.get(key);
                     }
                     rec.ops += 1;
                 }
@@ -246,15 +246,14 @@ pub fn stress_disjoint_stripes<M: ConcurrentMap + ?Sized>(map: &M, threads: usiz
                     assert!(map.insert(k, k * 2), "{}: stripe insert {}", map.name(), k);
                 }
                 for k in base..base + keys_per_thread {
-                    assert!(map.contains(k));
                     assert_eq!(map.get(k), Some(k * 2));
                 }
                 for k in (base..base + keys_per_thread).step_by(2) {
                     assert!(map.remove(k), "{}: stripe remove {}", map.name(), k);
                 }
                 for k in base..base + keys_per_thread {
-                    let expect = (k - base) % 2 == 1;
-                    assert_eq!(map.contains(k), expect, "{}: stripe post-check {}", map.name(), k);
+                    let expect = Some(k * 2).filter(|_| (k - base) % 2 == 1);
+                    assert_eq!(map.get(k), expect, "{}: stripe post-check {}", map.name(), k);
                 }
             });
         }

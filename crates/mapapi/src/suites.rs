@@ -13,14 +13,12 @@ use crate::{ConcurrentMap, Key};
 
 /// Basic single-threaded semantics every map must satisfy.
 pub fn check_basic_semantics<M: ConcurrentMap>(map: &M) {
-    assert!(!map.contains(10), "{}: empty map should not contain 10", map.name());
+    assert_eq!(map.get(10), None, "{}: empty map should not contain 10", map.name());
     assert!(map.insert(10, 100), "{}: first insert must succeed", map.name());
     assert!(!map.insert(10, 101), "{}: duplicate insert must fail", map.name());
-    assert!(map.contains(10));
     assert_eq!(map.get(10), Some(100), "{}: value must be the first inserted", map.name());
     assert!(map.remove(10));
     assert!(!map.remove(10), "{}: double remove must fail", map.name());
-    assert!(!map.contains(10));
     assert_eq!(map.get(10), None);
 
     // Re-insertion after deletion.
@@ -32,10 +30,9 @@ pub fn check_basic_semantics<M: ConcurrentMap>(map: &M) {
         assert!(map.insert(k, k * 10), "{}: insert {} failed", map.name(), k);
     }
     for k in 1..=9u64 {
-        assert!(map.contains(k), "{}: missing key {}", map.name(), k);
-        assert_eq!(map.get(k), Some(k * 10));
+        assert_eq!(map.get(k), Some(k * 10), "{}: missing key {}", map.name(), k);
     }
-    assert!(!map.contains(11));
+    assert_eq!(map.get(11), None);
 }
 
 /// Ascending, descending and alternating insertion/removal orders — the
@@ -47,14 +44,14 @@ pub fn check_ordered_patterns<M: ConcurrentMap>(map: &M) {
         assert!(map.insert(k, k));
     }
     for k in 1..=n {
-        assert!(map.contains(k));
+        assert_eq!(map.get(k), Some(k));
     }
     // Remove odd keys (exercises leaf and one-child deletes).
     for k in (1..=n).filter(|k| k % 2 == 1) {
         assert!(map.remove(k), "{}: remove {}", map.name(), k);
     }
     for k in 1..=n {
-        assert_eq!(map.contains(k), k % 2 == 0);
+        assert_eq!(map.get(k), Some(k).filter(|k| k % 2 == 0));
     }
     // Remove the rest in descending order.
     for k in (1..=n).rev().filter(|k| k % 2 == 0) {
@@ -100,13 +97,7 @@ pub fn check_random_against_oracle<M: ConcurrentMap>(map: &M, ops: usize, key_ra
                 );
             }
             _ => {
-                assert_eq!(
-                    map.contains(key),
-                    oracle.contains(key),
-                    "{}: contains({key}) diverged at op {i}",
-                    map.name()
-                );
-                assert_eq!(map.get(key), oracle.get(key));
+                assert_eq!(map.get(key), oracle.get(key), "{}: get({key}) diverged at op {i}", map.name());
             }
         }
     }
@@ -116,7 +107,7 @@ pub fn check_random_against_oracle<M: ConcurrentMap>(map: &M, ops: usize, key_ra
     assert_eq!(s.key_count, o.key_count, "{}: final key count diverged", map.name());
     assert_eq!(s.key_sum, o.key_sum, "{}: final key sum diverged", map.name());
     for key in 1..=key_range {
-        assert_eq!(map.contains(key), oracle.contains(key), "{}: final contains({key})", map.name());
+        assert_eq!(map.get(key), oracle.get(key), "{}: final get({key})", map.name());
     }
 }
 
@@ -246,20 +237,20 @@ pub fn check_scan_matches_stats<M: ConcurrentMap + ?Sized>(map: &M, stats: &crat
 pub const SCAN_AUDIT_CHUNK: usize = 4096;
 
 /// Quick structural sanity check used after stress runs: key count and key
-/// sum reported by `stats()` must be consistent with `contains` over the
-/// whole key range.
+/// sum reported by `stats()` must be consistent with `get` over the whole
+/// key range.
 pub fn check_stats_consistency<M: ConcurrentMap>(map: &M, key_range: Key) {
     let s = map.stats();
     let mut count = 0u64;
     let mut sum = 0u128;
     for key in 1..=key_range {
-        if map.contains(key) {
+        if map.get(key).is_some() {
             count += 1;
             sum += key as u128;
         }
     }
-    assert_eq!(s.key_count, count, "{}: stats key_count vs contains()", map.name());
-    assert_eq!(s.key_sum, sum, "{}: stats key_sum vs contains()", map.name());
+    assert_eq!(s.key_count, count, "{}: stats key_count vs get()", map.name());
+    assert_eq!(s.key_sum, sum, "{}: stats key_sum vs get()", map.name());
 }
 
 #[cfg(test)]

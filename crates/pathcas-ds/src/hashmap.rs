@@ -60,9 +60,6 @@ impl ConcurrentMap for PathCasHashMap {
     fn remove(&self, key: Key) -> bool {
         self.bucket(key).remove(key)
     }
-    fn contains(&self, key: Key) -> bool {
-        self.bucket(key).contains(key)
-    }
     fn get(&self, key: Key) -> Option<Value> {
         self.bucket(key).get(key)
     }

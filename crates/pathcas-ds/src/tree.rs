@@ -653,9 +653,6 @@ impl<B: Balance> ConcurrentMap for PathCasTree<B> {
     fn remove(&self, key: Key) -> bool {
         self.remove_impl(key)
     }
-    fn contains(&self, key: Key) -> bool {
-        self.get_impl(key).is_some()
-    }
     fn get(&self, key: Key) -> Option<Value> {
         self.get_impl(key)
     }
@@ -736,10 +733,10 @@ mod tests {
                         assert!(t.insert(k, k));
                     }
                     assert!(t.remove(50)); // two children, successor is 62
-                    assert!(!t.contains(50));
-                    assert!(t.contains(62));
+                    assert_eq!(t.get(50), None);
+                    assert_eq!(t.get(62), Some(62));
                     assert!(t.remove(25)); // two children, successor is 31
-                    assert!(!t.contains(25));
+                    assert_eq!(t.get(25), None);
                     t.check_invariants();
                     assert_eq!(t.stats().key_count, 9);
                 }
@@ -769,7 +766,7 @@ mod tests {
                     }
                     t.check_invariants();
                     for k in 1..=n {
-                        assert_eq!(t.contains(k), (k - 1) % 3 != 0);
+                        assert_eq!(t.get(k), Some(k).filter(|k| (k - 1) % 3 != 0));
                     }
                 }
 

@@ -44,9 +44,6 @@ impl<M: ConcurrentMap> ConcurrentMap for FarEnd<M> {
     fn remove(&self, key: Key) -> bool {
         self.0.remove(SPINE + key)
     }
-    fn contains(&self, key: Key) -> bool {
-        self.0.contains(SPINE + key)
-    }
     fn get(&self, key: Key) -> Option<Value> {
         self.0.get(SPINE + key)
     }

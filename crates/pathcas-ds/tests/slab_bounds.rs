@@ -102,13 +102,17 @@ fn garbage_of_exited_threads_is_recycled() {
         if thread == WARM_UP {
             warm = reserved();
         }
+        // An explicit join waits for the thread's exit, its thread-local
+        // destructors (the hand-off) included; the end of a scope does not.
         std::thread::scope(|s| {
             s.spawn(|| {
                 for key in 1..=KEYS {
                     assert!(list.insert(key, key));
                     assert!(list.remove(key));
                 }
-            });
+            })
+            .join()
+            .unwrap();
         });
     }
     let grown = reserved() - warm;

@@ -13,7 +13,7 @@ use crate::{DEFAULT_MAX_ENTRIES, DEFAULT_MAX_PATH, DEFAULT_STRONG_RETRIES};
 /// their capacity across operations, so in steady state an operation issued
 /// through a reused builder performs **no heap allocation** — together with
 /// the descriptor pools in `kcas` this makes the whole update hot path
-/// allocation-free.  Read-only operations (a validated `contains`) never
+/// allocation-free.  Read-only operations (a `get` that misses) never
 /// publish a descriptor at all.
 pub struct OpBuilder {
     entries: Vec<RawEntry>,
@@ -151,7 +151,7 @@ impl<'g> PathCasOp<'g> {
     }
 
     /// Check whether any visited node has changed (or been marked) since it
-    /// was visited.  This is the read-only validation used by `contains`:
+    /// was visited.  This is the read-only validation a missing `get` uses:
     /// unlike the validation inside `vexec` it never fails spuriously,
     /// because it helps any operation it encounters before comparing.
     pub fn validate(&mut self) -> bool {

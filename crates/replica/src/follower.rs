@@ -106,10 +106,6 @@ impl ConcurrentMap for Follower {
         panic!("{}: followers are read-only", self.name)
     }
 
-    fn contains(&self, key: Key) -> bool {
-        self.inner.contains(key)
-    }
-
     fn get(&self, key: Key) -> Option<Value> {
         self.inner.get(key)
     }
@@ -126,16 +122,8 @@ impl ConcurrentMap for Follower {
         self.inner.stats()
     }
 
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
     fn shard_of(&self, key: Key) -> usize {
         self.inner.shard_of(key)
-    }
-
-    fn shard_stats(&self) -> Vec<MapStats> {
-        self.inner.shard_stats()
     }
 
     fn shard_loads(&self) -> Vec<mapapi::ShardLoad> {
@@ -203,10 +191,6 @@ impl ConcurrentMap for ReplicaSet {
         self.primary.remove(key)
     }
 
-    fn contains(&self, key: Key) -> bool {
-        self.reader().contains(key)
-    }
-
     fn get(&self, key: Key) -> Option<Value> {
         self.reader().get(key)
     }
@@ -223,16 +207,8 @@ impl ConcurrentMap for ReplicaSet {
         self.primary.stats()
     }
 
-    fn shard_count(&self) -> usize {
-        self.primary.shard_count()
-    }
-
     fn shard_of(&self, key: Key) -> usize {
         self.primary.shard_of(key)
-    }
-
-    fn shard_stats(&self) -> Vec<MapStats> {
-        self.primary.shard_stats()
     }
 
     fn shard_loads(&self) -> Vec<mapapi::ShardLoad> {

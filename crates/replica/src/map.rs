@@ -172,10 +172,6 @@ impl ConcurrentMap for ReplicatedMap {
         removed
     }
 
-    fn contains(&self, key: Key) -> bool {
-        self.backing.map().contains(key)
-    }
-
     fn get(&self, key: Key) -> Option<Value> {
         self.backing.map().get(key)
     }
@@ -202,16 +198,8 @@ impl ConcurrentMap for ReplicatedMap {
         self.backing.map().stats()
     }
 
-    fn shard_count(&self) -> usize {
-        self.backing.map().shard_count()
-    }
-
     fn shard_of(&self, key: Key) -> usize {
         self.backing.map().shard_of(key)
-    }
-
-    fn shard_stats(&self) -> Vec<MapStats> {
-        self.backing.map().shard_stats()
     }
 
     fn shard_loads(&self) -> Vec<mapapi::ShardLoad> {

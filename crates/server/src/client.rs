@@ -289,10 +289,6 @@ impl ConcurrentMap for ServiceMap {
         matches!(self.roundtrip(Request::Del(key)), Response::Del(true))
     }
 
-    fn contains(&self, key: Key) -> bool {
-        self.get(key).is_some()
-    }
-
     fn get(&self, key: Key) -> Option<Value> {
         match self.roundtrip(Request::Get(key)) {
             Response::Get(v) => v,

@@ -92,10 +92,6 @@ pub(crate) struct ServerMetrics {
     /// Reactor: flushes that hit `WouldBlock` and had to arm `EPOLLOUT` —
     /// one per backpressure stall, not per retried write.
     pub reactor_epollout_stalls: Counter,
-    /// Reactor: accepted connections served by a recycled decoder/queue.
-    pub reactor_pool_hits: Counter,
-    /// Reactor: accepted connections that had to allocate fresh buffers.
-    pub reactor_pool_misses: Counter,
 }
 
 static METRICS: ServerMetrics = ServerMetrics {
@@ -108,8 +104,6 @@ static METRICS: ServerMetrics = ServerMetrics {
     reactor_write_syscalls: Counter::new(),
     reactor_write_queue_bytes: Histogram::new(),
     reactor_epollout_stalls: Counter::new(),
-    reactor_pool_hits: Counter::new(),
-    reactor_pool_misses: Counter::new(),
 };
 
 /// The last [`FLIGHT_CAPACITY`] slow ops, ring-style.
@@ -153,11 +147,6 @@ pub(crate) fn metrics() -> &'static ServerMetrics {
         telemetry::register(
             "reactor_epollout_stalls_total",
             Handle::Counter(&METRICS.reactor_epollout_stalls),
-        );
-        telemetry::register("reactor_pool_hits_total", Handle::Counter(&METRICS.reactor_pool_hits));
-        telemetry::register(
-            "reactor_pool_misses_total",
-            Handle::Counter(&METRICS.reactor_pool_misses),
         );
         // Materialize the subsystem registries too, so a METRICS call sees
         // the identical name set on every backend (and on a server that has
@@ -260,12 +249,12 @@ pub(crate) fn record_op(
 /// 64 ns, saturating at `0xFFFF` (≈ 4.19 ms per lane).
 const PHASE_LANE_UNIT_NS: u64 = 64;
 
-/// Phases a flight record's breakdown covers: the first four of the
-/// pipeline-ordered taxonomy (`ready`, `decode`, `shard`, `kcas`).  `resp`
+/// Phases a flight record's breakdown covers: the first three of the
+/// pipeline-ordered taxonomy (`ready`, `decode`, `kcas`).  `resp`
 /// and `flush` are not yet known when the record is written (they happen
 /// after `record_op`), so the packed breakdown covers the server-side path
 /// up to and including the structure execution.
-const PACKED_PHASES: usize = 4;
+const PACKED_PHASES: usize = 3;
 
 /// Pack the first [`PACKED_PHASES`] scratch durations into 16-bit lanes of
 /// one `u64` (64 ns units, saturating) — the flight record's

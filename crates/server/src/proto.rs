@@ -457,8 +457,8 @@ pub const READ_CHUNK: usize = 64 << 10;
 ///   assembling (plus up to one [`READ_CHUNK`] of lookahead).
 ///
 /// Consumed bytes are compacted away lazily; capacity is retained across
-/// frames and connections (the reactor pools sessions), which is what makes
-/// the steady-state read path allocation-free.
+/// frames for the life of the connection, which is what makes the
+/// steady-state read path allocation-free.
 #[derive(Default)]
 pub struct FrameDecoder {
     /// Received bytes live in `buf[start..end]`.  Everything past `end` is
@@ -541,7 +541,8 @@ impl FrameDecoder {
         self.buf.capacity()
     }
 
-    /// Forget buffered bytes but keep the allocation: the pool-return path.
+    /// Forget buffered bytes but keep the allocation: what a session does
+    /// with input that arrives after `SUBSCRIBE`.
     pub fn reset(&mut self) {
         self.start = 0;
         self.end = 0;

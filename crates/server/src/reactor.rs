@@ -16,7 +16,7 @@
 //! The wire protocol, request execution, and error behavior are the
 //! threaded backend's by construction — both drive the same sans-I/O
 //! [`Session`], and this file holds only what is epoll: accept, the token
-//! map, the session pool, `WouldBlock`/`EPOLLOUT` arming and the
+//! map, `WouldBlock`/`EPOLLOUT` arming and the
 //! syscall/wakeup counters.  The entire loopback / fault / replication
 //! battery still runs differentially against both
 //! (`tests/common/mod.rs::for_each_backend`).
@@ -29,11 +29,12 @@
 //! it compounds across thousands of connections instead of thousands of
 //! threads.
 //!
-//! **Pooling.**  Sessions are recycled through a per-thread free list when
-//! connections close, and their decoder and write queue retain their
-//! capacity across frames — the steady-state read path (fill → decode →
-//! execute → encode) performs zero heap allocations, asserted by the
-//! counting-allocator test in `tests/zero_alloc_wire.rs`.
+//! **Memory.**  A session's decoder and write queue retain their capacity
+//! across frames — the steady-state read path (fill → decode → execute →
+//! encode) performs zero heap allocations, asserted by the counting-allocator
+//! test in `tests/zero_alloc_wire.rs` — and are freed with the connection,
+//! so the reactor holds buffers for the connections it has, not for the
+//! most it ever had (`tests/reactor_memory.rs`).
 //!
 //! **Backpressure.**  A slow reader's write queue simply grows (staged
 //! bytes, not blocked threads) while `EPOLLOUT` drains it as the peer
@@ -115,7 +116,6 @@ impl ReactorServer {
                 conns: HashMap::new(),
                 next_token: TOK_CONN0,
                 streaming: 0,
-                pool: Vec::new(),
                 dead: Vec::new(),
             };
             wakes.push(wake);
@@ -162,8 +162,6 @@ struct ReactorLoop {
     next_token: u64,
     /// Live subscribed (streaming) connections owned by this thread.
     streaming: usize,
-    /// Recycled sessions from closed connections (buffers kept warm).
-    pool: Vec<Session>,
     /// Scratch list of tokens to close after an iteration phase.
     dead: Vec<u64>,
 }
@@ -267,21 +265,8 @@ impl ReactorLoop {
                     if self.epoll.add(stream.as_raw_fd(), token, Interest::READ).is_err() {
                         continue;
                     }
-                    let m = metrics();
-                    m.conns_accepted.inc();
-                    // Pool hit rate: a recycled session arrives warm (its
-                    // buffers retain capacity), so a high hit rate is what
-                    // keeps steady-state accepts allocation-light.
-                    let session = match self.pool.pop() {
-                        Some(session) => {
-                            m.reactor_pool_hits.inc();
-                            session
-                        }
-                        None => {
-                            m.reactor_pool_misses.inc();
-                            Session::new(&self.opts)
-                        }
-                    };
+                    metrics().conns_accepted.inc();
+                    let session = Session::new(&self.opts);
                     self.conns.insert(token, Conn { stream, session, want_write: false });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -321,19 +306,18 @@ impl ReactorLoop {
         }
     }
 
-    /// Tear a connection down and recycle its buffers.
+    /// Tear a connection down, its buffers with it.
     fn close(&mut self, token: u64) {
-        let Some(mut conn) = self.conns.remove(&token) else { return };
+        let Some(conn) = self.conns.remove(&token) else { return };
         if conn.session.streaming_after().is_some() {
             self.streaming -= 1;
         }
         // Closing the fd deregisters it from epoll implicitly; the explicit
         // delete keeps the set tidy if the stream clone semantics change.
         let _ = self.epoll.delete(conn.stream.as_raw_fd());
-        conn.session.reset();
-        self.pool.push(conn.session);
-        // `conn.stream` drops here: FIN (or RST if the peer sent bytes we
-        // never read), exactly like the threaded handler's socket teardown.
+        // `conn` drops here, session buffers and socket: FIN (or RST if the
+        // peer sent bytes we never read), exactly like the threaded
+        // handler's socket teardown.
     }
 }
 

@@ -26,7 +26,7 @@
 //!
 //! **Trace context.**  `process` consults the sampler once per frame and
 //! installs a sampled frame as the thread's current trace, so `execute`
-//! records its `shard`/`kcas` spans under it.  The last frame's trace is
+//! records its `kcas` span under it.  The last frame's trace is
 //! left installed on return: the driver charges the write that follows to
 //! it as the burst's `flush` span and then clears it
 //! (`telemetry::trace::set_current(None)`) before serving anything else.
@@ -35,9 +35,7 @@ use std::io;
 
 use mapapi::{ConcurrentMap, Key, Value};
 use replica::Event;
-use telemetry::trace::{
-    self, PHASE_DECODE, PHASE_DELIVER, PHASE_KCAS, PHASE_READY, PHASE_RESP, PHASE_SHARD,
-};
+use telemetry::trace::{self, PHASE_DECODE, PHASE_DELIVER, PHASE_KCAS, PHASE_READY, PHASE_RESP};
 
 use crate::proto::{self, FrameDecoder, Request, Response, MAX_SCAN_LEN};
 use crate::srv::{Backend, ServerOpts};
@@ -47,6 +45,11 @@ pub const READ_ONLY_MSG: &str = "read-only replica: writes go to the primary";
 
 /// Rejection for `SUBSCRIBE` on a server without a change stream.
 pub const NO_LOG_MSG: &str = "no change stream: this server has no log";
+
+/// Most bytes the staged output may keep allocated once drained: the
+/// encoded size of a [`mapapi::SCAN_RETAIN_PAIRS`]-pair `SCAN` response, the
+/// rule the session's scan buffer follows.
+const OUT_RETAIN_BYTES: usize = 4 + 1 + 4 + 16 * mapapi::SCAN_RETAIN_PAIRS;
 
 /// What a session is currently doing with its input.
 enum Mode {
@@ -108,17 +111,6 @@ impl Session {
             deliver: None,
             scan: Vec::new(),
         }
-    }
-
-    /// Forget the connection but keep the buffers' allocations, so a pooled
-    /// session starts its next connection warm.
-    pub fn reset(&mut self) {
-        self.dec.reset();
-        self.out.clear();
-        self.out_pos = 0;
-        self.mode = Mode::Request;
-        self.closing = false;
-        self.deliver = None;
     }
 
     /// Read once from `r` straight into the decoder's buffer.  Returns the
@@ -230,13 +222,18 @@ impl Session {
     }
 
     /// The driver wrote the first `n` bytes of [`Session::staged`].  Once
-    /// everything staged has drained the buffer's window is recycled (its
-    /// allocation is kept).
+    /// everything staged has drained the buffer's window is recycled: its
+    /// allocation is kept up to `OUT_RETAIN_BYTES` and given back past it,
+    /// so one maximal response does not stay pinned on the connection.
     pub fn wrote(&mut self, n: usize) {
         debug_assert!(n <= self.staged().len(), "reported more bytes than were staged");
         self.out_pos += n;
         if self.out_pos >= self.out.len() {
-            self.out.clear();
+            if self.out.capacity() > OUT_RETAIN_BYTES {
+                self.out = Vec::new();
+            } else {
+                self.out.clear();
+            }
             self.out_pos = 0;
             if let Some((t, start)) = self.deliver.take() {
                 let dur = trace::now_ns().saturating_sub(start);
@@ -277,9 +274,9 @@ fn is_write(req: &Request) -> bool {
 /// in the flight recorder tagged with the key's owning shard and `backend`.
 ///
 /// When the calling thread carries a sampled trace (set by
-/// [`Session::process`]), the shard route and the structure execution are
-/// recorded as `shard`/`kcas` spans — the kcas span's event counts pick up
-/// the retry/help hooks `kcas::metrics` fires while `execute_inner` runs.
+/// [`Session::process`]), the structure execution — shard routing included
+/// — is recorded as a `kcas` span, whose event counts pick up the
+/// retry/help hooks `kcas::metrics` fires while `execute_inner` runs.
 /// Untraced ops pay one TLS read and skip all of it.
 ///
 /// A `SCAN` appends its pairs to `scan` (empty on entry) and answers
@@ -292,16 +289,8 @@ fn execute(
 ) -> Reply {
     let start = std::time::Instant::now();
     let (opcode, key) = crate::metrics::op_tag(&req);
-    let resp = if trace::current().is_some() {
-        {
-            let _shard_span = trace::begin(PHASE_SHARD);
-            let _ = map.shard_of(key);
-        }
-        let kcas_span = trace::begin(PHASE_KCAS);
-        let resp = execute_inner(map, req, backend, scan);
-        drop(kcas_span);
-        resp
-    } else {
+    let resp = {
+        let _kcas_span = trace::begin(PHASE_KCAS);
         execute_inner(map, req, backend, scan)
     };
     crate::metrics::record_op(opcode, key, start.elapsed(), map, backend);
@@ -373,8 +362,9 @@ mod tests {
     use mapapi::reference::LockedBTreeMap;
 
     /// One maximal `SCAN` must not pin its pairs on the connection for good:
-    /// the scan buffer stays warm across ordinary scans and is given back
-    /// once it has outgrown `mapapi::SCAN_RETAIN_PAIRS`.
+    /// the scan buffer and the staged output stay warm across ordinary scans
+    /// and are given back once they have outgrown `mapapi::SCAN_RETAIN_PAIRS`
+    /// (pairs, and the bytes of a response carrying that many).
     #[test]
     fn an_oversized_scan_buffer_is_not_retained() {
         let map = LockedBTreeMap::new();
@@ -390,11 +380,12 @@ mod tests {
             assert_eq!(session.staged().len(), 4 + 1 + 4 + 16 * len as usize);
             session.wrote(session.staged().len());
             assert!(session.scan.is_empty(), "the buffer is empty between frames");
-            session.scan.capacity()
+            (session.scan.capacity(), session.out.capacity())
         };
         let warm = scan(&mut session, 16);
-        assert!((16..=mapapi::SCAN_RETAIN_PAIRS).contains(&warm), "{warm}");
-        assert_eq!(scan(&mut session, 16), warm, "a warm buffer is reused as it is");
-        assert_eq!(scan(&mut session, 10_000), 0, "an outgrown buffer is given back");
+        assert!((16..=mapapi::SCAN_RETAIN_PAIRS).contains(&warm.0), "{warm:?}");
+        assert!((4 + 1 + 4 + 16 * 16..=OUT_RETAIN_BYTES).contains(&warm.1), "{warm:?}");
+        assert_eq!(scan(&mut session, 16), warm, "warm buffers are reused as they are");
+        assert_eq!(scan(&mut session, 10_000), (0, 0), "outgrown buffers are given back");
     }
 }

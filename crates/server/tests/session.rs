@@ -197,19 +197,3 @@ fn subscribe_with_a_log_keeps_earlier_responses_staged_and_flips_to_streaming() 
     });
     assert_eq!(threads, reactor, "the backend tag changed the staged bytes");
 }
-
-#[test]
-fn a_reset_session_serves_a_new_connection_from_scratch() {
-    same_on_both_backends(|backend, map| {
-        let mut s = Session::new(&opts(backend));
-        s.feed(&[&2u32.to_le_bytes()[..], &[0xEE, 0]].concat());
-        s.process(map, &mut None);
-        assert!(s.is_closing());
-        s.reset();
-        assert!(!s.is_closing());
-        assert!(s.staged().is_empty());
-        s.feed(&frames(&[Request::Put(5, 50)]));
-        assert_eq!(s.process(map, &mut None), 1);
-        s.staged().to_vec()
-    });
-}

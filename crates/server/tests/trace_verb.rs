@@ -65,17 +65,16 @@ fn canon(text: &str) -> String {
 /// Registry names of the phase time sums a client request accrues, in
 /// pipeline order (`deliver` belongs to SUBSCRIBE batches, which are
 /// sampler ops of their own).
-const PHASE_SUMS: [&str; 7] = [
+const PHASE_SUMS: [&str; 6] = [
     "trace_ready_ns_sum",
     "trace_decode_ns_sum",
-    "trace_shard_ns_sum",
     "trace_kcas_ns_sum",
     "trace_commit_ns_sum",
     "trace_resp_ns_sum",
     "trace_flush_ns_sum",
 ];
 
-fn phase_sums() -> [u64; 7] {
+fn phase_sums() -> [u64; 6] {
     PHASE_SUMS.map(|name| telemetry::value(name).expect("tracer registered"))
 }
 
@@ -104,14 +103,14 @@ fn trace_expositions_are_differential_across_backends() {
         // path; the TRACE op itself (id 7) is sampled too but renders
         // before its own kcas/resp/flush spans are recorded.
         for id in 0..=6u64 {
-            for phase in ["ready", "decode", "shard", "kcas", "resp", "flush"] {
+            for phase in ["ready", "decode", "kcas", "resp", "flush"] {
                 assert!(
                     text.contains(&format!("span trace={id} phase={phase} ")),
                     "trace {id} is missing its {phase} span:\n{text}"
                 );
             }
         }
-        for phase in ["ready", "decode", "shard"] {
+        for phase in ["ready", "decode"] {
             assert!(
                 text.contains(&format!("span trace=7 phase={phase} ")),
                 "the TRACE op is missing its {phase} span:\n{text}"

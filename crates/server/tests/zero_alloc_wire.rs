@@ -8,8 +8,8 @@
 //! the measured window is raw pre-encoded frames into fixed buffers, so the
 //! whole process is allocation-silent while frames flow.
 //!
-//! A STATS phase then shows the counter is live (the sharded `stats()`
-//! gathers a `Vec` per call, which must allocate) — keeping the zeros honest.
+//! A STATS phase then shows the counter is live (each shard's quiescent
+//! `stats()` walk allocates its work stack) — keeping the zeros honest.
 //!
 //! Since PR 8 the measured window also runs with the telemetry layer
 //! fully enabled — per-verb counters, the op latency histogram, reactor
@@ -105,7 +105,7 @@ fn scan_path_is_allocation_free(sock: &mut TcpStream, backend: &str) {
     assert_eq!(stats_resp[4], 6);
     assert!(
         delta >= 100,
-        "{backend}: the sharded stats() gathers a Vec every call (got {delta} allocations over \
+        "{backend}: every shard's stats() walk allocates its stack (got {delta} allocations over \
          100 ops) — if this fires, the zeros above are not trustworthy"
     );
 }

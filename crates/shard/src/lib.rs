@@ -5,7 +5,7 @@
 //! hashing each block to a shard: the owner of key `k` is a Fibonacci
 //! multiplicative hash of `k >> 7`, reduced onto `[0, N)` by a multiply-high
 //! (no modulo).  Every key is owned by exactly one shard, so point
-//! operations — `get`, `insert`, `remove`, `contains`, `rmw` — delegate to
+//! operations — `get`, `insert`, `remove`, `rmw` — delegate to
 //! the owning shard with **no cross-shard coordination** and inherit that
 //! shard's linearizability unchanged.  This is the classic route past a
 //! single structure instance's scalability ceiling: N independent
@@ -227,7 +227,7 @@ thread_local! {
 pub struct ShardedMap {
     name: &'static str,
     shards: Vec<Box<dyn ConcurrentMap>>,
-    /// Per-shard cumulative point-op counts (insert/remove/contains/get/rmw
+    /// Per-shard cumulative point-op counts (insert/remove/get/rmw
     /// routed to the shard). Striped wait-free counters: routing stays on
     /// the zero-allocation warm path and scales with writer threads.
     point_ops: Vec<Counter>,
@@ -358,10 +358,6 @@ impl ConcurrentMap for ShardedMap {
         self.owner(key).remove(key)
     }
 
-    fn contains(&self, key: Key) -> bool {
-        self.owner(key).contains(key)
-    }
-
     fn get(&self, key: Key) -> Option<Value> {
         self.owner(key).get(key)
     }
@@ -443,10 +439,9 @@ impl ConcurrentMap for ShardedMap {
     fn stats(&self) -> MapStats {
         // Aggregation over quiescent per-shard traversals; `key_depth_sum`
         // sums each key's depth *within its own shard* (N shallow trees, not
-        // one deep one — exactly what the sharding buys).  The per-shard
-        // breakdown this sums over is public as `shard_stats()`.
+        // one deep one — exactly what the sharding buys).
         let mut agg = MapStats::default();
-        for st in self.shard_stats() {
+        for st in self.shards.iter().map(|s| s.stats()) {
             agg.key_count += st.key_count;
             agg.key_sum += st.key_sum;
             agg.node_count += st.node_count;
@@ -456,16 +451,8 @@ impl ConcurrentMap for ShardedMap {
         agg
     }
 
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, key: Key) -> usize {
         self.owner_idx(key)
-    }
-
-    fn shard_stats(&self) -> Vec<MapStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
     }
 
     fn shard_loads(&self) -> Vec<ShardLoad> {
@@ -594,8 +581,8 @@ mod tests {
         let home = m.owner_idx(1);
         assert_eq!(m.scan(1, 16), (1..=16).map(|k| (k, k)).collect::<Vec<_>>());
 
-        // shard_stats: the per-shard breakdown sums exactly to stats().
-        let per = m.shard_stats();
+        // The per-shard breakdown sums exactly to stats().
+        let per: Vec<MapStats> = m.shards().iter().map(|s| s.stats()).collect();
         assert_eq!(per.len(), 4);
         let agg = m.stats();
         assert_eq!(per.iter().map(|s| s.key_count).sum::<u64>(), agg.key_count);
@@ -624,9 +611,7 @@ mod tests {
         // The trait defaults on an unsharded structure: one shard, untracked
         // loads.
         let plain = LockedBTreeMap::new();
-        assert_eq!(ConcurrentMap::shard_count(&plain), 1);
         assert_eq!(ConcurrentMap::shard_of(&plain, 99), 0);
-        assert_eq!(plain.shard_stats().len(), 1);
         assert!(plain.shard_loads().is_empty());
     }
 

@@ -132,9 +132,6 @@ impl ConcurrentMap for CountingShard {
     fn remove(&self, key: Key) -> bool {
         self.inner.remove(key)
     }
-    fn contains(&self, key: Key) -> bool {
-        self.inner.contains(key)
-    }
     fn get(&self, key: Key) -> Option<Value> {
         self.inner.get(key)
     }

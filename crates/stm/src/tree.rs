@@ -485,9 +485,6 @@ macro_rules! impl_map {
             fn remove(&self, key: Key) -> bool {
                 self.0.remove(key)
             }
-            fn contains(&self, key: Key) -> bool {
-                self.0.get(key).is_some()
-            }
             fn get(&self, key: Key) -> Option<Value> {
                 self.0.get(key)
             }

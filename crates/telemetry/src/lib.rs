@@ -421,8 +421,8 @@ pub struct FlightRecord {
     pub shard: u64,
     /// Caller-defined backend tag.
     pub backend: u64,
-    /// Caller-defined packed per-phase breakdown (the server packs four
-    /// 16-bit lanes of 64 ns units: ready, decode, shard, kcas — see
+    /// Caller-defined packed per-phase breakdown (the server packs three
+    /// 16-bit lanes of 64 ns units: ready, decode, kcas — see
     /// `server::metrics`; 0 when the op was not trace-sampled).
     pub phases: u64,
 }

@@ -36,26 +36,25 @@ use crate::{Handle, Histogram, SeqRing, STRIPES};
 pub const PHASE_READY: u64 = 0;
 /// Phase: decoding one complete frame into a request.
 pub const PHASE_DECODE: u64 = 1;
-/// Phase: routing the request's key to its owning shard.
-pub const PHASE_SHARD: u64 = 2;
-/// Phase: executing the operation against the structure (the KCAS/map
-/// work; retry/help events land in this span's event counts).
-pub const PHASE_KCAS: u64 = 3;
+/// Phase: executing the operation against the structure — routing to the
+/// owning shard included (the KCAS/map work; retry/help events land in this
+/// span's event counts).
+pub const PHASE_KCAS: u64 = 2;
 /// Phase: appending the committed mutation to the replication change log.
-pub const PHASE_COMMIT: u64 = 4;
+pub const PHASE_COMMIT: u64 = 3;
 /// Phase: encoding/staging the response bytes.
-pub const PHASE_RESP: u64 = 5;
+pub const PHASE_RESP: u64 = 4;
 /// Phase: flushing staged response bytes to the socket.
-pub const PHASE_FLUSH: u64 = 6;
+pub const PHASE_FLUSH: u64 = 5;
 /// Phase: encoding + flushing one `EVENTS` batch to a `SUBSCRIBE`r.
-pub const PHASE_DELIVER: u64 = 7;
+pub const PHASE_DELIVER: u64 = 6;
 /// Number of phases in the taxonomy. Phase ids are also the *pipeline
 /// order*, which is what [`snapshot`] sorts by — so an exposition's line
 /// order never depends on raw timestamps.
-pub const PHASE_COUNT: usize = 8;
+pub const PHASE_COUNT: usize = 7;
 
 const PHASE_NAMES: [&str; PHASE_COUNT] =
-    ["ready", "decode", "shard", "kcas", "commit", "resp", "flush", "deliver"];
+    ["ready", "decode", "kcas", "commit", "resp", "flush", "deliver"];
 
 /// The phase's lowercase wire name (`"?"` for an out-of-range id).
 pub fn phase_name(phase: u64) -> &'static str {
@@ -66,7 +65,7 @@ pub fn phase_name(phase: u64) -> &'static str {
 pub const DEFAULT_SAMPLE_EVERY: u64 = 64;
 
 /// Slots per stripe ring. With [`STRIPES`] rings this bounds the retained
-/// spans; a single-threaded script of up to ~10 sampled ops (6 phases each)
+/// spans; a single-threaded script of up to ~12 sampled ops (5 phases each)
 /// fits entirely in one stripe's ring, which the TRACE differential test
 /// relies on.
 pub const SPAN_RING_CAPACITY: usize = 64;
@@ -368,7 +367,6 @@ static REGISTER: Once = Once::new();
 const PHASE_METRICS: [(&str, &str); PHASE_COUNT] = [
     ("trace_ready_ns", "trace_ready_ns_sum"),
     ("trace_decode_ns", "trace_decode_ns_sum"),
-    ("trace_shard_ns", "trace_shard_ns_sum"),
     ("trace_kcas_ns", "trace_kcas_ns_sum"),
     ("trace_commit_ns", "trace_commit_ns_sum"),
     ("trace_resp_ns", "trace_resp_ns_sum"),

@@ -556,9 +556,6 @@ mod tests {
         fn remove(&self, key: Key) -> bool {
             self.0.remove(key)
         }
-        fn contains(&self, key: Key) -> bool {
-            self.0.contains(key)
-        }
         fn get(&self, key: Key) -> Option<mapapi::Value> {
             std::thread::sleep(SLOW_GET);
             self.0.get(key)

@@ -34,7 +34,7 @@ use crate::dist::{DistKind, ZIPFIAN_THETA};
 /// Operation-mix weights in per-mille (the six weights sum to 1000).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mix {
-    /// `get`/`contains` lookups.
+    /// `get` lookups.
     pub read: u32,
     /// Insert-if-absent of a sampled key.
     pub insert: u32,

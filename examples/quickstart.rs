@@ -34,7 +34,7 @@ fn main() {
     }
     assert_eq!(tree.get(30), Some(300));
     assert!(tree.remove(50)); // two-child deletion, done atomically by vexec
-    assert!(!tree.contains(50));
+    assert_eq!(tree.get(50), None);
     let stats = tree.stats();
     println!(
         "int-bst-pathcas: {} keys, key sum {}, average depth {:.2}",

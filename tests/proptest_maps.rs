@@ -12,7 +12,6 @@ use proptest::prelude::*;
 enum Op {
     Insert(u64, u64),
     Remove(u64),
-    Contains(u64),
     Get(u64),
     Rmw(u64, u64),
     Scan(u64, usize),
@@ -22,7 +21,6 @@ fn op_strategy(key_range: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
         (1..=key_range, any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v & 0xFFFF_FFFF)),
         (1..=key_range).prop_map(Op::Remove),
-        (1..=key_range).prop_map(Op::Contains),
         (1..=key_range).prop_map(Op::Get),
         (1..=key_range, 1..=0xFFFFu64).prop_map(|(k, d)| Op::Rmw(k, d)),
         (1..=key_range, 0..24usize).prop_map(|(k, n)| Op::Scan(k, n)),
@@ -44,9 +42,6 @@ fn run_differential<M: ConcurrentMap>(map: &M, ops: &[Op]) {
             }
             Op::Remove(k) => {
                 assert_eq!(map.remove(k), model.remove(&k).is_some(), "{}: remove({k}) at step {i}", map.name());
-            }
-            Op::Contains(k) => {
-                assert_eq!(map.contains(k), model.contains_key(&k), "{}: contains({k}) at step {i}", map.name());
             }
             Op::Get(k) => {
                 assert_eq!(map.get(k), model.get(&k).copied(), "{}: get({k}) at step {i}", map.name());

@@ -252,9 +252,6 @@ impl ConcurrentMap for AfterSparseScan<'_> {
     fn remove(&self, key: u64) -> bool {
         self.map.remove(key)
     }
-    fn contains(&self, key: u64) -> bool {
-        self.map.contains(key)
-    }
     fn get(&self, key: u64) -> Option<u64> {
         self.map.get(key)
     }

@@ -54,7 +54,7 @@ fn txn_transfer_conserves_balance_under_contention() {
         assert!(bank.committed > 0, "{name}: no transfer committed");
         // The account metadata must still be fully present in the map.
         for i in 0..sc.accounts {
-            assert!(map.contains(i + 1), "{name}: lost account metadata {i}");
+            assert!(map.get(i + 1).is_some(), "{name}: lost account metadata {i}");
         }
     }
 }
