@@ -23,6 +23,13 @@
 //! | `METRICS` | 8  | `version: u8` (must be [`METRICS_VERSION`]) |
 //! | `TRACE`   | 9  | `version: u8` (must be [`TRACE_VERSION`])   |
 //!
+//! A `GET`, `PUT`, `DEL` or `RMW` key must lie in `1..=MAX_KEY`
+//! ([`mapapi::MAX_KEY`], 2^62 − 2): 0 and `MAX_KEY + 1` are the trees'
+//! sentinel keys.  A `PUT` value or an `RMW` delta must be at most
+//! `MAX_KEY`, so that it fits a KCAS word's 62-bit payload.  A request
+//! outside either range answers with a semantic `Err` and never reaches the
+//! map; the connection stays usable, as it does after an oversized `SCAN`.
+//!
 //! Responses reuse the request's code as their tag (so a pipelined client
 //! can sanity-check ordering) with tag `0` reserved for protocol errors:
 //!
@@ -63,7 +70,7 @@
 //! Memcached `incr` exposes.  See DESIGN.md §8 for why arbitrary RMW
 //! closures cannot cross a wire.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead};
 
 use mapapi::{Key, MapStats, Value};
 use replica::{Event, EVENT_WIRE_BYTES};
@@ -426,11 +433,6 @@ pub fn read_frame<R: BufRead>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<bo
     payload.resize(len, 0);
     r.read_exact(payload)?;
     Ok(true)
-}
-
-/// Write raw pre-encoded frames.
-pub fn write_frames<W: Write>(w: &mut W, frames: &[u8]) -> io::Result<()> {
-    w.write_all(frames)
 }
 
 /// How many bytes [`FrameDecoder::fill_from`] asks the source for per call.

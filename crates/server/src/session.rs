@@ -33,7 +33,7 @@
 
 use std::io;
 
-use mapapi::{ConcurrentMap, Key, Value};
+use mapapi::{ConcurrentMap, Key, Value, MAX_KEY};
 use replica::Event;
 use telemetry::trace::{self, PHASE_DECODE, PHASE_DELIVER, PHASE_KCAS, PHASE_READY, PHASE_RESP};
 
@@ -304,6 +304,17 @@ fn execute_inner(
     scan: &mut Vec<(Key, Value)>,
 ) -> Reply {
     Reply::Value(match req {
+        // Refused before the map sees them, like an oversized scan: keys 0
+        // and MAX_KEY + 1 are the trees' sentinels, and a key or value wider
+        // than a KCAS word's 62-bit payload would be truncated into another.
+        Request::Get(k) | Request::Put(k, _) | Request::Del(k) | Request::Rmw(k, _)
+            if !(1..=MAX_KEY).contains(&k) =>
+        {
+            Response::Err(format!("key {k} outside 1..={MAX_KEY}"))
+        }
+        Request::Put(_, v) | Request::Rmw(_, v) if v > MAX_KEY => {
+            Response::Err(format!("value {v} exceeds MAX_KEY ({MAX_KEY})"))
+        }
         Request::Get(k) => Response::Get(map.get(k)),
         Request::Put(k, v) => Response::Put(map.insert(k, v)),
         Request::Del(k) => Response::Del(map.remove(k)),
@@ -312,7 +323,7 @@ fn execute_inner(
         // & MAX_KEY)`); atomic on the PathCAS structures because their
         // `rmw` override is.
         Request::Rmw(k, delta) => Response::Rmw(
-            map.rmw(k, &mut |v| v.map_or(delta, |x| x.wrapping_add(delta) & mapapi::MAX_KEY)),
+            map.rmw(k, &mut |v| v.map_or(delta, |x| x.wrapping_add(delta) & MAX_KEY)),
         ),
         // A scan longer than MAX_SCAN_LEN would encode to a response frame
         // the protocol itself declares illegal (> MAX_FRAME), so it is

@@ -197,3 +197,51 @@ fn subscribe_with_a_log_keeps_earlier_responses_staged_and_flips_to_streaming() 
     });
     assert_eq!(threads, reactor, "the backend tag changed the staged bytes");
 }
+
+#[test]
+fn out_of_range_keys_and_values_are_refused_and_the_session_survives() {
+    // Keys 0 and MAX_KEY + 1 are the trees' sentinels; a key or value wider
+    // than a KCAS word's 62-bit payload would be truncated into another.
+    let wide = 1u64 << 62;
+    let refused = [
+        Request::Get(0),
+        Request::Put(5, wide),
+        Request::Put((1 << 63) + 5, 1),
+        Request::Del(0),
+        Request::Get(mapapi::MAX_KEY + 1),
+        Request::Rmw(0, 1),
+        Request::Rmw(5, wide),
+        Request::Del(u64::MAX),
+    ];
+    let staged = same_on_both_backends(|backend, map| {
+        map.insert(7, 70);
+        let before = map.stats();
+        let mut s = Session::new(&opts(backend));
+        for req in refused {
+            s.feed(&frames(&[req]));
+            assert_eq!(s.process(map, &mut None), 1);
+            let last = responses(s.staged()).pop();
+            assert!(matches!(last, Some(Response::Err(_))), "{req:?} answered {last:?}");
+        }
+        assert_eq!(map.stats(), before, "a refused request reached the map");
+        // The connection still serves, and the tree still answers.
+        s.feed(&frames(&[Request::Put(5, 2), Request::Get(5), Request::Get(7)]));
+        assert_eq!(s.process(map, &mut None), 3);
+        // `DEL 0` on an empty tree is refused too, rather than never returning.
+        let empty = PathCasAvl::new();
+        s.feed(&frames(&[Request::Del(0), Request::Get(1)]));
+        assert_eq!(s.process(&empty, &mut None), 2);
+        assert!(!s.is_closing());
+        s.staged().to_vec()
+    });
+    assert_eq!(
+        responses(&staged)[refused.len()..],
+        [
+            Response::Put(true),
+            Response::Get(Some(2)),
+            Response::Get(Some(70)),
+            Response::Err(format!("key 0 outside 1..={}", mapapi::MAX_KEY)),
+            Response::Get(None),
+        ]
+    );
+}
