@@ -18,7 +18,7 @@
 pub mod alloc_count;
 pub mod registry;
 
-pub use registry::{make, registry, try_make, try_make_replicated, AlgoFactory, MAX_SHARDS};
+pub use registry::{make, registry, try_make, AlgoFactory, MAX_SHARDS};
 
 use std::time::Duration;
 

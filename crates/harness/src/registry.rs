@@ -107,24 +107,6 @@ pub fn make(name: &str) -> Box<dyn ConcurrentMap> {
     try_make(name).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Instantiate one algorithm by name **wrapped as a replication primary**
-/// (`crates/replica`): every committed mutation goes to the wrapped map's
-/// change log, and [`replica::ReplicatedMap::checkpoint`] cuts exact
-/// snapshots.  `shardN(inner)` names take the sharded-aware path — the
-/// shards are built individually and handed to
-/// [`replica::ReplicatedMap::from_sharded`], so checkpoints keep one
-/// section per shard and followers can bootstrap onto any shard count.
-pub fn try_make_replicated(name: &str) -> Result<replica::ReplicatedMap, String> {
-    if let Some((n, inner)) = parse_shard_name(name) {
-        let shards = (0..n)
-            .map(|_| try_make(inner))
-            .collect::<Result<Vec<_>, String>>()
-            .map_err(|e| format!("in '{name}': {e}"))?;
-        return Ok(replica::ReplicatedMap::from_sharded(shard::ShardedMap::new(shards)));
-    }
-    Ok(replica::ReplicatedMap::new(try_make(name)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,26 +166,6 @@ mod tests {
         assert_eq!(m.name(), "shard2(shard2(int-bst-pathcas))");
         assert!(m.insert(1, 2));
         assert_eq!(m.get(1), Some(2));
-    }
-
-    #[test]
-    fn replicated_factories_log_and_checkpoint() {
-        for name in ["int-avl-pathcas", "shard4(int-bst-pathcas)"] {
-            let rep = try_make_replicated(name).unwrap();
-            assert!(rep.insert(1, 10));
-            assert!(rep.insert(2, 20));
-            assert!(rep.remove(2));
-            assert_eq!(rep.log().seqno(), 3, "{name}");
-            let ckpt = rep.checkpoint();
-            assert_eq!(ckpt.seqno, 3, "{name}");
-            assert_eq!(ckpt.key_count(), 1, "{name}");
-        }
-        // Sharded names keep one checkpoint section per shard.
-        let rep = try_make_replicated("shard4(int-bst-pathcas)").unwrap();
-        assert_eq!(rep.checkpoint().sections.len(), 4);
-        assert_eq!(try_make_replicated("int-avl-pathcas").unwrap().checkpoint().sections.len(), 1);
-        assert!(try_make_replicated("no-such-tree").is_err());
-        assert!(try_make_replicated("shard4(no-such-tree)").is_err());
     }
 
     #[test]

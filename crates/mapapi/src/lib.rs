@@ -94,6 +94,20 @@ impl MapStats {
     }
 }
 
+/// Field-wise sum: the stats of a map made of parts (shards, buckets) are
+/// the sum of the parts' stats.
+impl std::iter::Sum for MapStats {
+    fn sum<I: Iterator<Item = MapStats>>(iter: I) -> MapStats {
+        iter.fold(MapStats::default(), |a, s| MapStats {
+            key_count: a.key_count + s.key_count,
+            key_sum: a.key_sum + s.key_sum,
+            node_count: a.node_count + s.node_count,
+            key_depth_sum: a.key_depth_sum + s.key_depth_sum,
+            approx_bytes: a.approx_bytes + s.approx_bytes,
+        })
+    }
+}
+
 /// Cumulative per-shard operation counts reported by sharded structures (see
 /// [`ConcurrentMap::shard_loads`]): which shard the traffic actually hits,
 /// not just where the keys sit.

@@ -86,16 +86,7 @@ impl ConcurrentMap for PathCasHashMap {
         out.truncate(base.saturating_add(len));
     }
     fn stats(&self) -> MapStats {
-        let mut total = MapStats::default();
-        for b in self.buckets.iter() {
-            let s = b.stats();
-            total.key_count += s.key_count;
-            total.key_sum += s.key_sum;
-            total.node_count += s.node_count;
-            total.key_depth_sum += s.key_depth_sum;
-            total.approx_bytes += s.approx_bytes;
-        }
-        total
+        self.buckets.iter().map(|b| b.stats()).sum()
     }
 }
 

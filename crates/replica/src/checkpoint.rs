@@ -8,48 +8,43 @@ use mapapi::{Key, Value};
 /// File magic: the first four bytes of every checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"PCKP";
 
-/// Current format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current format version.  Version 1 stored one section per shard; it is
+/// refused as unsupported.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
-/// Fixed bytes around the sections: magic + version + seqno + section count
-/// up front, FNV-1a checksum at the end.
-const ENVELOPE_BYTES: usize = 4 + 4 + 8 + 4 + 8;
+/// Fixed bytes around the pairs: magic + version + seqno + pair count up
+/// front, FNV-1a checksum at the end.
+const ENVELOPE_BYTES: usize = 4 + 4 + 8 + 8 + 8;
 
 /// An exact snapshot of a replicated map: the change-stream sequence number
-/// of the cut, plus one sorted `(key, value)` section per shard (a single
-/// section for unsharded maps).
+/// of the cut, plus the map's contents as one sorted `(key, value)` run.
 ///
-/// The binary format is length-prefixed throughout — every section carries
-/// its pair count, so a reader never scans for terminators:
+/// The binary format is length-prefixed — the run carries its pair count,
+/// so a reader never scans for a terminator:
 ///
 /// ```text
 /// magic:    "PCKP"                      (4 bytes)
-/// version:  u32 LE                      (currently 1)
+/// version:  u32 LE                      (currently 2)
 /// seqno:    u64 LE                      (change-stream cut)
-/// sections: u32 LE                      (section count)
-/// per section:
-///   count:  u64 LE
-///   pairs:  count × (key u64 LE, value u64 LE)
+/// count:    u64 LE
+/// pairs:    count × (key u64 LE, value u64 LE)
 /// checksum: u64 LE                      (FNV-1a over all preceding bytes)
 /// ```
 ///
-/// [`Checkpoint::decode`] verifies magic, version, the checksum, every
-/// count against the remaining length, and that no trailing bytes follow —
-/// corruption is always a `Result::Err`, never a panic or a silent
-/// misparse.
+/// [`Checkpoint::decode`] verifies magic, version, the checksum, and that
+/// the count accounts for exactly the bytes that remain — corruption is
+/// always a `Result::Err`, never a panic or a silent misparse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The change-stream sequence number this snapshot is exact at: the
     /// snapshot contains precisely the effects of events `1..=seqno`.
     pub seqno: u64,
-    /// Per-shard sorted `(key, value)` runs.  Section boundaries are a
-    /// storage detail: restore re-inserts every pair and recomputes shard
-    /// ownership, so a checkpoint moves freely between shard counts.
-    pub sections: Vec<Vec<(Key, Value)>>,
+    /// The map's pairs in key order.  Restore re-inserts every pair, so a
+    /// checkpoint moves freely between structures and shard counts.
+    pub pairs: Vec<(Key, Value)>,
 }
 
-/// FNV-1a over a byte slice — same constants as `shard::fnv1a`, but over
-/// the serialized stream rather than a single key.
+/// 64-bit FNV-1a over the serialized stream.
 fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -60,25 +55,16 @@ fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 }
 
 impl Checkpoint {
-    /// Total number of pairs across all sections.
-    pub fn key_count(&self) -> u64 {
-        self.sections.iter().map(|s| s.len() as u64).sum()
-    }
-
     /// Serialize to the on-disk format (see the type docs for the layout).
     pub fn encode(&self) -> Vec<u8> {
-        let pairs: usize = self.sections.iter().map(Vec::len).sum();
-        let mut buf = Vec::with_capacity(ENVELOPE_BYTES + self.sections.len() * 8 + pairs * 16);
+        let mut buf = Vec::with_capacity(ENVELOPE_BYTES + self.pairs.len() * 16);
         buf.extend_from_slice(&CHECKPOINT_MAGIC);
         buf.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
         buf.extend_from_slice(&self.seqno.to_le_bytes());
-        buf.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for section in &self.sections {
-            buf.extend_from_slice(&(section.len() as u64).to_le_bytes());
-            for &(k, v) in section {
-                buf.extend_from_slice(&k.to_le_bytes());
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
+        buf.extend_from_slice(&(self.pairs.len() as u64).to_le_bytes());
+        for &(k, v) in &self.pairs {
+            buf.extend_from_slice(&k.to_le_bytes());
+            buf.extend_from_slice(&v.to_le_bytes());
         }
         let checksum = fnv1a_bytes(&buf);
         buf.extend_from_slice(&checksum.to_le_bytes());
@@ -86,17 +72,17 @@ impl Checkpoint {
     }
 
     /// Parse a serialized checkpoint, rejecting any corruption with an
-    /// error.  The checksum is verified before anything is parsed, and
-    /// every count is bounds-checked against the remaining bytes before
-    /// allocation — a garbage count cannot commit the reader to a huge
-    /// allocation any more than a garbage frame length can commit the
-    /// server to one.
+    /// error.  The checksum is verified before anything is parsed, and the
+    /// count is checked against the remaining bytes before allocation — a
+    /// garbage count cannot commit the reader to a huge allocation any more
+    /// than a garbage frame length can commit the server to one.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
         if bytes.len() < ENVELOPE_BYTES {
             return Err(format!("checkpoint too short: {} bytes", bytes.len()));
         }
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
         let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
+        let stored = word(tail);
         let computed = fnv1a_bytes(body);
         if stored != computed {
             return Err(format!("checkpoint checksum mismatch: stored {stored:#x}, computed {computed:#x}"));
@@ -108,32 +94,13 @@ impl Checkpoint {
         if version != CHECKPOINT_VERSION {
             return Err(format!("unsupported checkpoint version {version}"));
         }
-        let seqno = u64::from_le_bytes(body[8..16].try_into().unwrap());
-        let section_count = u32::from_le_bytes(body[16..20].try_into().unwrap()) as usize;
-        let mut rest = &body[20..];
-        let mut sections = Vec::new();
-        for i in 0..section_count {
-            if rest.len() < 8 {
-                return Err(format!("section {i}: truncated count"));
-            }
-            let count = u64::from_le_bytes(rest[..8].try_into().unwrap()) as usize;
-            rest = &rest[8..];
-            let Some(pair_bytes) = count.checked_mul(16).filter(|&n| n <= rest.len()) else {
-                return Err(format!("section {i}: count {count} exceeds remaining {} bytes", rest.len()));
-            };
-            let mut pairs = Vec::with_capacity(count);
-            for chunk in rest[..pair_bytes].chunks_exact(16) {
-                let k = u64::from_le_bytes(chunk[..8].try_into().unwrap());
-                let v = u64::from_le_bytes(chunk[8..].try_into().unwrap());
-                pairs.push((k, v));
-            }
-            rest = &rest[pair_bytes..];
-            sections.push(pairs);
+        let (seqno, count) = (word(&body[8..16]), word(&body[16..24]));
+        let rest = &body[24..];
+        if count.checked_mul(16) != Some(rest.len() as u64) {
+            return Err(format!("count {count} does not match the remaining {} bytes", rest.len()));
         }
-        if !rest.is_empty() {
-            return Err(format!("{} trailing bytes after the last section", rest.len()));
-        }
-        Ok(Checkpoint { seqno, sections })
+        let pairs = rest.chunks_exact(16).map(|c| (word(&c[..8]), word(&c[8..]))).collect();
+        Ok(Checkpoint { seqno, pairs })
     }
 
     /// Write the serialized checkpoint to `path`.
@@ -154,15 +121,12 @@ mod tests {
     use super::*;
 
     fn sample() -> Checkpoint {
-        Checkpoint {
-            seqno: 42,
-            sections: vec![vec![(1, 10), (5, 50)], vec![], vec![(2, 2)]],
-        }
+        Checkpoint { seqno: 42, pairs: vec![(1, 10), (2, 2), (5, 50)] }
     }
 
     #[test]
     fn roundtrips_exactly() {
-        for ckpt in [sample(), Checkpoint { seqno: 0, sections: vec![] }] {
+        for ckpt in [sample(), Checkpoint { seqno: 0, pairs: vec![] }] {
             assert_eq!(Checkpoint::decode(&ckpt.encode()), Ok(ckpt));
         }
     }
@@ -187,20 +151,38 @@ mod tests {
         }
     }
 
+    /// `body` followed by its valid checksum.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut bytes = body.to_vec();
+        bytes.extend_from_slice(&fnv1a_bytes(body).to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn garbage_counts_do_not_allocate() {
-        // A forged frame with a valid checksum but an absurd section count:
+        // A forged file with a valid checksum but an absurd pair count:
         // build it by hand so only the count is hostile.
         let mut body = Vec::new();
         body.extend_from_slice(&CHECKPOINT_MAGIC);
         body.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
         body.extend_from_slice(&7u64.to_le_bytes());
+        body.extend_from_slice(&u64::MAX.to_le_bytes()); // pair "count"
+        let err = Checkpoint::decode(&sealed(&body)).unwrap_err();
+        assert!(err.contains("does not match the remaining 0 bytes"), "got: {err}");
+    }
+
+    #[test]
+    fn version_1_files_are_refused() {
+        // A well-formed version-1 file: one section holding one pair.
+        let mut body = Vec::new();
+        body.extend_from_slice(&CHECKPOINT_MAGIC);
         body.extend_from_slice(&1u32.to_le_bytes());
-        body.extend_from_slice(&u64::MAX.to_le_bytes()); // section "count"
-        let mut bytes = body.clone();
-        bytes.extend_from_slice(&fnv1a_bytes(&body).to_le_bytes());
-        let err = Checkpoint::decode(&bytes).unwrap_err();
-        assert!(err.contains("exceeds remaining"), "got: {err}");
+        body.extend_from_slice(&7u64.to_le_bytes());
+        body.extend_from_slice(&1u32.to_le_bytes()); // section count
+        body.extend_from_slice(&1u64.to_le_bytes()); // pairs in the section
+        body.extend_from_slice(&3u64.to_le_bytes());
+        body.extend_from_slice(&30u64.to_le_bytes());
+        assert_eq!(Checkpoint::decode(&sealed(&body)), Err("unsupported checkpoint version 1".into()));
     }
 
     #[test]

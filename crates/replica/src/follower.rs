@@ -38,10 +38,8 @@ impl Follower {
     /// primary's.
     pub fn bootstrap(inner: Box<dyn ConcurrentMap>, ckpt: &Checkpoint) -> Follower {
         let name = mapapi::intern_name(format!("follower({})", inner.name()));
-        for section in &ckpt.sections {
-            for &(k, v) in section {
-                assert!(inner.insert(k, v), "bootstrap target already held key {k}");
-            }
+        for &(k, v) in &ckpt.pairs {
+            assert!(inner.insert(k, v), "bootstrap target already held key {k}");
         }
         Follower { name, inner, applied: AtomicU64::new(ckpt.seqno) }
     }
@@ -254,14 +252,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "change stream gap")]
     fn out_of_order_apply_panics() {
-        let f = Follower::bootstrap(fresh(), &Checkpoint { seqno: 0, sections: vec![] });
+        let f = Follower::bootstrap(fresh(), &Checkpoint { seqno: 0, pairs: vec![] });
         f.apply(2, Event::Put(1, 1));
     }
 
     #[test]
     #[should_panic(expected = "read-only")]
     fn follower_writes_panic() {
-        let f = Follower::bootstrap(fresh(), &Checkpoint { seqno: 0, sections: vec![] });
+        let f = Follower::bootstrap(fresh(), &Checkpoint { seqno: 0, pairs: vec![] });
         f.insert(1, 1);
     }
 

@@ -3,43 +3,25 @@
 use std::sync::{Arc, Mutex};
 
 use mapapi::{ConcurrentMap, Key, MapStats, Value};
-use shard::ShardedMap;
 
 use crate::checkpoint::Checkpoint;
 use crate::event::Event;
 use crate::log::ChangeLog;
 
-/// Stripe count: enough to keep 8–16 writer threads from colliding while a
-/// full-table lock (the checkpoint cut) stays cheap.
-const STRIPES: usize = 64;
+/// log₂ of the stripe count: 64 stripes are enough to keep 8–16 writer
+/// threads from colliding while a full-table lock (the checkpoint cut) stays
+/// cheap.
+const STRIPE_BITS: u32 = 6;
+const STRIPES: usize = 1 << STRIPE_BITS;
 
 /// Chunk size for checkpoint scans — matches the quiescent audit's chunking
 /// so every chunk is far under the wire protocol's frame ceiling too.
 const SNAPSHOT_CHUNK: usize = 4096;
 
-/// What a [`ReplicatedMap`] wraps: either one structure or a sharded
-/// composition (kept as the concrete type so checkpoints can snapshot each
-/// shard as its own section).
-enum Backing {
-    /// A single structure; checkpoints have one section.
-    Plain(Box<dyn ConcurrentMap>),
-    /// A sharded composition; checkpoints have one section per shard.
-    Sharded(ShardedMap),
-}
-
-impl Backing {
-    fn map(&self) -> &dyn ConcurrentMap {
-        match self {
-            Backing::Plain(m) => &**m,
-            Backing::Sharded(s) => s,
-        }
-    }
-}
-
 /// A [`ConcurrentMap`] that logs every committed mutation to a
 /// [`ChangeLog`], giving followers a replayable, sequence-numbered history.
 ///
-/// Mutations serialize per key through a small FNV-keyed stripe table: the
+/// Mutations serialize per key through a small hashed stripe table: the
 /// stripe lock is held across *apply to the inner structure* **and** *append
 /// to the log*, so for any single key the log order equals the application
 /// order — the property follower replay depends on.  Mutations on different
@@ -53,29 +35,17 @@ impl Backing {
 /// [`Event`] docs for why closures cannot be replayed.
 pub struct ReplicatedMap {
     name: &'static str,
-    backing: Backing,
+    inner: Box<dyn ConcurrentMap>,
     stripes: Vec<Mutex<()>>,
     log: Arc<ChangeLog>,
 }
 
 impl ReplicatedMap {
-    /// Wrap a single structure.
+    /// Wrap `inner`, plain or sharded: everything goes through the trait.
     pub fn new(inner: Box<dyn ConcurrentMap>) -> ReplicatedMap {
-        let name = mapapi::intern_name(format!("repl({})", inner.name()));
-        Self::build(name, Backing::Plain(inner))
-    }
-
-    /// Wrap a sharded composition; checkpoints snapshot each shard as its
-    /// own section.
-    pub fn from_sharded(inner: ShardedMap) -> ReplicatedMap {
-        let name = mapapi::intern_name(format!("repl({})", inner.name()));
-        Self::build(name, Backing::Sharded(inner))
-    }
-
-    fn build(name: &'static str, backing: Backing) -> ReplicatedMap {
         ReplicatedMap {
-            name,
-            backing,
+            name: mapapi::intern_name(format!("repl({})", inner.name())),
+            inner,
             stripes: (0..STRIPES).map(|_| Mutex::new(())).collect(),
             log: Arc::new(ChangeLog::new()),
         }
@@ -86,8 +56,9 @@ impl ReplicatedMap {
         Arc::clone(&self.log)
     }
 
+    /// The stripe of `key`: Fibonacci hashing, the product's top six bits.
     fn stripe(&self, key: Key) -> &Mutex<()> {
-        &self.stripes[(shard::fnv1a(key) % STRIPES as u64) as usize]
+        &self.stripes[(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - STRIPE_BITS)) as usize]
     }
 
     /// Append one committed mutation to the change log, recording the
@@ -115,25 +86,22 @@ impl ReplicatedMap {
     }
 
     /// Take an exact checkpoint: every stripe locked (so no mutation is
-    /// between apply and append), the log's seqno recorded, then one
-    /// validated chunked scan per shard.  The result contains precisely the
-    /// effects of events `1..=seqno` — the invariant crash recovery and
-    /// follower bootstrap rely on.
+    /// between apply and append), the log's seqno recorded, then the inner
+    /// map's chunked validated scan as one sorted run.  With no writer
+    /// running, that scan is exact — a sharded map's merge included — so the
+    /// result contains precisely the effects of events `1..=seqno`, the
+    /// invariant crash recovery and follower bootstrap rely on.
     ///
     /// Readers are unaffected (they never touch the stripes); writers stall
-    /// for the duration of the scans.
+    /// for the duration of the scan.
     pub fn checkpoint(&self) -> Checkpoint {
         let _cut: Vec<_> = self.stripes.iter().map(|s| s.lock().unwrap()).collect();
         let seqno = self.log.seqno();
-        let sections = match &self.backing {
-            Backing::Plain(m) => vec![snapshot(&**m)],
-            Backing::Sharded(s) => s.shards().iter().map(|sh| snapshot(&**sh)).collect(),
-        };
-        Checkpoint { seqno, sections }
+        Checkpoint { seqno, pairs: snapshot(&*self.inner) }
     }
 }
 
-/// Full sorted contents of one structure via chunked validated scans.
+/// Full sorted contents of a map via chunked validated scans.
 fn snapshot(map: &dyn ConcurrentMap) -> Vec<(Key, Value)> {
     let mut out = Vec::new();
     let mut start = 0u64;
@@ -156,7 +124,7 @@ impl ConcurrentMap for ReplicatedMap {
 
     fn insert(&self, key: Key, value: Value) -> bool {
         let _g = self.stripe(key).lock().unwrap();
-        let inserted = self.backing.map().insert(key, value);
+        let inserted = self.inner.insert(key, value);
         if inserted {
             self.append_committed(Event::Put(key, value));
         }
@@ -165,7 +133,7 @@ impl ConcurrentMap for ReplicatedMap {
 
     fn remove(&self, key: Key) -> bool {
         let _g = self.stripe(key).lock().unwrap();
-        let removed = self.backing.map().remove(key);
+        let removed = self.inner.remove(key);
         if removed {
             self.append_committed(Event::Del(key));
         }
@@ -173,37 +141,33 @@ impl ConcurrentMap for ReplicatedMap {
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        self.backing.map().get(key)
+        self.inner.get(key)
     }
 
     fn rmw(&self, key: Key, update: &mut dyn FnMut(Option<Value>) -> Value) -> bool {
         let _g = self.stripe(key).lock().unwrap();
-        let was_present = self.backing.map().rmw(key, update);
+        let was_present = self.inner.rmw(key, update);
         // The stripe lock makes this thread the only writer of `key`, so
         // the read-back is exactly the value the rmw committed.
-        let committed = self
-            .backing
-            .map()
-            .get(key)
-            .expect("rmw must leave the key present");
+        let committed = self.inner.get(key).expect("rmw must leave the key present");
         self.append_committed(Event::Set(key, committed));
         was_present
     }
 
     fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
-        self.backing.map().scan_into(start, len, out)
+        self.inner.scan_into(start, len, out)
     }
 
     fn stats(&self) -> MapStats {
-        self.backing.map().stats()
+        self.inner.stats()
     }
 
     fn shard_of(&self, key: Key) -> usize {
-        self.backing.map().shard_of(key)
+        self.inner.shard_of(key)
     }
 
     fn shard_loads(&self) -> Vec<mapapi::ShardLoad> {
-        self.backing.map().shard_loads()
+        self.inner.shard_loads()
     }
 }
 
@@ -242,10 +206,10 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_is_an_exact_cut_per_shard() {
-        let m = ReplicatedMap::from_sharded(ShardedMap::from_fn(4, |_| {
+    fn checkpoint_of_a_sharded_map_is_an_exact_sorted_cut() {
+        let m = ReplicatedMap::new(Box::new(shard::ShardedMap::from_fn(4, |_| {
             Box::new(LockedBTreeMap::new()) as Box<dyn ConcurrentMap>
-        }));
+        })));
         // Spread over many blocks: the shards own keys by block, not by key.
         let keys = (1..=100u64).map(|k| k * 100);
         for k in keys.clone() {
@@ -253,16 +217,7 @@ mod tests {
         }
         let ckpt = m.checkpoint();
         assert_eq!(ckpt.seqno, 100);
-        assert_eq!(ckpt.sections.len(), 4);
-        assert_eq!(ckpt.key_count(), 100);
-        let mut all: Vec<(Key, Value)> = ckpt.sections.concat();
-        all.sort_unstable();
-        assert_eq!(all, keys.map(|k| (k, k * 2)).collect::<Vec<_>>());
-        // Sections really are per shard: each sorted, none holding all keys.
-        for s in &ckpt.sections {
-            assert!(s.windows(2).all(|w| w[0].0 < w[1].0));
-            assert!(s.len() < 100);
-        }
+        assert_eq!(ckpt.pairs, keys.map(|k| (k, k * 2)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -16,12 +16,9 @@ fn event_strategy() -> impl Strategy<Value = Event> {
 fn checkpoint_strategy() -> impl Strategy<Value = Checkpoint> {
     (
         any::<u64>(),
-        proptest::collection::vec(
-            proptest::collection::vec((any::<u64>(), any::<u64>()), 0..40),
-            0..6,
-        ),
+        proptest::collection::vec((any::<u64>(), any::<u64>()), 0..120),
     )
-        .prop_map(|(seqno, sections)| Checkpoint { seqno, sections })
+        .prop_map(|(seqno, pairs)| Checkpoint { seqno, pairs })
 }
 
 proptest! {

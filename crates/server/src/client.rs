@@ -14,7 +14,7 @@ use mapapi::{ConcurrentMap, Key, MapStats, Value};
 use replica::{Event, Follower};
 use workload::{BatchApply, Op};
 
-use crate::proto::{self, Request, Response};
+use crate::proto::{self, Request, Response, MAX_SCAN_LEN};
 
 /// One client connection: a buffered request writer and response reader
 /// over a `TcpStream`, supporting single requests and pipelined batches.
@@ -217,8 +217,10 @@ fn succeeded(resp: &Response) -> bool {
 ///
 /// Semantics over the wire:
 ///
-/// * point ops and scans are exactly the remote structure's (one request,
-///   one response — the server executes them on the inner map);
+/// * point ops are exactly the remote structure's (one request, one
+///   response — the server executes them on the inner map), and so is a
+///   scan of up to [`MAX_SCAN_LEN`] pairs; a longer one is chunked (see
+///   `scan_into`);
 /// * `rmw` ships **δ = `update(Some(0))`** and the server applies the
 ///   canonical affine update atomically.  Affine updates (`v ↦ v + δ`,
 ///   which is every RMW the workload engine issues) behave identically to
@@ -303,10 +305,28 @@ impl ConcurrentMap for ServiceMap {
         matches!(self.roundtrip(Request::Rmw(key, delta)), Response::Rmw(true))
     }
 
-    fn scan_into(&self, start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
-        match self.roundtrip(Request::Scan(start, len.min(u32::MAX as usize) as u32)) {
-            Response::Scan(pairs) => out.extend_from_slice(&pairs),
-            other => panic!("SCAN answered with {other:?}"),
+    /// Sent as `SCAN`s of at most [`MAX_SCAN_LEN`] pairs, each starting at
+    /// the key after the last one returned, until `len` pairs have arrived,
+    /// a chunk comes back short or one ends at `Key::MAX`.  Each chunk is
+    /// its own snapshot on the server, so a scan longer than one chunk is
+    /// not one atomic snapshot — the same relaxation as `ShardedMap`'s
+    /// merge.
+    fn scan_into(&self, mut start: Key, len: usize, out: &mut Vec<(Key, Value)>) {
+        let mut need = len;
+        while need > 0 {
+            let chunk = need.min(MAX_SCAN_LEN);
+            let pairs = match self.roundtrip(Request::Scan(start, chunk as u32)) {
+                Response::Scan(pairs) => pairs,
+                other => panic!("SCAN answered with {other:?}"),
+            };
+            out.extend_from_slice(&pairs);
+            match pairs.last() {
+                Some(&(k, _)) if pairs.len() == chunk && k < Key::MAX => {
+                    need -= chunk;
+                    start = k + 1;
+                }
+                _ => return,
+            }
         }
     }
 

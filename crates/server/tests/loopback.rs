@@ -166,6 +166,7 @@ fn service_map_passes_the_mapapi_suites_over_the_wire() {
             mapapi::suites::check_random_against_oracle(svc, 2000, 64, 0x77FE)
         });
         with_fresh_service(&|svc| mapapi::suites::check_scan_against_oracle(svc, 64, 0x77FF));
+        with_fresh_service(&|svc| mapapi::suites::check_scan_into_appends(svc));
     });
 }
 

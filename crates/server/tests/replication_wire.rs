@@ -170,7 +170,7 @@ fn wire_tail_survives_primary_shutdown() {
         let srv = start_primary(&map, backend);
         let follower = Arc::new(Follower::bootstrap(
             Box::new(pathcas_ds::PathCasAvl::new()),
-            &Checkpoint { seqno: 0, sections: vec![] },
+            &Checkpoint { seqno: 0, pairs: vec![] },
         ));
         let tail = WireTail::start(srv.local_addr(), Arc::clone(&follower)).unwrap();
         map.insert(1, 1);
@@ -197,7 +197,7 @@ fn read_replica_topology_serves_a_scenario_and_followers_converge() {
         let params = RunParams::standard(2, 512, Duration::from_millis(60), 0x5E7);
         // Prefilled in-process so the checkpoint already carries the working
         // set (the scenario's own load phase then finds its target met).
-        let rep = Arc::new(ReplicatedMap::from_sharded(avl4()));
+        let rep = Arc::new(ReplicatedMap::new(Box::new(avl4())));
         mapapi::stress::prefill(
             &*rep,
             params.key_range,

@@ -75,21 +75,6 @@ use std::cell::RefCell;
 use mapapi::{ConcurrentMap, Key, MapStats, ShardLoad, Value};
 use telemetry::Counter;
 
-/// 64-bit FNV-1a over the key's little-endian bytes — cheap, deterministic,
-/// and unrelated to the FNV *rank scrambling* the workload samplers use.
-///
-/// The replication layer hashes keys onto its mutation-serializing stripes
-/// with it; shard ownership is [`ShardedMap`]'s block partition instead.
-#[inline]
-pub fn fnv1a(key: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// log₂ of the block size: a shard owns keys in runs of `1 << BLOCK_BITS`
 /// (DESIGN.md §8 has the sweep that picked 128).
 const BLOCK_BITS: u32 = 7;
@@ -257,19 +242,6 @@ impl ShardedMap {
     /// Build `n` shards from a factory (`build` receives the shard index).
     pub fn from_fn(n: usize, mut build: impl FnMut(usize) -> Box<dyn ConcurrentMap>) -> Self {
         Self::new((0..n).map(&mut build).collect())
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The composed shards in index order.  Shard `i` owns the keys of the
-    /// 128-key blocks its index is the hash of (`shard_of` names a key's
-    /// owner).  The replication layer checkpoints each shard's validated
-    /// snapshot as its own section through this.
-    pub fn shards(&self) -> &[Box<dyn ConcurrentMap>] {
-        &self.shards
     }
 
     /// The index of the shard owning `key`.
@@ -440,15 +412,7 @@ impl ConcurrentMap for ShardedMap {
         // Aggregation over quiescent per-shard traversals; `key_depth_sum`
         // sums each key's depth *within its own shard* (N shallow trees, not
         // one deep one — exactly what the sharding buys).
-        let mut agg = MapStats::default();
-        for st in self.shards.iter().map(|s| s.stats()) {
-            agg.key_count += st.key_count;
-            agg.key_sum += st.key_sum;
-            agg.node_count += st.node_count;
-            agg.key_depth_sum += st.key_depth_sum;
-            agg.approx_bytes += st.approx_bytes;
-        }
-        agg
+        self.shards.iter().map(|s| s.stats()).sum()
     }
 
     fn shard_of(&self, key: Key) -> usize {
@@ -492,7 +456,7 @@ mod tests {
         assert_eq!(a.name(), "shard4(locked-btreemap)");
         let b = oracle_shards(4);
         assert!(std::ptr::eq(a.name(), b.name()), "same name must be interned once");
-        assert_eq!(a.shard_count(), 4);
+        assert_eq!(a.shards.len(), 4);
     }
 
     #[test]
@@ -582,7 +546,7 @@ mod tests {
         assert_eq!(m.scan(1, 16), (1..=16).map(|k| (k, k)).collect::<Vec<_>>());
 
         // The per-shard breakdown sums exactly to stats().
-        let per: Vec<MapStats> = m.shards().iter().map(|s| s.stats()).collect();
+        let per: Vec<MapStats> = m.shards.iter().map(|s| s.stats()).collect();
         assert_eq!(per.len(), 4);
         let agg = m.stats();
         assert_eq!(per.iter().map(|s| s.key_count).sum::<u64>(), agg.key_count);

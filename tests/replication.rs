@@ -1,15 +1,16 @@
 //! End-to-end replication tests (DESIGN.md §9): a follower tailing a
 //! churning primary must only ever expose consistent prefixes of the
 //! primary's history; a checkpoint plus change-stream replay must rebuild a
-//! crashed server's state *exactly*; and checkpoints must restore onto any
-//! structure shape, whatever the primary's shard count was.
+//! crashed server's state *exactly*; checkpoints must restore onto any
+//! structure shape, whatever the primary's shard count was; and the
+//! replicated wrapper must pass the same map suites as what it wraps.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use mapapi::ConcurrentMap;
-use replica::{Checkpoint, Follower};
+use replica::{Checkpoint, Follower, ReplicatedMap};
 use server::{Connection, Request, Server, ServerOpts};
 
 const REGION_START: u64 = 1000;
@@ -30,7 +31,7 @@ fn region_keysum() -> u128 {
 /// drains, follower and primary must agree exactly.
 #[test]
 fn follower_full_scans_are_consistent_prefixes_under_churn() {
-    let primary = Arc::new(harness::try_make_replicated("shard4(int-bst-pathcas)").unwrap());
+    let primary = Arc::new(ReplicatedMap::new(harness::make("shard4(int-bst-pathcas)")));
     for k in REGION_START..REGION_END {
         assert!(primary.insert(k, k), "region prefill {k}");
     }
@@ -126,7 +127,7 @@ fn follower_full_scans_are_consistent_prefixes_under_churn() {
 /// in-process map the server was serving when it died.
 #[test]
 fn crash_recovery_checkpoint_plus_replay_is_exact() {
-    let rep = Arc::new(harness::try_make_replicated("int-avl-pathcas").unwrap());
+    let rep = Arc::new(ReplicatedMap::new(harness::make("int-avl-pathcas")));
     for k in 1..=500u64 {
         assert!(rep.insert(k, k), "prefill {k}");
     }
@@ -187,21 +188,21 @@ fn crash_recovery_checkpoint_plus_replay_is_exact() {
     assert_eq!(restored.scan(1, 100_000), rep.scan(1, 100_000), "recovered state differs");
 }
 
-/// Checkpoint portability: a cut from an 8-shard primary (one section per
-/// shard) restores byte-identically onto a plain tree and onto a 3-shard
-/// composition of a different structure — shard ownership is recomputed on
-/// insert, so the section layout carries no obligation.
+/// Checkpoint portability: a cut from an 8-shard primary (one sorted run,
+/// through the primary's merged scan) restores byte-identically onto a plain
+/// tree and onto a 3-shard composition of a different structure — shard
+/// ownership is recomputed on insert.
 #[test]
 fn checkpoints_restore_across_shard_counts() {
-    let rep = harness::try_make_replicated("shard8(int-avl-pathcas)").unwrap();
+    let rep = ReplicatedMap::new(harness::make("shard8(int-avl-pathcas)"));
     for k in 1..=300u64 {
         assert!(rep.insert(k, k * 2), "prefill {k}");
     }
     assert!(rep.remove(7));
     assert!(rep.rmw(9, &mut |v| v.unwrap() + 1));
     let ckpt = rep.checkpoint();
-    assert_eq!(ckpt.sections.len(), 8, "one checkpoint section per primary shard");
-    assert_eq!(ckpt.key_count(), 299);
+    assert_eq!(ckpt.pairs.len(), 299);
+    assert_eq!(ckpt.pairs, rep.scan(1, 400), "the checkpoint is the primary's sorted run");
     // Round-trip through the serialized form before restoring.
     let ckpt = Checkpoint::decode(&ckpt.encode()).unwrap();
     for target in ["int-bst-pathcas", "shard3(locked-btreemap)"] {
@@ -212,5 +213,20 @@ fn checkpoints_restore_across_shard_counts() {
         assert_eq!(f.get(7), None, "{target}: removed key resurfaced");
         assert_eq!(f.get(9), Some(9 * 2 + 1), "{target}: rmw result lost");
         assert_eq!(f.scan(1, 400), rep.scan(1, 400), "{target}: merged order differs");
+    }
+}
+
+/// The wrapper through the trait alone: a replicated map, plain or sharded,
+/// passes the map suites that the map it wraps passes.
+#[test]
+fn replicated_maps_pass_the_mapapi_suites() {
+    use mapapi::suites::*;
+    for name in ["int-avl-pathcas", "shard4(int-bst-pathcas)"] {
+        let fresh = || ReplicatedMap::new(harness::make(name));
+        check_basic_semantics(&fresh());
+        let m = fresh();
+        check_random_against_oracle(&m, 2000, 64, 0x5EED);
+        check_stats_consistency(&m, 64);
+        check_scan_into_appends(&fresh());
     }
 }
