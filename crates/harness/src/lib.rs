@@ -15,7 +15,6 @@
 
 #![warn(missing_docs)]
 
-pub mod alloc_count;
 pub mod registry;
 
 pub use registry::{make, registry, try_make, AlgoFactory, MAX_SHARDS};

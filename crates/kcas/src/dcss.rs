@@ -194,8 +194,8 @@ mod tests {
             assert_eq!(seen, encode(i));
         }
         let after = crate::pool::local_pool_stats();
-        assert_eq!(before.dcss_slots, after.dcss_slots, "no new slots appear");
-        let bumps: u64 = after.dcss_seqs.iter().sum::<u64>() - before.dcss_seqs.iter().sum::<u64>();
+        assert_eq!(before.dcss_slot, after.dcss_slot, "no new slots appear");
+        let bumps = after.dcss_seq - before.dcss_seq;
         assert_eq!(bumps, ops, "every DCSS recycles a pooled slot exactly once");
     }
 

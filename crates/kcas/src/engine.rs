@@ -452,8 +452,8 @@ mod tests {
             assert!(kcas(&args, &guard));
         }
         let after = crate::pool::local_pool_stats();
-        assert_eq!(before.kcas_slots, after.kcas_slots);
-        let bumps: u64 = after.kcas_seqs.iter().sum::<u64>() - before.kcas_seqs.iter().sum::<u64>();
+        assert_eq!(before.kcas_slot, after.kcas_slot);
+        let bumps = after.kcas_seq - before.kcas_seq;
         assert_eq!(bumps, ops, "every KCAS publishes by recycling one pooled slot");
     }
 
@@ -563,11 +563,11 @@ mod tests {
         StalledKcas { slot, seq, owner: Some((release, owner)) }
     }
 
-    /// Sum of the calling thread's KCAS slot seqnos: one bump per operation
-    /// that reached the software path.
+    /// The calling thread's KCAS slot seqno: one bump per operation that
+    /// reached the software path.
     #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]
     fn published() -> u64 {
-        crate::pool::local_pool_stats().kcas_seqs.iter().sum()
+        crate::pool::local_pool_stats().kcas_seq
     }
 
     #[cfg(all(target_arch = "x86_64", not(pathcas_loom)))]

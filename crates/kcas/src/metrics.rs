@@ -104,9 +104,9 @@ pub fn metrics() -> &'static KcasMetrics {
 }
 
 /// Record one phase-1 lock-acquisition retry: bumps the global counter
-/// *and* notes the event on the calling thread's active trace (if the op
-/// was sampled), so span expositions attribute contention to the op that
-/// paid for it.
+/// *and* the calling thread's retry tally, which a sampled op's `kcas` span
+/// reads on both sides, so span expositions attribute contention to the op
+/// that paid for it.
 #[cfg(not(pathcas_loom))]
 #[inline]
 pub fn retry() {

@@ -400,26 +400,26 @@ pub(crate) fn with_dcss_slot<R>(f: impl FnOnce(usize, &'static DcssSlot) -> R) -
 
 /// A diagnostic snapshot of the calling thread's descriptor pool, for tests
 /// (e.g. asserting that operations recycle slots instead of allocating).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct PoolStats {
-    /// Global table indices of this thread's KCAS slots.
-    pub kcas_slots: Vec<usize>,
-    /// Current sequence number of each KCAS slot (one publish = one bump).
-    pub kcas_seqs: Vec<u64>,
-    /// Global table indices of this thread's DCSS slots.
-    pub dcss_slots: Vec<usize>,
-    /// Current sequence number of each DCSS slot (one DCSS = one bump).
-    pub dcss_seqs: Vec<u64>,
+    /// Global table index of this thread's KCAS slot.
+    pub kcas_slot: usize,
+    /// Current sequence number of the KCAS slot (one publish = one bump).
+    pub kcas_seq: u64,
+    /// Global table index of this thread's DCSS slot.
+    pub dcss_slot: usize,
+    /// Current sequence number of the DCSS slot (one DCSS = one bump).
+    pub dcss_seq: u64,
 }
 
 /// Snapshot the calling thread's descriptor pool (registering it if this
 /// thread has not performed an operation yet).
 pub fn local_pool_stats() -> PoolStats {
     POOL.with(|p| PoolStats {
-        kcas_slots: vec![p.kcas.0],
-        kcas_seqs: vec![seqstat_seq(p.kcas.1.seqstat.load(Ordering::SeqCst))],
-        dcss_slots: vec![p.dcss.0],
-        dcss_seqs: vec![p.dcss.1.seq.load(Ordering::SeqCst)],
+        kcas_slot: p.kcas.0,
+        kcas_seq: seqstat_seq(p.kcas.1.seqstat.load(Ordering::SeqCst)),
+        dcss_slot: p.dcss.0,
+        dcss_seq: p.dcss.1.seq.load(Ordering::SeqCst),
     })
 }
 
@@ -444,9 +444,8 @@ mod tests {
         // live thread holds.
         let mine = local_pool_stats();
         let theirs = std::thread::spawn(local_pool_stats).join().unwrap();
-        assert_eq!((mine.kcas_slots.len(), mine.dcss_slots.len()), (1, 1));
-        assert_ne!(mine.kcas_slots, theirs.kcas_slots);
-        assert_ne!(mine.dcss_slots, theirs.dcss_slots);
+        assert_ne!(mine.kcas_slot, theirs.kcas_slot);
+        assert_ne!(mine.dcss_slot, theirs.dcss_slot);
     }
 
     #[test]
@@ -475,7 +474,7 @@ mod tests {
         for _ in 0..20 {
             let first = std::thread::spawn(local_pool_stats).join().unwrap();
             let second = std::thread::spawn(local_pool_stats).join().unwrap();
-            if second.kcas_slots == first.kcas_slots {
+            if second.kcas_slot == first.kcas_slot {
                 return;
             }
         }

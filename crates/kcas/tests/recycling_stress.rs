@@ -87,16 +87,10 @@ fn recycling_advances_seqnos_not_slots() {
         assert!(kcas::kcas(&[KcasArg { addr: &w, old: base + i, new: base + i + 1 }], &guard));
     }
     let after = kcas::local_pool_stats();
-    assert_eq!(before.kcas_slots, after.kcas_slots);
-    assert_eq!(
-        after.kcas_seqs.iter().sum::<u64>() - before.kcas_seqs.iter().sum::<u64>(),
-        ops
-    );
+    assert_eq!(before.kcas_slot, after.kcas_slot);
+    assert_eq!(after.kcas_seq - before.kcas_seq, ops);
     // Each 1-word KCAS performs exactly one DCSS in phase 1.
-    assert_eq!(
-        after.dcss_seqs.iter().sum::<u64>() - before.dcss_seqs.iter().sum::<u64>(),
-        ops
-    );
+    assert_eq!(after.dcss_seq - before.dcss_seq, ops);
 }
 
 /// `threads` workers each move `ops` units between random pairs of

@@ -19,41 +19,11 @@
 //! cannot hold there.
 #![cfg(not(pathcas_loom))]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use kcas::{CasWord, KcasArg, VisitArg};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: defers to `System` for every operation; only adds counting.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's — delegated to `System`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same contract as the caller's — delegated to `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's — delegated to `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use telemetry::alloc::{allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
 
 /// The phases run inside ONE #[test] so no sibling test (or libtest's
 /// own result printing for one) can allocate concurrently with a measured
@@ -85,26 +55,31 @@ fn descriptor_reuse_allocation_contract() {
     counting_allocator_counts();
 }
 
-/// The span tracer wrapped around KCAS — sample, set the thread's current
-/// trace, hold a `kcas` span guard across the operation — adds **zero**
-/// allocations to the success path, while the sampler counter and span
-/// rings demonstrably advance.  This is the server's per-op hot path in
-/// miniature (`srv::execute` does exactly this dance).
+/// The span tracer wrapped around KCAS — sample, stamp the clock on both
+/// sides of the operation, record a `kcas` span — adds **zero** allocations
+/// to the success path, while the sampler counter and span rings
+/// demonstrably advance.  This is the server's per-op hot path in miniature
+/// (`Session::process` stamps and records exactly so).
 fn traced_success_path_is_also_allocation_free() {
     telemetry::trace::register_metrics();
     let words: Vec<CasWord> = (0..4).map(|_| CasWord::new(0)).collect();
+    let traced_kcas = |args: &[KcasArg], guard: &crossbeam_epoch::Guard| {
+        let trace = telemetry::trace::should_sample();
+        let start = telemetry::trace::now_ns();
+        assert!(kcas::kcas(args, guard));
+        if let Some(t) = trace {
+            let dur = telemetry::trace::now_ns() - start;
+            telemetry::trace::record_span(t, telemetry::trace::PHASE_KCAS, start, dur, 0);
+        }
+    };
 
     // Warm up: thread pools, epoch record, the tracer's epoch clock and
     // this thread's span ring stripe.
     for i in 0..16u64 {
         let guard = crossbeam_epoch::pin();
-        telemetry::trace::set_current(telemetry::trace::should_sample());
-        let span = telemetry::trace::begin(telemetry::trace::PHASE_KCAS);
         let args: Vec<KcasArg> =
             words.iter().map(|w| KcasArg { addr: w, old: i, new: i + 1 }).collect();
-        assert!(kcas::kcas(&args, &guard));
-        drop(span);
-        telemetry::trace::set_current(None);
+        traced_kcas(&args, &guard);
     }
 
     telemetry::trace::set_sample_every(1);
@@ -114,17 +89,13 @@ fn traced_success_path_is_also_allocation_free() {
     let before = allocations();
     for i in 0..1_000u64 {
         let guard = crossbeam_epoch::pin();
-        telemetry::trace::set_current(telemetry::trace::should_sample());
-        let span = telemetry::trace::begin(telemetry::trace::PHASE_KCAS);
         let args = [
             KcasArg { addr: &words[0], old: base + i, new: base + i + 1 },
             KcasArg { addr: &words[1], old: base + i, new: base + i + 1 },
             KcasArg { addr: &words[2], old: base + i, new: base + i + 1 },
             KcasArg { addr: &words[3], old: base + i, new: base + i + 1 },
         ];
-        assert!(kcas::kcas(&args, &guard));
-        drop(span);
-        telemetry::trace::set_current(None);
+        traced_kcas(&args, &guard);
     }
     let after = allocations();
     telemetry::trace::set_sample_every(telemetry::trace::DEFAULT_SAMPLE_EVERY);

@@ -140,16 +140,6 @@ impl<'g> PathCasOp<'g> {
         seen
     }
 
-    /// Number of visited nodes so far.
-    pub fn path_len(&self) -> usize {
-        self.builder.path.len()
-    }
-
-    /// Number of added addresses so far.
-    pub fn entry_len(&self) -> usize {
-        self.builder.entries.len()
-    }
-
     /// Check whether any visited node has changed (or been marked) since it
     /// was visited.  This is the read-only validation a missing `get` uses:
     /// unlike the validation inside `vexec` it never fails spuriously,

@@ -63,9 +63,7 @@ impl ReplicatedMap {
 
     /// Append one committed mutation to the change log, recording the
     /// append as a `commit` span when the calling thread carries a sampled
-    /// trace (the server sets one per sampled wire op).  Explicit
-    /// timestamps, not a guard: the caller holds a stripe lock here, and
-    /// span guards must never sit across lock-shaped calls.
+    /// trace (the server sets one while a sampled wire op executes).
     fn append_committed(&self, ev: Event) {
         match telemetry::trace::current() {
             None => {

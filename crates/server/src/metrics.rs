@@ -16,7 +16,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
-use std::time::Duration;
 
 use mapapi::ConcurrentMap;
 use telemetry::{Counter, FlightRecorder, Handle, Histogram};
@@ -167,17 +166,11 @@ pub(crate) fn metrics() -> &'static ServerMetrics {
     &METRICS
 }
 
-/// Current slow-op threshold in nanoseconds.
-pub fn slow_op_threshold_ns() -> u64 {
-    // ORDERING: Relaxed — a standalone tuning knob; readers only need some
-    // recent value, and no other memory is published through it.
-    SLOW_NS.load(Ordering::Relaxed)
-}
-
 /// Set the slow-op threshold.  `0` records every op — what the metrics
 /// battery uses to exercise the recorder deterministically.
 pub fn set_slow_op_threshold_ns(ns: u64) {
-    // ORDERING: Relaxed — see `slow_op_threshold_ns`.
+    // ORDERING: Relaxed — a standalone tuning knob; readers only need some
+    // recent value, and no other memory is published through it.
     SLOW_NS.store(ns, Ordering::Relaxed);
 }
 
@@ -216,31 +209,28 @@ fn backend_name(code: u64) -> &'static str {
 
 /// Account one executed request: latency histogram, the per-verb counter,
 /// and — past the slow threshold — a flight record tagged with the key's
-/// owning shard.  Zero heap allocations on every path, slow or not.
+/// owning shard.  `lanes` are the `ready`/`decode`/`kcas` durations of a
+/// trace-sampled request, packed into the record; an unsampled one records
+/// phases=0, which the dump prints as `-`.  Zero heap allocations on every
+/// path, slow or not.
 pub(crate) fn record_op(
     op: u64,
     key: u64,
-    elapsed: Duration,
+    ns: u64,
+    lanes: Option<[u64; PACKED_PHASES]>,
     map: &dyn ConcurrentMap,
     backend: Backend,
 ) {
     let m = metrics();
-    let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
     m.op_ns.record(ns);
     if let Some(v) = VERBS.get(op as usize) {
         v.ops.inc();
     }
     // ORDERING: Relaxed — the threshold is a tuning knob (see
-    // `slow_op_threshold_ns`); a racing update may misclassify one op.
+    // `set_slow_op_threshold_ns`); a racing update may misclassify one op.
     if ns >= SLOW_NS.load(Ordering::Relaxed) {
         m.slow_ops.inc();
-        // A trace-sampled slow op carries its phase breakdown, packed; an
-        // unsampled one records phases=0 — the dump prints `-` for those.
-        let phases = if telemetry::trace::current().is_some() {
-            pack_phases(&telemetry::trace::phase_scratch_ns())
-        } else {
-            0
-        };
+        let phases = lanes.map_or(0, pack_phases);
         FLIGHT.record(op, key, ns, map.shard_of(key) as u64, backend_code(backend), phases);
     }
 }
@@ -254,14 +244,13 @@ const PHASE_LANE_UNIT_NS: u64 = 64;
 /// and `flush` are not yet known when the record is written (they happen
 /// after `record_op`), so the packed breakdown covers the server-side path
 /// up to and including the structure execution.
-const PACKED_PHASES: usize = 3;
+pub(crate) const PACKED_PHASES: usize = 3;
 
-/// Pack the first [`PACKED_PHASES`] scratch durations into 16-bit lanes of
-/// one `u64` (64 ns units, saturating) — the flight record's
-/// phase-breakdown field.
-pub(crate) fn pack_phases(scratch: &[u64; telemetry::trace::PHASE_COUNT]) -> u64 {
+/// Pack the [`PACKED_PHASES`] durations into 16-bit lanes of one `u64`
+/// (64 ns units, saturating) — the flight record's phase-breakdown field.
+fn pack_phases(lanes: [u64; PACKED_PHASES]) -> u64 {
     (0..PACKED_PHASES)
-        .fold(0, |packed, p| packed | (scratch[p] / PHASE_LANE_UNIT_NS).min(0xFFFF) << (16 * p))
+        .fold(0, |packed, p| packed | (lanes[p] / PHASE_LANE_UNIT_NS).min(0xFFFF) << (16 * p))
 }
 
 /// Unpack one lane of a packed phase field back to approximate nanoseconds.

@@ -212,15 +212,8 @@ impl ReactorLoop {
                                 || !conn.session.staged().is_empty()
                                 || conn.session.is_closing())
                         {
-                            // `flush` charges its `flush` span to the
-                            // connection's last sampled frame, still in the
-                            // thread's current-trace slot.
                             dead = flush(conn, &self.epoll, token);
                         }
-                        // The trace context never outlives its event: an
-                        // EPOLLOUT continuation for this connection in a
-                        // later wakeup must not inherit it.
-                        telemetry::trace::set_current(None);
                         if !was_streaming && conn.session.streaming_after().is_some() {
                             self.streaming += 1;
                         }
@@ -294,8 +287,8 @@ impl ReactorLoop {
             if entries.is_empty() {
                 continue;
             }
-            // No current trace is set here, so the flush records no `flush`
-            // span of its own: a sampled batch is one `deliver` span.
+            // A sampled batch is one `deliver` span; its flush charges no
+            // request.
             conn.session.stage_events(entries);
             if flush(conn, &self.epoll, token) {
                 self.dead.push(token);
@@ -354,29 +347,15 @@ fn handle_readable(
 /// disarms `EPOLLOUT` as the queue transitions; returns whether the
 /// connection is dead (write error, or drained with `closing` set).
 ///
-/// When the thread carries a current trace (the burst's last sampled
-/// frame), the whole write attempt is recorded as that trace's `flush`
-/// span — explicit timestamps, because the write is a syscall and span
-/// guards must never be held across blocking calls.  An `EPOLLOUT`
-/// continuation in a later wakeup has no current trace and records
-/// nothing (documented undercount: backpressured flushes attribute only
-/// their first attempt).
+/// The attempt's start goes to [`Session::flushed`], which charges it to
+/// the burst's last frame if that frame was sampled.  An `EPOLLOUT`
+/// continuation in a later wakeup is charged to nobody (documented
+/// undercount: backpressured flushes attribute only their first attempt).
 fn flush(conn: &mut Conn, epoll: &Epoll, token: u64) -> bool {
-    match telemetry::trace::current() {
-        None => flush_inner(conn, epoll, token),
-        Some(t) => {
-            let flush_start = telemetry::trace::now_ns();
-            let dead = flush_inner(conn, epoll, token);
-            telemetry::trace::record_span(
-                t,
-                telemetry::trace::PHASE_FLUSH,
-                flush_start,
-                telemetry::trace::now_ns().saturating_sub(flush_start),
-                0,
-            );
-            dead
-        }
-    }
+    let start = telemetry::trace::now_ns();
+    let dead = flush_inner(conn, epoll, token);
+    conn.session.flushed(start);
+    dead
 }
 
 fn flush_inner(conn: &mut Conn, epoll: &Epoll, token: u64) -> bool {

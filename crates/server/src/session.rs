@@ -5,8 +5,8 @@
 //! request/streaming/closing mode, the read-only and change-stream gates —
 //! and the **only** place the wire lifecycle lives: decode → `SUBSCRIBE`
 //! hand-off → read-only gate → `execute` → encode → error-then-close,
-//! with the per-frame `ready`/`decode`/`resp` spans and the per-batch
-//! `deliver` span woven through it.  It owns no socket, no epoll set and no
+//! with every span of a request and the per-batch `deliver` span woven
+//! through it.  It owns no socket, no epoll set and no
 //! thread; both serving backends are I/O drivers around the same three
 //! calls (DESIGN.md §10):
 //!
@@ -16,27 +16,37 @@
 //!    output;
 //! 2. a subscribed session is handed change-stream batches with
 //!    [`Session::stage_events`];
-//! 3. the driver writes [`Session::staged`] however its I/O model writes
-//!    and reports progress with [`Session::wrote`].
+//! 3. the driver writes [`Session::staged`] however its I/O model writes,
+//!    reports progress with [`Session::wrote`] and the attempt's start with
+//!    [`Session::flushed`].
 //!
 //! Because the session never blocks and never looks at a clock other than
 //! the span timestamps, the same byte stream produces the same staged bytes
 //! whatever the chunking and whichever [`Backend`] tag it carries —
 //! `tests/session.rs` asserts exactly that, with no sockets.
 //!
-//! **Trace context.**  `process` consults the sampler once per frame and
-//! installs a sampled frame as the thread's current trace, so `execute`
-//! records its `kcas` span under it.  The last frame's trace is
-//! left installed on return: the driver charges the write that follows to
-//! it as the burst's `flush` span and then clears it
-//! (`telemetry::trace::set_current(None)`) before serving anything else.
+//! **Timing.**  The session stamps every span itself, from explicit
+//! [`trace::now_ns`] reads: two around `execute` for an ordinary frame (its
+//! `srv_op_ns`); for a trace-sampled one, also two around decode and two
+//! around encode, from which it records the `ready`, `decode`, `kcas` and
+//! `resp` spans and a slow op's packed phases.  Each span is stamped at its
+//! own two ends, so the tracer's own bookkeeping falls between spans and is
+//! charged to no phase.  A driver measures only its own two
+//! windows: the readiness wait it hands to [`Session::process`], and its
+//! write, whose start it hands to [`Session::flushed`].  The thread's
+//! current trace (`trace::set_current`) is set only while a sampled frame
+//! executes, so the replica's change-log append can charge its `commit`
+//! span to it.
 
 use std::io;
 
 use mapapi::{ConcurrentMap, Key, Value, MAX_KEY};
 use replica::Event;
-use telemetry::trace::{self, PHASE_DECODE, PHASE_DELIVER, PHASE_KCAS, PHASE_READY, PHASE_RESP};
+use telemetry::trace::{
+    self, PHASE_DECODE, PHASE_DELIVER, PHASE_FLUSH, PHASE_KCAS, PHASE_READY, PHASE_RESP,
+};
 
+use crate::metrics::PACKED_PHASES;
 use crate::proto::{self, FrameDecoder, Request, Response, MAX_SCAN_LEN};
 use crate::srv::{Backend, ServerOpts};
 
@@ -79,10 +89,21 @@ pub struct Session {
     /// The sampled `deliver` span of the staged `EVENTS` batch, as
     /// `(trace id, start)`; recorded when that batch has fully drained.
     deliver: Option<(u64, u64)>,
+    /// The trace of the last frame that staged a response, if sampled: the
+    /// next [`Session::flushed`] charges its write to it as `flush`.
+    flush: Option<u64>,
     /// Where `SCAN`s scan into and are encoded from: empty between frames,
     /// its allocation kept (up to [`mapapi::SCAN_RETAIN_PAIRS`]) so that a
     /// warm `SCAN` allocates nothing.
     scan: Vec<(Key, Value)>,
+}
+
+/// A trace-sampled frame: its trace id and the `ready`/`decode`/`kcas`
+/// durations a slow-op record packs.
+#[derive(Clone, Copy)]
+struct Sampled {
+    trace: u64,
+    lanes: [u64; PACKED_PHASES],
 }
 
 /// What [`execute`] hands the `resp` phase to encode.
@@ -109,6 +130,7 @@ impl Session {
             has_log: opts.log.is_some(),
             backend: opts.backend,
             deliver: None,
+            flush: None,
             scan: Vec::new(),
         }
     }
@@ -142,21 +164,8 @@ impl Session {
         }
         let mut frames = 0u64;
         while !self.closing {
-            // The decoded request is `Copy`, so the borrow on the decoder
-            // ends before the response is staged into `out`.
-            let decoded = match self.dec.next_frame() {
-                Ok(Some(payload)) => {
-                    frames += 1;
-                    let first_wait = ready.take();
-                    let tr = trace::should_sample();
-                    trace::set_current(tr);
-                    if let Some(t) = tr {
-                        let (wait_start, wait_ns) = first_wait.unwrap_or((trace::now_ns(), 0));
-                        trace::record_span(t, PHASE_READY, wait_start, wait_ns, 0);
-                    }
-                    let _decode_span = trace::begin(PHASE_DECODE);
-                    proto::decode_request(payload)
-                }
+            let payload = match self.dec.next_frame() {
+                Ok(Some(payload)) => payload,
                 Ok(None) => break,
                 Err(_) => {
                     // Hostile length prefix: the stream offset can never be
@@ -167,6 +176,19 @@ impl Session {
                     break;
                 }
             };
+            frames += 1;
+            let wait = ready.take();
+            let decode_start = trace::should_sample().map(|t| (t, trace::now_ns()));
+            // The decoded request is `Copy`, so the borrow on the decoder
+            // ends here, before the response is staged into `out`.
+            let decoded = proto::decode_request(payload);
+            let mut sampled = decode_start.map(|(t, t0)| {
+                let t1 = trace::now_ns();
+                let (wait_start, wait_ns) = wait.unwrap_or((t0, 0));
+                trace::record_span(t, PHASE_READY, wait_start, wait_ns, 0);
+                trace::record_span(t, PHASE_DECODE, t0, t1 - t0, 0);
+                Sampled { trace: t, lanes: [wait_ns, t1 - t0, 0] }
+            });
             let reply = match decoded {
                 Ok(Request::Subscribe(after)) if self.has_log => {
                     // Pipelined responses ahead of the subscription stay
@@ -183,7 +205,7 @@ impl Session {
                 Ok(req) if self.read_only && is_write(&req) => {
                     Reply::Value(Response::Err(READ_ONLY_MSG.into()))
                 }
-                Ok(req) => execute(map, req, self.backend, &mut self.scan),
+                Ok(req) => execute(map, req, self.backend, &mut self.scan, &mut sampled),
                 Err(msg) => {
                     // Framing error: answer, then close once it drains —
                     // after a payload that does not parse, the stream offset
@@ -192,7 +214,7 @@ impl Session {
                     Reply::Value(Response::Err(msg))
                 }
             };
-            let _resp_span = trace::begin(PHASE_RESP);
+            let resp_start = sampled.map(|s| (s.trace, trace::now_ns()));
             match reply {
                 Reply::Scan => {
                     proto::encode_scan(&self.scan, &mut self.out);
@@ -201,8 +223,23 @@ impl Session {
                 }
                 Reply::Value(resp) => proto::encode_response(&resp, &mut self.out),
             }
+            if let Some((t, r0)) = resp_start {
+                trace::record_span(t, PHASE_RESP, r0, trace::now_ns() - r0, 0);
+            }
+            self.flush = sampled.map(|s| s.trace);
         }
         frames
+    }
+
+    /// The driver's write of staged bytes that started at `start` (a
+    /// [`trace::now_ns`] stamp) has returned: charge it as the `flush` span
+    /// of the last frame that staged a response, if that frame was sampled,
+    /// and forget the frame — a later write (an `EPOLLOUT` continuation, an
+    /// `EVENTS` batch) records nothing.
+    pub fn flushed(&mut self, start: u64) {
+        if let Some(t) = self.flush.take() {
+            trace::record_span(t, PHASE_FLUSH, start, trace::now_ns().saturating_sub(start), 0);
+        }
     }
 
     /// Stage one `EVENTS` batch on a subscribed session and move its resume
@@ -269,15 +306,15 @@ fn is_write(req: &Request) -> bool {
     matches!(req, Request::Put(..) | Request::Del(..) | Request::Rmw(..))
 }
 
-/// Execute one decoded request against the map.  Every op is timed and
-/// counted (`crate::metrics`); ops past the slow threshold additionally land
-/// in the flight recorder tagged with the key's owning shard and `backend`.
+/// Execute one decoded request against the map.  Every op is timed by two
+/// clock reads and counted (`crate::metrics`); ops past the slow threshold
+/// additionally land in the flight recorder tagged with the key's owning
+/// shard and `backend`.
 ///
-/// When the calling thread carries a sampled trace (set by
-/// [`Session::process`]), the structure execution — shard routing included
-/// — is recorded as a `kcas` span, whose event counts pick up the
-/// retry/help hooks `kcas::metrics` fires while `execute_inner` runs.
-/// Untraced ops pay one TLS read and skip all of it.
+/// A trace-sampled op runs under the thread's current trace and records the
+/// same window — the structure execution, shard routing included — as its
+/// `kcas` span, with the KCAS retries and helps the thread tallied
+/// meanwhile.
 ///
 /// A `SCAN` appends its pairs to `scan` (empty on entry) and answers
 /// [`Reply::Scan`]; every other verb leaves `scan` alone.
@@ -286,15 +323,24 @@ fn execute(
     req: Request,
     backend: Backend,
     scan: &mut Vec<(Key, Value)>,
+    sampled: &mut Option<Sampled>,
 ) -> Reply {
-    let start = std::time::Instant::now();
     let (opcode, key) = crate::metrics::op_tag(&req);
-    let resp = {
-        let _kcas_span = trace::begin(PHASE_KCAS);
-        execute_inner(map, req, backend, scan)
-    };
-    crate::metrics::record_op(opcode, key, start.elapsed(), map, backend);
-    resp
+    let tallies = trace::tallies();
+    trace::set_current(sampled.map(|s| s.trace));
+    let start = trace::now_ns();
+    let reply = execute_inner(map, req, backend, scan);
+    let ns = trace::now_ns() - start;
+    trace::set_current(None);
+    if let Some(s) = sampled {
+        let (retries, helps) = trace::tallies();
+        let events =
+            trace::pack_events(retries.wrapping_sub(tallies.0), helps.wrapping_sub(tallies.1));
+        trace::record_span(s.trace, PHASE_KCAS, start, ns, events);
+        s.lanes[PHASE_KCAS as usize] = ns;
+    }
+    crate::metrics::record_op(opcode, key, ns, sampled.map(|s| s.lanes), map, backend);
+    reply
 }
 
 fn execute_inner(

@@ -297,26 +297,13 @@ fn serve_conn(
     Ok(())
 }
 
-/// Write everything the session has staged.  The write is a blocking
-/// syscall, so its `flush` span uses explicit timestamps, never a guard; it
-/// is charged to the trace `Session::process` left installed — the burst's
-/// last frame, if sampled — which is cleared here.
+/// Write everything the session has staged, and hand the session the
+/// write's start so it can charge the write to the burst it answers.
 fn write_staged(session: &mut Session, stream: &mut TcpStream) -> io::Result<()> {
+    let start = telemetry::trace::now_ns();
     let n = session.staged().len();
-    if n > 0 {
-        let flush_start = telemetry::trace::now_ns();
-        stream.write_all(session.staged())?;
-        session.wrote(n);
-        if let Some(t) = telemetry::trace::current() {
-            telemetry::trace::record_span(
-                t,
-                telemetry::trace::PHASE_FLUSH,
-                flush_start,
-                telemetry::trace::now_ns().saturating_sub(flush_start),
-                0,
-            );
-        }
-    }
-    telemetry::trace::set_current(None);
+    stream.write_all(session.staged())?;
+    session.wrote(n);
+    session.flushed(start);
     Ok(())
 }

@@ -6,48 +6,18 @@
 //! binary — are read before a herd of connections, while it is open, and
 //! after it has closed.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mapapi::reference::LockedBTreeMap;
 use mapapi::ConcurrentMap;
 use server::{proto, Backend, Request, Server, ServerOpts};
-
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-struct LiveBytes;
-
-// SAFETY: defers to `System` for every operation; only adds counting.
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's — delegated to `System`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's — delegated to `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's — delegated to `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use telemetry::alloc::{live_bytes, CountingAllocator};
 
 #[global_allocator]
-static ALLOC: LiveBytes = LiveBytes;
-
-fn live_bytes() -> i64 {
-    LIVE_BYTES.load(Ordering::SeqCst)
-}
+static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Concurrent connections in the herd.
 const CONNS: usize = 256;

@@ -26,11 +26,15 @@
 //!   never on an increment.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// Denied, not forbidden: [`alloc`]'s global allocator is the one `unsafe`
+// item and opts back in.
+#![deny(unsafe_code)]
 
 use std::cell::Cell;
 use std::sync::Mutex;
 
+#[allow(unsafe_code)]
+pub mod alloc;
 pub mod buckets;
 #[cfg(all(test, pathcas_loom))]
 mod models;
@@ -155,24 +159,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Raise the level by `n` (e.g. open-connection counts).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        // ORDERING: Relaxed — the RMW's atomicity alone keeps the level
-        // exact; no ordering with other locations is needed.
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Lower the level by `n`, saturating at zero.
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        // fetch_update loops only under concurrent modification of the same
-        // gauge; still allocation-free and lock-free.
-        // ORDERING: Relaxed — same as `add`: atomicity only.
-        let _ =
-            self.0.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(n)));
-    }
-
     /// Current level.
     pub fn get(&self) -> u64 {
         // ORDERING: Relaxed — diagnostic read of a last-writer-wins level.
@@ -260,19 +246,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Mean of the recorded values (0.0 when empty). The running sum wraps
-    /// at `u64::MAX` nanoseconds (~584 years of accumulated latency).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            // ORDERING: Relaxed — `count` and `sum` may be skewed by an
-            // in-flight record; the mean is a diagnostic, not an invariant.
-            self.sum.load(Ordering::Relaxed) as f64 / n as f64
-        }
-    }
-
     /// The value at quantile `q` in `[0, 1]`: the smallest bucket upper
     /// bound covering at least `ceil(q * count)` samples. 0 when empty.
     pub fn value_at_quantile(&self, q: f64) -> u64 {
@@ -358,15 +331,6 @@ fn scalar_of(handle: &Handle) -> u64 {
 pub fn value(name: &str) -> Option<u64> {
     let reg = REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     reg.iter().find(|(n, _)| *n == name).map(|(_, h)| scalar_of(h))
-}
-
-/// A point-in-time scalar view of every registered instrument, sorted by
-/// name — the delta primitive the bench binaries subtract around trials.
-pub fn snapshot() -> Vec<(&'static str, u64)> {
-    let reg = REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut out: Vec<(&'static str, u64)> = reg.iter().map(|(n, h)| (*n, scalar_of(h))).collect();
-    out.sort_unstable_by_key(|(n, _)| *n);
-    out
 }
 
 /// Render every registered instrument as deterministic text exposition:
@@ -659,17 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_add_sub() {
-        let g = Gauge::new();
-        g.set(10);
-        g.add(5);
-        g.sub(3);
-        assert_eq!(g.get(), 12);
-        g.sub(100); // saturates, never wraps
-        assert_eq!(g.get(), 0);
-    }
-
-    #[test]
     fn histogram_matches_workload_quantization() {
         let h = Histogram::new();
         for v in 1..=10_000u64 {
@@ -677,7 +630,6 @@ mod tests {
         }
         assert_eq!(h.count(), 10_000);
         assert_eq!(h.max(), 10_000);
-        assert!((h.mean() - 5000.5).abs() < 1e-6);
         let p50 = h.value_at_quantile(0.50);
         assert!((5_000..=5_200).contains(&p50), "p50 {p50}");
         // Clamping above TRACKABLE_MAX.
@@ -737,10 +689,6 @@ mod tests {
         let mut sorted = lines.clone();
         sorted.sort_unstable();
         assert_eq!(lines, sorted);
-
-        let snap = snapshot();
-        assert!(snap.windows(2).all(|w| w[0].0 <= w[1].0), "snapshot must be sorted");
-        assert!(snap.iter().any(|&(n, v)| n == "test_alpha_total" && v == 7));
     }
 
     #[test]

@@ -17,11 +17,12 @@
 //! Overhead discipline (the zero-alloc suites assert this end to end):
 //!
 //! - an **unsampled** op pays one relaxed load + one relaxed `fetch_add`
-//!   in the sampler and a couple of monotonic clock reads at the phase
-//!   boundaries its caller instruments — no heap, no locks, no fences;
+//!   in the sampler — no heap, no locks, no fences;
 //! - a **sampled** op additionally pays, per phase, one seqlock publication
 //!   into its thread's stripe ring and four relaxed RMWs into the phase
-//!   histogram — still allocation-free and wait-free;
+//!   histogram — still allocation-free and wait-free.  Its caller reads
+//!   [`now_ns`] at each span's two ends and hands the stamps to
+//!   [`record_span`]: there is no other way to record a span;
 //! - snapshots, rendering, and [`clear`] are dump-time only and allocate.
 
 use std::cell::Cell;
@@ -159,22 +160,17 @@ pub fn sampled_total() -> u64 {
 thread_local! {
     /// The sampled trace id the current op runs under, if any.
     static CURRENT: Cell<Option<u64>> = const { Cell::new(None) };
-    /// Monotone per-thread KCAS retry tally (guards take deltas).
+    /// Monotone per-thread KCAS retry tally (spans take deltas).
     static RETRIES: Cell<u64> = const { Cell::new(0) };
-    /// Monotone per-thread KCAS help tally (guards take deltas).
+    /// Monotone per-thread KCAS help tally (spans take deltas).
     static HELPS: Cell<u64> = const { Cell::new(0) };
-    /// Per-phase durations recorded for the current trace — what the
-    /// flight recorder packs into a slow-op record's phase breakdown.
-    static SCRATCH: Cell<[u64; PHASE_COUNT]> = const { Cell::new([0; PHASE_COUNT]) };
 }
 
-/// Install (or clear, with `None`) the calling thread's current trace id.
-/// Installing a trace resets the per-phase scratch durations.
+/// Install (or clear, with `None`) the calling thread's current trace id —
+/// how a layer below the caller (the replica's change-log append) finds the
+/// sampled op it runs under.
 #[inline]
 pub fn set_current(trace: Option<u64>) {
-    if trace.is_some() {
-        SCRATCH.with(|s| s.set([0; PHASE_COUNT]));
-    }
     CURRENT.with(|c| c.set(trace));
 }
 
@@ -185,7 +181,7 @@ pub fn current() -> Option<u64> {
 }
 
 /// Note one KCAS phase-1 retry on the calling thread (hooked from
-/// `kcas::metrics`); the enclosing [`SpanGuard`] attributes it to its span.
+/// `kcas::metrics`); a span that reads [`tallies`] at both ends counts it.
 #[inline]
 pub fn note_retry() {
     RETRIES.with(|c| c.set(c.get().wrapping_add(1)));
@@ -197,10 +193,12 @@ pub fn note_help() {
     HELPS.with(|c| c.set(c.get().wrapping_add(1)));
 }
 
-/// The per-phase durations recorded so far for the calling thread's current
-/// trace (all zeros right after [`set_current`] installs a trace).
-pub fn phase_scratch_ns() -> [u64; PHASE_COUNT] {
-    SCRATCH.with(|s| s.get())
+/// The calling thread's monotone `(retries, helps)` KCAS tallies.  A span's
+/// event counts are the wrapping difference of two reads, one at each end,
+/// packed with [`pack_events`].
+#[inline]
+pub fn tallies() -> (u64, u64) {
+    (RETRIES.with(|c| c.get()), HELPS.with(|c| c.get()))
 }
 
 // ---------------------------------------------------------------------------
@@ -277,51 +275,7 @@ pub fn record_span(trace_id: u64, phase: u64, start_ns: u64, dur_ns: u64, events
         return;
     }
     PHASE_HIST[idx].record(dur_ns);
-    if current() == Some(trace_id) {
-        SCRATCH.with(|s| {
-            let mut a = s.get();
-            a[idx] = a[idx].saturating_add(dur_ns);
-            s.set(a);
-        });
-    }
     RINGS[crate::stripe_id()].record(trace_id, phase, start_ns, dur_ns, events);
-}
-
-/// An RAII span over a **non-blocking** region of the current trace:
-/// created by [`begin`], it records the phase on drop, attributing the
-/// KCAS retry/help events that occurred in between. Must never be held
-/// across a blocking call (`cargo xtask analyze` enforces this on the
-/// server request path); blocking phases record via explicit timestamps
-/// and [`record_span`] instead.
-pub struct SpanGuard {
-    trace_id: u64,
-    phase: u64,
-    start_ns: u64,
-    retries0: u64,
-    helps0: u64,
-}
-
-/// Open a span for `phase` if the calling thread has a current trace
-/// (`None` otherwise — the untraced fast path is two TLS reads).
-#[inline]
-pub fn begin(phase: u64) -> Option<SpanGuard> {
-    let trace_id = current()?;
-    Some(SpanGuard {
-        trace_id,
-        phase,
-        start_ns: now_ns(),
-        retries0: RETRIES.with(|c| c.get()),
-        helps0: HELPS.with(|c| c.get()),
-    })
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let dur_ns = now_ns().saturating_sub(self.start_ns);
-        let retries = RETRIES.with(|c| c.get()).wrapping_sub(self.retries0);
-        let helps = HELPS.with(|c| c.get()).wrapping_sub(self.helps0);
-        record_span(self.trace_id, self.phase, self.start_ns, dur_ns, pack_events(retries, helps));
-    }
 }
 
 /// Every consistent span currently retained, merged across all stripe
@@ -441,44 +395,16 @@ mod tests {
     }
 
     #[test]
-    fn guard_records_phase_and_event_deltas() {
-        let _g = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        clear();
-        assert!(begin(PHASE_KCAS).is_none(), "no current trace, no guard");
-        set_current(Some(42));
-        let g = begin(PHASE_KCAS).expect("current trace set");
+    fn tallies_count_this_threads_kcas_events() {
+        let before = tallies();
         note_retry();
         note_retry();
         note_help();
-        drop(g);
-        set_current(None);
-        let spans = snapshot();
-        let span = spans
-            .iter()
-            .find(|s| s.trace_id == 42 && s.phase == PHASE_KCAS)
-            .expect("kcas span recorded");
-        assert_eq!(retries_of(span.events), 2);
-        assert_eq!(helps_of(span.events), 1);
-        clear();
-    }
-
-    #[test]
-    fn scratch_tracks_current_trace_phases() {
-        let _g = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        clear();
-        set_current(Some(7));
-        record_span(7, PHASE_DECODE, 100, 250, 0);
-        record_span(7, PHASE_KCAS, 400, 1000, 0);
-        // A different trace's span must not pollute this thread's scratch.
-        record_span(8, PHASE_KCAS, 500, 9999, 0);
-        let scratch = phase_scratch_ns();
-        assert_eq!(scratch[PHASE_DECODE as usize], 250);
-        assert_eq!(scratch[PHASE_KCAS as usize], 1000);
-        assert_eq!(scratch[PHASE_READY as usize], 0);
-        set_current(Some(9));
-        assert_eq!(phase_scratch_ns(), [0; PHASE_COUNT], "set_current resets scratch");
-        set_current(None);
-        clear();
+        let after = tallies();
+        let events = pack_events(after.0.wrapping_sub(before.0), after.1.wrapping_sub(before.1));
+        assert_eq!((retries_of(events), helps_of(events)), (2, 1));
+        let other = std::thread::spawn(tallies).join().unwrap();
+        assert_eq!(other, (0, 0), "another thread's tallies are its own");
     }
 
     #[test]

@@ -20,21 +20,12 @@
 //!    crates ([`FACADE_CRATES`]) only `sync.rs` may name `std::sync::atomic`;
 //!    everything else must import through `crate::sync` so the loom-shim
 //!    build checks the production code (DESIGN.md §12).
-//! 5. **No span guard across a blocking call** — a live
-//!    `telemetry::trace::begin` guard binding (tracked from its `let` until
-//!    an explicit `drop(<name>)` or its enclosing block closes) may not
-//!    coexist on a line with a blocking-shaped call
-//!    ([`BLOCKING_TOKENS`]: socket/file reads and writes, flushes, lock
-//!    acquisition, waits, joins, channel receives, accepts, sleeps).  A
-//!    span's drop stamps its end time, so a guard held across a block
-//!    measures the kernel, not the phase — blocking phases must use
-//!    explicit timestamps + `record_span` instead (DESIGN.md §13).
 //!
 //! Test code is skipped: `#[cfg(test)]`-gated modules (brace-tracked),
 //! files under `tests/`, and the `models.rs` model suites (compiled only
 //! under `cfg(all(test, pathcas_loom))`). A finding can be waived on a
 //! specific line with `// xtask: allow(<rule>)` where `<rule>` is one of
-//! `safety`, `ordering`, `unwrap`, `facade`, `spanguard`.
+//! `safety`, `ordering`, `unwrap`, `facade`.
 
 use std::fmt;
 use std::fs;
@@ -55,25 +46,6 @@ pub const FACADE_CRATES: &[&str] = &["kcas", "telemetry", "replica"];
 /// Crates where `.unwrap()` / `.expect(` are forbidden outside tests.
 pub const NO_UNWRAP_CRATES: &[&str] = &["server"];
 
-/// Call shapes that can block the calling thread; a live span guard on the
-/// same line is a latency-attribution bug (rule 5).  Substring-matched
-/// against comment-stripped code, so `.write_all(` does not also fire the
-/// `.write(` token.
-pub const BLOCKING_TOKENS: &[&str] = &[
-    ".read(",
-    ".read_exact(",
-    ".read_to_end(",
-    ".write(",
-    ".write_all(",
-    ".flush(",
-    ".lock(",
-    ".wait(",
-    ".join(",
-    ".recv(",
-    ".accept(",
-    "sleep(",
-];
-
 /// One finding of the analysis pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -89,7 +61,6 @@ pub enum Rule {
     Ordering,
     Unwrap,
     Facade,
-    SpanGuard,
 }
 
 impl Rule {
@@ -99,7 +70,6 @@ impl Rule {
             Rule::Ordering => "ordering",
             Rule::Unwrap => "unwrap",
             Rule::Facade => "facade",
-            Rule::SpanGuard => "spanguard",
         }
     }
 }
@@ -314,48 +284,11 @@ fn analyze_file(path: &Path, krate: &str, text: &str, out: &mut Vec<Violation>) 
     let mut tracker = TestModTracker::new();
     let facade_crate = FACADE_CRATES.contains(&krate);
     let no_unwrap_crate = NO_UNWRAP_CRATES.contains(&krate);
-    // Rule 5 state: live span-guard bindings as (name, declaring brace
-    // depth).  A guard dies at an explicit `drop(<name>)` or when its
-    // enclosing block closes.  The depth counter feeds on every line —
-    // test code included — so brace bookkeeping never desynchronizes;
-    // the *checks* are still gated on `!in_test` below.
-    let mut guard_depth = 0usize;
-    let mut guards: Vec<(String, usize)> = Vec::new();
 
     for (i, code) in codes.iter().enumerate() {
         let in_test = tracker.feed(code);
         let raw = lines[i];
         let lineno = i + 1;
-
-        guards.retain(|g| !code.contains(&format!("drop({})", g.0)));
-        if !in_test && !guards.is_empty() && !allowed(raw, Rule::SpanGuard) {
-            if let Some(tok) = BLOCKING_TOKENS.iter().copied().find(|t| code.contains(t)) {
-                let name = guards.last().map(|g| g.0.as_str()).unwrap_or("?");
-                out.push(Violation {
-                    file: path.to_path_buf(),
-                    line: lineno,
-                    rule: Rule::SpanGuard,
-                    message: format!(
-                        "span guard `{name}` held across blocking call `{tok}` (blocking phases must use explicit timestamps + `record_span`)"
-                    ),
-                });
-            }
-        }
-        if !in_test && code.contains("trace::begin(") {
-            if let Some(name) = span_guard_binding(code) {
-                guards.push((name, guard_depth));
-            }
-        }
-        for c in code.chars() {
-            match c {
-                '{' => guard_depth += 1,
-                '}' => {
-                    guard_depth = guard_depth.saturating_sub(1);
-                    guards.retain(|g| g.1 <= guard_depth);
-                }
-                _ => {}
-            }
-        }
 
         if in_test {
             continue;
@@ -413,23 +346,6 @@ fn analyze_file(path: &Path, krate: &str, text: &str, out: &mut Vec<Violation>) 
                 ),
             });
         }
-    }
-}
-
-/// The binding name a `let <name> = …trace::begin(…)` line introduces, if
-/// any.  A `let _ = …` (or a non-`let` use) makes the guard a temporary
-/// dropped at the end of its statement — nothing to track.
-fn span_guard_binding(code: &str) -> Option<String> {
-    let t = code.trim_start();
-    let rest = t.strip_prefix("if let ").or_else(|| t.strip_prefix("let "))?;
-    let rest = rest.trim_start();
-    let rest = rest.strip_prefix("Some(").unwrap_or(rest).trim_start();
-    let name: String =
-        rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-    if name.is_empty() || name == "_" {
-        None
-    } else {
-        Some(name)
     }
 }
 
@@ -534,40 +450,5 @@ mod tests {
     fn unsafe_as_identifier_fragment_does_not_fire() {
         let src = "fn f() {\n    let not_unsafe_here = 1;\n    let _ = not_unsafe_here;\n}\n";
         assert!(run("kcas", src).is_empty());
-    }
-
-    #[test]
-    fn span_guard_across_blocking_call_is_flagged() {
-        let bad = "fn f(w: &mut W) {\n    let span = telemetry::trace::begin(PHASE_FLUSH);\n    w.flush().ok();\n    drop(span);\n}\n";
-        let vs = run("server", bad);
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].rule, Rule::SpanGuard);
-        assert_eq!(vs[0].line, 3);
-        assert!(vs[0].message.contains("`span`") && vs[0].message.contains(".flush("));
-    }
-
-    #[test]
-    fn dropping_the_guard_before_blocking_is_clean() {
-        let good = "fn f(w: &mut W) {\n    let span = telemetry::trace::begin(PHASE_DECODE);\n    decode(p);\n    drop(span);\n    w.flush().ok();\n}\n";
-        assert!(run("server", good).is_empty());
-    }
-
-    #[test]
-    fn block_scope_ends_a_span_guard() {
-        let good = "fn f(w: &mut W) {\n    {\n        let _decode_span = telemetry::trace::begin(PHASE_DECODE);\n        decode(p);\n    }\n    w.flush().ok();\n}\n";
-        assert!(run("server", good).is_empty());
-    }
-
-    #[test]
-    fn untracked_guard_temporary_does_not_arm_the_rule() {
-        // `let _ = …` drops at end of statement; so does a bare call.
-        let good = "fn f(w: &mut W) {\n    let _ = telemetry::trace::begin(PHASE_DECODE);\n    w.flush().ok();\n}\n";
-        assert!(run("server", good).is_empty());
-    }
-
-    #[test]
-    fn span_guard_waiver_clears_the_finding() {
-        let src = "fn f(w: &mut W) {\n    let span = telemetry::trace::begin(PHASE_FLUSH);\n    w.flush().ok(); // xtask: allow(spanguard) - flush cost measured on purpose\n    drop(span);\n}\n";
-        assert!(run("server", src).is_empty());
     }
 }

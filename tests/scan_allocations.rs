@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use harness::alloc_count::{heap_allocations, CountingAllocator};
+use telemetry::alloc::{self, CountingAllocator};
 use mapapi::ConcurrentMap;
 
 #[global_allocator]
@@ -43,7 +43,7 @@ fn warm_sharded_scans_allocate_nothing_but_the_vec_scan_returns() {
         assert_eq!(out.len(), len);
     }
 
-    let before = heap_allocations();
+    let before = alloc::allocations();
     let mut pairs = 0;
     for _ in 0..1_000 {
         let (start, len) = probe();
@@ -51,15 +51,15 @@ fn warm_sharded_scans_allocate_nothing_but_the_vec_scan_returns() {
         map.scan_into(start, len, &mut out);
         pairs += out.len();
     }
-    let allocations = heap_allocations() - before;
+    let allocations = alloc::allocations() - before;
     assert!(pairs >= 8_000);
     assert_eq!(allocations, 0, "{allocations} allocations over 1000 warm scan_into calls");
 
-    let before = heap_allocations();
+    let before = alloc::allocations();
     for _ in 0..1_000 {
         let (start, len) = probe();
         assert_eq!(map.scan(start, len).len(), len);
     }
-    let allocations = heap_allocations() - before;
+    let allocations = alloc::allocations() - before;
     assert_eq!(allocations, 1_000, "{allocations} allocations over 1000 scan calls");
 }

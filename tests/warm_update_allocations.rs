@@ -12,7 +12,7 @@
 //!
 //! The allocation counter is process-global, so this file holds one test.
 
-use harness::alloc_count::{heap_allocations, CountingAllocator};
+use telemetry::alloc::{self, CountingAllocator};
 use mapapi::ConcurrentMap;
 
 #[global_allocator]
@@ -40,9 +40,9 @@ fn warm_pair_allocations(map: &dyn ConcurrentMap) -> u64 {
     // The warm-up registers the thread's builder, descriptor pool, slab and
     // epoch record, and takes the collector's bags through a few epochs.
     pairs(0..1_024);
-    let before = heap_allocations();
+    let before = alloc::allocations();
     pairs(0..OPS);
-    heap_allocations() - before
+    alloc::allocations() - before
 }
 
 #[test]
@@ -56,14 +56,14 @@ fn warm_updates_do_not_allocate_per_operation() {
     for k in 1..=1_024u64 {
         assert!(tree.remove(k));
     }
-    let (rotations, before) = (tree.rotation_count(), heap_allocations());
+    let (rotations, before) = (tree.rotation_count(), alloc::allocations());
     for k in 4_097..4_097 + OPS {
         assert!(tree.insert(k, k));
     }
     for k in 4_097..4_097 + OPS {
         assert!(tree.remove(k));
     }
-    let allocations = heap_allocations() - before;
+    let allocations = alloc::allocations() - before;
     assert!(tree.rotation_count() > rotations + OPS / 4, "the measured updates barely rotated");
     assert!(allocations <= ALLOWED, "int-avl-pathcas: {allocations} allocations over {OPS} inserts and {OPS} removes");
     tree.check_invariants();
