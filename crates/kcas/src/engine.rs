@@ -5,7 +5,9 @@
 //! two "red lines" of Algorithm 1: after all addresses have been "locked"
 //! with DCSS, the visited path is validated (Algorithm 2) before the status
 //! is decided.  A descriptor with an empty path behaves exactly like the
-//! original HFP KCAS.
+//! original HFP KCAS.  One lock is a plain CAS: the owner's first, which
+//! publishes the descriptor — before it, no helper can know the descriptor,
+//! so the DCSS control check ("still undecided") would hold by construction.
 //!
 //! Where the CPU has RTM, [`execute`] and [`execute_raw`] first try to do
 //! all of that inside one hardware transaction ([`crate::htm`]) and reach
@@ -68,7 +70,7 @@ pub(crate) fn help_by_word(raw: u64, guard: &Guard) {
     // A `None` return means the slot was recycled: the operation `raw`
     // named is complete and uninstalled, so the caller's re-read will
     // observe a different value.
-    let _ = help(KCAS_SLOTS.get(pooled_slot(raw)), pooled_seq(raw), raw, guard);
+    let _ = help(KCAS_SLOTS.get(pooled_slot(raw)), pooled_seq(raw), raw, false, guard);
 }
 
 /// Help the operation published as `self_word` (= `(slot, seq)`).  Called by
@@ -83,25 +85,52 @@ pub(crate) fn help_by_word(raw: u64, guard: &Guard) {
 /// *before the value is acted upon* (dereferenced or handed to a CAS); see
 /// the protocol in [`crate::pool`].  All CASes carry `self_word`, whose
 /// embedded seqno guarantees stale attempts can never succeed.
-fn help(slot: &'static KcasSlot, seq: u64, self_word: u64, guard: &Guard) -> Option<bool> {
+///
+/// `owner` is set only by [`run`], the publishing thread's own call: its
+/// lock of the first entry is a plain CAS, every other lock a DCSS.
+fn help(
+    slot: &'static KcasSlot,
+    seq: u64,
+    self_word: u64,
+    owner: bool,
+    guard: &Guard,
+) -> Option<bool> {
     let undecided = pack_seqstat(seq, UNDECIDED);
     let (entries, path) = slot.fields(seq)?;
     if seqstat_status(slot.seqstat.load(Ordering::SeqCst)) == UNDECIDED {
         // Phase 1: "lock" every address for this operation.
         let mut new_status = SUCCEEDED;
-        'entries: for e in entries {
+        'entries: for (i, e) in entries.iter().enumerate() {
             loop {
                 let addr = e.addr.load(Ordering::Acquire) as *const CasWord;
                 let old_raw = e.old.load(Ordering::Acquire);
                 if !slot.holds(seq) {
                     return None;
                 }
-                // SAFETY: the seqno re-check above proves `addr`/`old_raw`
-                // belong to this operation, and entry addresses point at
-                // epoch-protected CasWords (crate-level contract).  The
-                // control word is this slot's seqstat — static memory.
-                let seen = unsafe {
-                    dcss(&slot.seqstat as *const _, undecided, addr, old_raw, self_word, guard)
+                let seen = if owner && i == 0 {
+                    // Until this CAS succeeds `self_word` is in no shared
+                    // word, so no helper exists and the status is certainly
+                    // `(seq, UNDECIDED)`: the DCSS control check would hold
+                    // by construction.  Once it succeeds, helpers may decide
+                    // the operation, so every later lock is a DCSS.
+                    // SAFETY: entry addresses point at epoch-protected
+                    // CasWords (crate-level contract).
+                    match unsafe { &*addr }.cas_raw(old_raw, self_word) {
+                        Ok(_) => old_raw,
+                        Err(seen) if is_dcss_desc(seen) => {
+                            help_dcss(seen, guard);
+                            continue;
+                        }
+                        Err(seen) => seen,
+                    }
+                } else {
+                    // SAFETY: the seqno re-check above proves `addr`/`old_raw`
+                    // belong to this operation, and entry addresses point at
+                    // epoch-protected CasWords (crate-level contract).  The
+                    // control word is this slot's seqstat — static memory.
+                    unsafe {
+                        dcss(&slot.seqstat as *const _, undecided, addr, old_raw, self_word, guard)
+                    }
                 };
                 if is_kcas_desc(seen) {
                     if seen == self_word {
@@ -294,7 +323,8 @@ where
     pool::with_kcas_slot(|idx, slot, sorted| {
         sorted.extend(entries.iter().map(|&e| e.into()));
         sort_dedup(sorted);
-        // Invalidate, write, publish (pool module docs).
+        // Invalidate, write (pool module docs); `help` publishes, with the
+        // owner's plain-CAS lock of the first entry.
         let (seq, entry_cells, path_cells) = slot.recycle(sorted.len(), path.len());
         for (cell, e) in entry_cells.iter().zip(sorted.iter()) {
             cell.addr.store(e.addr as usize, Ordering::Release);
@@ -306,7 +336,7 @@ where
             cell.ver_addr.store(v.ver_addr as usize, Ordering::Release);
             cell.seen.store(encode(v.seen), Ordering::Release);
         }
-        help(slot, seq, pack_pooled(TAG_KCAS, idx, seq), guard)
+        help(slot, seq, pack_pooled(TAG_KCAS, idx, seq), true, guard)
             .expect("only the owning thread recycles a slot, and it is running this operation")
     })
 }

@@ -1,20 +1,24 @@
-//! Bounded model checking of the DCSS core (ISSUE 9 / DESIGN.md §12).
+//! Bounded model checking of the DCSS core and the KCAS owner's locks
+//! (DESIGN.md §12).
 //!
 //! Compiled only under `--cfg pathcas_loom`, where [`crate::sync`] resolves
 //! the crate's atomics to `loom-shim`'s mocks, so the models below drive the
-//! *production* [`crate::dcss`] / [`crate::dcss::help_dcss`] code through
-//! every thread interleaving and weak-memory read choice within the
-//! checker's bounds.
+//! *production* [`crate::dcss`] / [`crate::dcss::help_dcss`] / [`crate::kcas`]
+//! code through every thread interleaving and weak-memory read choice within
+//! the checker's bounds.
 //!
 //! Two kinds of test live here:
 //!
 //! * **Models** (`loom_shim::model`) assert the real code's invariants hold
 //!   in every explored execution: DCSS increments are applied exactly once
-//!   even when threads help each other, and a stale helper holding a
-//!   recycled slot's old descriptor word can never corrupt anything.
+//!   even when threads help each other, a stale helper holding a
+//!   recycled slot's old descriptor word can never corrupt anything, and a
+//!   KCAS owner that resumes after a helper decided its operation cannot
+//!   re-lock a word.
 //! * **Mutation witnesses** (`loom_shim::model_fails`) run deliberately
 //!   weakened *miniatures* of the protocol — the final CAS replaced by a
-//!   blind store, the seqno re-validation removed — and assert the checker
+//!   blind store, the seqno re-validation removed, every KCAS lock a plain
+//!   CAS — and assert the checker
 //!   finds a counterexample. They prove the models are non-vacuous: the
 //!   checker demonstrably distinguishes the shipped protocol from its
 //!   one-line corruptions.
@@ -26,6 +30,7 @@ use std::sync::Arc;
 use crate::dcss::{dcss, help_dcss};
 use crate::sync::{AtomicU64, Ordering};
 use crate::word::{encode, is_dcss_desc, CasWord};
+use crate::KcasArg;
 
 /// Control-word value used by every model; the control word never changes,
 /// so DCSS success is equivalent to the returned raw equalling `old2`.
@@ -114,6 +119,34 @@ fn dcss_stale_helper_is_harmless() {
         }
         helper.join();
         assert_eq!(target.load_quiescent(), 3);
+    });
+}
+
+/// Model (c), the owner's locks: thread O commits `{w0: 0→1, w1: 0→1}`
+/// through the production [`crate::kcas`], whose owner locks its first
+/// entry with a plain CAS and the second with a DCSS.  Thread H reads `w0`;
+/// if it sees 1 — possibly having helped O to completion — it decrements
+/// `w1` with a 1-word KCAS.  If O, resuming after H decided and unlocked its
+/// operation, could still lock `w1` (now back at 0) and write its `new`
+/// over it, the decrement would be lost; the DCSS's "still undecided"
+/// control check is what refuses that lock.
+#[test]
+fn kcas_owner_relock_after_help_is_refused() {
+    loom_shim::model(|| {
+        let ws = Arc::new([CasWord::new(0), CasWord::new(0)]);
+        let w2 = Arc::clone(&ws);
+        let helper = loom_shim::thread::spawn(move || {
+            let guard = crossbeam_epoch::pin();
+            crate::read(&w2[0], &guard) == 1
+                && crate::kcas(&[KcasArg { addr: &w2[1], old: 1, new: 0 }], &guard)
+        });
+        let guard = crossbeam_epoch::pin();
+        let args =
+            [KcasArg { addr: &ws[0], old: 0, new: 1 }, KcasArg { addr: &ws[1], old: 0, new: 1 }];
+        assert!(crate::kcas(&args, &guard), "nothing else writes before O commits");
+        let decremented = u64::from(helper.join());
+        assert_eq!(ws[0].load_quiescent(), 1);
+        assert_eq!(ws[1].load_quiescent(), 1 - decremented, "a decrement was lost");
     });
 }
 
@@ -272,5 +305,67 @@ fn dcss_slot_reuse_no_revalidation_witness() {
     assert!(
         loom_shim::model_fails(|| mini_reuse_run(false)),
         "checker failed to refute the unvalidated helper read"
+    );
+}
+
+/// Miniature statuses of a KCAS descriptor.
+const MINI_UNDECIDED: u64 = 0;
+const MINI_SUCCEEDED: u64 = 1;
+const MINI_FAILED: u64 = 2;
+
+/// Mutation: `help` of a miniature 2-word KCAS `{w0: 0→1, w1: 0→1}`
+/// (descriptor word `desc(1)`) that locks *every* entry with a plain CAS.
+/// Only the owner's first lock may be one: once that succeeds, helpers can
+/// decide and unlock the operation, and a later plain-CAS lock by the
+/// resuming owner re-locks a word that has since come back to its `old`.
+fn mini_kcas_help_all_plain(status: &AtomicU64, ws: &[AtomicU64; 2]) {
+    let d = desc(1);
+    if status.load(Ordering::SeqCst) == MINI_UNDECIDED {
+        let mut decided = MINI_SUCCEEDED;
+        for w in ws {
+            match w.compare_exchange(val(0), d, Ordering::SeqCst, Ordering::SeqCst) {
+                Ok(_) => {}
+                Err(seen) if seen == d => {}
+                Err(_) => {
+                    decided = MINI_FAILED;
+                    break;
+                }
+            }
+        }
+        let _ = status.compare_exchange(MINI_UNDECIDED, decided, Ordering::SeqCst, Ordering::SeqCst);
+    }
+    let f = if status.load(Ordering::SeqCst) == MINI_SUCCEEDED { val(1) } else { val(0) };
+    for w in ws {
+        let _ = w.compare_exchange(d, f, Ordering::SeqCst, Ordering::SeqCst);
+    }
+}
+
+/// Witness for model (c): with every lock a plain CAS the checker finds the
+/// schedule where O locks `w0`, H helps O to completion and decrements `w1`
+/// back to 0, and O resumes, locks `w1` again and unlocks it to 1 — the lost
+/// decrement the DCSS of every lock after the owner's first exists to stop.
+#[test]
+fn kcas_all_plain_locks_witness() {
+    assert!(
+        loom_shim::model_fails(|| {
+            let status = Arc::new(AtomicU64::new(MINI_UNDECIDED));
+            let ws = Arc::new([AtomicU64::new(val(0)), AtomicU64::new(val(0))]);
+            let (s2, w2) = (Arc::clone(&status), Arc::clone(&ws));
+            let helper = loom_shim::thread::spawn(move || {
+                if w2[0].load(Ordering::SeqCst) == desc(1) {
+                    mini_kcas_help_all_plain(&s2, &w2);
+                }
+                w2[0].load(Ordering::SeqCst) == val(1)
+                    && w2[1]
+                        .compare_exchange(val(1), val(0), Ordering::SeqCst, Ordering::SeqCst)
+                        .is_ok()
+            });
+            mini_kcas_help_all_plain(&status, &ws);
+            let decremented = helper.join();
+            assert_eq!(ws[0].load(Ordering::SeqCst), val(1));
+            let w1 = if decremented { val(0) } else { val(1) };
+            assert_eq!(ws[1].load(Ordering::SeqCst), w1, "a decrement was lost");
+        }),
+        "checker failed to refute the all-plain-CAS locks"
     );
 }

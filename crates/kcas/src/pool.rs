@@ -34,7 +34,10 @@
 //!    them under the *new* seqno yet, because the new descriptor word has
 //!    not been installed anywhere.
 //! 3. **Publish** the word `(slot, seq+1)` by installing it into shared
-//!    memory (KCAS phase 1 / the DCSS installation CAS).
+//!    memory: the DCSS installation CAS, resp. the KCAS owner's lock of its
+//!    first entry — a plain CAS, not a DCSS, because before it succeeds no
+//!    helper can know the word, so the status is certainly `UNDECIDED`
+//!    (every later lock of phase 1 is a DCSS).
 //!
 //! A helper must in turn:
 //!

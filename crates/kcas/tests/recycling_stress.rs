@@ -74,23 +74,33 @@ fn wide_operations_recycle_correctly() {
 #[test]
 fn recycling_advances_seqnos_not_slots() {
     // Direct evidence of reuse: a burst of operations advances the calling
-    // thread's slot seqnos by exactly the operation count, and registers no
-    // new slots.
+    // thread's KCAS slot seqno by exactly the operation count, and registers
+    // no new slots.  A k-word commit performs k - 1 DCSSes: the owner locks
+    // its first entry with a plain CAS (no helper can know the descriptor
+    // before that), every later entry with a DCSS.
     kcas::software_path_only(true);
-    let w = CasWord::new(0);
+    let ws = [CasWord::new(0), CasWord::new(0)];
     let guard = crossbeam_epoch::pin();
-    let _ = kcas::kcas(&[KcasArg { addr: &w, old: 0, new: 1 }], &guard); // warm up
-    let before = kcas::local_pool_stats();
+    let _ = kcas::kcas(&[KcasArg { addr: &ws[0], old: 0, new: 1 }], &guard); // warm up
     let ops = 500u64;
-    let base = kcas::read(&w, &guard);
-    for i in 0..ops {
-        assert!(kcas::kcas(&[KcasArg { addr: &w, old: base + i, new: base + i + 1 }], &guard));
+    for (k, dcss_per_op) in [(1, 0), (2, 1)] {
+        let before = kcas::local_pool_stats();
+        for _ in 0..ops {
+            let args: Vec<KcasArg> = ws[..k]
+                .iter()
+                .map(|w| {
+                    let old = kcas::read(w, &guard);
+                    KcasArg { addr: w, old, new: old + 1 }
+                })
+                .collect();
+            assert!(kcas::kcas(&args, &guard));
+        }
+        let after = kcas::local_pool_stats();
+        assert_eq!(before.kcas_slot, after.kcas_slot);
+        assert_eq!(after.dcss_slot, before.dcss_slot);
+        assert_eq!(after.kcas_seq - before.kcas_seq, ops, "{k}-word burst");
+        assert_eq!(after.dcss_seq - before.dcss_seq, ops * dcss_per_op, "{k}-word burst");
     }
-    let after = kcas::local_pool_stats();
-    assert_eq!(before.kcas_slot, after.kcas_slot);
-    assert_eq!(after.kcas_seq - before.kcas_seq, ops);
-    // Each 1-word KCAS performs exactly one DCSS in phase 1.
-    assert_eq!(after.dcss_seq - before.dcss_seq, ops);
 }
 
 /// `threads` workers each move `ops` units between random pairs of

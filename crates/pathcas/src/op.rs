@@ -18,8 +18,6 @@ use crate::{DEFAULT_MAX_ENTRIES, DEFAULT_MAX_PATH, DEFAULT_STRONG_RETRIES};
 pub struct OpBuilder {
     entries: Vec<RawEntry>,
     path: Vec<RawVisit>,
-    /// `vexec` scratch: the visited path minus nodes that are also added.
-    path_scratch: Vec<RawVisit>,
     /// `vexec_strong` slow-path scratch: entries plus compare-only entries.
     slow_scratch: Vec<RawEntry>,
     /// Set when the same address is added twice with conflicting values —
@@ -44,7 +42,6 @@ impl OpBuilder {
         OpBuilder {
             entries: Vec::with_capacity(DEFAULT_MAX_ENTRIES),
             path: Vec::with_capacity(1024),
-            path_scratch: Vec::with_capacity(1024),
             slow_scratch: Vec::with_capacity(DEFAULT_MAX_ENTRIES),
             poisoned: false,
             strong_retries: DEFAULT_STRONG_RETRIES,
@@ -165,13 +162,18 @@ impl<'g> PathCasOp<'g> {
     /// Perform the accumulated changes only if no visited node has changed
     /// since it was visited (the paper's `vexec`).  May fail spuriously if a
     /// visited node is "locked" by another in-flight operation.
+    ///
+    /// The visited path goes to the engine as recorded, including nodes whose
+    /// version word is also added: the descriptor path's validation treats a
+    /// word locked by this operation as unchanged (it was locked only because
+    /// it held the added `old`), and the transactional path checks such a
+    /// word against both its visit and its add before the first store.
     pub fn vexec(&mut self) -> bool {
         if self.builder.poisoned {
             return false;
         }
-        self.builder.refill_path_scratch();
         // SAFETY: all addresses were registered through `&'g CasWord`s.
-        unsafe { kcas::execute_raw(&self.builder.entries, &self.builder.path_scratch, self.guard) }
+        unsafe { kcas::execute_raw(&self.builder.entries, &self.builder.path, self.guard) }
     }
 
     /// The strong `vexec` of §3.5: retry the optimistic `vexec` a bounded
@@ -187,11 +189,9 @@ impl<'g> PathCasOp<'g> {
             return false;
         }
         for _ in 0..self.builder.strong_retries {
-            self.builder.refill_path_scratch();
             // SAFETY: all addresses were registered through `&'g CasWord`s.
-            let ok = unsafe {
-                kcas::execute_raw(&self.builder.entries, &self.builder.path_scratch, self.guard)
-            };
+            let ok =
+                unsafe { kcas::execute_raw(&self.builder.entries, &self.builder.path, self.guard) };
             if ok {
                 return true;
             }
@@ -219,20 +219,10 @@ impl<'g> PathCasOp<'g> {
 }
 
 impl OpBuilder {
-    /// Refill `path_scratch` with the visited path minus entries whose
-    /// version word is also in the add-set: the add already both checks the
-    /// old version and locks the word, so a separate compare entry would
-    /// conflict with it.
-    fn refill_path_scratch(&mut self) {
-        let (scratch, path, entries) = (&mut self.path_scratch, &self.path, &self.entries);
-        scratch.clear();
-        scratch.extend(
-            path.iter().filter(|p| !entries.iter().any(|e| e.addr == p.ver_addr)).copied(),
-        );
-    }
-
     /// Refill `slow_scratch` with the add-set plus one compare-only entry
-    /// (`⟨ver_addr, seen, seen⟩`) per visited node not already added.
+    /// (`⟨ver_addr, seen, seen⟩`) per visited node not already added: a
+    /// compare entry for an added address would duplicate it with
+    /// conflicting values.
     fn refill_slow_scratch(&mut self) {
         let (scratch, path, entries) = (&mut self.slow_scratch, &self.path, &self.entries);
         scratch.clear();
@@ -354,17 +344,55 @@ mod tests {
     fn visited_node_in_add_set_does_not_self_conflict() {
         // Visiting a node and also adding its version word (a common pattern:
         // the parent both lies on the path and is modified) must not make the
-        // operation fail against itself.
-        let n = nodes();
-        let mut b = OpBuilder::new();
-        let guard = crossbeam_epoch::pin();
-        let mut op = b.start(&guard);
-        let va = op.visit(&n.ver_a);
-        op.add(&n.data_a, 100, 101);
-        op.add(&n.ver_a, va, va + 2);
-        assert!(op.vexec());
-        assert_eq!(kcas::read(&n.ver_a, &guard), 2);
-        assert_eq!(kcas::read(&n.data_a, &guard), 101);
+        // operation fail against itself — on the descriptor path, then
+        // wherever the platform commits.
+        for software in [true, false] {
+            kcas::software_path_only(software);
+            let n = nodes();
+            let mut b = OpBuilder::new();
+            let guard = crossbeam_epoch::pin();
+            let mut op = b.start(&guard);
+            let va = op.visit(&n.ver_a);
+            op.add(&n.data_a, 100, 101);
+            op.add(&n.ver_a, va, va + 2);
+            assert!(op.vexec(), "software = {software}");
+            assert_eq!(kcas::read(&n.ver_a, &guard), 2);
+            assert_eq!(kcas::read(&n.data_a, &guard), 101);
+        }
+    }
+
+    /// A node visited at version 0 and added as `0 -> 2`, whose version then
+    /// moves to 4 before the commit: `commit` must fail and write nothing.
+    /// The visited path reaches the engine unfiltered, so the version word
+    /// is both validated and locked by the same operation.
+    fn visited_and_added_version_that_moved_fails(commit: fn(&mut PathCasOp<'_>) -> bool) {
+        for software in [true, false] {
+            kcas::software_path_only(software);
+            let n = nodes();
+            let mut b = OpBuilder::new();
+            let guard = crossbeam_epoch::pin();
+            let mut op = b.start(&guard);
+            let va = op.visit(&n.ver_a);
+            assert_eq!(va, 0);
+            let _ = op.visit(&n.ver_b);
+            op.add(&n.data_a, 100, 101);
+            op.add(&n.ver_a, va, va + 2);
+            n.ver_a.store(4);
+            assert!(!commit(&mut op), "software = {software}");
+            assert_eq!(kcas::read(&n.ver_a, &guard), 4, "software = {software}");
+            assert_eq!(kcas::read(&n.data_a, &guard), 100, "software = {software}");
+            assert_eq!(kcas::read(&n.ver_b, &guard), 0, "software = {software}");
+        }
+    }
+
+    #[test]
+    fn vexec_fails_if_a_visited_and_added_version_moved() {
+        visited_and_added_version_that_moved_fails(|op| op.vexec());
+    }
+
+    #[test]
+    fn strong_vexec_fails_if_a_visited_and_added_version_moved() {
+        visited_and_added_version_that_moved_fails(|op| op.vexec_strong());
     }
 
     #[test]
