@@ -215,12 +215,6 @@ pub trait ConcurrentMap: Send + Sync {
     /// other thread is operating on the map).
     fn stats(&self) -> MapStats;
 
-    /// The index of the shard that owns `key`.  An unsharded structure is
-    /// one shard, so the default owns every key in shard 0.
-    fn shard_of(&self, _key: Key) -> usize {
-        0
-    }
-
     /// Cumulative per-shard operation counts, indexed by shard. Structures
     /// that do not track per-shard load (everything unsharded) return an
     /// empty vector, which consumers must treat as "untracked" rather than
@@ -253,9 +247,6 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for Box<M> {
     fn stats(&self) -> MapStats {
         (**self).stats()
     }
-    fn shard_of(&self, key: Key) -> usize {
-        (**self).shard_of(key)
-    }
     fn shard_loads(&self) -> Vec<ShardLoad> {
         (**self).shard_loads()
     }
@@ -283,9 +274,6 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for std::sync::Arc<M> {
     }
     fn stats(&self) -> MapStats {
         (**self).stats()
-    }
-    fn shard_of(&self, key: Key) -> usize {
-        (**self).shard_of(key)
     }
     fn shard_loads(&self) -> Vec<ShardLoad> {
         (**self).shard_loads()

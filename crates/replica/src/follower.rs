@@ -120,10 +120,6 @@ impl ConcurrentMap for Follower {
         self.inner.stats()
     }
 
-    fn shard_of(&self, key: Key) -> usize {
-        self.inner.shard_of(key)
-    }
-
     fn shard_loads(&self) -> Vec<mapapi::ShardLoad> {
         self.inner.shard_loads()
     }
@@ -203,10 +199,6 @@ impl ConcurrentMap for ReplicaSet {
 
     fn stats(&self) -> MapStats {
         self.primary.stats()
-    }
-
-    fn shard_of(&self, key: Key) -> usize {
-        self.primary.shard_of(key)
     }
 
     fn shard_loads(&self) -> Vec<mapapi::ShardLoad> {

@@ -160,10 +160,6 @@ impl ConcurrentMap for ReplicatedMap {
         self.inner.stats()
     }
 
-    fn shard_of(&self, key: Key) -> usize {
-        self.inner.shard_of(key)
-    }
-
     fn shard_loads(&self) -> Vec<mapapi::ShardLoad> {
         self.inner.shard_loads()
     }

@@ -29,14 +29,13 @@
 //! [`trace::now_ns`] reads: two around `execute` for an ordinary frame (its
 //! `srv_op_ns`); for a trace-sampled one, also two around decode and two
 //! around encode, from which it records the `ready`, `decode`, `kcas` and
-//! `resp` spans and a slow op's packed phases.  Each span is stamped at its
-//! own two ends, so the tracer's own bookkeeping falls between spans and is
-//! charged to no phase.  A driver measures only its own two
-//! windows: the readiness wait it hands to [`Session::process`], and its
-//! write, whose start it hands to [`Session::flushed`].  The thread's
-//! current trace (`trace::set_current`) is set only while a sampled frame
-//! executes, so the replica's change-log append can charge its `commit`
-//! span to it.
+//! `resp` spans.  Each span is stamped at its own two ends, so the tracer's
+//! own bookkeeping falls between spans and is charged to no phase.  A driver
+//! measures only its own two windows: the readiness wait it hands to
+//! [`Session::process`], and its write, whose start it hands to
+//! [`Session::flushed`].  The thread's current trace (`trace::set_current`)
+//! is set only while a sampled frame executes, so the replica's change-log
+//! append can charge its `commit` span to it.
 
 use std::io;
 
@@ -46,7 +45,6 @@ use telemetry::trace::{
     self, PHASE_DECODE, PHASE_DELIVER, PHASE_FLUSH, PHASE_KCAS, PHASE_READY, PHASE_RESP,
 };
 
-use crate::metrics::PACKED_PHASES;
 use crate::proto::{self, FrameDecoder, Request, Response, MAX_SCAN_LEN};
 use crate::srv::{Backend, ServerOpts};
 
@@ -96,14 +94,6 @@ pub struct Session {
     /// its allocation kept (up to [`mapapi::SCAN_RETAIN_PAIRS`]) so that a
     /// warm `SCAN` allocates nothing.
     scan: Vec<(Key, Value)>,
-}
-
-/// A trace-sampled frame: its trace id and the `ready`/`decode`/`kcas`
-/// durations a slow-op record packs.
-#[derive(Clone, Copy)]
-struct Sampled {
-    trace: u64,
-    lanes: [u64; PACKED_PHASES],
 }
 
 /// What [`execute`] hands the `resp` phase to encode.
@@ -182,12 +172,12 @@ impl Session {
             // The decoded request is `Copy`, so the borrow on the decoder
             // ends here, before the response is staged into `out`.
             let decoded = proto::decode_request(payload);
-            let mut sampled = decode_start.map(|(t, t0)| {
+            let sampled = decode_start.map(|(t, t0)| {
                 let t1 = trace::now_ns();
                 let (wait_start, wait_ns) = wait.unwrap_or((t0, 0));
                 trace::record_span(t, PHASE_READY, wait_start, wait_ns, 0);
                 trace::record_span(t, PHASE_DECODE, t0, t1 - t0, 0);
-                Sampled { trace: t, lanes: [wait_ns, t1 - t0, 0] }
+                t
             });
             let reply = match decoded {
                 Ok(Request::Subscribe(after)) if self.has_log => {
@@ -205,7 +195,7 @@ impl Session {
                 Ok(req) if self.read_only && is_write(&req) => {
                     Reply::Value(Response::Err(READ_ONLY_MSG.into()))
                 }
-                Ok(req) => execute(map, req, self.backend, &mut self.scan, &mut sampled),
+                Ok(req) => execute(map, req, self.backend, &mut self.scan, sampled),
                 Err(msg) => {
                     // Framing error: answer, then close once it drains —
                     // after a payload that does not parse, the stream offset
@@ -214,7 +204,7 @@ impl Session {
                     Reply::Value(Response::Err(msg))
                 }
             };
-            let resp_start = sampled.map(|s| (s.trace, trace::now_ns()));
+            let resp_start = sampled.map(|t| (t, trace::now_ns()));
             match reply {
                 Reply::Scan => {
                     proto::encode_scan(&self.scan, &mut self.out);
@@ -226,7 +216,7 @@ impl Session {
             if let Some((t, r0)) = resp_start {
                 trace::record_span(t, PHASE_RESP, r0, trace::now_ns() - r0, 0);
             }
-            self.flush = sampled.map(|s| s.trace);
+            self.flush = sampled;
         }
         frames
     }
@@ -307,14 +297,12 @@ fn is_write(req: &Request) -> bool {
 }
 
 /// Execute one decoded request against the map.  Every op is timed by two
-/// clock reads and counted (`crate::metrics`); ops past the slow threshold
-/// additionally land in the flight recorder tagged with the key's owning
-/// shard and `backend`.
+/// clock reads and counted (`crate::metrics`).
 ///
-/// A trace-sampled op runs under the thread's current trace and records the
-/// same window — the structure execution, shard routing included — as its
-/// `kcas` span, with the KCAS retries and helps the thread tallied
-/// meanwhile.
+/// A trace-sampled op (`sampled` holds its trace id) runs under the
+/// thread's current trace and records the same window — the structure
+/// execution, shard routing included — as its `kcas` span, with the KCAS
+/// retries and helps the thread tallied meanwhile.
 ///
 /// A `SCAN` appends its pairs to `scan` (empty on entry) and answers
 /// [`Reply::Scan`]; every other verb leaves `scan` alone.
@@ -323,23 +311,21 @@ fn execute(
     req: Request,
     backend: Backend,
     scan: &mut Vec<(Key, Value)>,
-    sampled: &mut Option<Sampled>,
+    sampled: Option<u64>,
 ) -> Reply {
-    let (opcode, key) = crate::metrics::op_tag(&req);
     let tallies = trace::tallies();
-    trace::set_current(sampled.map(|s| s.trace));
+    trace::set_current(sampled);
     let start = trace::now_ns();
     let reply = execute_inner(map, req, backend, scan);
     let ns = trace::now_ns() - start;
     trace::set_current(None);
-    if let Some(s) = sampled {
+    if let Some(t) = sampled {
         let (retries, helps) = trace::tallies();
         let events =
             trace::pack_events(retries.wrapping_sub(tallies.0), helps.wrapping_sub(tallies.1));
-        trace::record_span(s.trace, PHASE_KCAS, start, ns, events);
-        s.lanes[PHASE_KCAS as usize] = ns;
+        trace::record_span(t, PHASE_KCAS, start, ns, events);
     }
-    crate::metrics::record_op(opcode, key, ns, sampled.map(|s| s.lanes), map, backend);
+    crate::metrics::record_op(&req, ns);
     reply
 }
 

@@ -11,9 +11,9 @@
 //! A STATS phase then shows the counter is live (each shard's quiescent
 //! `stats()` walk allocates its work stack) — keeping the zeros honest.
 //!
-//! Since PR 8 the measured window also runs with the telemetry layer
-//! fully enabled — per-verb counters, the op latency histogram, reactor
-//! syscall counters, the slow-op threshold check — and the registry delta
+//! The measured window also runs with the telemetry layer fully enabled —
+//! per-verb counters, the op latency histogram, reactor syscall counters —
+//! and the registry delta
 //! read *outside* the window must account for exactly the 2000 measured
 //! GETs: instrumentation that is both live and allocation-free is the
 //! zero-overhead claim of DESIGN.md §11.

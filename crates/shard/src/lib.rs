@@ -415,10 +415,6 @@ impl ConcurrentMap for ShardedMap {
         self.shards.iter().map(|s| s.stats()).sum()
     }
 
-    fn shard_of(&self, key: Key) -> usize {
-        self.owner_idx(key)
-    }
-
     fn shard_loads(&self) -> Vec<ShardLoad> {
         self.point_ops
             .iter()
@@ -562,20 +558,18 @@ mod tests {
             assert_eq!(l.scan_ops > 0, i == home, "{loads:?}");
         }
 
-        // shard_of agrees with where the keys actually landed: replaying the
+        // Routing agrees with where the keys actually landed: replaying the
         // ownership map reproduces each shard's key count.
         let mut owned = [0u64; 4];
         for k in keys {
-            owned[ConcurrentMap::shard_of(&m, k)] += 1;
+            owned[m.owner_idx(k)] += 1;
         }
         for (i, st) in per.iter().enumerate() {
             assert_eq!(owned[i], st.key_count, "shard {i}");
         }
 
-        // The trait defaults on an unsharded structure: one shard, untracked
-        // loads.
+        // The trait default on an unsharded structure: untracked loads.
         let plain = LockedBTreeMap::new();
-        assert_eq!(ConcurrentMap::shard_of(&plain, 99), 0);
         assert!(plain.shard_loads().is_empty());
     }
 

@@ -1,11 +1,11 @@
 //! Zero-overhead telemetry: striped counters, gauges, log-bucketed atomic
-//! histograms, a global text-exposition registry, and a bounded flight
-//! recorder for slow operations.
+//! histograms, a global text-exposition registry, and the seqlock ring
+//! behind the span tracer.
 //!
 //! Design constraints (DESIGN.md §11):
 //!
 //! - **Wait-free, zero-allocation increments.** [`Counter::inc`],
-//!   [`Gauge::set`], [`Histogram::record`] and [`FlightRecorder::record`]
+//!   [`Gauge::set`], [`Histogram::record`] and [`SeqRing::push`]
 //!   perform a bounded number of `Relaxed` atomic operations and never touch
 //!   the heap, so they are safe to call from the server's asserted
 //!   zero-allocation warm paths (the counting-allocator tests in
@@ -365,31 +365,8 @@ pub fn render() -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Seqlock ring and its flight-recorder view
+// Seqlock ring
 // ---------------------------------------------------------------------------
-
-/// One decoded flight-recorder entry (see [`FlightRecorder`]). Field
-/// meanings are the caller's: the server records
-/// `(opcode, key, latency_ns, shard, backend)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightRecord {
-    /// Monotone admission ticket (global order of recorded ops).
-    pub ticket: u64,
-    /// Caller-defined operation tag.
-    pub op: u64,
-    /// Caller-defined key.
-    pub key: u64,
-    /// Latency in nanoseconds.
-    pub latency_ns: u64,
-    /// Caller-defined shard index.
-    pub shard: u64,
-    /// Caller-defined backend tag.
-    pub backend: u64,
-    /// Caller-defined packed per-phase breakdown (the server packs three
-    /// 16-bit lanes of 64 ns units: ready, decode, kcas — see
-    /// `server::metrics`; 0 when the op was not trace-sampled).
-    pub phases: u64,
-}
 
 /// One slot of a [`SeqRing`]: the seqlock word plus `W` payload words.
 struct SeqSlot<const W: usize> {
@@ -400,9 +377,9 @@ struct SeqSlot<const W: usize> {
 }
 
 /// A bounded ring of the last `N` records of `W` words each, lock- and
-/// allocation-free to write — the one seqlock ring behind both the slow-op
-/// [`FlightRecorder`] (`W = 6`) and the tracer's [`trace::SpanRing`]
-/// (`W = 5`), which add only their typed `record`/`snapshot` views.
+/// allocation-free to write — the seqlock ring behind the tracer's
+/// [`trace::SpanRing`] (`W = 5`), which adds only its typed
+/// `record`/`snapshot` view.
 ///
 /// Writers claim a ticket with one `fetch_add`, then claim `slot[ticket % N]`
 /// by CAS-ing its seqlock word from the previous generation's even value to
@@ -560,47 +537,9 @@ impl<const W: usize, const N: usize> Default for SeqRing<W, N> {
     }
 }
 
-/// The slow-op flight recorder: a [`SeqRing`] of the last `N`
-/// [`FlightRecord`]s.
-pub type FlightRecorder<const N: usize> = SeqRing<6, N>;
-
-impl<const N: usize> SeqRing<6, N> {
-    /// Record one event (see [`SeqRing::push`] for the ticket/drop contract).
-    #[inline]
-    pub fn record(
-        &self,
-        op: u64,
-        key: u64,
-        latency_ns: u64,
-        shard: u64,
-        backend: u64,
-        phases: u64,
-    ) -> Option<u64> {
-        self.push([op, key, latency_ns, shard, backend, phases])
-    }
-
-    /// The consistent records currently in the ring, oldest first
-    /// (allocates — dump-time only).
-    pub fn snapshot(&self) -> Vec<FlightRecord> {
-        self.entries()
-            .into_iter()
-            .map(|(ticket, [op, key, latency_ns, shard, backend, phases])| FlightRecord {
-                ticket,
-                op,
-                key,
-                latency_ns,
-                shard,
-                backend,
-                phases,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn counter_sums_across_threads() {
@@ -697,53 +636,5 @@ mod tests {
         static C: Counter = Counter::new();
         register("test_duplicate_name", Handle::Counter(&C));
         register("test_duplicate_name", Handle::Counter(&C));
-    }
-
-    #[test]
-    fn flight_recorder_keeps_last_n_in_order() {
-        let fr: FlightRecorder<8> = FlightRecorder::new();
-        for i in 0..20u64 {
-            fr.record(1, i, i * 10, i % 4, 0, i * 3);
-        }
-        assert_eq!(fr.recorded(), 20);
-        let snap = fr.snapshot();
-        assert_eq!(snap.len(), 8);
-        let tickets: Vec<u64> = snap.iter().map(|r| r.ticket).collect();
-        assert_eq!(tickets, (12..20).collect::<Vec<_>>());
-        for r in &snap {
-            assert_eq!(r.key, r.ticket);
-            assert_eq!(r.latency_ns, r.ticket * 10);
-            assert_eq!(r.phases, r.ticket * 3);
-        }
-    }
-
-    #[test]
-    fn flight_recorder_concurrent_snapshots_are_consistent() {
-        static FR: FlightRecorder<16> = FlightRecorder::new();
-        static STOP: AtomicBool = AtomicBool::new(false);
-        let writers: Vec<_> = (0..4)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    let mut i = 0u64;
-                    while !STOP.load(Ordering::Relaxed) {
-                        // key, latency and phases carry the same payload: a
-                        // torn read would surface as a mismatched tuple.
-                        FR.record(2, i, i, 0, 1, i);
-                        i += 1;
-                    }
-                })
-            })
-            .collect();
-        for _ in 0..200 {
-            for r in FR.snapshot() {
-                assert_eq!(r.key, r.latency_ns, "torn flight record escaped the seqlock");
-                assert_eq!(r.key, r.phases, "torn flight record escaped the seqlock");
-                assert_eq!(r.op, 2);
-            }
-        }
-        STOP.store(true, Ordering::Relaxed);
-        for w in writers {
-            w.join().unwrap();
-        }
     }
 }

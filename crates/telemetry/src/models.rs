@@ -3,9 +3,9 @@
 //!
 //! Compiled only under `--cfg pathcas_loom`, where [`crate::sync`] resolves
 //! the crate's atomics to `loom-shim`'s mocks, so these models drive the
-//! *production* [`SeqRing`] (the one seqlock ring behind the flight recorder
-//! and the tracer's span rings) and [`Counter`] code through every
-//! interleaving and weak-memory read choice within the checker's bounds.
+//! *production* [`SeqRing`] (the seqlock ring behind the tracer's span
+//! rings) and [`Counter`] code through every interleaving and weak-memory
+//! read choice within the checker's bounds.
 //!
 //! Models assert the shipped code's invariants (no torn ring snapshot,
 //! exactly one lap winner, striped sums monotone and exact at quiescence);
@@ -21,8 +21,7 @@ use crate::{Counter, SeqRing};
 
 /// The ring every model drives: one slot, so every second write laps, and
 /// three payload words — enough that a cross-record mix has somewhere to
-/// show. [`crate::FlightRecorder`] and [`crate::trace::SpanRing`] are this
-/// same code at widths 6 and 5.
+/// show. [`crate::trace::SpanRing`] is this same code at width 5.
 type Ring = SeqRing<3, 1>;
 
 /// The two records every ring model writes. Words are correlated

@@ -4,7 +4,7 @@
 //! Normal builds re-export `std::sync::atomic`. Under `--cfg pathcas_loom`
 //! (see README "Verification") the same names resolve to `loom-shim`'s mock
 //! atomics, so the model checker explores the *production* counter and
-//! flight-recorder code — never a hand-copied model.
+//! seqlock-ring code — never a hand-copied model.
 //!
 //! [`registration`] stays on real std atomics in both configurations: the
 //! stripe-id dispenser is once-per-thread bookkeeping and the counting

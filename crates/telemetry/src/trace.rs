@@ -7,12 +7,12 @@
 //! compact [`SpanRecord`] — phase id, start/duration nanoseconds, and the
 //! KCAS retry/help events that occurred inside the phase.
 //!
-//! Publication uses the same Boehm fence-based seqlock ring as the flight
-//! recorder — both are views of one [`SeqRing`]: spans land in striped
-//! fixed-size [`SpanRing`]s whose atomics route through the crate's `sync`
-//! facade, so under `--cfg pathcas_loom` the model checker explores the
-//! *production* ring code (`src/models.rs` has the ring models and their
-//! mutation witness).
+//! Publication uses the crate's Boehm fence-based seqlock ring,
+//! [`SeqRing`]: spans land in striped fixed-size [`SpanRing`]s whose
+//! atomics route through the crate's `sync` facade, so under
+//! `--cfg pathcas_loom` the model checker explores the *production* ring
+//! code (`src/models.rs` has the ring models and their mutation
+//! witness).
 //!
 //! Overhead discipline (the zero-alloc suites assert this end to end):
 //!
