@@ -6,7 +6,7 @@
 //! composition** grammar `shardN(inner)` — e.g. `shard8(int-avl-pathcas)`
 //! — building a [`shard::ShardedMap`] over `N` fresh instances of any
 //! resolvable inner name (recursively, so `shard2(shard4(x))` works too).
-//! Two canonical sharded variants are registered by name so the
+//! Three canonical sharded variants are registered by name so the
 //! registry-driven scenario, stress and differential suites cover the
 //! composition layer with zero extra glue.
 
@@ -34,7 +34,6 @@ pub fn registry() -> Vec<AlgoFactory> {
     vec![
         AlgoFactory { name: "int-bst-pathcas", build: || b(pathcas_ds::PathCasBst::new()) },
         AlgoFactory { name: "int-avl-pathcas", build: || b(pathcas_ds::PathCasAvl::new()) },
-        AlgoFactory { name: "hashmap-pathcas", build: || b(pathcas_ds::PathCasHashMap::new()) },
         AlgoFactory { name: "ext-bst-locks", build: || b(baselines::TicketBst::new()) },
         AlgoFactory { name: "int-bst-norec", build: || b(stm::TxBst::new(stm::Norec::new())) },
         AlgoFactory { name: "int-avl-norec", build: || b(stm::TxAvl::new(stm::Norec::new())) },
@@ -46,7 +45,8 @@ pub fn registry() -> Vec<AlgoFactory> {
         // inner instances, scans k-way merged.  Registered here so the
         // whole registry-driven battery — cross-structure suites, keysum
         // stress, registry smoke — exercises the composition layer for
-        // free.
+        // free.  `shard256(list-pathcas)` is the hash table of PathCAS lists
+        // the paper's conclusion (§6) names.
         AlgoFactory {
             name: "shard8(int-avl-pathcas)",
             build: || sharded(8, || b(pathcas_ds::PathCasAvl::new())),
@@ -54,6 +54,10 @@ pub fn registry() -> Vec<AlgoFactory> {
         AlgoFactory {
             name: "shard4(int-bst-pathcas)",
             build: || sharded(4, || b(pathcas_ds::PathCasBst::new())),
+        },
+        AlgoFactory {
+            name: "shard256(list-pathcas)",
+            build: || sharded(256, || b(pathcas_ds::PathCasList::new())),
         },
     ]
 }

@@ -11,9 +11,11 @@
 //!   Appendix D, which adds parent pointers, logical heights and Bougé-style
 //!   local rebalancing steps (Algorithms 8–11) — [`avl`] holds exactly that
 //!   addition;
-//! * two of the additional structures the conclusion (§6) lists as
-//!   straightforward applications of the same recipe: a sorted
-//!   [`list::PathCasList`] and a fixed-bucket [`hashmap::PathCasHashMap`].
+//! * a sorted [`list::PathCasList`], one of the additional structures the
+//!   conclusion (§6) lists as straightforward applications of the same
+//!   recipe.  The hash table §6 builds from such lists is not a type here:
+//!   the harness registers it as `shard256(list-pathcas)`, a
+//!   `shard::ShardedMap` over 256 lists.
 //!
 //! All of them follow the same construction: *visit* every node read during
 //! the traversal, *add* the words to be modified (always including a version
@@ -25,12 +27,10 @@
 #![warn(missing_docs)]
 
 pub mod avl;
-pub mod hashmap;
 pub mod list;
 pub mod node;
 pub mod tree;
 
 pub use avl::PathCasAvl;
-pub use hashmap::PathCasHashMap;
 pub use list::PathCasList;
 pub use tree::{PathCasBst, PathCasTree};

@@ -71,8 +71,23 @@ impl Connection {
     }
 
     /// Pull the server's telemetry exposition (the `METRICS` verb at
-    /// [`crate::proto::METRICS_VERSION`]): sorted `name value` lines plus
-    /// `#`-prefixed annotations — see `server::metrics` for the layout.
+    /// [`crate::proto::METRICS_VERSION`]): one metric per line, `name
+    /// value`, plus `#`-prefixed annotations.
+    ///
+    /// ```text
+    /// # pathcas-metrics v1 backend=reactor
+    /// kcas_ops_total 1024
+    /// ...registry lines, sorted by name...
+    /// srv_shard_point_ops{shard="0"} 217
+    /// srv_shard_scan_ops{shard="0"} 3
+    /// ```
+    ///
+    /// The registry section is process-global; the `srv_shard_*` section
+    /// reads the *served map's* per-shard load counters (absent entirely
+    /// when the map doesn't track them): point ops routed to the shard, and
+    /// inner `scan` calls made on it — one per chunk a merged scan pulled,
+    /// none for a shard no scan reached.  Both backends answer with the same
+    /// byte layout; only the values differ.
     pub fn metrics(&mut self) -> io::Result<String> {
         match self.request(&Request::Metrics(proto::METRICS_VERSION))? {
             Response::Metrics(text) => Ok(text),
@@ -86,8 +101,21 @@ impl Connection {
 
     /// Pull the server's span-trace exposition (the `TRACE` verb at
     /// [`crate::proto::TRACE_VERSION`]): a `# pathcas-trace` header line
-    /// followed by one `span ...` line per sampled span — see
-    /// `server::metrics::render_trace` for the layout.
+    /// followed by one `span ...` line per retained span.
+    ///
+    /// ```text
+    /// # pathcas-trace v1 backend=reactor sample_every=64 sampled=3 spans=17 dropped=0
+    /// span trace=0 phase=ready start_ns=1201 dur_ns=802 retries=0 helps=0
+    /// span trace=0 phase=decode start_ns=2101 dur_ns=190 retries=0 helps=0
+    /// ...
+    /// ```
+    ///
+    /// Lines are sorted by `(trace, phase, start, ticket)` — phase ids are
+    /// pipeline-ordered, so the *line order* is a pure function of which ops
+    /// were sampled, never of raw timestamps; the differential battery masks
+    /// the `start_ns=`/`dur_ns=` digits and asserts the rest byte-identical
+    /// across backends.  Like METRICS, the dump is rendered before the TRACE
+    /// request's own post-execute spans exist.
     pub fn trace(&mut self) -> io::Result<String> {
         match self.request(&Request::Trace(proto::TRACE_VERSION))? {
             Response::Trace(text) => Ok(text),

@@ -35,7 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod metrics;
+mod metrics;
 pub mod proto;
 mod reactor;
 pub mod session;

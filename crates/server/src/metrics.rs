@@ -158,24 +158,10 @@ pub(crate) fn record_op(req: &Request, ns: u64) {
     VERBS[opcode(req)].ops.inc();
 }
 
-/// Render the full text exposition the `METRICS` verb answers with.
-///
-/// Layout (one metric per line, `name value`; `#` lines are annotations):
-///
-/// ```text
-/// # pathcas-metrics v1 backend=reactor
-/// kcas_ops_total 1024
-/// ...registry lines, sorted by name...
-/// srv_shard_point_ops{shard="0"} 217
-/// srv_shard_scan_ops{shard="0"} 3
-/// ```
-///
-/// The registry section is global; the `srv_shard_*` section reads the
-/// *served map's* per-shard load counters (absent entirely when the map
-/// doesn't track them): point ops routed to the shard, and inner `scan`
-/// calls made on it — one per chunk a merged scan pulled, so at least one
-/// per shard per scan.  Both backends produce this through the same code
-/// path, so the byte layout is identical — only the values differ.
+/// Render the full text exposition the `METRICS` verb answers with (the
+/// layout is documented on [`crate::Connection::metrics`]).  Both backends
+/// produce it through this one function, so the byte layout is identical —
+/// only the values differ.
 pub(crate) fn render(map: &dyn ConcurrentMap, backend: Backend) -> String {
     use std::fmt::Write;
     metrics();
@@ -189,23 +175,8 @@ pub(crate) fn render(map: &dyn ConcurrentMap, backend: Backend) -> String {
     out
 }
 
-/// Render the span-trace exposition the `TRACE` verb answers with.
-///
-/// Layout:
-///
-/// ```text
-/// # pathcas-trace v1 backend=reactor sample_every=64 sampled=3 spans=17 dropped=0
-/// span trace=0 phase=ready start_ns=1201 dur_ns=802 retries=0 helps=0
-/// span trace=0 phase=decode start_ns=2101 dur_ns=190 retries=0 helps=0
-/// ...
-/// ```
-///
-/// One line per retained span, sorted by `(trace, phase, start, ticket)` —
-/// phase ids are pipeline-ordered, so the *line order* is a pure function
-/// of which ops were sampled, never of raw timestamps; the differential
-/// battery masks the `start_ns=`/`dur_ns=` digits and asserts the rest
-/// byte-identical across backends.  Like METRICS, the dump is rendered
-/// before the TRACE request's own post-execute spans exist.
+/// Render the span-trace exposition the `TRACE` verb answers with (the
+/// layout is documented on [`crate::Connection::trace`]).
 pub(crate) fn render_trace(backend: Backend) -> String {
     use std::fmt::Write;
     metrics();

@@ -49,9 +49,8 @@
 //!
 //! Each *chunk* is one validated snapshot of its shard on the PathCAS
 //! structures (taken at slightly different times, and a shard that refills
-//! contributes more than one) — not one global snapshot, the same relaxation
-//! the `hashmap-pathcas` per-bucket merge documents.  DESIGN.md §8 spells out
-//! the argument.
+//! contributes more than one) — not one global snapshot.  DESIGN.md §8
+//! spells out the argument.
 //!
 //! The cursors — one run buffer per shard — are **per-thread scratch**: a
 //! scan takes its thread's cursor table, refills the runs in place through
@@ -67,6 +66,8 @@
 //! Shards may be different algorithms (`stats` aggregation and the scan
 //! merge only rely on the trait), which the mixed-shard tests exercise; the
 //! harness registry's `shardN(inner)` names build homogeneous instances.
+//! One of them, `shard256(list-pathcas)` — 256 PathCAS sorted lists — is the
+//! hash table of lists that the paper's conclusion (§6) names.
 
 #![warn(missing_docs)]
 

@@ -3,7 +3,8 @@
 //! every structure and to a `BTreeMap` model must agree on every return
 //! value, every scan result, and the final contents.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use mapapi::ConcurrentMap;
 use proptest::prelude::*;
@@ -17,13 +18,18 @@ enum Op {
     Scan(u64, usize),
 }
 
-fn op_strategy(key_range: u64) -> impl Strategy<Value = Op> {
+/// Ops on the keys `stride·k`, `k` in `1..=key_range`.  With a stride of 61
+/// the 48 keys span 23 of `ShardedMap`'s 128-key blocks instead of one, so a
+/// sharded map's point ops reach several shards and its scans merge across
+/// them.
+fn op_strategy(key_range: u64, stride: u64) -> impl Strategy<Value = Op> {
+    let key = move || (1..=key_range).prop_map(move |k| k * stride);
     prop_oneof![
-        (1..=key_range, any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v & 0xFFFF_FFFF)),
-        (1..=key_range).prop_map(Op::Remove),
-        (1..=key_range).prop_map(Op::Get),
-        (1..=key_range, 1..=0xFFFFu64).prop_map(|(k, d)| Op::Rmw(k, d)),
-        (1..=key_range, 0..24usize).prop_map(|(k, n)| Op::Scan(k, n)),
+        (key(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v & 0xFFFF_FFFF)),
+        key().prop_map(Op::Remove),
+        key().prop_map(Op::Get),
+        (key(), 1..=0xFFFFu64).prop_map(|(k, d)| Op::Rmw(k, d)),
+        (key(), 0..24usize).prop_map(|(k, n)| Op::Scan(k, n)),
     ]
 }
 
@@ -74,65 +80,92 @@ fn run_differential<M: ConcurrentMap>(map: &M, ops: &[Op]) {
     assert_eq!(stats.key_sum, model.keys().map(|&k| k as u128).sum::<u128>(), "{}: final key sum", map.name());
 }
 
+/// [`run_differential`] on a sharded map, then the check that the case
+/// reached at least two shards.  A case whose point ops name 24 or more
+/// distinct spread keys must: no shard of the maps below owns more than 17
+/// of the 48.  A case of a few ops may land on one shard by chance, so
+/// smaller cases are held to the model only.
+fn run_sharded_differential(map: &shard::ShardedMap, ops: &[Op]) {
+    run_differential(map, ops);
+    let keys: BTreeSet<u64> = ops
+        .iter()
+        .filter_map(|op| match *op {
+            Op::Insert(k, _) | Op::Remove(k) | Op::Get(k) | Op::Rmw(k, _) => Some(k),
+            Op::Scan(..) => None,
+        })
+        .collect();
+    if keys.len() >= 24 {
+        let reached = map.shard_loads().iter().filter(|l| l.point_ops > 0).count();
+        assert!(reached >= 2, "{}: {} point-op keys reached one shard", map.name(), keys.len());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn pathcas_bst_matches_model(ops in proptest::collection::vec(op_strategy(48), 1..400)) {
+    fn pathcas_bst_matches_model(ops in proptest::collection::vec(op_strategy(48, 1), 1..400)) {
         run_differential(&pathcas_ds::PathCasBst::new(), &ops);
     }
 
     #[test]
-    fn pathcas_avl_matches_model(ops in proptest::collection::vec(op_strategy(48), 1..400)) {
+    fn pathcas_avl_matches_model(ops in proptest::collection::vec(op_strategy(48, 1), 1..400)) {
         let tree = pathcas_ds::PathCasAvl::new();
         run_differential(&tree, &ops);
         tree.check_invariants();
     }
 
     #[test]
-    fn pathcas_list_matches_model(ops in proptest::collection::vec(op_strategy(32), 1..300)) {
+    fn pathcas_list_matches_model(ops in proptest::collection::vec(op_strategy(32, 1), 1..300)) {
         let list = pathcas_ds::PathCasList::new();
         run_differential(&list, &ops);
         list.check_invariants();
     }
 
     #[test]
-    fn pathcas_hashmap_matches_model(ops in proptest::collection::vec(op_strategy(48), 1..400)) {
-        // Few buckets so merged scans cross bucket boundaries constantly.
-        let map = pathcas_ds::PathCasHashMap::with_buckets(4);
-        run_differential(&map, &ops);
-        map.check_invariants();
+    fn pathcas_hashmap_matches_model(ops in proptest::collection::vec(op_strategy(48, 61), 1..400)) {
+        // The hash table of lists, `shardN(list-pathcas)`, over handles the
+        // test keeps so that every list's invariants can be checked after.
+        let lists: Vec<Arc<pathcas_ds::PathCasList>> =
+            (0..4).map(|_| Arc::new(pathcas_ds::PathCasList::new())).collect();
+        let map = shard::ShardedMap::new(
+            lists.iter().map(|l| Box::new(Arc::clone(l)) as Box<dyn ConcurrentMap>).collect(),
+        );
+        run_sharded_differential(&map, &ops);
+        for list in &lists {
+            list.check_invariants();
+        }
     }
 
     #[test]
-    fn ticket_bst_matches_model(ops in proptest::collection::vec(op_strategy(48), 1..400)) {
+    fn ticket_bst_matches_model(ops in proptest::collection::vec(op_strategy(48, 1), 1..400)) {
         let tree = baselines::TicketBst::new();
         run_differential(&tree, &ops);
         tree.check_invariants();
     }
 
     #[test]
-    fn mcms_bst_matches_model(ops in proptest::collection::vec(op_strategy(48), 1..300)) {
+    fn mcms_bst_matches_model(ops in proptest::collection::vec(op_strategy(48, 1), 1..300)) {
         run_differential(&mcms::McmsBst::new(), &ops);
     }
 
     #[test]
-    fn stm_avl_matches_model(ops in proptest::collection::vec(op_strategy(48), 1..300)) {
+    fn stm_avl_matches_model(ops in proptest::collection::vec(op_strategy(48, 1), 1..300)) {
         run_differential(&stm::TxAvl::new(stm::Norec::new()), &ops);
     }
 
     #[test]
-    fn sharded_avl_matches_model(ops in proptest::collection::vec(op_strategy(48), 1..400)) {
-        // Few keys over many shards: scans constantly merge across shard
-        // boundaries, the case the k-way merge must get exactly right.
+    fn sharded_avl_matches_model(ops in proptest::collection::vec(op_strategy(48, 61), 1..400)) {
+        // Keys over 23 blocks and 8 shards: scans constantly merge across
+        // shard boundaries, the case the k-way merge must get exactly right.
         let map = shard::ShardedMap::from_fn(8, |_| {
             Box::new(pathcas_ds::PathCasAvl::new()) as Box<dyn ConcurrentMap>
         });
-        run_differential(&map, &ops);
+        run_sharded_differential(&map, &ops);
     }
 
     #[test]
-    fn sharded_mixed_matches_model(ops in proptest::collection::vec(op_strategy(48), 1..300)) {
+    fn sharded_mixed_matches_model(ops in proptest::collection::vec(op_strategy(48, 61), 1..300)) {
         // Heterogeneous shards: the composition only uses the trait, so a
         // mixed set must be indistinguishable from a homogeneous one.
         let map = shard::ShardedMap::new(vec![
@@ -140,6 +173,6 @@ proptest! {
             Box::new(pathcas_ds::PathCasBst::new()),
             Box::new(mapapi::reference::LockedBTreeMap::new()),
         ]);
-        run_differential(&map, &ops);
+        run_sharded_differential(&map, &ops);
     }
 }

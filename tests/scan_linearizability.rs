@@ -6,7 +6,7 @@
 //! are conserved quantities — every scan over the region must observe exactly
 //! that multiset, no matter how much the rest of the structure churns around
 //! it (rotations, two-child deletions promoting keys through scanned nodes,
-//! bucket-list splices).  A scan that misses a present key, double-counts a
+//! list splices).  A scan that misses a present key, double-counts a
 //! relocated one, or observes a half-applied RMW breaks the check.
 //!
 //! Structures with an atomic `rmw` additionally run an RMW writer hammering
@@ -16,6 +16,7 @@
 //! is observably absent mid-RMW and the scan's region count drops.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use mapapi::ConcurrentMap;
 
@@ -172,9 +173,19 @@ fn pathcas_list_scans_never_observe_partial_state() {
 
 #[test]
 fn pathcas_hashmap_scans_never_observe_partial_state() {
-    // Per-bucket snapshots: region keys are each always present in their
-    // bucket, so the merged scan must still conserve the region.
-    run_suite(&pathcas_ds::PathCasHashMap::with_buckets(32), true, 400);
+    // The registered hash table of lists, `shard256(list-pathcas)`, over
+    // handles the test keeps.  The region spans two blocks, so each scan
+    // merges validated chunks of the two lists that own them; every region
+    // key is always present in its list, so the merge must conserve it.
+    let lists: Vec<Arc<pathcas_ds::PathCasList>> =
+        (0..256).map(|_| Arc::new(pathcas_ds::PathCasList::new())).collect();
+    let map = shard::ShardedMap::new(
+        lists.iter().map(|l| Box::new(Arc::clone(l)) as Box<dyn ConcurrentMap>).collect(),
+    );
+    run_suite(&map, true, 400);
+    for list in &lists {
+        list.check_invariants();
+    }
 }
 
 #[test]

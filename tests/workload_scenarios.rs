@@ -8,16 +8,17 @@ use std::time::Duration;
 use mapapi::ConcurrentMap;
 use workload::{all_scenarios, run_scenario, scenario, RunParams};
 
-/// The acceptance set: PathCAS AVL, BST, hashmap, one STM baseline, and
-/// the two registered sharded compositions (bank conservation and the
-/// post-scenario scan audit must hold through the composition layer too).
+/// The acceptance set: PathCAS AVL, BST, one STM baseline, and the three
+/// registered sharded compositions, the hash table of PathCAS lists among
+/// them (bank conservation and the post-scenario scan audit must hold
+/// through the composition layer too).
 const STRUCTURES: [&str; 6] = [
     "int-avl-pathcas",
     "int-bst-pathcas",
-    "hashmap-pathcas",
     "int-avl-norec",
     "shard8(int-avl-pathcas)",
     "shard4(int-bst-pathcas)",
+    "shard256(list-pathcas)",
 ];
 
 #[test]
