@@ -76,7 +76,6 @@ unsafe fn word_to_ref(word: u64, _guard: &Guard) -> &Node {
 /// The external BST with per-node locks (`ext-bst-locks`).
 pub struct TicketBst {
     root: *mut Node,
-    retries: AtomicU64,
 }
 
 // SAFETY: nodes are slab slots; shared mutation happens only under
@@ -104,19 +103,7 @@ impl TicketBst {
         let leaf_inf1 = Node::alloc(KEY_INF1, 0, NIL, NIL);
         let leaf_inf2 = Node::alloc(KEY_INF2, 0, NIL, NIL);
         let root = Node::alloc(KEY_INF2, 0, leaf_inf1, leaf_inf2) as usize as *mut Node;
-        TicketBst { root, retries: AtomicU64::new(0) }
-    }
-
-    /// Number of update retries caused by failed validation.
-    pub fn retry_count(&self) -> u64 {
-        // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    fn note_retry(&self) {
-        // ORDERING: Relaxed — diagnostic counter only; correctness is carried
-        // by the locks and validated child swaps, not by this statistic.
-        self.retries.fetch_add(1, Ordering::Relaxed);
+        TicketBst { root }
     }
 
     /// Lock-free traversal to the leaf responsible for `key`.
@@ -168,15 +155,11 @@ impl TicketBst {
             let leaf_word = ptr_to_word(res.leaf as *const Node);
             let _plock = parent.lock.lock();
             if parent.marked.load(Ordering::Acquire) {
-                self.note_retry();
                 continue;
             }
             let slot = match Self::child_slot(parent, leaf_word) {
                 Some(s) => s,
-                None => {
-                    self.note_retry();
-                    continue;
-                }
+                None => continue,
             };
             // Replace the leaf with an internal routing node whose children
             // are the old leaf and the new leaf, ordered by key.
@@ -207,22 +190,17 @@ impl TicketBst {
             let _glock = gparent.lock.lock();
             let _plock = parent.lock.lock();
             if gparent.marked.load(Ordering::Acquire) || parent.marked.load(Ordering::Acquire) {
-                self.note_retry();
                 continue;
             }
             let gslot = match Self::child_slot(gparent, parent_word) {
                 Some(s) => s,
-                None => {
-                    self.note_retry();
-                    continue;
-                }
+                None => continue,
             };
             let sibling = if parent.left.load(Ordering::Acquire) == leaf_word {
                 parent.right.load(Ordering::Acquire)
             } else if parent.right.load(Ordering::Acquire) == leaf_word {
                 parent.left.load(Ordering::Acquire)
             } else {
-                self.note_retry();
                 continue;
             };
             parent.marked.store(true, Ordering::Release);

@@ -78,14 +78,22 @@ fn parse_shard_name(name: &str) -> Option<(usize, &str)> {
     (1..=MAX_SHARDS).contains(&n).then_some((n, inner))
 }
 
-/// Instantiate one algorithm by name: either a registered name, or the
-/// sharded-composition grammar `shardN(inner)` for any resolvable `inner`
-/// (applied recursively).  On failure the error lists every valid registry
-/// name, for a caller to print instead of panicking.
+/// A name [`try_make`] resolves that [`registry`] leaves out: a lone sorted
+/// list is O(n) per op, so no registry loop runs it, but it is the inner
+/// map of the hash table of lists at any shard count.
+const INNER_ONLY: &str = "list-pathcas";
+
+/// Instantiate one algorithm by name: either a registered name,
+/// `list-pathcas`, or the sharded-composition grammar `shardN(inner)` for
+/// any resolvable `inner` (applied recursively).  On failure the error
+/// lists every valid name, for a caller to print instead of panicking.
 pub fn try_make(name: &str) -> Result<Box<dyn ConcurrentMap>, String> {
     let reg = registry();
     if let Some(factory) = reg.iter().find(|f| f.name == name) {
         return Ok((factory.build)());
+    }
+    if name == INNER_ONLY {
+        return Ok(b(pathcas_ds::PathCasList::new()));
     }
     if let Some((n, inner)) = parse_shard_name(name) {
         let shards = (0..n)
@@ -96,7 +104,8 @@ pub fn try_make(name: &str) -> Result<Box<dyn ConcurrentMap>, String> {
     }
     let names: Vec<&str> = reg.iter().map(|f| f.name).collect();
     Err(format!(
-        "unknown algorithm '{name}'; valid names: {}, or shardN(<valid name>) for 1 <= N <= {}",
+        "unknown algorithm '{name}'; valid names: {}, {INNER_ONLY} (unregistered), \
+         or shardN(<valid name>) for 1 <= N <= {}",
         names.join(", "),
         MAX_SHARDS
     ))
@@ -148,6 +157,7 @@ mod tests {
         assert!(err.contains("unknown algorithm 'no-such-tree'"), "{err}");
         assert!(err.contains("int-avl-pathcas"), "{err}");
         assert!(err.contains("locked-btreemap"), "{err}");
+        assert!(err.contains("list-pathcas"), "{err}");
         assert!(err.contains("shardN("), "{err}");
         // A bad *inner* name points at the enclosing composition.
         let err = expect_err("shard4(no-such-tree)");
@@ -170,6 +180,12 @@ mod tests {
         assert_eq!(m.name(), "shard2(shard2(int-bst-pathcas))");
         assert!(m.insert(1, 2));
         assert_eq!(m.get(1), Some(2));
+        // The unregistered list resolves as an inner name at any count.
+        let m = try_make("shard128(list-pathcas)").unwrap();
+        assert_eq!(m.name(), "shard128(list-pathcas)");
+        assert!(m.insert(7, 70));
+        assert_eq!(m.get(7), Some(70));
+        assert!(registry().iter().all(|f| f.name != "list-pathcas"));
     }
 
     #[test]

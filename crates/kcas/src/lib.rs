@@ -102,42 +102,3 @@ pub fn htm_available() -> bool {
 pub fn software_path_only(pinned: bool) {
     htm::software_path_only(pinned);
 }
-
-/// Mark bit helpers: the least-significant bit of a node's *logical* version
-/// number indicates that the node has been deleted (§3.3).
-pub mod mark {
-    /// Returns `true` if the (decoded) version value carries the mark bit.
-    #[inline]
-    pub fn is_marked(version: u64) -> bool {
-        version & 1 == 1
-    }
-
-    /// The version value after marking a node (sets the mark bit).
-    #[inline]
-    pub fn marked(version: u64) -> u64 {
-        version | 1
-    }
-
-    /// The version value after an ordinary modification (adds two, preserving
-    /// the mark bit).
-    #[inline]
-    pub fn bumped(version: u64) -> u64 {
-        version + 2
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::mark;
-
-    #[test]
-    fn mark_bit_helpers() {
-        assert!(!mark::is_marked(0));
-        assert!(!mark::is_marked(4));
-        assert!(mark::is_marked(1));
-        assert!(mark::is_marked(mark::marked(4)));
-        assert_eq!(mark::bumped(4), 6);
-        assert!(!mark::is_marked(mark::bumped(4)));
-        assert!(mark::is_marked(mark::bumped(mark::marked(2))));
-    }
-}

@@ -9,7 +9,6 @@
 //! as the reason MCMS trees collapse under concurrency.
 
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_epoch::{slab, Guard};
 use kcas::CasWord;
@@ -74,7 +73,6 @@ struct SearchResult<'g> {
 pub struct McmsBst {
     max_root: *mut Node,
     min_root: *mut Node,
-    retries: AtomicU64,
 }
 
 // SAFETY: nodes are slab slots only reachable via CasWords; all
@@ -99,19 +97,7 @@ impl McmsBst {
         // SAFETY: `max_root` is a fresh node not yet shared with any other
         // thread, so the raw store cannot race.
         unsafe { (*max_root).left.store(ptr_to_word(min_root)) };
-        McmsBst { max_root, min_root, retries: AtomicU64::new(0) }
-    }
-
-    /// Number of operation restarts.
-    pub fn retry_count(&self) -> u64 {
-        // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    fn note_retry(&self) {
-        // ORDERING: Relaxed — diagnostic counter only; tree correctness is
-        // carried by the MCMS operations, not by this statistic.
-        self.retries.fetch_add(1, Ordering::Relaxed);
+        McmsBst { max_root, min_root }
     }
 
     /// Plain traversal that records, for every traversed node, its key and
@@ -190,7 +176,6 @@ impl McmsBst {
             // SAFETY: the MCMS failed, so `new_node` was never published;
             // this thread still solely owns its slot.
             unsafe { slab::free(new_node) };
-            self.note_retry();
         }
     }
 
@@ -205,7 +190,6 @@ impl McmsBst {
                 if mcms(&args, &guard) {
                     return false;
                 }
-                self.note_retry();
                 continue;
             }
             let curr = res.curr.expect("found implies node");
@@ -234,7 +218,6 @@ impl McmsBst {
                     unsafe { slab::retire(NonNull::from(curr), &guard) };
                     return true;
                 }
-                self.note_retry();
                 continue;
             }
 
@@ -297,7 +280,6 @@ impl McmsBst {
                 unsafe { slab::retire(NonNull::from(succ), &guard) };
                 return true;
             }
-            self.note_retry();
         }
     }
 
@@ -315,7 +297,6 @@ impl McmsBst {
             if mcms(&args, &guard) {
                 return None;
             }
-            self.note_retry();
         }
     }
 
@@ -377,7 +358,6 @@ impl McmsBst {
             if mcms(&args, &guard) {
                 return;
             }
-            self.note_retry();
         }
     }
 

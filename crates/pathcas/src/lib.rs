@@ -42,7 +42,6 @@
 
 mod op;
 
-pub use kcas::mark;
 pub use kcas::{read, CasWord};
 pub use op::{OpBuilder, PathCasOp};
 

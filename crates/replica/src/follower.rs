@@ -1,6 +1,6 @@
 //! Read-only replicas: bootstrap from a checkpoint, tail the stream.
 
-use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use mapapi::{ConcurrentMap, Key, MapStats, Value};
@@ -70,9 +70,6 @@ impl Follower {
             }
         }
         self.applied.store(seq, Ordering::Release);
-        let m = crate::metrics::metrics();
-        m.follower_applied_seqno.set(seq);
-        m.events_applied.inc();
     }
 
     /// Drain everything the log currently holds beyond `applied_seqno()`.

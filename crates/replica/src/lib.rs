@@ -40,7 +40,6 @@ mod follower;
 mod log;
 mod map;
 pub mod metrics;
-pub(crate) mod sync;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use event::{Event, EVENT_WIRE_BYTES};

@@ -70,12 +70,6 @@ pub(crate) struct ServerMetrics {
     pub reactor_read_syscalls: Counter,
     /// Reactor: `write` syscalls issued.
     pub reactor_write_syscalls: Counter,
-    /// Reactor: staged bytes pending at each flush attempt — the write-
-    /// queue depth distribution.
-    pub reactor_write_queue_bytes: Histogram,
-    /// Reactor: flushes that hit `WouldBlock` and had to arm `EPOLLOUT` —
-    /// one per backpressure stall, not per retried write.
-    pub reactor_epollout_stalls: Counter,
 }
 
 static METRICS: ServerMetrics = ServerMetrics {
@@ -85,8 +79,6 @@ static METRICS: ServerMetrics = ServerMetrics {
     reactor_frames_per_wakeup: Histogram::new(),
     reactor_read_syscalls: Counter::new(),
     reactor_write_syscalls: Counter::new(),
-    reactor_write_queue_bytes: Histogram::new(),
-    reactor_epollout_stalls: Counter::new(),
 };
 
 static INIT: Once = Once::new();
@@ -116,20 +108,12 @@ pub(crate) fn metrics() -> &'static ServerMetrics {
             "reactor_write_syscalls_total",
             Handle::Counter(&METRICS.reactor_write_syscalls),
         );
-        telemetry::register(
-            "reactor_write_queue_bytes",
-            Handle::Histogram(&METRICS.reactor_write_queue_bytes),
-        );
-        telemetry::register(
-            "reactor_epollout_stalls_total",
-            Handle::Counter(&METRICS.reactor_epollout_stalls),
-        );
         // Materialize the subsystem registries too, so a METRICS call sees
         // the identical name set on every backend (and on a server that has
         // not yet executed a single KCAS or replication op).
         let _ = kcas::metrics::metrics();
         let _ = replica::metrics::metrics();
-        // The span tracer's instruments (per-phase histograms + sampler
+        // The span tracer's instruments (per-phase duration sums + sampler
         // tallies).
         telemetry::trace::register_metrics();
     });

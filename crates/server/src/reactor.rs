@@ -360,11 +360,6 @@ fn flush(conn: &mut Conn, epoll: &Epoll, token: u64) -> bool {
 
 fn flush_inner(conn: &mut Conn, epoll: &Epoll, token: u64) -> bool {
     let m = metrics();
-    if !conn.session.staged().is_empty() {
-        // Queue depth at flush time — the backpressure signal: staged
-        // bytes a slow peer has not yet accepted.
-        m.reactor_write_queue_bytes.record(conn.session.staged().len() as u64);
-    }
     while !conn.session.staged().is_empty() {
         m.reactor_write_syscalls.inc();
         match conn.stream.write(conn.session.staged()) {
@@ -372,9 +367,6 @@ fn flush_inner(conn: &mut Conn, epoll: &Epoll, token: u64) -> bool {
             Ok(n) => conn.session.wrote(n),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 if !conn.want_write {
-                    // Counted once per stall (arming EPOLLOUT), not per
-                    // retried write while already armed.
-                    m.reactor_epollout_stalls.inc();
                     conn.want_write = true;
                     if epoll
                         .modify(conn.stream.as_raw_fd(), token, Interest::READ_WRITE)

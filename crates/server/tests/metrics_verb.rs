@@ -1,16 +1,18 @@
 //! The METRICS verb battery, run differentially on both backends: the
 //! exposition must reconcile with client-side op counts, the per-shard
 //! load section must sum to the total, the metric *name set* must be
-//! identical across backends, and version mismatches must fail
-//! semantically.
+//! identical across backends, every metric family must have a reader, and
+//! version mismatches must fail semantically.
 //!
-//! One `#[test]` on purpose: the server counters are process-global, so
+//! One server test on purpose: the server counters are process-global, so
 //! the assertions work in deltas and nothing else in this binary may move
-//! them concurrently.
+//! them concurrently.  The reader matcher's own test starts no server.
 
 mod common;
 
 use std::collections::BTreeSet;
+use std::fs;
+use std::path::Path;
 use std::sync::Arc;
 
 use common::{for_each_backend, opts, start_on};
@@ -52,8 +54,87 @@ fn shard_sum(text: &str, family: &str) -> u64 {
     lines.iter().map(|l| l.split_whitespace().last().unwrap().parse::<u64>().unwrap()).sum()
 }
 
+/// The sub-line suffixes a histogram expands to in the exposition.
+const HISTOGRAM_SUFFIXES: [&str; 6] = ["_count", "_p50", "_p99", "_p999", "_max", "_saturated"];
+
+fn is_ident(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Whether `corpus` names `family` as a whole identifier, bare or with one
+/// of the histogram suffixes (so `x_ns_sum` does not read a family `x_ns`).
+fn is_read(family: &str, corpus: &str) -> bool {
+    corpus.match_indices(family).any(|(at, _)| {
+        let bytes = corpus.as_bytes();
+        if at > 0 && is_ident(bytes[at - 1]) {
+            return false;
+        }
+        let rest = &corpus[at + family.len()..];
+        let ends = |r: &str| r.as_bytes().first().is_none_or(|&b| !is_ident(b));
+        ends(rest) || HISTOGRAM_SUFFIXES.iter().any(|s| rest.strip_prefix(s).is_some_and(ends))
+    })
+}
+
+/// The metric families of an exposition — names with their `{…}` labels
+/// and histogram suffixes stripped — that `corpus` never names.
+fn unread_families(exposition: &str, corpus: &str) -> BTreeSet<String> {
+    names(exposition)
+        .iter()
+        .map(|name| {
+            let name = name.split('{').next().unwrap();
+            HISTOGRAM_SUFFIXES.iter().find_map(|s| name.strip_suffix(s)).unwrap_or(name)
+        })
+        .filter(|family| !is_read(family, corpus))
+        .map(str::to_string)
+        .collect()
+}
+
+fn push_tree(path: &Path, out: &mut String) {
+    if path.is_dir() {
+        let mut entries: Vec<_> = fs::read_dir(path).unwrap().map(|e| e.unwrap().path()).collect();
+        entries.sort();
+        for entry in entries {
+            push_tree(&entry, out);
+        }
+    } else if let Ok(text) = fs::read_to_string(path) {
+        out.push_str(&text);
+        out.push('\n');
+    }
+}
+
+/// Everything that may read a metric: the crates' integration tests, the
+/// workspace tests and examples, the repo benchmark and the two docs.
+/// Change logs and plans are not readers.
+fn reader_corpus() -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut corpus = String::new();
+    for krate in fs::read_dir(root.join("crates")).unwrap() {
+        push_tree(&krate.unwrap().path().join("tests"), &mut corpus);
+    }
+    for part in ["tests", "examples", "benchmark/src", "README.md", "DESIGN.md"] {
+        push_tree(&root.join(part), &mut corpus);
+    }
+    corpus
+}
+
+#[test]
+fn reader_check_reports_an_unread_family() {
+    let exposition = "# pathcas-metrics v1 backend=threads\n\
+                      demo_read_total 4\n\
+                      demo_lat_ns_count 2\n\
+                      demo_lat_ns_p999 9\n\
+                      demo_shard_ops{shard=\"0\"} 1\n\
+                      demo_unread_ns_count 1\n\
+                      demo_unread_ns_max 7\n";
+    let corpus = "value(\"demo_read_total\"); `demo_lat_ns_p99`; shard_sum(t, \"demo_shard_ops\");\n\
+                  demo_unread_ns_sum xdemo_unread_ns demo_unread_nsx";
+    let unread: Vec<String> = unread_families(exposition, corpus).into_iter().collect();
+    assert_eq!(unread, ["demo_unread_ns"]);
+}
+
 #[test]
 fn metrics_reconcile_on_both_backends() {
+    let corpus = reader_corpus();
     let per_backend_names: std::sync::Mutex<Vec<BTreeSet<String>>> = std::sync::Mutex::new(Vec::new());
 
     for_each_backend(|backend| {
@@ -157,6 +238,11 @@ fn metrics_reconcile_on_both_backends() {
             assert!(set.contains(expected), "{expected} not registered");
         }
         per_backend_names.lock().unwrap().push(set);
+
+        // Every family has a reader: a test, the benchmark or a doc names
+        // it, or it is dead weight on the path that records it.
+        let unread = unread_families(&after, &corpus);
+        assert!(unread.is_empty(), "metric families nothing reads: {unread:?}");
 
         // A stale client version is a semantic error, not a hangup: the
         // connection survives and answers the next request.

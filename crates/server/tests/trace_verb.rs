@@ -148,6 +148,7 @@ fn trace_expositions_are_differential_across_backends() {
         let mut conn = Connection::connect(server.local_addr()).expect("connect writer");
         telemetry::trace::clear();
         telemetry::trace::set_sample_every(1);
+        let deliver_before = telemetry::value("trace_deliver_ns_sum").expect("tracer registered");
 
         sub.subscribe(0).expect("subscribe");
         for k in 1..=5u64 {
@@ -162,6 +163,10 @@ fn trace_expositions_are_differential_across_backends() {
 
         assert!(text.contains("phase=commit"), "no commit span recorded:\n{text}");
         assert!(text.contains("phase=deliver"), "no deliver span recorded:\n{text}");
+        // The TRACE round trip above saw a deliver span, so its duration
+        // is in the phase sum by now.
+        let deliver_after = telemetry::value("trace_deliver_ns_sum").expect("tracer registered");
+        assert!(deliver_after > deliver_before, "trace_deliver_ns_sum did not move over {delivered} events");
 
         server.shutdown();
     });

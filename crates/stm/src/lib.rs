@@ -14,9 +14,6 @@
 //! * [`tree::TxBst`] / [`tree::TxAvl`] — a *sequential* internal BST / AVL
 //!   tree whose every shared field access goes through the TM, generic over
 //!   the runtime (`int-bst-norec`, `int-avl-norec`, `int-avl-tl2`, `tle`).
-//!
-//! The per-runtime abort counters stand in for the abort-rate plots of the
-//! appendix TM figures.
 
 #![warn(missing_docs)]
 
@@ -83,31 +80,6 @@ pub trait Stm: Send + Sync + 'static {
     /// multiple times; it must not have side effects other than through the
     /// transaction (the usual STM contract).
     fn atomically<R>(&self, body: &mut dyn FnMut(&mut dyn Transaction) -> Result<R, Abort>) -> R;
-
-    /// Number of aborted transaction attempts so far (a proxy for the abort
-    /// rate reported in the paper's TM figures).
-    fn aborts(&self) -> u64;
-
-    /// Number of committed transactions so far.
-    fn commits(&self) -> u64;
-}
-
-/// Shared abort/commit counters used by every runtime.
-#[derive(Debug, Default)]
-pub(crate) struct TxStats {
-    pub(crate) aborts: AtomicU64,
-    pub(crate) commits: AtomicU64,
-}
-
-impl TxStats {
-    pub(crate) fn note_abort(&self) {
-        // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.aborts.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn note_commit(&self) {
-        // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.commits.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +112,6 @@ pub(crate) mod testutil {
         });
         let total: u64 = words.iter().map(|w| w.load_quiescent()).sum();
         assert_eq!(total, threads as u64 * per);
-        assert_eq!(stm.commits(), threads as u64 * per);
     }
 }
 

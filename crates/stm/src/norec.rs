@@ -7,14 +7,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{Abort, Stm, Transaction, TxStats, TxWord};
+use crate::{Abort, Stm, Transaction, TxWord};
 
 /// The NOrec runtime.
 #[derive(Debug, Default)]
 pub struct Norec {
     /// Global sequence lock: odd while a writer is committing.
     clock: AtomicU64,
-    stats: TxStats,
 }
 
 impl Norec {
@@ -69,7 +68,6 @@ impl<'a> NorecTx<'a> {
 
     fn commit(mut self) -> Result<(), Abort> {
         if self.write_set.is_empty() {
-            self.runtime.stats.note_commit();
             return Ok(());
         }
         // Acquire the global sequence lock, re-validating whenever another
@@ -88,7 +86,6 @@ impl<'a> NorecTx<'a> {
             unsafe { &*addr }.raw_store(val);
         }
         self.runtime.clock.store(self.snapshot + 2, Ordering::SeqCst);
-        self.runtime.stats.note_commit();
         Ok(())
     }
 }
@@ -133,23 +130,12 @@ impl Stm for Norec {
                     return result;
                 }
             }
-            self.stats.note_abort();
             // Bounded exponential backoff to reduce livelock under contention.
             backoff = (backoff + 1).min(10);
             for _ in 0..(1u32 << backoff) {
                 std::hint::spin_loop();
             }
         }
-    }
-
-    fn aborts(&self) -> u64 {
-        // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.stats.aborts.load(Ordering::Relaxed)
-    }
-
-    fn commits(&self) -> u64 {
-        // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.stats.commits.load(Ordering::Relaxed)
     }
 }
 
@@ -171,8 +157,6 @@ mod tests {
         });
         assert_eq!(sum, 3);
         assert_eq!(a.load_quiescent(), 11);
-        assert_eq!(stm.commits(), 1);
-        assert_eq!(stm.aborts(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{Abort, Stm, Transaction, TxStats, TxWord};
+use crate::{Abort, Stm, Transaction, TxWord};
 
 /// Number of lock stripes (a power of two).
 const STRIPES: usize = 1 << 16;
@@ -17,7 +17,6 @@ pub struct Tl2 {
     /// Versioned write locks: even = version of the last commit touching the
     /// stripe, odd = locked.
     locks: Box<[AtomicU64]>,
-    stats: TxStats,
 }
 
 impl Default for Tl2 {
@@ -32,7 +31,6 @@ impl Tl2 {
         Tl2 {
             clock: AtomicU64::new(0),
             locks: (0..STRIPES).map(|_| AtomicU64::new(0)).collect(),
-            stats: TxStats::default(),
         }
     }
 
@@ -62,7 +60,6 @@ impl<'a> Tl2Tx<'a> {
 
     fn commit(self) -> Result<(), Abort> {
         if self.write_set.is_empty() {
-            self.runtime.stats.note_commit();
             return Ok(());
         }
         // Acquire the (deduplicated, ordered) stripe locks for the write set.
@@ -121,7 +118,6 @@ impl<'a> Tl2Tx<'a> {
         for (s, _) in acquired {
             s.store(write_version, Ordering::SeqCst);
         }
-        self.runtime.stats.note_commit();
         Ok(())
     }
 }
@@ -168,22 +164,11 @@ impl Stm for Tl2 {
                     return result;
                 }
             }
-            self.stats.note_abort();
             backoff = (backoff + 1).min(10);
             for _ in 0..(1u32 << backoff) {
                 std::hint::spin_loop();
             }
         }
-    }
-
-    fn aborts(&self) -> u64 {
-        // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.stats.aborts.load(Ordering::Relaxed)
-    }
-
-    fn commits(&self) -> u64 {
-        // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.stats.commits.load(Ordering::Relaxed)
     }
 }
 

@@ -9,17 +9,14 @@
 //! that TLE's "global locking fallback code path degrades performance
 //! dramatically in workloads with more updates".
 
-use std::sync::atomic::Ordering;
-
 use parking_lot::Mutex;
 
-use crate::{Abort, Stm, Transaction, TxStats, TxWord};
+use crate::{Abort, Stm, Transaction, TxWord};
 
 /// The TLE runtime: a global lock executing transactions directly in place.
 #[derive(Default)]
 pub struct Tle {
     lock: Mutex<()>,
-    stats: TxStats,
 }
 
 impl Tle {
@@ -49,29 +46,13 @@ impl Stm for Tle {
     fn atomically<R>(&self, body: &mut dyn FnMut(&mut dyn Transaction) -> Result<R, Abort>) -> R {
         loop {
             let _g = self.lock.lock();
-            match body(&mut TleTx) {
-                Ok(r) => {
-                    self.stats.note_commit();
-                    return r;
-                }
-                Err(Abort) => {
-                    // Under a global lock an explicit abort can only mean the
-                    // data structure asked for a retry (it never does today,
-                    // but the contract allows it).
-                    self.stats.note_abort();
-                }
+            // Under a global lock an explicit abort can only mean the data
+            // structure asked for a retry (it never does today, but the
+            // contract allows it).
+            if let Ok(r) = body(&mut TleTx) {
+                return r;
             }
         }
-    }
-
-    fn aborts(&self) -> u64 {
-        // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.stats.aborts.load(Ordering::Relaxed)
-    }
-
-    fn commits(&self) -> u64 {
-        // ORDERING: Relaxed — diagnostic counter; no synchronization implied.
-        self.stats.commits.load(Ordering::Relaxed)
     }
 }
 
@@ -90,7 +71,6 @@ mod tests {
             tx.read(&a)
         });
         assert_eq!(v, 6);
-        assert_eq!(stm.commits(), 1);
     }
 
     #[test]

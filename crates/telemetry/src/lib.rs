@@ -140,7 +140,7 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// A last-writer-wins level (queue depth, seqno, lag). Unstriped: gauges
+/// A last-writer-wins level (e.g. a seqno). Unstriped: gauges
 /// record *state*, not events, so the last store is the value.
 #[derive(Debug)]
 pub struct Gauge(AtomicU64);
@@ -175,13 +175,12 @@ impl Default for Gauge {
 /// A fixed-size atomic histogram over the HDR-style log-bucket layout in
 /// [`buckets`].
 ///
-/// `record` is wait-free: four `Relaxed` RMWs (bucket, count, sum, max), no
+/// `record` is wait-free: three `Relaxed` RMWs (bucket, count, max), no
 /// allocation, no locks. Reads are sums over the buckets — exact once
 /// writers quiesce.
 pub struct Histogram {
     counts: [AtomicU64; NBUCKETS],
     count: AtomicU64,
-    sum: AtomicU64,
     max: AtomicU64,
     saturated: AtomicU64,
 }
@@ -192,7 +191,6 @@ impl Histogram {
         Histogram {
             counts: [const { AtomicU64::new(0) }; NBUCKETS],
             count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
             saturated: AtomicU64::new(0),
         }
@@ -210,13 +208,12 @@ impl Histogram {
         } else {
             v
         };
-        // ORDERING: Relaxed on all four RMWs — each cell is an independent
+        // ORDERING: Relaxed on all three RMWs — each cell is an independent
         // tally whose exactness comes from RMW atomicity; readers tolerate
-        // mid-record skew (count/sum/bucket may momentarily disagree) and
-        // only rely on quiescent totals.
+        // mid-record skew (count/bucket may momentarily disagree) and only
+        // rely on quiescent totals.
         self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -236,14 +233,6 @@ impl Histogram {
     pub fn saturated_count(&self) -> u64 {
         // ORDERING: Relaxed — monotone diagnostic read.
         self.saturated.load(Ordering::Relaxed)
-    }
-
-    /// Running sum of the recorded (clamped) values. With [`Histogram::count`]
-    /// this is the delta primitive behind per-phase attribution: mean-per-
-    /// sampled-op = Δsum / Δops. Wraps at `u64::MAX` like the stripes.
-    pub fn sum(&self) -> u64 {
-        // ORDERING: Relaxed — monotone diagnostic read.
-        self.sum.load(Ordering::Relaxed)
     }
 
     /// The value at quantile `q` in `[0, 1]`: the smallest bucket upper
@@ -296,11 +285,8 @@ pub enum Handle {
     Gauge(&'static Gauge),
     /// An atomic log-bucketed histogram.
     Histogram(&'static Histogram),
-    /// The running sum of a histogram's recorded values, as a scalar (the
-    /// tracer's `trace_<phase>_ns_sum` attribution primitive).
-    HistogramSum(&'static Histogram),
-    /// A derived value computed at read time (e.g. follower lag =
-    /// `log_seqno - applied_seqno`).
+    /// A derived value computed at read time (e.g. whether the CPU offers
+    /// hardware transactions, or a sum over the tracer's rings).
     Func(fn() -> u64),
 }
 
@@ -321,7 +307,6 @@ fn scalar_of(handle: &Handle) -> u64 {
         Handle::Counter(c) => c.get(),
         Handle::Gauge(g) => g.get(),
         Handle::Histogram(h) => h.count(),
-        Handle::HistogramSum(h) => h.sum(),
         Handle::Func(f) => f(),
     }
 }
@@ -347,7 +332,7 @@ pub fn render() -> String {
     let mut lines: Vec<String> = Vec::with_capacity(entries.len());
     for (name, handle) in &entries {
         match handle {
-            Handle::Counter(_) | Handle::Gauge(_) | Handle::HistogramSum(_) | Handle::Func(_) => {
+            Handle::Counter(_) | Handle::Gauge(_) | Handle::Func(_) => {
                 lines.push(format!("{name} {}\n", scalar_of(handle)));
             }
             Handle::Histogram(h) => {

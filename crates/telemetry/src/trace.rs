@@ -19,10 +19,11 @@
 //! - an **unsampled** op pays one relaxed load + one relaxed `fetch_add`
 //!   in the sampler — no heap, no locks, no fences;
 //! - a **sampled** op additionally pays, per phase, one seqlock publication
-//!   into its thread's stripe ring and four relaxed RMWs into the phase
-//!   histogram — still allocation-free and wait-free.  Its caller reads
-//!   [`now_ns`] at each span's two ends and hands the stamps to
-//!   [`record_span`]: there is no other way to record a span;
+//!   into its thread's stripe ring and one relaxed `fetch_add` on its
+//!   stripe of the phase's duration sum — still allocation-free and
+//!   wait-free.  Its caller reads [`now_ns`] at each span's two ends and
+//!   hands the stamps to [`record_span`]: there is no other way to record
+//!   a span;
 //! - snapshots, rendering, and [`clear`] are dump-time only and allocate.
 
 use std::cell::Cell;
@@ -30,7 +31,7 @@ use std::sync::{Once, OnceLock};
 use std::time::Instant;
 
 use crate::sync::{AtomicU64, Ordering};
-use crate::{Handle, Histogram, SeqRing, STRIPES};
+use crate::{Counter, Handle, SeqRing, STRIPES};
 
 /// Phase: time blocked waiting for request bytes (the reactor's
 /// `epoll_wait`, the threaded backend's blocking frame read).
@@ -259,22 +260,25 @@ impl<const N: usize> SeqRing<5, N> {
 }
 
 // ---------------------------------------------------------------------------
-// The global tracer: striped rings + per-phase histograms
+// The global tracer: striped rings + per-phase duration sums
 // ---------------------------------------------------------------------------
 
 static RINGS: [SpanRing<SPAN_RING_CAPACITY>; STRIPES] = [const { SpanRing::new() }; STRIPES];
 
-static PHASE_HIST: [Histogram; PHASE_COUNT] = [const { Histogram::new() }; PHASE_COUNT];
+/// Per-phase running sums of span durations: with `trace_sampled_total`
+/// the delta primitive behind per-phase attribution (mean per sampled op =
+/// Δsum / Δsampled).
+static PHASE_SUM: [Counter; PHASE_COUNT] = [const { Counter::new() }; PHASE_COUNT];
 
 /// Record one span of a sampled op into the calling thread's stripe ring
-/// and the phase's duration histogram. Wait-free and allocation-free; safe
-/// on the asserted zero-alloc warm paths.
+/// and the phase's duration sum. Wait-free and allocation-free; safe on the
+/// asserted zero-alloc warm paths.
 pub fn record_span(trace_id: u64, phase: u64, start_ns: u64, dur_ns: u64, events: u64) {
     let idx = phase as usize;
     if idx >= PHASE_COUNT {
         return;
     }
-    PHASE_HIST[idx].record(dur_ns);
+    PHASE_SUM[idx].add(dur_ns);
     RINGS[crate::stripe_id()].record(trace_id, phase, start_ns, dur_ns, events);
 }
 
@@ -304,8 +308,8 @@ pub fn dropped_total() -> u64 {
 
 /// Reset every stripe ring, the op counter, and the sampled-op tally.
 /// **Quiescent-only**: callers (the TRACE differential battery, tests)
-/// must ensure no op is in flight. Phase histograms are *not* reset — they
-/// are registry metrics, and registry readers work in deltas.
+/// must ensure no op is in flight. Phase sums are *not* reset — they are
+/// registry metrics, and registry readers work in deltas.
 pub fn clear() {
     for ring in RINGS.iter() {
         ring.clear();
@@ -317,30 +321,27 @@ pub fn clear() {
 
 static REGISTER: Once = Once::new();
 
-/// Registry names per phase: the duration histogram and its running sum.
-const PHASE_METRICS: [(&str, &str); PHASE_COUNT] = [
-    ("trace_ready_ns", "trace_ready_ns_sum"),
-    ("trace_decode_ns", "trace_decode_ns_sum"),
-    ("trace_kcas_ns", "trace_kcas_ns_sum"),
-    ("trace_commit_ns", "trace_commit_ns_sum"),
-    ("trace_resp_ns", "trace_resp_ns_sum"),
-    ("trace_flush_ns", "trace_flush_ns_sum"),
-    ("trace_deliver_ns", "trace_deliver_ns_sum"),
+/// Registry name of each phase's duration sum.
+const PHASE_SUM_NAMES: [&str; PHASE_COUNT] = [
+    "trace_ready_ns_sum",
+    "trace_decode_ns_sum",
+    "trace_kcas_ns_sum",
+    "trace_commit_ns_sum",
+    "trace_resp_ns_sum",
+    "trace_flush_ns_sum",
+    "trace_deliver_ns_sum",
 ];
 
 /// Register the tracer's instruments with the global registry (idempotent):
-/// per-phase duration histograms `trace_<phase>_ns`, their running sums
-/// `trace_<phase>_ns_sum` (the attribution delta primitive), and the
-/// sampler/ring tallies. Called by the server's metric registration so both
-/// backends expose the identical name set.
+/// the per-phase duration sums `trace_<phase>_ns_sum` and the sampler/ring
+/// tallies. Called by the server's metric registration so both backends
+/// expose the identical name set.
 pub fn register_metrics() {
     REGISTER.call_once(|| {
         crate::register("trace_sampled_total", Handle::Func(sampled_total));
         crate::register("trace_spans_recorded_total", Handle::Func(recorded_total));
-        crate::register("trace_spans_dropped_total", Handle::Func(dropped_total));
-        for (hist, (name, sum_name)) in PHASE_HIST.iter().zip(PHASE_METRICS) {
-            crate::register(name, Handle::Histogram(hist));
-            crate::register(sum_name, Handle::HistogramSum(hist));
+        for (sum, name) in PHASE_SUM.iter().zip(PHASE_SUM_NAMES) {
+            crate::register(name, Handle::Counter(sum));
         }
     });
 }

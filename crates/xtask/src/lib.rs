@@ -41,7 +41,7 @@ pub const VENDORED_SOURCES: &[&str] = &["vendor/crossbeam-epoch/src"];
 
 /// Crates whose atomics must go through their `sync.rs` facade so the
 /// `pathcas_loom` build model-checks the production source.
-pub const FACADE_CRATES: &[&str] = &["kcas", "telemetry", "replica"];
+pub const FACADE_CRATES: &[&str] = &["kcas", "telemetry"];
 
 /// Crates where `.unwrap()` / `.expect(` are forbidden outside tests.
 pub const NO_UNWRAP_CRATES: &[&str] = &["server"];
