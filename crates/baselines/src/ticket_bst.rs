@@ -117,14 +117,19 @@ impl TicketBst {
         // stores) observed under the epoch pin, so the node cannot be freed.
         let mut curr: &Node =
             unsafe { word_to_ref(root.left.load(Ordering::Acquire), guard) };
-        while !curr.is_leaf() {
+        loop {
+            let left = curr.left.load(Ordering::Acquire);
+            let right = curr.right.load(Ordering::Acquire);
+            if left == NIL && right == NIL {
+                break;
+            }
+            // An internal node has two children: ask for both lines, so that
+            // whichever one the key compare picks is already on its way.
+            slab::prefetch(left as usize as *const Node);
+            slab::prefetch(right as usize as *const Node);
             gparent = parent;
             parent = curr;
-            let next = if key < curr.key {
-                curr.left.load(Ordering::Acquire)
-            } else {
-                curr.right.load(Ordering::Acquire)
-            };
+            let next = if key < curr.key { left } else { right };
             // SAFETY: as above — a published child pointer read under the pin.
             curr = unsafe { word_to_ref(next, guard) };
         }

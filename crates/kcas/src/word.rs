@@ -239,6 +239,17 @@ mod tests {
     }
 
     #[test]
+    fn peek_sees_values_and_refuses_descriptors() {
+        for v in [0u64, 1, MAX_VALUE] {
+            assert_eq!(CasWord::new(v).peek(), Some(v));
+        }
+        for tag in [TAG_KCAS, TAG_DCSS] {
+            let w = CasWord(AtomicU64::new(pack_pooled(tag, 17, 99)));
+            assert_eq!(w.peek(), None, "tag {tag:#b}");
+        }
+    }
+
+    #[test]
     fn default_is_zero() {
         assert_eq!(CasWord::default().load_quiescent(), 0);
     }

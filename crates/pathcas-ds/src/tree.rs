@@ -112,6 +112,19 @@ impl<B: Balance> Node<B> {
             ver: CasWord::new(0),
         })
     }
+
+    /// Ask for the lines of both children, so that whichever one the key
+    /// compare picks is already on its way.  A hint only: the words are
+    /// peeked, not read, and the walk reads the chosen one again through
+    /// the op.
+    #[inline]
+    fn prefetch_children(&self) {
+        for child in [&self.left, &self.right] {
+            if let Some(word) = child.peek().filter(|&w| w != NIL) {
+                slab::prefetch(word as usize as *const Self);
+            }
+        }
+    }
 }
 
 /// The policy of the unbalanced tree of §4: no extra words, no rebalancing.
@@ -257,6 +270,7 @@ impl<B: Balance> PathCasTree<B> {
         let mut curr: &Node<B> = unsafe { &*self.min_root };
         let mut curr_ver = op.visit(&curr.ver);
         loop {
+            curr.prefetch_children();
             let curr_key = op.read(&curr.key);
             if key == curr_key {
                 return SearchResult { curr: Some(curr), curr_ver, parent, parent_ver };
@@ -549,16 +563,13 @@ impl<B: Balance> PathCasTree<B> {
                             // followed is stale; restart.
                             return None;
                         }
+                        // The walk goes left or right by the compare below,
+                        // and comes back for a pushed node's right subtree
+                        // once it is done with the left one.
+                        node.prefetch_children();
                         let key = op.read(&node.key);
                         if key >= start {
                             stack.push((curr, key));
-                            // The walk comes back for this node's right
-                            // subtree once it is done with the left one: ask
-                            // for that line now.  A hint only — the word is
-                            // read again, through the op, when it is followed.
-                            if let Some(right) = node.right.peek().filter(|&w| w != NIL) {
-                                slab::prefetch(right as usize as *const Node<B>);
-                            }
                             curr = op.read(&node.left);
                         } else {
                             curr = op.read(&node.right);
