@@ -2,13 +2,17 @@
 //! make it the relaxed AVL tree (`int-avl-pathcas`): the [`Avl`] balance
 //! policy.
 //!
-//! Nodes gain a `parent` pointer and a *logical* `height` (Figure 8).  After
-//! every successful insert or delete, the thread that (may have) created a
-//! balance violation walks towards the root along parent pointers, applying
-//! Bougé-style local rebalancing steps — `fixHeight`, a single rotation and
-//! a double rotation — each of which is a single `vexec` that visits every
-//! node it reads, adds every field it changes, and bumps the version of
-//! every node it modifies (Algorithms 8–11).
+//! Nodes gain a `parent` pointer and a *logical* `height` (Figure 8).  The
+//! height rides in the top bits of the node's version word (`HEIGHT_SHIFT`):
+//! every write of it bumps the version anyway, so a separate word would only
+//! widen every commit that touches it.  An insert or delete settles the
+//! height of the node whose child it rewires inside its own commit (the
+//! policy's `settle`); where that node's height changed or it is out of
+//! balance, the thread walks towards the root along parent pointers,
+//! applying Bougé-style local rebalancing steps — `fixHeight`, a single
+//! rotation and a double rotation — each of which is a single `vexec` that
+//! visits every node it reads, adds every field it changes, and bumps the
+//! version of every node it modifies (Algorithms 8–11).
 //!
 //! The paper spells each rotation out twice (`rotateRight` / `rotateLeft`,
 //! `rotateLeftRight` / `rotateRightLeft`); here each is written once, for
@@ -30,12 +34,34 @@ pub struct Avl {
     rotations: AtomicU64,
 }
 
-/// The two words an AVL node carries on top of the search-tree fields
-/// (opaque; `pub` only because the sealed policy names it).
+/// The word an AVL node carries on top of the search-tree fields (opaque;
+/// `pub` only because the sealed policy names it); its logical height lives
+/// in its version word.
 #[repr(C)]
 pub struct AvlWords {
     parent: CasWord,
-    height: CasWord,
+}
+
+/// Where the logical height starts in a decoded version: bits 55..=61 hold
+/// it, bits 1..=54 the modification counter, bit 0 the mark.  `+ 2` and
+/// `+ 1` leave the height alone; a height write is a version change.
+const HEIGHT_SHIFT: u32 = 55;
+
+/// The largest height the version word holds (a tree of height 128 would
+/// hold more than 2⁸⁰ keys).
+const MAX_HEIGHT: u64 = kcas::MAX_VALUE >> HEIGHT_SHIFT;
+
+/// The logical height in version `ver`.
+#[inline]
+fn height(ver: u64) -> u64 {
+    ver >> HEIGHT_SHIFT
+}
+
+/// Version `ver` with its logical height replaced by `height`.
+#[inline]
+fn with_height(ver: u64, height: u64) -> u64 {
+    debug_assert!(height <= MAX_HEIGHT, "logical height {height} does not fit the version word");
+    ver & ((1 << HEIGHT_SHIFT) - 1) | height << HEIGHT_SHIFT
 }
 
 type Node = crate::tree::Node<Avl>;
@@ -47,7 +73,7 @@ pub type PathCasAvl = PathCasTree<Avl>;
 // which fields share a cache line: neither may move silently.
 const _: () = {
     assert!(std::mem::size_of::<Node>() == 64);
-    assert!(std::mem::offset_of!(Node, bal) == 4 * 8 && std::mem::offset_of!(Node, ver) == 6 * 8);
+    assert!(std::mem::offset_of!(Node, bal) == 4 * 8 && std::mem::offset_of!(Node, ver) == 5 * 8);
 };
 
 impl Policy for Avl {
@@ -55,8 +81,12 @@ impl Policy for Avl {
     const NAME: &'static str = "int-avl-pathcas";
     const PARENT_POINTERS: bool = true;
 
-    fn words(parent: u64, height: u64) -> AvlWords {
-        AvlWords { parent: CasWord::new(parent), height: CasWord::new(height) }
+    fn words(parent: u64) -> AvlWords {
+        AvlWords { parent: CasWord::new(parent) }
+    }
+
+    fn first_ver(height: u64) -> u64 {
+        with_height(0, height)
     }
 
     #[inline]
@@ -65,9 +95,47 @@ impl Policy for Avl {
         op.add(&child.ver, child_ver, child_ver + 2);
     }
 
+    /// The first step of the rebalancing walk, run inside the update's own
+    /// commit: with the node's new children in balance, their heights are
+    /// visited here and the node's height goes into the version entry the
+    /// update adds anyway.
+    #[inline]
+    fn settle<'g>(
+        tree: &PathCasAvl,
+        op: &mut PathCasOp<'g>,
+        node: &'g Node,
+        node_ver: u64,
+        child_ver: u64,
+        other: &'g CasWord,
+    ) -> (u64, u64) {
+        let node_word = ptr_to_word(node as *const Node);
+        if tree.is_sentinel(node_word) {
+            return (node_ver + 2, NIL);
+        }
+        let guard = op.guard();
+        let other_word = op.read(other);
+        // A marked child still in `node` means `node` changed since its
+        // visit: the commit fails, and the walk is never started.
+        let Some(other) = PathCasAvl::read_child(op, guard, other_word) else {
+            return (node_ver + 2, node_word);
+        };
+        let child_h = height(child_ver);
+        if child_h.abs_diff(other.height) > 1 {
+            return (node_ver + 2, node_word);
+        }
+        let new_height = 1 + child_h.max(other.height);
+        if new_height == height(node_ver) {
+            (node_ver + 2, NIL)
+        } else {
+            (with_height(node_ver, new_height) + 2, op.read(&node.bal.parent))
+        }
+    }
+
     #[inline]
     fn rebalance(tree: &PathCasAvl, start: u64, builder: &mut OpBuilder, guard: &Guard) {
-        tree.rebalance(start, builder, guard);
+        if start != NIL {
+            tree.rebalance(start, builder, guard);
+        }
     }
 
     fn check_words(node: &Node, key: u64, parent: u64) {
@@ -162,17 +230,19 @@ impl PathCasAvl {
     /// Walk towards the root from `start`, repairing violations this thread
     /// may have created.  Uses an explicit work list instead of recursion so
     /// that degenerate shapes cannot overflow the stack; the list is the
-    /// thread's [`REBALANCE_WORK`], so every successful update runs this
-    /// without allocating.
+    /// thread's [`REBALANCE_WORK`], so a walk allocates nothing.
     fn rebalance(&self, start: u64, builder: &mut OpBuilder, guard: &Guard) {
         REBALANCE_WORK.with_borrow_mut(|work| {
             work.clear();
             work.push(start);
             // Defensive bound: Bougé's rebalancing terminates, but a bound
-            // keeps a bug from turning into an unbounded loop.
+            // keeps a bug from turning into an unbounded loop.  Running out is
+            // such a bug (a step that can never commit, like a rotation naming
+            // a wrong word), so debug builds fail at once.
             let mut budget: u64 = 1_000_000;
             while let Some(mut n_word) = work.pop() {
                 loop {
+                    debug_assert!(budget > 0, "rebalancing walk ran out of steps at node word {n_word:#x}");
                     if budget == 0 {
                         return;
                     }
@@ -239,16 +309,14 @@ impl PathCasAvl {
             Self::repair_heavy::<Right>(&mut op, guard, &spine(r), l.height)
         } else {
             // Balanced: make sure the logical height is accurate (Algorithm 8).
-            let old_height = op.read(&n.bal.height);
             let new_height = 1 + l.height.max(r.height);
-            if old_height == new_height {
+            if height(n_ver) == new_height {
                 if op.validate() {
                     return Step::Done;
                 }
                 return Step::Retry;
             }
-            op.add(&n.bal.height, old_height, new_height);
-            op.add(&n.ver, n_ver, n_ver + 2);
+            op.add(&n.ver, n_ver, with_height(n_ver, new_height) + 2);
             if op.vexec() {
                 Step::MoveUp(p_word)
             } else {
@@ -286,8 +354,8 @@ impl PathCasAvl {
         }
     }
 
-    /// Visit the node in a child slot (if any) and read its logical height;
-    /// `None` if that node is marked.
+    /// Visit the node in a child slot (if any) and take its logical height
+    /// from the version visited; `None` if that node is marked.
     fn read_child<'g>(op: &mut PathCasOp<'g>, guard: &'g Guard, word: u64) -> Option<Child<'g>> {
         if word == NIL {
             return Some(Child { node: None, ver: 0, height: 0 });
@@ -299,7 +367,7 @@ impl PathCasAvl {
         if ver & 1 == 1 {
             return None;
         }
-        Some(Child { node: Some(node), ver, height: op.read(&node.bal.height) })
+        Some(Child { node: Some(node), ver, height: height(ver) })
     }
 
     /// A rotation moves the subtree at `word` (possibly empty) from under
@@ -357,19 +425,15 @@ impl PathCasAvl {
         let Some(inner_h) = Self::move_subtree(op, guard, inner_word, c_word, n_word) else {
             return false;
         };
-        let old_nh = op.read(&n.bal.height);
-        let old_ch = op.read(&c.bal.height);
         let new_nh = 1 + inner_h.max(light_h);
         let new_ch = 1 + outer_h.max(new_nh);
         op.add(&c.bal.parent, n_word, p_word);
         op.add(H::child(n), c_word, inner_word);
         op.add(H::Other::child(c), inner_word, n_word);
         op.add(&n.bal.parent, p_word, c_word);
-        op.add(&n.bal.height, old_nh, new_nh);
-        op.add(&c.bal.height, old_ch, new_ch);
         op.add(&p.ver, p_ver, p_ver + 2);
-        op.add(&n.ver, n_ver, n_ver + 2);
-        op.add(&c.ver, c_ver, c_ver + 2);
+        op.add(&n.ver, n_ver, with_height(n_ver, new_nh) + 2);
+        op.add(&c.ver, c_ver, with_height(c_ver, new_ch) + 2);
         op.vexec()
     }
 
@@ -402,9 +466,6 @@ impl PathCasAvl {
         let Some(to_n_h) = Self::move_subtree(op, guard, to_n_word, g_word, n_word) else {
             return false;
         };
-        let old_nh = op.read(&n.bal.height);
-        let old_ch = op.read(&c.bal.height);
-        let old_gh = op.read(&g.bal.height);
         let new_nh = 1 + to_n_h.max(light_h);
         let new_ch = 1 + outer_h.max(to_c_h);
         let new_gh = 1 + new_nh.max(new_ch);
@@ -415,13 +476,10 @@ impl PathCasAvl {
         op.add(&n.bal.parent, p_word, g_word);
         op.add(H::Other::child(c), g_word, to_c_word);
         op.add(H::child(n), c_word, to_n_word);
-        op.add(&n.bal.height, old_nh, new_nh);
-        op.add(&c.bal.height, old_ch, new_ch);
-        op.add(&g.bal.height, old_gh, new_gh);
-        op.add(&g.ver, g_ver, g_ver + 2);
+        op.add(&g.ver, g_ver, with_height(g_ver, new_gh) + 2);
         op.add(&p.ver, p_ver, p_ver + 2);
-        op.add(&n.ver, n_ver, n_ver + 2);
-        op.add(&c.ver, c_ver, c_ver + 2);
+        op.add(&n.ver, n_ver, with_height(n_ver, new_nh) + 2);
+        op.add(&c.ver, c_ver, with_height(c_ver, new_ch) + 2);
         op.vexec()
     }
 }
@@ -535,16 +593,16 @@ mod tests {
         });
         let mut shape = BTreeMap::new();
         t.for_each_node(|node, key, _| {
-            let height = node.bal.height.load_quiescent();
+            let height = height(node.ver.load_quiescent());
             let (left, right) = (node.left.load_quiescent(), node.right.load_quiescent());
             shape.insert(key, (height, key_of[&left], key_of[&right]));
         });
         shape
     }
 
-    /// With one thread every rebalancing walk runs to completion, so between
-    /// operations the relaxed tree is a strict AVL tree: every logical height
-    /// is exact and every balance factor is in -1..=1.
+    /// Every rebalancing walk runs to completion before its update returns,
+    /// so at quiescence the relaxed tree is a strict AVL tree: every logical
+    /// height is exact and every balance factor is in -1..=1.
     fn assert_strictly_balanced(t: &PathCasAvl) {
         t.check_invariants();
         let shape = shape(t);
@@ -569,10 +627,9 @@ mod tests {
     }
 
     /// When to check the whole tree: after each of the first operations,
-    /// while it is small, then now and then.  A rotation that names a wrong
-    /// word can never commit; its walk burns its step budget and leaves the
-    /// violation behind, which the early checks turn into a failure within
-    /// seconds rather than after a few hundred such walks.
+    /// while it is small, then now and then.  (A rotation that names a wrong
+    /// word can never commit; its walk runs out of steps, which fails at once
+    /// in a debug build.)
     fn check_due(i: u64) -> bool {
         i <= 256 || i.is_multiple_of(256)
     }
@@ -594,6 +651,89 @@ mod tests {
         }
         assert_strictly_balanced(&t);
         assert!(t.rotation_count() > 1_000, "only {} rotations", t.rotation_count());
+    }
+
+    #[test]
+    fn concurrent_churn_leaves_a_strict_avl_at_quiescence() {
+        // Updates that settle a height in their own commit race each other
+        // and the walks; whatever interleaving each round took, once its
+        // threads have joined the tree must be exact again.
+        const THREADS: u64 = 4;
+        let t = PathCasAvl::new();
+        for round in 0..8u64 {
+            std::thread::scope(|s| {
+                for id in 0..THREADS {
+                    let t = &t;
+                    s.spawn(move || {
+                        let mut x = round * THREADS + id;
+                        for _ in 0..10_000 {
+                            let key = 1 + lcg(&mut x) % 256;
+                            if lcg(&mut x).is_multiple_of(2) {
+                                t.insert(key, key);
+                            } else {
+                                t.remove(key);
+                            }
+                        }
+                    });
+                }
+            });
+            assert_strictly_balanced(&t);
+        }
+    }
+
+    #[test]
+    fn the_height_rides_in_the_version_word_beside_the_counter_and_the_mark() {
+        let below_height = (1 << HEIGHT_SHIFT) - 1;
+        // Height 3, counter 1 234, unmarked.
+        let ver = with_height(2 * 1_234, 3);
+        for seen in [ver, ver + 1] {
+            let rewritten = with_height(seen, 17);
+            assert_eq!(height(rewritten), 17);
+            assert_eq!(rewritten & below_height, seen & below_height, "a height write moved the counter or the mark");
+        }
+        assert_eq!(height(ver + 2), 3, "a version bump moved the height");
+        assert_eq!((ver + 2) & below_height, 2 * 1_235);
+        assert_eq!(height(ver + 1), 3, "marking moved the height");
+        assert_eq!((ver + 1) & 1, 1);
+        for h in [0, 1, 2, 40, MAX_HEIGHT] {
+            assert_eq!(height(Avl::first_ver(h)), h);
+        }
+        assert_eq!(Avl::first_ver(0), 0, "a sentinel's version");
+        assert_eq!(MAX_HEIGHT, 127);
+        let top = with_height(below_height, MAX_HEIGHT);
+        assert_eq!(height(top), MAX_HEIGHT);
+        assert!(top <= kcas::MAX_VALUE, "the top height overflows the CasWord payload");
+    }
+
+    #[test]
+    fn settling_starts_a_walk_only_where_a_height_changed_or_a_balance_broke() {
+        let t = PathCasAvl::new();
+        // 4 over 2 and 6; 2 over 1.
+        for key in [4, 2, 6, 1] {
+            assert!(t.insert(key, key));
+        }
+        let mut word_of = HashMap::new();
+        t.for_each_node(|_, key, at| {
+            word_of.insert(key, at.word);
+        });
+        // SAFETY: the tree is quiescent and every word is one of its nodes.
+        let node = |key: u64| unsafe { &*(word_of[&key] as usize as *const Node) };
+        let leaf = Avl::first_ver(1);
+        let guard = crossbeam_epoch::pin();
+        crate::node::with_builder(|b| {
+            let mut op = b.start(&guard);
+            let (two, six) = (node(2), node(6));
+            let (two_ver, six_ver) = (op.visit(&two.ver), op.visit(&six.ver));
+            // A leaf beside 1 under 2: 2 stays at height 2, no walk.
+            assert_eq!(Avl::settle(&t, &mut op, two, two_ver, leaf, &two.left), (two_ver + 2, NIL));
+            // A leaf under the leaf 6: 6 grows to height 2, the walk starts at 4.
+            let grown = (with_height(six_ver, 2) + 2, word_of[&4]);
+            assert_eq!(Avl::settle(&t, &mut op, six, six_ver, leaf, &six.left), grown);
+            // A subtree of height 3 under 6 beside nothing breaks its
+            // balance: the walk starts at 6 itself.
+            let broken = (six_ver + 2, word_of[&6]);
+            assert_eq!(Avl::settle(&t, &mut op, six, six_ver, Avl::first_ver(3), &six.left), broken);
+        });
     }
 
     #[test]
@@ -653,7 +793,7 @@ mod tests {
             let n = node(word_of[&key]);
             n.left.store(word_of[&left]);
             n.right.store(word_of[&right]);
-            n.bal.height.store(height);
+            n.ver.store(with_height(n.ver.load_quiescent(), height));
             for child in [left, right].into_iter().filter(|&child| child != 0) {
                 node(word_of[&child]).bal.parent.store(word_of[&key]);
             }

@@ -13,9 +13,10 @@
 //! tree, and so does the code: [`Unbalanced`] (`int-bst-pathcas`) and
 //! [`crate::avl::Avl`] (`int-avl-pathcas`) are two policies over the one
 //! implementation below.  A policy supplies the extra per-node words and the
-//! three places Algorithms 8–11 differ from 3–6, all resolved at compile
-//! time: initialising a new node's balance words, repointing the `parent` of
-//! the child a removal splices upwards, and the rebalancing walk after a
+//! places Algorithms 8–11 differ from 3–6, all resolved at compile time:
+//! initialising a new node's balance words and version, repointing the
+//! `parent` of the child a removal splices upwards, settling the version of
+//! the node whose child an update rewires, and the rebalancing walk after a
 //! committed update.
 
 // `drop(op)` below releases the op's borrow of the shared builder so the
@@ -40,7 +41,7 @@ const KEY_MIN_SENTINEL: u64 = 0;
 const KEY_MAX_SENTINEL: u64 = kcas::MAX_VALUE;
 
 pub(crate) mod sealed {
-    use super::{Guard, Node, OpBuilder, PathCasOp, PathCasTree};
+    use super::{CasWord, Guard, Node, OpBuilder, PathCasOp, PathCasTree};
 
     /// The hooks behind [`super::Balance`]; private so that the two policies
     /// in this crate are the only ones.
@@ -57,7 +58,11 @@ pub(crate) mod sealed {
         const PARENT_POINTERS: bool;
 
         /// The balance words of a new node hanging under `parent`.
-        fn words(parent: u64, height: u64) -> Self::Words;
+        fn words(parent: u64) -> Self::Words;
+
+        /// The first version of a new node of logical `height`: 1 for a
+        /// fresh leaf, 0 for the sentinels.
+        fn first_ver(height: u64) -> u64;
 
         /// A removal committing in `op` makes the (visited, unmarked)
         /// `child` a child of `to` instead of `from`.
@@ -69,7 +74,23 @@ pub(crate) mod sealed {
             to: u64,
         );
 
-        /// A committed update may have unbalanced the tree at node `start`.
+        /// An update committing in `op` makes the subtree whose root it saw
+        /// at version `child_ver` (0 for an empty one) a child of the
+        /// visited, unmarked `node`, whose other child word is `other`.
+        /// Returns the version `node` commits with (at least `node_ver + 2`)
+        /// and where the rebalancing walk starts once the update has
+        /// committed (`NIL`: nowhere).
+        fn settle<'g>(
+            tree: &PathCasTree<Self>,
+            op: &mut PathCasOp<'g>,
+            node: &'g Node<Self>,
+            node_ver: u64,
+            child_ver: u64,
+            other: &'g CasWord,
+        ) -> (u64, u64);
+
+        /// A committed update may have unbalanced the tree at node `start`
+        /// (`NIL`: nowhere).
         fn rebalance(tree: &PathCasTree<Self>, start: u64, builder: &mut OpBuilder, guard: &Guard);
 
         /// Quiescent check of the balance words of the node holding `key`.
@@ -102,14 +123,14 @@ pub struct Node<B: Balance> {
 }
 
 impl<B: Balance> Node<B> {
-    fn alloc(key: u64, val: u64, bal: B::Words) -> NonNull<Self> {
+    fn alloc(key: u64, val: u64, bal: B::Words, ver: u64) -> NonNull<Self> {
         slab::alloc(Node {
             key: CasWord::new(key),
             val: CasWord::new(val),
             left: CasWord::new(NIL),
             right: CasWord::new(NIL),
             bal,
-            ver: CasWord::new(0),
+            ver: CasWord::new(ver),
         })
     }
 
@@ -135,8 +156,22 @@ impl sealed::Policy for Unbalanced {
     type Words = ();
     const NAME: &'static str = "int-bst-pathcas";
     const PARENT_POINTERS: bool = false;
-    fn words(_parent: u64, _height: u64) {}
+    fn words(_parent: u64) {}
+    fn first_ver(_height: u64) -> u64 {
+        0
+    }
     fn repoint_parent<'g>(_: &mut PathCasOp<'g>, _: &'g Node<Self>, _: u64, _: u64, _: u64) {}
+    #[inline]
+    fn settle<'g>(
+        _: &PathCasTree<Self>,
+        _: &mut PathCasOp<'g>,
+        _: &'g Node<Self>,
+        node_ver: u64,
+        _: u64,
+        _: &'g CasWord,
+    ) -> (u64, u64) {
+        (node_ver + 2, NIL)
+    }
     fn rebalance(_: &PathCasTree<Self>, _: u64, _: &mut OpBuilder, _: &Guard) {}
     fn check_words(_: &Node<Self>, _key: u64, _parent: u64) {}
 }
@@ -158,7 +193,7 @@ thread_local! {
 
     /// The work list of the AVL policy's rebalancing walk (node words still
     /// to re-examine), per thread for the same reason: it runs after every
-    /// successful insert and remove.
+    /// update whose own commit could not settle the balance.
     pub(crate) static REBALANCE_WORK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -218,8 +253,9 @@ impl<B: Balance> Default for PathCasTree<B> {
 impl<B: Balance> PathCasTree<B> {
     /// Create an empty tree containing only the two sentinel nodes.
     pub fn new() -> Self {
-        let max_root = Node::alloc(KEY_MAX_SENTINEL, 0, B::words(NIL, 0)).as_ptr();
-        let min_root = Node::alloc(KEY_MIN_SENTINEL, 0, B::words(ptr_to_word(max_root), 0)).as_ptr();
+        let ver = B::first_ver(0);
+        let max_root = Node::alloc(KEY_MAX_SENTINEL, 0, B::words(NIL), ver).as_ptr();
+        let min_root = Node::alloc(KEY_MIN_SENTINEL, 0, B::words(ptr_to_word(max_root)), ver).as_ptr();
         // maxRoot.left = minRoot; all real keys live under minRoot.right.
         // SAFETY: `max_root` is a fresh node not yet shared with any other
         // thread, so the raw store cannot race.
@@ -320,44 +356,51 @@ impl<B: Balance> PathCasTree<B> {
     }
 
     /// Algorithm 4 lines 6–12: hang a fresh leaf under the unmarked `parent`
-    /// the search for the absent `key` ended at.  `false` means the `vexec`
-    /// failed and the operation restarts.
+    /// the search for the absent `key` ended at.  Returns where the
+    /// rebalancing walk starts; `None` means the `vexec` failed and the
+    /// operation restarts.
     fn link_leaf<'g>(
+        &self,
         op: &mut PathCasOp<'g>,
         parent: &'g Node<B>,
         parent_ver: u64,
         key: u64,
         val: u64,
-    ) -> bool {
-        let new_node = Node::<B>::alloc(key, val, B::words(ptr_to_word(parent as *const Node<B>), 1));
+    ) -> Option<u64> {
+        let leaf_ver = B::first_ver(1);
+        let new_node =
+            Node::<B>::alloc(key, val, B::words(ptr_to_word(parent as *const Node<B>)), leaf_ver);
         let parent_key = op.read(&parent.key);
-        let ptr_to_change = if key < parent_key { &parent.left } else { &parent.right };
+        let (ptr_to_change, other) =
+            if key < parent_key { (&parent.left, &parent.right) } else { (&parent.right, &parent.left) };
+        let (new_parent_ver, rebalance_from) = B::settle(self, op, parent, parent_ver, leaf_ver, other);
         op.add(ptr_to_change, NIL, ptr_to_word(new_node.as_ptr()));
-        op.add(&parent.ver, parent_ver, parent_ver + 2);
-        let committed = op.vexec();
-        if !committed {
+        op.add(&parent.ver, parent_ver, new_parent_ver);
+        if !op.vexec() {
             // SAFETY: the vexec failed, so no other thread ever saw
             // `new_node`; this thread still solely owns its slot.
             unsafe { slab::free(new_node) };
+            return None;
         }
-        committed
+        Some(rebalance_from)
     }
 
     /// Visit the child (if any) that a removal makes a child of `to` instead
-    /// of `from`, and let the policy repoint it.  `false` means the child is
-    /// already marked and the operation restarts.
-    fn adopt<'g>(op: &mut PathCasOp<'g>, guard: &'g Guard, child: u64, from: u64, to: u64) -> bool {
+    /// of `from`, and let the policy repoint it.  Returns the version the
+    /// child was visited at (0 for none); `None` means the child is already
+    /// marked and the operation restarts.
+    fn adopt<'g>(op: &mut PathCasOp<'g>, guard: &'g Guard, child: u64, from: u64, to: u64) -> Option<u64> {
         if child == NIL {
-            return true;
+            return Some(0);
         }
         // SAFETY: non-NIL word read via KCAS under the pin behind `guard`.
         let child: &Node<B> = unsafe { word_to_ref(child, guard) };
         let child_ver = op.visit(&child.ver);
         if child_ver & 1 == 1 {
-            return false;
+            return None;
         }
         B::repoint_parent(op, child, child_ver, from, to);
-        true
+        Some(child_ver)
     }
 
     fn insert_impl(&self, key: u64, val: u64) -> bool {
@@ -375,11 +418,9 @@ impl<B: Balance> PathCasTree<B> {
             if res.parent_ver & 1 == 1 {
                 return None; // parent already marked
             }
-            if !Self::link_leaf(&mut op, res.parent, res.parent_ver, key, val) {
-                return None;
-            }
+            let rebalance_from = self.link_leaf(&mut op, res.parent, res.parent_ver, key, val)?;
             drop(op);
-            B::rebalance(self, ptr_to_word(res.parent as *const Node<B>), builder, guard);
+            B::rebalance(self, rebalance_from, builder, guard);
             Some(true)
         })
     }
@@ -402,23 +443,28 @@ impl<B: Balance> PathCasTree<B> {
             let curr_left = op.read(&curr.left);
             let curr_right = op.read(&curr.right);
 
-            // The node this removal unlinks, and where a violation may appear.
+            // The node this removal unlinks, and where the rebalancing walk
+            // starts.
             let (unlinked, rebalance_from) = if curr_left == NIL || curr_right == NIL {
                 // Leaf / one-child deletion: splice the remaining child (or
                 // NIL) into the parent.
                 let child_to_keep = if curr_left == NIL { curr_right } else { curr_left };
+                let kept_ver = if B::PARENT_POINTERS {
+                    Self::adopt(&mut op, guard, child_to_keep, curr_word, parent_word)?
+                } else {
+                    0
+                };
                 let parent_left = op.read(&parent.left);
-                let ptr_to_change =
-                    if parent_left == curr_word { &parent.left } else { &parent.right };
+                let (ptr_to_change, other) = if parent_left == curr_word {
+                    (&parent.left, &parent.right)
+                } else {
+                    (&parent.right, &parent.left)
+                };
+                let (new_parent_ver, from) = B::settle(self, &mut op, parent, parent_ver, kept_ver, other);
                 op.add(ptr_to_change, curr_word, child_to_keep);
-                op.add(&parent.ver, parent_ver, parent_ver + 2);
+                op.add(&parent.ver, parent_ver, new_parent_ver);
                 op.add(&curr.ver, curr_ver, curr_ver + 1); // mark curr
-                if B::PARENT_POINTERS
-                    && !Self::adopt(&mut op, guard, child_to_keep, curr_word, parent_word)
-                {
-                    return None;
-                }
-                (curr, parent_word)
+                (curr, from)
             } else {
                 // Two-child deletion: promote the successor's key/value into
                 // `curr`, then unlink the successor node.
@@ -430,12 +476,15 @@ impl<B: Balance> PathCasTree<B> {
                 let succ_word = ptr_to_word(succ as *const Node<B>);
                 let succ_p_word = ptr_to_word(succ_p as *const Node<B>);
                 let succ_r = op.read(&succ.right); // succ has no left child
-                if !Self::adopt(&mut op, guard, succ_r, succ_word, succ_p_word) {
-                    return None;
-                }
+                let succ_r_ver = Self::adopt(&mut op, guard, succ_r, succ_word, succ_p_word)?;
                 let succ_p_right = op.read(&succ_p.right);
-                let ptr_to_change =
-                    if succ_p_right == succ_word { &succ_p.right } else { &succ_p.left };
+                let (ptr_to_change, other) = if succ_p_right == succ_word {
+                    (&succ_p.right, &succ_p.left)
+                } else {
+                    (&succ_p.left, &succ_p.right)
+                };
+                let (new_succ_p_ver, from) =
+                    B::settle(self, &mut op, succ_p, succ_p_ver, succ_r_ver, other);
                 op.add(ptr_to_change, succ_word, succ_r);
                 let curr_val = op.read(&curr.val);
                 let succ_val = op.read(&succ.val);
@@ -443,11 +492,11 @@ impl<B: Balance> PathCasTree<B> {
                 op.add(&curr.val, curr_val, succ_val);
                 op.add(&curr.key, key, succ_key);
                 op.add(&succ.ver, succ_ver, succ_ver + 1); // mark succ
-                op.add(&succ_p.ver, succ_p_ver, succ_p_ver + 2);
+                op.add(&succ_p.ver, succ_p_ver, new_succ_p_ver);
                 if !std::ptr::eq(succ_p, curr) {
                     op.add(&curr.ver, curr_ver, curr_ver + 2);
                 }
-                (succ, succ_p_word)
+                (succ, from)
             };
             if !op.vexec() {
                 return None;
@@ -513,11 +562,9 @@ impl<B: Balance> PathCasTree<B> {
             if res.parent_ver & 1 == 1 {
                 return None;
             }
-            if !Self::link_leaf(&mut op, res.parent, res.parent_ver, key, update(None)) {
-                return None;
-            }
+            let rebalance_from = self.link_leaf(&mut op, res.parent, res.parent_ver, key, update(None))?;
             drop(op);
-            B::rebalance(self, ptr_to_word(res.parent as *const Node<B>), builder, guard);
+            B::rebalance(self, rebalance_from, builder, guard);
             Some(false)
         })
     }
