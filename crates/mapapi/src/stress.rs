@@ -7,10 +7,16 @@
 //! methodology: every thread accumulates the sum/count of keys whose
 //! insertion it observed succeed minus those whose deletion it observed
 //! succeed; at quiescence the structure must contain exactly that multiset.
+//!
+//! The timed loops also carry a progress oracle: each worker publishes how
+//! many operations it has completed, and once `stop` is raised the run waits
+//! for its workers only while that count moves: one that stands still for
+//! 5 s aborts the process, naming the map and the per-thread counts.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,6 +65,7 @@ pub fn stress_keysum_with<M: ConcurrentMap + ?Sized>(
 ) -> StressOutcome {
     let stop = AtomicBool::new(false);
     let barrier = Barrier::new(threads + 1);
+    let progress: Vec<OpCount> = (0..threads).map(|_| OpCount::default()).collect();
 
     // Account for keys already present (e.g. from a prefill phase).
     let initial = map.stats();
@@ -72,7 +79,7 @@ pub fn stress_keysum_with<M: ConcurrentMap + ?Sized>(
 
     let records: Vec<ThreadRecord> = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
+        for (t, done) in progress.iter().enumerate() {
             let stop = &stop;
             let barrier = &barrier;
             let map = &*map;
@@ -100,6 +107,7 @@ pub fn stress_keysum_with<M: ConcurrentMap + ?Sized>(
                         let _ = map.get(key);
                     }
                     rec.ops += 1;
+                    done.publish(rec.ops);
                 }
                 rec
             }));
@@ -109,6 +117,7 @@ pub fn stress_keysum_with<M: ConcurrentMap + ?Sized>(
         // ORDERING: Relaxed — pairs with the Relaxed poll above; thread join
         // synchronizes the per-thread records.
         stop.store(true, Ordering::Relaxed);
+        await_workers(map.name(), &progress, || handles.iter().all(|h| h.is_finished()));
         handles.into_iter().map(|h| h.join().expect("stress worker panicked")).collect()
     });
 
@@ -156,29 +165,40 @@ pub fn stress_scan_into<M: ConcurrentMap + ?Sized>(
     const PREFIX: [(Key, Value); 2] = [(u64::MAX, 1), (0, 2)];
     let stop = AtomicBool::new(false);
     let barrier = Barrier::new(writers + scanners + 1);
+    let progress: Vec<OpCount> = (0..writers + scanners).map(|_| OpCount::default()).collect();
     for key in (1..=key_range).step_by(2) {
         assert!(map.insert(key, key.wrapping_mul(31)), "{}: the map must start empty", map.name());
     }
     std::thread::scope(|s| {
         let (stop, barrier, map) = (&stop, &barrier, &*map);
-        for t in 0..writers {
-            s.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 * 0x9E37));
-                barrier.wait();
-                // ORDERING: Relaxed — stop flag polled in a loop; the scope's
-                // join is the synchronization point.
-                while !stop.load(Ordering::Relaxed) {
-                    let key = rng.gen_range(1..=key_range);
-                    if rng.gen_bool(0.5) {
-                        map.insert(key, key.wrapping_mul(31));
-                    } else {
-                        map.remove(key);
+        let (writer_counts, scanner_counts) = progress.split_at(writers);
+        let writers: Vec<_> = writer_counts
+            .iter()
+            .enumerate()
+            .map(|(t, done)| {
+                s.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 * 0x9E37));
+                    let mut ops = 0u64;
+                    barrier.wait();
+                    // ORDERING: Relaxed — stop flag polled in a loop; the
+                    // scope's join is the synchronization point.
+                    while !stop.load(Ordering::Relaxed) {
+                        let key = rng.gen_range(1..=key_range);
+                        if rng.gen_bool(0.5) {
+                            map.insert(key, key.wrapping_mul(31));
+                        } else {
+                            map.remove(key);
+                        }
+                        ops += 1;
+                        done.publish(ops);
                     }
-                }
-            });
-        }
-        let scanners: Vec<_> = (0..scanners)
-            .map(|t| {
+                })
+            })
+            .collect();
+        let scanners: Vec<_> = scanner_counts
+            .iter()
+            .enumerate()
+            .map(|(t, done)| {
                 s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(seed ^ (0x5CA0 + t as u64));
                     let mut out = Vec::new();
@@ -199,6 +219,7 @@ pub fn stress_scan_into<M: ConcurrentMap + ?Sized>(
                         assert!(tail.windows(2).all(|w| w[0].0 < w[1].0), "{name}: tail not ascending");
                         assert!(tail.iter().all(|&(k, v)| v == k.wrapping_mul(31)), "{name}: torn pair");
                         scans += 1;
+                        done.publish(scans);
                     }
                     scans
                 })
@@ -208,8 +229,85 @@ pub fn stress_scan_into<M: ConcurrentMap + ?Sized>(
         std::thread::sleep(duration);
         // ORDERING: Relaxed — pairs with the Relaxed polls above.
         stop.store(true, Ordering::Relaxed);
+        await_workers(map.name(), &progress, || {
+            writers.iter().all(|h| h.is_finished()) && scanners.iter().all(|h| h.is_finished())
+        });
+        writers.into_iter().for_each(|h| h.join().expect("writer panicked"));
         scanners.into_iter().map(|h| h.join().expect("scanner panicked")).sum()
     })
+}
+
+/// How long the workers' summed op count may stand still, after `stop` is
+/// raised, while a worker is still running.  A worker finishes the op it is
+/// in and returns, so a count that stays put this long means an op that
+/// never completes: a livelock, a deadlock or a lost wake-up.
+const STALL_LIMIT: Duration = Duration::from_secs(5);
+
+/// One worker's count of completed operations, alone on its 128 B (the
+/// adjacent-line prefetch pair), so that no worker's store shares a line
+/// with another's.
+#[derive(Default)]
+#[repr(align(128))]
+struct OpCount(AtomicU64);
+
+impl OpCount {
+    fn publish(&self, ops: u64) {
+        // ORDERING: Relaxed — a progress gauge with one writer, read only by
+        // `await_workers`; it orders no other memory, and the watchdog needs
+        // only that a new count becomes visible eventually.
+        self.0.store(ops, Ordering::Relaxed);
+    }
+
+    fn read(&self) -> u64 {
+        // ORDERING: Relaxed — see `publish`.
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Wait, after `stop` is raised, until `all_finished` holds.  If the summed
+/// op count of `progress` stands still for [`STALL_LIMIT`] meanwhile, print
+/// `name` and the per-thread counts and abort the process: a panic here
+/// would unwind into `thread::scope`, which would then wait forever on the
+/// stuck workers.
+fn await_workers(name: &str, progress: &[OpCount], all_finished: impl Fn() -> bool) {
+    let sum = || progress.iter().map(OpCount::read).sum::<u64>();
+    let (mut last, mut moved_at) = (sum(), Instant::now());
+    while !all_finished() {
+        std::thread::sleep(Duration::from_millis(1));
+        let now_sum = sum();
+        match still_progressing(last, now_sum, moved_at, Instant::now(), STALL_LIMIT) {
+            Some(at) => (last, moved_at) = (now_sum, at),
+            None => {
+                let counts: Vec<u64> = progress.iter().map(OpCount::read).collect();
+                // Straight to the stderr handle: the test harness captures
+                // `eprintln!` per test and would lose it with the process.
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "{name}: no operation completed for {STALL_LIMIT:?} after stop; per-thread op counts {counts:?}"
+                );
+                std::process::abort();
+            }
+        }
+    }
+}
+
+/// The stall decision.  The summed op count was `last` when it last moved,
+/// at `moved_at`, and reads `sum` at `now`.  Returns when it last moved as
+/// of `now`, or `None` once it has stood still for `limit`.
+fn still_progressing(
+    last: u64,
+    sum: u64,
+    moved_at: Instant,
+    now: Instant,
+    limit: Duration,
+) -> Option<Instant> {
+    if sum != last {
+        Some(now)
+    } else if now.duration_since(moved_at) < limit {
+        Some(moved_at)
+    } else {
+        None
+    }
 }
 
 /// Derive the prefill RNG seed from a trial's base seed (`PATHCAS_SEED`).
@@ -280,6 +378,24 @@ mod tests {
     fn oracle_scans_into_a_prefix_under_churn() {
         let m = LockedBTreeMap::new();
         assert!(stress_scan_into(&m, 2, 1, 256, Duration::from_millis(60), 3) > 0);
+    }
+
+    #[test]
+    fn the_watchdog_passes_advancing_counts_and_fails_a_frozen_one() {
+        let limit = Duration::from_millis(50);
+        let t0 = Instant::now();
+        let at = |ms| t0 + Duration::from_millis(ms);
+        // Advancing: samples 100 ms apart, twice the limit, never stall.
+        let mut moved_at = t0;
+        for i in 1..10 {
+            moved_at = still_progressing(i - 1, i, moved_at, at(100 * i), limit)
+                .expect("an advancing count must pass");
+            assert_eq!(moved_at, at(100 * i));
+        }
+        // Frozen: passes inside the limit, fails at and past it.
+        assert_eq!(still_progressing(7, 7, t0, at(49), limit), Some(t0));
+        assert_eq!(still_progressing(7, 7, t0, at(50), limit), None);
+        assert_eq!(still_progressing(7, 7, t0, at(500), limit), None);
     }
 
     #[test]

@@ -33,11 +33,16 @@ impl ChangeLog {
     /// lock across apply + append, which is what makes per-key log order
     /// equal per-key application order.
     pub(crate) fn append(&self, ev: Event) -> u64 {
+        // Registered before the lock, so the log lock never nests the
+        // registry's.
+        let gauge = &crate::metrics::metrics().log_seqno;
         let mut events = self.events.lock().unwrap();
         events.push(ev);
         let seq = events.len() as u64;
+        // Set under the lock: appenders store their seqnos in log order, so
+        // the gauge never goes backwards.
+        gauge.set(seq);
         drop(events);
-        crate::metrics::metrics().log_seqno.set(seq);
         self.grew.notify_all();
         seq
     }

@@ -1,9 +1,11 @@
 //! Replication telemetry: the change-log seqno gauge, registered with the
 //! global `telemetry` registry.
 //!
-//! The gauge is process-global and last-writer-wins: with one live
-//! replicated topology (how the server deploys replication) it reads as
-//! *the* log's seqno.  A follower's staleness is
+//! The gauge is process-global.  Each append sets it while holding its
+//! log's lock, so with one live replicated topology (how the server deploys
+//! replication) it reads as *the* log's seqno and never goes backwards;
+//! with several logs in one process the last append wins.  A follower's
+//! staleness is
 //! `log.seqno() − follower.applied_seqno()`, which needs both handles.
 
 use std::sync::Once;

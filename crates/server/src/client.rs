@@ -12,7 +12,6 @@ use std::thread::JoinHandle;
 
 use mapapi::{ConcurrentMap, Key, MapStats, Value};
 use replica::{Event, Follower};
-use workload::{BatchApply, Op};
 
 use crate::proto::{self, Request, Response, MAX_SCAN_LEN};
 
@@ -203,37 +202,6 @@ impl Drop for WireTail {
     }
 }
 
-/// Translate a workload op into its wire request.  `Op::Rmw` maps to the
-/// canonical increment (δ = 1), matching [`workload::apply`]'s in-process
-/// semantics; `Op::Transfer` has no wire form (the batched executor rejects
-/// bank scenarios before it could reach us).
-fn to_request(op: &Op) -> Request {
-    match *op {
-        Op::Read(k) => Request::Get(k),
-        // The executor inserts key-as-value, like everywhere else in the
-        // workspace.
-        Op::Insert(k) => Request::Put(k, k),
-        Op::Remove(k) => Request::Del(k),
-        Op::Rmw(k) => Request::Rmw(k, 1),
-        Op::Scan(k, len) => Request::Scan(k, len.min(u32::MAX as u64) as u32),
-        Op::Transfer { .. } => unreachable!("transfers cannot cross the wire"),
-    }
-}
-
-/// Same success notion as [`workload::apply`], read off the response.
-fn succeeded(resp: &Response) -> bool {
-    match resp {
-        Response::Get(v) => v.is_some(),
-        Response::Put(ok) | Response::Del(ok) | Response::Rmw(ok) => *ok,
-        Response::Scan(pairs) => !pairs.is_empty(),
-        Response::Stats(_) => true,
-        // Never answer workload ops: EVENTS only reaches subscribed
-        // connections, METRICS/TRACE only explicit telemetry pulls.
-        Response::Events(_) | Response::Metrics(_) | Response::Trace(_) => false,
-        Response::Err(_) => false,
-    }
-}
-
 /// A pool of loopback connections exposing a **remote** structure through
 /// the [`ConcurrentMap`] trait, so every existing scenario, suite and audit
 /// runs over the socket path unchanged.
@@ -299,11 +267,6 @@ impl ServiceMap {
             .request(&req)
             .unwrap_or_else(|e| panic!("service connection failed: {e}"))
     }
-
-    /// Pipeline a pre-encoded request batch on this thread's connection.
-    pub fn pipeline(&self, reqs: &[Request]) -> io::Result<Vec<Response>> {
-        self.conn().pipeline(reqs)
-    }
 }
 
 impl ConcurrentMap for ServiceMap {
@@ -363,14 +326,5 @@ impl ConcurrentMap for ServiceMap {
             Response::Stats(s) => s,
             other => panic!("STATS answered with {other:?}"),
         }
-    }
-}
-
-impl BatchApply for ServiceMap {
-    fn apply_batch(&self, ops: &[Op]) -> u64 {
-        let reqs: Vec<Request> = ops.iter().map(to_request).collect();
-        let resps =
-            self.pipeline(&reqs).unwrap_or_else(|e| panic!("service connection failed: {e}"));
-        resps.iter().map(|r| succeeded(r) as u64).sum()
     }
 }

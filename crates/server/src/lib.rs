@@ -17,15 +17,14 @@
 //!   paid per burst;
 //! * [`Connection`] / [`ServiceMap`] — the loopback client side: a single
 //!   pipelined connection, and a connection *pool* implementing
-//!   [`mapapi::ConcurrentMap`] + [`workload::BatchApply`], which is the
-//!   workload engine's **service mode** — every existing scenario (YCSB
+//!   [`mapapi::ConcurrentMap`], so every existing suite and scenario (YCSB
 //!   A–F, `txn-transfer`, `scan-heavy`, `contended-hot-set`) runs over the
-//!   socket path with the same latency histograms, and
-//!   `workload::run_scenario_batched` sweeps pipelining depth.
+//!   socket path unchanged, one request per operation.
 //!
-//! `tests/loopback.rs` runs scenarios and depth-16 batches through the pool
-//! on both backends; the repo benchmark (`benchmark/`) is what measures the
-//! served path.  See DESIGN.md §8 for the framing and batching rationale.
+//! `tests/loopback.rs` runs scenarios through the pool and pipelined
+//! bursts through a [`Connection`] on both backends; the repo benchmark
+//! (`benchmark/`) is what measures the served path.  See DESIGN.md §8 for
+//! the framing and batching rationale.
 //!
 //! **Replication** (PR 6): a server started with [`ServerOpts`] can publish
 //! a [`replica::ChangeLog`] to `SUBSCRIBE`rs and/or run read-only as a

@@ -16,7 +16,7 @@ use mapapi::reference::LockedBTreeMap;
 use mapapi::ConcurrentMap;
 use server::{Backend, Connection, Request, Response, Server, ServiceMap};
 use shard::ShardedMap;
-use workload::{run_scenario, run_scenario_batched, scenario, RunParams};
+use workload::{run_scenario, scenario, RunParams};
 
 fn start_oracle_server(backend: Backend) -> Server {
     start_on(Arc::new(LockedBTreeMap::new()), backend)
@@ -171,7 +171,7 @@ fn service_map_passes_the_mapapi_suites_over_the_wire() {
 }
 
 #[test]
-fn scenarios_run_in_service_mode_with_latency_histograms() {
+fn scenarios_run_over_the_wire_and_pass_the_quiescent_audit() {
     for_each_backend(|backend| {
         let server = start_sharded_server(8, backend);
         let svc = ServiceMap::connect(server.local_addr(), 2, "shard8(int-avl-pathcas)").unwrap();
@@ -181,21 +181,6 @@ fn scenarios_run_in_service_mode_with_latency_histograms() {
         assert!(0 < out.ok_ops && out.ok_ops < out.total_ops, "ycsb-b reads both hit and miss");
         // The quiescent audit works over the wire too: STATS + chunked SCANs.
         mapapi::suites::check_scan_matches_stats(&svc, &out.final_stats);
-        drop(svc);
-        server.shutdown();
-    });
-}
-
-#[test]
-fn batched_service_mode_stresses_pipelining() {
-    for_each_backend(|backend| {
-        let server = start_sharded_server(4, backend);
-        let svc = ServiceMap::connect(server.local_addr(), 2, "shard4(int-avl-pathcas)").unwrap();
-        let params = RunParams::standard(2, 512, Duration::from_millis(40), 0xBA7C);
-        let out = run_scenario_batched(&svc, &svc, &scenario("service-mixed"), &params, 16);
-        assert!(out.total_ops > 0);
-        assert_eq!(out.total_ops % 16, 0, "whole batches only");
-        assert!(out.scans > 0, "service-mixed must ship scans in its pipelines");
         drop(svc);
         server.shutdown();
     });

@@ -1,10 +1,7 @@
-//! The phased scenario executor: **load → warmup → timed run**, one worker
-//! loop for every mode.  Each worker draws operations from its own
-//! [`OpGen`] and hands them to a [`BatchApply`] backend `depth` at a time:
-//! [`run_scenario`] is that loop at depth 1 over the in-process
-//! [`LoopBatch`], [`run_scenario_batched`] the same loop over any backend
-//! (the KV service's pipelined client pool).  Operations are counted, not
-//! timed: the only clock reads are the two around the recorded window.
+//! The phased scenario executor: **load → warmup → timed run**.  Each
+//! worker draws operations from its own [`OpGen`] and applies them one at a
+//! time with [`apply`].  Operations are counted, not timed: the only clock
+//! reads are the two around the recorded window.
 //!
 //! The executor drives any [`mapapi::ConcurrentMap`], so every structure in
 //! the harness registry runs every scenario with zero per-structure glue.
@@ -266,8 +263,10 @@ impl Outcome {
     }
 }
 
-/// Run one scenario against `map`: load the structure (or the bank), warm
-/// up untimed, then count operations for `params.duration`.
+/// Run one scenario against `map`: load the structure (or the bank),
+/// release `params.threads` workers through one barrier, sleep the untimed
+/// warmup, raise `recording`, time `duration`, raise `stop`, join, and only
+/// then read the clock and collect the quiescent stats.
 pub fn run_scenario<M: ConcurrentMap + ?Sized>(
     map: &M,
     sc: &Scenario,
@@ -275,81 +274,12 @@ pub fn run_scenario<M: ConcurrentMap + ?Sized>(
 ) -> Outcome {
     // Account metadata in the map, balances in the CasWord bank.
     let bank = sc.uses_bank().then(|| load_bank(map, sc.accounts));
-    execute(map, &LoopBatch(map, bank.as_deref()), sc, params, 1, bank.as_deref())
-}
-
-/// A backend that can apply a whole batch of operations at once — the
-/// **service mode** hook.  The canonical implementation is the KV service's
-/// client pool (`server::ServiceMap`), which encodes the batch as one
-/// pipelined burst of request frames, flushes once, and reads the batched
-/// responses; [`LoopBatch`] is the in-process backend that applies the
-/// same batch as a plain loop, so both run the one executor loop on
-/// identical op streams.
-pub trait BatchApply {
-    /// Apply `ops` in order as one batch; returns how many succeeded (same
-    /// success notion as [`apply`]).  [`run_scenario_batched`] rejects bank
-    /// scenarios, so only [`run_scenario`]'s [`LoopBatch`] is ever handed an
-    /// [`Op::Transfer`].
-    fn apply_batch(&self, ops: &[Op]) -> u64;
-}
-
-/// The in-process [`BatchApply`] backend: a plain loop of [`apply`] over a
-/// map and, for bank scenarios, its account bank.  No pipelining — this is
-/// what [`run_scenario`] runs at depth 1, and the baseline a wire-pipelined
-/// backend is measured against.
-pub struct LoopBatch<'a, M: ConcurrentMap + ?Sized>(pub &'a M, pub Option<&'a [CasWord]>);
-
-impl<M: ConcurrentMap + ?Sized> BatchApply for LoopBatch<'_, M> {
-    fn apply_batch(&self, ops: &[Op]) -> u64 {
-        ops.iter().map(|&op| apply(self.0, self.1, op) as u64).sum()
-    }
-}
-
-/// Run one scenario in **batched (service) mode**: load through `map`,
-/// warm up, then count operations while each worker hands `depth` of them
-/// at a time to `backend` as one batch.
-///
-/// # Panics
-/// Panics if `sc` uses the KCAS account bank (transfers are in-process by
-/// construction and cannot be batched over a wire backend) or if
-/// `depth == 0`.
-pub fn run_scenario_batched<M, B>(
-    map: &M,
-    backend: &B,
-    sc: &Scenario,
-    params: &RunParams,
-    depth: usize,
-) -> Outcome
-where
-    M: ConcurrentMap + ?Sized,
-    B: BatchApply + Sync + ?Sized,
-{
-    assert!(!sc.uses_bank(), "{}: bank scenarios cannot run batched", sc.name);
-    assert!(depth >= 1, "batch depth must be at least 1");
-    execute(map, backend, sc, params, depth, None)
-}
-
-/// The executor: prefill `map` (bank scenarios arrive with their bank
-/// loaded), release `params.threads` workers through one barrier, sleep the
-/// untimed warmup, raise `recording`, time `duration`, raise `stop`, join,
-/// and only then read the clock and collect the quiescent stats.
-fn execute<M, B>(
-    map: &M,
-    backend: &B,
-    sc: &Scenario,
-    params: &RunParams,
-    depth: usize,
-    bank: Option<&[CasWord]>,
-) -> Outcome
-where
-    M: ConcurrentMap + ?Sized,
-    B: BatchApply + Sync + ?Sized,
-{
-    if !sc.uses_bank() {
+    let bank = bank.as_deref();
+    if bank.is_none() {
         let seed = mapapi::stress::prefill_seed(params.seed);
         mapapi::stress::prefill(map, params.key_range, params.prefill, seed);
     }
-    let key_range = if sc.uses_bank() { sc.accounts } else { params.key_range };
+    let key_range = if bank.is_some() { sc.accounts } else { params.key_range };
     let shared = SharedState::new(key_range);
     let recording = AtomicBool::new(false);
     let stop = AtomicBool::new(false);
@@ -361,28 +291,25 @@ where
                 let (shared, recording, stop, barrier) = (&shared, &recording, &stop, &barrier);
                 s.spawn(move || {
                     let mut gen = OpGen::new(sc, key_range, params.seed ^ ((t as u64 + 1) << 17));
-                    let mut batch = Vec::with_capacity(depth);
                     let [mut ops, mut ok, mut scans, mut committed] = [0u64; 4];
                     barrier.wait();
                     // ORDERING: Relaxed — phase flags polled in a loop; the
                     // join is the real synchronization point, and a stale
                     // iteration only blurs a phase boundary, never the data.
                     while !stop.load(Ordering::Relaxed) {
-                        batch.clear();
-                        batch.extend((0..depth).map(|_| gen.next_op(shared)));
+                        let op = gen.next_op(shared);
                         // ORDERING: Relaxed — see `stop` above.
                         let recorded = recording.load(Ordering::Relaxed);
-                        let succeeded = backend.apply_batch(&batch);
+                        let succeeded = apply(map, bank, op) as u64;
                         if recorded {
-                            ops += depth as u64;
+                            ops += 1;
                             ok += succeeded;
-                            scans += batch.iter().filter(|op| matches!(op, Op::Scan(..))).count() as u64;
+                            scans += matches!(op, Op::Scan(..)) as u64;
                         }
                         // Committed transfers count in the warmup too: they
                         // move money, so the conserved-sum check spans every
-                        // commit.  Bank scenarios run at depth 1, so the
-                        // batch's success count is the transfer's own.
-                        if matches!(batch[0], Op::Transfer { .. }) {
+                        // commit.
+                        if matches!(op, Op::Transfer { .. }) {
                             committed += succeeded;
                         }
                     }
@@ -405,9 +332,9 @@ where
     let [total_ops, ok_ops, scans, committed] =
         tallies.iter().fold([0; 4], |sum, t| std::array::from_fn(|i| sum[i] + t[i]));
     // Every worker is joined: the map is quiescent, which `stats()`
-    // requires (over a wire backend too — the server executes batches
-    // synchronously, so no request is in flight once every client worker
-    // has returned).
+    // requires (over the wire too — the server answers each request before
+    // the client's next, so none is in flight once every worker has
+    // returned).
     let bank = bank.map(|bank| {
         let guard = crossbeam_epoch::pin();
         BankCheck {
@@ -614,47 +541,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_runs_match_batch_accounting() {
-        let sc = scenario("service-mixed");
-        let map = LockedBTreeMap::new();
-        let params = RunParams::standard(2, 512, Duration::from_millis(40), 0xBA7C);
-        let out = run_scenario_batched(&map, &LoopBatch(&map, None), &sc, &params, 8);
-        assert!(out.total_ops > 0);
-        assert_eq!(out.total_ops % 8, 0, "ops are counted in whole batches");
-        assert!(out.scans > 0, "service-mixed must ship scans");
-        assert!(out.ok_ops <= out.total_ops);
-        assert!(out.bank.is_none());
-        // Quiescent stats collected after the join must match a fresh read.
-        assert_eq!(out.final_stats.key_count, map.stats().key_count);
-    }
-
-    #[test]
-    fn batch_depth_one_equals_point_mode_semantics() {
-        let sc = scenario("ycsb-b");
-        let map = LockedBTreeMap::new();
-        let params = RunParams::standard(1, 256, Duration::from_millis(25), 0xD1);
-        let out = run_scenario_batched(&map, &LoopBatch(&map, None), &sc, &params, 1);
-        assert!(out.total_ops > 0);
-        assert!(out.ok_ops <= out.total_ops);
-    }
-
-    #[test]
-    fn loop_batch_counts_successes_like_apply() {
+    fn apply_counts_successes() {
         let map = LockedBTreeMap::new();
         map.insert(1, 1);
         let ops = [Op::Read(1), Op::Read(2), Op::Insert(3), Op::Remove(9), Op::Scan(1, 4)];
         // read(1) hits, read(2) misses, insert(3) succeeds, remove(9)
         // fails, scan sees keys 1 and 3 => 3 successes.
-        assert_eq!(LoopBatch(&map, None).apply_batch(&ops), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "bank scenarios cannot run batched")]
-    fn batched_executor_rejects_bank_scenarios() {
-        let sc = scenario("txn-transfer");
-        let map = LockedBTreeMap::new();
-        let params = RunParams::standard(1, 64, Duration::from_millis(5), 1);
-        let _ = run_scenario_batched(&map, &LoopBatch(&map, None), &sc, &params, 4);
+        assert_eq!(ops.iter().filter(|&&op| apply(&map, None, op)).count(), 3);
     }
 
     #[test]

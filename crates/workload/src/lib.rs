@@ -3,7 +3,7 @@
 //! One phased executor runs **declarative scenarios** against any
 //! [`mapapi::ConcurrentMap`]: the paper's §5 uniform mix ([`paper_mix`],
 //! what the `fig*` harness binaries sweep), the YCSB core workloads A–F
-//! (Cooper et al., SoCC '10) and the PathCAS- and service-specific ones.
+//! (Cooper et al., SoCC '10) and the PathCAS- and replication-specific ones.
 //! The figure drivers, the test batteries and `examples/kv_store.rs` drive
 //! structures, the sharded composition, the wire service and the replica
 //! topology with it; it counts operations and commits no numbers (those
@@ -23,11 +23,9 @@
 //!   and `scan-heavy` (80% scans of [`ScanLen`]-distributed lengths);
 //! * [`exec`] — the executor (**load → warmup → timed run**) with per-thread
 //!   op generation and quiescent stats collected only after every worker
-//!   has joined.  Its one worker loop hands ops to a [`BatchApply`]
-//!   backend: [`run_scenario`] at depth 1 over the in-process
-//!   [`LoopBatch`], [`run_scenario_batched`] (**service mode**) `depth` ops
-//!   at a time over any backend, such as the KV service's pipelined client
-//!   pool.
+//!   has joined.  [`run_scenario`]'s workers apply one op at a time with
+//!   [`apply`]; a wire service is driven the same way, through its client
+//!   pool's `ConcurrentMap` impl.
 //!
 //! Everything is reproducible from [`RunParams::seed`].
 
@@ -38,10 +36,7 @@ pub mod exec;
 pub mod spec;
 
 pub use dist::{DistKind, Sampler, SharedState, Zipfian, ZIPFIAN_THETA};
-pub use exec::{
-    apply, run_ops, run_scenario, run_scenario_batched, BankCheck, BatchApply, LoopBatch, Op,
-    OpGen, Outcome, RunParams,
-};
+pub use exec::{apply, run_ops, run_scenario, BankCheck, Op, OpGen, Outcome, RunParams};
 pub use spec::{
     all_scenarios, paper_mix, scenario, InsertKind, Mix, ScanLen, Scenario, INITIAL_BALANCE,
 };

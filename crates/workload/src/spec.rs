@@ -1,5 +1,5 @@
 //! Declarative scenario specifications, modeled on the YCSB core workloads
-//! (Cooper et al., SoCC '10) plus two PathCAS-specific scenarios.
+//! (Cooper et al., SoCC '10) plus PathCAS- and replication-specific ones.
 //!
 //! A [`Scenario`] names a key distribution and an operation mix in
 //! per-mille weights.  "Update" follows the Setbench convention used by the
@@ -12,7 +12,7 @@
 //! with per-scan lengths drawn from the scenario's [`ScanLen`] distribution
 //! (DESIGN.md §7).
 //!
-//! The four extra scenarios exercise exactly the axes where PathCAS's
+//! Three extra scenarios exercise exactly the axes where PathCAS's
 //! validate-then-KCAS design should differentiate:
 //!
 //! * `txn-transfer` — atomic two-key read-modify-writes: a metadata lookup
@@ -22,12 +22,10 @@
 //!   where descriptor reuse and path validation are stress-tested;
 //! * `scan-heavy` — 80% validated range scans of 8–64 keys, the
 //!   composite-read regime where scans must repeatedly re-validate against
-//!   concurrent updates;
-//! * `service-mixed` — every operation kind at once (reads, both update
-//!   flavours, RMW, and short scans), sized for the **service mode**: over
-//!   the wire, mixing fixed-size point responses with variable-size scan
-//!   responses inside one pipeline is what stresses batching depth (see
-//!   [`crate::exec::run_scenario_batched`] and DESIGN.md §8).
+//!   concurrent updates.
+//!
+//! A fourth, `read-replica`, is read-dominated for the replicated service:
+//! its reads fan out to followers (DESIGN.md §9).
 
 use crate::dist::{DistKind, ZIPFIAN_THETA};
 
@@ -215,18 +213,6 @@ pub fn all_scenarios() -> Vec<Scenario> {
             accounts: 0,
         },
         Scenario {
-            name: "service-mixed",
-            summary: "service pipeline stress: 60% read / 20% update / 10% rmw / 10% scan(8), zipfian",
-            dist: zipf,
-            // Every op kind in one mix: a pipelined batch interleaves
-            // fixed-size point responses with variable-size scan responses,
-            // which is precisely what exercises response batching.
-            mix: Mix { read: 600, insert: 100, remove: 100, rmw: 100, scan: 100, ..none },
-            insert_kind: InsertKind::Sampled,
-            scan_len: Some(ScanLen::Fixed(8)),
-            accounts: 0,
-        },
-        Scenario {
             name: "read-replica",
             summary: "replicated service: 92% read / 4% update / 4% scan(16) — reads fan out to followers, writes go to the primary",
             dist: zipf,
@@ -285,7 +271,7 @@ mod tests {
         assert_eq!(
             names,
             ["ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d", "ycsb-e", "ycsb-f", "txn-transfer",
-             "contended-hot-set", "scan-heavy", "service-mixed", "read-replica"]
+             "contended-hot-set", "scan-heavy", "read-replica"]
         );
         for s in &all {
             assert!(s.mix.is_valid(), "{}: mix must sum to 1000", s.name);
