@@ -17,9 +17,8 @@
 //! encounters an installed DCSS descriptor word helps complete it, after
 //! validating the seqno.
 
-use crate::sync::{AtomicU64, Ordering};
-
 use crossbeam_epoch::Guard;
+use loom_shim::facade::{AtomicU64, Ordering};
 
 use crate::pool::{self, DcssSlot, DCSS_SLOTS};
 use crate::word::{is_dcss_desc, pack_pooled, pooled_seq, pooled_slot, CasWord, MAX_SEQ, TAG_DCSS};
@@ -143,7 +142,7 @@ pub(crate) fn help_dcss(raw: u64, _guard: &Guard) {
 mod tests {
     use super::*;
     use crate::word::encode;
-    use crate::sync::AtomicU64;
+    use loom_shim::facade::AtomicU64;
     use std::sync::Arc;
 
     #[test]

@@ -19,9 +19,8 @@
 //! largest operation it has carried and keeps that room, so a warm thread
 //! performs **zero heap allocations** whatever the operation's size.
 
-use crate::sync::Ordering;
-
 use crossbeam_epoch::Guard;
+use loom_shim::facade::Ordering;
 
 use crate::dcss::{dcss, help_dcss};
 use crate::pool::{

@@ -38,9 +38,11 @@
 use std::arch::asm;
 use std::cell::Cell;
 
+// This module is compiled out under the model checker, so its cached
+// detection byte needs no facade.
+use std::sync::atomic::{AtomicU8, Ordering}; // xtask: allow(facade)
+
 use crate::engine::{RawEntry, RawVisit};
-use crate::sync::registration::AtomicU8;
-use crate::sync::Ordering;
 use crate::word::{encode, is_value};
 
 /// Hardware attempts per operation before taking the software path.

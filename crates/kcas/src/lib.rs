@@ -76,7 +76,6 @@ pub mod metrics;
 #[cfg(all(test, pathcas_loom))]
 mod models;
 mod pool;
-pub(crate) mod sync;
 mod word;
 
 pub use engine::{
@@ -101,4 +100,22 @@ pub fn htm_available() -> bool {
 #[doc(hidden)]
 pub fn software_path_only(pinned: bool) {
     htm::software_path_only(pinned);
+}
+
+#[cfg(test)]
+mod tests {
+    use std::any::TypeId;
+
+    /// The model-checking switch switches: `loom_shim::facade` is std's
+    /// atomics in a normal build and the checker's mocks under
+    /// `--cfg pathcas_loom`.  A facade stuck on std would leave the
+    /// production-code models passing vacuously.
+    #[test]
+    fn the_facade_is_std_in_a_normal_build_and_the_mocks_under_the_model_checker() {
+        #[cfg(not(pathcas_loom))]
+        type Expected = std::sync::atomic::AtomicU64;
+        #[cfg(pathcas_loom)]
+        type Expected = loom_shim::sync::atomic::AtomicU64;
+        assert_eq!(TypeId::of::<loom_shim::facade::AtomicU64>(), TypeId::of::<Expected>());
+    }
 }

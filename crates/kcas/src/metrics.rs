@@ -13,10 +13,7 @@
 //! firing).
 
 #[cfg(not(pathcas_loom))]
-use std::sync::Once;
-
-#[cfg(not(pathcas_loom))]
-use telemetry::{Counter, Handle};
+use telemetry::Counter;
 
 /// Inert drop-in for [`telemetry::Counter`] under `cfg(pathcas_loom)`:
 /// model checking explores the DCSS/KCAS protocol itself, and counter
@@ -25,10 +22,16 @@ use telemetry::{Counter, Handle};
 /// the protocol under test. The telemetry counters have their own model
 /// suite in `crates/telemetry`.
 #[cfg(pathcas_loom)]
+#[derive(Default)]
 pub struct Counter;
 
 #[cfg(pathcas_loom)]
 impl Counter {
+    /// The inert counter.
+    pub const fn new() -> Counter {
+        Counter
+    }
+
     /// No-op under the model checker.
     #[inline]
     pub fn inc(&self) {}
@@ -62,7 +65,6 @@ pub struct KcasMetrics {
     pub htm_fallbacks: Counter,
 }
 
-#[cfg(not(pathcas_loom))]
 static METRICS: KcasMetrics = KcasMetrics {
     ops: Counter::new(),
     retries: Counter::new(),
@@ -70,36 +72,23 @@ static METRICS: KcasMetrics = KcasMetrics {
     htm_fallbacks: Counter::new(),
 };
 
-#[cfg(pathcas_loom)]
-static METRICS: KcasMetrics = KcasMetrics {
-    ops: Counter,
-    retries: Counter,
-    help_events: Counter,
-    htm_fallbacks: Counter,
-};
-
-#[cfg(not(pathcas_loom))]
-static REGISTER: Once = Once::new();
-
 /// The global KCAS counters, registering them with the `telemetry` registry
-/// on first call. The fast path after registration is one atomic load.
-#[cfg(not(pathcas_loom))]
+/// on first call (not under the model checker, whose counters are inert).
+/// The fast path after registration is one atomic load.
 #[inline]
 pub fn metrics() -> &'static KcasMetrics {
-    REGISTER.call_once(|| {
-        telemetry::register("kcas_ops_total", Handle::Counter(&METRICS.ops));
-        telemetry::register("kcas_retries_total", Handle::Counter(&METRICS.retries));
-        telemetry::register("kcas_help_events_total", Handle::Counter(&METRICS.help_events));
-        telemetry::register("kcas_htm_fallbacks_total", Handle::Counter(&METRICS.htm_fallbacks));
-        telemetry::register("kcas_htm_available", Handle::Func(|| u64::from(crate::htm_available())));
-    });
-    &METRICS
-}
-
-/// Inert variant of [`metrics`] for model-checking builds (see [`Counter`]).
-#[cfg(pathcas_loom)]
-#[inline]
-pub fn metrics() -> &'static KcasMetrics {
+    #[cfg(not(pathcas_loom))]
+    {
+        use telemetry::Handle;
+        static REGISTER: std::sync::Once = std::sync::Once::new();
+        REGISTER.call_once(|| {
+            telemetry::register("kcas_ops_total", Handle::Counter(&METRICS.ops));
+            telemetry::register("kcas_retries_total", Handle::Counter(&METRICS.retries));
+            telemetry::register("kcas_help_events_total", Handle::Counter(&METRICS.help_events));
+            telemetry::register("kcas_htm_fallbacks_total", Handle::Counter(&METRICS.htm_fallbacks));
+            telemetry::register("kcas_htm_available", Handle::Func(|| u64::from(crate::htm_available())));
+        });
+    }
     &METRICS
 }
 
@@ -107,7 +96,6 @@ pub fn metrics() -> &'static KcasMetrics {
 /// *and* the calling thread's retry tally, which a sampled op's `kcas` span
 /// reads on both sides, so span expositions attribute contention to the op
 /// that paid for it.
-#[cfg(not(pathcas_loom))]
 #[inline]
 pub fn retry() {
     metrics().retries.inc();
@@ -115,20 +103,8 @@ pub fn retry() {
 }
 
 /// Record one helping event; trace-noted like [`retry`].
-#[cfg(not(pathcas_loom))]
 #[inline]
 pub fn help() {
     metrics().help_events.inc();
     telemetry::trace::note_help();
 }
-
-/// No-op under the model checker (see [`Counter`]): trace notes are
-/// thread-local bookkeeping, irrelevant to the protocol under test.
-#[cfg(pathcas_loom)]
-#[inline]
-pub fn retry() {}
-
-/// No-op under the model checker (see [`Counter`]).
-#[cfg(pathcas_loom)]
-#[inline]
-pub fn help() {}

@@ -1,8 +1,8 @@
 //! Bounded model checking of the DCSS core and the KCAS owner's locks
 //! (DESIGN.md §12).
 //!
-//! Compiled only under `--cfg pathcas_loom`, where [`crate::sync`] resolves
-//! the crate's atomics to `loom-shim`'s mocks, so the models below drive the
+//! Compiled only under `--cfg pathcas_loom`, where `loom_shim::facade`
+//! resolves the crate's atomics to `loom-shim`'s mocks, so the models below drive the
 //! *production* [`crate::dcss`] / [`crate::dcss::help_dcss`] / [`crate::kcas`]
 //! code through every thread interleaving and weak-memory read choice within
 //! the checker's bounds.
@@ -27,8 +27,9 @@
 
 use std::sync::Arc;
 
+use loom_shim::facade::{AtomicU64, Ordering};
+
 use crate::dcss::{dcss, help_dcss};
-use crate::sync::{AtomicU64, Ordering};
 use crate::word::{encode, is_dcss_desc, CasWord};
 use crate::KcasArg;
 

@@ -85,10 +85,16 @@
 //! operation ever published through it (DESIGN.md §3).
 
 use std::cell::RefCell;
+// Slot registration runs once per thread lifetime and is not part of the
+// checked protocols: it stays on std atomics in every build, invisible to
+// the model scheduler (a mock operation under the free-list lock would
+// deadlock its cooperative scheduler).
+use std::sync::atomic as registration; // xtask: allow(facade)
 use std::sync::Mutex;
 
+use loom_shim::facade::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+
 use crate::engine::RawEntry;
-use crate::sync::{registration, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use crate::word::{MAX_POOL_SLOTS, MAX_SEQ};
 
 /// Status: the operation has not been decided yet.

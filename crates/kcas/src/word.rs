@@ -33,7 +33,7 @@
 //! (§4, footnote 5): application code only ever sees *decoded* values, and the
 //! helping machinery is hidden behind [`crate::read`].
 
-use crate::sync::{AtomicU64, Ordering};
+use loom_shim::facade::{AtomicU64, Ordering};
 
 /// Number of low bits reserved for tags.
 pub const TAG_BITS: u32 = 2;

@@ -14,13 +14,12 @@
 //! Both are process-wide: a window sees every thread's allocations, so a
 //! test that measures one quiesces everything but the work under test.
 //!
-//! The tallies are std atomics from `sync::registration`, never the model
-//! checker's mocks: a global allocator runs in every build, the
-//! `pathcas_loom` one included, and must stay invisible to its scheduler.
+//! The tallies are std atomics, never the model checker's mocks: a global
+//! allocator runs in every build, the `pathcas_loom` one included, and must
+//! stay invisible to its scheduler.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-
-use crate::sync::registration::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering}; // xtask: allow(facade) — module docs
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);

@@ -31,18 +31,21 @@
 #![deny(unsafe_code)]
 
 use std::cell::Cell;
+// The stripe-id dispenser is once-per-thread bookkeeping, not part of any
+// checked protocol: std in every build, invisible to the model scheduler.
+use std::sync::atomic::AtomicUsize; // xtask: allow(facade)
 use std::sync::Mutex;
+
+use loom_shim::facade::{fence, AtomicU64, Ordering};
 
 #[allow(unsafe_code)]
 pub mod alloc;
 pub mod buckets;
 #[cfg(all(test, pathcas_loom))]
 mod models;
-pub(crate) mod sync;
 pub mod trace;
 
 use buckets::{bucket_index, bucket_upper, NBUCKETS, TRACKABLE_MAX};
-use sync::{registration::AtomicUsize, AtomicU64, Ordering};
 
 /// Number of stripes per [`Counter`] (power of two). 32 padded cells cover
 /// more worker threads than the benches drive while keeping a counter at
@@ -72,8 +75,7 @@ fn stripe_id() -> usize {
     // different stripe to the fresh OS thread each execution spawns, which
     // changes which atomic locations the model touches between executions
     // and breaks deterministic DFS replay.
-    #[cfg(pathcas_loom)]
-    if let Some(tid) = loom_shim::current_thread_id() {
+    if let Some(tid) = loom_shim::facade::model_thread_id() {
         return tid & (STRIPES - 1);
     }
     STRIPE.with(|s| {
@@ -443,7 +445,7 @@ impl<const W: usize, const N: usize> SeqRing<W, N> {
         // visibility to a fenced reader — the writer half of the Boehm
         // seqlock protocol. A release ordering on the odd store alone (the
         // previous revision) orders nothing that comes after it.
-        sync::fence(Ordering::Release);
+        fence(Ordering::Release);
         for (cell, word) in slot.words.iter().zip(words) {
             // ORDERING: Relaxed field stores — ordered by the fence above
             // and the release even-store below.
@@ -487,7 +489,7 @@ impl<const W: usize, const N: usize> SeqRing<W, N> {
             // re-read below to observe its odd claim — so the slot is
             // discarded. An acquire *load* here (the previous revision)
             // orders nothing before itself and admits the tear.
-            sync::fence(Ordering::Acquire);
+            fence(Ordering::Acquire);
             // ORDERING: Relaxed — ordered by the fence above.
             let s2 = slot.seq.load(Ordering::Relaxed);
             if s1 == s2 {

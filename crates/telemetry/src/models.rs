@@ -1,8 +1,8 @@
 //! Bounded model checking of the telemetry hot paths (ISSUE 9 /
 //! DESIGN.md §12).
 //!
-//! Compiled only under `--cfg pathcas_loom`, where [`crate::sync`] resolves
-//! the crate's atomics to `loom-shim`'s mocks, so these models drive the
+//! Compiled only under `--cfg pathcas_loom`, where `loom_shim::facade`
+//! resolves the crate's atomics to `loom-shim`'s mocks, so these models drive the
 //! *production* [`SeqRing`] (the seqlock ring behind the tracer's span
 //! rings) and [`Counter`] code through every interleaving and weak-memory
 //! read choice within the checker's bounds.

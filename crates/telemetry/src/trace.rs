@@ -9,7 +9,7 @@
 //!
 //! Publication uses the crate's Boehm fence-based seqlock ring,
 //! [`SeqRing`]: spans land in striped fixed-size [`SpanRing`]s whose
-//! atomics route through the crate's `sync` facade, so under
+//! atomics route through `loom_shim::facade`, so under
 //! `--cfg pathcas_loom` the model checker explores the *production* ring
 //! code (`src/models.rs` has the ring models and their mutation
 //! witness).
@@ -30,7 +30,8 @@ use std::cell::Cell;
 use std::sync::{Once, OnceLock};
 use std::time::Instant;
 
-use crate::sync::{AtomicU64, Ordering};
+use loom_shim::facade::{AtomicU64, Ordering};
+
 use crate::{Counter, Handle, SeqRing, STRIPES};
 
 /// Phase: time blocked waiting for request bytes (the reactor's

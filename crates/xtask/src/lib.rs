@@ -11,15 +11,17 @@
 //!    [`CONTEXT_LINES`] lines (multi-line statements put the comment above
 //!    the statement head, not the `unsafe` token).
 //! 2. **`Ordering::Relaxed` needs `// ORDERING:`** — every relaxed atomic
-//!    access must carry an `ORDERING` comment in the same window. The
-//!    per-crate `sync.rs` facades are exempt (they only re-export names).
+//!    access must carry an `ORDERING` comment in the same window.
 //! 3. **No `.unwrap()` / `.expect(` in `crates/server`** — the long-running
 //!    server must degrade, not abort; non-test server code may not use
 //!    either. (`unwrap_or*` is fine and not matched.)
-//! 4. **No `std::sync::atomic` outside the facade** — in facade-covered
-//!    crates ([`FACADE_CRATES`]) only `sync.rs` may name `std::sync::atomic`;
-//!    everything else must import through `crate::sync` so the loom-shim
-//!    build checks the production code (DESIGN.md §12).
+//! 4. **No std atomics outside the facade** — facade-covered crates
+//!    ([`FACADE_CRATES`]) may not name `std::sync::atomic` or
+//!    `core::sync::atomic` (spelled out or inside a `sync::{..}` group);
+//!    their atomics come from `loom_shim::facade` so the `pathcas_loom`
+//!    build checks the production code (DESIGN.md §12).  Registration
+//!    atomics that must stay invisible to the model scheduler waive the
+//!    line.
 //!
 //! Test code is skipped: `#[cfg(test)]`-gated modules (brace-tracked),
 //! files under `tests/`, and the `models.rs` model suites (compiled only
@@ -39,7 +41,7 @@ pub const CONTEXT_LINES: usize = 12;
 /// epoch shim carries the record manager every structure allocates from.
 pub const VENDORED_SOURCES: &[&str] = &["vendor/crossbeam-epoch/src"];
 
-/// Crates whose atomics must go through their `sync.rs` facade so the
+/// Crates whose atomics must come from `loom_shim::facade` so the
 /// `pathcas_loom` build model-checks the production source.
 pub const FACADE_CRATES: &[&str] = &["kcas", "telemetry"];
 
@@ -273,12 +275,10 @@ impl TestModTracker {
 
 fn analyze_file(path: &Path, krate: &str, text: &str, out: &mut Vec<Violation>) {
     let fname = file_name(path);
-    // The model suites are compiled only under cfg(all(test, pathcas_loom));
-    // the per-crate facades re-export std::sync::atomic by design.
+    // The model suites are compiled only under cfg(all(test, pathcas_loom)).
     if fname == "models.rs" {
         return;
     }
-    let is_facade_file = fname == "sync.rs";
     let lines: Vec<&str> = text.lines().collect();
     let codes: Vec<String> = lines.iter().map(|l| code_of(l)).collect();
     let mut tracker = TestModTracker::new();
@@ -307,8 +307,7 @@ fn analyze_file(path: &Path, krate: &str, text: &str, out: &mut Vec<Violation>) 
             });
         }
 
-        if !is_facade_file
-            && code.contains("Ordering::Relaxed")
+        if code.contains("Ordering::Relaxed")
             && !justified(&lines, i, "ordering:")
             && !allowed(raw, Rule::Ordering)
         {
@@ -332,21 +331,35 @@ fn analyze_file(path: &Path, krate: &str, text: &str, out: &mut Vec<Violation>) 
             });
         }
 
-        if facade_crate
-            && !is_facade_file
-            && code.contains("std::sync::atomic")
-            && !allowed(raw, Rule::Facade)
+        if facade_crate && names_std_atomics(code) && !allowed(raw, Rule::Facade)
         {
             out.push(Violation {
                 file: path.to_path_buf(),
                 line: lineno,
                 rule: Rule::Facade,
                 message: format!(
-                    "direct `std::sync::atomic` use in facade-covered crate `{krate}` (import through `crate::sync` so the pathcas_loom build checks this code)"
+                    "direct std atomics use in facade-covered crate `{krate}` (import through `loom_shim::facade` so the pathcas_loom build checks this code)"
                 ),
             });
         }
     }
+}
+
+/// Does this (comment- and string-stripped) line name the std atomics:
+/// `std::sync::atomic` / `core::sync::atomic`, or `atomic` inside a
+/// `std::sync::{..}` / `core::sync::{..}` group?
+fn names_std_atomics(code: &str) -> bool {
+    ["std::sync::", "core::sync::"].iter().any(|root| {
+        code.match_indices(root).any(|(at, _)| {
+            let rest = &code[at + root.len()..];
+            rest.starts_with("atomic")
+                || rest.strip_prefix('{').is_some_and(|group| {
+                    group
+                        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                        .any(|word| word == "atomic")
+                })
+        })
+    })
 }
 
 /// Does this (comment- and string-stripped) line introduce an unsafe block,
@@ -397,6 +410,10 @@ mod tests {
     fn relaxed_needs_ordering_comment() {
         let bad = "fn f(a: &AtomicU64) {\n    a.load(Ordering::Relaxed);\n}\n";
         assert_eq!(run("telemetry", bad).len(), 1);
+        // No file name is exempt, `sync.rs` included.
+        let mut in_sync_rs = Vec::new();
+        analyze_file(Path::new("sync.rs"), "kcas", bad, &mut in_sync_rs);
+        assert_eq!(in_sync_rs.len(), 1, "{in_sync_rs:#?}");
         let good = "fn f(a: &AtomicU64) {\n    // ORDERING: Relaxed - diagnostic only.\n    a.load(Ordering::Relaxed);\n}\n";
         assert!(run("telemetry", good).is_empty());
     }
@@ -416,9 +433,19 @@ mod tests {
 
     #[test]
     fn facade_bypass_flagged_in_facade_crates_only() {
-        let src = "use std::sync::atomic::AtomicU64;\n";
-        assert_eq!(run("kcas", src).len(), 1);
-        assert!(run("shard", src).is_empty());
+        for src in [
+            "use std::sync::atomic::AtomicU64;\n",
+            "use core::sync::atomic::AtomicU64;\n",
+            "use std::sync::{atomic::AtomicU64, Mutex};\n",
+            "use std::sync::{Mutex, atomic::{AtomicU64, Ordering}};\n",
+        ] {
+            assert_eq!(run("kcas", src).len(), 1, "{src}");
+            assert!(run("shard", src).is_empty(), "{src}");
+        }
+        let other_sync = "use std::sync::{Mutex, OnceLock};\nuse std::sync::Arc;\n";
+        assert!(run("kcas", other_sync).is_empty());
+        let waived = "use std::sync::atomic::AtomicUsize; // xtask: allow(facade)\n";
+        assert!(run("kcas", waived).is_empty());
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn clean_seeded_tree_reports_nothing() {
         &root,
         "crates/kcas/src/lib.rs",
         concat!(
-            "use crate::sync::AtomicU64;\n\n",
+            "use loom_shim::facade::AtomicU64;\n\n",
             "fn f() {\n",
             "    // SAFETY: g is called under the conditions its contract names.\n",
             "    unsafe { g() }\n",
@@ -63,11 +63,6 @@ fn clean_seeded_tree_reports_nothing() {
             "    fn t() {\n        unsafe { g() }\n    }\n",
             "}\n",
         ),
-    );
-    write(
-        &root,
-        "crates/kcas/src/sync.rs",
-        "pub(crate) use std::sync::atomic::AtomicU64;\n",
     );
     write(
         &root,
