@@ -1,7 +1,6 @@
 //! Read-only replicas: bootstrap from a checkpoint, tail the stream.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
 
 use mapapi::{ConcurrentMap, Key, MapStats, Value};
 
@@ -124,17 +123,18 @@ impl ConcurrentMap for Follower {
 
 /// Tail `log` into `follower` until `stop` is set **and** the log is
 /// drained — the in-process subscriber loop (the wire version lives in the
-/// `server` crate).  Run it on a dedicated thread; it owns the follower's
-/// apply stream.
+/// `server` crate).  It catches up, then sleeps [`ChangeLog::POLL`]; `stop`
+/// is read before the catch-up, so everything appended before `stop` was
+/// set is applied before it returns.  Run it on a dedicated thread; it owns
+/// the follower's apply stream.
 pub fn tail_log(log: &ChangeLog, follower: &Follower, stop: &AtomicBool) {
     loop {
-        let batch = log.wait_from(follower.applied_seqno(), 4096, Duration::from_millis(20));
-        if batch.is_empty() && stop.load(Ordering::Acquire) {
+        let last = stop.load(Ordering::Acquire);
+        follower.catch_up(log);
+        if last {
             return;
         }
-        for (seq, ev) in batch {
-            follower.apply(seq, ev);
-        }
+        std::thread::sleep(ChangeLog::POLL);
     }
 }
 

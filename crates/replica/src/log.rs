@@ -1,6 +1,11 @@
 //! The sequence-numbered change stream.
+//!
+//! Subscribers pull: each reads everything after its own resume point with
+//! [`ChangeLog::read_from`] and, when that comes back empty, waits
+//! [`ChangeLog::POLL`] before reading again.  So an append wakes nobody and
+//! makes no system call.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::event::Event;
@@ -19,10 +24,13 @@ use crate::event::Event;
 #[derive(Default)]
 pub struct ChangeLog {
     events: Mutex<Vec<Event>>,
-    grew: Condvar,
 }
 
 impl ChangeLog {
+    /// How long an idle subscriber waits before it reads the log again: the
+    /// most a pull-based subscriber adds to a write's delivery latency.
+    pub const POLL: Duration = Duration::from_millis(10);
+
     /// An empty log (seqno 0).
     pub fn new() -> ChangeLog {
         ChangeLog::default()
@@ -42,8 +50,6 @@ impl ChangeLog {
         // Set under the lock: appenders store their seqnos in log order, so
         // the gauge never goes backwards.
         gauge.set(seq);
-        drop(events);
-        self.grew.notify_all();
         seq
     }
 
@@ -55,21 +61,7 @@ impl ChangeLog {
     /// Up to `max` events after seqno `after`, paired with their sequence
     /// numbers.  Empty when the log has nothing newer.
     pub fn read_from(&self, after: u64, max: usize) -> Vec<(u64, Event)> {
-        Self::slice(&self.events.lock().unwrap(), after, max)
-    }
-
-    /// Like [`ChangeLog::read_from`], but blocks up to `timeout` for new
-    /// events when nothing is newer than `after`.  May return empty on
-    /// timeout — subscribers loop, re-checking their own stop conditions.
-    pub fn wait_from(&self, after: u64, max: usize, timeout: Duration) -> Vec<(u64, Event)> {
-        let mut events = self.events.lock().unwrap();
-        if events.len() as u64 <= after {
-            (events, _) = self.grew.wait_timeout(events, timeout).unwrap();
-        }
-        Self::slice(&events, after, max)
-    }
-
-    fn slice(events: &[Event], after: u64, max: usize) -> Vec<(u64, Event)> {
+        let events = self.events.lock().unwrap();
         let start = (after as usize).min(events.len());
         events[start..]
             .iter()
@@ -106,21 +98,5 @@ mod tests {
         assert_eq!(log.read_from(99, 100), vec![]);
         // `max` caps the batch.
         assert_eq!(log.read_from(0, 2).len(), 2);
-    }
-
-    #[test]
-    fn wait_from_wakes_on_append() {
-        let log = std::sync::Arc::new(ChangeLog::new());
-        let waiter = {
-            let log = log.clone();
-            std::thread::spawn(move || log.wait_from(0, 10, Duration::from_secs(5)))
-        };
-        // Give the waiter a moment to block, then publish.
-        std::thread::sleep(Duration::from_millis(20));
-        log.append(Event::Put(5, 5));
-        let got = waiter.join().unwrap();
-        assert_eq!(got, vec![(1, Event::Put(5, 5))]);
-        // And an already-satisfied wait returns immediately.
-        assert_eq!(log.wait_from(0, 10, Duration::from_millis(1)).len(), 1);
     }
 }

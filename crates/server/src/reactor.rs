@@ -42,10 +42,11 @@
 //! `tests/reactor_faults.rs`.
 //!
 //! **Streaming.**  `SUBSCRIBE` flips a session's mode: instead of
-//! decoding requests, the loop polls the change log (bounded 10 ms epoll
-//! timeout while any subscriber exists) and stages `EVENTS` frames
-//! whenever the previous batch has fully drained — the in-flight batch is
-//! the natural backpressure bound.
+//! decoding requests, it follows the change log.  While any subscriber
+//! exists the epoll timeout is [`ChangeLog::POLL`], and after every wakeup
+//! each streaming session pulls its next `EVENTS` batch
+//! ([`Session::pull_events`], which also holds the backpressure rule) and
+//! the loop writes it.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -57,9 +58,9 @@ use std::thread::JoinHandle;
 
 use epoll_shim::{Epoll, Events, Interest, WakeFd};
 use mapapi::ConcurrentMap;
+use replica::ChangeLog;
 
 use crate::metrics::metrics;
-use crate::proto::MAX_EVENTS_PER_FRAME;
 use crate::session::Session;
 use crate::srv::ServerOpts;
 
@@ -72,11 +73,6 @@ const TOK_CONN0: u64 = 2;
 
 /// Kernel events drained per `epoll_wait` call.
 const WAIT_EVENTS: usize = 256;
-
-/// Epoll timeout while any subscribed connection exists: the change-log
-/// poll cadence (the threaded backend's condvar wait is 50 ms; the reactor
-/// polls faster because one timeout serves every subscriber).
-const STREAM_POLL_MS: i32 = 10;
 
 /// The epoll-backend server handle.
 pub(crate) struct ReactorServer {
@@ -170,7 +166,7 @@ impl ReactorLoop {
     fn run(&mut self) {
         let mut events = Events::with_capacity(WAIT_EVENTS);
         loop {
-            let timeout = if self.streaming > 0 { Some(STREAM_POLL_MS) } else { None };
+            let timeout = (self.streaming > 0).then_some(ChangeLog::POLL.as_millis() as i32);
             // The `epoll_wait` below is this backend's readiness wait; its
             // duration is charged, once, to the first frame decoded out of
             // this wakeup (if that frame is sampled) — a whole burst paid
@@ -226,7 +222,7 @@ impl ReactorLoop {
             // A wakeup that delivered events is the unit the batching story
             // is told in: frames-per-wakeup is the depth the pipeline
             // actually achieved (recorded only when frames arrived, so the
-            // 10 ms streaming polls don't bury the distribution in zeros).
+            // streaming polls don't bury the distribution in zeros).
             if any {
                 metrics().reactor_wakeups.inc();
             }
@@ -271,26 +267,13 @@ impl ReactorLoop {
         }
     }
 
-    /// Stage the next `EVENTS` batch on every subscriber whose previous
-    /// batch has fully drained — the in-flight frame is the backpressure
-    /// bound, so a stalled subscriber costs one batch of memory, not an
-    /// unbounded queue.
+    /// Write the next `EVENTS` batch of every subscriber whose session
+    /// pulls one.  A sampled batch is one `deliver` span; its flush charges
+    /// no request.
     fn pump_streams(&mut self) {
         debug_assert!(self.dead.is_empty());
-        let Some(log) = &self.opts.log else { return };
         for (&token, conn) in &mut self.conns {
-            let Some(after) = conn.session.streaming_after() else { continue };
-            if !conn.session.staged().is_empty() {
-                continue;
-            }
-            let entries = log.read_from(after, MAX_EVENTS_PER_FRAME);
-            if entries.is_empty() {
-                continue;
-            }
-            // A sampled batch is one `deliver` span; its flush charges no
-            // request.
-            conn.session.stage_events(entries);
-            if flush(conn, &self.epoll, token) {
+            if conn.session.pull_events() && flush(conn, &self.epoll, token) {
                 self.dead.push(token);
             }
         }

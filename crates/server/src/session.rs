@@ -14,8 +14,9 @@
 //!    decoder) or [`Session::feed`] — then [`Session::process`] executes
 //!    every complete frame buffered, appending the responses to the staged
 //!    output;
-//! 2. a subscribed session is handed change-stream batches with
-//!    [`Session::stage_events`];
+//! 2. a subscribed session stages its next change-stream batch in
+//!    [`Session::pull_events`], asked after a write and every
+//!    [`ChangeLog::POLL`] while the log is idle;
 //! 3. the driver writes [`Session::staged`] however its I/O model writes,
 //!    reports progress with [`Session::wrote`] and the attempt's start with
 //!    [`Session::flushed`].
@@ -38,14 +39,15 @@
 //! append can charge its `commit` span to it.
 
 use std::io;
+use std::sync::Arc;
 
 use mapapi::{ConcurrentMap, Key, Value, MAX_KEY};
-use replica::Event;
+use replica::ChangeLog;
 use telemetry::trace::{
     self, PHASE_DECODE, PHASE_DELIVER, PHASE_FLUSH, PHASE_KCAS, PHASE_READY, PHASE_RESP,
 };
 
-use crate::proto::{self, FrameDecoder, Request, Response, MAX_SCAN_LEN};
+use crate::proto::{self, FrameDecoder, Request, Response, MAX_EVENTS_PER_FRAME, MAX_SCAN_LEN};
 use crate::srv::{Backend, ServerOpts};
 
 /// Rejection for write verbs on a read-only server.
@@ -63,9 +65,9 @@ const OUT_RETAIN_BYTES: usize = 4 + 1 + 4 + 16 * mapapi::SCAN_RETAIN_PAIRS;
 enum Mode {
     /// Decoding requests, staging responses.
     Request,
-    /// `SUBSCRIBE`d: the driver feeds it `EVENTS` batches past this seqno,
-    /// and anything the peer still sends is dropped (the protocol allows
-    /// nothing after `SUBSCRIBE`).
+    /// `SUBSCRIBE`d: [`Session::pull_events`] stages the log's events past
+    /// this seqno, and anything the peer still sends is dropped (the
+    /// protocol allows nothing after `SUBSCRIBE`).
     Streaming { after: u64 },
 }
 
@@ -82,7 +84,8 @@ pub struct Session {
     /// is staged, on a hostile length prefix, and by [`Session::close`].
     closing: bool,
     read_only: bool,
-    has_log: bool,
+    /// The change stream a `SUBSCRIBE` follows, if the server has one.
+    log: Option<Arc<ChangeLog>>,
     backend: Backend,
     /// The sampled `deliver` span of the staged `EVENTS` batch, as
     /// `(trace id, start)`; recorded when that batch has fully drained.
@@ -117,7 +120,7 @@ impl Session {
             mode: Mode::Request,
             closing: false,
             read_only: opts.read_only,
-            has_log: opts.log.is_some(),
+            log: opts.log.clone(),
             backend: opts.backend,
             deliver: None,
             flush: None,
@@ -180,7 +183,7 @@ impl Session {
                 t
             });
             let reply = match decoded {
-                Ok(Request::Subscribe(after)) if self.has_log => {
+                Ok(Request::Subscribe(after)) if self.log.is_some() => {
                     // Pipelined responses ahead of the subscription stay
                     // staged and drain before the first EVENTS frame.
                     // Anything after SUBSCRIBE is undefined by the
@@ -232,15 +235,23 @@ impl Session {
         }
     }
 
-    /// Stage one `EVENTS` batch on a subscribed session and move its resume
-    /// point past the batch's last entry.  Each batch is an op in the
-    /// sampler's stream: a sampled one records a single `deliver` span from
-    /// here until the driver reports the batch fully written.
-    pub fn stage_events(&mut self, entries: Vec<(u64, Event)>) {
-        let Some(&(last, _)) = entries.last() else { return };
+    /// On a subscribed session whose staged output has drained, stage the
+    /// log's next `EVENTS` batch (≤ [`MAX_EVENTS_PER_FRAME`] events), move
+    /// the resume point past it, and return whether there was one.  The
+    /// unwritten batch is the backpressure bound: a subscriber that stops
+    /// reading costs one batch of memory.  A sampled batch records one
+    /// `deliver` span from here until the driver reports it fully written.
+    pub fn pull_events(&mut self) -> bool {
+        let (Mode::Streaming { after }, Some(log)) = (&self.mode, &self.log) else { return false };
+        if !self.staged().is_empty() {
+            return false;
+        }
+        let entries = log.read_from(*after, MAX_EVENTS_PER_FRAME);
+        let Some(&(last, _)) = entries.last() else { return false };
         self.mode = Mode::Streaming { after: last };
         self.deliver = trace::should_sample().map(|t| (t, trace::now_ns()));
         proto::encode_response(&Response::Events(entries), &mut self.out);
+        true
     }
 
     /// The staged bytes not yet written, oldest first.

@@ -20,23 +20,22 @@
 //! a [`ConcurrentMap`], so handler threads hit it concurrently exactly like
 //! in-process worker threads do.
 //!
-//! Handlers block in plain reads with **no read timeout** — a frame split
-//! across TCP segments can take as long as it takes.  [`Server::shutdown`]
-//! unblocks them by shutting the sockets down: blocked reads return
-//! EOF/reset, every thread exits, and `shutdown` returns only after the
-//! last join.
+//! Handlers serving requests block in plain reads with **no read timeout** —
+//! a frame split across TCP segments can take as long as it takes; a
+//! subscribed handler's reads time out every [`ChangeLog::POLL`], its cue to
+//! pull the log again.  [`Server::shutdown`] unblocks them by shutting the
+//! sockets down: blocked reads return EOF/reset, every thread exits, and
+//! `shutdown` returns only after the last join.
 
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use mapapi::ConcurrentMap;
 use replica::ChangeLog;
 
-use crate::proto::MAX_EVENTS_PER_FRAME;
 use crate::session::Session;
 
 /// Optional server roles beyond plain KV serving.
@@ -281,18 +280,23 @@ fn serve_conn(
         session.process(map, &mut ready);
         write_staged(&mut session, &mut stream)?;
     }
-    // The subscribed half of a connection: push `EVENTS` frames as the log
-    // grows, until the peer disconnects (surfaced as a write error) or the
-    // server shuts down.  The bounded wait keeps the loop responsive to
-    // shutdown without busy-spinning on an idle log.
-    let Some(log) = &opts.log else { return Ok(()) };
-    while let Some(after) = session.streaming_after() {
-        if shutdown.load(Ordering::Acquire) {
-            break;
+    // The subscribed half: write each `EVENTS` batch the session pulls,
+    // until the peer hangs up or the server shuts down.  With nothing to
+    // pull, wait in a read bounded by `ChangeLog::POLL`: EOF ends the
+    // connection, bytes the peer sends are dropped by `process`, and a
+    // timeout means "pull again".
+    stream.set_read_timeout(Some(ChangeLog::POLL))?;
+    while session.streaming_after().is_some() && !shutdown.load(Ordering::Acquire) {
+        if session.pull_events() {
+            write_staged(&mut session, &mut stream)?;
+            continue;
         }
-        let entries = log.wait_from(after, MAX_EVENTS_PER_FRAME, Duration::from_millis(50));
-        session.stage_events(entries);
-        write_staged(&mut session, &mut stream)?;
+        match session.fill_from(&mut stream) {
+            Ok(0) => break,
+            Ok(_) => _ = session.process(map, &mut None),
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
+            Err(e) => return Err(e),
+        }
     }
     Ok(())
 }

@@ -7,10 +7,10 @@ use std::sync::Arc;
 
 use mapapi::ConcurrentMap;
 use pathcas_ds::PathCasAvl;
-use replica::ReplicatedMap;
+use replica::{Event, ReplicatedMap};
 use server::proto::{decode_response, encode_request, encode_response};
 use server::session::{Session, NO_LOG_MSG, READ_ONLY_MSG};
-use server::{Backend, Request, Response, ServerOpts, MAX_FRAME};
+use server::{Backend, Request, Response, ServerOpts, MAX_EVENTS_PER_FRAME, MAX_FRAME};
 
 fn opts(backend: Backend) -> ServerOpts {
     ServerOpts { log: None, read_only: false, backend, reactor_threads: 1 }
@@ -180,13 +180,14 @@ fn subscribe_with_a_log_keeps_earlier_responses_staged_and_flips_to_streaming() 
         encode_response(&Response::Put(true), &mut expect);
         assert_eq!(s.staged(), expect, "responses ahead of SUBSCRIBE must stay staged");
 
-        // The driver feeds batches; the EVENTS frame queues behind them and
-        // the resume point moves past the batch.
-        let entries = map.log().read_from(1, 16);
-        assert_eq!(entries.len(), 1);
-        s.stage_events(entries.clone());
+        // The first batch is pulled once they have drained, and the resume
+        // point moves past it.
+        assert!(!s.pull_events(), "a batch staged behind unwritten responses");
+        s.wrote(expect.len());
+        assert!(s.pull_events());
         assert_eq!(s.streaming_after(), Some(2));
-        encode_response(&Response::Events(entries), &mut expect);
+        let mut expect = Vec::new();
+        encode_response(&Response::Events(vec![(2, Event::Put(2, 20))]), &mut expect);
         assert_eq!(s.staged(), expect);
 
         // Input on a subscribed session is dropped, not executed.
@@ -196,6 +197,63 @@ fn subscribe_with_a_log_keeps_earlier_responses_staged_and_flips_to_streaming() 
         s.staged().to_vec()
     });
     assert_eq!(threads, reactor, "the backend tag changed the staged bytes");
+}
+
+/// The backpressure bound: a session stages its next `EVENTS` batch only once
+/// the previous one has been written, and at most `MAX_EVENTS_PER_FRAME`
+/// events at a time.
+#[test]
+fn pull_events_stages_one_batch_at_a_time_and_only_once_the_last_has_drained() {
+    let [threads, reactor] = Backend::ALL.map(|backend| {
+        let map = Arc::new(ReplicatedMap::new(Box::new(PathCasAvl::new())));
+        let total = MAX_EVENTS_PER_FRAME as u64 + 5;
+        for k in 1..=total {
+            map.insert(k, k);
+        }
+        let mut s = Session::new(&ServerOpts { log: Some(map.log()), ..opts(backend) });
+        assert!(!s.pull_events(), "a session that has not subscribed pulls nothing");
+        s.feed(&frames(&[Request::Subscribe(0)]));
+        assert_eq!(s.process(&*map, &mut None), 1);
+        assert!(s.staged().is_empty());
+
+        let mut written = Vec::new();
+        assert!(s.pull_events());
+        assert_eq!(s.streaming_after(), Some(MAX_EVENTS_PER_FRAME as u64));
+        let first = s.staged().len();
+        assert!(!s.pull_events(), "a second batch staged behind an unwritten one");
+        written.extend_from_slice(&s.staged()[..3]);
+        s.wrote(3);
+        assert!(!s.pull_events(), "a second batch staged behind a partly written one");
+        assert_eq!(s.staged().len(), first - 3);
+        written.extend_from_slice(s.staged());
+        s.wrote(first - 3);
+
+        assert!(s.pull_events(), "the drained batch frees the next");
+        assert_eq!(s.streaming_after(), Some(total));
+        written.extend_from_slice(s.staged());
+        s.wrote(s.staged().len());
+        assert!(!s.pull_events(), "an idle log has nothing to pull");
+        assert!(s.staged().is_empty());
+
+        map.remove(1);
+        assert!(s.pull_events());
+        assert_eq!(s.streaming_after(), Some(total + 1));
+        written.extend_from_slice(s.staged());
+        written
+    });
+    assert_eq!(threads, reactor, "the backend tag changed the staged bytes");
+    let batches: Vec<Vec<(u64, Event)>> = responses(&threads)
+        .into_iter()
+        .map(|r| match r {
+            Response::Events(entries) => entries,
+            other => panic!("expected EVENTS, got {other:?}"),
+        })
+        .collect();
+    let sizes: Vec<usize> = batches.iter().map(Vec::len).collect();
+    assert_eq!(sizes, [MAX_EVENTS_PER_FRAME, 5, 1]);
+    let seqnos: Vec<u64> = batches.iter().flatten().map(|&(seq, _)| seq).collect();
+    assert!(seqnos.iter().copied().eq(1..=MAX_EVENTS_PER_FRAME as u64 + 6), "seqnos not dense");
+    assert_eq!(batches[2], [(MAX_EVENTS_PER_FRAME as u64 + 6, Event::Del(1))]);
 }
 
 #[test]

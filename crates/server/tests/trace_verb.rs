@@ -14,7 +14,7 @@
 mod common;
 
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use common::{for_each_backend, start_on};
 use mapapi::reference::LockedBTreeMap;
@@ -158,13 +158,23 @@ fn trace_expositions_are_differential_across_backends() {
         while delivered < 5 {
             delivered += sub.next_events().expect("event batch").len();
         }
-        let text = conn.trace().expect("TRACE");
+        // A batch's deliver span ends when the server's write returns, which
+        // can be after the subscriber has already read the batch: ask again
+        // until it shows, within a deadline.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let text = loop {
+            let text = conn.trace().expect("TRACE");
+            if text.contains("phase=deliver") || Instant::now() > deadline {
+                break text;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
         telemetry::trace::set_sample_every(telemetry::trace::DEFAULT_SAMPLE_EVERY);
 
         assert!(text.contains("phase=commit"), "no commit span recorded:\n{text}");
         assert!(text.contains("phase=deliver"), "no deliver span recorded:\n{text}");
-        // The TRACE round trip above saw a deliver span, so its duration
-        // is in the phase sum by now.
+        // The TRACE round trip above saw a deliver span, and a span's
+        // duration is added to its phase sum before the span is retained.
         let deliver_after = telemetry::value("trace_deliver_ns_sum").expect("tracer registered");
         assert!(deliver_after > deliver_before, "trace_deliver_ns_sum did not move over {delivered} events");
 

@@ -284,6 +284,7 @@ fn analyze_file(path: &Path, krate: &str, text: &str, out: &mut Vec<Violation>) 
     let mut tracker = TestModTracker::new();
     let facade_crate = FACADE_CRATES.contains(&krate);
     let no_unwrap_crate = NO_UNWRAP_CRATES.contains(&krate);
+    let mut sync_group = 0;
 
     for (i, code) in codes.iter().enumerate() {
         let in_test = tracker.feed(code);
@@ -331,8 +332,7 @@ fn analyze_file(path: &Path, krate: &str, text: &str, out: &mut Vec<Violation>) 
             });
         }
 
-        if facade_crate && names_std_atomics(code) && !allowed(raw, Rule::Facade)
-        {
+        if facade_crate && names_std_atomics(code, &mut sync_group) && !allowed(raw, Rule::Facade) {
             out.push(Violation {
                 file: path.to_path_buf(),
                 line: lineno,
@@ -347,19 +347,43 @@ fn analyze_file(path: &Path, krate: &str, text: &str, out: &mut Vec<Violation>) 
 
 /// Does this (comment- and string-stripped) line name the std atomics:
 /// `std::sync::atomic` / `core::sync::atomic`, or `atomic` inside a
-/// `std::sync::{..}` / `core::sync::{..}` group?
-fn names_std_atomics(code: &str) -> bool {
-    ["std::sync::", "core::sync::"].iter().any(|root| {
-        code.match_indices(root).any(|(at, _)| {
-            let rest = &code[at + root.len()..];
-            rest.starts_with("atomic")
-                || rest.strip_prefix('{').is_some_and(|group| {
-                    group
-                        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-                        .any(|word| word == "atomic")
-                })
-        })
-    })
+/// `std::sync::{..}` / `core::sync::{..}` group?  `group` is the brace depth
+/// of a group still open at the end of the previous line (0: none), so a
+/// group spread over several lines is read as one.
+fn names_std_atomics(code: &str, group: &mut usize) -> bool {
+    let mut hit = false;
+    let mut rest = code;
+    while let Some(c) = rest.chars().next() {
+        if *group == 0 {
+            if let Some(after) =
+                ["std::sync::", "core::sync::"].iter().find_map(|root| rest.strip_prefix(root))
+            {
+                hit |= after.starts_with("atomic");
+                if let Some(inner) = after.strip_prefix('{') {
+                    *group = 1;
+                    rest = inner;
+                } else {
+                    rest = after;
+                }
+                continue;
+            }
+        } else {
+            let word =
+                rest.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(rest.len());
+            if word > 0 {
+                hit |= &rest[..word] == "atomic";
+                rest = &rest[word..];
+                continue;
+            }
+            match c {
+                '{' => *group += 1,
+                '}' => *group -= 1,
+                _ => {}
+            }
+        }
+        rest = &rest[c.len_utf8()..];
+    }
+    hit
 }
 
 /// Does this (comment- and string-stripped) line introduce an unsafe block,
@@ -438,12 +462,19 @@ mod tests {
             "use core::sync::atomic::AtomicU64;\n",
             "use std::sync::{atomic::AtomicU64, Mutex};\n",
             "use std::sync::{Mutex, atomic::{AtomicU64, Ordering}};\n",
+            // A group spread over lines is one group.
+            "use std::sync::{\n    atomic::AtomicU64,\n    Mutex,\n};\n",
         ] {
             assert_eq!(run("kcas", src).len(), 1, "{src}");
             assert!(run("shard", src).is_empty(), "{src}");
         }
-        let other_sync = "use std::sync::{Mutex, OnceLock};\nuse std::sync::Arc;\n";
-        assert!(run("kcas", other_sync).is_empty());
+        for other_sync in [
+            "use std::sync::{Mutex, OnceLock};\nuse std::sync::Arc;\n",
+            // The group ends at its closing brace.
+            "use std::sync::{\n    Arc,\n    Mutex,\n};\nmod atomic {}\n",
+        ] {
+            assert!(run("kcas", other_sync).is_empty(), "{other_sync}");
+        }
         let waived = "use std::sync::atomic::AtomicUsize; // xtask: allow(facade)\n";
         assert!(run("kcas", waived).is_empty());
     }
