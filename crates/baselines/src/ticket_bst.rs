@@ -273,52 +273,64 @@ impl TicketBst {
         }
     }
 
-    fn stats_impl(&self) -> MapStats {
-        let mut stats = MapStats::default();
-        // SAFETY: stats run quiescently; the root sentinel lives until Drop.
-        let root: &Node = unsafe { &*self.root };
-        let mut stack: Vec<(u64, u64)> = vec![(ptr_to_word(root), 0)];
-        while let Some((word, depth)) = stack.pop() {
+    /// Quiescent pre-order walk over every node, sentinels included (no
+    /// concurrent updates may be running).  The work list is explicit: keys
+    /// inserted in order make the tree a spine as deep as it is large, which
+    /// must not be walked on the call stack.
+    fn for_each_node(&self, mut f: impl FnMut(&Node, &Place)) {
+        let root = ptr_to_word(self.root);
+        let mut work = vec![Place { word: root, depth: 0, low: 0, high: u64::MAX as u128 + 1 }];
+        while let Some(at) = work.pop() {
             // SAFETY: quiescent traversal — every reachable word is a valid
-            // node pointer owned by the tree.
-            let node = unsafe { &*(word as usize as *const Node) };
-            stats.node_count += 1;
-            stats.approx_bytes += slab::SLOT_BYTES as u64;
-            if node.is_leaf() {
-                if node.key < KEY_INF1 {
-                    stats.key_count += 1;
-                    stats.key_sum += node.key as u128;
-                    stats.key_depth_sum += depth;
-                }
-            } else {
-                stack.push((node.left.load(Ordering::Acquire), depth + 1));
-                stack.push((node.right.load(Ordering::Acquire), depth + 1));
+            // node pointer owned by the tree (the root sentinel lives until
+            // Drop, and an internal node's two children are never NIL).
+            let node = unsafe { &*(at.word as usize as *const Node) };
+            f(node, &at);
+            if !node.is_leaf() {
+                let (depth, key) = (at.depth + 1, node.key as u128);
+                let left = node.left.load(Ordering::Acquire);
+                let right = node.right.load(Ordering::Acquire);
+                work.push(Place { word: left, depth, low: at.low, high: key });
+                work.push(Place { word: right, depth, low: key, high: at.high });
             }
         }
+    }
+
+    fn stats_impl(&self) -> MapStats {
+        let mut stats = MapStats::default();
+        self.for_each_node(|node, at| {
+            stats.node_count += 1;
+            stats.approx_bytes += slab::SLOT_BYTES as u64;
+            if node.is_leaf() && node.key < KEY_INF1 {
+                stats.key_count += 1;
+                stats.key_sum += node.key as u128;
+                stats.key_depth_sum += at.depth;
+            }
+        });
         stats
     }
 
     /// Quiescent invariant check: external-BST routing property (left subtree
     /// keys < routing key ≤ right subtree keys) and no reachable marked node.
     pub fn check_invariants(&self) {
-        // `low` is inclusive, `high` is exclusive (u128 so that the +inf
-        // sentinel leaf has a representable upper bound).
-        fn walk(word: u64, low: u128, high: u128) {
-            // SAFETY: invariant checks run quiescently; each reachable word
-            // is a valid node pointer owned by the tree.
-            let node = unsafe { &*(word as usize as *const Node) };
+        self.for_each_node(|node, at| {
             assert!(!node.marked.load(Ordering::Acquire), "reachable node is marked");
+            let (key, low, high) = (node.key as u128, at.low, at.high);
             if node.is_leaf() {
-                let key = node.key as u128;
-                assert!(key >= low && key < high, "leaf {} outside [{low},{high})", node.key);
-                return;
+                assert!(key >= low && key < high, "leaf {key} outside [{low},{high})");
             }
-            walk(node.left.load(Ordering::Acquire), low, node.key as u128);
-            walk(node.right.load(Ordering::Acquire), node.key as u128, high);
-        }
-        // SAFETY: the root sentinel lives until Drop.
-        walk(ptr_to_word(unsafe { &*self.root }), 0, u64::MAX as u128 + 1);
+        });
     }
+}
+
+/// Where a quiescent walk found a node: its word, its depth below the root,
+/// and the key range `[low, high)` of the subtree it roots (`u128`, so the
+/// +inf sentinel leaf has a representable upper bound).
+struct Place {
+    word: u64,
+    depth: u64,
+    low: u128,
+    high: u128,
 }
 
 impl ConcurrentMap for TicketBst {
@@ -345,19 +357,10 @@ impl ConcurrentMap for TicketBst {
 impl Drop for TicketBst {
     fn drop(&mut self) {
         let mut words = Vec::new();
-        let mut work = vec![ptr_to_word(self.root)];
-        while let Some(word) = work.pop() {
-            if word == NIL {
-                continue;
-            }
-            // SAFETY: `&mut self` proves exclusive access; every word in the
-            // tree is a live node it allocated from the slab.
-            let node = unsafe { &*(word as usize as *const Node) };
-            work.push(node.left.load(Ordering::Acquire));
-            work.push(node.right.load(Ordering::Acquire));
-            words.push(word);
-        }
-        // SAFETY: as above; each node is reached, and so freed, once.
+        self.for_each_node(|_, at| words.push(at.word));
+        // SAFETY: `&mut self` proves exclusive access; every word collected
+        // is a live node the tree allocated from the slab, reached once and
+        // freed once.
         unsafe { slab::free_all(&mut words) };
     }
 }
@@ -422,5 +425,32 @@ mod tests {
         let t = TicketBst::new();
         check_scan_against_oracle(&t, 256, 0x71C7);
         t.check_invariants();
+    }
+
+    #[test]
+    fn quiescent_walks_survive_degenerate_shapes_on_a_small_stack() {
+        // Ascending keys make the tree a right spine, descending keys a left
+        // spine (a recursive walk's left call is never a tail call), each
+        // as deep as it is large.
+        fn check(keys: impl Iterator<Item = u64>) {
+            let t = TicketBst::new();
+            let mut n = 0;
+            for k in keys {
+                assert!(t.insert(k, k));
+                n += 1;
+            }
+            t.check_invariants();
+            assert_eq!(t.stats().key_count, n);
+            drop(t);
+        }
+        std::thread::Builder::new()
+            .stack_size(128 * 1024)
+            .spawn(|| {
+                check(1..=4000u64);
+                check((1..=4000u64).rev());
+            })
+            .expect("spawn the small-stack thread")
+            .join()
+            .expect("small-stack thread panicked");
     }
 }

@@ -361,34 +361,40 @@ impl McmsBst {
         }
     }
 
-    fn stats_impl(&self) -> MapStats {
-        let mut stats =
-            MapStats { node_count: 2, approx_bytes: 2 * slab::SLOT_BYTES as u64, ..Default::default() };
-        // SAFETY: stats run quiescently (per the `load_quiescent` contract);
-        // the sentinel is live and no writer can race this read.
+    /// Quiescent pre-order walk over every non-sentinel node, with its word
+    /// and its depth below the root (no concurrent updates may be running).
+    /// The work list is explicit: keys inserted in order make the tree a
+    /// spine as deep as it is large, which must not be walked on the call
+    /// stack.
+    fn for_each_node(&self, mut f: impl FnMut(u64, &Node, u64)) {
+        // SAFETY: the sentinel is live until Drop, and by the quiescence
+        // contract no writer can race this read.
         let root = unsafe { (*self.min_root).right.load_quiescent() };
-        let mut stack: Vec<(u64, u64)> = Vec::new();
-        if root != NIL {
-            stack.push((root, 0));
-        }
-        while let Some((word, depth)) = stack.pop() {
+        let mut work = vec![(root, 0)];
+        while let Some((word, depth)) = work.pop() {
+            if word == NIL {
+                continue;
+            }
             // SAFETY: quiescent traversal — every reachable word is a valid
             // node pointer owned by the tree.
             let node = unsafe { &*(word as usize as *const Node) };
+            f(word, node, depth);
+            work.push((node.left.load_quiescent(), depth + 1));
+            work.push((node.right.load_quiescent(), depth + 1));
+        }
+    }
+
+    fn stats_impl(&self) -> MapStats {
+        let node_bytes = slab::SLOT_BYTES as u64;
+        let mut stats =
+            MapStats { node_count: 2, approx_bytes: 2 * node_bytes, ..Default::default() };
+        self.for_each_node(|_, node, depth| {
             stats.node_count += 1;
-            stats.approx_bytes += slab::SLOT_BYTES as u64;
+            stats.approx_bytes += node_bytes;
             stats.key_count += 1;
             stats.key_sum += node.key.load_quiescent() as u128;
             stats.key_depth_sum += depth;
-            let l = node.left.load_quiescent();
-            let r = node.right.load_quiescent();
-            if l != NIL {
-                stack.push((l, depth + 1));
-            }
-            if r != NIL {
-                stack.push((r, depth + 1));
-            }
-        }
+        });
         stats
     }
 }
@@ -416,20 +422,11 @@ impl ConcurrentMap for McmsBst {
 
 impl Drop for McmsBst {
     fn drop(&mut self) {
-        let mut words = Vec::new();
-        let mut work = vec![ptr_to_word(self.max_root)];
-        while let Some(word) = work.pop() {
-            if word == NIL {
-                continue;
-            }
-            // SAFETY: `&mut self` proves exclusive access; every word in the
-            // tree is a live node it allocated from the slab.
-            let node = unsafe { &*(word as usize as *const Node) };
-            work.push(node.left.load_quiescent());
-            work.push(node.right.load_quiescent());
-            words.push(word);
-        }
-        // SAFETY: as above; each node is reached, and so freed, once.
+        let mut words = vec![ptr_to_word(self.max_root), ptr_to_word(self.min_root)];
+        self.for_each_node(|word, _, _| words.push(word));
+        // SAFETY: `&mut self` proves exclusive access; every word collected
+        // is a live node the tree allocated from the slab, collected once
+        // and freed once.
         unsafe { slab::free_all(&mut words) };
     }
 }
@@ -479,5 +476,33 @@ mod tests {
     #[test]
     fn scan_vs_oracle() {
         check_scan_against_oracle(&McmsBst::new(), 192, 0x6C5);
+    }
+
+    #[test]
+    fn quiescent_walks_survive_degenerate_shapes_on_a_small_stack() {
+        // Ascending keys make the tree a right spine, descending keys a left
+        // spine, each as deep as it is large.  Every insert passes its whole
+        // path to MCMS, so a spine of n keys costs n²/2 entries to build:
+        // this one is a quarter of the other trees' spines, on a quarter of
+        // their stack.
+        fn check(keys: impl Iterator<Item = u64>) {
+            let t = McmsBst::new();
+            let mut n = 0;
+            for k in keys {
+                assert!(t.insert(k, k));
+                n += 1;
+            }
+            assert_eq!(t.stats().key_count, n);
+            drop(t);
+        }
+        std::thread::Builder::new()
+            .stack_size(32 * 1024)
+            .spawn(|| {
+                check(1..=1000u64);
+                check((1..=1000u64).rev());
+            })
+            .expect("spawn the small-stack thread")
+            .join()
+            .expect("small-stack thread panicked");
     }
 }

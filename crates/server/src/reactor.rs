@@ -47,10 +47,19 @@
 //! each streaming session pulls its next `EVENTS` batch
 //! ([`Session::pull_events`], which also holds the backpressure rule) and
 //! the loop writes it.
+//!
+//! **Lifetime.**  [`start`] takes the bound listener and returns the loops'
+//! join handles and one wake, which [`Server`](crate::Server) keeps like the
+//! threads backend's acceptor and self-connect.  A loop owns its
+//! connections' sockets and sessions outright: one fd per connection, closed
+//! when the connection is.  At shutdown the wake pulls every loop out of
+//! `epoll_wait`, and a loop that sees the stop flag drops its connections
+//! (clients see EOF/reset) and its share of the listener, so the port stops
+//! accepting with the last loop.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -62,7 +71,7 @@ use replica::ChangeLog;
 
 use crate::metrics::metrics;
 use crate::session::Session;
-use crate::srv::ServerOpts;
+use crate::srv::{ServerOpts, Wake};
 
 /// Token of the shared listener in every reactor thread's epoll set.
 const TOK_LISTENER: u64 = 0;
@@ -74,68 +83,41 @@ const TOK_CONN0: u64 = 2;
 /// Kernel events drained per `epoll_wait` call.
 const WAIT_EVENTS: usize = 256;
 
-/// The epoll-backend server handle.
-pub(crate) struct ReactorServer {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-    wakes: Vec<Arc<WakeFd>>,
-}
-
-impl ReactorServer {
-    pub(crate) fn start(
-        map: Arc<dyn ConcurrentMap>,
-        opts: ServerOpts,
-        addr: impl ToSocketAddrs,
-    ) -> io::Result<ReactorServer> {
-        assert!(opts.reactor_threads >= 1, "a reactor needs at least one thread");
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let listener = Arc::new(listener);
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let mut threads = Vec::new();
-        let mut wakes = Vec::new();
-        for _ in 0..opts.reactor_threads {
-            let wake = Arc::new(WakeFd::new()?);
-            let epoll = Epoll::new()?;
-            epoll.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
-            epoll.add(wake.as_raw_fd(), TOK_WAKE, Interest::READ)?;
-            let mut loop_ = ReactorLoop {
-                epoll,
-                wake: Arc::clone(&wake),
-                listener: Arc::clone(&listener),
-                map: Arc::clone(&map),
-                opts: opts.clone(),
-                shutdown: Arc::clone(&shutdown),
-                conns: HashMap::new(),
-                next_token: TOK_CONN0,
-                streaming: 0,
-                dead: Vec::new(),
-            };
-            wakes.push(wake);
-            threads.push(std::thread::spawn(move || loop_.run()));
-        }
-        Ok(ReactorServer { local_addr, shutdown, threads, wakes })
+/// Start `opts.reactor_threads` event loops sharing `listener`.  Returns the
+/// loops, for [`Server`](crate::Server) to join, and the wake that pulls
+/// every loop out of `epoll_wait` once `shutdown` is set.
+pub(crate) fn start(
+    listener: TcpListener,
+    map: Arc<dyn ConcurrentMap>,
+    opts: ServerOpts,
+    shutdown: &Arc<AtomicBool>,
+) -> io::Result<(Vec<JoinHandle<()>>, Wake)> {
+    assert!(opts.reactor_threads >= 1, "a reactor needs at least one thread");
+    listener.set_nonblocking(true)?;
+    let listener = Arc::new(listener);
+    let mut threads = Vec::new();
+    let mut wakes = Vec::new();
+    for _ in 0..opts.reactor_threads {
+        let wake = Arc::new(WakeFd::new()?);
+        let epoll = Epoll::new()?;
+        epoll.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
+        epoll.add(wake.as_raw_fd(), TOK_WAKE, Interest::READ)?;
+        let mut loop_ = ReactorLoop {
+            epoll,
+            wake: Arc::clone(&wake),
+            listener: Arc::clone(&listener),
+            map: Arc::clone(&map),
+            opts: opts.clone(),
+            shutdown: Arc::clone(shutdown),
+            conns: HashMap::new(),
+            next_token: TOK_CONN0,
+            streaming: 0,
+            dead: Vec::new(),
+        };
+        wakes.push(wake);
+        threads.push(std::thread::spawn(move || loop_.run()));
     }
-
-    pub(crate) fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Flag every loop down, wake them out of `epoll_wait`, and join.
-    /// Dropping the loops closes every connection socket (clients see
-    /// EOF/reset) and the last listener Arc (the port stops accepting).
-    pub(crate) fn shutdown(self) {
-        self.shutdown.store(true, Ordering::Release);
-        for wake in &self.wakes {
-            wake.wake();
-        }
-        for t in self.threads {
-            let _ = t.join();
-        }
-    }
+    Ok((threads, Box::new(move || wakes.iter().for_each(|w| w.wake()))))
 }
 
 /// One connection's entire state — this is what replaces a thread.

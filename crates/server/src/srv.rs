@@ -1,10 +1,10 @@
 //! The server front door — backend selection — plus the threaded backend:
 //! one acceptor thread, one blocking handler thread per connection.
 //!
-//! [`Server`] itself is a thin facade over two interchangeable I/O drivers
-//! around the same sans-I/O [`Session`] — so the wire protocol, request
-//! execution and error behaviour are one piece of code, not two kept alike
-//! (the whole test battery still runs against both; see [`Backend`]):
+//! [`Server`] is one handle over two interchangeable I/O drivers around the
+//! same sans-I/O [`Session`] — so the wire protocol, request execution and
+//! error behaviour are one piece of code, not two kept alike (the whole test
+//! battery still runs against both; see [`Backend`]):
 //!
 //! * **threads** — the driver below: simple, blocking, one OS thread per
 //!   connection;
@@ -20,17 +20,27 @@
 //! a [`ConcurrentMap`], so handler threads hit it concurrently exactly like
 //! in-process worker threads do.
 //!
+//! The acceptor spawns every handler in one [`std::thread::scope`], and a
+//! handler borrows the map and the options from it.  A live connection is
+//! two fds — the handler's stream and one clone the acceptor can reach —
+//! and a handler closes the clone on its way out, so a finished connection
+//! holds no fd and no thread: it waits for neither the next accept nor the
+//! shutdown.
+//!
 //! Handlers serving requests block in plain reads with **no read timeout** —
 //! a frame split across TCP segments can take as long as it takes; a
 //! subscribed handler's reads time out every [`ChangeLog::POLL`], its cue to
-//! pull the log again.  [`Server::shutdown`] unblocks them by shutting the
-//! sockets down: blocked reads return EOF/reset, every thread exits, and
-//! `shutdown` returns only after the last join.
+//! pull the log again.  [`Server::shutdown`] sets the stop flag and wakes the
+//! acceptor with a connection to itself; the acceptor shuts down the sockets
+//! still open (blocked reads return EOF/reset), and leaving the scope joins
+//! every handler.  `shutdown` returns only after the last join.
 
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use mapapi::ConcurrentMap;
@@ -63,9 +73,10 @@ pub struct ServerOpts {
 }
 
 impl Default for ServerOpts {
-    /// No log, writable, the threads backend, and two reactor threads —
-    /// enough that reactor-vs-threads differences in the battery are about
-    /// the model, not parallelism.
+    /// No log, writable, the threads backend (an acceptor plus one scoped
+    /// handler thread per connection), and two reactor threads should the
+    /// caller pick the reactor — enough that reactor-vs-threads differences
+    /// in the battery are about the model, not parallelism.
     fn default() -> ServerOpts {
         ServerOpts { log: None, read_only: false, backend: Backend::Threads, reactor_threads: 2 }
     }
@@ -99,17 +110,24 @@ impl Backend {
 
 /// A running KV service bound to a local address, on either backend.
 ///
+/// Both backends are the same handle: the bound address, a stop flag, the
+/// threads to join, and a way to wake them out of their wait — the threads
+/// backend's acceptor sleeps in `accept` (woken by a connection to itself),
+/// the reactor's loops in `epoll_wait` (woken through their eventfds).
+///
 /// Dropping the handle **without** calling [`Server::shutdown`] detaches the
 /// threads (they keep serving until the process exits); the benches and
 /// tests always shut down explicitly so a clean exit is observable.
 pub struct Server {
-    inner: Inner,
+    local_addr: SocketAddr,
+    backend: Backend,
+    shutdown: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<()>>,
+    wake: Wake,
 }
 
-enum Inner {
-    Threads(ThreadedServer),
-    Reactor(crate::reactor::ReactorServer),
-}
+/// Wakes a server's threads out of their wait, once, at shutdown.
+pub(crate) type Wake = Box<dyn FnOnce() + Send + Sync>;
 
 impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port) and start serving
@@ -131,29 +149,32 @@ impl Server {
         // first connection, so both backends expose the identical name set
         // from their very first METRICS response.
         crate::metrics::metrics();
-        let inner = match opts.backend {
-            Backend::Threads => Inner::Threads(ThreadedServer::start(map, opts, addr)?),
-            Backend::Reactor => {
-                Inner::Reactor(crate::reactor::ReactorServer::start(map, opts, addr)?)
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let backend = opts.backend;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (threads, wake) = match backend {
+            Backend::Threads => {
+                let stop = Arc::clone(&shutdown);
+                let acceptor =
+                    std::thread::spawn(move || accept_loop(&listener, &*map, &opts, &stop));
+                // The acceptor blocks in `accept`: a connection wakes it.
+                let wake: Wake = Box::new(move || _ = TcpStream::connect(local_addr));
+                (vec![acceptor], wake)
             }
+            Backend::Reactor => crate::reactor::start(listener, map, opts, &shutdown)?,
         };
-        Ok(Server { inner })
+        Ok(Server { local_addr, backend, shutdown, threads, wake })
     }
 
     /// The bound address (with the actual port when started on port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.inner {
-            Inner::Threads(s) => s.local_addr,
-            Inner::Reactor(s) => s.local_addr(),
-        }
+        self.local_addr
     }
 
     /// Which backend is serving.
     pub fn backend(&self) -> Backend {
-        match &self.inner {
-            Inner::Threads(_) => Backend::Threads,
-            Inner::Reactor(_) => Backend::Reactor,
-        }
+        self.backend
     }
 
     /// Stop accepting, unblock every connection, and join all threads.
@@ -161,97 +182,50 @@ impl Server {
     /// shutdown" the CI smoke step asserts via the process exit code.
     /// Clients still connected see EOF (or a reset mid-request).
     pub fn shutdown(self) {
-        match self.inner {
-            Inner::Threads(s) => s.shutdown(),
-            Inner::Reactor(s) => s.shutdown(),
-        }
-    }
-}
-
-/// One live connection as the threaded backend tracks it: the handler
-/// thread plus a socket clone used to unblock its reads at shutdown.
-type ConnHandle = (JoinHandle<()>, TcpStream);
-
-/// The thread-per-connection backend.
-struct ThreadedServer {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    /// The live connections.  Each accept first reaps the handlers that have
-    /// finished, so a closed connection's thread and socket clone (an fd) do
-    /// not outlive it by more than one accept.
-    conns: Arc<Mutex<Vec<ConnHandle>>>,
-}
-
-impl ThreadedServer {
-    fn start(
-        map: Arc<dyn ConcurrentMap>,
-        opts: ServerOpts,
-        addr: impl ToSocketAddrs,
-    ) -> io::Result<ThreadedServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<ConnHandle>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let conns = Arc::clone(&conns);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    // The clone shares the socket: shutdown() uses it to
-                    // unblock the handler's blocking reads.
-                    let Ok(peer) = stream.try_clone() else { continue };
-                    crate::metrics::metrics().conns_accepted.inc();
-                    let map = Arc::clone(&map);
-                    let opts = opts.clone();
-                    let shutdown = Arc::clone(&shutdown);
-                    let handle = std::thread::spawn(move || {
-                        let sock = stream.try_clone().ok();
-                        // Protocol errors and broken pipes just end this
-                        // connection; they must not take the server down.
-                        let _ = serve_conn(&*map, stream, &opts, &shutdown);
-                        // The clone parked in `conns` keeps the fd alive
-                        // after this thread drops its handles, so shut the
-                        // socket down explicitly — the peer must see EOF
-                        // when its connection is done, not when the whole
-                        // server shuts down.
-                        if let Some(sock) = sock {
-                            let _ = sock.shutdown(Shutdown::Both);
-                        }
-                    });
-                    let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
-                    for (finished, _peer) in conns.extract_if(.., |(h, _)| h.is_finished()) {
-                        let _ = finished.join();
-                    }
-                    conns.push((handle, peer));
-                }
-            })
-        };
-
-        Ok(ThreadedServer { local_addr, shutdown, acceptor: Some(acceptor), conns })
-    }
-
-    /// Stop accepting, unblock every handler, and join all threads.
-    fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::Release);
-        // Unblock the acceptor's blocking `incoming()`.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        let handles =
-            std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()));
-        for (handle, stream) in handles {
-            // Blocked reads in the handler return EOF/reset immediately.
-            let _ = stream.shutdown(Shutdown::Both);
-            let _ = handle.join();
+        (self.wake)();
+        for t in self.threads {
+            let _ = t.join();
         }
     }
+}
+
+/// The threads backend's acceptor: one handler thread per connection, all
+/// spawned in one scope, so returning joins every handler.  `open` holds each
+/// live connection's socket clone; its handler removes it, and so closes the
+/// socket, on the way out (unwinding included), and at shutdown the acceptor
+/// shuts down the clones still open, which unblocks their handlers' reads.
+fn accept_loop(
+    listener: &TcpListener,
+    map: &dyn ConcurrentMap,
+    opts: &ServerOpts,
+    shutdown: &AtomicBool,
+) {
+    let open: Mutex<HashMap<u64, TcpStream>> = Mutex::default();
+    let lock = || open.lock().unwrap_or_else(PoisonError::into_inner);
+    std::thread::scope(|scope| {
+        for (id, stream) in (0u64..).zip(listener.incoming()) {
+            if shutdown.load(Ordering::Acquire) {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            let Ok(peer) = stream.try_clone() else { continue };
+            crate::metrics::metrics().conns_accepted.inc();
+            lock().insert(id, peer);
+            scope.spawn(move || {
+                // Protocol errors, broken pipes and panics just end this
+                // connection; they must not take the server down.
+                let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                    serve_conn(map, stream, opts, shutdown)
+                }));
+                drop(lock().remove(&id));
+            });
+        }
+        for peer in lock().values() {
+            // Blocked reads in the handler return EOF/reset immediately.
+            let _ = peer.shutdown(Shutdown::Both);
+        }
+    });
 }
 
 /// Serve one connection until EOF, shutdown (surfaced as EOF/reset on the

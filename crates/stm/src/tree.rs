@@ -384,68 +384,46 @@ impl<S: Stm> TxTree<S> {
 
     // --- quiescent inspection ---------------------------------------------
 
+    /// Quiescent pre-order walk over every node, with its word and its depth
+    /// below the root (no transaction may be running).  The work list is
+    /// explicit: the unbalanced tree's degenerate shapes are as deep as they
+    /// are large and must not be walked on the call stack.
+    fn for_each_node(&self, mut f: impl FnMut(u64, &Node, u64)) {
+        let mut work = vec![(self.root.load_quiescent(), 0)];
+        while let Some((word, depth)) = work.pop() {
+            if word == NIL {
+                continue;
+            }
+            let n = node(word);
+            f(word, n, depth);
+            work.push((n.left.load_quiescent(), depth + 1));
+            work.push((n.right.load_quiescent(), depth + 1));
+        }
+    }
+
     fn stats(&self) -> MapStats {
         let mut stats = MapStats::default();
-        let root = self.root.load_quiescent();
-        let mut stack: Vec<(u64, u64)> = Vec::new();
-        if root != NIL {
-            stack.push((root, 0));
-        }
-        while let Some((word, depth)) = stack.pop() {
-            let n = node(word);
+        self.for_each_node(|_, n, depth| {
             stats.node_count += 1;
             stats.key_count += 1;
             stats.key_sum += n.key.load_quiescent() as u128;
             stats.key_depth_sum += depth;
             stats.approx_bytes += slab::SLOT_BYTES as u64;
-            let l = n.left.load_quiescent();
-            let r = n.right.load_quiescent();
-            if l != NIL {
-                stack.push((l, depth + 1));
-            }
-            if r != NIL {
-                stack.push((r, depth + 1));
-            }
-        }
+        });
         stats
     }
 
     fn actual_height(&self) -> u64 {
-        let mut max_depth = 0;
-        let root = self.root.load_quiescent();
-        let mut stack: Vec<(u64, u64)> = Vec::new();
-        if root != NIL {
-            stack.push((root, 1));
-        }
-        while let Some((word, depth)) = stack.pop() {
-            max_depth = max_depth.max(depth);
-            let n = node(word);
-            let l = n.left.load_quiescent();
-            let r = n.right.load_quiescent();
-            if l != NIL {
-                stack.push((l, depth + 1));
-            }
-            if r != NIL {
-                stack.push((r, depth + 1));
-            }
-        }
-        max_depth
+        let mut height = 0;
+        self.for_each_node(|_, _, depth| height = height.max(depth + 1));
+        height
     }
 }
 
 impl<S: Stm> Drop for TxTree<S> {
     fn drop(&mut self) {
         let mut words = Vec::new();
-        let mut work = vec![self.root.load_quiescent()];
-        while let Some(word) = work.pop() {
-            if word == NIL {
-                continue;
-            }
-            let n = node(word);
-            work.push(n.left.load_quiescent());
-            work.push(n.right.load_quiescent());
-            words.push(word);
-        }
+        self.for_each_node(|word, _, _| words.push(word));
         // SAFETY: `&mut self` (Drop) proves exclusive access; every word is
         // a live node the tree allocated from the slab, reached once.
         unsafe { slab::free_all(&mut words) };
@@ -575,6 +553,31 @@ mod tests {
     fn scan_vs_oracle() {
         check_scan_against_oracle(&TxBst::new(Norec::new()), 128, 0x51);
         check_scan_against_oracle(&TxAvl::new(Tl2::new()), 128, 0x52);
+    }
+
+    #[test]
+    fn quiescent_walks_survive_degenerate_shapes_on_a_small_stack() {
+        // Ascending keys make the unbalanced tree a right spine, descending
+        // keys a left spine, each as deep as it is large.
+        fn check(keys: impl Iterator<Item = u64>) {
+            let t = TxBst::new(Norec::new());
+            let mut n = 0;
+            for k in keys {
+                assert!(t.insert(k, k));
+                n += 1;
+            }
+            assert_eq!(t.stats().key_count, n);
+            drop(t);
+        }
+        std::thread::Builder::new()
+            .stack_size(128 * 1024)
+            .spawn(|| {
+                check(1..=4000u64);
+                check((1..=4000u64).rev());
+            })
+            .expect("spawn the small-stack thread")
+            .join()
+            .expect("small-stack thread panicked");
     }
 
     #[test]
