@@ -5,7 +5,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -13,14 +13,24 @@ use std::thread::JoinHandle;
 use mapapi::{ConcurrentMap, Key, MapStats, Value};
 use replica::{Event, Follower};
 
-use crate::proto::{self, Request, Response, MAX_SCAN_LEN};
+use crate::proto::{self, FrameDecoder, Request, Response, MAX_SCAN_LEN};
+use crate::session::OUT_RETAIN_BYTES;
 
-/// One client connection: a buffered request writer and response reader
-/// over a `TcpStream`, supporting single requests and pipelined batches.
+/// One client connection: one `TcpStream`, a request buffer and the
+/// server's own [`FrameDecoder`] for the responses.
+///
+/// Each [`Connection::request`], [`Connection::pipeline`] or
+/// [`Connection::subscribe`] encodes its frames into the request buffer and
+/// writes them with one `write_all`; the buffer's allocation is kept across
+/// calls up to the bound a server session keeps for its staged output, and
+/// given back past it.  Responses are read straight into the decoder's
+/// window and decoded from there, so a warm `request` allocates nothing and
+/// a warm `pipeline` allocates only the `Vec` it returns.
 pub struct Connection {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    scratch: Vec<u8>,
+    stream: TcpStream,
+    /// Encoded requests: empty between calls, allocation retained.
+    out: Vec<u8>,
+    dec: FrameDecoder,
 }
 
 impl Connection {
@@ -28,45 +38,62 @@ impl Connection {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Connection> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Connection {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
-            scratch: Vec::new(),
-        })
+        Ok(Connection { stream, out: Vec::new(), dec: FrameDecoder::new() })
     }
 
-    fn read_response(&mut self) -> io::Result<Response> {
-        if !proto::read_frame(&mut self.reader, &mut self.scratch)? {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection mid-pipeline",
-            ));
+    /// Encode `reqs` and write them in one `write_all`.
+    fn send(&mut self, reqs: &[Request]) -> io::Result<()> {
+        self.out.clear();
+        for req in reqs {
+            proto::encode_request(req, &mut self.out);
         }
-        proto::decode_response(&self.scratch)
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))
+        let sent = self.stream.write_all(&self.out);
+        if self.out.capacity() > OUT_RETAIN_BYTES {
+            self.out = Vec::new();
+        }
+        sent
+    }
+
+    /// The next response, reading from the socket only when the decoder
+    /// holds no complete frame.
+    fn read_response(&mut self) -> io::Result<Response> {
+        loop {
+            match self.dec.next_frame() {
+                Ok(Some(payload)) => return proto::decode_response(payload).map_err(invalid),
+                Ok(None) => {}
+                Err(msg) => return Err(invalid(msg)),
+            }
+            match self.dec.fill_from(&mut self.stream) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "server closed the connection mid-pipeline",
+                    ))
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Send one request and wait for its response.
     pub fn request(&mut self, req: &Request) -> io::Result<Response> {
-        let mut buf = Vec::new();
-        proto::encode_request(req, &mut buf);
-        self.writer.write_all(&buf)?;
-        self.writer.flush()?;
+        self.send(std::slice::from_ref(req))?;
         self.read_response()
     }
 
-    /// Send `reqs` as one pipelined burst — every frame written, **one**
-    /// flush — then read the `reqs.len()` responses, which the protocol
-    /// guarantees arrive in request order.  This is the client half of the
-    /// server's batched-response path.
+    /// Send `reqs` as one pipelined burst — every frame encoded into one
+    /// buffer, **one** `write_all` — then read the `reqs.len()` responses,
+    /// which the protocol guarantees arrive in request order.  This is the
+    /// client half of the server's batched-response path.
     pub fn pipeline(&mut self, reqs: &[Request]) -> io::Result<Vec<Response>> {
-        let mut buf = Vec::new();
-        for req in reqs {
-            proto::encode_request(req, &mut buf);
+        self.send(reqs)?;
+        let mut resps = Vec::with_capacity(reqs.len());
+        for _ in reqs {
+            resps.push(self.read_response()?);
         }
-        self.writer.write_all(&buf)?;
-        self.writer.flush()?;
-        (0..reqs.len()).map(|_| self.read_response()).collect()
+        Ok(resps)
     }
 
     /// Pull the server's telemetry exposition (the `METRICS` verb at
@@ -130,10 +157,7 @@ impl Connection {
     /// seqno `after`.  From here on only [`Connection::next_events`] makes
     /// sense; the server answers nothing else on this connection.
     pub fn subscribe(&mut self, after: u64) -> io::Result<()> {
-        let mut buf = Vec::new();
-        proto::encode_request(&Request::Subscribe(after), &mut buf);
-        self.writer.write_all(&buf)?;
-        self.writer.flush()
+        self.send(&[Request::Subscribe(after)])
     }
 
     /// Block for the next `EVENTS` batch on a subscribed connection.
@@ -149,6 +173,12 @@ impl Connection {
             )),
         }
     }
+}
+
+/// A malformed response stream: a hostile length prefix or an undecodable
+/// payload.
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// A follower's wire-side tail: a dedicated thread holding a subscribed
@@ -169,7 +199,7 @@ impl WireTail {
     /// `follower` on a background thread.
     pub fn start(addr: impl ToSocketAddrs, follower: Arc<Follower>) -> io::Result<WireTail> {
         let mut conn = Connection::connect(addr)?;
-        let sock = conn.reader.get_ref().try_clone()?;
+        let sock = conn.stream.try_clone()?;
         conn.subscribe(follower.applied_seqno())?;
         let thread = std::thread::spawn(move || {
             // EOF / reset / shutdown all end the tail; the follower simply

@@ -65,8 +65,9 @@ pub(crate) struct ServerMetrics {
     /// only when a wakeup decoded at least one frame, so idle streaming
     /// polls don't drown the distribution in zeros).
     pub reactor_frames_per_wakeup: Histogram,
-    /// Reactor: `read` syscalls issued (including the final `WouldBlock`
-    /// probe that ends every drain — that read is real work the kernel did).
+    /// Reactor: `read` syscalls issued.  A wakeup reads until a read comes
+    /// back short of its window, so a burst that fits one window costs one;
+    /// a read that returns `WouldBlock`, EOF or an error counts too.
     pub reactor_read_syscalls: Counter,
     /// Reactor: `write` syscalls issued.
     pub reactor_write_syscalls: Counter,

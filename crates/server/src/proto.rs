@@ -410,9 +410,10 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
     Ok(resp)
 }
 
-/// Read one frame's payload into `payload` (cleared first) — the blocking
-/// client's reader, and the oracle the incremental [`FrameDecoder`] (what
-/// the server reads with) is property-tested against.  Returns
+/// Read one frame's payload into `payload` (cleared first) — the raw
+/// blocking reader the socket tests use, and the oracle the incremental
+/// [`FrameDecoder`] (what the server and the client read with) is
+/// property-tested against.  Returns
 /// `Ok(false)` on clean EOF at a frame boundary; propagates any other I/O
 /// error (including mid-frame EOF, surfaced as `UnexpectedEof`).
 pub fn read_frame<R: BufRead>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<bool> {
@@ -437,12 +438,15 @@ pub fn read_frame<R: BufRead>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<bo
 
 /// How many bytes [`FrameDecoder::fill_from`] asks the source for per call.
 /// Big enough that a pipelined burst of point requests arrives in one read;
-/// small enough that a connection's retained buffer stays modest.
+/// small enough that a connection's retained buffer stays modest.  A read
+/// that returns fewer bytes took all the socket held, so the reactor reads
+/// again only after one that filled it.
 pub const READ_CHUNK: usize = 64 << 10;
 
 /// An **incremental** frame decoder: the counterpart of [`read_frame`] for
 /// readers that receive bytes in whatever pieces the network delivers —
-/// every server connection's `Session`, on both backends.
+/// every server connection's `Session`, on both backends, and the client
+/// [`Connection`](crate::Connection).
 ///
 /// Bytes accumulate in one internal buffer ([`FrameDecoder::fill_from`]
 /// reads straight into its tail — no staging copy) and

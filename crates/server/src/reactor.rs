@@ -21,13 +21,16 @@
 //! battery still runs differentially against both
 //! (`tests/common/mod.rs::for_each_backend`).
 //!
-//! **Batching.**  A readability wakeup drains the socket until
-//! `WouldBlock`, lets the session execute every complete frame and stage
-//! all responses, and only then writes — so a pipelined burst of D requests
-//! is answered with one `write` syscall, exactly the depth-D batching win
-//! the threaded backend gets from its read-process-write loop, except here
-//! it compounds across thousands of connections instead of thousands of
-//! threads.
+//! **Batching.**  A readability wakeup reads the socket until a read
+//! fills less than the [`READ_CHUNK`] window it offered, lets the session
+//! execute every complete frame and stage all responses, and only then
+//! writes — so a pipelined burst of D requests costs one `read` and one
+//! `write` syscall.  Every fd is registered level-triggered, so a short read
+//! needs no `WouldBlock` probe after it: bytes, an EOF or a reset that
+//! arrive later are reported by the next `epoll_wait`.  That is the depth-D
+//! batching win the threaded backend gets from its read-process-write loop,
+//! except here it compounds across thousands of connections instead of
+//! thousands of threads.
 //!
 //! **Memory.**  A session's decoder and write queue retain their capacity
 //! across frames — the steady-state read path (fill → decode → execute →
@@ -70,6 +73,7 @@ use mapapi::ConcurrentMap;
 use replica::ChangeLog;
 
 use crate::metrics::metrics;
+use crate::proto::READ_CHUNK;
 use crate::session::Session;
 use crate::srv::{ServerOpts, Wake};
 
@@ -279,9 +283,11 @@ impl ReactorLoop {
     }
 }
 
-/// Drain the socket, letting the session process every complete frame;
-/// adds the number of frames executed to `frames`.  Returns whether the
-/// connection is already dead (reset, or EOF with nothing left to write).
+/// Read the socket until a read comes back short of its [`READ_CHUNK`]
+/// window (or `WouldBlock`), letting the session process every complete
+/// frame; adds the number of frames executed to `frames`.  Returns whether
+/// the connection is already dead (reset, or EOF with nothing left to
+/// write).
 /// `ready` is the wakeup's epoll-wait window, consumed by the first frame
 /// processed in this wakeup (see [`Session::process`]).
 fn handle_readable(
@@ -299,7 +305,15 @@ fn handle_readable(
                 conn.session.close();
                 return conn.session.staged().is_empty();
             }
-            Ok(_) => *frames += conn.session.process(map, ready),
+            Ok(n) => {
+                *frames += conn.session.process(map, ready);
+                // A read that left room in its window took all the socket
+                // held.  The fd is level-triggered, so bytes, an EOF or a
+                // reset that arrive later show up in the next wait.
+                if n < READ_CHUNK {
+                    return false;
+                }
+            }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             // Reset mid-read: the connection is gone, staged output and all.

@@ -58,8 +58,9 @@ pub const NO_LOG_MSG: &str = "no change stream: this server has no log";
 
 /// Most bytes the staged output may keep allocated once drained: the
 /// encoded size of a [`mapapi::SCAN_RETAIN_PAIRS`]-pair `SCAN` response, the
-/// rule the session's scan buffer follows.
-const OUT_RETAIN_BYTES: usize = 4 + 1 + 4 + 16 * mapapi::SCAN_RETAIN_PAIRS;
+/// rule the session's scan buffer follows.  The client's request buffer
+/// keeps to it too.
+pub(crate) const OUT_RETAIN_BYTES: usize = 4 + 1 + 4 + 16 * mapapi::SCAN_RETAIN_PAIRS;
 
 /// What a session is currently doing with its input.
 enum Mode {

@@ -6,12 +6,16 @@
 //!
 //! Each fault runs against **both** serving backends; the reactor must be
 //! exactly as fault-isolated as a thread per connection was.
+//!
+//! The last cases turn it round: a raw listener plays a misbehaving server,
+//! and the client's [`Connection`] must fail with the right error — never
+//! hang, never panic.
 
 mod common;
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{TcpListener, TcpStream};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use common::{for_each_backend, start_on};
@@ -190,4 +194,67 @@ fn a_slow_reader_stalls_only_itself() {
         assert_eq!(slow.request(&Request::Stats).unwrap(), Response::Stats(map.stats()));
         srv.shutdown();
     });
+}
+
+/// Run `pipeline` of `n` GETs against a raw listener that reads the whole
+/// burst (so a close is a FIN, not a reset) and answers with `reply`.  It
+/// then closes the socket, or with `hold_open` keeps it open until the
+/// client has returned.  Returns what `pipeline` returned; fails if that
+/// takes longer than 10 s.
+fn pipeline_against(n: u64, reply: Vec<u8>, hold_open: bool) -> std::io::Result<Vec<Response>> {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let mut burst = vec![0u8; 13 * n as usize]; // 13 bytes per GET frame
+        sock.read_exact(&mut burst).unwrap();
+        sock.write_all(&reply).unwrap();
+        hold_open.then_some(sock)
+    });
+    let (tx, rx) = mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut conn = Connection::connect(addr).unwrap();
+        let reqs: Vec<Request> = (1..=n).map(Request::Get).collect();
+        tx.send(conn.pipeline(&reqs)).unwrap();
+    });
+    let held = server.join().unwrap();
+    let out = rx.recv_timeout(Duration::from_secs(10)).expect("the client hung");
+    drop(held);
+    client.join().expect("the client panicked");
+    out
+}
+
+/// `count` GET responses, `Some(k)` for the k-th.
+fn get_responses(count: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for k in 1..=count {
+        server::proto::encode_response(&Response::Get(Some(k)), &mut bytes);
+    }
+    bytes
+}
+
+#[test]
+fn a_server_that_closes_after_k_of_n_responses_fails_the_pipeline() {
+    let err = pipeline_against(8, get_responses(3), false).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+    // And with all n delivered, the same listener is a working server.
+    let resps = pipeline_against(8, get_responses(8), false).unwrap();
+    assert_eq!(resps, (1..=8).map(|k| Response::Get(Some(k))).collect::<Vec<_>>());
+}
+
+#[test]
+fn a_server_that_closes_mid_frame_fails_the_pipeline() {
+    let mut reply = get_responses(4);
+    reply.truncate(reply.len() - 5);
+    let err = pipeline_against(4, reply, false).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+}
+
+#[test]
+fn a_response_prefix_above_the_ceiling_fails_the_pipeline() {
+    // The socket stays open: the prefix alone must fail the read.
+    let mut reply = get_responses(2);
+    reply.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+    let err = pipeline_against(4, reply, true).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
 }

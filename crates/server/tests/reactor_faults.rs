@@ -270,15 +270,20 @@ fn a_herd_of_slow_readers_stalls_none_of_the_fast_ones() {
 fn a_half_closed_connection_gets_its_tail_of_responses() {
     for_each_backend(|backend| {
         let (srv, _map) = start(backend);
-        // Client writes a burst, then shuts down its write half before
-        // reading anything: the server must still deliver every response
-        // (flush-then-close on EOF), not drop the tail.
-        let reqs: Vec<Request> = (1..=16u64).map(|k| Request::Put(k, k)).collect();
+        // Client writes a 32-frame burst, then shuts down its write half
+        // before reading anything: the server must still deliver every
+        // response (flush-then-close on EOF), not drop the tail.  The burst
+        // and the FIN leave together, so the reactor's one read of the burst
+        // comes back short with the EOF queued behind it; it stops at that
+        // read, and the EOF must still reach it through the next wait, or
+        // the connection never closes and the last read times out.
+        let reqs: Vec<Request> = (1..=32u64).map(|k| Request::Put(k, k)).collect();
         let mut stream = Vec::new();
         for r in &reqs {
             server::proto::encode_request(r, &mut stream);
         }
         let mut raw = TcpStream::connect(srv.local_addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         raw.write_all(&stream).unwrap();
         raw.shutdown(std::net::Shutdown::Write).unwrap();
         let mut reader = std::io::BufReader::new(raw);
@@ -287,7 +292,11 @@ fn a_half_closed_connection_gets_its_tail_of_responses() {
             assert!(server::proto::read_frame(&mut reader, &mut payload).unwrap(), "frame {i}");
             assert_eq!(server::proto::decode_response(&payload).unwrap(), Response::Put(true));
         }
-        assert!(!server::proto::read_frame(&mut reader, &mut payload).unwrap(), "then EOF");
+        assert!(
+            !server::proto::read_frame(&mut reader, &mut payload)
+                .expect("the server must close the connection after the last response"),
+            "then EOF"
+        );
         srv.shutdown();
     });
 }

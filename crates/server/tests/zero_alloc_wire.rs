@@ -11,19 +11,25 @@
 //! A STATS phase then shows the counter is live (each shard's quiescent
 //! `stats()` walk allocates its work stack) — keeping the zeros honest.
 //!
+//! After the raw-socket windows, the client's own contract: a warm
+//! `Connection::pipeline` of 32 GETs allocates exactly once per call (the
+//! `Vec` it returns), and a warm `Connection::request` allocates nothing.
+//!
 //! The measured window also runs with the telemetry layer fully enabled —
 //! per-verb counters, the op latency histogram, reactor syscall counters —
 //! and the registry delta
 //! read *outside* the window must account for exactly the 2000 measured
 //! GETs: instrumentation that is both live and allocation-free is the
-//! zero-overhead claim of DESIGN.md §11.
+//! zero-overhead claim of DESIGN.md §11.  On the reactor it must also count
+//! exactly 2000 `read`s: a wakeup stops at a read that comes back short of
+//! its window, so a round trip pays one `read` and no `WouldBlock` probe.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
 use mapapi::ConcurrentMap;
-use server::{proto, Backend, Request, Server, ServerOpts};
+use server::{proto, Backend, Connection, Request, Response, Server, ServerOpts};
 use telemetry::alloc::{allocations, CountingAllocator};
 
 #[global_allocator]
@@ -79,6 +85,38 @@ fn scan_path_is_allocation_free(sock: &mut TcpStream, backend: &str) {
         "{backend}: every shard's stats() walk allocates its stack (got {delta} allocations over \
          100 ops) — if this fires, the zeros above are not trustworthy"
     );
+}
+
+/// The client half of the contract, on a fresh connection to `srv`: warm,
+/// a 32-GET `pipeline` allocates exactly its returned `Vec` and a `request`
+/// allocates nothing — on the server side too, so the whole process counts.
+fn client_allocation_contract(srv: &Server, backend: &str) {
+    const CALLS: u64 = 500;
+    let mut conn = Connection::connect(srv.local_addr()).unwrap();
+    let burst = [Request::Get(1); 32];
+    // Warm-up: the request buffer, the decoder's read window, and the
+    // server's session for a burst of this size.
+    for _ in 0..256 {
+        conn.pipeline(&burst).unwrap();
+        conn.request(&Request::Get(1)).unwrap();
+    }
+    let before = allocations();
+    for _ in 0..CALLS {
+        let resps = conn.pipeline(&burst).unwrap();
+        assert!(resps.len() == 32 && resps.iter().all(|r| *r == Response::Get(Some(10))));
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, CALLS,
+        "{backend}: a warm 32-GET pipeline must allocate only its returned Vec ({delta} \
+         allocations over {CALLS} calls)"
+    );
+    let before = allocations();
+    for _ in 0..CALLS {
+        assert!(conn.request(&Request::Get(1)).unwrap() == Response::Get(Some(10)));
+    }
+    let delta = allocations() - before;
+    assert_eq!(delta, 0, "{backend}: a warm request must not allocate ({delta} over {CALLS} calls)");
 }
 
 /// One #[test] so no sibling test's bookkeeping can allocate concurrently
@@ -148,13 +186,18 @@ fn reactor_steady_state_get_path_is_allocation_free() {
 
     // The allocation-free window was fully instrumented: every measured
     // GET landed in the per-verb counter, and the reactor's read-syscall
-    // counter moved with the socket traffic.
+    // counter moved by one per round trip — each 13-byte request is one
+    // short read, with no `WouldBlock` probe after it.
     assert_eq!(
         telemetry::value("srv_ops_get_total").unwrap() - gets_before,
         2000,
         "telemetry missed ops inside the zero-alloc window"
     );
-    assert!(telemetry::value("reactor_read_syscalls_total").unwrap() > reads_before);
+    assert_eq!(
+        telemetry::value("reactor_read_syscalls_total").unwrap() - reads_before,
+        2000,
+        "the reactor must pay exactly one read per round trip"
+    );
 
     // The span tracer was live at its default 1-in-64 rate for the whole
     // window — every 64th GET recorded its full phase breakdown — and the
@@ -169,6 +212,7 @@ fn reactor_steady_state_get_path_is_allocation_free() {
     );
 
     scan_path_is_allocation_free(&mut sock, "reactor");
+    client_allocation_contract(&srv, "reactor");
     drop(sock);
     srv.shutdown();
 
@@ -208,6 +252,7 @@ fn reactor_steady_state_get_path_is_allocation_free() {
         "sampler stalled on the threaded backend"
     );
     scan_path_is_allocation_free(&mut sock, "threads");
+    client_allocation_contract(&srv, "threads");
     drop(sock);
     srv.shutdown();
 }
