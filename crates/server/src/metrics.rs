@@ -1,6 +1,7 @@
-//! Server-side telemetry: per-verb counters, the op-latency histogram and
-//! reactor loop instrumentation — plus `render` and `render_trace`, the text
-//! expositions the `METRICS` and `TRACE` verbs answer with.
+//! Server-side telemetry: per-verb counters, the op-latency histogram of
+//! the trace-sampled ops and reactor loop instrumentation — plus `render`
+//! and `render_trace`, the text expositions the `METRICS` and `TRACE` verbs
+//! answer with.
 //!
 //! Everything here is process-global (the same striped counters no matter
 //! how many `Server`s a test process starts), so readers work in *deltas*:
@@ -57,7 +58,9 @@ static VERBS: [Verb; 10] = [
 pub(crate) struct ServerMetrics {
     /// Connections accepted, both backends.
     pub conns_accepted: Counter,
-    /// Wall time per executed op, nanoseconds.
+    /// Wall time per executed op the trace sampler admitted, nanoseconds:
+    /// the same window as the op's `kcas` span.  Empty while sampling is
+    /// off.
     pub op_ns: Histogram,
     /// Reactor: `epoll_wait` returns that delivered at least one event.
     pub reactor_wakeups: Counter,
@@ -136,10 +139,9 @@ fn opcode(req: &Request) -> usize {
     }
 }
 
-/// Account one executed request: its latency in the histogram and one
-/// tick of its verb's counter.  Zero heap allocations.
-pub(crate) fn record_op(req: &Request, ns: u64) {
-    metrics().op_ns.record(ns);
+/// Account one executed request: one tick of its verb's counter.  Zero
+/// heap allocations.
+pub(crate) fn record_op(req: &Request) {
     VERBS[opcode(req)].ops.inc();
 }
 

@@ -26,14 +26,16 @@
 //! whatever the chunking and whichever [`Backend`] tag it carries —
 //! `tests/session.rs` asserts exactly that, with no sockets.
 //!
-//! **Timing.**  The session stamps every span itself, from explicit
-//! [`trace::now_ns`] reads: two around `execute` for an ordinary frame (its
-//! `srv_op_ns`); for a trace-sampled one, also two around decode and two
-//! around encode, from which it records the `ready`, `decode`, `kcas` and
-//! `resp` spans.  Each span is stamped at its own two ends, so the tracer's
-//! own bookkeeping falls between spans and is charged to no phase.  A driver
-//! measures only its own two windows: the readiness wait it hands to
-//! [`Session::process`], and its write, whose start it hands to
+//! **Timing.**  Only a frame the trace sampler admits is timed: an
+//! unsampled frame reads no clock and records nothing but its verb's
+//! counter.  The session stamps a sampled frame's spans itself, from
+//! explicit [`trace::now_ns`] reads — two around decode, two around
+//! `execute` and two around encode — and records its `ready`, `decode`,
+//! `kcas` and `resp` spans; the `kcas` window is also the frame's
+//! `srv_op_ns` sample.  Each span is stamped at its own two ends, so the
+//! tracer's own bookkeeping falls between spans and is charged to no
+//! phase.  A driver measures only its own two windows: the readiness wait
+//! it hands to [`Session::process`], and its write, whose start it hands to
 //! [`Session::flushed`].  The thread's current trace (`trace::set_current`)
 //! is set only while a sampled frame executes, so the replica's change-log
 //! append can charge its `commit` span to it.
@@ -308,13 +310,15 @@ fn is_write(req: &Request) -> bool {
     matches!(req, Request::Put(..) | Request::Del(..) | Request::Rmw(..))
 }
 
-/// Execute one decoded request against the map.  Every op is timed by two
-/// clock reads and counted (`crate::metrics`).
+/// Execute one decoded request against the map and count it under its
+/// verb (`crate::metrics`).  An unsampled op does nothing else: it reads
+/// no clock.
 ///
 /// A trace-sampled op (`sampled` holds its trace id) runs under the
-/// thread's current trace and records the same window — the structure
-/// execution, shard routing included — as its `kcas` span, with the KCAS
-/// retries and helps the thread tallied meanwhile.
+/// thread's current trace and is timed by two clock reads around the
+/// structure execution, shard routing included.  That one window is its
+/// `kcas` span, with the KCAS retries and helps the thread tallied
+/// meanwhile, and its `srv_op_ns` sample.
 ///
 /// A `SCAN` appends its pairs to `scan` (empty on entry) and answers
 /// [`Reply::Scan`]; every other verb leaves `scan` alone.
@@ -325,19 +329,24 @@ fn execute(
     scan: &mut Vec<(Key, Value)>,
     sampled: Option<u64>,
 ) -> Reply {
-    let tallies = trace::tallies();
-    trace::set_current(sampled);
-    let start = trace::now_ns();
-    let reply = execute_inner(map, req, backend, scan);
-    let ns = trace::now_ns() - start;
-    trace::set_current(None);
-    if let Some(t) = sampled {
-        let (retries, helps) = trace::tallies();
-        let events =
-            trace::pack_events(retries.wrapping_sub(tallies.0), helps.wrapping_sub(tallies.1));
-        trace::record_span(t, PHASE_KCAS, start, ns, events);
-    }
-    crate::metrics::record_op(&req, ns);
+    let reply = match sampled {
+        None => execute_inner(map, req, backend, scan),
+        Some(t) => {
+            let tallies = trace::tallies();
+            trace::set_current(sampled);
+            let start = trace::now_ns();
+            let reply = execute_inner(map, req, backend, scan);
+            let ns = trace::now_ns() - start;
+            trace::set_current(None);
+            let (retries, helps) = trace::tallies();
+            let events =
+                trace::pack_events(retries.wrapping_sub(tallies.0), helps.wrapping_sub(tallies.1));
+            trace::record_span(t, PHASE_KCAS, start, ns, events);
+            crate::metrics::metrics().op_ns.record(ns);
+            reply
+        }
+    };
+    crate::metrics::record_op(&req);
     reply
 }
 

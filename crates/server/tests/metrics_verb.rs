@@ -132,8 +132,20 @@ fn reader_check_reports_an_unread_family() {
     assert_eq!(unread, ["demo_unread_ns"]);
 }
 
+/// Restores the process-global sampling period, even if the test fails.
+struct Restore;
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        telemetry::trace::set_sample_every(telemetry::trace::DEFAULT_SAMPLE_EVERY);
+    }
+}
+
 #[test]
 fn metrics_reconcile_on_both_backends() {
+    // `srv_op_ns` times only the frames the sampler admits: admit them all.
+    let _restore = Restore;
+    telemetry::trace::set_sample_every(1);
     let corpus = reader_corpus();
     let per_backend_names: std::sync::Mutex<Vec<BTreeSet<String>>> = std::sync::Mutex::new(Vec::new());
 
@@ -185,12 +197,19 @@ fn metrics_reconcile_on_both_backends() {
         let exposed: BTreeSet<String> =
             names(&after).into_iter().filter(|n| n.starts_with("srv_ops_")).collect();
         assert_eq!(exposed, counted, "a per-verb counter the reconciliation does not check");
-        // Latency histogram: one sample per executed op (956 traffic ops
-        // plus the baseline METRICS), and this connection was accepted.
-        assert!(
-            metric(&after, "srv_op_ns_count") - metric(&before, "srv_op_ns_count") >= 957,
-            "op latency histogram missed samples"
-        );
+        // Latency histogram: with every frame sampled, one sample per
+        // executed op (956 traffic ops plus the baseline METRICS).
+        let op_samples = metric(&after, "srv_op_ns_count") - metric(&before, "srv_op_ns_count");
+        assert!(op_samples >= 957, "op latency histogram missed samples");
+        // And exactly one per sampled frame.  A METRICS frame is admitted by
+        // the sampler when it is decoded, before it renders, but records its
+        // sample after: each exposition's `trace_sampled_total` counts its
+        // own frame and its `srv_op_ns_count` does not.  Both expositions
+        // are off by that one frame, so the deltas are equal.
+        let sampled =
+            metric(&after, "trace_sampled_total") - metric(&before, "trace_sampled_total");
+        assert_eq!(op_samples, sampled, "srv_op_ns must hold one sample per sampled frame");
+        // This connection was accepted.
         assert!(
             metric(&after, "srv_conns_accepted_total")
                 >= metric(&before, "srv_conns_accepted_total").max(1)

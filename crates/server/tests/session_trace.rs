@@ -1,21 +1,39 @@
-//! How `Session` stamps a request, with no sockets: a pipelined burst fed
-//! to one session with every op sampled must leave
+//! How `Session` stamps a request, with no sockets.  A pipelined burst fed
+//! to one session with sampling off must advance each verb's counter by
+//! its frames and do nothing else: no `srv_op_ns` sample, no span.  The
+//! same burst with every op sampled must leave
 //!
 //! - the driver's readiness wait as the first frame's `ready` span, and a
 //!   zero-length `ready` span on every later frame;
 //! - exactly one `decode`, one `kcas` and one `resp` span per frame, under
 //!   the frame's own trace id;
 //! - one `flush` span per write the driver reports, charged to the burst's
-//!   last frame only.
+//!   last frame only;
+//! - one `srv_op_ns` sample per frame, one per `kcas` span.
 //!
-//! One `#[test]` on purpose: the sampler and the span rings are
-//! process-global.
+//! One `#[test]` on purpose: the sampler, the span rings and the server's
+//! counters are process-global.
 
 use pathcas_ds::PathCasAvl;
 use server::proto::encode_request;
 use server::session::Session;
-use server::{Backend, Request, ServerOpts};
+use server::{Backend, Request, ServerOpts, METRICS_VERSION};
 use telemetry::trace::{self, SpanRecord};
+
+/// The server's per-verb counters the burst below moves, by the count of
+/// its frames of each verb.
+const VERB_FRAMES: [(&str, u64); 5] = [
+    ("srv_ops_put_total", 2),
+    ("srv_ops_get_total", 1),
+    ("srv_ops_rmw_total", 1),
+    ("srv_ops_del_total", 1),
+    ("srv_ops_scan_total", 1),
+];
+
+/// A registered metric's value (a histogram reads as its sample count).
+fn value(name: &str) -> u64 {
+    telemetry::value(name).unwrap_or_else(|| panic!("{name} is not registered"))
+}
 
 /// Restores the process-global sampling period, even if the test fails.
 struct Restore;
@@ -45,8 +63,34 @@ fn a_sampled_burst_is_stamped_once_per_phase_boundary() {
     let mut session =
         Session::new(&ServerOpts { backend: Backend::Reactor, ..ServerOpts::default() });
 
+    // Sampling off.  A METRICS frame registers the server's metric set, as
+    // starting a server does, so the counters can be read by name.
+    trace::clear();
+    trace::set_sample_every(0);
+    let mut metrics_frame = Vec::new();
+    encode_request(&Request::Metrics(METRICS_VERSION), &mut metrics_frame);
+    session.feed(&metrics_frame);
+    assert_eq!(session.process(&map, &mut None), 1);
+    session.wrote(session.staged().len());
+    let verbs_before = VERB_FRAMES.map(|(name, _)| value(name));
+    let op_ns_before = value("srv_op_ns");
+
+    session.feed(&bytes);
+    assert_eq!(session.process(&map, &mut Some((trace::now_ns(), 1))), burst.len() as u64);
+    let write_start = trace::now_ns();
+    session.wrote(session.staged().len());
+    session.flushed(write_start);
+    for ((name, frames), before) in VERB_FRAMES.iter().zip(verbs_before) {
+        assert_eq!(value(name) - before, *frames, "{name} must count every executed frame");
+    }
+    assert_eq!(value("srv_op_ns"), op_ns_before, "an unsampled frame was timed");
+    assert_eq!(trace::sampled_total(), 0);
+    assert_eq!(trace::snapshot(), [], "an unsampled frame recorded a span");
+
+    // Every op sampled.
     trace::clear();
     trace::set_sample_every(1);
+    let op_ns_before = value("srv_op_ns");
 
     let (wait_start, wait_ns) = (trace::now_ns(), 12_345);
     session.feed(&bytes);
@@ -88,4 +132,6 @@ fn a_sampled_burst_is_stamped_once_per_phase_boundary() {
     assert_eq!(flushes.len(), 1, "one write, one flush span: {flushes:?}");
     assert_eq!((flushes[0].trace_id, flushes[0].start_ns), (last, write_start));
     assert_eq!(spans.len(), burst.len() * 4 + 1, "no other span was recorded: {spans:#?}");
+    // The histogram holds the same measurement as the `kcas` spans.
+    assert_eq!(value("srv_op_ns") - op_ns_before, burst.len() as u64, "one sample per kcas span");
 }
