@@ -18,21 +18,23 @@
 //! Ordered semantics survive partitioning through the scan path:
 //! `ShardedMap`'s [`ConcurrentMap::scan_into`] (and so `scan`, its wrapper)
 //! is a **lazy k-way merge over per-shard cursors**, lazy across shards as
-//! well as within them.  Ownership is known without asking a shard, so every
-//! shard starts with a *lower bound*: the first key ≥ `start` in a block it
-//! owns.  A shard that has not been asked yet shows its bound as its head,
-//! and is asked for a bounded chunk of its keys from that bound only when the
-//! bound is the smallest head; a scan that stays inside one or two blocks
-//! therefore asks one or two shards.  A buffered smallest head is emitted
-//! together with every key of its run below all other heads, so a run is
-//! copied out in slices rather than compared pair by pair against every
-//! shard.  A shard whose buffered run is used up
-//! and came back full shows the key after its last one as its bound, and is
-//! asked again the same way; a run that comes back short proves the shard
-//! holds nothing further.  A chunk is sized for the rest of its block, at the
-//! density of present keys the merge has measured, and is never smaller than
-//! the shard's mean share of the pairs still needed plus one standard
-//! deviation, nor larger than what is still needed.
+//! well as within them.  Ownership is known without asking a shard, so a scan
+//! walks blocks up from `start`'s only as far as it needs: the first block
+//! not walked stands in as the head of every shard not yet met, and when it
+//! is the smallest head the walk takes it and meets its owner, whose *bound*
+//! is the block's first key ≥ `start` (after 32 blocks, every shard left
+//! meets there).  A met shard with nothing buffered shows its bound as its
+//! head, and is asked for a bounded chunk of its keys from there only when
+//! that is the smallest head; a scan that stays inside one or two blocks
+//! therefore meets, asks and compares one or two shards, whatever N is.  A
+//! buffered smallest head is emitted together with every key of its run below
+//! all other heads, so a run is copied out in slices rather than pair by
+//! pair.  A shard whose buffered run is used up and came back full shows the
+//! key after its last one as its bound; a run that comes back short proves
+//! the shard holds nothing further.  A chunk is sized for the rest of its
+//! block, at the density of present keys the merge has measured, and is never
+//! smaller than the shard's mean share of the pairs still needed plus one
+//! standard deviation, nor larger than what is still needed.
 //!
 //! Every key is owned by exactly one shard, so the merge cannot produce
 //! duplicates; a refill starts above the key just emitted, so the output
@@ -71,7 +73,7 @@
 
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
+use std::{cell::RefCell, cmp::Reverse};
 
 use mapapi::{ConcurrentMap, Key, MapStats, ShardLoad, Value};
 use telemetry::Counter;
@@ -83,8 +85,8 @@ const BLOCK_BITS: u32 = 7;
 const BLOCK: u64 = 1 << BLOCK_BITS;
 /// The index of the block holding `u64::MAX`.
 const LAST_BLOCK: u64 = u64::MAX >> BLOCK_BITS;
-/// How many blocks a scan walks to find its shards' lower bounds.
-const WALK_BLOCKS: usize = 32;
+/// How many blocks a scan walks one by one before it meets every shard left.
+const WALK_BLOCKS: u64 = 32;
 
 /// The shard of `shards` that owns block `block`: Fibonacci hashing (the
 /// block index times 2⁶⁴/φ) reduced onto `[0, shards)` by a multiply-high,
@@ -169,11 +171,14 @@ struct Cursor {
     /// `Some(b)`: the shard may own keys ≥ `b` that were not pulled (and
     /// none below `b`); `None`: it holds nothing beyond its run.
     next: Option<Key>,
+    /// The stamp of the scan that met the shard and set the fields above.
+    met: u64,
 }
 
 /// A shard's head in the merge: a key, and whether it is only the shard's
-/// bound.  The order puts a buffered key before a bound equal to it, since
-/// the shard showing the bound does not own that key.
+/// bound.  A buffered key comes before an equal bound, whose shard does not
+/// own the key; equal bounds go to the frontier, then to the highest shard
+/// index, so pulls come in one order whatever order the shards were met in.
 type Head = (Key, bool);
 
 impl Cursor {
@@ -188,11 +193,14 @@ impl Cursor {
     }
 }
 
-/// A merge's scratch: one cursor per shard, and the density the last merge
-/// that used this table measured (the estimate a scan starts from).
+/// A merge's scratch: one cursor per shard, the shards the current scan
+/// (the `scans`th) has met, and the density the last merge that used this
+/// table measured (the estimate a scan starts from).
 #[derive(Default)]
 struct Table {
     cursors: Vec<Cursor>,
+    met: Vec<usize>,
+    scans: u64,
     density: Density,
 }
 
@@ -259,43 +267,6 @@ impl ShardedMap {
         &*self.shards[i]
     }
 
-    /// Give every shard its lower bound for a scan from `start`, emptying
-    /// the cursors: the first key ≥ `start` in a block it owns, found by
-    /// walking blocks up from `start`'s.  The walk ends when every shard has
-    /// a bound or after [`WALK_BLOCKS`] blocks — the first block not walked
-    /// is then a bound for every shard not yet seen — or at the last block,
-    /// past which a shard not seen owns nothing.  Returns how many shards
-    /// may hold keys ≥ `start`.
-    fn bound(&self, start: Key, cursors: &mut [Cursor]) -> usize {
-        let n = cursors.len();
-        for cursor in cursors.iter_mut() {
-            cursor.run.clear();
-            cursor.pos = 0;
-            cursor.next = None;
-        }
-        let mut found = 0;
-        let (mut block, mut from) = (start >> BLOCK_BITS, start);
-        for _ in 0..WALK_BLOCKS {
-            let next = &mut cursors[block_owner(block, n)].next;
-            if next.is_none() {
-                *next = Some(from);
-                found += 1;
-                if found == n {
-                    return n;
-                }
-            }
-            if block == LAST_BLOCK {
-                return found;
-            }
-            block += 1;
-            from = block << BLOCK_BITS;
-        }
-        for cursor in cursors {
-            cursor.next.get_or_insert(from);
-        }
-        n
-    }
-
     /// Ask shard `i` for its first `chunk` pairs with key ≥ `from`, counting
     /// the inner call and measuring the run into `density`: `cursor`'s run
     /// is cleared and refilled in place.
@@ -350,10 +321,16 @@ impl ConcurrentMap for ShardedMap {
         let mut table = SCRATCH.with_borrow_mut(Vec::pop).unwrap_or_default();
         if table.cursors.len() < n {
             table.cursors.resize_with(n, Cursor::default);
+            table.met.reserve(n);
         }
-        let cursors = &mut table.cursors[..n];
-        // Shards that may hold further keys: bounded, or last run full.
-        let mut live = self.bound(start, cursors);
+        table.scans += 1;
+        table.met.clear();
+        // The first key of the first block not walked: no shard not yet met owns
+        // a key below it, so it is their head (as shard `n`) until all are met or the walk ends.
+        let mut frontier = Some(start);
+        let cap = (start >> BLOCK_BITS) + WALK_BLOCKS;
+        // Shards that may hold further keys: no short run, not past the walk's end.
+        let mut live = n;
         // Chunks are sized from this scan's measurements together with the
         // last merge's on this thread, so the first chunk has an estimate and
         // one tiny room cannot swing the next.
@@ -365,10 +342,11 @@ impl ConcurrentMap for ShardedMap {
         // duplicate-free.
         loop {
             let (mut first, mut second): (Option<(usize, Head)>, Option<Head>) = (None, None);
-            for (i, cursor) in cursors.iter().enumerate() {
-                let Some(head) = cursor.head() else { continue };
+            let met = table.met.iter().map(|&i| (i, table.cursors[i].head()));
+            for (i, head) in met.chain([(n, frontier.map(|f| (f, true)))]) {
+                let Some(head) = head else { continue };
                 match first {
-                    Some((_, smallest)) if smallest < head => {
+                    Some((j, smallest)) if (smallest, Reverse(j)) < (head, Reverse(i)) => {
                         second = Some(second.map_or(head, |s| s.min(head)));
                     }
                     _ => {
@@ -378,7 +356,29 @@ impl ConcurrentMap for ShardedMap {
                 }
             }
             let Some((i, (key, is_bound))) = first else { break };
-            let cursor = &mut cursors[i];
+            if i == n {
+                // The walk takes the frontier's block and meets its owner,
+                // or, past the cap, every shard, at the frontier: a shard not
+                // met before owns no key ≥ `start` below it.
+                let block = key >> BLOCK_BITS;
+                let owner = block_owner(block, n);
+                let meet = if block < cap { owner..owner + 1 } else { 0..n };
+                for j in meet {
+                    let cursor = &mut table.cursors[j];
+                    if cursor.met != table.scans {
+                        cursor.run.clear();
+                        (cursor.pos, cursor.next, cursor.met) = (0, Some(key), table.scans);
+                        table.met.push(j);
+                    }
+                }
+                if block == LAST_BLOCK {
+                    live -= n - table.met.len();
+                }
+                frontier =
+                    (block < LAST_BLOCK && table.met.len() < n).then(|| (block + 1) << BLOCK_BITS);
+                continue;
+            }
+            let cursor = &mut table.cursors[i];
             let need = len - (out.len() - base);
             if is_bound {
                 let estimate = measured.and(table.density);
@@ -403,8 +403,8 @@ impl ConcurrentMap for ShardedMap {
             table.density = measured;
         }
         // One whole-map scan must not pin its runs on this thread for good.
-        for cursor in &mut table.cursors {
-            mapapi::release_oversized(&mut cursor.run);
+        for &i in &table.met {
+            mapapi::release_oversized(&mut table.cursors[i].run);
         }
         SCRATCH.with_borrow_mut(|idle| idle.push(table));
     }
@@ -685,27 +685,42 @@ mod tests {
         assert_eq!(out[1..], expected[..]);
     }
 
-    /// Every shard's bound is the first key at or after the start in a block
-    /// it owns; a shard the walk did not reach is bounded by the first block
-    /// not walked, and one that owns no block up to the last owns nothing.
+    /// A merge's work follows the shards it meets, not N: on 256 shards and
+    /// 50 %-dense keys a scan of `len ≤ 64` pairs covers about `2·len` keys,
+    /// so it meets the owners of the one or two blocks it reaches and asks
+    /// each once — from 128 consecutive starts (every offset in a block),
+    /// from the thread's first scan on.
     #[test]
-    fn bounds_are_each_shards_first_owned_key() {
-        for n in [1usize, 3, 8, 64] {
-            let m = oracle_shards(n);
-            let mut cursors: Vec<Cursor> = (0..n).map(|_| Cursor::default()).collect();
-            for start in [0u64, 1, 1000, 12_345_678, u64::MAX - 5000, u64::MAX - 3] {
-                let live = m.bound(start, &mut cursors);
-                assert_eq!(live, cursors.iter().filter(|c| c.next.is_some()).count());
-                let unwalked = (start >> BLOCK_BITS) + WALK_BLOCKS as u64;
-                for (i, c) in cursors.iter().enumerate() {
-                    let expected = (start..=u64::MAX)
-                        .take_while(|&k| k >> BLOCK_BITS < unwalked)
-                        .find(|&k| m.owner_idx(k) == i)
-                        .or((unwalked <= LAST_BLOCK).then_some(unwalked << BLOCK_BITS));
-                    assert_eq!(c.next, expected, "shard {i} of {n} from {start}");
-                }
+    fn short_scans_meet_only_the_shards_of_their_blocks() {
+        let m = oracle_shards(256);
+        for k in (2..=100_000u64).step_by(2) {
+            m.insert(k, k);
+        }
+        // Inner calls so far per shard, brought up to date for the shards
+        // each scan met; a shard asked without being met shows at the end.
+        let mut seen = vec![0; 256];
+        let mut worst = (0, 0);
+        for len in 1..=64usize {
+            for start in 50_000..50_000 + 128 {
+                let got = m.scan(start, len);
+                let met = SCRATCH.with_borrow(|idle| idle[0].met.clone());
+                let calls: u64 = met
+                    .iter()
+                    .map(|&i| {
+                        m.scan_ops[i].get() - std::mem::replace(&mut seen[i], m.scan_ops[i].get())
+                    })
+                    .sum();
+                let first = start.next_multiple_of(2);
+                assert!(got.iter().map(|p| p.0).eq((0..len as u64).map(|i| first + 2 * i)));
+                assert!(
+                    met.len() <= 2 && calls <= 2,
+                    "scan({start}, {len}) met {met:?}, asked {calls}"
+                );
+                worst = worst.max((met.len(), calls));
             }
         }
+        assert_eq!(scan_calls(&m), seen, "only met shards are asked");
+        assert_eq!(worst, (2, 2), "some scan crossed a block boundary");
     }
 
     /// A full run may end at the largest key, which has no successor to

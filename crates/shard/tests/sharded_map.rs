@@ -94,7 +94,7 @@ fn sharded_scans_that_refill_match_the_oracle() {
 /// A shard that counts what its scans were asked for and what they returned,
 /// and logs every call.
 struct CountingShard {
-    inner: pathcas_ds::PathCasAvl,
+    inner: Box<dyn ConcurrentMap>,
     id: usize,
     tally: Arc<ScanTally>,
 }
@@ -115,11 +115,14 @@ struct Call {
     full_last: Option<Key>,
 }
 
-fn counting_avl(n: usize, tally: &Arc<ScanTally>) -> ShardedMap {
+fn counting(n: usize, tally: &Arc<ScanTally>, inner: fn() -> Box<dyn ConcurrentMap>) -> ShardedMap {
     ShardedMap::from_fn(n, |id| {
-        let inner = pathcas_ds::PathCasAvl::new();
-        Box::new(CountingShard { inner, id, tally: Arc::clone(tally) })
+        Box::new(CountingShard { inner: inner(), id, tally: Arc::clone(tally) })
     })
+}
+
+fn counting_avl(n: usize, tally: &Arc<ScanTally>) -> ShardedMap {
+    counting(n, tally, || Box::new(pathcas_ds::PathCasAvl::new()))
 }
 
 impl ConcurrentMap for CountingShard {
@@ -150,36 +153,81 @@ impl ConcurrentMap for CountingShard {
     }
 }
 
+/// A scan meets the shards lazily, and each shard's first inner call starts
+/// at its bound: its first owned key ≥ `start` in the 32 blocks of 128 keys
+/// from `start`'s, or, owning none of them, the first block past them; a
+/// shard that owns no block from `start`'s to the last is never asked.  Each scan wants more pairs than
+/// the map holds, so it meets every shard it can.  Ownership is read off the
+/// routing: a `get` counts a point op on its key's owner.
+#[test]
+fn first_pulls_start_at_each_shards_first_owned_key() {
+    const LAST_BLOCK: u64 = u64::MAX >> 7;
+    for n in [1usize, 3, 8, 64] {
+        for start in [0u64, 1, 1000, 12_345_678, u64::MAX - 5000, u64::MAX - 3] {
+            let tally = Arc::new(ScanTally::default());
+            let m = counting(n, &tally, || Box::new(LockedBTreeMap::new()));
+            let owner = |k: Key| {
+                let before = m.shard_loads();
+                m.get(k);
+                m.shard_loads().iter().zip(&before).position(|(a, b)| a.point_ops > b.point_ops)
+            };
+            // Keys in the walked blocks and past them, so first pulls return
+            // pairs and some shards refill.
+            let mut keys: Vec<Key> = (0..80).map(|j| start.saturating_add(1 + 97 * j)).collect();
+            keys.dedup();
+            for &k in &keys {
+                m.insert(k, k);
+            }
+            assert_eq!(m.scan(start, usize::MAX), keys.iter().map(|&k| (k, k)).collect::<Vec<_>>());
+
+            let block = start >> 7;
+            let walked: Vec<Key> = (block..block + 32)
+                .take_while(|&b| b <= LAST_BLOCK)
+                .map(|b| start.max(b << 7))
+                .collect();
+            let past = (block + 32 <= LAST_BLOCK).then_some((block + 32) << 7);
+            let log = tally.log.lock().unwrap();
+            for i in 0..n {
+                let expected = walked.iter().copied().find(|&k| owner(k) == Some(i)).or(past);
+                let first = log.iter().find(|c| c.shard == i).map(|c| c.from);
+                assert_eq!(first, expected, "shard {i} of {n} from {start}");
+            }
+        }
+    }
+}
+
 /// The over-read itself: a merged scan of `len` pairs over N shards may read
 /// at most `2·len + 2·N` pairs in at most `2·N` inner calls, whatever `len`
 /// is — asking every shard for `len` reads `N·len`.  Keys are drawn at
 /// random from a sparse range (about one per 420 blocks), so every shard's
 /// bound sits near `start` and the merge asks all of them, as a hash
-/// partition of single keys would.
+/// partition of single keys would — at N = 256 most of them met together
+/// where the block walk stops.
 #[test]
 fn merged_scans_read_little_more_than_they_return() {
-    const N: usize = 8;
-    let tally = Arc::new(ScanTally::default());
-    let m = counting_avl(N, &tally);
-    let oracle = LockedBTreeMap::new();
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    for _ in 0..80_000 {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let k = 1 + (x >> 24) % (1 << 32);
-        assert_eq!(m.insert(k, k), oracle.insert(k, k));
-    }
-    for len in [8usize, 36, 64, 4096] {
-        for i in 0..24u64 {
-            let start = 1 + i * (1 << 27) + i;
-            let got = m.scan(start, len);
-            let [calls, asked, returned] = [&tally.calls, &tally.asked, &tally.returned]
-                .map(|c| c.swap(0, Ordering::Relaxed) as usize);
-            assert_eq!(got, oracle.scan(start, len), "scan({start}, {len})");
-            assert_eq!(got.len(), len, "the range holds more than {len} keys past {start}");
-            assert!(
-                calls <= 2 * N && asked <= 2 * len + 2 * N && returned <= asked,
-                "scan({start}, {len}): {calls} inner calls asked for {asked} pairs, got {returned}"
-            );
+    for n in [8usize, 256] {
+        let tally = Arc::new(ScanTally::default());
+        let m = counting_avl(n, &tally);
+        let oracle = LockedBTreeMap::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..80_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let k = 1 + (x >> 24) % (1 << 32);
+            assert_eq!(m.insert(k, k), oracle.insert(k, k));
+        }
+        for len in [8usize, 36, 64, 4096] {
+            for i in 0..24u64 {
+                let start = 1 + i * (1 << 27) + i;
+                let got = m.scan(start, len);
+                let [calls, asked, returned] = [&tally.calls, &tally.asked, &tally.returned]
+                    .map(|c| c.swap(0, Ordering::Relaxed) as usize);
+                assert_eq!(got, oracle.scan(start, len), "shard{n}: scan({start}, {len})");
+                assert_eq!(got.len(), len, "the range holds more than {len} keys past {start}");
+                assert!(
+                    calls <= 2 * n && asked <= 2 * len + 2 * n && returned <= asked,
+                    "shard{n}: scan({start}, {len}): {calls} inner calls asked for {asked} pairs, got {returned}"
+                );
+            }
         }
     }
 }
@@ -238,8 +286,7 @@ fn cross_shard_scans_are_sorted_and_duplicate_free() {
         for w in got.windows(2) {
             assert!(w[0].0 < w[1].0, "scan({start},{len}) not strictly sorted: {w:?}");
         }
-        let expected: Vec<(u64, u64)> =
-            (start.max(1)..=n).take(len).map(|k| (k, k * 10)).collect();
+        let expected: Vec<(u64, u64)> = (start.max(1)..=n).take(len).map(|k| (k, k * 10)).collect();
         assert_eq!(got, expected, "scan({start},{len}) window mismatch");
     }
     // Sparse keys: gaps force the merge to resume past exhausted runs.
