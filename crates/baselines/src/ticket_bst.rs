@@ -368,64 +368,6 @@ impl Drop for TicketBst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapapi::stress::{prefill, stress_disjoint_stripes, stress_keysum};
-    use mapapi::suites::*;
-    use std::time::Duration;
-
-    #[test]
-    fn basic_semantics() {
-        check_basic_semantics(&TicketBst::new());
-    }
-
-    #[test]
-    fn ordered_patterns() {
-        let t = TicketBst::new();
-        check_ordered_patterns(&t);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn random_vs_oracle() {
-        let t = TicketBst::new();
-        check_random_against_oracle(&t, 6000, 128, 0xD00D);
-        check_stats_consistency(&t, 128);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn stripes_stress() {
-        let t = TicketBst::new();
-        stress_disjoint_stripes(&t, 4, 300);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn keysum_stress_mixed() {
-        let t = TicketBst::new();
-        prefill(&t, 512, 256, 4);
-        stress_keysum(&t, 4, 512, 40, Duration::from_millis(300), 6);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn keysum_stress_update_heavy() {
-        let t = TicketBst::new();
-        prefill(&t, 64, 32, 4);
-        stress_keysum(&t, 4, 64, 100, Duration::from_millis(300), 60);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn scan_semantics() {
-        check_scan_semantics(&TicketBst::new());
-    }
-
-    #[test]
-    fn scan_vs_oracle() {
-        let t = TicketBst::new();
-        check_scan_against_oracle(&t, 256, 0x71C7);
-        t.check_invariants();
-    }
 
     #[test]
     fn quiescent_walks_survive_degenerate_shapes_on_a_small_stack() {

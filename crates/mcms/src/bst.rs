@@ -434,49 +434,6 @@ impl Drop for McmsBst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapapi::stress::{prefill, stress_disjoint_stripes, stress_keysum};
-    use mapapi::suites::*;
-    use std::time::Duration;
-
-    #[test]
-    fn basic_semantics() {
-        check_basic_semantics(&McmsBst::new());
-    }
-
-    #[test]
-    fn ordered_patterns() {
-        check_ordered_patterns(&McmsBst::new());
-    }
-
-    #[test]
-    fn random_vs_oracle() {
-        let t = McmsBst::new();
-        check_random_against_oracle(&t, 5000, 128, 0x31337);
-        check_stats_consistency(&t, 128);
-    }
-
-    #[test]
-    fn stripes_stress() {
-        let t = McmsBst::new();
-        stress_disjoint_stripes(&t, 4, 200);
-    }
-
-    #[test]
-    fn keysum_stress() {
-        let t = McmsBst::new();
-        prefill(&t, 256, 128, 9);
-        stress_keysum(&t, 4, 256, 50, Duration::from_millis(250), 8);
-    }
-
-    #[test]
-    fn scan_semantics() {
-        check_scan_semantics(&McmsBst::new());
-    }
-
-    #[test]
-    fn scan_vs_oracle() {
-        check_scan_against_oracle(&McmsBst::new(), 192, 0x6C5);
-    }
 
     #[test]
     fn quiescent_walks_survive_degenerate_shapes_on_a_small_stack() {

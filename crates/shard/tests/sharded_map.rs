@@ -1,8 +1,9 @@
-//! The full `mapapi` suite battery over sharded compositions — homogeneous
-//! PathCAS shards, oracle shards, and a deliberately mixed set — plus the
-//! dedicated cross-shard-boundary scan tests: the lazy k-way merge must
-//! return globally sorted, duplicate-free results no matter how the keys
-//! scatter over the shards, and must read little more than it returns.
+//! The cross-shard-boundary scan tests: the lazy k-way merge must return
+//! globally sorted, duplicate-free results no matter how the keys scatter
+//! over the shards, and must read little more than it returns — counted by
+//! wrapping each shard in a `CountingShard`.  The generic `mapapi` suites run
+//! on the sharded names (homogeneous, nested, over the oracle, and a mixed
+//! set of four algorithms) in `tests/cross_structure.rs`'s battery.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -14,55 +15,6 @@ use shard::ShardedMap;
 
 fn sharded_avl(n: usize) -> ShardedMap {
     ShardedMap::from_fn(n, |_| Box::new(pathcas_ds::PathCasAvl::new()))
-}
-
-fn sharded_oracle(n: usize) -> ShardedMap {
-    ShardedMap::from_fn(n, |_| Box::new(LockedBTreeMap::new()))
-}
-
-/// Shards of four different algorithms: the aggregation and the scan merge
-/// only rely on the `ConcurrentMap` trait, so a heterogeneous composition
-/// must behave identically to a homogeneous one.
-fn sharded_mixed() -> ShardedMap {
-    ShardedMap::new(vec![
-        Box::new(pathcas_ds::PathCasAvl::new()),
-        Box::new(pathcas_ds::PathCasBst::new()),
-        Box::new(baselines::TicketBst::new()),
-        Box::new(LockedBTreeMap::new()),
-    ])
-}
-
-#[test]
-fn sharded_maps_pass_basic_semantics() {
-    check_basic_semantics(&sharded_avl(8));
-    check_basic_semantics(&sharded_oracle(3));
-    check_basic_semantics(&sharded_mixed());
-}
-
-#[test]
-fn sharded_maps_pass_ordered_patterns() {
-    check_ordered_patterns(&sharded_avl(8));
-    check_ordered_patterns(&sharded_mixed());
-}
-
-#[test]
-fn sharded_maps_match_the_oracle() {
-    check_random_against_oracle(&sharded_avl(8), 3000, 96, 0x5A4D);
-    check_stats_consistency(&sharded_avl(8), 96);
-    check_random_against_oracle(&sharded_mixed(), 3000, 96, 0x5A4E);
-}
-
-#[test]
-fn sharded_maps_pass_scan_semantics() {
-    check_scan_semantics(&sharded_avl(8));
-    check_scan_semantics(&sharded_oracle(5));
-    check_scan_semantics(&sharded_mixed());
-}
-
-#[test]
-fn sharded_scans_match_the_oracle() {
-    check_scan_against_oracle(&sharded_avl(8), 128, 0xD1FF);
-    check_scan_against_oracle(&sharded_mixed(), 128, 0xD200);
 }
 
 /// The differential on a range large enough, with probes long enough (up to
@@ -303,24 +255,4 @@ fn cross_shard_scans_are_sorted_and_duplicate_free() {
     expected.sort_unstable();
     expected.truncate(300);
     assert_eq!(got.iter().map(|&(k, _)| k).collect::<Vec<_>>(), expected);
-}
-
-/// The chunked quiescent audit (the harness runs this after every scan
-/// trial) must hold across shards too.
-#[test]
-fn sharded_full_scan_agrees_with_stats() {
-    let m = sharded_avl(4);
-    for k in (1..=5_000u64).filter(|k| k % 3 != 0) {
-        m.insert(k, k);
-    }
-    check_scan_matches_stats(&m, &m.stats());
-}
-
-/// Multi-threaded keysum validation (Setbench methodology) over the
-/// composition: per-shard linearizability must compose for point ops.
-#[test]
-fn sharded_map_passes_keysum_stress() {
-    let m = sharded_avl(8);
-    mapapi::stress::prefill(&m, 256, 128, 11);
-    mapapi::stress::stress_keysum(&m, 4, 256, 50, std::time::Duration::from_millis(150), 0xABBA);
 }

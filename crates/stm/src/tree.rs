@@ -471,47 +471,6 @@ impl_map!(TxAvl, "int-avl");
 mod tests {
     use super::*;
     use crate::{Norec, Tl2, Tle};
-    use mapapi::stress::{prefill, stress_disjoint_stripes, stress_keysum};
-    use mapapi::suites::*;
-    use std::time::Duration;
-
-    #[test]
-    fn bst_norec_semantics() {
-        let t = TxBst::new(Norec::new());
-        check_basic_semantics(&t);
-        check_ordered_patterns(&TxBst::new(Norec::new()));
-    }
-
-    #[test]
-    fn bst_norec_vs_oracle() {
-        let t = TxBst::new(Norec::new());
-        check_random_against_oracle(&t, 4000, 128, 2);
-        check_stats_consistency(&t, 128);
-    }
-
-    #[test]
-    fn avl_norec_vs_oracle_and_balanced() {
-        let t = TxAvl::new(Norec::new());
-        check_random_against_oracle(&t, 4000, 256, 3);
-        let t = TxAvl::new(Norec::new());
-        for k in 1..=1024u64 {
-            t.insert(k, k);
-        }
-        assert!(t.actual_height() <= 14, "height {}", t.actual_height());
-    }
-
-    #[test]
-    fn avl_tl2_vs_oracle() {
-        let t = TxAvl::new(Tl2::new());
-        check_random_against_oracle(&t, 4000, 128, 4);
-        check_stats_consistency(&t, 128);
-    }
-
-    #[test]
-    fn avl_tle_vs_oracle() {
-        let t = TxAvl::new(Tle::new());
-        check_random_against_oracle(&t, 4000, 128, 5);
-    }
 
     #[test]
     fn names_are_distinct() {
@@ -521,38 +480,22 @@ mod tests {
         assert_eq!(TxAvl::new(Tle::new()).name(), "int-avl-tle");
     }
 
-    #[test]
-    fn avl_norec_stress() {
-        let t = TxAvl::new(Norec::new());
-        prefill(&t, 256, 128, 1);
-        stress_keysum(&t, 4, 256, 50, Duration::from_millis(250), 17);
-    }
-
-    #[test]
-    fn avl_tl2_stress() {
-        let t = TxAvl::new(Tl2::new());
-        prefill(&t, 256, 128, 1);
-        stress_keysum(&t, 4, 256, 50, Duration::from_millis(250), 19);
-    }
-
+    /// `TxBst<Tle>` is no registry name, so the battery in
+    /// `tests/cross_structure.rs` does not reach it; `int-avl-tle` carries the
+    /// rest of the TLE runtime's cases.
     #[test]
     fn bst_tle_stripes() {
         let t = TxBst::new(Tle::new());
-        stress_disjoint_stripes(&t, 4, 200);
+        mapapi::stress::stress_disjoint_stripes(&t, 4, 200);
     }
 
     #[test]
-    fn scan_semantics_all_runtimes() {
-        check_scan_semantics(&TxBst::new(Norec::new()));
-        check_scan_semantics(&TxAvl::new(Norec::new()));
-        check_scan_semantics(&TxAvl::new(Tl2::new()));
-        check_scan_semantics(&TxAvl::new(Tle::new()));
-    }
-
-    #[test]
-    fn scan_vs_oracle() {
-        check_scan_against_oracle(&TxBst::new(Norec::new()), 128, 0x51);
-        check_scan_against_oracle(&TxAvl::new(Tl2::new()), 128, 0x52);
+    fn ascending_inserts_keep_the_avl_balanced() {
+        let t = TxAvl::new(Norec::new());
+        for k in 1..=1024u64 {
+            t.insert(k, k);
+        }
+        assert!(t.actual_height() <= 14, "height {}", t.actual_height());
     }
 
     #[test]
@@ -578,12 +521,5 @@ mod tests {
             .expect("spawn the small-stack thread")
             .join()
             .expect("small-stack thread panicked");
-    }
-
-    #[test]
-    fn avl_norec_all_update_stress() {
-        let t = TxAvl::new(Norec::new());
-        prefill(&t, 64, 32, 1);
-        stress_keysum(&t, 4, 64, 100, Duration::from_millis(200), 23);
     }
 }
