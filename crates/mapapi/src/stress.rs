@@ -8,10 +8,11 @@
 //! insertion it observed succeed minus those whose deletion it observed
 //! succeed; at quiescence the structure must contain exactly that multiset.
 //!
-//! The timed loops also carry a progress oracle: each worker publishes how
-//! many operations it has completed, and once `stop` is raised the run waits
-//! for its workers only while that count moves: one that stands still for
-//! 5 s aborts the process, naming the map and the per-thread counts.
+//! Every multi-threaded loop here also carries a progress oracle: each worker
+//! publishes how many operations it has completed, and the run waits for its
+//! workers (the timed loops, once `stop` is raised) only while that count
+//! moves: one that stands still for 5 s aborts the process, naming the map
+//! and the per-thread counts.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,10 +64,6 @@ pub fn stress_keysum_with<M: ConcurrentMap + ?Sized>(
     seed: u64,
     on_worker_start: &(dyn Fn(usize) + Sync),
 ) -> StressOutcome {
-    let stop = AtomicBool::new(false);
-    let barrier = Barrier::new(threads + 1);
-    let progress: Vec<OpCount> = (0..threads).map(|_| OpCount::default()).collect();
-
     // Account for keys already present (e.g. from a prefill phase).
     let initial = map.stats();
 
@@ -77,48 +74,31 @@ pub fn stress_keysum_with<M: ConcurrentMap + ?Sized>(
         ops: u64,
     }
 
-    let records: Vec<ThreadRecord> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for (t, done) in progress.iter().enumerate() {
-            let stop = &stop;
-            let barrier = &barrier;
-            let map = &*map;
-            handles.push(s.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 * 0x9E37));
-                let mut rec = ThreadRecord::default();
-                on_worker_start(t);
-                barrier.wait();
-                // ORDERING: Relaxed — stop flag polled in a loop; the join
-                // below is the real synchronization point.
-                while !stop.load(Ordering::Relaxed) {
-                    let key = rng.gen_range(1..=key_range);
-                    let roll = rng.gen_range(0..100u32);
-                    if roll < update_percent / 2 {
-                        if map.insert(key, key.wrapping_mul(31)) {
-                            rec.sum += key as i128;
-                            rec.count += 1;
-                        }
-                    } else if roll < update_percent {
-                        if map.remove(key) {
-                            rec.sum -= key as i128;
-                            rec.count -= 1;
-                        }
-                    } else {
-                        let _ = map.get(key);
-                    }
-                    rec.ops += 1;
-                    done.publish(rec.ops);
+    let records = run_workers(map.name(), threads, Some(duration), |t, done, stop| {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 * 0x9E37));
+        let mut rec = ThreadRecord::default();
+        on_worker_start(t);
+        // ORDERING: Relaxed — see `run_workers`.
+        while !stop.load(Ordering::Relaxed) {
+            let key = rng.gen_range(1..=key_range);
+            let roll = rng.gen_range(0..100u32);
+            if roll < update_percent / 2 {
+                if map.insert(key, key.wrapping_mul(31)) {
+                    rec.sum += key as i128;
+                    rec.count += 1;
                 }
-                rec
-            }));
+            } else if roll < update_percent {
+                if map.remove(key) {
+                    rec.sum -= key as i128;
+                    rec.count -= 1;
+                }
+            } else {
+                let _ = map.get(key);
+            }
+            rec.ops += 1;
+            done.publish(rec.ops);
         }
-        barrier.wait();
-        std::thread::sleep(duration);
-        // ORDERING: Relaxed — pairs with the Relaxed poll above; thread join
-        // synchronizes the per-thread records.
-        stop.store(true, Ordering::Relaxed);
-        await_workers(map.name(), &progress, || handles.iter().all(|h| h.is_finished()));
-        handles.into_iter().map(|h| h.join().expect("stress worker panicked")).collect()
+        rec
     });
 
     let expected_sum: i128 = initial.key_sum as i128 + records.iter().map(|r| r.sum).sum::<i128>();
@@ -163,84 +143,94 @@ pub fn stress_scan_into<M: ConcurrentMap + ?Sized>(
     seed: u64,
 ) -> u64 {
     const PREFIX: [(Key, Value); 2] = [(u64::MAX, 1), (0, 2)];
-    let stop = AtomicBool::new(false);
-    let barrier = Barrier::new(writers + scanners + 1);
-    let progress: Vec<OpCount> = (0..writers + scanners).map(|_| OpCount::default()).collect();
     for key in (1..=key_range).step_by(2) {
         assert!(map.insert(key, key.wrapping_mul(31)), "{}: the map must start empty", map.name());
     }
+    let scans = run_workers(map.name(), writers + scanners, Some(duration), |t, done, stop| {
+        let mut ops = 0u64;
+        if t < writers {
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 * 0x9E37));
+            // ORDERING: Relaxed — see `run_workers`.
+            while !stop.load(Ordering::Relaxed) {
+                let key = rng.gen_range(1..=key_range);
+                if rng.gen_bool(0.5) {
+                    map.insert(key, key.wrapping_mul(31));
+                } else {
+                    map.remove(key);
+                }
+                ops += 1;
+                done.publish(ops);
+            }
+            return 0;
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ (0x5CA0 + (t - writers) as u64));
+        let mut out = Vec::new();
+        // ORDERING: Relaxed — as in the writers.
+        while !stop.load(Ordering::Relaxed) {
+            let start = rng.gen_range(1..=key_range);
+            let len = rng.gen_range(1..=(key_range as usize / 2).max(1));
+            out.clear();
+            out.extend_from_slice(&PREFIX);
+            map.scan_into(start, len, &mut out);
+            let name = map.name();
+            assert_eq!(out[..PREFIX.len()], PREFIX, "{name}: scan_into cut into the prefix");
+            let tail = &out[PREFIX.len()..];
+            assert!(tail.len() <= len, "{name}: {} pairs for len {len}", tail.len());
+            assert!(tail.first().is_none_or(|p| p.0 >= start), "{name}: tail starts below {start}");
+            assert!(tail.windows(2).all(|w| w[0].0 < w[1].0), "{name}: tail not ascending");
+            assert!(tail.iter().all(|&(k, v)| v == k.wrapping_mul(31)), "{name}: torn pair");
+            ops += 1;
+            done.publish(ops);
+        }
+        ops
+    });
+    scans.into_iter().sum()
+}
+
+/// Run `worker(t, done, stop)` on `threads` scoped threads, `t` in
+/// `0..threads`, and return what each returns, in order of `t`.  A worker
+/// calls `done.publish(n)` after its `n`th operation.  The workers start
+/// together; with a `window`, `stop` is raised once it has passed, and each
+/// worker must poll it; without one they run to completion.  Either way the
+/// wait for them is under the progress oracle ([`await_workers`]).
+fn run_workers<R: Send>(
+    name: &str,
+    threads: usize,
+    window: Option<Duration>,
+    worker: impl Fn(usize, &OpCount, &AtomicBool) -> R + Sync,
+) -> Vec<R> {
+    let stop = AtomicBool::new(false);
+    let barrier = Barrier::new(threads + 1);
+    let progress: Vec<OpCount> = (0..threads).map(|_| OpCount::default()).collect();
     std::thread::scope(|s| {
-        let (stop, barrier, map) = (&stop, &barrier, &*map);
-        let (writer_counts, scanner_counts) = progress.split_at(writers);
-        let writers: Vec<_> = writer_counts
+        let handles: Vec<_> = progress
             .iter()
             .enumerate()
             .map(|(t, done)| {
+                let (worker, barrier, stop) = (&worker, &barrier, &stop);
                 s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 * 0x9E37));
-                    let mut ops = 0u64;
                     barrier.wait();
-                    // ORDERING: Relaxed — stop flag polled in a loop; the
-                    // scope's join is the synchronization point.
-                    while !stop.load(Ordering::Relaxed) {
-                        let key = rng.gen_range(1..=key_range);
-                        if rng.gen_bool(0.5) {
-                            map.insert(key, key.wrapping_mul(31));
-                        } else {
-                            map.remove(key);
-                        }
-                        ops += 1;
-                        done.publish(ops);
-                    }
-                })
-            })
-            .collect();
-        let scanners: Vec<_> = scanner_counts
-            .iter()
-            .enumerate()
-            .map(|(t, done)| {
-                s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed ^ (0x5CA0 + t as u64));
-                    let mut out = Vec::new();
-                    let mut scans = 0u64;
-                    barrier.wait();
-                    // ORDERING: Relaxed — as in the writers.
-                    while !stop.load(Ordering::Relaxed) {
-                        let start = rng.gen_range(1..=key_range);
-                        let len = rng.gen_range(1..=(key_range as usize / 2).max(1));
-                        out.clear();
-                        out.extend_from_slice(&PREFIX);
-                        map.scan_into(start, len, &mut out);
-                        let name = map.name();
-                        assert_eq!(out[..PREFIX.len()], PREFIX, "{name}: scan_into cut into the prefix");
-                        let tail = &out[PREFIX.len()..];
-                        assert!(tail.len() <= len, "{name}: {} pairs for len {len}", tail.len());
-                        assert!(tail.first().is_none_or(|p| p.0 >= start), "{name}: tail starts below {start}");
-                        assert!(tail.windows(2).all(|w| w[0].0 < w[1].0), "{name}: tail not ascending");
-                        assert!(tail.iter().all(|&(k, v)| v == k.wrapping_mul(31)), "{name}: torn pair");
-                        scans += 1;
-                        done.publish(scans);
-                    }
-                    scans
+                    worker(t, done, stop)
                 })
             })
             .collect();
         barrier.wait();
-        std::thread::sleep(duration);
-        // ORDERING: Relaxed — pairs with the Relaxed polls above.
-        stop.store(true, Ordering::Relaxed);
-        await_workers(map.name(), &progress, || {
-            writers.iter().all(|h| h.is_finished()) && scanners.iter().all(|h| h.is_finished())
-        });
-        writers.into_iter().for_each(|h| h.join().expect("writer panicked"));
-        scanners.into_iter().map(|h| h.join().expect("scanner panicked")).sum()
+        if let Some(window) = window {
+            std::thread::sleep(window);
+            // ORDERING: Relaxed — the workers poll the flag in a loop and
+            // read nothing it publishes; the joins below synchronize what
+            // they return.
+            stop.store(true, Ordering::Relaxed);
+        }
+        await_workers(name, &progress, || handles.iter().all(|h| h.is_finished()));
+        handles.into_iter().map(|h| h.join().expect("stress worker panicked")).collect()
     })
 }
 
-/// How long the workers' summed op count may stand still, after `stop` is
-/// raised, while a worker is still running.  A worker finishes the op it is
-/// in and returns, so a count that stays put this long means an op that
-/// never completes: a livelock, a deadlock or a lost wake-up.
+/// How long the workers' summed op count may stand still while a worker is
+/// still running.  A worker that is not stuck completes an op far sooner
+/// (or returns), so a count that stays put this long means an op that never
+/// completes: a livelock, a deadlock or a lost wake-up.
 const STALL_LIMIT: Duration = Duration::from_secs(5);
 
 /// One worker's count of completed operations, alone on its 128 B (the
@@ -264,11 +254,11 @@ impl OpCount {
     }
 }
 
-/// Wait, after `stop` is raised, until `all_finished` holds.  If the summed
-/// op count of `progress` stands still for [`STALL_LIMIT`] meanwhile, print
-/// `name` and the per-thread counts and abort the process: a panic here
-/// would unwind into `thread::scope`, which would then wait forever on the
-/// stuck workers.
+/// Wait until `all_finished` holds (a timed loop calls this once it has
+/// raised `stop`).  If the summed op count of `progress` stands still for
+/// [`STALL_LIMIT`] meanwhile, print `name` and the per-thread counts and
+/// abort the process: a panic here would unwind into `thread::scope`, which
+/// would then wait forever on the stuck workers.
 fn await_workers(name: &str, progress: &[OpCount], all_finished: impl Fn() -> bool) {
     let sum = || progress.iter().map(OpCount::read).sum::<u64>();
     let (mut last, mut moved_at) = (sum(), Instant::now());
@@ -283,7 +273,7 @@ fn await_workers(name: &str, progress: &[OpCount], all_finished: impl Fn() -> bo
                 // `eprintln!` per test and would lose it with the process.
                 let _ = writeln!(
                     std::io::stderr(),
-                    "{name}: no operation completed for {STALL_LIMIT:?} after stop; per-thread op counts {counts:?}"
+                    "{name}: no operation completed for {STALL_LIMIT:?}; per-thread op counts {counts:?}"
                 );
                 std::process::abort();
             }
@@ -335,30 +325,130 @@ pub fn prefill<M: ConcurrentMap + ?Sized>(map: &M, key_range: Key, target: u64, 
 /// stripe, inserts it, verifies it, deletes half of it, and verifies again.
 /// Catches gross races without any timing dependence.
 pub fn stress_disjoint_stripes<M: ConcurrentMap + ?Sized>(map: &M, threads: usize, keys_per_thread: u64) {
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let map = &*map;
-            s.spawn(move || {
-                let base = t as u64 * keys_per_thread + 1;
-                for k in base..base + keys_per_thread {
-                    assert!(map.insert(k, k * 2), "{}: stripe insert {}", map.name(), k);
-                }
-                for k in base..base + keys_per_thread {
-                    assert_eq!(map.get(k), Some(k * 2));
-                }
-                for k in (base..base + keys_per_thread).step_by(2) {
-                    assert!(map.remove(k), "{}: stripe remove {}", map.name(), k);
-                }
-                for k in base..base + keys_per_thread {
-                    let expect = Some(k * 2).filter(|_| (k - base) % 2 == 1);
-                    assert_eq!(map.get(k), expect, "{}: stripe post-check {}", map.name(), k);
-                }
-            });
+    run_workers(map.name(), threads, None, |t, done, _| {
+        let base = t as u64 * keys_per_thread + 1;
+        let stripe = base..base + keys_per_thread;
+        let mut ops = 0u64;
+        let mut step = || {
+            ops += 1;
+            done.publish(ops);
+        };
+        for k in stripe.clone() {
+            assert!(map.insert(k, k * 2), "{}: stripe insert {}", map.name(), k);
+            step();
+        }
+        for k in stripe.clone() {
+            assert_eq!(map.get(k), Some(k * 2));
+            step();
+        }
+        for k in stripe.clone().step_by(2) {
+            assert!(map.remove(k), "{}: stripe remove {}", map.name(), k);
+            step();
+        }
+        for k in stripe {
+            let expect = Some(k * 2).filter(|_| (k - base) % 2 == 1);
+            assert_eq!(map.get(k), expect, "{}: stripe post-check {}", map.name(), k);
+            step();
         }
     });
     let total = threads as u64 * keys_per_thread;
     let s = map.stats();
     assert_eq!(s.key_count, total / 2, "{}: stripe final count", map.name());
+}
+
+/// The lost-update litmus: `threads` workers each add 1 to one key
+/// `per_thread` times through [`ConcurrentMap::rmw`], and the sum must be
+/// exact.  The trait's composed remove + insert loses increments here.
+/// Worker `t` calls `on_worker_start(t)` first, as in [`stress_keysum_with`].
+/// The map must not hold key 42.
+pub fn stress_rmw_increments<M: ConcurrentMap + ?Sized>(
+    map: &M,
+    threads: usize,
+    per_thread: u64,
+    on_worker_start: &(dyn Fn(usize) + Sync),
+) {
+    const KEY: Key = 42;
+    assert!(map.insert(KEY, 0), "{}: the map must not hold key {KEY}", map.name());
+    run_workers(map.name(), threads, None, |t, done, _| {
+        on_worker_start(t);
+        for ops in 1..=per_thread {
+            map.rmw(KEY, &mut |v| v.unwrap() + 1);
+            done.publish(ops);
+        }
+    });
+    let total = threads as u64 * per_thread;
+    assert_eq!(map.get(KEY), Some(total), "{}: an increment was lost", map.name());
+}
+
+/// The value litmus: a `get` racing a removal must never return another
+/// key's value.  A two-child removal in an internal tree writes the
+/// successor's key and value into the removed node, so a `get` that matched
+/// the key, then read the value after such a commit, would return the
+/// successor's value under the removed key.
+///
+/// Keys `1..=48` go in midpoints first, so that even a tree that does not
+/// rebalance is bushy and most removed nodes have two children; every value
+/// is a fixed function of its key.  Two writers remove and re-insert keys
+/// over the band, out of phase, while two readers assert that each `get(k)`
+/// is `None` or `k`'s own value, for `duration`.  At quiescence every key is
+/// back with its own value.  Workers `0, 1` write and `2, 3` read; worker
+/// `t` calls `on_worker_start(t)` first.  `map` starts empty.
+pub fn stress_values_belong_to_their_keys<M: ConcurrentMap + ?Sized>(
+    map: &M,
+    duration: Duration,
+    on_worker_start: &(dyn Fn(usize) + Sync),
+) {
+    const BAND: Key = 48;
+    let value_of = |key: Key| key * 1_000_003 + 17;
+    let mut order = Vec::with_capacity(BAND as usize);
+    let mut spans = vec![(1, BAND)];
+    while let Some((lo, hi)) = spans.pop() {
+        if lo <= hi {
+            let mid = lo + (hi - lo) / 2;
+            order.push(mid);
+            spans.push((lo, mid - 1));
+            spans.push((mid + 1, hi));
+        }
+    }
+    for &k in &order {
+        assert!(map.insert(k, value_of(k)), "{}: the map must start empty", map.name());
+    }
+
+    run_workers(map.name(), 4, Some(duration), |t, done, stop| {
+        on_worker_start(t);
+        let mut ops = 0u64;
+        if t < 2 {
+            let mut sweep = 0u64;
+            // ORDERING: Relaxed — see `run_workers`.
+            while !stop.load(Ordering::Relaxed) {
+                // Out of phase, so that each key's neighbours keep coming
+                // and going too.
+                let skip = (sweep + t as u64 * 7) % BAND;
+                for &k in order.iter().skip(skip as usize) {
+                    if map.remove(k) {
+                        map.insert(k, value_of(k));
+                    }
+                    ops += 1;
+                    done.publish(ops);
+                }
+                sweep += 1;
+            }
+            return;
+        }
+        // ORDERING: Relaxed — see `run_workers`.
+        while !stop.load(Ordering::Relaxed) {
+            for k in 1..=BAND {
+                if let Some(v) = map.get(k) {
+                    assert_eq!(v, value_of(k), "{}: get({k}) returned another key's value", map.name());
+                }
+                ops += 1;
+                done.publish(ops);
+            }
+        }
+    });
+    for k in 1..=BAND {
+        assert_eq!(map.get(k), Some(value_of(k)), "{}: key {k} after the churn", map.name());
+    }
 }
 
 #[cfg(test)]

@@ -207,7 +207,12 @@ impl McmsBst {
                     McmsArg::Compare { addr, .. } => !std::ptr::eq(*addr, ptr_to_change as *const CasWord),
                     _ => true,
                 });
-                // Pin curr's children so no concurrent insert slips below it.
+                // Pin curr's children so no concurrent insert slips below it,
+                // and its key: `search` returns on the match without a step
+                // for `curr`, and a two-child removal of `key` may have
+                // promoted its successor into `curr` since.  Unlinking `curr`
+                // then would remove the successor's key as well.
+                args.push(McmsArg::Compare { addr: &curr.key, expected: key });
                 args.push(McmsArg::Compare { addr: &curr.left, expected: curr_left });
                 args.push(McmsArg::Compare { addr: &curr.right, expected: curr_right });
                 args.push(McmsArg::Swap { addr: ptr_to_change, old: curr_word, new: child_to_keep });
@@ -288,8 +293,17 @@ impl McmsBst {
             let guard = crossbeam_epoch::pin();
             let res = self.search(&guard, key);
             if let Some(curr) = res.curr {
-                // Positive searches avoid MCMS (the paper's optimization).
-                return Some(mcms_read(&curr.val, &guard));
+                // Positive searches avoid MCMS (the paper's optimization).  A
+                // two-child removal writes its successor's key and value into
+                // the removed node, so a value read after such a commit
+                // belongs to another key.  A node's key only grows, so the
+                // same key read after the value means no promotion landed in
+                // between, and the value is `key`'s.
+                let val = mcms_read(&curr.val, &guard);
+                if mcms_read(&curr.key, &guard) == key {
+                    return Some(val);
+                }
+                continue;
             }
             // Negative searches validate the path with a compare-only MCMS —
             // this is what makes MCMS searches write to the whole path.

@@ -736,51 +736,20 @@ impl<B: Balance> Drop for PathCasTree<B> {
     }
 }
 
-/// One battery for both policies: `battery!(module, TreeType)` instantiates
-/// every test below for that tree.  Checks that only hold for a balanced
-/// tree live in `crate::avl`.
+/// The tree's own tests, for both policies: `battery!(module, TreeType)`
+/// instantiates every test below for that tree.  Checks that only hold for a
+/// balanced tree live in `crate::avl`; the generic map cases run on both
+/// trees in the workspace's `tests/cross_structure.rs`.
 #[cfg(test)]
 mod tests {
     macro_rules! battery {
         ($policy:ident, $Tree:ty) => {
             mod $policy {
                 use crate::*;
-                use mapapi::stress::{
-                    prefill, stress_disjoint_stripes, stress_keysum, stress_keysum_with,
-                };
-                use mapapi::suites::*;
                 use mapapi::ConcurrentMap;
                 use std::sync::atomic::{AtomicBool, Ordering};
-                use std::time::Duration;
 
                 type Tree = $Tree;
-
-                #[test]
-                fn basic_semantics() {
-                    check_basic_semantics(&Tree::new());
-                }
-
-                #[test]
-                fn ordered_patterns() {
-                    let t = Tree::new();
-                    check_ordered_patterns(&t);
-                    t.check_invariants();
-                }
-
-                #[test]
-                fn random_vs_oracle() {
-                    let t = Tree::new();
-                    check_random_against_oracle(&t, 6000, 128, 0xBEEF);
-                    check_stats_consistency(&t, 128);
-                    t.check_invariants();
-                }
-
-                #[test]
-                fn random_vs_oracle_dense_keyspace() {
-                    let t = Tree::new();
-                    check_random_against_oracle(&t, 4000, 16, 7);
-                    t.check_invariants();
-                }
 
                 #[test]
                 fn two_child_deletions() {
@@ -856,71 +825,11 @@ mod tests {
                 }
 
                 #[test]
-                fn stripes_stress() {
-                    let t = Tree::new();
-                    stress_disjoint_stripes(&t, 4, 300);
-                    t.check_invariants();
-                }
-
-                #[test]
-                fn keysum_stress_mixed() {
-                    let t = Tree::new();
-                    prefill(&t, 512, 256, 99);
-                    stress_keysum(&t, 4, 512, 40, Duration::from_millis(300), 3);
-                    t.check_invariants();
-                }
-
-                #[test]
-                fn keysum_stress_update_heavy() {
-                    let t = Tree::new();
-                    prefill(&t, 64, 32, 5);
-                    stress_keysum(&t, 4, 64, 100, Duration::from_millis(300), 11);
-                    t.check_invariants();
-                }
-
-                #[test]
-                fn keysum_stress_update_heavy_on_mixed_commit_paths() {
-                    // Odd workers publish descriptors, even workers commit in
-                    // hardware transactions (where the CPU has RTM; elsewhere
-                    // this is the test above again), on the same 64 keys.
-                    let t = Tree::new();
-                    prefill(&t, 64, 32, 5);
-                    stress_keysum_with(&t, 4, 64, 100, Duration::from_millis(300), 11, &|worker| {
-                        kcas::software_path_only(worker % 2 == 1)
-                    });
-                    t.check_invariants();
-                }
-
-                #[test]
                 fn retries_counter_is_observable() {
                     let t = Tree::new();
                     t.insert(1, 1);
                     // Single-threaded operations should essentially never retry.
                     assert_eq!(t.retry_count(), 0);
-                }
-
-                #[test]
-                fn scan_semantics() {
-                    check_scan_semantics(&Tree::new());
-                }
-
-                #[test]
-                fn scan_vs_oracle() {
-                    let t = Tree::new();
-                    check_scan_against_oracle(&t, 256, 0x5CA9);
-                    t.check_invariants();
-                }
-
-                #[test]
-                fn chunked_audit_covers_trees_larger_than_one_chunk() {
-                    // The scan audit walks in SCAN_AUDIT_CHUNK-sized validated
-                    // scans, so a tree bigger than one chunk exercises the
-                    // resume logic on a real validated structure.  Random
-                    // insertion order keeps the unbalanced tree shallow.
-                    let t = Tree::new();
-                    let n = 2 * SCAN_AUDIT_CHUNK as u64 + 77;
-                    prefill(&t, n, n, 0xC4);
-                    check_scan_matches_stats(&t, &t.stats());
                 }
 
                 #[test]
@@ -932,54 +841,6 @@ mod tests {
                     // Present key: updated in place.
                     assert!(t.rmw(7, &mut |v| v.unwrap() + 1));
                     assert_eq!(t.get(7), Some(102));
-                    t.check_invariants();
-                }
-
-                #[test]
-                fn concurrent_rmw_increments_are_not_lost() {
-                    // The lost-update litmus: N threads each add 1 to the same
-                    // key M times through rmw; the final value must be exactly
-                    // N*M.  The composed remove+insert default loses
-                    // increments under this race.
-                    let t = Tree::new();
-                    t.insert(42, 0);
-                    let threads = 4u64;
-                    let per = 2_000u64;
-                    std::thread::scope(|s| {
-                        for _ in 0..threads {
-                            s.spawn(|| {
-                                for _ in 0..per {
-                                    t.rmw(42, &mut |v| v.unwrap() + 1);
-                                }
-                            });
-                        }
-                    });
-                    assert_eq!(t.get(42), Some(threads * per));
-                    t.check_invariants();
-                }
-
-                #[test]
-                fn concurrent_rmw_increments_are_not_lost_on_mixed_commit_paths() {
-                    // The same litmus with odd threads pinned to the software
-                    // path: a transactional commit that overwrote a
-                    // descriptor, or a helper that re-applied one over a
-                    // transactional commit, would lose or double an increment.
-                    let t = Tree::new();
-                    t.insert(42, 0);
-                    let threads = 4u64;
-                    let per = 2_000u64;
-                    std::thread::scope(|s| {
-                        for i in 0..threads {
-                            let t = &t;
-                            s.spawn(move || {
-                                kcas::software_path_only(i % 2 == 1);
-                                for _ in 0..per {
-                                    t.rmw(42, &mut |v| v.unwrap() + 1);
-                                }
-                            });
-                        }
-                    });
-                    assert_eq!(t.get(42), Some(threads * per));
                     t.check_invariants();
                 }
 

@@ -13,8 +13,7 @@
 //! only for some names (an atomic `rmw`).  A registry name with no instance,
 //! or an instance whose map reports another name, fails
 //! `every_registry_name_has_a_battery_under_its_own_name`.  The per-crate
-//! tests keep only what is specific to one structure, except `pathcas-ds`:
-//! its `tree.rs` and `list.rs` still run their own copies of these suites.
+//! tests keep only what is specific to one structure.
 
 use std::time::Duration;
 
@@ -22,7 +21,8 @@ use baselines::TicketBst;
 use harness::registry;
 use mapapi::reference::LockedBTreeMap;
 use mapapi::stress::{
-    prefill, stress_disjoint_stripes, stress_keysum, stress_keysum_with, stress_scan_into,
+    prefill, stress_disjoint_stripes, stress_keysum, stress_keysum_with, stress_rmw_increments,
+    stress_scan_into, stress_values_belong_to_their_keys,
 };
 use mapapi::suites::*;
 use mapapi::ConcurrentMap;
@@ -58,7 +58,8 @@ macro_rules! battery {
             basic_semantics, ordered_patterns, random_vs_oracle, random_vs_oracle_dense_keyspace,
             scan_semantics, scan_vs_oracle, scan_into_appends,
             chunked_audit_covers_maps_larger_than_one_chunk, stripes_stress, keysum_stress_mixed,
-            keysum_stress_update_heavy_2_threads, keysum_stress_update_heavy_4_threads $(, $extra)*);
+            keysum_stress_update_heavy_2_threads, keysum_stress_update_heavy_4_threads,
+            values_belong_to_their_keys $(, $extra)*);
     };
 }
 
@@ -228,12 +229,21 @@ fn stripes_stress<M: ConcurrentMap>(build: impl Fn() -> M, check: impl Fn(&M)) {
     check(&map);
 }
 
-/// How long each keysum case runs.  Tier-1 runs this file in a debug build,
-/// where sixteen names of three timed cases each at full length would
+/// How long each timed case runs.  Tier-1 runs this file in a debug build,
+/// where sixteen names of four timed cases each at full length would
 /// outweigh every copy of the suites it replaced; CI's release step runs the
 /// full length.  The short window still catches witness (v) (every KCAS lock
 /// a plain CAS, so helpers livelock) in most runs: see CHANGES.md.
 const WINDOW: Duration = Duration::from_millis(if cfg!(debug_assertions) { 100 } else { 300 });
+
+/// The worker hook of the contended keysum and the two litmus cases: odd
+/// workers publish descriptors and even ones commit in hardware
+/// transactions, where the CPU has RTM.  A transactional commit that
+/// overwrote a descriptor, or a helper that re-applied one over a
+/// transactional commit, would lose or double an update.
+fn odd_workers_on_the_software_path(worker: usize) {
+    kcas::software_path_only(worker % 2 == 1)
+}
 
 fn keysum_stress_mixed<M: ConcurrentMap>(build: impl Fn() -> M, check: impl Fn(&M)) {
     let map = build();
@@ -242,10 +252,10 @@ fn keysum_stress_mixed<M: ConcurrentMap>(build: impl Fn() -> M, check: impl Fn(&
     check(&map);
 }
 
-/// The contended shape: 64 keys half full, every op an update.  Odd workers
-/// publish descriptors and even ones commit in hardware transactions, where
-/// the CPU has RTM.  A structure that stops making progress aborts the run,
-/// naming the map (the stress suite's progress oracle).
+/// The contended shape: 64 keys half full, every op an update, on mixed
+/// commit paths.  A structure that stops making progress aborts the run,
+/// naming the map (the stress suite's progress oracle, which every
+/// concurrent case here carries).
 fn keysum_stress_update_heavy<M: ConcurrentMap>(
     threads: usize,
     build: impl Fn() -> M,
@@ -253,9 +263,7 @@ fn keysum_stress_update_heavy<M: ConcurrentMap>(
 ) {
     let map = build();
     prefill(&map, 64, 32, 5);
-    stress_keysum_with(&map, threads, 64, 100, WINDOW, 11, &|worker| {
-        kcas::software_path_only(worker % 2 == 1)
-    });
+    stress_keysum_with(&map, threads, 64, 100, WINDOW, 11, &odd_workers_on_the_software_path);
     check(&map);
 }
 
@@ -273,27 +281,19 @@ fn keysum_stress_update_heavy_4_threads<M: ConcurrentMap>(
     keysum_stress_update_heavy(4, build, check)
 }
 
-/// The lost-update litmus: four threads each add 1 to one key 2 000 times
-/// through `rmw`, the odd ones on the descriptor path, and the sum must be
-/// exact.  The trait's composed remove + insert loses increments here, and
-/// so would a transactional commit that overwrote a descriptor, or a helper
-/// that re-applied one over a transactional commit.
+/// The lost-update litmus, 4 × 2 000 increments of one key through `rmw`.
 fn rmw_is_atomic<M: ConcurrentMap>(build: impl Fn() -> M, check: impl Fn(&M)) {
     let map = build();
-    map.insert(42, 0);
-    let (threads, per) = (4u64, 2_000u64);
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let map = &map;
-            s.spawn(move || {
-                kcas::software_path_only(i % 2 == 1);
-                for _ in 0..per {
-                    map.rmw(42, &mut |v| v.unwrap() + 1);
-                }
-            });
-        }
-    });
-    assert_eq!(map.get(42), Some(threads * per), "{}: an increment was lost", map.name());
+    stress_rmw_increments(&map, 4, 2_000, &odd_workers_on_the_software_path);
+    check(&map);
+}
+
+/// The value litmus: a `get` racing a two-child removal returns the removed
+/// key's value or nothing, never the successor's.  Caught `int-bst-mcms`
+/// reading the value of a node whose key a removal had just promoted over.
+fn values_belong_to_their_keys<M: ConcurrentMap>(build: impl Fn() -> M, check: impl Fn(&M)) {
+    let map = build();
+    stress_values_belong_to_their_keys(&map, WINDOW, &odd_workers_on_the_software_path);
     check(&map);
 }
 
